@@ -7,10 +7,11 @@ Runs group / multiple / intersectional coverage audits at N ∈ {10k,
   ``predicate.matches_row(dataset.value_row(i))`` per object in pure
   Python: the pre-vectorization execution model this PR replaces.
 * **vectorized** — :class:`~repro.crowd.oracle.GroundTruthOracle`
-  answering through a
-  :class:`~repro.data.membership.GroupMembershipIndex` (prefix-count
-  tables for contiguous runs, batched gathers otherwise, interned query
-  keys), in both sequential and engine modes.
+  answering through the dataset's
+  :class:`~repro.data.sharded.ShardedMembershipIndex` (one shard, a
+  pinned prefix-count table per predicate for contiguous runs, batched
+  gathers otherwise, interned query keys), in both sequential and
+  engine modes.
 
 Sequential baseline and sequential vectorized runs ask the *same
 queries in the same order*, so verdicts and task counts must be

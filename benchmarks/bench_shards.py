@@ -14,15 +14,16 @@ bytes never cross the pickle boundary. Three guarantees are asserted
 per row:
 
 * **bit-identity** — at sizes up to ``--dense-cap`` (default 1M) the
-  same chunks are concatenated into a dense
+  same chunks are concatenated into an in-RAM
   :class:`~repro.data.dataset.LabeledDataset` and the audit re-run over
-  the dense index: verdicts AND task counts must match exactly;
+  it (one shard, every predicate pinned): verdicts AND task counts must
+  match exactly;
 * **structural memory bound** — the sharded path's tracked peak
   (resident chunks + prefix tables + totals) never exceeds its
   configuration cap (LRU + worker-held chunk budget, twice the
   residency cap, plus the prefix-cache budget), and that cap stays below
-  :func:`~repro.data.sharded.dense_index_bytes` — what the dense index
-  would need resident for the same workload;
+  :func:`~repro.data.sharded.dense_index_bytes` — what a fully in-RAM
+  index would need resident for the same workload;
 * **completion at scale** — the group audit finishes at N = 10M (and,
   with ``--memmap-tier``, at N = 100M) with the cap several times under
   the dense requirement.
@@ -71,8 +72,8 @@ DEFAULT_SIZES = (1_000_000, 10_000_000)
 DEFAULT_TAU = 50
 DEFAULT_RESIDENT = 2
 DEFAULT_EXECUTORS = ("threads", "processes")
-#: Above this N the dense comparison run is skipped (the dense index
-#: would need the memory the sharded path exists to avoid).
+#: Above this N the in-RAM comparison run is skipped (it would need the
+#: memory the sharded path exists to avoid).
 DEFAULT_DENSE_CAP = 1_000_000
 
 GENDER_SCHEMA = Schema.from_dict({"gender": ["male", "female"]})
@@ -270,10 +271,10 @@ def run_case(
                 max_resident_shards=resident,
                 name=f"{audit}@{n_objects}",
             )
-        # Budget the prefix cache to pin whole predicates (≈ 8·N bytes
-        # per pinned predicate — always below the dense index's matching
-        # prefix table, and it turns every post-build boundary query
-        # into a lock-free lookup instead of a chunk regeneration).
+        # Budget the prefix cache to pin whole predicates (≈ 4·N bytes
+        # per pinned int32 table — half the classic in-RAM layout's
+        # int64 prefix table, and it turns every post-build boundary
+        # query into a lock-free lookup instead of a chunk regeneration).
         budget = prefix_budget if prefix_budget else max(dataset.n_shards, resident)
         row["prefix_budget"] = budget
         index = ShardedMembershipIndex(
@@ -322,7 +323,7 @@ def run_case(
         row["dense_index_bytes"] = dense_needed
         row["dense_over_sharded_cap"] = round(dense_needed / memory["cap_bytes"], 2)
         # The acceptance gate: tracked peak inside the structural cap,
-        # and the cap itself below what the dense index would need.
+        # and the cap itself below what a fully in-RAM index would need.
         if memory["peak_tracked_bytes"] > memory["cap_bytes"]:
             raise AssertionError(
                 f"{audit}@{n_objects}: tracked peak "

@@ -333,7 +333,7 @@ class AuditSession:
 
     @property
     def membership_index(self):
-        """The :class:`~repro.data.membership.GroupMembershipIndex` the
+        """The :class:`~repro.data.sharded.ShardedMembershipIndex` the
         session's oracle answers from, when it exposes one (simulated
         oracles and platform-backed oracles do), else ``None``. Audits
         the session runs share this single index however many specs and

@@ -45,7 +45,7 @@ from repro.core.tree import PrunableQueue, TreeNode
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import GroupPredicate
-from repro.data.membership import as_run
+from repro.data.sharded import as_run
 from repro.engine.requests import IndexKey, QueryKey, SetRequest
 from repro.errors import InvalidParameterError
 

@@ -34,8 +34,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.queries import PointQuery, SetQuery
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import GroupPredicate
-from repro.data.membership import GroupMembershipIndex, membership_index_for
-from repro.data.sharded import ShardedDataset
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
 from repro.errors import BudgetExceededError, InvalidParameterError
 
 __all__ = ["TaskLedger", "Oracle", "GroundTruthOracle", "CrowdOracle", "FlakyOracle"]
@@ -244,17 +243,16 @@ class Oracle(ABC):
 class GroundTruthOracle(Oracle):
     """Noise-free oracle answering from the dataset's hidden labels.
 
-    All answering is vectorized through a
-    :class:`~repro.data.membership.GroupMembershipIndex`: contiguous-run
+    All answering is vectorized through the dataset's shared
+    :class:`~repro.data.sharded.ShardedMembershipIndex`: contiguous-run
     set queries resolve in O(1) from prefix-count tables, scattered ones
     through one gather per batch, and point-query batches through one
-    fancy-index per attribute. Pass ``index=`` to share a prebuilt
-    index; by default the dataset's process-wide shared index is used,
-    so many oracles over one dataset never recompute a membership
-    column. ``dataset`` may also be a sharded out-of-core
-    :class:`~repro.data.sharded.ShardedDataset`, in which case answers
-    flow through its :class:`~repro.data.sharded.ShardedMembershipIndex`
-    — bit-identical, without the dataset ever fully materializing.
+    fancy-index per attribute. Many oracles over one dataset share that
+    index, so none recomputes a membership column; ``index=`` must be
+    that same index (or one over the same shards). ``dataset`` may be
+    in RAM or a sharded out-of-core
+    :class:`~repro.data.sharded.ShardedDataset` — answers are
+    bit-identical, without the latter ever fully materializing.
 
     Examples
     --------
@@ -275,17 +273,18 @@ class GroundTruthOracle(Oracle):
         dataset: "LabeledDataset | ShardedDataset",
         *,
         budget: int | None = None,
-        index: GroupMembershipIndex | None = None,
+        index: ShardedMembershipIndex | None = None,
     ) -> None:
         super().__init__(dataset.schema, budget=budget)
         self.dataset = dataset
-        if index is not None and index.dataset is not dataset:
+        shared = ShardedMembershipIndex.for_dataset(dataset)
+        # An in-RAM dataset is indexed through a one-shard wrapper, so
+        # compare against the shards the shared index answers over.
+        if index is not None and index.dataset is not shared.dataset:
             raise InvalidParameterError(
                 "membership index was built over a different dataset"
             )
-        self.membership_index = (
-            index if index is not None else membership_index_for(dataset)
-        )
+        self.membership_index = index if index is not None else shared
         # Subclasses (tracing/recording test doubles, decorators) that
         # override the classic two-argument hooks must keep seeing every
         # query; the keyed fast path short-circuits them only when the
@@ -381,7 +380,7 @@ class FlakyOracle(Oracle):
             raise InvalidParameterError("error rates must be in [0, 1]")
         super().__init__(dataset.schema, budget=budget)
         self.dataset = dataset
-        self.membership_index = membership_index_for(dataset)
+        self.membership_index = ShardedMembershipIndex.for_dataset(dataset)
         self.rng = rng
         self.set_error_rate = set_error_rate
         self.point_error_rate = point_error_rate

@@ -25,8 +25,7 @@ from repro.crowd.queries import HitRecord, PointQuery, SetQuery
 from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.workers import Worker
 from repro.data.dataset import LabeledDataset
-from repro.data.membership import membership_index_for
-from repro.data.sharded import ShardedDataset
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
 from repro.errors import InvalidParameterError, NoEligibleWorkersError
 
 __all__ = ["CrowdPlatform"]
@@ -89,7 +88,7 @@ class CrowdPlatform:
         if assignments_per_hit <= 0:
             raise InvalidParameterError("assignments_per_hit must be positive")
         self.dataset = dataset
-        self.membership_index = membership_index_for(dataset)
+        self.membership_index = ShardedMembershipIndex.for_dataset(dataset)
         self.rng = rng
         self.assignments_per_hit = assignments_per_hit
         self.eligible_workers = screen_workers(workers, screening, rng)

@@ -6,9 +6,10 @@ Public surface:
 * :class:`~repro.data.groups.Group`, :class:`~repro.data.groups.SuperGroup`,
   :class:`~repro.data.groups.Negation`, :func:`~repro.data.groups.group`
 * :class:`~repro.data.dataset.LabeledDataset`
-* the sharded out-of-core layer (:mod:`repro.data.sharded`):
-  :class:`~repro.data.sharded.ShardedDataset`,
-  :class:`~repro.data.sharded.ShardedMembershipIndex`,
+* the membership index and the sharded out-of-core layer
+  (:mod:`repro.data.sharded`):
+  :class:`~repro.data.sharded.ShardedMembershipIndex` (answers in-RAM and
+  sharded datasets alike), :class:`~repro.data.sharded.ShardedDataset`,
   :class:`~repro.data.sharded.ShardExecutor`
 * synthetic generators (:mod:`repro.data.synthetic`)
 * image rendering (:mod:`repro.data.images`)
@@ -25,7 +26,6 @@ from repro.data.corpora import (
 from repro.data.dataset import LabeledDataset, predicate_mask
 from repro.data.groups import Group, GroupPredicate, Negation, SuperGroup, group
 from repro.data.images import ImageRenderer, attach_images
-from repro.data.membership import GroupMembershipIndex, membership_index_for
 from repro.data.schema import Attribute, Schema
 from repro.data.sharded import (
     ShardedDataset,
@@ -52,8 +52,6 @@ __all__ = [
     "group",
     "LabeledDataset",
     "predicate_mask",
-    "GroupMembershipIndex",
-    "membership_index_for",
     "ShardedDataset",
     "ShardedMembershipIndex",
     "ShardExecutor",

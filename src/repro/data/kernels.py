@@ -205,9 +205,8 @@ def fused_prefix_tables(
     ``table[b] - table[a]`` counts members of local rows ``[a, b)``.
     Tables are ``int32``: a local count is bounded by the shard's row
     count, and chunks anywhere near 2³¹ rows could not be materialized
-    in the first place — half the bytes of the dense index's ``int64``
-    tables, which is where the sharded path's prefix-cache headroom
-    comes from.
+    in the first place — half the bytes of ``int64`` tables, which is
+    where the index's prefix-cache headroom comes from.
 
     Examples
     --------

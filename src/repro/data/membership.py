@@ -1,352 +1,19 @@
-"""GroupMembershipIndex: the vectorized substrate of simulated answering.
+"""Import stub for the removed in-RAM index class.
 
-The simulated crowd (ground-truth and flaky oracles, the platform's
-hidden-truth computation) must answer set queries over datasets of
-millions of objects at hardware speed. Evaluating
-:meth:`~repro.data.groups.GroupPredicate.matches_row` per object in
-Python is the row-at-a-time regime this index replaces:
-
-* one boolean **membership column** per predicate, composed with NumPy
-  (AND over a :class:`~repro.data.groups.Group`'s conditions, OR over a
-  :class:`~repro.data.groups.SuperGroup`'s members, NOT for a
-  :class:`~repro.data.groups.Negation`), memoized per predicate;
-* a **prefix-count table** per predicate (``prefix[i]`` = members among
-  the first ``i`` objects), so any *contiguous run* of indices — the
-  only shape the divide-and-conquer trees over ``arange`` views ever
-  produce — is answered in O(1) regardless of its length;
-* **batched** forms (:meth:`any_match_batch`, :meth:`any_match_runs`)
-  that answer thousands of queries with a handful of NumPy calls: one
-  gather + segmented reduction per distinct predicate, and a single
-  vectorized prefix-difference for run-shaped batches.
-
-Everything here is ground truth: algorithms never touch the index; they
-route through :mod:`repro.crowd.oracle`, whose simulated implementations
-answer from it. One index per dataset is enough — use
-:meth:`GroupMembershipIndex.for_dataset` to share it across oracles,
-platforms, and audit sessions over the same dataset.
+Every dataset is answered by
+:class:`~repro.data.sharded.ShardedMembershipIndex`. The old name stays
+importable only because ``perfbench/tracing.py`` patches its methods by
+name; nothing uses it. Delete this module with that import.
 """
 
-from __future__ import annotations
-
-from typing import Sequence
-
-import numpy as np
-
-from repro.data.dataset import LabeledDataset
-from repro.data.groups import GroupPredicate
-from repro.errors import OracleError
-
-__all__ = ["GroupMembershipIndex", "as_run", "membership_index_for"]
+__all__: list[str] = []
 
 
-def membership_index_for(dataset):
-    """The shared membership index of ``dataset``, whatever its kind.
-
-    Dense :class:`~repro.data.dataset.LabeledDataset` instances get the
-    in-RAM :class:`GroupMembershipIndex`; sharded out-of-core datasets
-    (:class:`~repro.data.sharded.ShardedDataset`) get a
-    :class:`~repro.data.sharded.ShardedMembershipIndex`. Both expose the
-    same query surface, which is how oracles and platforms accept either
-    dataset kind transparently.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.data.membership import membership_index_for
-    >>> from repro.data.sharded import ShardedDataset
-    >>> from repro.data.synthetic import binary_dataset
-    >>> dense = binary_dataset(100, 5, rng=np.random.default_rng(0))
-    >>> type(membership_index_for(dense)).__name__
-    'GroupMembershipIndex'
-    >>> type(membership_index_for(
-    ...     ShardedDataset.from_dataset(dense, shard_size=40))).__name__
-    'ShardedMembershipIndex'
-    """
-    from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
-
-    if isinstance(dataset, ShardedDataset):
-        return ShardedMembershipIndex.for_dataset(dataset)
-    return GroupMembershipIndex.for_dataset(dataset)
-
-
-def check_object_indices(index_array: np.ndarray, n_objects: int) -> None:
-    """Raise :class:`~repro.errors.OracleError` for any index outside
-    ``[0, n_objects)`` — the bounds contract every membership substrate
-    (dense and sharded) enforces on set queries and label decoding
-    alike, so a negative index raises instead of silently wrapping."""
-    out_of_range = (index_array < 0) | (index_array >= n_objects)
-    if out_of_range.any():
-        bad = int(index_array[out_of_range][0])
-        raise OracleError(f"object index {bad} out of range [0, {n_objects})")
-
-
-def decode_value_rows(schema, codes: np.ndarray) -> list[dict[str, str]]:
-    """Decode a gathered ``(k, d)`` code matrix into ``{attribute:
-    value}`` rows — one fancy-index per attribute, shared by the dense
-    and sharded ``value_rows`` paths."""
-    columns: list[tuple[str, np.ndarray]] = []
-    for j, attribute in enumerate(schema):
-        values = np.asarray(attribute.values, dtype=object)
-        columns.append((attribute.name, values[codes[:, j]]))
-    return [
-        {name: column[i] for name, column in columns}
-        for i in range(len(codes))
-    ]
-
-
-def segmented_any(hits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-segment ``any`` over a concatenated boolean gather: segment
-    ``i`` covers the next ``lengths[i]`` entries of ``hits`` (every
-    segment non-empty — ``reduceat`` cannot express empty segments).
-    Shared by the dense and sharded scattered-batch paths."""
-    bounds = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=bounds[1:])
-    return np.logical_or.reduceat(hits, bounds)
-
-
-def as_run(indices: np.ndarray) -> tuple[int, int] | None:
-    """``(start, stop)`` if ``indices`` is a contiguous ascending run
-    (``start, start+1, ..., stop-1``), else ``None``.
-
-    The O(n) check is far cheaper than the O(n) gather it replaces with
-    an O(1) prefix lookup, and run-shaped queries dominate: every tree
-    node over an ``arange`` view slices out exactly such a run.
-    """
-    length = len(indices)
-    if length == 0:
-        return None
-    start = int(indices[0])
-    stop = int(indices[-1]) + 1
-    if stop - start != length:
-        return None
-    if length > 1 and not bool((np.diff(indices) == 1).all()):
-        return None
-    return (start, stop)
+def _removed(*args: object, **kwargs: object) -> None:
+    raise TypeError("removed: use ShardedMembershipIndex.for_dataset(dataset)")
 
 
 class GroupMembershipIndex:
-    """Precomputed boolean membership matrices over one dataset.
+    """Removed: every method raises."""
 
-    Columns and prefix tables are built lazily per predicate and
-    memoized forever (predicates are immutable value objects, datasets
-    never mutate their codes). Memory per indexed predicate is one bool
-    column (N bytes) plus one int64 prefix table (8(N+1) bytes) — ~9 MB
-    per predicate at N = 1M.
-    """
-
-    def __init__(self, dataset: LabeledDataset) -> None:
-        self.dataset = dataset
-        self._prefix_cache: dict[GroupPredicate, np.ndarray] = {}
-
-    @classmethod
-    def for_dataset(cls, dataset: LabeledDataset) -> "GroupMembershipIndex":
-        """The shared index of ``dataset`` (created on first use).
-
-        Oracles, platforms, and sessions over the same dataset all get
-        the same instance, so membership columns are computed once per
-        process however many answerers exist.
-        """
-        index = dataset.__dict__.get("_membership_index")
-        if index is None:
-            index = cls(dataset)
-            dataset.__dict__["_membership_index"] = index
-        return index
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    # ------------------------------------------------------------------
-    # columns
-    # ------------------------------------------------------------------
-    def mask(self, predicate: GroupPredicate) -> np.ndarray:
-        """The predicate's boolean membership column (memoized, read-only)."""
-        return self.dataset.mask(predicate)
-
-    def prefix(self, predicate: GroupPredicate) -> np.ndarray:
-        """``prefix[i]`` = number of members among objects ``[0, i)``.
-
-        Length N+1; ``prefix[stop] - prefix[start]`` counts members of
-        any contiguous run in O(1).
-        """
-        cached = self._prefix_cache.get(predicate)
-        if cached is None:
-            cached = np.zeros(len(self.dataset) + 1, dtype=np.int64)
-            np.cumsum(self.mask(predicate), out=cached[1:])
-            cached.setflags(write=False)
-            self._prefix_cache[predicate] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # single-query forms
-    # ------------------------------------------------------------------
-    def _check_run(self, start: int, stop: int) -> None:
-        """Out-of-range runs raise like the sharded index — a negative
-        start would otherwise silently wrap through the prefix table."""
-        if start < 0 or stop > len(self.dataset):
-            raise OracleError(
-                f"query run [{start}, {stop}) outside dataset "
-                f"[0, {len(self.dataset)})"
-            )
-
-    def count(self, predicate: GroupPredicate, indices: np.ndarray) -> int:
-        """Number of objects in ``indices`` matching ``predicate``."""
-        run = as_run(indices)
-        if run is not None:
-            self._check_run(run[0], run[1])
-            prefix = self.prefix(predicate)
-            return int(prefix[run[1]] - prefix[run[0]])
-        if len(indices):
-            check_object_indices(np.asarray(indices, dtype=np.int64), len(self.dataset))
-        return int(self.mask(predicate)[indices].sum())
-
-    def any_match(
-        self, predicate: GroupPredicate, indices: np.ndarray, *, key=None
-    ) -> bool:
-        """Does ``indices`` contain at least one member of ``predicate``?
-
-        Contiguous runs are answered from the prefix table in O(1);
-        arbitrary index arrays fall back to a vectorized gather. ``key``
-        (an :class:`~repro.engine.requests.IndexKey`) short-circuits the
-        run detection when the caller already keyed the query.
-        """
-        if key is not None:
-            if key.payload is None:
-                if key.stop <= key.start:
-                    return False
-                self._check_run(key.start, key.stop)
-                prefix = self.prefix(predicate)
-                return bool(prefix[key.stop] > prefix[key.start])
-            if len(indices) == 0:
-                return False
-            check_object_indices(
-                np.asarray(indices, dtype=np.int64), len(self.dataset)
-            )
-            return bool(self.mask(predicate)[indices].any())
-        run = as_run(indices)
-        if run is not None:
-            self._check_run(run[0], run[1])
-            prefix = self.prefix(predicate)
-            return bool(prefix[run[1]] > prefix[run[0]])
-        if len(indices):
-            check_object_indices(
-                np.asarray(indices, dtype=np.int64), len(self.dataset)
-            )
-        return bool(self.mask(predicate)[indices].any())
-
-    def matches(self, predicate: GroupPredicate, index: int) -> bool:
-        """Ground-truth membership of a single object."""
-        check_object_indices(
-            np.asarray([index], dtype=np.int64), len(self.dataset)
-        )
-        return bool(self.mask(predicate)[index])
-
-    # ------------------------------------------------------------------
-    # batched forms
-    # ------------------------------------------------------------------
-    def any_match_runs(
-        self, predicate: GroupPredicate, starts: np.ndarray, stops: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`any_match` over many runs of one predicate:
-        one prefix gather for the whole batch."""
-        prefix = self.prefix(predicate)
-        starts = np.asarray(starts, dtype=np.int64)
-        stops = np.asarray(stops, dtype=np.int64)
-        if len(starts) and (
-            int(starts.min()) < 0 or int(stops.max()) > len(self.dataset)
-        ):
-            bad = np.flatnonzero((starts < 0) | (stops > len(self.dataset)))[0]
-            raise OracleError(
-                f"query run [{int(starts[bad])}, {int(stops[bad])}) outside "
-                f"dataset [0, {len(self.dataset)})"
-            )
-        return prefix[stops] > prefix[starts]
-
-    def any_match_batch(
-        self,
-        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
-        *,
-        keys: "Sequence | None" = None,
-    ) -> list[bool]:
-        """Answer many set queries with a handful of NumPy calls.
-
-        Queries are grouped by predicate; each group's run-shaped
-        queries resolve through one vectorized prefix difference, and
-        the rest through a single gather + segmented ``any`` over their
-        concatenated index arrays. Empty index arrays answer ``False``
-        (an empty set contains nothing). ``keys`` — a parallel sequence
-        of :class:`~repro.engine.requests.IndexKey` — skips per-query
-        run detection when the engine already keyed the batch.
-        """
-        answers = [False] * len(queries)
-        by_predicate: dict[GroupPredicate, list[int]] = {}
-        for position, (_, predicate) in enumerate(queries):
-            by_predicate.setdefault(predicate, []).append(position)
-        for predicate, positions in by_predicate.items():
-            run_positions: list[int] = []
-            run_bounds: list[tuple[int, int]] = []
-            scattered: list[int] = []
-            for position in positions:
-                indices = queries[position][0]
-                if keys is not None:
-                    key = keys[position]
-                    if key.payload is None:
-                        if key.stop > key.start:
-                            run_positions.append(position)
-                            run_bounds.append((key.start, key.stop))
-                        continue
-                    if len(indices):
-                        scattered.append(position)
-                    continue
-                if len(indices) == 0:
-                    continue
-                run = as_run(indices)
-                if run is not None:
-                    run_positions.append(position)
-                    run_bounds.append(run)
-                else:
-                    scattered.append(position)
-            if run_positions:
-                bounds = np.asarray(run_bounds, dtype=np.int64)
-                hits = self.any_match_runs(predicate, bounds[:, 0], bounds[:, 1])
-                for position, hit in zip(run_positions, hits):
-                    answers[position] = bool(hit)
-            if scattered:
-                mask = self.mask(predicate)
-                arrays = [queries[position][0] for position in scattered]
-                lengths = np.array([len(a) for a in arrays])
-                flat = np.concatenate(arrays)
-                check_object_indices(
-                    np.asarray(flat, dtype=np.int64), len(self.dataset)
-                )
-                gathered = mask[flat]
-                for position, hit in zip(
-                    scattered, segmented_any(gathered, lengths)
-                ):
-                    answers[position] = bool(hit)
-        return answers
-
-    # ------------------------------------------------------------------
-    # point labels
-    # ------------------------------------------------------------------
-    def value_rows(self, indices: Sequence[int]) -> list[dict[str, str]]:
-        """Ground-truth ``{attribute: value}`` rows for many objects at
-        once: one fancy-index per attribute instead of one Python-level
-        ``value_row`` call per object.
-
-        Bounds are checked like :meth:`LabeledDataset.value_row` — a
-        negative index must raise, not silently wrap to the end of the
-        dataset the way raw fancy-indexing would.
-        """
-        if len(indices) == 0:
-            return []
-        index_array = np.asarray(indices, dtype=np.int64)
-        check_object_indices(index_array, len(self.dataset))
-        return decode_value_rows(
-            self.dataset.schema, self.dataset.codes[index_array]
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - repr sugar
-        return (
-            f"GroupMembershipIndex({self.dataset.name!r}, N={len(self.dataset)}, "
-            f"indexed_predicates={len(self._prefix_cache)})"
-        )
+    __init__ = count = any_match = any_match_runs = any_match_batch = matches = _removed

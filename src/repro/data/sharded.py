@@ -1,14 +1,15 @@
-"""Sharded, out-of-core datasets and the membership index over them.
+"""Datasets as shards, and the one membership index that answers over them.
 
-The dense :class:`~repro.data.membership.GroupMembershipIndex` keeps one
-boolean column plus one prefix-count table per predicate fully resident,
-so the largest auditable dataset is whatever fits in RAM. This module
-removes that ceiling: a :class:`ShardedDataset` partitions the object
-space into fixed-size **shards** whose columnar code chunks are loaded
-lazily (from a memory map, a generator, or any loader callable) and
-evicted LRU under a resident-shard cap, and a
-:class:`ShardedMembershipIndex` answers the same ``count`` /
-``any_match`` / batched-gather API as the dense index by combining
+Every simulated answer reduces to one primitive — "does this set of
+objects hold a member of ``g``?" — and :class:`ShardedMembershipIndex`
+is the single implementation of it. A :class:`ShardedDataset`
+partitions the object space into fixed-size **shards** whose columnar
+code chunks are loaded lazily (from a memory map, a generator, or any
+loader callable) and evicted LRU under a resident-shard cap; an in-RAM
+:class:`~repro.data.dataset.LabeledDataset` is answered as a single
+shard whose chunk is its own code matrix
+(:meth:`ShardedMembershipIndex.for_dataset`). The index answers
+``count`` / ``any_match`` / batched-gather queries by combining
 
 * **cross-shard totals** — one ``int64`` per shard per predicate
   (``totals[s]`` = members among shards ``[0, s)``), built in a single
@@ -17,19 +18,20 @@ evicted LRU under a resident-shard cap, and a
   touch, and from then on answering every *shard-aligned* run in O(1)
   without touching a single chunk; and
 * **prefix tables** — when the cache budget covers a predicate's full
-  shard count, the fused build splices its per-shard tables into one
-  *pinned* global prefix table (the exact array the dense index uses,
-  at the same bytes) and every later query on that predicate answers
-  lock-free at dense-index speed; otherwise boundary tables build on
-  demand for the (at most two) *partially* covered shards of a run and
-  cache LRU under an entry-count budget shared with the pinned tier
-  (each entry is at most ``8·(shard_size+1)`` bytes, so the byte
-  footprint is bounded too).
+  shard count, the predicate's first query (whatever its shape) runs
+  the fused build, which splices its per-shard tables into one *pinned*
+  global prefix table (``prefix[i]`` = members among rows ``[0, i)``)
+  and every later query on that predicate answers lock-free from it;
+  an in-RAM dataset pins every predicate. Otherwise boundary tables
+  build on demand for the (at most two) *partially* covered shards of
+  a run and cache LRU under an entry-count budget shared with the
+  pinned tier (each entry is at most ``4·(shard_size+1)`` bytes, so the
+  byte footprint is bounded too).
 
 A contiguous-run query spanning many shards therefore splits at shard
 boundaries — interior shards answer from the totals, boundary shards
 from their local prefix tables — and the partial counts re-merge into
-the exact dense answer. Scattered index arrays group by owning shard and
+the exact answer. Scattered index arrays group by owning shard and
 resolve shard-parallel through a :class:`ShardExecutor`, whose
 ``processes`` mode runs the picklable kernels of
 :mod:`repro.data.kernels` on a :class:`~concurrent.futures.\
@@ -38,19 +40,21 @@ ProcessPoolExecutor` — workers materialize chunks from the dataset's
 generator) on their own side, so chunk arrays never cross the pickle
 boundary.
 
-Everything is *exact*, so oracles answering through a sharded index are
-bit-identical to the dense path: same verdicts, same task counts, same
-rng streams (pinned by ``tests/crowd/test_sharded_equivalence.py``, and
-across executor modes by ``tests/data/test_kernel_equivalence.py``).
-Peak memory is structurally bounded by ``max_resident_shards`` chunks
-plus the prefix-table budget — ``benchmarks/bench_shards.py`` asserts it
-while auditing datasets 10× larger than the dense index could hold.
+Everything is *exact*, so oracles answering over any shard geometry
+are bit-identical to answering over the in-RAM dataset: same verdicts,
+same task counts, same rng streams (pinned by
+``tests/crowd/test_sharded_equivalence.py``, and across executor modes
+by ``tests/data/test_kernel_equivalence.py``). Peak memory is
+structurally bounded by ``max_resident_shards`` chunks plus the
+prefix-table budget — ``benchmarks/bench_shards.py`` asserts it while
+auditing datasets 10× larger than an in-RAM index could hold.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -70,22 +74,54 @@ from repro.data.kernels import (
     fused_source_pass,
     scattered_hits_pass,
 )
-from repro.data.membership import (
-    as_run,
-    check_object_indices,
-    decode_value_rows,
-    segmented_any,
-)
 from repro.data.schema import Schema
 from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
 
 __all__ = [
+    "as_run",
     "ShardStats",
     "ShardExecutor",
     "ShardedDataset",
     "ShardedMembershipIndex",
     "dense_index_bytes",
 ]
+
+
+def as_run(indices: np.ndarray) -> tuple[int, int] | None:
+    """``(start, stop)`` if ``indices`` is a contiguous ascending run
+    (``start, start+1, ..., stop-1``), else ``None``.
+
+    The O(n) check is far cheaper than the O(n) gather it replaces with
+    an O(1) prefix lookup, and run-shaped queries dominate: every tree
+    node over an ``arange`` view slices out exactly such a run.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> as_run(np.arange(5, 12)), as_run(np.array([1, 3])), as_run(np.array([]))
+    ((5, 12), None, None)
+    """
+    length = len(indices)
+    if length == 0:
+        return None
+    start = int(indices[0])
+    stop = int(indices[-1]) + 1
+    if stop - start != length:
+        return None
+    if length > 1 and not bool((np.diff(indices) == 1).all()):
+        return None
+    return (start, stop)
+
+
+def _check_object_indices(index_array: np.ndarray, n_objects: int) -> None:
+    """Raise :class:`~repro.errors.OracleError` for any index outside
+    ``[0, n_objects)`` — the bounds contract set queries and label
+    decoding share, so a negative index raises instead of silently
+    wrapping."""
+    out_of_range = (index_array < 0) | (index_array >= n_objects)
+    if out_of_range.any():
+        bad = int(index_array[out_of_range][0])
+        raise OracleError(f"object index {bad} out of range [0, {n_objects})")
 
 
 def _run_fused_task(task: tuple) -> tuple[list[int], list[np.ndarray] | None]:
@@ -111,7 +147,7 @@ class ShardStats:
     The structural memory guarantee of the sharded path lives here:
     ``peak_resident_bytes`` can never exceed ``max_resident_shards ×
     bytes-per-chunk``, whatever the dataset size — the number
-    ``benchmarks/bench_shards.py`` asserts against the dense index's
+    ``benchmarks/bench_shards.py`` asserts against an in-RAM index's
     requirement. Counters track the *calling* process only: pool workers
     of a ``processes`` executor materialize their chunks on their own
     side (bounded to one chunk per worker at a time) and never touch
@@ -377,12 +413,7 @@ LabeledDataset` — equivalence tests and small jobs),
         self.stats = ShardStats()
         self._chunks: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Bounds how many chunks shard-parallel workers may *hold*
-        #: (load + compute over) at once, so threaded execution cannot
-        #: materialize more than ``max_resident_shards`` chunks beyond
-        #: the LRU table — the worst-case footprint stays at twice the
-        #: residency cap, which is what ``memory_report`` budgets for.
-        self.hold_slots = threading.BoundedSemaphore(self.max_resident_shards)
+        self._hold_slots: threading.BoundedSemaphore | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -532,6 +563,19 @@ LabeledDataset` — equivalence tests and small jobs),
         return self._n_objects
 
     @property
+    def hold_slots(self) -> threading.BoundedSemaphore:
+        """Bounds how many chunks shard-parallel workers may *hold* (load
+        + compute over) at once, so the worst-case footprint stays at
+        twice the residency cap that ``memory_report`` budgets for.
+        Created on first use, so an unqueried dataset costs nothing."""
+        with self._lock:
+            if self._hold_slots is None:
+                self._hold_slots = threading.BoundedSemaphore(
+                    self.max_resident_shards
+                )
+            return self._hold_slots
+
+    @property
     def n_objects(self) -> int:
         """Dataset size ``N`` (rows across all shards)."""
         return self._n_objects
@@ -656,7 +700,7 @@ class _PrefixCache:
       when the predicate's full ``n_shards`` tables fit the remaining
       budget. A pinned predicate charges ``n_shards`` entries — the same
       bytes as its per-shard tables — and answers *every* run, scatter,
-      and point query in dense-index time, read lock-free on the hot
+      and point query with one lookup, read lock-free on the hot
       path (the dict is only ever grown, under the index lock).
     * ``entries`` — the on-demand per-(predicate, shard) LRU for
       boundary shards of predicates too large to pin. Eviction triggers
@@ -726,21 +770,20 @@ class _PrefixCache:
 
 
 class ShardedMembershipIndex:
-    """The out-of-core answering substrate: dense-index API, sharded spine.
+    """The membership index: exact ground-truth answers over any dataset.
 
-    Exposes the same query surface as
-    :class:`~repro.data.membership.GroupMembershipIndex` —
-    :meth:`count`, :meth:`any_match`, :meth:`any_match_runs`,
-    :meth:`any_match_batch`, :meth:`matches`, :meth:`value_rows` — with
-    identical (exact) answers, so every oracle, platform, session, and
-    service runs unmodified over it. Internally a query splits at shard
-    boundaries: interior shards answer from the cross-shard totals
-    (built by one fused streaming pass per *set* of predicates — each
-    chunk is touched once however many predicates need totals), boundary
-    shards from their local prefix tables (pinned by the fused build
-    when they fit the cache budget, else built on demand and LRU-capped),
-    and the partial counts merge. Shard-aligned runs never load a chunk
-    at all.
+    The query surface — :meth:`count`, :meth:`any_match`,
+    :meth:`any_match_runs`, :meth:`any_match_batch`, :meth:`matches`,
+    :meth:`value_rows` — is what every simulated oracle, platform,
+    session, and service answers from, whether the dataset is in RAM
+    (one shard, see :meth:`for_dataset`) or out of core. Internally a
+    query splits at shard boundaries: interior shards answer from the
+    cross-shard totals (built by one fused streaming pass per *set* of
+    predicates — each chunk is touched once however many predicates need
+    totals), boundary shards from their local prefix tables (pinned by
+    the fused build when they fit the cache budget, else built on demand
+    and LRU-capped), and the partial counts merge. Shard-aligned runs
+    never load a chunk at all.
 
     Parameters
     ----------
@@ -754,14 +797,13 @@ class ShardedMembershipIndex:
         :class:`~repro.data.kernels.ChunkSource`.
     max_cached_prefixes:
         Entry budget shared by pinned and LRU prefix tables (each ≤
-        ``8·(shard_size+1)`` bytes). Defaults to the dataset's
+        ``4·(shard_size+1)`` bytes). Defaults to the dataset's
         ``max_resident_shards``.
 
     Examples
     --------
     >>> import numpy as np
     >>> from repro.data.groups import group
-    >>> from repro.data.membership import GroupMembershipIndex
     >>> from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
     >>> from repro.data.synthetic import binary_dataset
     >>> dense = binary_dataset(1_000, 30, rng=np.random.default_rng(0))
@@ -769,8 +811,7 @@ class ShardedMembershipIndex:
     ...     ShardedDataset.from_dataset(dense, shard_size=137))
     >>> female = group(gender="female")
     >>> run = np.arange(100, 900)
-    >>> sharded.count(female, run) == GroupMembershipIndex.for_dataset(
-    ...     dense).count(female, run)
+    >>> sharded.count(female, run) == int(dense.mask(female)[run].sum())
     True
     """
 
@@ -807,28 +848,48 @@ class ShardedMembershipIndex:
         self._lock = threading.Lock()
 
     @classmethod
-    def for_dataset(cls, dataset: ShardedDataset) -> "ShardedMembershipIndex":
-        """The shared index of one sharded dataset (created on first
-        use), mirroring ``GroupMembershipIndex.for_dataset`` so oracles
-        and platforms over the same dataset share totals and caches. The
-        index inherits the dataset's executor, which is how sessions and
-        services over a ``processes``-configured dataset parallelize
-        transparently.
+    def for_dataset(
+        cls, dataset: "LabeledDataset | ShardedDataset"
+    ) -> "ShardedMembershipIndex":
+        """The shared index of one dataset (created on first use and
+        memoized on the dataset), so every oracle, platform, and session
+        over it shares totals and prefix tables.
+
+        A :class:`ShardedDataset` is indexed as it is, and the index
+        inherits its executor. An in-RAM
+        :class:`~repro.data.dataset.LabeledDataset` is one shard whose
+        chunk is a read-only view of its code matrix (no copy), under a
+        budget that pins every predicate, so no table is ever evicted
+        and rebuilt.
 
         Examples
         --------
         >>> import numpy as np
         >>> from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
         >>> from repro.data.synthetic import binary_dataset
-        >>> ds = ShardedDataset.from_dataset(
-        ...     binary_dataset(100, 5, rng=np.random.default_rng(0)), shard_size=40)
+        >>> dense = binary_dataset(100, 5, rng=np.random.default_rng(0))
+        >>> ds = ShardedDataset.from_dataset(dense, shard_size=40)
         >>> a = ShardedMembershipIndex.for_dataset(ds)
         >>> a is ShardedMembershipIndex.for_dataset(ds)
         True
+        >>> ShardedMembershipIndex.for_dataset(dense).dataset.n_shards
+        1
         """
         index = dataset.__dict__.get("_membership_index")
         if index is None:
-            index = cls(dataset)
+            if isinstance(dataset, ShardedDataset):
+                index = cls(dataset)
+            else:
+                codes = dataset.codes
+
+                def view(shard_index: int, start: int, stop: int) -> np.ndarray:
+                    return codes[start:stop]
+
+                one_shard = ShardedDataset(
+                    dataset.schema, len(dataset), max(len(dataset), 1), view,
+                    name=dataset.name,
+                )
+                index = cls(one_shard, max_cached_prefixes=sys.maxsize)
             dataset.__dict__["_membership_index"] = index
         return index
 
@@ -843,10 +904,9 @@ class ShardedMembershipIndex:
         lacks them, in **one** fused streaming pass: each chunk is
         materialized once (shard-parallel through the executor) and
         every missing predicate's mask, member count, and local prefix
-        table come off that single touch. When the whole predicate's
-        table set fits the prefix budget the tables are pinned, so later
-        boundary queries answer lock-free without ever reloading a
-        chunk.
+        table come off that single touch. When the missing predicates'
+        table sets fit the prefix budget the tables are pinned, so later
+        queries answer lock-free without ever reloading a chunk.
 
         Examples
         --------
@@ -874,14 +934,8 @@ class ShardedMembershipIndex:
         # Ship tables back only when they can all be pinned: otherwise
         # most would be evicted on arrival (and, under a process pool,
         # pickled across the boundary for nothing).
-        # Pinned global tables are int32 (counts are bounded by N), so
-        # pinning is only well-defined below the int32 ceiling — far
-        # beyond any dataset the sharded tier targets.
-        pinnable = len(self.dataset) < 2**31 - 1
         with self._lock:
-            want_tables = pinnable and self._prefixes.can_pin(
-                len(missing) * n_shards
-            )
+            want_tables = self._can_pin(len(missing))
 
         if self.executor.uses_processes and n_shards > 1:
             source = self.dataset.chunk_source
@@ -929,11 +983,10 @@ class ShardedMembershipIndex:
                     if not self._prefixes.can_pin(n_shards):
                         break
                     # Splice the per-shard tables into ONE global prefix
-                    # table (prefix[i] = members among rows [0, i)) —
-                    # the exact array the dense index uses, at the exact
-                    # bytes the per-shard tables would have cost, so
-                    # every later query on this predicate runs at
-                    # dense-index speed.
+                    # table (prefix[i] = members among rows [0, i)), at
+                    # the exact bytes the per-shard tables would have
+                    # cost, so every later query on this predicate is a
+                    # lookup in one array.
                     totals = self._totals[predicate]
                     global_prefix = np.empty(
                         len(self.dataset) + 1, dtype=np.int32
@@ -941,11 +994,41 @@ class ShardedMembershipIndex:
                     global_prefix[0] = 0
                     for shard_index in range(n_shards):
                         start, stop = self.dataset.shard_bounds(shard_index)
-                        global_prefix[start + 1 : stop + 1] = (
-                            results[shard_index][1][row][1:] + totals[shard_index]
+                        np.add(
+                            results[shard_index][1][row][1:],
+                            int(totals[shard_index]),
+                            out=global_prefix[start + 1 : stop + 1],
                         )
                     global_prefix.setflags(write=False)
                     self._prefixes.pin(predicate, global_prefix, n_shards)
+
+    def _can_pin(self, n_predicates: int) -> bool:
+        """Whether the prefix budget can pin ``n_predicates`` more
+        predicates (callers hold the index lock). Pinned global tables
+        are int32 (counts are bounded by N), so pinning is only
+        well-defined below the int32 ceiling — far beyond any dataset
+        the sharded tier targets."""
+        return len(self.dataset) < 2**31 - 1 and self._prefixes.can_pin(
+            n_predicates * self.dataset.n_shards
+        )
+
+    def _pin_on_first_touch(self, predicate: GroupPredicate) -> np.ndarray | None:
+        """Pin a predicate no query has touched yet, when the budget can.
+
+        Run and batch queries pin through their totals build; this gives
+        scattered and point queries the same first touch, so they never
+        build a per-shard LRU table that a later run query would build a
+        second time. Returns the pinned global table, or ``None`` when
+        the predicate was touched before or the budget cannot pin it —
+        then the caller keeps the per-shard path."""
+        if predicate in self._totals:
+            return None
+        with self._lock:
+            pinnable = self._can_pin(1)
+        if not pinnable:
+            return None
+        self.build_totals((predicate,))
+        return self._prefixes.pinned.get(predicate)
 
     def shard_totals(self, predicate: GroupPredicate) -> np.ndarray:
         """Cumulative member counts at shard boundaries: ``totals[s]`` =
@@ -999,8 +1082,8 @@ class ShardedMembershipIndex:
             return 0
         if start < 0 or stop > len(self.dataset):
             # Same contract as value_rows: out-of-range queries raise
-            # instead of silently clamping (the dense index's prefix
-            # table would overrun on the same input).
+            # instead of silently clamping (a pinned prefix table would
+            # overrun, or wrap on a negative start, on the same input).
             raise OracleError(
                 f"query run [{start}, {stop}) outside dataset "
                 f"[0, {len(self.dataset)})"
@@ -1036,8 +1119,10 @@ class ShardedMembershipIndex:
         unless the predicate's global prefix table is already pinned, in
         which case the parent answers lock-free without dispatching (or
         touching a chunk) at all."""
-        check_object_indices(indices, len(self.dataset))
+        _check_object_indices(indices, len(self.dataset))
         pinned = self._prefixes.pinned.get(predicate)
+        if pinned is None:
+            pinned = self._pin_on_first_touch(predicate)
         if pinned is not None:
             return np.asarray(pinned[indices + 1] > pinned[indices])
         size = self.dataset.shard_size
@@ -1085,11 +1170,11 @@ class ShardedMembershipIndex:
         return hits
 
     # ------------------------------------------------------------------
-    # the dense-index query surface
+    # the query surface
     # ------------------------------------------------------------------
     def count(self, predicate: GroupPredicate, indices: np.ndarray) -> int:
         """Number of objects in ``indices`` matching ``predicate``
-        (exact — identical to the dense index).
+        (exact, whatever the shard geometry).
 
         Examples
         --------
@@ -1117,26 +1202,24 @@ class ShardedMembershipIndex:
     ) -> bool:
         """Does ``indices`` contain at least one member of ``predicate``?
         ``key`` (an :class:`~repro.engine.requests.IndexKey`) skips run
-        re-detection exactly as on the dense index."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if key is not None:
-            if key.payload is None:
-                return self._count_run(predicate, key.start, key.stop) > 0
-            if len(indices) == 0:
-                return False
-            return bool(self._scattered_hits(predicate, indices).any())
-        run = as_run(indices)
+        re-detection when the caller already keyed the query."""
+        if key is not None and key.payload is None:
+            return self._count_run(predicate, key.start, key.stop) > 0
+        run = as_run(indices) if key is None else None
         if run is not None:
             return self._count_run(predicate, run[0], run[1]) > 0
         if len(indices) == 0:
             return False
+        indices = np.asarray(indices, dtype=np.int64)
         return bool(self._scattered_hits(predicate, indices).any())
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
         """Ground-truth membership of a single object."""
         index = int(index)
-        check_object_indices(np.asarray([index], dtype=np.int64), len(self.dataset))
+        _check_object_indices(np.asarray([index], dtype=np.int64), len(self.dataset))
         pinned = self._prefixes.pinned.get(predicate)
+        if pinned is None:
+            pinned = self._pin_on_first_touch(predicate)
         if pinned is not None:
             return bool(pinned[index + 1] > pinned[index])
         shard = self.dataset.shard_of(index)
@@ -1165,8 +1248,10 @@ class ShardedMembershipIndex:
         *,
         keys: "Sequence | None" = None,
     ) -> list[bool]:
-        """Answer many set queries; same grouping semantics (and
-        identical answers) as the dense ``any_match_batch``. Totals for
+        """Answer many set queries, grouped by predicate; empty index
+        arrays answer ``False`` and ``keys`` (a parallel sequence of
+        :class:`~repro.engine.requests.IndexKey`) skips per-query run
+        detection. Totals for
         every predicate the batch needs are built in one fused streaming
         pass first; then run-shaped queries split/merge at shard
         boundaries and scattered queries of one predicate concatenate
@@ -1210,10 +1295,12 @@ class ShardedMembershipIndex:
                     np.asarray(queries[position][0], dtype=np.int64)
                     for position in scattered
                 ]
-                lengths = np.array([len(a) for a in arrays])
                 hits = self._scattered_hits(predicate, np.concatenate(arrays))
+                # Per-query ``any`` over the concatenated gather (every
+                # array is non-empty, as ``reduceat`` requires).
+                starts = np.cumsum([0] + [len(a) for a in arrays[:-1]])
                 for position, hit in zip(
-                    scattered, segmented_any(hits, lengths)
+                    scattered, np.logical_or.reduceat(hits, starts)
                 ):
                     answers[position] = bool(hit)
         return answers
@@ -1223,11 +1310,12 @@ class ShardedMembershipIndex:
     # ------------------------------------------------------------------
     def value_rows(self, indices: Sequence[int]) -> list[dict[str, str]]:
         """Ground-truth ``{attribute: value}`` rows for many objects,
-        decoded shard by shard; bounds-checked like the dense index."""
+        decoded shard by shard; a negative or too-large index raises
+        instead of wrapping the way raw fancy-indexing would."""
         if len(indices) == 0:
             return []
         index_array = np.asarray(indices, dtype=np.int64)
-        check_object_indices(index_array, len(self.dataset))
+        _check_object_indices(index_array, len(self.dataset))
         size = self.dataset.shard_size
         shards = index_array // size
         codes = np.empty(
@@ -1237,7 +1325,15 @@ class ShardedMembershipIndex:
             selector = shards == shard_index
             local = index_array[selector] - int(shard_index) * size
             codes[selector] = self.dataset.chunk(int(shard_index))[local]
-        return decode_value_rows(self.dataset.schema, codes)
+        # One fancy-index per attribute decodes the whole batch.
+        columns = [
+            (attribute.name, np.asarray(attribute.values, dtype=object)[codes[:, j]])
+            for j, attribute in enumerate(self.dataset.schema)
+        ]
+        return [
+            {name: column[i] for name, column in columns}
+            for i in range(len(codes))
+        ]
 
     # ------------------------------------------------------------------
     # accounting
@@ -1306,9 +1402,10 @@ class ShardedMembershipIndex:
 
 
 def dense_index_bytes(n_objects: int, n_attributes: int, n_predicates: int) -> int:
-    """Bytes the dense path needs resident for the same workload: the
-    ``(N, d)`` ``int16`` code matrix plus, per indexed predicate, one
-    boolean membership column and one ``int64`` prefix table.
+    """Bytes a fully in-RAM index of the classic layout needs for the
+    same workload: the ``(N, d)`` ``int16`` code matrix plus, per indexed
+    predicate, one boolean membership column and one ``int64`` prefix
+    table.
 
     The yardstick ``benchmarks/bench_shards.py`` measures the sharded
     path's tracked peak against.

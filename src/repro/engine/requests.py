@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.data.groups import GroupPredicate
-from repro.data.membership import as_run
+from repro.data.sharded import as_run
 
 __all__ = ["IndexKey", "QueryKey", "SetRequest", "set_query_key"]
 

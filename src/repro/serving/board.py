@@ -20,7 +20,10 @@ Three invariants carry the whole serving design:
 * **Atomic claims.** A lease is claimed the same way (exclusive link).
   Stale leases (heartbeat older than the TTL) are taken over by first
   renaming the stale file aside — ``os.rename`` of one source path
-  succeeds for exactly one racer — so two workers can never both win a
+  succeeds for exactly one racer — and checking that the file moved
+  aside is the stale record that was read (a racer that read the same
+  stale record late may instead have moved the winner's fresh lease;
+  it puts that back and loses), so two workers can never both win a
   takeover.
 * **Torn-read-free state.** Every ``state.json`` write is temp file +
   ``os.replace``, the same contract :class:`~repro.service.DirectoryJobStore`
@@ -257,7 +260,11 @@ class JobBoard:
 
         A stale lease (heartbeat older than ``ttl``) is taken over: the
         stale file is renamed aside — an atomic step exactly one racer
-        can perform — and a fresh lease is created exclusively.
+        can perform — and a fresh lease is created exclusively. If the
+        file renamed aside is not the stale record this call read,
+        another claimer completed its takeover in between: the moved
+        lease is that claimer's fresh one, so it goes back (unless a
+        third claimer already holds the path) and this call loses.
         """
         token = secrets.token_hex(8)
         path = self._lease_path(job_id)
@@ -270,6 +277,14 @@ class JobBoard:
                 os.rename(path, aside)
             except FileNotFoundError:
                 return None  # another claimer already took it aside
+            moved = _read_json(aside)
+            if moved is None or moved.get("token") != info.get("token"):
+                try:
+                    os.link(aside, path)
+                except FileExistsError:
+                    pass  # a third claimer holds the path; its lease stands
+                os.unlink(aside)
+                return None
             os.unlink(aside)
         now = time.time()
         lease = Lease(job_id=job_id, worker=worker, token=token)

@@ -3,7 +3,8 @@
 The sharded index must thread through every layer transparently: the
 same oracle kinds, the same stepper-derived run keys, sessions, and the
 multi-tenant service — with bit-identical verdicts, counts, task
-charges, and rng streams versus the dense path over identical content.
+charges, and rng streams versus the in-RAM dataset (one shard) over
+identical content.
 """
 
 from __future__ import annotations

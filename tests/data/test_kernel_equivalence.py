@@ -6,7 +6,9 @@ pool workers surface as library errors.
 schemas, predicates, shard sizes, and query shapes, every surface of the
 sharded index — ``count`` / ``any_match`` / ``any_match_runs`` /
 ``any_match_batch`` / ``matches`` / ``value_rows`` — must return
-bit-identical answers in all three modes (and match the dense index),
+bit-identical answers in all three modes (and match a plain-NumPy
+reference over the in-RAM dataset, as does the in-RAM dataset's own
+one-shard index),
 and the ``ShardStats`` ledger must agree wherever execution is
 deterministic (serial, and threaded builds that cannot evict). The chaos
 section SIGKILLs a live pool worker mid-build and requires a
@@ -26,7 +28,6 @@ import pytest
 
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
-from repro.data.membership import GroupMembershipIndex
 from repro.data.schema import Schema
 from repro.data.sharded import (
     ShardedDataset,
@@ -127,20 +128,45 @@ def _answer_surface(index, predicates, runs, scattereds, points):
     return answers
 
 
+def _reference_surface(dense, predicates, runs, scattereds, points):
+    """:func:`_answer_surface`'s list, computed with plain NumPy over the
+    in-RAM dataset's masks — independent of any index."""
+    answers = []
+    for predicate in predicates:
+        mask = dense.mask(predicate)
+        for a, b in runs:
+            answers.append(int(mask[a:b].sum()))
+            answers.append(bool(mask[a:b].any()))
+        answers.append([bool(mask[a:b].any()) for a, b in runs])
+        for indices in scattereds:
+            answers.append(int(mask[indices].sum()))
+        for point in points:
+            answers.append(bool(mask[point]))
+    batch = [(np.arange(a, b), p) for p in predicates for a, b in runs[:3]]
+    batch += [(s, p) for p in predicates[:2] for s in scattereds]
+    answers.append([bool(dense.mask(p)[indices].any()) for indices, p in batch])
+    answers.append([dense.value_row(point) for point in points])
+    return answers
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_executor_modes_are_bit_identical(seed, tmp_path):
     (schema, cards, n_objects, shard_size, codes,
      predicates, runs, scattereds, points) = _make_case(seed)
 
     dense = LabeledDataset(schema, codes)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
-    reference = _answer_surface(dense_index, predicates, runs, scattereds, points)
+    reference = _reference_surface(dense, predicates, runs, scattereds, points)
 
     generate = functools.partial(_generate_chunk, seed, cards)
     path = str(tmp_path / f"codes_{seed}.npy")
     np.save(path, codes)
 
-    surfaces = {}
+    surfaces = {
+        "in-ram": _answer_surface(
+            ShardedMembershipIndex.for_dataset(dense),
+            predicates, runs, scattereds, points,
+        ),
+    }
     serial_ds = ShardedDataset.from_generator(
         schema, n_objects, shard_size, generate, max_resident_shards=2
     )
@@ -166,7 +192,7 @@ def test_executor_modes_are_bit_identical(seed, tmp_path):
         )
 
     for mode, answers in surfaces.items():
-        assert answers == reference, f"{mode} diverged from dense at seed {seed}"
+        assert answers == reference, f"{mode} diverged from NumPy at seed {seed}"
 
 
 @pytest.mark.parametrize("seed", [5, 6])

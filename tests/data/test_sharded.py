@@ -1,8 +1,10 @@
 """ShardedDataset / ShardedMembershipIndex: geometry, residency, exactness.
 
-The sharded out-of-core path must be a pure re-arrangement of the dense
-index: every count, membership bit, and label row identical, with memory
-structurally bounded by the resident-shard cap. Shard-boundary edge
+The sharded out-of-core path must be a pure re-arrangement of the
+in-RAM dataset: every count, membership bit, and label row equal to a
+plain-NumPy reference over ``LabeledDataset.mask`` (itself checked
+row-at-a-time against ``matches_row``), with memory structurally bounded
+by the resident-shard cap. Shard-boundary edge
 cases (runs starting/ending exactly on a boundary, single-row shards,
 an exact-multiple N with no trailing partial shard) get explicit tests
 on top of the randomized property test.
@@ -16,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.data.groups import Negation, SuperGroup, group
-from repro.data.membership import GroupMembershipIndex, membership_index_for
 from repro.data.schema import Schema
 from repro.data.sharded import (
     ShardedDataset,
@@ -38,6 +39,16 @@ def dense():
 
 def sharded_over(dense, shard_size, **kwargs):
     return ShardedDataset.from_dataset(dense, shard_size, **kwargs)
+
+
+def reference_count(dense, predicate, indices):
+    """Plain-NumPy member count, independent of any index."""
+    return int(dense.mask(predicate)[indices].sum())
+
+
+def reference_any(dense, predicate, indices):
+    """Plain-NumPy set answer, independent of any index."""
+    return bool(dense.mask(predicate)[indices].any())
 
 
 # ----------------------------------------------------------------------
@@ -62,9 +73,8 @@ def test_exact_multiple_has_no_trailing_partial_shard(dense):
     with pytest.raises(InvalidParameterError):
         ds.shard_bounds(4)
     index = ShardedMembershipIndex(ds)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     run = np.arange(0, 1_000)
-    assert index.count(FEMALE, run) == dense_index.count(FEMALE, run)
+    assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
 
 
 def test_empty_dataset_answers_empty():
@@ -83,14 +93,13 @@ def test_single_row_shards_match_dense(dense):
     ds = sharded_over(dense, 1, max_resident_shards=3)
     assert ds.n_shards == 1_000
     index = ShardedMembershipIndex(ds)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     rng = np.random.default_rng(0)
     for _ in range(30):
         a, b = sorted(int(x) for x in rng.integers(0, 1_001, size=2))
         run = np.arange(a, b)
-        assert index.count(FEMALE, run) == dense_index.count(FEMALE, run)
+        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
     for i in (0, 17, 999):
-        assert index.matches(FEMALE, i) == dense_index.matches(FEMALE, i)
+        assert index.matches(FEMALE, i) == FEMALE.matches_row(dense.value_row(i))
 
 
 # ----------------------------------------------------------------------
@@ -147,9 +156,8 @@ def test_from_memmap_round_trip(tmp_path, dense):
     ds = ShardedDataset.from_memmap(dense.schema, path, 128)
     assert len(ds) == len(dense)
     index = ShardedMembershipIndex(ds)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     run = np.arange(40, 900)
-    assert index.count(FEMALE, run) == dense_index.count(FEMALE, run)
+    assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
     assert ds.value_row(123) == dense.value_row(123)
     with pytest.raises(InvalidParameterError, match="shape"):
         ShardedDataset.from_memmap(
@@ -165,20 +173,18 @@ def test_boundary_aligned_runs_touch_no_chunks(dense):
     index = ShardedMembershipIndex(ds)
     index.shard_totals(FEMALE)  # streaming build pays its chunk loads
     loads_after_build = ds.stats.loads
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     # Runs starting AND ending exactly on shard boundaries resolve from
     # the totals alone — no boundary shard is ever materialized.
     for start, stop in [(0, 200), (200, 800), (0, 1_000), (400, 400), (800, 1_000)]:
         run = np.arange(start, stop)
-        assert index.count(FEMALE, run) == dense_index.count(FEMALE, run)
-        assert index.any_match(FEMALE, run) == dense_index.any_match(FEMALE, run)
+        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
+        assert index.any_match(FEMALE, run) == reference_any(dense, FEMALE, run)
     assert ds.stats.loads == loads_after_build
 
 
 def test_runs_starting_or_ending_on_boundary(dense):
     ds = sharded_over(dense, 128)
     index = ShardedMembershipIndex(ds)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     cases = [
         (128, 300),    # starts exactly on a boundary
         (50, 256),     # ends exactly on a boundary
@@ -190,7 +196,9 @@ def test_runs_starting_or_ending_on_boundary(dense):
     ]
     for start, stop in cases:
         run = np.arange(start, stop)
-        assert index.count(FEMALE, run) == dense_index.count(FEMALE, run), (start, stop)
+        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run), (
+            start, stop,
+        )
 
 
 def test_key_hinted_answers_match_unhinted(dense):
@@ -207,11 +215,13 @@ def test_key_hinted_answers_match_unhinted(dense):
 
 
 # ----------------------------------------------------------------------
-# the randomized property: sharded == dense on random views
+# the randomized property: sharded == plain NumPy on random views
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shard_size", [1, 7, 64, 250, 1_000, 4_096])
 @pytest.mark.parametrize("mode", ["serial", "threads"])
 def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
+    """Every query surface equals the plain-NumPy reference over the
+    in-RAM dataset, at every shard geometry and executor mode."""
     rng = np.random.default_rng(shard_size * 31 + (mode == "threads"))
     schema = Schema.from_dict(
         {"gender": ["male", "female"], "race": ["white", "black"]}
@@ -224,7 +234,6 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
         ("female", "black"): 20,
     }
     dense = intersectional_dataset(schema, joint, rng=rng)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     with ShardExecutor(mode=mode, max_workers=3) as executor:
         index = ShardedMembershipIndex(
             ShardedDataset.from_dataset(dense, shard_size, max_resident_shards=2),
@@ -237,6 +246,10 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
             Negation(group(gender="male")),
         ]
         for predicate in predicates:
+            # The reference mask itself agrees with row-at-a-time matching.
+            assert dense.mask(predicate).tolist() == [
+                predicate.matches_row(dense.value_row(i)) for i in range(n)
+            ]
             queries, keys = [], []
             for _ in range(40):
                 if rng.random() < 0.5:
@@ -247,23 +260,23 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
                     indices = np.sort(rng.choice(n, size=k, replace=False))
                 queries.append((indices, predicate))
                 keys.append(IndexKey.of(indices))
-                assert index.count(predicate, indices) == dense_index.count(
-                    predicate, indices
+                assert index.count(predicate, indices) == reference_count(
+                    dense, predicate, indices
                 )
-                assert index.any_match(predicate, indices) == dense_index.any_match(
-                    predicate, indices
+                assert index.any_match(predicate, indices) == reference_any(
+                    dense, predicate, indices
                 )
-            assert index.any_match_batch(queries) == dense_index.any_match_batch(
-                queries
-            )
-            assert index.any_match_batch(
-                queries, keys=keys
-            ) == dense_index.any_match_batch(queries, keys=keys)
+            expected = [reference_any(dense, p, i) for i, p in queries]
+            assert index.any_match_batch(queries) == expected
+            assert index.any_match_batch(queries, keys=keys) == expected
         starts = rng.integers(0, n // 2, size=25)
         stops = starts + rng.integers(0, n // 2, size=25)
         np.testing.assert_array_equal(
             index.any_match_runs(predicates[0], starts, stops),
-            dense_index.any_match_runs(predicates[0], starts, stops),
+            [
+                reference_any(dense, predicates[0], np.arange(a, b))
+                for a, b in zip(starts, stops)
+            ],
         )
 
 
@@ -273,9 +286,8 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
 def test_value_rows_match_dense_and_validate_bounds(dense):
     ds = sharded_over(dense, 333)
     index = ShardedMembershipIndex(ds)
-    dense_index = GroupMembershipIndex.for_dataset(dense)
     picks = [0, 332, 333, 334, 999, 500]
-    assert index.value_rows(picks) == dense_index.value_rows(picks)
+    assert index.value_rows(picks) == [dense.value_row(i) for i in picks]
     with pytest.raises(OracleError, match="out of range"):
         index.value_rows([5, -1])
     with pytest.raises(OracleError, match="out of range"):
@@ -303,12 +315,14 @@ def test_shard_executor_modes_and_validation():
         assert threaded.map(lambda x: x * 2, range(10)) == [x * 2 for x in range(10)]
 
 
-def test_for_dataset_caches_one_index_and_dispatch_helper(dense):
+def test_for_dataset_caches_one_index_per_dataset(dense):
     ds = sharded_over(dense, 100)
     first = ShardedMembershipIndex.for_dataset(ds)
     assert ShardedMembershipIndex.for_dataset(ds) is first
-    assert membership_index_for(ds) is first
-    assert isinstance(membership_index_for(dense), GroupMembershipIndex)
+    assert first.dataset is ds
+    in_ram = ShardedMembershipIndex.for_dataset(dense)
+    assert ShardedMembershipIndex.for_dataset(dense) is in_ram
+    assert in_ram is not first and in_ram.dataset.n_shards == 1
 
 
 def test_memory_report_stays_under_structural_cap(dense):
@@ -327,11 +341,12 @@ def test_memory_report_stays_under_structural_cap(dense):
 
 
 def test_out_of_range_queries_raise_instead_of_clamping(dense):
-    """Out-of-range queries must raise OracleError on *both* substrates
-    — never clamp, never wrap through numpy negative indexing."""
+    """Out-of-range queries must raise OracleError over sharded and
+    in-RAM datasets alike — never clamp, never wrap through numpy
+    negative indexing."""
     for index in (
         ShardedMembershipIndex(sharded_over(dense, 137)),
-        GroupMembershipIndex.for_dataset(dense),
+        ShardedMembershipIndex.for_dataset(dense),
     ):
         with pytest.raises(OracleError, match="outside dataset"):
             index.count(FEMALE, np.arange(990, 1_010))

@@ -3,11 +3,13 @@ heartbeat fencing — the invariants kill/resume recovery rests on."""
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
+import repro.serving.board as board_module
 from repro.audit import GroupAuditSpec
 from repro.data.groups import group
 from repro.errors import InvalidParameterError
@@ -21,6 +23,14 @@ def submitted_job(board, tau=40, tenant="lease"):
     )
     job_id, _ = board.submit(submission)
     return job_id
+
+
+def backdate_lease(board, job_id, seconds):
+    """Age the current lease by moving its heartbeat into the past."""
+    path = board.job_dir(job_id) / "lease.json"
+    info = json.loads(path.read_text())
+    info["heartbeat"] -= seconds
+    path.write_text(json.dumps(info))
 
 
 class TestClaims:
@@ -55,13 +65,15 @@ class TestClaims:
     def test_stale_lease_is_taken_over_by_exactly_one(self, board):
         job_id = submitted_job(board)
         assert board.try_claim(job_id, "doomed", ttl=30) is not None
-        time.sleep(0.15)  # let the heartbeat age past the tiny ttl
+        # An hour-old heartbeat is stale under the racers' one-minute
+        # ttl, and the winner's fresh lease cannot go stale mid-race.
+        backdate_lease(board, job_id, 3600)
         barrier = threading.Barrier(6)
         wins = []
 
         def takeover(worker):
             barrier.wait()
-            lease = board.try_claim(job_id, worker, ttl=0.1)
+            lease = board.try_claim(job_id, worker, ttl=60)
             if lease is not None:
                 wins.append(lease)
 
@@ -75,6 +87,34 @@ class TestClaims:
             thread.join(timeout=30)
         assert len(wins) == 1
         assert board.lease_info(job_id)["worker"] == wins[0].worker
+
+    def test_late_takeover_does_not_steal_a_completed_takeover(
+        self, board, monkeypatch
+    ):
+        """Racer B reads the stale lease, then pauses; racer A takes the
+        lease over completely. B's rename now moves A's fresh lease, so
+        B must put it back and lose — exactly one winner."""
+        job_id = submitted_job(board)
+        assert board.try_claim(job_id, "doomed", ttl=30) is not None
+        backdate_lease(board, job_id, 3600)
+        read_json = board_module._read_json
+        raced = {}
+
+        def read_then_let_a_win(path):
+            info = read_json(path)
+            if path.name == "lease.json" and "A" not in raced:
+                raced["A"] = None  # A's own reads must not re-enter
+                raced["A"] = board.try_claim(job_id, "A", ttl=60)
+            return info
+
+        monkeypatch.setattr(board_module, "_read_json", read_then_let_a_win)
+        late = board.try_claim(job_id, "B", ttl=60)
+        monkeypatch.setattr(board_module, "_read_json", read_json)
+        winner = raced["A"]
+        assert winner is not None and winner.worker == "A"
+        assert late is None
+        board.heartbeat(winner)
+        assert board.lease_info(job_id)["token"] == winner.token
 
     def test_release_then_reclaim(self, board):
         job_id = submitted_job(board)

@@ -1,12 +1,10 @@
 """RPL006 — docstring-contract: the public surface documents itself.
 
-PR 5's executable-docs suite pinned the contract: every name exported
-(via ``__all__``) from the blessed API modules carries a docstring with
-a runnable ``>>>`` example, and every public method of those exported
-classes carries a docstring of its own. This checker is the former
-``tools/check_docstrings.py`` folded into reprolint so one tool owns
-all of the repository's contracts; the old script remains as a thin
-shim over this module.
+The contract: every name exported (via ``__all__``) from the blessed
+API modules carries a docstring with a runnable ``>>>`` example, and
+every public method of those exported classes carries a docstring of
+its own. It lives in reprolint so one tool owns all of the repository's
+contracts.
 
 This is a :class:`RepoChecker`: it imports the modules under contract
 (the package must be importable, e.g. ``PYTHONPATH=src``) and anchors

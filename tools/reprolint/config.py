@@ -254,7 +254,7 @@ DEFAULT = Config(
                 ),
             },
         ),
-        # The docstring contract (the former tools/check_docstrings.py).
+        # The docstring contract.
         RuleScope(
             code="RPL006",
             include=("src/repro/*",),
