@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot primitives.
 
 These measure library throughput itself (not paper numbers): oracle query
-latency, predicate mask caching, the prunable queue, and a full
-Group-Coverage run at the paper's default parameters. Useful for catching
+latency, predicate mask caching, and a full Group-Coverage run at the
+paper's default parameters. Useful for catching
 performance regressions in the substrate.
 """
 
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.group_coverage import group_coverage
-from repro.core.tree import PrunableQueue, TreeNode
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
@@ -41,23 +40,6 @@ def test_point_query_throughput(benchmark, dataset):
 def test_mask_cache_hit(benchmark, dataset):
     dataset.mask(FEMALE)  # warm
     benchmark(dataset.mask, FEMALE)
-
-
-def test_prunable_queue_churn(benchmark):
-    def churn():
-        queue = PrunableQueue()
-        nodes = [TreeNode(i, i + 1) for i in range(0, 2000, 2)]
-        for node in nodes:
-            queue.add(node)
-        for node in nodes[::2]:
-            queue.remove(node)
-        drained = 0
-        while queue:
-            queue.pop()
-            drained += 1
-        return drained
-
-    assert benchmark(churn) == 500
 
 
 def test_group_coverage_run(benchmark, dataset):

@@ -38,7 +38,7 @@ from repro.core.results import (
     TaskUsage,
 )
 from repro.core.sampling import LabeledPool, label_samples
-from repro.core.tree import PrunableQueue, TreeNode
+from repro.core.tree import TreeNode
 
 __all__ = [
     "group_coverage",
@@ -64,7 +64,6 @@ __all__ = [
     "IntersectionalCoverageReport",
     "ClassifierCoverageResult",
     "TreeNode",
-    "PrunableQueue",
     "CostAwareResult",
     "SpendingOracle",
     "choose_set_size",

@@ -26,13 +26,14 @@ deviation 4): a covered verdict needs no further cleaning.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from repro.core.group_coverage import execute_group_coverage
 from repro.core.results import ClassifierCoverageResult, LedgerWindow
-from repro.core.tree import PrunableQueue, TreeNode
+from repro.core.tree import TreeNode
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import Group, Negation
@@ -77,11 +78,11 @@ def partition_positive_set(
     positive_indices = np.asarray(positive_indices, dtype=np.int64)
     not_group = Negation(group)
     verified: list[int] = []
-    queue = PrunableQueue()
+    queue: deque[TreeNode] = deque()
     for begin in range(0, len(positive_indices), n):
-        queue.add(TreeNode(begin, min(begin + n, len(positive_indices)) - 1))
+        queue.append(TreeNode(begin, min(begin + n, len(positive_indices)) - 1))
     while queue:
-        node = queue.pop()
+        node = queue.popleft()
         chunk = positive_indices[node.b_index : node.e_index + 1]
         contains_non_member = oracle.ask_set(chunk, not_group)
         if not contains_non_member:
@@ -91,8 +92,8 @@ def partition_positive_set(
                 return verified, False
         elif node.size > 1:
             left, right = node.split()
-            queue.add(left)
-            queue.add(right)
+            queue.append(left)
+            queue.append(right)
         # size-1 nodes answering "yes" are non-members: drop silently.
     return verified, True
 

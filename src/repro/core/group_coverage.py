@@ -36,16 +36,17 @@ queries, speculative final-round batches waste some around early stops).
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from repro.core.results import GroupCoverageResult, LedgerWindow, TaskUsage
-from repro.core.tree import PrunableQueue, TreeNode
-from repro.core.views import resolve_view
+from repro.core.tree import TreeNode
+from repro.core.views import resolve_view, resolve_view_order
 from repro.crowd.oracle import Oracle
 from repro.data.groups import GroupPredicate
-from repro.data.sharded import as_run
 from repro.engine.requests import IndexKey, QueryKey, SetRequest
 from repro.errors import InvalidParameterError
 
@@ -76,7 +77,10 @@ class GroupCoverageStepper:
     sibling's "no" implies the right child's "yes" for free, so asking it
     early would waste a task). That is exactly the per-tree frontier —
     trees never depend on each other — which is what lets an engine batch
-    across trees and across concurrent runs.
+    across trees and across concurrent runs. The stepper keeps that
+    frontier incrementally, as a heap of ready nodes ordered by when they
+    were enqueued, so each query costs O(log frontier) to emit however
+    long the queue grows.
 
     Answers are *applied* in the sequential algorithm's global FIFO order
     regardless of arrival order, so ``covered``/``count``/``discovered``
@@ -101,34 +105,36 @@ class GroupCoverageStepper:
         self.tau = tau
         self.n = n
         self.speculation = speculation
-        # Bounds-checks negativity (the stepper has no dataset_size to
-        # check the upper bound against; group_coverage does that).
-        self._view = resolve_view(view, None)
-        # When the view is one contiguous ascending run (the vanilla
-        # arange case), every tree node's indices are the run
-        # [view0+b, view0+e+1) — its IndexKey is then O(1) to build, and
-        # vectorized oracles answer it O(1) from prefix counts.
-        self._view_run = as_run(self._view)
+        # Bounds-checks negativity and repeats (the stepper has no
+        # dataset_size to check the upper bound against; group_coverage
+        # does that).
+        self._view, self._ascending = resolve_view_order(view, None)
         self._cnt = 0
         self._discovered: list[int] = []
         self._unapplied = 0  # answers fed but not yet consumed by _advance
-        self._queue = PrunableQueue()
+        total = len(self._view)
+        # The roots of the subtrees; tau == 0 is covered before any query.
+        roots = (
+            [TreeNode(begin, min(begin + n, total) - 1) for begin in range(0, total, n)]
+            if tau > 0
+            else []
+        )
+        # Algorithm 1's FIFO. Its one removal (``Q.del(T.parent.right)``)
+        # always takes the node directly behind the left child just
+        # popped, because siblings are enqueued back to back.
+        self._queue: deque[TreeNode] = deque(roots)
+        self._enqueued = len(roots)  # FIFO sequence number of the next node
+        # The ready frontier, a heap of (sequence number, node) for every
+        # queued node that may be asked now and has not been emitted yet.
+        self._ready: list[tuple[int, TreeNode]] = list(enumerate(roots))  # sorted: a heap
         # Keyed by node object (identity hash): keys keep their nodes
         # alive, so a recycled memory address can never alias a stale
         # answer onto a fresh node.
         self._answers: dict[TreeNode, bool] = {}
-        self._requests: dict[QueryKey, TreeNode] = {}
-        self._done = False
-        self._covered = False
-        if tau == 0:
-            self._done = True
-            self._covered = True
-        elif len(self._view) == 0:
-            self._done = True
-        else:
-            total = len(self._view)
-            for begin in range(0, total, n):  # init roots of the subtrees
-                self._queue.add(TreeNode(begin, min(begin + n, total) - 1))
+        # In-flight queries: key -> (sequence number, node).
+        self._requests: dict[QueryKey, tuple[int, TreeNode]] = {}
+        self._covered = tau == 0
+        self._done = not roots
 
     # -- stepper protocol ------------------------------------------------
     @property
@@ -148,10 +154,9 @@ class GroupCoverageStepper:
         return tuple(self._discovered)
 
     def pending(self, limit: int | None = None) -> list[SetRequest]:
-        """Every queued query that is ready to dispatch, in FIFO order.
-
-        ``limit`` caps the scan (``limit=1`` is the sequential driver's
-        O(1) "next query" — the FIFO front is always ready).
+        """The ready queries not yet emitted, in FIFO order, at most
+        ``limit`` of them (``limit=1`` is the sequential driver's "next
+        query": the FIFO front is always ready there).
 
         Emission is additionally capped so that total *outstanding* work
         (queries in flight plus answers not yet consumed) never exceeds
@@ -163,8 +168,11 @@ class GroupCoverageStepper:
         Engine-mode callers set ``speculation`` to the engine's batch
         size: one batch of speculative look-ahead, which keeps uncovered
         groups and small-deficit runs batching wide (every query there
-        is needed regardless). The FIFO front is always allowed through
-        so progress never stalls."""
+        is needed regardless). The oldest ready query is always allowed
+        through so progress never stalls.
+
+        Each emitted query is popped off the ready frontier, so a call
+        costs O(emitted · log frontier), not a scan of the queue."""
         if self._done:
             return []
         outstanding = len(self._requests) + self._unapplied
@@ -174,49 +182,46 @@ class GroupCoverageStepper:
         if limit is None or limit > emission_cap:
             limit = emission_cap
         ready: list[SetRequest] = []
-        # The sequential driver (limit=1, nothing in flight) is the hot
-        # path: skip building the in-flight set when there is none.
-        in_flight = set(self._requests.values()) if self._requests else ()
-        for node in self._queue:
-            if len(ready) >= limit:
-                break
-            if node in self._answers or node in in_flight:
-                # Answered, or emitted earlier and still awaiting its
-                # answer — re-emitting would double-charge the oracle.
-                continue
-            parent = node.parent
-            if (
-                parent is not None
-                and parent.right is node
-                and self._answers.get(parent.left) is not True
-            ):
-                # A right child is only ever *asked* after its left
-                # sibling answered "yes"; on "no" its answer is implied.
-                continue
-            segment = self._view[node.b_index : node.e_index + 1]
-            index_key = (
-                IndexKey.of_run(
-                    self._view_run[0] + node.b_index,
-                    self._view_run[0] + node.e_index + 1,
+        frontier = self._ready
+        view = self._view
+        while frontier and len(ready) < limit:
+            entry = heappop(frontier)
+            node = entry[1]
+            begin, end = node.b_index, node.e_index
+            segment = view[begin : end + 1]
+            if not self._ascending:
+                index_key = IndexKey.of(segment)
+            else:
+                low, high = view.item(begin), view.item(end)
+                # Strictly ascending entries span exactly end - begin
+                # steps only when every step is +1: the node is a run.
+                index_key = (
+                    IndexKey.of_run(low, high + 1)
+                    if high - low == end - begin
+                    else IndexKey.of_scattered(segment)
                 )
-                if self._view_run is not None
-                else None
-            )
             request = SetRequest(segment, self.predicate, index_key=index_key)
-            self._requests[request.key] = node
+            self._requests[request.key] = entry
             ready.append(request)
         return ready
 
     def feed(self, answers: Mapping[QueryKey, bool]) -> None:
         """Record answers for previously pending queries and advance."""
         for key, answer in answers.items():
-            node = self._requests.pop(key, None)
-            if node is None:
+            entry = self._requests.pop(key, None)
+            if entry is None:
                 raise InvalidParameterError(
                     "answer fed for a query this stepper never requested"
                 )
-            self._answers[node] = bool(answer)
+            sequence, node = entry
+            answer = bool(answer)
+            self._answers[node] = answer
             self._unapplied += 1
+            parent = node.parent
+            if answer and parent is not None and parent.left is node:
+                # The right sibling, enqueued right behind this node,
+                # may now be asked.
+                heappush(self._ready, (sequence + 1, parent.right))
         self._advance()
 
     # -- result ----------------------------------------------------------
@@ -243,52 +248,57 @@ class GroupCoverageStepper:
     def _advance(self) -> None:
         """Process answered nodes in global FIFO order (the sequential
         algorithm's exact pop order) until blocked, covered, or drained."""
+        queue = self._queue
+        answers = self._answers
         while not self._done:
-            front = self._queue.peek()
-            if front is None:
+            if not queue:
                 # Queue drained below the threshold: every "yes" range was
                 # driven down to singletons, so cnt is the exact member
                 # count (Lemma 3.1).
                 self._done = True
                 return
-            if front not in self._answers:
+            node = queue[0]
+            answer = answers.pop(node, None)
+            if answer is None:
                 return  # blocked on an unanswered query
-            node = self._queue.pop()
-            answer = self._answers[node]
+            queue.popleft()
             self._unapplied -= 1
-            if node.is_root:
+            parent = node.parent
+            if parent is None:
                 if not answer:
                     continue  # prune the whole chunk
                 self._cnt += 1
             else:
                 if not answer:
-                    if node.is_left_child:
+                    if parent.left is node:
                         # The parent held a member and the left half does
                         # not: the right sibling's answer is "yes" for free.
-                        assert node.parent is not None and node.parent.right is not None
-                        node = self._queue.remove(node.parent.right)
+                        node = queue.popleft()
+                        assert node is parent.right, "siblings are enqueued back to back"
                     else:
                         # Right child "no": the left sibling already
                         # certified the parent's member; nothing new.
                         continue
                 # `node` now carries a (possibly implied) "yes" answer.
-                assert node.parent is not None
-                if node.parent.checked:
+                if parent.checked:
                     # Both children contain members; disjoint ranges make
                     # that one additional certain member.
                     self._cnt += 1
                 else:
-                    node.parent.checked = True
-            if node.size == 1:
-                self._discovered.append(int(self._view[node.b_index]))
+                    parent.checked = True
+            singleton = node.b_index == node.e_index
+            if singleton:
+                self._discovered.append(self._view.item(node.b_index))
             if self._cnt == self.tau:
                 self._done = True
                 self._covered = True
                 return
-            if node.size > 1:
+            if not singleton:
                 left, right = node.split()
-                self._queue.add(left)
-                self._queue.add(right)
+                queue.append(left)
+                queue.append(right)
+                heappush(self._ready, (self._enqueued, left))
+                self._enqueued += 2
 
 
 def execute_group_coverage(

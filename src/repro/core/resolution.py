@@ -25,13 +25,14 @@ retrain, and watch the disparity close.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro.core.results import MultipleCoverageReport, TaskUsage
-from repro.core.tree import PrunableQueue, TreeNode
+from repro.core.tree import TreeNode
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import Group, GroupPredicate
@@ -177,19 +178,19 @@ def find_members(
                     break
         return found, usage()
 
-    queue = PrunableQueue()
+    queue: deque[TreeNode] = deque()
     for begin in range(0, len(view), n):
-        queue.add(TreeNode(begin, min(begin + n, len(view)) - 1))
+        queue.append(TreeNode(begin, min(begin + n, len(view)) - 1))
     while queue and len(found) < k:
-        node = queue.pop()
+        node = queue.popleft()
         if not oracle.ask_set(view[node.b_index : node.e_index + 1], predicate):
             continue
         if node.size == 1:
             found.append(int(view[node.b_index]))
             continue
         left, right = node.split()
-        queue.add(left)
-        queue.add(right)
+        queue.append(left)
+        queue.append(right)
     return found, usage()
 
 

@@ -8,21 +8,21 @@ The paper implements Group-Coverage over a binary tree whose nodes carry::
         parent=null, left=null, right=null,
         checked=false   // true once one child returned a yes answer
 
-plus a FIFO queue that supports removing a *specific* enqueued node
-(line 12 of Algorithm 1: ``T <- Q.del(T.parent.right)`` — when a left child
+plus a FIFO queue of nodes. Algorithm 1 also removes a *specific*
+enqueued node (line 12: ``T <- Q.del(T.parent.right)`` — when a left child
 answers "no", its right sibling's answer is implied "yes" and the sibling
-must be pulled out of the queue without being asked). :class:`PrunableQueue`
-implements that with lazy deletion.
+must be pulled out of the queue without being asked). Siblings are
+enqueued back to back, so that sibling is always the node directly behind
+the left child just popped, and a plain :class:`collections.deque` serves.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["TreeNode", "PrunableQueue"]
+__all__ = ["TreeNode"]
 
 
 class TreeNode:
@@ -69,100 +69,3 @@ class TreeNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging sugar
         return f"TreeNode[{self.b_index}, {self.e_index}]"
-
-
-class PrunableQueue:
-    """FIFO queue of :class:`TreeNode` with O(1) removal of a known member.
-
-    Removal is lazy: removed nodes stay in the deque but are skipped on
-    pop. Membership is tracked by object identity — tree nodes are unique.
-    """
-
-    def __init__(self) -> None:
-        self._items: deque[TreeNode] = deque()
-        # id -> number of stale (lazily deleted) entries still in _items.
-        # A counter, not a set: the same node may be removed, re-added,
-        # and removed again before its stale entries drain.
-        self._removed: dict[int, int] = {}
-        self._live: set[int] = set()
-
-    def add(self, node: TreeNode) -> None:
-        if id(node) in self._live:
-            raise InvalidParameterError("node is already enqueued")
-        self._items.append(node)
-        self._live.add(id(node))
-
-    def pop(self) -> TreeNode:
-        """Remove and return the oldest live node.
-
-        Raises
-        ------
-        IndexError
-            If the queue is empty.
-        """
-        while self._items:
-            node = self._items.popleft()
-            stale = self._removed.get(id(node), 0)
-            if stale:
-                if stale == 1:
-                    del self._removed[id(node)]
-                else:
-                    self._removed[id(node)] = stale - 1
-                continue
-            self._live.discard(id(node))
-            return node
-        raise IndexError("pop from empty PrunableQueue")
-
-    def peek(self) -> TreeNode | None:
-        """The oldest live node without removing it, or ``None`` when
-        empty. Stale front entries are drained as a side effect (the
-        observable FIFO state is unchanged)."""
-        while self._items:
-            node = self._items[0]
-            stale = self._removed.get(id(node), 0)
-            if stale:
-                self._items.popleft()
-                if stale == 1:
-                    del self._removed[id(node)]
-                else:
-                    self._removed[id(node)] = stale - 1
-                continue
-            return node
-        return None
-
-    def __iter__(self):
-        """Yield the live nodes in FIFO order without consuming them.
-
-        When a node was removed and re-added, the *older* deque entry is
-        the stale one (``pop`` drains in the same order), so the first
-        occurrences are skipped until the stale count is used up.
-        """
-        seen_stale: dict[int, int] = {}
-        for node in self._items:
-            stale_total = self._removed.get(id(node), 0)
-            used = seen_stale.get(id(node), 0)
-            if used < stale_total:
-                seen_stale[id(node)] = used + 1
-                continue
-            yield node
-
-    def remove(self, node: TreeNode) -> TreeNode:
-        """Remove a specific enqueued node (the ``Q.del`` of Algorithm 1)
-        and return it.
-
-        Raises
-        ------
-        InvalidParameterError
-            If the node is not currently enqueued.
-        """
-        if id(node) not in self._live:
-            raise InvalidParameterError("node is not in the queue")
-        self._live.discard(id(node))
-        self._removed[id(node)] = self._removed.get(id(node), 0) + 1
-        return node
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __bool__(self) -> bool:
-        return bool(self._live)

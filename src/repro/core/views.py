@@ -3,9 +3,11 @@
 Every algorithm takes either an explicit ``view`` (dataset indices to
 search, in physical order) or a ``dataset_size`` from which the full
 view is derived. Validation lives here once: negative indices always
-raise, and indices beyond ``dataset_size`` raise whenever the size is
+raise, indices beyond ``dataset_size`` raise whenever the size is
 known — numpy's negative-index wraparound would otherwise silently
-answer questions about the wrong objects.
+answer questions about the wrong objects — and repeated indices always
+raise: the algorithms count members per position, so an object listed
+twice would be counted twice.
 """
 
 from __future__ import annotations
@@ -14,14 +16,27 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["resolve_view"]
+__all__ = ["resolve_view", "resolve_view_order"]
 
 
 def resolve_view(view: np.ndarray | None, dataset_size: int | None) -> np.ndarray:
-    """Materialize and bounds-check the search space.
+    """Materialize and check the search space.
 
-    ``view`` entries must be valid dataset indices: non-negative always,
-    and ``< dataset_size`` whenever ``dataset_size`` is given alongside.
+    ``view`` entries must be distinct, valid dataset indices: non-negative
+    always, and ``< dataset_size`` whenever ``dataset_size`` is given
+    alongside.
+    """
+    return resolve_view_order(view, dataset_size)[0]
+
+
+def resolve_view_order(
+    view: np.ndarray | None, dataset_size: int | None
+) -> tuple[np.ndarray, bool]:
+    """:func:`resolve_view` plus whether the view is strictly ascending.
+
+    A strictly ascending view is checked in O(N) (its ends are its
+    bounds, and it cannot repeat an index); any other order falls back
+    to :func:`numpy.unique`.
     """
     if view is None:
         if dataset_size is None:
@@ -30,17 +45,28 @@ def resolve_view(view: np.ndarray | None, dataset_size: int | None) -> np.ndarra
             raise InvalidParameterError(
                 f"dataset_size must be >= 0, got {dataset_size}"
             )
-        return np.arange(dataset_size, dtype=np.int64)
+        return np.arange(dataset_size, dtype=np.int64), True
     view = np.asarray(view, dtype=np.int64)
-    if view.size:
-        lowest, highest = int(view.min()), int(view.max())
-        if lowest < 0:
+    if view.size == 0:
+        return view, True
+    ascending = view.size == 1 or bool((view[1:] > view[:-1]).all())
+    if ascending:
+        lowest, highest = int(view[0]), int(view[-1])
+    else:
+        distinct, counts = np.unique(view, return_counts=True)
+        if distinct.size != view.size:
+            repeated = int(distinct[np.argmax(counts > 1)])
             raise InvalidParameterError(
-                f"view contains negative dataset index {lowest}"
+                f"view contains dataset index {repeated} more than once"
             )
-        if dataset_size is not None and highest >= dataset_size:
-            raise InvalidParameterError(
-                f"view contains index {highest} out of range for "
-                f"dataset_size {dataset_size}"
-            )
-    return view
+        lowest, highest = int(distinct[0]), int(distinct[-1])
+    if lowest < 0:
+        raise InvalidParameterError(
+            f"view contains negative dataset index {lowest}"
+        )
+    if dataset_size is not None and highest >= dataset_size:
+        raise InvalidParameterError(
+            f"view contains index {highest} out of range for "
+            f"dataset_size {dataset_size}"
+        )
+    return view, ascending

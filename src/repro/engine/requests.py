@@ -62,18 +62,9 @@ class IndexKey:
         """The canonical key of ``indices`` (int64 content equality)."""
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         run = as_run(indices)
-        probe: tuple[int, int] | bytes = (
-            run if run is not None else indices.tobytes()
-        )
-        key = cls._interned.get(probe)
-        if key is None:
-            if run is not None:
-                key = cls(run[0], run[1], None, hash(run))
-            else:
-                payload = probe  # the bytes, hashed exactly once
-                key = cls(-1, -1, payload, hash(payload))
-            cls._intern(probe, key)
-        return key
+        if run is not None:
+            return cls.of_run(*run)
+        return cls.of_scattered(indices)
 
     @classmethod
     def of_run(cls, start: int, stop: int) -> "IndexKey":
@@ -81,12 +72,25 @@ class IndexKey:
         without materializing the index array (checkpoint resume uses
         this for million-object runs)."""
         if stop <= start:
-            return cls.of(np.empty(0, dtype=np.int64))
+            return cls.of_scattered(np.empty(0, dtype=np.int64))
         probe = (int(start), int(stop))
         key = cls._interned.get(probe)
         if key is None:
             key = cls(probe[0], probe[1], None, hash(probe))
             cls._intern(probe, key)
+        return key
+
+    @classmethod
+    def of_scattered(cls, indices: np.ndarray) -> "IndexKey":
+        """The canonical key of a contiguous int64 array the caller knows
+        is *not* a contiguous ascending run (:meth:`of` without the run
+        check). Passing a run would intern a second, non-canonical key
+        for its content."""
+        payload = indices.tobytes()  # hashed exactly once, on interning
+        key = cls._interned.get(payload)
+        if key is None:
+            key = cls(-1, -1, payload, hash(payload))
+            cls._intern(payload, key)
         return key
 
     @classmethod
@@ -150,9 +154,9 @@ class SetRequest:
     """A ready set query emitted by a stepper, awaiting an answer.
 
     ``index_key`` lets emitters that already know their indices' shape
-    (a stepper slicing a contiguous view knows each node is the run
-    ``[view0+b, view0+e+1)``) skip the O(n) run detection; when omitted
-    the key is derived from the array.
+    (a stepper slicing a strictly ascending view knows from a node's two
+    end values whether it is a run) skip the O(n) run detection; when
+    omitted the key is derived from the array.
     """
 
     __slots__ = ("indices", "predicate", "key")

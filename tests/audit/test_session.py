@@ -92,6 +92,17 @@ class TestBinding:
         assert oracle.ledger.budget == 7777
 
 
+class TestViewValidation:
+    def test_duplicate_view_index_rejected(self):
+        dataset = binary_dataset(100, 100, placement="front")
+        oracle = GroundTruthOracle(dataset)
+        spec = GroupAuditSpec(predicate=FEMALE, tau=5, n=2, view=(5, 5, 5, 5, 6, 7))
+        with AuditSession(oracle) as session:
+            with pytest.raises(InvalidParameterError, match="more than once"):
+                session.run(spec)
+        assert oracle.ledger.total == 0
+
+
 class TestRunMany:
     def test_cross_spec_dedup_on_one_engine(self, dataset):
         """Two identical group specs in one batch pay once."""

@@ -70,3 +70,11 @@ class TestBaseCoverage:
             base_coverage(GroundTruthOracle(dataset), FEMALE, -1, dataset_size=10)
         with pytest.raises(InvalidParameterError):
             base_coverage(GroundTruthOracle(dataset), FEMALE, 5)
+
+    def test_duplicate_view_index_rejected(self):
+        # An object listed twice would be labeled, and counted, twice.
+        dataset = binary_dataset(100, 100, placement="front")
+        oracle = GroundTruthOracle(dataset)
+        with pytest.raises(InvalidParameterError, match="more than once"):
+            base_coverage(oracle, FEMALE, 10, view=np.array([5, 5, 5, 5, 6, 7]))
+        assert oracle.ledger.total == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.data.synthetic import (
     binary_dataset,
     single_attribute_dataset,
 )
+from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
 
 FEMALE = group(gender="female")
@@ -124,6 +127,48 @@ class TestEdgeCases:
         # Without dataset_size the upper bound is unknowable and unchecked.
         result = group_coverage(oracle, FEMALE, 1, view=np.array([0, 5, 9]))
         assert result.tau == 1
+
+    def test_duplicate_view_index_rejected(self):
+        # Three distinct members listed six times: counting positions
+        # would certify tau=5.
+        dataset = binary_dataset(100, 100, placement="front")
+        oracle = GroundTruthOracle(dataset)
+        with pytest.raises(InvalidParameterError, match="more than once"):
+            group_coverage(oracle, FEMALE, 5, n=2, view=np.array([5, 5, 5, 5, 6, 7]))
+        with pytest.raises(InvalidParameterError, match="index 7 more than once"):
+            group_coverage(oracle, FEMALE, 2, view=np.array([7, 3, 7]))
+        assert oracle.ledger.total == 0
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+    def test_duplicate_view_index_rejected_in_engine_mode(self):
+        # Two tree nodes over the same object share one query key; without
+        # the check the engine waits forever on the node it dropped, so an
+        # alarm turns that livelock into a failure.
+        dataset = binary_dataset(100, 100, placement="front")
+        oracle = GroundTruthOracle(dataset)
+
+        def livelocked(signum, frame):
+            raise AssertionError("engine livelocked on a duplicate view")
+
+        previous = signal.signal(signal.SIGALRM, livelocked)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(InvalidParameterError, match="more than once"):
+                group_coverage(
+                    oracle, FEMALE, 5, n=2, view=np.array([5, 5, 5, 5, 6, 7]),
+                    engine=QueryEngine(oracle),
+                )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert oracle.ledger.total == 0
+
+    def test_unsorted_distinct_view_accepted(self):
+        dataset = binary_dataset(100, 100, placement="front")
+        result = group_coverage(
+            GroundTruthOracle(dataset), FEMALE, 5, n=2, view=np.array([9, 2, 40, 7])
+        )
+        assert (result.covered, result.count) == (False, 4)
 
     def test_negative_dataset_size_rejected(self, rng):
         dataset = binary_dataset(10, 2, rng=rng)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tree import PrunableQueue, TreeNode
+from repro.core.tree import TreeNode
 from repro.errors import InvalidParameterError
 
 
@@ -44,94 +44,3 @@ class TestTreeNode:
 
     def test_checked_default_false(self):
         assert TreeNode(0, 1).checked is False
-
-
-class TestPrunableQueue:
-    def test_fifo_order(self):
-        queue = PrunableQueue()
-        nodes = [TreeNode(i, i) for i in range(5)]
-        for node in nodes:
-            queue.add(node)
-        assert [queue.pop() for _ in range(5)] == nodes
-
-    def test_remove_specific_node(self):
-        queue = PrunableQueue()
-        a, b, c = TreeNode(0, 0), TreeNode(1, 1), TreeNode(2, 2)
-        for node in (a, b, c):
-            queue.add(node)
-        assert queue.remove(b) is b
-        assert queue.pop() is a
-        assert queue.pop() is c
-        assert not queue
-
-    def test_len_tracks_live_nodes(self):
-        queue = PrunableQueue()
-        a, b = TreeNode(0, 0), TreeNode(1, 1)
-        queue.add(a)
-        queue.add(b)
-        assert len(queue) == 2
-        queue.remove(a)
-        assert len(queue) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            PrunableQueue().pop()
-
-    def test_remove_absent_raises(self):
-        queue = PrunableQueue()
-        with pytest.raises(InvalidParameterError):
-            queue.remove(TreeNode(0, 0))
-
-    def test_double_add_rejected(self):
-        queue = PrunableQueue()
-        node = TreeNode(0, 0)
-        queue.add(node)
-        with pytest.raises(InvalidParameterError):
-            queue.add(node)
-
-    def test_readd_after_pop_allowed(self):
-        queue = PrunableQueue()
-        node = TreeNode(0, 0)
-        queue.add(node)
-        queue.pop()
-        queue.add(node)  # the sibling-replacement flow re-processes nodes
-        assert queue.pop() is node
-
-    def test_peek_returns_front_without_consuming(self):
-        queue = PrunableQueue()
-        first, second = TreeNode(0, 1), TreeNode(2, 3)
-        queue.add(first)
-        queue.add(second)
-        assert queue.peek() is first
-        assert len(queue) == 2
-        assert queue.pop() is first
-
-    def test_peek_skips_removed_front(self):
-        queue = PrunableQueue()
-        first, second = TreeNode(0, 1), TreeNode(2, 3)
-        queue.add(first)
-        queue.add(second)
-        queue.remove(first)
-        assert queue.peek() is second
-
-    def test_peek_empty_returns_none(self):
-        assert PrunableQueue().peek() is None
-
-    def test_iteration_yields_live_nodes_in_fifo_order(self):
-        queue = PrunableQueue()
-        nodes = [TreeNode(i, i) for i in range(5)]
-        for node in nodes:
-            queue.add(node)
-        queue.remove(nodes[1])
-        queue.remove(nodes[3])
-        assert list(queue) == [nodes[0], nodes[2], nodes[4]]
-        assert len(queue) == 3  # iteration does not consume
-
-    def test_iteration_after_remove_and_readd_skips_the_stale_entry(self):
-        queue = PrunableQueue()
-        first, second = TreeNode(0, 0), TreeNode(1, 1)
-        queue.add(first)
-        queue.add(second)
-        queue.remove(first)
-        queue.add(first)  # older deque entry for `first` is now stale
-        assert list(queue) == [second, first]

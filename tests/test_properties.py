@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,6 @@ from repro.core.base_coverage import base_coverage
 from repro.core.classifier_coverage import classifier_coverage
 from repro.core.group_coverage import group_coverage
 from repro.core.sampling import LabeledPool
-from repro.core.tree import PrunableQueue, TreeNode
 from repro.crowd.aggregation import majority_vote
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.dataset import LabeledDataset
@@ -246,44 +244,6 @@ def test_majority_vote_matches_counting(answers):
         assert winner is False
     else:
         assert winner is answers[0]  # deterministic tie-break: first seen
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["add", "pop", "remove"]), st.integers(0, 9)),
-        max_size=60,
-    )
-)
-def test_prunable_queue_matches_list_model(operations):
-    """Model-based test: the queue must behave like a plain list under
-    interleaved add/pop/remove."""
-    queue = PrunableQueue()
-    model: list[TreeNode] = []
-    pool = [TreeNode(i, i) for i in range(10)]
-    for op, arg in operations:
-        node = pool[arg]
-        if op == "add":
-            if node in model:
-                with pytest.raises(Exception):
-                    queue.add(node)
-            else:
-                queue.add(node)
-                model.append(node)
-        elif op == "pop":
-            if model:
-                assert queue.pop() is model.pop(0)
-            else:
-                with pytest.raises(IndexError):
-                    queue.pop()
-        else:  # remove
-            if node in model:
-                queue.remove(node)
-                model.remove(node)
-            else:
-                with pytest.raises(Exception):
-                    queue.remove(node)
-        assert len(queue) == len(model)
 
 
 # ----------------------------------------------------------------------
