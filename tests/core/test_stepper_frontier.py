@@ -178,3 +178,25 @@ def test_ascending_view_keys_are_canonical(view, data, n):
             }
         )
     assert stepper.count == len(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(view=views(ordered=False), data=st.data(), n=st.integers(1, 30))
+def test_unordered_view_keys_are_canonical(view, data, n):
+    """A view in any other order keys every node through :meth:`IndexKey.of`
+    and reaches the same count as the members it holds."""
+    IndexKey._interned.clear()  # no eviction between emission and check
+    members = set(data.draw(st.sets(st.sampled_from(view.tolist()))))
+    stepper = GroupCoverageStepper(FEMALE, len(view) + 1, n=n, view=view)
+    while not stepper.done:
+        requests = stepper.pending()
+        for request in requests:
+            assert request.key[1] is IndexKey.of(request.indices)
+        stepper.feed(
+            {
+                request.key: not members.isdisjoint(request.indices.tolist())
+                for request in requests
+            }
+        )
+    assert stepper.count == len(members)
+    assert set(stepper.discovered_indices) == members

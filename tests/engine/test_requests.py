@@ -21,6 +21,13 @@ class TestIndexKey:
     def test_of_run_matches_of(self):
         assert IndexKey.of_run(5, 9) is IndexKey.of(np.arange(5, 9))
 
+    def test_of_scattered_matches_of(self):
+        indices = np.array([4, 9, 10, 30], dtype=np.int64)
+        key = IndexKey.of_scattered(indices)
+        assert key is IndexKey.of(indices.copy())
+        assert not key.is_run
+        assert np.array_equal(key.to_array(), indices)
+
     def test_scattered_arrays_are_interned_by_content(self):
         a = IndexKey.of(np.array([3, 1, 7]))
         b = IndexKey.of(np.array([3, 1, 7]))
