@@ -21,19 +21,24 @@ partial E-steps over sufficient statistics**:
 Set queries use 2x2 matrices (truth in {no, yes}); point queries use one
 k x k matrix per schema attribute, with value codes discovered online.
 All updates are :func:`numpy.add.at` scatter-adds over the whole batch —
-no per-vote Python loops on the hot path.
+no per-vote Python loops on the hot path. Reads go through one cached
+:class:`PoolView` — every worker's set confusion, accuracy and vote
+log-odds as whole-pool arrays — built lazily after each update, so the
+per-vote routing and stopping decisions between batches are array
+indexing, not fresh 2x2 NumPy work.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["OnlineDawidSkene"]
+__all__ = ["OnlineDawidSkene", "PoolView"]
 
 #: Votes on one set-query HIT: ``(worker_id, answered_yes)`` pairs.
 SetVotes = Sequence[tuple[int, bool]]
@@ -42,6 +47,7 @@ PointVotes = Sequence[tuple[int, Mapping[str, str]]]
 
 _ROW_GROWTH = 16
 _LOG_FLOOR = 1e-300
+_TRUTHS = np.arange(2)
 
 
 class _AttributeModel:
@@ -85,14 +91,46 @@ class _AttributeModel:
         }
 
     @classmethod
-    def from_state(cls, state: Mapping[str, Any], n_rows: int) -> "_AttributeModel":
-        model = cls(n_rows)
+    def from_state(
+        cls, state: Mapping[str, Any], n_rows: int, capacity: int
+    ) -> "_AttributeModel":
+        """Restore :meth:`state_dict` output. ``obs`` is saved at the
+        estimator's row capacity, which may exceed ``n_rows``: the first
+        ``n_rows`` rows are kept and padded with zeros to ``capacity``."""
+        model = cls(capacity)
         model.values = [str(value) for value in state["values"]]
         model.codes = {value: code for code, value in enumerate(model.values)}
         k = len(model.values)
-        model.obs = np.asarray(state["obs"], dtype=np.float64).reshape(n_rows, k, k)
+        saved = np.asarray(state["obs"], dtype=np.float64).reshape(
+            len(state["obs"]), k, k
+        )
+        model.obs = np.zeros((capacity, k, k), dtype=np.float64)
+        model.obs[:n_rows] = saved[:n_rows]
         model.class_obs = np.asarray(state["class_obs"], dtype=np.float64).reshape(k)
         return model
+
+
+@dataclass(frozen=True)
+class PoolView:
+    """Whole-pool set-query estimates, one row per worker in first-seen
+    order (:attr:`OnlineDawidSkene.worker_ids`).
+
+    Built by :meth:`OnlineDawidSkene.pool` and cached until the
+    estimator's statistics or worker registry change; the arrays are
+    read-only.
+    """
+
+    #: ``P(answer | truth)`` per worker, shape ``(W, 2, 2)``.
+    confusion: npt.NDArray[np.float64]
+    #: class-prior-weighted confusion diagonal per worker, shape ``(W,)``.
+    accuracy: npt.NDArray[np.float64]
+    #: log-likelihood-ratio increment of a vote, shape ``(W, 2)``
+    #: indexed by ``[row, answer]``.
+    log_odds: npt.NDArray[np.float64]
+    #: observed set-query votes per worker, shape ``(W,)``.
+    votes: npt.NDArray[np.int64]
+    #: ``log P(yes) - log P(no)`` before any vote is seen.
+    prior_log_odds: float
 
 
 class OnlineDawidSkene:
@@ -168,6 +206,7 @@ class OnlineDawidSkene:
         self._set_votes: npt.NDArray[np.int64] = np.zeros(0, dtype=np.int64)
         self._set_class_obs: npt.NDArray[np.float64] = np.zeros(2, dtype=np.float64)
         self._point_models: dict[str, _AttributeModel] = {}
+        self._pool: PoolView | None = None
         self.n_set_batches = 0
         self.n_point_batches = 0
 
@@ -178,6 +217,7 @@ class OnlineDawidSkene:
             row = len(self._row_ids)
             self._rows[worker_id] = row
             self._row_ids.append(worker_id)
+            self._pool = None
             if row >= self._set_obs.shape[0]:
                 capacity = self._set_obs.shape[0] + _ROW_GROWTH
                 grown = np.zeros((capacity, 2, 2), dtype=np.float64)
@@ -189,6 +229,17 @@ class OnlineDawidSkene:
                 for model in self._point_models.values():
                     model.ensure_rows(capacity)
         return row
+
+    def rows(self, worker_ids: Iterable[int]) -> list[int]:
+        """The workers' rows in :class:`PoolView` arrays, registering
+        unseen workers (in the given order) first."""
+        known = self._rows
+        return [known[w] if w in known else self._row(w) for w in worker_ids]
+
+    def row_of(self, worker_id: int) -> int | None:
+        """The worker's row in :class:`PoolView` arrays, or ``None`` for
+        a worker the estimator has not seen."""
+        return self._rows.get(worker_id)
 
     @property
     def worker_ids(self) -> tuple[int, ...]:
@@ -208,20 +259,43 @@ class OnlineDawidSkene:
             [[p, 1.0 - p], [1.0 - p, p]], dtype=np.float64
         )
 
+    def pool(self) -> PoolView:
+        """Every registered worker's current set-query estimates as one
+        :class:`PoolView`, built on first read and reused until a worker
+        is registered, a set batch is observed, or state is loaded."""
+        pool = self._pool
+        if pool is None:
+            n_rows = len(self._row_ids)
+            counts = self._set_prior_counts() + self._set_obs[:n_rows]
+            confusion = counts / counts.sum(axis=2, keepdims=True)
+            priors = self.class_priors
+            accuracy = priors[0] * confusion[:, 0, 0] + priors[1] * confusion[:, 1, 1]
+            log_conf = np.log(confusion + _LOG_FLOOR)
+            log_odds = log_conf[:, 1, :] - log_conf[:, 0, :]
+            log_priors = np.log(priors + _LOG_FLOOR)
+            votes = self._set_votes[:n_rows].copy()
+            for array in (confusion, accuracy, log_odds, votes):
+                array.flags.writeable = False
+            pool = self._pool = PoolView(
+                confusion=confusion,
+                accuracy=accuracy,
+                log_odds=log_odds,
+                votes=votes,
+                prior_log_odds=float(log_priors[1] - log_priors[0]),
+            )
+        return pool
+
     def confusion(self, worker_id: int) -> npt.NDArray[np.float64]:
         """The worker's current 2x2 set confusion ``P(answer | truth)``
         (row = truth in {no, yes}, column = answer), prior included."""
         row = self._row(worker_id)
-        counts = self._set_prior_counts() + self._set_obs[row]
-        result: npt.NDArray[np.float64] = counts / counts.sum(axis=1, keepdims=True)
-        return result
+        return self.pool().confusion[row].copy()
 
     def worker_accuracy(self, worker_id: int) -> float:
         """Estimated P(correct) for the worker: the confusion diagonal
         weighted by the current class priors."""
-        confusion = self.confusion(worker_id)
-        priors = self.class_priors
-        return float(priors[0] * confusion[0, 0] + priors[1] * confusion[1, 1])
+        row = self._row(worker_id)
+        return float(self.pool().accuracy[row])
 
     @property
     def class_priors(self) -> npt.NDArray[np.float64]:
@@ -233,18 +307,14 @@ class OnlineDawidSkene:
 
     def prior_log_odds(self) -> float:
         """``log P(yes) - log P(no)`` before any vote is seen."""
-        priors = self.class_priors
-        return float(np.log(priors[1] + _LOG_FLOOR) - np.log(priors[0] + _LOG_FLOOR))
+        return self.pool().prior_log_odds
 
     def vote_log_odds(self, worker_id: int, answer: bool) -> float:
         """The log-likelihood-ratio increment one vote contributes to the
         posterior log-odds of "truth = yes", under the worker's current
         confusion estimate."""
-        confusion = self.confusion(worker_id)
-        a = 1 if answer else 0
-        return float(
-            np.log(confusion[1, a] + _LOG_FLOOR) - np.log(confusion[0, a] + _LOG_FLOOR)
-        )
+        row = self._row(worker_id)
+        return float(self.pool().log_odds[row, 1 if answer else 0])
 
     def posterior_log_odds(self, votes: SetVotes) -> float:
         """Posterior log-odds of "truth = yes" after all ``votes``,
@@ -262,40 +332,46 @@ class OnlineDawidSkene:
         (vectorized scatter-adds) and returns the final per-HIT posterior
         ``P(truth = yes)`` under the *updated* estimates.
         """
-        hits = [list(votes) for votes in hits]
         n_hits = len(hits)
-        posterior = np.zeros(n_hits, dtype=np.float64)
-        flat = [(i, w, a) for i, votes in enumerate(hits) for (w, a) in votes]
-        if not flat:
-            return posterior
-        task_idx = np.array([i for i, _, _ in flat], dtype=np.int64)
-        rows = np.array([self._row(w) for _, w, _ in flat], dtype=np.int64)
-        ans = np.array([1 if a else 0 for _, _, a in flat], dtype=np.int64)
+        task_list: list[int] = []
+        row_list: list[int] = []
+        ans_list: list[int] = []
+        for i, votes in enumerate(hits):
+            for worker_id, answer in votes:
+                task_list.append(i)
+                row_list.append(self._row(worker_id))
+                ans_list.append(1 if answer else 0)
+        if not task_list:
+            return np.zeros(n_hits, dtype=np.float64)
+        task_idx = np.array(task_list, dtype=np.int64)
+        rows = np.array(row_list, dtype=np.int64)
+        ans = np.array(ans_list, dtype=np.int64)
+        votes_idx = np.arange(len(task_list))
+        # Scatter targets of both truths at once, shape (votes, 2): cell
+        # (rows[v], truth, ans[v]) for v in vote order, so duplicate rows
+        # accumulate in the same order as one scatter per truth would.
+        obs_idx = (rows[:, None], _TRUTHS, ans[:, None])
 
         self._forget()
         prior_counts = self._set_prior_counts()
-        n_rows = len(self._row_ids)
-        post = np.full((n_hits, 2), 0.5, dtype=np.float64)
         step = self.damping / self.sweeps
         for _ in range(self.sweeps):
-            counts = prior_counts[None, :, :] + self._set_obs[:n_rows]
-            log_conf = np.log(counts / counts.sum(axis=2, keepdims=True) + _LOG_FLOOR)
-            priors = self.class_priors
-            log_post = np.tile(np.log(priors + _LOG_FLOOR), (n_hits, 1))
-            np.add.at(log_post, task_idx, log_conf[rows, :, ans])
+            # Only the voting workers' rows enter the E-step.
+            counts = prior_counts + self._set_obs[rows]
+            conf = counts / counts.sum(axis=2, keepdims=True)
+            log_conf = np.log(conf[votes_idx, :, ans] + _LOG_FLOOR)
+            log_post = np.empty((n_hits, 2), dtype=np.float64)
+            log_post[:] = np.log(self.class_priors + _LOG_FLOOR)
+            np.add.at(log_post, task_idx, log_conf)
             log_post -= log_post.max(axis=1, keepdims=True)
             post = np.exp(log_post)
             post /= post.sum(axis=1, keepdims=True)
-            for truth in (0, 1):
-                np.add.at(
-                    self._set_obs[:, truth, :],
-                    (rows, ans),
-                    step * post[task_idx, truth],
-                )
+            np.add.at(self._set_obs, obs_idx, step * post[task_idx])
             self._set_class_obs += step * post.sum(axis=0)
         np.add.at(self._set_votes, rows, 1)
         self.n_set_batches += 1
-        posterior = post[:, 1].copy()
+        self._pool = None
+        posterior: npt.NDArray[np.float64] = post[:, 1].copy()
         return posterior
 
     def observe_point_batch(self, hits: Sequence[PointVotes]) -> list[dict[str, str]]:
@@ -344,7 +420,9 @@ class OnlineDawidSkene:
         self, votes: PointVotes
     ) -> dict[str, dict[str, float]]:
         """Per-attribute posterior over values for one HIT's votes, under
-        the current estimates (no statistics are updated)."""
+        the current estimates. No confusion or class counts are updated,
+        but unseen workers, attributes and values are registered (which
+        grows ``worker_ids`` and the attribute models, as a batch would)."""
         result: dict[str, dict[str, float]] = {}
         per_attribute: dict[str, list[tuple[int, str]]] = {}
         for worker_id, row_values in votes:
@@ -421,7 +499,9 @@ class OnlineDawidSkene:
         self._rows = {worker_id: row for row, worker_id in enumerate(workers)}
         self._row_ids = workers
         n_rows = len(workers)
-        capacity = max(n_rows, _ROW_GROWTH)
+        # The capacity an uninterrupted estimator reaches registering
+        # ``n_rows`` workers, so point-model ``obs`` re-serializes unchanged.
+        capacity = _ROW_GROWTH * max(1, -(-n_rows // _ROW_GROWTH))
         self._set_obs = np.zeros((capacity, 2, 2), dtype=np.float64)
         self._set_obs[:n_rows] = np.asarray(
             state["set_obs"], dtype=np.float64
@@ -432,8 +512,9 @@ class OnlineDawidSkene:
             state["set_class_obs"], dtype=np.float64
         ).reshape(2)
         self._point_models = {
-            str(attribute): _AttributeModel.from_state(model_state, capacity)
+            str(attribute): _AttributeModel.from_state(model_state, n_rows, capacity)
             for attribute, model_state in state["point"].items()
         }
         self.n_set_batches = int(state["n_set_batches"])
         self.n_point_batches = int(state["n_point_batches"])
+        self._pool = None

@@ -173,21 +173,18 @@ class AdaptiveAssignmentPolicy:
         """
         if not eligible:
             raise InvalidParameterError("plan needs a non-empty eligible pool")
+        is_quarantined = self.tracker.is_quarantined
         active = [
             pos
             for pos, worker in enumerate(eligible)
-            if not self.tracker.is_quarantined(worker.worker_id)
+            if not is_quarantined(worker.worker_id)
         ]
         if not active:
             active = list(range(len(eligible)))
         noise = rng.random(len(active))
-        scores = np.array(
-            [
-                self.estimator.worker_accuracy(eligible[pos].worker_id)
-                for pos in active
-            ],
-            dtype=np.float64,
-        )
+        # Registers unseen workers in eligible order, which checkpoints keep.
+        rows = self.estimator.rows(eligible[pos].worker_id for pos in active)
+        scores = self.estimator.pool().accuracy[rows]
         scores += self.exploration * noise
         ranked = [active[i] for i in np.argsort(-scores, kind="stable")]
         order = ranked[: self.max_assignments]

@@ -30,6 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import InvalidParameterError
 
 from repro.crowd.reliability.online import OnlineDawidSkene
@@ -43,6 +46,8 @@ FLAG_UNIFORM = "uniform_guesser"
 FLAG_ALWAYS_YES = "always_yes"
 FLAG_ALWAYS_NO = "always_no"
 FLAG_ADVERSARY = "adversary"
+#: flag by code, as :meth:`ReliabilityTracker._flag_codes` numbers them.
+_FLAGS = (None, FLAG_ALWAYS_YES, FLAG_ALWAYS_NO, FLAG_ADVERSARY, FLAG_UNIFORM)
 
 
 class ReliabilityTracker:
@@ -135,46 +140,61 @@ class ReliabilityTracker:
     def classify(self, worker_id: int) -> str | None:
         """The worker's current behavioral flag, or ``None`` when their
         signature looks legitimate (or evidence is still insufficient)."""
-        if self.estimator.n_observations(worker_id) < self.min_observations:
+        row = self.estimator.row_of(worker_id)
+        if row is None:
             return None
-        confusion = self.estimator.confusion(worker_id)
-        yes_rate_when_no = float(confusion[0, 1])
-        yes_rate_when_yes = float(confusion[1, 1])
-        if (
-            yes_rate_when_no >= self.extreme_rate
-            and yes_rate_when_yes >= self.extreme_rate
-        ):
-            return FLAG_ALWAYS_YES
-        if (
-            1.0 - yes_rate_when_no >= self.extreme_rate
-            and 1.0 - yes_rate_when_yes >= self.extreme_rate
-        ):
-            return FLAG_ALWAYS_NO
+        return _FLAGS[int(self._flag_codes()[row])]
+
+    def _flag_codes(self) -> npt.NDArray[np.int64]:
+        """Every registered worker's flag as an index into ``_FLAGS``,
+        by estimator row, from one vector pass over the pool view."""
+        pool = self.estimator.pool()
+        yes_rate_when_no = pool.confusion[:, 0, 1]
+        yes_rate_when_yes = pool.confusion[:, 1, 1]
         j = yes_rate_when_yes - yes_rate_when_no
-        if j <= -self.spam_margin:
-            return FLAG_ADVERSARY
-        if abs(j) < self.spam_margin:
-            return FLAG_UNIFORM
-        return None
+        # Assigned in reverse precedence, so the strongest flag wins.
+        codes = np.zeros(len(j), dtype=np.int64)
+        codes[np.abs(j) < self.spam_margin] = 4
+        codes[j <= -self.spam_margin] = 3
+        codes[
+            (1.0 - yes_rate_when_no >= self.extreme_rate)
+            & (1.0 - yes_rate_when_yes >= self.extreme_rate)
+        ] = 2
+        codes[
+            (yes_rate_when_no >= self.extreme_rate)
+            & (yes_rate_when_yes >= self.extreme_rate)
+        ] = 1
+        codes[pool.votes < self.min_observations] = 0
+        return codes
 
     # -- quarantine lifecycle ----------------------------------------------
     def review(self) -> list[int]:
         """Re-classify every known worker: quarantine newly flagged ones,
         reinstate quarantined workers whose probation has cleared. Returns
         worker ids whose state changed, in first-seen order."""
+        codes = self._flag_codes()
+        # Active workers with a clean signature have nothing to update, so
+        # only flagged and quarantined rows are visited.
+        rows = set(np.flatnonzero(codes).tolist())
+        for worker_id, state in self._states.items():
+            if state == _QUARANTINED:
+                row = self.estimator.row_of(worker_id)
+                if row is not None:
+                    rows.add(row)
+        worker_ids = self.estimator.worker_ids
         changed: list[int] = []
-        for worker_id in self.estimator.worker_ids:
-            state = self._states.get(worker_id, _ACTIVE)
-            flag = self.classify(worker_id)
-            if state == _ACTIVE:
-                if flag is not None:
-                    self._states[worker_id] = _QUARANTINED
-                    self._flags[worker_id] = flag
-                    self._obs_at_quarantine[worker_id] = (
-                        self.estimator.n_observations(worker_id)
-                    )
-                    self.n_quarantines += 1
-                    changed.append(worker_id)
+        for row in sorted(rows):
+            worker_id = worker_ids[row]
+            flag = _FLAGS[int(codes[row])]
+            if self._states.get(worker_id, _ACTIVE) == _ACTIVE:
+                # An active row is visited only when flagged: quarantine it.
+                self._states[worker_id] = _QUARANTINED
+                self._flags[worker_id] = flag
+                self._obs_at_quarantine[worker_id] = (
+                    self.estimator.n_observations(worker_id)
+                )
+                self.n_quarantines += 1
+                changed.append(worker_id)
             else:
                 probes = (
                     self.estimator.n_observations(worker_id)

@@ -494,3 +494,355 @@ class TestSessionReliabilityCheckpoint:
             ReliabilitySnapshot.from_dict({"version": 99})
         with pytest.raises(CheckpointVersionError):
             ReliabilitySnapshot.from_dict({"policy": {}})
+
+
+# -- scalar reference: the per-worker reads the pool view replaced ---------
+_LOG_FLOOR = 1e-300
+
+
+class _ScalarDawidSkene(OnlineDawidSkene):
+    """Test-only reference: every read recomputes one worker's 2x2
+    matrices from the raw statistics, and ``observe_set_batch`` runs the
+    full-pool E-step with one scatter per truth."""
+
+    def confusion(self, worker_id):
+        row = self._row(worker_id)
+        counts = self._set_prior_counts() + self._set_obs[row]
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def worker_accuracy(self, worker_id):
+        confusion = self.confusion(worker_id)
+        priors = self.class_priors
+        return float(priors[0] * confusion[0, 0] + priors[1] * confusion[1, 1])
+
+    def prior_log_odds(self):
+        priors = self.class_priors
+        return float(np.log(priors[1] + _LOG_FLOOR) - np.log(priors[0] + _LOG_FLOOR))
+
+    def vote_log_odds(self, worker_id, answer):
+        confusion = self.confusion(worker_id)
+        a = 1 if answer else 0
+        return float(
+            np.log(confusion[1, a] + _LOG_FLOOR) - np.log(confusion[0, a] + _LOG_FLOOR)
+        )
+
+    def observe_set_batch(self, hits):
+        hits = [list(votes) for votes in hits]
+        n_hits = len(hits)
+        flat = [(i, w, a) for i, votes in enumerate(hits) for (w, a) in votes]
+        if not flat:
+            return np.zeros(n_hits, dtype=np.float64)
+        task_idx = np.array([i for i, _, _ in flat], dtype=np.int64)
+        rows = np.array([self._row(w) for _, w, _ in flat], dtype=np.int64)
+        ans = np.array([1 if a else 0 for _, _, a in flat], dtype=np.int64)
+        self._forget()
+        prior_counts = self._set_prior_counts()
+        n_rows = len(self._row_ids)
+        step = self.damping / self.sweeps
+        for _ in range(self.sweeps):
+            counts = prior_counts[None, :, :] + self._set_obs[:n_rows]
+            log_conf = np.log(counts / counts.sum(axis=2, keepdims=True) + _LOG_FLOOR)
+            priors = self.class_priors
+            log_post = np.tile(np.log(priors + _LOG_FLOOR), (n_hits, 1))
+            np.add.at(log_post, task_idx, log_conf[rows, :, ans])
+            log_post -= log_post.max(axis=1, keepdims=True)
+            post = np.exp(log_post)
+            post /= post.sum(axis=1, keepdims=True)
+            for truth in (0, 1):
+                np.add.at(
+                    self._set_obs[:, truth, :], (rows, ans), step * post[task_idx, truth]
+                )
+            self._set_class_obs += step * post.sum(axis=0)
+        np.add.at(self._set_votes, rows, 1)
+        self.n_set_batches += 1
+        return post[:, 1].copy()
+
+
+class _ScalarTracker(ReliabilityTracker):
+    """Test-only reference: classifies one worker at a time and reviews
+    every known worker in a Python loop."""
+
+    def classify(self, worker_id):
+        if self.estimator.n_observations(worker_id) < self.min_observations:
+            return None
+        confusion = self.estimator.confusion(worker_id)
+        yes_rate_when_no = float(confusion[0, 1])
+        yes_rate_when_yes = float(confusion[1, 1])
+        if (
+            yes_rate_when_no >= self.extreme_rate
+            and yes_rate_when_yes >= self.extreme_rate
+        ):
+            return "always_yes"
+        if (
+            1.0 - yes_rate_when_no >= self.extreme_rate
+            and 1.0 - yes_rate_when_yes >= self.extreme_rate
+        ):
+            return "always_no"
+        j = yes_rate_when_yes - yes_rate_when_no
+        if j <= -self.spam_margin:
+            return "adversary"
+        if abs(j) < self.spam_margin:
+            return "uniform_guesser"
+        return None
+
+    def review(self):
+        changed = []
+        est = self.estimator
+        for worker_id in est.worker_ids:
+            state = self._states.get(worker_id, "active")
+            flag = self.classify(worker_id)
+            if state == "active":
+                if flag is not None:
+                    self._states[worker_id] = "quarantined"
+                    self._flags[worker_id] = flag
+                    self._obs_at_quarantine[worker_id] = est.n_observations(worker_id)
+                    self.n_quarantines += 1
+                    changed.append(worker_id)
+            else:
+                probes = est.n_observations(worker_id) - self._obs_at_quarantine.get(
+                    worker_id, 0
+                )
+                if (
+                    probes >= self.probation_votes
+                    and flag is None
+                    and self.youden_j(worker_id) >= self.reentry_margin
+                ):
+                    self._states[worker_id] = "active"
+                    self._flags.pop(worker_id, None)
+                    self._obs_at_quarantine.pop(worker_id, None)
+                    self.n_reinstatements += 1
+                    changed.append(worker_id)
+                elif flag is not None:
+                    self._flags[worker_id] = flag
+                    self._obs_at_quarantine[worker_id] = est.n_observations(worker_id)
+        return changed
+
+
+class _ScalarPolicy(AdaptiveAssignmentPolicy):
+    """Test-only reference: ranks the pool with one ``worker_accuracy``
+    read per active worker, over the scalar estimator and tracker."""
+
+    def __init__(self, **kwargs):
+        estimator = _ScalarDawidSkene()
+        super().__init__(
+            estimator=estimator, tracker=_ScalarTracker(estimator), **kwargs
+        )
+
+    def plan(self, eligible, rng):
+        active = [
+            pos
+            for pos, worker in enumerate(eligible)
+            if not self.tracker.is_quarantined(worker.worker_id)
+        ]
+        if not active:
+            active = list(range(len(eligible)))
+        noise = rng.random(len(active))
+        scores = np.array(
+            [self.estimator.worker_accuracy(eligible[pos].worker_id) for pos in active],
+            dtype=np.float64,
+        )
+        scores += self.exploration * noise
+        ranked = [active[i] for i in np.argsort(-scores, kind="stable")]
+        order = ranked[: self.max_assignments]
+        probe = None
+        if self.n_hits % self.probation_interval == self.probation_interval - 1:
+            quarantined = [
+                pos
+                for pos, worker in enumerate(eligible)
+                if self.tracker.is_quarantined(worker.worker_id)
+            ]
+            if quarantined:
+                probe = min(
+                    quarantined,
+                    key=lambda pos: (
+                        self.estimator.n_observations(eligible[pos].worker_id),
+                        eligible[pos].worker_id,
+                    ),
+                )
+        return order, probe
+
+
+def _random_hits(rng, n_workers, kinds):
+    """One random batch of set HITs; a worker may vote twice in a HIT."""
+    hits = []
+    for _ in range(int(rng.integers(0, 4))):
+        truth = bool(rng.random() < 0.5)
+        votes = []
+        for worker_id in rng.integers(0, n_workers, int(rng.integers(0, 8))):
+            behavior = (good(0.05), always(True), uniform(), adversarial())[
+                kinds[worker_id]
+            ]
+            votes.append((int(worker_id), bool(behavior(truth, rng))))
+        hits.append(votes)
+    return hits
+
+
+def _assert_pool_matches_scalar(est, ref, tracker, ref_tracker):
+    """Exact (``==``) agreement of every pool read with the scalar path."""
+    assert est.state_dict() == ref.state_dict()
+    pool = est.pool()
+    assert pool.prior_log_odds == ref.prior_log_odds()
+    for row, worker_id in enumerate(ref.worker_ids):
+        assert np.array_equal(pool.confusion[row], ref.confusion(worker_id))
+        assert np.array_equal(est.confusion(worker_id), ref.confusion(worker_id))
+        assert pool.accuracy[row] == ref.worker_accuracy(worker_id)
+        assert est.worker_accuracy(worker_id) == ref.worker_accuracy(worker_id)
+        for answer in (False, True):
+            expected = ref.vote_log_odds(worker_id, answer)
+            assert pool.log_odds[row, int(answer)] == expected
+            assert est.vote_log_odds(worker_id, answer) == expected
+        assert pool.votes[row] == ref.n_observations(worker_id)
+        assert tracker.classify(worker_id) == ref_tracker.classify(worker_id)
+    assert est.prior_log_odds() == ref.prior_log_odds()
+
+
+class TestPoolViewMatchesScalarFormulas:
+    @pytest.mark.parametrize("decay", [1.0, 0.93])
+    def test_random_streams(self, decay):
+        for seed in range(25):
+            rng = np.random.default_rng([seed, int(decay * 100)])
+            kwargs = dict(
+                decay=decay,
+                damping=float(rng.uniform(0.2, 1.0)),
+                sweeps=int(rng.integers(1, 4)),
+            )
+            est, ref = OnlineDawidSkene(**kwargs), _ScalarDawidSkene(**kwargs)
+            min_observations = int(rng.integers(1, 10))
+            tracker = ReliabilityTracker(est, min_observations=min_observations)
+            ref_tracker = _ScalarTracker(ref, min_observations=min_observations)
+            n_workers = int(rng.integers(1, 25))
+            kinds = rng.integers(0, 4, n_workers)
+            for _ in range(int(rng.integers(5, 40))):
+                hits = _random_hits(rng, n_workers, kinds)
+                assert np.array_equal(
+                    est.observe_set_batch(hits), ref.observe_set_batch(hits)
+                )
+                assert tracker.review() == ref_tracker.review()
+                assert tracker.state_dict() == ref_tracker.state_dict()
+                _assert_pool_matches_scalar(est, ref, tracker, ref_tracker)
+
+    def test_duplicate_worker_in_one_hit(self, rng):
+        # The all-quarantined fallback routes the lone eligible worker and,
+        # on a probe round, probes the same worker: it votes twice.
+        policy = AdaptiveAssignmentPolicy(probation_interval=1)
+        reference = _ScalarPolicy(probation_interval=1)
+        for p in (policy, reference):
+            _feed(p.estimator, np.random.default_rng(2), 60,
+                  {0: good(0.02), 1: good(0.02), 2: always(True)})
+            assert p.tracker.review() == [2]
+        eligible = [Worker(worker_id=2, set_error_rate=0.02)]
+        for _ in range(8):
+            plan = policy.plan(eligible, np.random.default_rng(5))
+            assert plan == reference.plan(eligible, np.random.default_rng(5))
+            assert plan == ([0], 0)
+            votes = [(2, bool(rng.random() < 0.5)), (2, True)]
+            assert policy.observe_set(votes, n_probes=1) == reference.observe_set(
+                votes, n_probes=1
+            )
+            _assert_pool_matches_scalar(
+                policy.estimator, reference.estimator,
+                policy.tracker, reference.tracker,
+            )
+        assert policy.state_dict() == reference.state_dict()
+
+    def test_confusion_returns_a_copy_of_a_read_only_pool(self):
+        est = OnlineDawidSkene()
+        est.observe_set_batch([[(0, True), (1, False)]])
+        est.confusion(0)[:] = 0.0
+        assert est.confusion(0).sum() == pytest.approx(2.0)
+        with pytest.raises(ValueError):
+            est.pool().accuracy[0] = 1.0
+
+
+class TestPoolViewInvalidation:
+    def _pair(self):
+        est, ref = OnlineDawidSkene(), _ScalarDawidSkene()
+        for e in (est, ref):
+            _feed(e, np.random.default_rng(4), 20, {0: good(), 1: uniform()})
+        return est, ref
+
+    def test_new_worker_after_a_read(self):
+        est, ref = self._pair()
+        stale = est.pool()
+        assert est.worker_accuracy(7) == ref.worker_accuracy(7)
+        assert est.pool() is not stale
+        assert est.pool().accuracy.shape == (3,)
+        assert est.rows([0, 8, 7]) == [0, 3, 2]
+        assert est.pool().accuracy.shape == (4,)
+        assert est.row_of(9) is None
+
+    def test_observe_set_batch(self):
+        est, ref = self._pair()
+        stale = est.pool()
+        hits = [[(0, True), (1, True)]]
+        est.observe_set_batch(hits)
+        ref.observe_set_batch(hits)
+        assert est.pool() is not stale
+        assert est.vote_log_odds(1, True) == ref.vote_log_odds(1, True)
+        assert est.pool().votes.tolist() == [21, 21]
+
+    def test_load_state_dict(self):
+        est, ref = self._pair()
+        other = OnlineDawidSkene()
+        _feed(other, np.random.default_rng(9), 5, {0: always(False), 1: good()})
+        stale = est.pool()
+        est.load_state_dict(json.loads(json.dumps(other.state_dict())))
+        assert est.pool() is not stale
+        assert np.array_equal(est.pool().confusion, other.pool().confusion)
+        assert est.prior_log_odds() == other.prior_log_odds()
+
+    def test_point_checkpoint_with_more_than_sixteen_workers_loads(self):
+        est = OnlineDawidSkene()
+        votes = [(w, {"gender": "f" if w % 3 else "m"}) for w in range(17)]
+        est.observe_point_batch([votes])
+        state = json.loads(json.dumps(est.state_dict()))
+        clone = OnlineDawidSkene()
+        clone.load_state_dict(state)
+        assert json.dumps(clone.state_dict()) == json.dumps(state)
+        more = [votes[:5], [(17, {"gender": "m"}), (3, {"gender": "f"})]]
+        assert clone.observe_point_batch(more) == est.observe_point_batch(more)
+        assert clone.state_dict() == est.state_dict()
+
+
+class TestAdaptivePlatformMatchesScalarPath:
+    def _run(self, policy):
+        dataset = binary_dataset(600, 20, rng=np.random.default_rng(7))
+        pool = make_worker_pool(
+            14, np.random.default_rng(3), error_rate=0.03,
+            spammer_fraction=0.3, spammer_error_rate=0.5,
+            adversary_fraction=0.15,
+        )
+        platform = CrowdPlatform(
+            dataset, pool, np.random.default_rng(11), reliability=policy
+        )
+        query_rng = np.random.default_rng(42)
+        drained = []
+        for hit in range(260):
+            if hit % 20 == 19:
+                platform.publish_point_query(PointQuery(int(query_rng.integers(600))))
+            else:
+                indices = query_rng.choice(600, size=int(query_rng.integers(1, 20)),
+                                           replace=False)
+                platform.publish_set_query(
+                    SetQuery(np.asarray(indices, dtype=np.int64), FEMALE)
+                )
+            if hit % 50 == 49:
+                drained.append(platform.drain_set_votes())
+        records = [
+            (r.worker_ids, r.answers, r.aggregated, r.truth, r.price)
+            for r in platform.hit_records
+        ]
+        ledger = platform.ledger
+        totals = (ledger.n_set_hits, ledger.n_point_hits, ledger.n_assignments,
+                  ledger.worker_payments, ledger.service_fees)
+        return records, totals, drained, json.dumps(policy.state_dict())
+
+    def test_same_verdicts_bills_votes_and_state(self):
+        # Heavy exploration routes votes to spammers, so they get flagged.
+        kwargs = dict(log_odds_threshold=3.5, probation_interval=3, exploration=2.0)
+        policy = AdaptiveAssignmentPolicy(**kwargs)
+        reference = self._run(_ScalarPolicy(**kwargs))
+        assert self._run(policy) == reference
+        report = policy.report()
+        assert report.n_quarantines > 0 and report.n_probes > 0
+        assert report.n_workers == 14
