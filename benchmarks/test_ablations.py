@@ -1,4 +1,5 @@
-"""Benches A1–A3 — ablations on the design choices DESIGN.md calls out."""
+"""Benches A1–A3 — ablations on design choices the paper leaves
+unquantified (see :mod:`repro.experiments.ablations`)."""
 
 from __future__ import annotations
 

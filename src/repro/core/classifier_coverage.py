@@ -20,8 +20,9 @@ identification should *verify* rather than re-discover. For a target group
    Group-Coverage over the complement ``D - G`` for the remaining
    ``tau - c'`` members (the classifier's false negatives).
 
-Both strategies stop early once ``tau`` members are verified (DESIGN.md
-deviation 4): a covered verdict needs no further cleaning.
+Both strategies stop early once ``tau`` members are verified — our
+deviation from the paper's pseudo-code: a covered verdict needs no
+further cleaning.
 """
 
 from __future__ import annotations

@@ -23,22 +23,24 @@ Lemma 3.3), against the Θ(N/n) lower bound any algorithm must pay when the
 group is uncovered.
 
 The algorithm lives in :class:`GroupCoverageStepper`, a *resumable*
-formulation that emits pending set queries and consumes answers. The
-:func:`group_coverage` entry point drives the same stepper in two modes:
-legacy sequential (one oracle ask per query, the paper's execution
-model), or through a :class:`repro.engine.QueryEngine`, which batches the
-ready frontier of every tree into few oracle round-trips and shares
-answers with concurrent runs. Under a deterministic oracle both modes
-produce identical verdicts, counts, and discovered members; engine mode
-may consume a slightly different number of tasks (cache hits save
-queries, speculative final-round batches waste some around early stops).
+formulation that emits pending set queries and consumes answers. Two
+drivers share one contract (steppers in, an ``on_complete`` hook that may
+spawn follow-up steppers, an ``on_round`` progress hook):
+:func:`run_sequential` asks one query per oracle round-trip, front of the
+FIFO first — the paper's execution model — and
+:meth:`repro.engine.QueryEngine.run` batches the ready frontier of every
+tree into few round-trips and shares answers with concurrent runs. Under
+a deterministic oracle both produce identical verdicts, counts, and
+discovered members; engine mode may consume a slightly different number
+of tasks (cache hits save queries, speculative final-round batches waste
+some around early stops).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -51,10 +53,10 @@ from repro.engine.requests import IndexKey, QueryKey, SetRequest
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
-    from repro.engine.scheduler import QueryEngine
+    from repro.engine.scheduler import CompletionHook, QueryEngine
     from repro.engine.stats import EngineStats
 
-__all__ = ["GroupCoverageStepper", "group_coverage", "execute_group_coverage"]
+__all__ = ["GroupCoverageStepper", "group_coverage", "execute_group_coverage", "run_sequential"]
 
 
 def _validate(n: int, tau: int) -> None:
@@ -301,6 +303,43 @@ class GroupCoverageStepper:
                 self._enqueued += 2
 
 
+def run_sequential(
+    oracle: Oracle,
+    steppers: Iterable[GroupCoverageStepper],
+    *,
+    on_complete: "CompletionHook | None" = None,
+    on_round: Callable[[], None] | None = None,
+) -> None:
+    """Drive ``steppers`` to done one query at a time, exactly as the
+    paper executes its algorithms, under :meth:`QueryEngine.run`'s hook
+    contract.
+
+    Each stepper asks the front of its FIFO (``pending(limit=1)``), one
+    oracle round-trip per query, and ``on_round`` fires after every
+    answer. A finished stepper — one born done included — is handed to
+    ``on_complete``, which may return follow-up steppers; those run to
+    done, depth first, before the next of ``steppers`` starts.
+    """
+    # One iterator per level: the roots, then each completion's spawns.
+    # A stepper is drawn when it is about to run and dropped once done,
+    # so lazy iterables keep one run's trees in memory at a time.
+    stack = [iter(steppers)]
+    while stack:
+        stepper = next(stack[-1], None)
+        if stepper is None:
+            stack.pop()
+            continue
+        while not stepper.done:
+            request = stepper.pending(limit=1)[0]
+            answer = oracle.ask_set(request.indices, request.predicate, key=request.key)
+            stepper.feed({request.key: answer})
+            if on_round is not None:
+                on_round()
+        if on_complete is not None:
+            stack.append(iter(on_complete(stepper) or ()))
+        del stepper
+
+
 def execute_group_coverage(
     oracle: Oracle,
     predicate: GroupPredicate,
@@ -333,22 +372,14 @@ def execute_group_coverage(
         view=view,
         speculation=engine.speculation if engine is not None else 0,
     )
-    engine_stats: "EngineStats | None" = None
     if engine is None:
-        # Legacy sequential mode: ask the front of the FIFO, one query per
-        # round-trip, exactly as the paper executes Algorithm 1.
-        while not stepper.done:
-            request = stepper.pending(limit=1)[0]
-            answer = oracle.ask_set(request.indices, predicate, key=request.key)
-            stepper.feed({request.key: answer})
-            if on_round is not None:
-                on_round()
-    else:
-        snapshot = engine.snapshot()
-        engine.drive(stepper, on_round=on_round)
-        engine_stats = engine.stats_since(snapshot)
-
-    return stepper.result(tasks=window.usage(), engine_stats=engine_stats)
+        run_sequential(oracle, [stepper], on_round=on_round)
+        return stepper.result(tasks=window.usage())
+    snapshot = engine.snapshot()
+    engine.run([stepper], on_round=on_round)
+    return stepper.result(
+        tasks=window.usage(), engine_stats=engine.stats_since(snapshot)
+    )
 
 
 def group_coverage(

@@ -8,7 +8,7 @@ Multiple-Coverage (sibling-constrained super-groups), and rolls verdicts
 up the pattern graph with the Pattern-Combiner arithmetic — costing zero
 additional crowd tasks beyond the leaf level.
 
-Implementation note (DESIGN.md deviation 7/8): the paper's upward
+Implementation note (our deviation from the paper): the paper's upward
 propagation pseudo-code is replaced by the equivalent exact roll-up in
 :func:`repro.patterns.combiner.combine_leaf_coverage`, which requires
 exact counts for uncovered leaves; we obtain them by attributing the

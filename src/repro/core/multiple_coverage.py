@@ -14,9 +14,13 @@ Group-Coverage for each of them — the aggregation penalty.
 
 Execution modes
 ---------------
-Sequential (default) issues every query one at a time, exactly as the
-paper's pseudo-code. Passing an ``engine``
-(:class:`repro.engine.QueryEngine`) instead:
+Phase 3 is one driver: each super-group is a Group-Coverage stepper,
+and a covered merged super-group's completion hook spawns its members'
+penalty re-runs. Without an ``engine`` the steppers go through
+:func:`~repro.core.group_coverage.run_sequential`, one query at a time
+in the paper's order. Passing an ``engine``
+(:class:`repro.engine.QueryEngine`) hands the same steppers and hook to
+:meth:`~repro.engine.QueryEngine.run` instead, and additionally:
 
 * batches the sampling phase into one point-query round-trip,
 * runs every super-group's Group-Coverage tree concurrently, batching the
@@ -29,12 +33,12 @@ paper's pseudo-code. Passing an ``engine``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.aggregate import aggregate_groups
-from repro.core.group_coverage import GroupCoverageStepper, execute_group_coverage
+from repro.core.group_coverage import GroupCoverageStepper, run_sequential
 from repro.core.results import (
     GroupCoverageResult,
     GroupEntry,
@@ -53,76 +57,9 @@ if TYPE_CHECKING:
 __all__ = ["multiple_coverage", "execute_multiple_coverage"]
 
 
-def _singleton_entry(
-    entries: dict[Group, GroupEntry],
-    super_group: SuperGroup,
-    run: GroupCoverageResult,
-    pool: LabeledPool,
-) -> None:
-    member = super_group.members[0]
-    entries[member] = GroupEntry(
-        group=member,
-        covered=run.covered,
-        count=pool.count(member) + run.count,
-        count_is_exact=not run.covered,
-        via_supergroup=super_group,
-    )
-
-
-def _covered_supergroup_entries(
-    entries: dict[Group, GroupEntry],
-    super_group: SuperGroup,
-    member_runs: dict[Group, GroupCoverageResult],
-    pool: LabeledPool,
-) -> None:
-    for member in super_group:
-        member_run = member_runs[member]
-        entries[member] = GroupEntry(
-            group=member,
-            covered=member_run.covered,
-            count=pool.count(member) + member_run.count,
-            count_is_exact=not member_run.covered,
-            via_supergroup=super_group,
-        )
-
-
-def _uncovered_supergroup_entries(
-    entries: dict[Group, GroupEntry],
+def _run_supergroups(
     oracle: Oracle,
-    super_group: SuperGroup,
-    run: GroupCoverageResult,
-    pool: LabeledPool,
-    *,
-    attribute_members: bool,
-    batched: bool,
-) -> None:
-    member_counts = {member: pool.count(member) for member in super_group}
-    exact = False
-    if attribute_members:
-        # Attribute every isolated member to its group with one point
-        # query each; counts become exact.
-        if batched:
-            rows = oracle.ask_point_batch(list(run.discovered_indices))
-        else:
-            rows = [oracle.ask_point(index) for index in run.discovered_indices]
-        for labels in rows:
-            for member in super_group:
-                if member.matches_row(labels):
-                    member_counts[member] += 1
-                    break
-        exact = True
-    for member in super_group:
-        entries[member] = GroupEntry(
-            group=member,
-            covered=False,
-            count=member_counts[member],
-            count_is_exact=exact,
-            via_supergroup=super_group,
-        )
-
-
-def _run_supergroups_sequential(
-    oracle: Oracle,
+    engine: "QueryEngine | None",
     super_groups: Sequence[SuperGroup],
     pool: LabeledPool,
     tau: int,
@@ -131,131 +68,107 @@ def _run_supergroups_sequential(
     attribute_supergroup_members: bool,
     on_round: Callable[[], None] | None = None,
 ) -> dict[Group, GroupEntry]:
-    """Phase 3, paper order: one Group-Coverage run per super-group, plus
-    per-member re-runs when a genuine super-group comes back covered."""
-    entries: dict[Group, GroupEntry] = {}
-    for super_group in super_groups:
-        labeled_credit = sum(pool.count(member) for member in super_group)
-        tau_prime = tau - labeled_credit
-        run = execute_group_coverage(
-            oracle,
-            super_group if len(super_group) > 1 else super_group.members[0],
-            max(tau_prime, 0),
-            n=n,
-            view=remaining_view,
-            on_round=on_round,
-        )
-        if len(super_group) == 1:
-            _singleton_entry(entries, super_group, run, pool)
-            continue
-        if run.covered:
-            # Penalty path: the merged minorities are jointly covered, so
-            # each member must be examined individually (sample credits
-            # still apply).
-            member_runs = {
-                member: execute_group_coverage(
-                    oracle,
-                    member,
-                    max(tau - pool.count(member), 0),
-                    n=n,
-                    view=remaining_view,
-                    on_round=on_round,
-                )
-                for member in super_group
-            }
-            _covered_supergroup_entries(entries, super_group, member_runs, pool)
-        else:
-            _uncovered_supergroup_entries(
-                entries,
-                oracle,
-                super_group,
-                run,
-                pool,
-                attribute_members=attribute_supergroup_members,
-                batched=False,
-            )
-    return entries
+    """Phase 3: one Group-Coverage run per super-group, plus per-member
+    re-runs when a merged super-group comes back covered (the
+    aggregation penalty).
 
-
-def _run_supergroups_engine(
-    oracle: Oracle,
-    engine: "QueryEngine",
-    super_groups: Sequence[SuperGroup],
-    pool: LabeledPool,
-    tau: int,
-    n: int,
-    remaining_view: np.ndarray,
-    attribute_supergroup_members: bool,
-    on_round: Callable[[], None] | None = None,
-) -> dict[Group, GroupEntry]:
-    """Phase 3, engine order: all super-group trees advance concurrently;
-    covered super-groups spawn their penalty re-runs mid-flight."""
+    Sequential mode builds a super-group's entries — attribution point
+    queries included — as soon as its last run finishes, before the next
+    super-group starts, as the paper's loop does. Engine mode runs every
+    tree concurrently and attributes afterwards, in super-group order."""
+    speculation = engine.speculation if engine is not None else 0
+    # A run is for one member (a singleton super-group's only run, or a
+    # penalty re-run) or, with member None, for a merged super-group.
+    roles: dict[GroupCoverageStepper, tuple[SuperGroup, Group | None]] = {}
     runs: dict[SuperGroup, GroupCoverageResult] = {}
     member_runs: dict[SuperGroup, dict[Group, GroupCoverageResult]] = {}
-    roles: dict[GroupCoverageStepper, tuple[SuperGroup, Group | None]] = {}
+    entries: dict[Group, GroupEntry] = {}
 
-    def make_stepper(predicate, tau_prime: int) -> GroupCoverageStepper:
-        return GroupCoverageStepper(
-            predicate,
-            max(tau_prime, 0),
-            n=n,
-            view=remaining_view,
-            speculation=engine.speculation,
-        )
-
-    roots: list[GroupCoverageStepper] = []
-    for super_group in super_groups:
-        if len(super_group) > 1:
+    def make_stepper(
+        super_group: SuperGroup, member: Group | None, tau_prime: int
+    ) -> GroupCoverageStepper:
+        if member is None and engine is not None:
             # A "no" for the super-group over a range rules out every
             # member on that range — the penalty re-runs cash this in.
             engine.cache.register_implication(super_group, super_group.members)
-        labeled_credit = sum(pool.count(member) for member in super_group)
-        stepper = make_stepper(
-            super_group if len(super_group) > 1 else super_group.members[0],
-            tau - labeled_credit,
+        stepper = GroupCoverageStepper(
+            super_group if member is None else member,
+            max(tau_prime, 0),
+            n=n,
+            view=remaining_view,
+            speculation=speculation,
         )
-        roles[stepper] = (super_group, None)
-        roots.append(stepper)
+        roles[stepper] = (super_group, member)
+        return stepper
 
-    def on_complete(stepper):
-        super_group, member = roles[stepper]
+    def add_entries(super_group: SuperGroup) -> None:
+        own_runs = member_runs.get(super_group)
+        counts = {member: pool.count(member) for member in super_group}
+        if own_runs is None and attribute_supergroup_members:
+            # Uncovered together: attribute every isolated member to its
+            # group with one point query each; counts become exact.
+            indices = list(runs[super_group].discovered_indices)
+            if engine is not None:
+                rows = oracle.ask_point_batch(indices)
+            else:
+                rows = [oracle.ask_point(index) for index in indices]
+            for labels in rows:
+                for member in super_group:
+                    if member.matches_row(labels):
+                        counts[member] += 1
+                        break
+        for member in super_group:
+            if own_runs is None:
+                covered, exact = False, attribute_supergroup_members
+            else:
+                member_run = own_runs[member]
+                covered, exact = member_run.covered, not member_run.covered
+                counts[member] += member_run.count
+            entries[member] = GroupEntry(
+                group=member,
+                covered=covered,
+                count=counts[member],
+                count_is_exact=exact,
+                via_supergroup=super_group,
+            )
+
+    def on_complete(stepper: GroupCoverageStepper) -> Iterable[GroupCoverageStepper]:
+        super_group, member = roles.pop(stepper)
         run = stepper.result()
         if member is None:
             runs[super_group] = run
-            if len(super_group) > 1 and run.covered:
-                spawned = []
-                for sibling in super_group:
-                    sibling_stepper = make_stepper(
-                        sibling, tau - pool.count(sibling)
-                    )
-                    roles[sibling_stepper] = (super_group, sibling)
-                    spawned.append(sibling_stepper)
-                return spawned
+            if run.covered:
+                # Penalty path: the merged minorities are jointly covered,
+                # so each member must be examined individually (sample
+                # credits still apply).
+                member_runs[super_group] = {}
+                return (
+                    make_stepper(super_group, sibling, tau - pool.count(sibling))
+                    for sibling in super_group
+                )
         else:
             member_runs.setdefault(super_group, {})[member] = run
-        return None
+            if len(member_runs[super_group]) < len(super_group):
+                return []
+        if engine is None:
+            add_entries(super_group)
+        return []
 
-    engine.run(roots, on_complete=on_complete, on_round=on_round)
+    roots = (
+        make_stepper(
+            super_group,
+            super_group.members[0] if len(super_group) == 1 else None,
+            tau - sum(pool.count(member) for member in super_group),
+        )
+        for super_group in super_groups
+    )
 
-    entries: dict[Group, GroupEntry] = {}
-    for super_group in super_groups:
-        run = runs[super_group]
-        if len(super_group) == 1:
-            _singleton_entry(entries, super_group, run, pool)
-        elif run.covered:
-            _covered_supergroup_entries(
-                entries, super_group, member_runs[super_group], pool
-            )
-        else:
-            _uncovered_supergroup_entries(
-                entries,
-                oracle,
-                super_group,
-                run,
-                pool,
-                attribute_members=attribute_supergroup_members,
-                batched=True,
-            )
+    if engine is None:
+        run_sequential(oracle, roots, on_complete=on_complete, on_round=on_round)
+    else:
+        engine.run(roots, on_complete=on_complete, on_round=on_round)
+        for super_group in super_groups:
+            add_entries(super_group)
     return entries
 
 
@@ -304,16 +217,10 @@ def execute_multiple_coverage(
     )
 
     # Phase 3: the Group-Coverage runs.
-    if engine is None:
-        entries = _run_supergroups_sequential(
-            oracle, super_groups, pool, tau, n,
-            remaining_view, attribute_supergroup_members, on_round,
-        )
-    else:
-        entries = _run_supergroups_engine(
-            oracle, engine, super_groups, pool, tau, n,
-            remaining_view, attribute_supergroup_members, on_round,
-        )
+    entries = _run_supergroups(
+        oracle, engine, super_groups, pool, tau, n,
+        remaining_view, attribute_supergroup_members, on_round,
+    )
 
     return MultipleCoverageReport(
         entries=tuple(entries[g] for g in groups),
@@ -368,10 +275,11 @@ def multiple_coverage(
     attribute_supergroup_members:
         When a super-group is certified *uncovered*, spend one point query
         per isolated member to attribute it to its individual group, making
-        every per-group count exact. This is our documented extension used
-        by Intersectional-Coverage, whose pattern roll-up needs exact leaf
-        counts (DESIGN.md §4); costs at most ``tau - 1`` extra point
-        queries per uncovered super-group.
+        every per-group count exact. Our extension, not in the paper:
+        Intersectional-Coverage sets it because its pattern roll-up needs
+        exact leaf counts (see :mod:`repro.core.intersectional_coverage`);
+        costs at most ``tau - 1`` extra point queries per uncovered
+        super-group.
     engine:
         A :class:`repro.engine.QueryEngine` bound to ``oracle``. When
         given, all phases batch their queries and the super-group runs

@@ -432,15 +432,6 @@ class QueryEngine:
             stack.extend(flow.spawned)
         return dispatched_for
 
-    def drive(
-        self,
-        stepper: CoverageStepper,
-        *,
-        on_round: Callable[[], None] | None = None,
-    ) -> None:
-        """Convenience wrapper: run a single stepper to completion."""
-        self.run([stepper], on_round=on_round)
-
     # -- internals -------------------------------------------------------
     def _finish(self, flow: Flow) -> None:
         flow.finished = True

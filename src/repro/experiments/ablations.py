@@ -1,4 +1,4 @@
-"""Ablation studies beyond the paper's figures (DESIGN.md A1–A3).
+"""Ablation studies beyond the paper's figures (A1–A3 below).
 
 The paper flags several design choices without quantifying them; these
 ablations fill the gaps:

@@ -30,8 +30,8 @@ def test_every_profile_is_realizable_on_its_slice():
 
 
 def test_paper_strategy_consistent_with_precision():
-    """The paper's reported strategy must agree with the 25% FP rule the
-    prose states (our DESIGN.md deviation 3 analysis)."""
+    """The paper's reported strategy must agree with the 25% FP rule its
+    prose states — the rule :mod:`repro.core.classifier_coverage` applies."""
     for profile in PAPER_PROFILES:
         expected = "partition" if profile.precision_on_female >= 0.75 else "label"
         assert profile.paper_strategy == expected, profile

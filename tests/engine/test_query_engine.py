@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.group_coverage import GroupCoverageStepper, group_coverage
+from repro.core.group_coverage import (
+    GroupCoverageStepper,
+    group_coverage,
+    run_sequential,
+)
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
 from repro.engine import AnswerCache, QueryEngine
-from repro.errors import InvalidParameterError
+from repro.errors import BudgetExceededError, InvalidParameterError
 
 FEMALE = group(gender="female")
 
@@ -130,9 +136,25 @@ class TestCacheAccounting:
             QueryEngine(GroundTruthOracle(other), cache=cache)
 
 
+def engine_driver(oracle):
+    return QueryEngine(oracle, batch_size=32).run
+
+
+def sequential_driver(oracle):
+    return functools.partial(run_sequential, oracle)
+
+
+#: Both drivers honour one contract: steppers in, ``on_complete`` may
+#: spawn follow-ups, ``on_round`` reports progress.
+DRIVERS = pytest.mark.parametrize(
+    "make_driver", [engine_driver, sequential_driver], ids=["engine", "sequential"]
+)
+
+
 class TestCompletionHooks:
-    def test_on_complete_can_spawn_follow_up_steppers(self, dataset):
-        oracle, engine = fresh_engine(dataset, batch_size=32)
+    @DRIVERS
+    def test_on_complete_can_spawn_follow_up_steppers(self, dataset, make_driver):
+        run = make_driver(GroundTruthOracle(dataset))
         spawned = []
 
         def on_complete(stepper):
@@ -142,16 +164,91 @@ class TestCompletionHooks:
                 return [follow_up]
             return None
 
-        engine.run([make_stepper(dataset)], on_complete=on_complete)
+        run([make_stepper(dataset)], on_complete=on_complete)
         assert spawned and spawned[0].done
 
-    def test_born_done_stepper_completes_without_queries(self, dataset):
-        oracle, engine = fresh_engine(dataset)
+    @DRIVERS
+    def test_born_done_stepper_completes_without_queries(self, dataset, make_driver):
+        oracle = GroundTruthOracle(dataset)
+        run = make_driver(oracle)
         stepper = make_stepper(dataset, tau=0)
         finished = []
-        engine.run([stepper], on_complete=finished.append)
+        run([stepper], on_complete=finished.append)
         assert finished == [stepper]
         assert oracle.ledger.n_set_queries == 0
+
+
+class TestSequentialDriver:
+    def test_spawned_steppers_finish_before_the_next_root_starts(self, dataset):
+        events = []
+        names = {}
+
+        def named(name, tau):
+            events.append(f"{name} built")
+            stepper = make_stepper(dataset, tau=tau)
+            names[stepper] = name
+            pending = stepper.pending
+
+            def logged_pending(limit=None):
+                if events[-1] != name:
+                    events.append(name)
+                return pending(limit)
+
+            stepper.pending = logged_pending
+            return stepper
+
+        children = {"a": [("a1", 3), ("a2", 2)], "a1": [("a1x", 1)]}
+
+        def on_complete(stepper):
+            name = names[stepper]
+            events.append(f"{name} done")
+            return (named(child, tau) for child, tau in children.get(name, ()))
+
+        roots = (named(name, tau) for name, tau in [("a", 5), ("b", 4)])
+        run_sequential(GroundTruthOracle(dataset), roots, on_complete=on_complete)
+        # Depth first, and each stepper is drawn from its (lazy) iterable
+        # only when it is about to run.
+        assert events == [
+            "a built", "a", "a done",
+            "a1 built", "a1", "a1 done",
+            "a1x built", "a1x", "a1x done",
+            "a2 built", "a2", "a2 done",
+            "b built", "b", "b done",
+        ]
+
+    def test_on_round_fires_once_per_asked_query(self, dataset):
+        oracle = GroundTruthOracle(dataset)
+        rounds = []
+        spawned = []
+
+        def on_complete(stepper):
+            if not spawned:
+                spawned.append(make_stepper(dataset, tau=10))
+                return spawned
+            return None
+
+        run_sequential(
+            oracle,
+            [make_stepper(dataset), make_stepper(dataset, tau=5)],
+            on_complete=on_complete,
+            on_round=lambda: rounds.append(oracle.ledger.n_set_queries),
+        )
+        asked = oracle.ledger.n_set_queries
+        assert asked > 0
+        assert rounds == list(range(1, asked + 1))
+        assert oracle.ledger.n_rounds == asked
+
+    def test_budget_exhaustion_propagates_and_charges_only_asked_queries(
+        self, dataset
+    ):
+        oracle = GroundTruthOracle(dataset, budget=10)
+        rounds = []
+        stepper = make_stepper(dataset)
+        with pytest.raises(BudgetExceededError):
+            run_sequential(oracle, [stepper], on_round=lambda: rounds.append(1))
+        assert not stepper.done
+        assert len(rounds) == 10
+        assert oracle.ledger.n_set_queries == oracle.ledger.n_rounds == 10
 
 
 class TestStepperContract:
