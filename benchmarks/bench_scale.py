@@ -74,7 +74,7 @@ class RowAtATimeOracle(Oracle):
         super().__init__(dataset.schema, budget=budget)
         self.dataset = dataset
 
-    def _answer_set(self, indices: np.ndarray, predicate) -> bool:
+    def _answer_set(self, indices: np.ndarray, predicate, index_key) -> bool:
         return any(
             predicate.matches_row(self.dataset.value_row(int(index)))
             for index in indices

@@ -137,8 +137,8 @@ class RecordingOracleProxy(Oracle):
         return answers
 
     # -- implementation hooks (unused: public methods are overridden) -----
-    def _answer_set(self, indices, predicate) -> bool:  # pragma: no cover
-        return self._session_inner._answer_set(indices, predicate)
+    def _answer_set(self, indices, predicate, index_key) -> bool:  # pragma: no cover
+        return self._session_inner._answer_set(indices, predicate, index_key)
 
     def _answer_point(self, index: int) -> dict[str, str]:  # pragma: no cover
         return self._session_inner._answer_point(index)

@@ -34,6 +34,7 @@ from repro.core.results import GroupCoverageResult
 from repro.crowd.oracle import Oracle
 from repro.crowd.pricing import SizeDependentPricing
 from repro.data.groups import GroupPredicate
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError
 
 __all__ = [
@@ -112,12 +113,14 @@ def choose_set_size(
 class SpendingOracle(Oracle):
     """Decorates an oracle with a size-dependent dollar ledger.
 
-    Tasks are still charged to the inner oracle; this wrapper additionally
-    totals worker payments + fees under the given pricing.
+    Tasks are still charged to the inner oracle — the wrapper shares its
+    ledger, budget included; this wrapper additionally totals worker
+    payments + fees under the given pricing.
     """
 
     def __init__(self, inner: Oracle, pricing: SizeDependentPricing) -> None:
-        super().__init__(inner.schema, budget=None)
+        super().__init__(inner.schema)
+        self.ledger = inner.ledger
         self.inner = inner
         self.pricing = pricing
         self.dollars_spent = 0.0
@@ -126,9 +129,11 @@ class SpendingOracle(Oracle):
         payment = self.pricing.query_price(n_images)
         self.dollars_spent += payment + self.pricing.fee(payment)
 
-    def _answer_set(self, indices: np.ndarray, predicate: GroupPredicate) -> bool:
+    def _answer_set(
+        self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
+    ) -> bool:
         self._spend(len(indices))
-        return self.inner._answer_set(indices, predicate)
+        return self.inner._answer_set(indices, predicate, index_key)
 
     def _answer_point(self, index: int) -> dict[str, str]:
         self._spend(1)

@@ -35,6 +35,7 @@ from repro.crowd.queries import PointQuery, SetQuery
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import GroupPredicate
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.engine.requests import IndexKey, QueryKey
 from repro.errors import BudgetExceededError, InvalidParameterError
 
 __all__ = ["TaskLedger", "Oracle", "GroundTruthOracle", "CrowdOracle", "FlakyOracle"]
@@ -108,7 +109,8 @@ class Oracle(ABC):
 
     Subclasses implement :meth:`_answer_set` / :meth:`_answer_point`; the
     base class owns task accounting so implementations cannot forget to
-    charge.
+    charge, and keys every set query once so hooks always receive its
+    :class:`~repro.engine.requests.IndexKey`.
     """
 
     def __init__(self, schema, *, budget: int | None = None) -> None:
@@ -126,23 +128,23 @@ class Oracle(ABC):
         indices: Sequence[int] | np.ndarray,
         predicate: GroupPredicate,
         *,
-        key=None,
+        key: QueryKey | None = None,
     ) -> bool:
         """One set query: does ``indices`` contain >=1 object matching
         ``predicate``? Charges one set task and one round-trip.
 
         ``key`` is an optional precomputed
-        :data:`~repro.engine.requests.QueryKey` for the same query — a
-        pure performance hint that lets vectorized backends skip
-        re-detecting the index array's shape. Answers are identical with
-        or without it.
+        :data:`~repro.engine.requests.QueryKey` for the same query (the
+        engine and steppers already hold one); without it the index key
+        is derived here, once, by
+        :meth:`~repro.engine.requests.IndexKey.of`. Answers are
+        identical either way.
         """
         self.ledger.charge_set()  # budget check first: a refused query is no round
         self.ledger.note_round()
-        return self._answer_set_keyed(
-            np.asarray(indices, dtype=np.int64),
-            predicate,
-            key[1] if key is not None else None,
+        indices = np.asarray(indices, dtype=np.int64)
+        return self._answer_set(
+            indices, predicate, IndexKey.of(indices) if key is None else key[1]
         )
 
     def ask_point(self, index: int) -> dict[str, str]:
@@ -156,7 +158,7 @@ class Oracle(ABC):
         self,
         queries: Sequence[tuple[Sequence[int] | np.ndarray, GroupPredicate]],
         *,
-        keys: Sequence | None = None,
+        keys: Sequence[QueryKey] | None = None,
     ) -> list[bool]:
         """Answer many set queries in one oracle round-trip.
 
@@ -168,7 +170,7 @@ class Oracle(ABC):
         so the ledger never pays for answers the caller did not receive.
         ``keys`` — a parallel sequence of precomputed
         :data:`~repro.engine.requests.QueryKey` — is the batched form of
-        :meth:`ask_set`'s performance hint.
+        :meth:`ask_set`'s ``key``.
         """
         if not queries:
             return []
@@ -178,11 +180,12 @@ class Oracle(ABC):
         ]
         self.ledger.charge_set_batch(len(prepared))
         self.ledger.note_round()
+        if keys is None:
+            index_keys = [IndexKey.of(indices) for indices, _ in prepared]
+        else:
+            index_keys = [key[1] for key in keys]
         return [
-            bool(answer)
-            for answer in self._answer_set_batch_keyed(
-                prepared, None if keys is None else [key[1] for key in keys]
-            )
+            bool(answer) for answer in self._answer_set_batch(prepared, index_keys)
         ]
 
     def ask_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
@@ -192,7 +195,7 @@ class Oracle(ABC):
         round-trip — the point-query analogue of :meth:`ask_set_batch`
         (used to batch the sampling phase of Multiple-Coverage).
         """
-        if not indices:
+        if len(indices) == 0:
             return []
         prepared = [int(index) for index in indices]
         self.ledger.charge_point_batch(len(prepared))
@@ -209,32 +212,26 @@ class Oracle(ABC):
 
     # -- implementation hooks --------------------------------------------
     @abstractmethod
-    def _answer_set(self, indices: np.ndarray, predicate: GroupPredicate) -> bool: ...
+    def _answer_set(
+        self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
+    ) -> bool:
+        """Answer one set query; ``index_key`` is the interned key of
+        ``indices``, so implementations never re-detect its shape."""
 
     @abstractmethod
     def _answer_point(self, index: int) -> dict[str, str]: ...
 
-    def _answer_set_keyed(
-        self, indices: np.ndarray, predicate: GroupPredicate, index_key
-    ) -> bool:
-        """Key-hinted answering hook. The default drops the hint and
-        calls :meth:`_answer_set`, so subclasses that know nothing about
-        index keys (crowd platforms, decorators, test doubles) keep
-        their two-argument hook; vectorized backends override this."""
-        return self._answer_set(indices, predicate)
-
     def _answer_set_batch(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]]
+        self,
+        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
+        index_keys: Sequence[IndexKey],
     ) -> list[bool]:
         """Default batch path: answer one by one. Subclasses with a
         vectorizable backend override this."""
-        return [self._answer_set(indices, predicate) for indices, predicate in queries]
-
-    def _answer_set_batch_keyed(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]], index_keys
-    ) -> list[bool]:
-        """Batched form of :meth:`_answer_set_keyed`; same default."""
-        return self._answer_set_batch(queries)
+        return [
+            self._answer_set(indices, predicate, index_key)
+            for (indices, predicate), index_key in zip(queries, index_keys)
+        ]
 
     def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
         return [self._answer_point(index) for index in indices]
@@ -286,42 +283,31 @@ class GroundTruthOracle(Oracle):
             )
         self.membership_index = index if index is not None else shared
         # Subclasses (tracing/recording test doubles, decorators) that
-        # override the classic two-argument hooks must keep seeing every
-        # query; the keyed fast path short-circuits them only when the
-        # hooks are still this class's own.
+        # override only the per-query hooks must keep seeing every batched
+        # query; the vectorized batch paths run only while those hooks
+        # are still this class's own.
         self._native_set_hook = type(self)._answer_set is GroundTruthOracle._answer_set
-        self._native_set_batch_hook = (
-            type(self)._answer_set_batch is GroundTruthOracle._answer_set_batch
-        )
         self._native_point_hook = (
             type(self)._answer_point is GroundTruthOracle._answer_point
         )
 
-    def _answer_set(self, indices: np.ndarray, predicate: GroupPredicate) -> bool:
-        return self.membership_index.any_match(predicate, indices)
-
-    def _answer_set_keyed(
-        self, indices: np.ndarray, predicate: GroupPredicate, index_key
+    def _answer_set(
+        self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
     ) -> bool:
-        if not self._native_set_hook:
-            return self._answer_set(indices, predicate)
-        return self.membership_index.any_match(predicate, indices, key=index_key)
+        return self.membership_index.any_match(predicate, index_key)
 
     def _answer_set_batch(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]]
+        self,
+        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
+        index_keys: Sequence[IndexKey],
     ) -> list[bool]:
         if not self._native_set_hook:
             # Only the per-query hook was customized: batches must still
             # flow through it, one query at a time.
-            return [self._answer_set(i, p) for i, p in queries]
-        return self.membership_index.any_match_batch(queries)
-
-    def _answer_set_batch_keyed(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]], index_keys
-    ) -> list[bool]:
-        if not (self._native_set_batch_hook and self._native_set_hook):
-            return self._answer_set_batch(queries)
-        return self.membership_index.any_match_batch(queries, keys=index_keys)
+            return super()._answer_set_batch(queries, index_keys)
+        return self.membership_index.any_match_batch(
+            [(key, predicate) for key, (_, predicate) in zip(index_keys, queries)]
+        )
 
     def _answer_point(self, index: int) -> dict[str, str]:
         return self.dataset.value_row(index)
@@ -345,7 +331,9 @@ class CrowdOracle(Oracle):
         #: diagnostics reach one shared index whatever the oracle kind.
         self.membership_index = platform.membership_index
 
-    def _answer_set(self, indices: np.ndarray, predicate: GroupPredicate) -> bool:
+    def _answer_set(
+        self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
+    ) -> bool:
         return self.platform.publish_set_query(SetQuery(indices, predicate))
 
     def _answer_point(self, index: int) -> dict[str, str]:
@@ -385,51 +373,35 @@ class FlakyOracle(Oracle):
         self.set_error_rate = set_error_rate
         self.point_error_rate = point_error_rate
         self._native_set_hook = type(self)._answer_set is FlakyOracle._answer_set
-        self._native_set_batch_hook = (
-            type(self)._answer_set_batch is FlakyOracle._answer_set_batch
-        )
         self._native_point_hook = (
             type(self)._answer_point is FlakyOracle._answer_point
         )
 
-    def _answer_set(self, indices: np.ndarray, predicate: GroupPredicate) -> bool:
-        truth = self.membership_index.any_match(predicate, indices)
-        if self.rng.random() < self.set_error_rate:
-            return not truth
-        return truth
-
-    def _answer_set_keyed(
-        self, indices: np.ndarray, predicate: GroupPredicate, index_key
+    def _answer_set(
+        self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
     ) -> bool:
-        if not self._native_set_hook:
-            return self._answer_set(indices, predicate)
-        truth = self.membership_index.any_match(predicate, indices, key=index_key)
+        truth = self.membership_index.any_match(predicate, index_key)
         if self.rng.random() < self.set_error_rate:
             return not truth
         return truth
 
     def _answer_set_batch(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]]
+        self,
+        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
+        index_keys: Sequence[IndexKey],
     ) -> list[bool]:
         if not self._native_set_hook:
             # One scalar flip draw per query — the same stream the
             # vectorized draw below consumes, so the fallback stays
             # bit-identical too.
-            return [self._answer_set(i, p) for i, p in queries]
+            return super()._answer_set_batch(queries, index_keys)
         # Truths come from the vectorized index; the flip draws stay one
         # vector of length len(queries), which consumes the generator's
         # stream exactly like len(queries) scalar draws — sequential and
         # batched execution remain bit-identical under one seed.
-        truths = self.membership_index.any_match_batch(queries)
-        flips = self.rng.random(len(queries)) < self.set_error_rate
-        return [truth != bool(flip) for truth, flip in zip(truths, flips)]
-
-    def _answer_set_batch_keyed(
-        self, queries: Sequence[tuple[np.ndarray, GroupPredicate]], index_keys
-    ) -> list[bool]:
-        if not (self._native_set_batch_hook and self._native_set_hook):
-            return self._answer_set_batch(queries)
-        truths = self.membership_index.any_match_batch(queries, keys=index_keys)
+        truths = self.membership_index.any_match_batch(
+            [(key, predicate) for key, (_, predicate) in zip(index_keys, queries)]
+        )
         flips = self.rng.random(len(queries)) < self.set_error_rate
         return [truth != bool(flip) for truth, flip in zip(truths, flips)]
 

@@ -26,6 +26,7 @@ from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.workers import Worker
 from repro.data.dataset import LabeledDataset
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError, NoEligibleWorkersError
 
 __all__ = ["CrowdPlatform"]
@@ -127,7 +128,9 @@ class CrowdPlatform:
         with a policy attached, routing and stopping are adaptive.
         """
         index_array = np.asarray(query.indices, dtype=np.int64)
-        truth = self.membership_index.any_match(query.predicate, index_array)
+        truth = self.membership_index.any_match(
+            query.predicate, IndexKey.of(index_array)
+        )
         if self.reliability is not None:
             return self._publish_set_adaptive(query, index_array, truth)
         assigned = self._assign_workers()

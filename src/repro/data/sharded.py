@@ -60,7 +60,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -77,40 +77,16 @@ from repro.data.kernels import (
 from repro.data.schema import Schema
 from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
 
+if TYPE_CHECKING:
+    from repro.engine.requests import IndexKey
+
 __all__ = [
-    "as_run",
     "ShardStats",
     "ShardExecutor",
     "ShardedDataset",
     "ShardedMembershipIndex",
     "dense_index_bytes",
 ]
-
-
-def as_run(indices: np.ndarray) -> tuple[int, int] | None:
-    """``(start, stop)`` if ``indices`` is a contiguous ascending run
-    (``start, start+1, ..., stop-1``), else ``None``.
-
-    The O(n) check is far cheaper than the O(n) gather it replaces with
-    an O(1) prefix lookup, and run-shaped queries dominate: every tree
-    node over an ``arange`` view slices out exactly such a run.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> as_run(np.arange(5, 12)), as_run(np.array([1, 3])), as_run(np.array([]))
-    ((5, 12), None, None)
-    """
-    length = len(indices)
-    if length == 0:
-        return None
-    start = int(indices[0])
-    stop = int(indices[-1]) + 1
-    if stop - start != length:
-        return None
-    if length > 1 and not bool((np.diff(indices) == 1).all()):
-        return None
-    return (start, stop)
 
 
 def _check_object_indices(index_array: np.ndarray, n_objects: int) -> None:
@@ -783,7 +759,10 @@ class ShardedMembershipIndex:
     totals), boundary shards from their local prefix tables (pinned by
     the fused build when they fit the cache budget, else built on demand
     and LRU-capped), and the partial counts merge. Shard-aligned runs
-    never load a chunk at all.
+    never load a chunk at all. Set queries arrive keyed by
+    :class:`~repro.engine.requests.IndexKey`, so the index never
+    re-detects a query's shape: run keys answer from prefixes,
+    scattered keys gather over their zero-copy index view.
 
     Parameters
     ----------
@@ -806,12 +785,13 @@ class ShardedMembershipIndex:
     >>> from repro.data.groups import group
     >>> from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
     >>> from repro.data.synthetic import binary_dataset
+    >>> from repro.engine.requests import IndexKey
     >>> dense = binary_dataset(1_000, 30, rng=np.random.default_rng(0))
     >>> sharded = ShardedMembershipIndex.for_dataset(
     ...     ShardedDataset.from_dataset(dense, shard_size=137))
     >>> female = group(gender="female")
     >>> run = np.arange(100, 900)
-    >>> sharded.count(female, run) == int(dense.mask(female)[run].sum())
+    >>> sharded.count(female, IndexKey.of(run)) == int(dense.mask(female)[run].sum())
     True
     """
 
@@ -1172,9 +1152,9 @@ class ShardedMembershipIndex:
     # ------------------------------------------------------------------
     # the query surface
     # ------------------------------------------------------------------
-    def count(self, predicate: GroupPredicate, indices: np.ndarray) -> int:
-        """Number of objects in ``indices`` matching ``predicate``
-        (exact, whatever the shard geometry).
+    def count(self, predicate: GroupPredicate, key: IndexKey) -> int:
+        """Number of objects in the keyed index set matching
+        ``predicate`` (exact, whatever the shard geometry).
 
         Examples
         --------
@@ -1182,36 +1162,28 @@ class ShardedMembershipIndex:
         >>> from repro.data.groups import group
         >>> from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
         >>> from repro.data.synthetic import binary_dataset
+        >>> from repro.engine.requests import IndexKey
         >>> ds = ShardedDataset.from_dataset(
         ...     binary_dataset(100, 100, rng=np.random.default_rng(0)),
         ...     shard_size=32)
         >>> ShardedMembershipIndex(ds).count(group(gender="female"),
-        ...                                  np.arange(10, 90))
+        ...                                  IndexKey.of_run(10, 90))
         80
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        run = as_run(indices)
-        if run is not None:
-            return self._count_run(predicate, run[0], run[1])
-        if len(indices) == 0:
+        if key.payload is None:
+            return self._count_run(predicate, key.start, key.stop)
+        if not key.payload:
             return 0
-        return int(self._scattered_hits(predicate, indices).sum())
+        return int(self._scattered_hits(predicate, key.to_array()).sum())
 
-    def any_match(
-        self, predicate: GroupPredicate, indices: np.ndarray, *, key=None
-    ) -> bool:
-        """Does ``indices`` contain at least one member of ``predicate``?
-        ``key`` (an :class:`~repro.engine.requests.IndexKey`) skips run
-        re-detection when the caller already keyed the query."""
-        if key is not None and key.payload is None:
+    def any_match(self, predicate: GroupPredicate, key: IndexKey) -> bool:
+        """Does the keyed index set contain at least one member of
+        ``predicate``?"""
+        if key.payload is None:
             return self._count_run(predicate, key.start, key.stop) > 0
-        run = as_run(indices) if key is None else None
-        if run is not None:
-            return self._count_run(predicate, run[0], run[1]) > 0
-        if len(indices) == 0:
+        if not key.payload:
             return False
-        indices = np.asarray(indices, dtype=np.int64)
-        return bool(self._scattered_hits(predicate, indices).any())
+        return bool(self._scattered_hits(predicate, key.to_array()).any())
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
         """Ground-truth membership of a single object."""
@@ -1243,19 +1215,13 @@ class ShardedMembershipIndex:
         )
 
     def any_match_batch(
-        self,
-        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
-        *,
-        keys: "Sequence | None" = None,
+        self, queries: Sequence[tuple[IndexKey, GroupPredicate]]
     ) -> list[bool]:
-        """Answer many set queries, grouped by predicate; empty index
-        arrays answer ``False`` and ``keys`` (a parallel sequence of
-        :class:`~repro.engine.requests.IndexKey`) skips per-query run
-        detection. Totals for
-        every predicate the batch needs are built in one fused streaming
-        pass first; then run-shaped queries split/merge at shard
-        boundaries and scattered queries of one predicate concatenate
-        into a single shard-parallel gather."""
+        """Answer many keyed set queries, grouped by predicate; empty
+        keys answer ``False``. Totals for every predicate the batch
+        needs are built in one fused streaming pass first; then run keys
+        split/merge at shard boundaries and the scattered keys of one
+        predicate concatenate into a single shard-parallel gather."""
         answers = [False] * len(queries)
         by_predicate: dict[GroupPredicate, list[int]] = {}
         for position, (_, predicate) in enumerate(queries):
@@ -1266,35 +1232,15 @@ class ShardedMembershipIndex:
             totals = self.shard_totals(predicate)
             scattered: list[int] = []
             for position in positions:
-                indices = queries[position][0]
-                if keys is not None:
-                    key = keys[position]
-                    if key.payload is None:
-                        if key.stop > key.start:
-                            answers[position] = (
-                                self._count_run(
-                                    predicate, key.start, key.stop, totals
-                                )
-                                > 0
-                            )
-                        continue
-                    if len(indices):
-                        scattered.append(position)
-                    continue
-                if len(indices) == 0:
-                    continue
-                run = as_run(indices)
-                if run is not None:
+                key = queries[position][0]
+                if key.payload is None:
                     answers[position] = (
-                        self._count_run(predicate, run[0], run[1], totals) > 0
+                        self._count_run(predicate, key.start, key.stop, totals) > 0
                     )
-                else:
+                elif key.payload:
                     scattered.append(position)
             if scattered:
-                arrays = [
-                    np.asarray(queries[position][0], dtype=np.int64)
-                    for position in scattered
-                ]
+                arrays = [queries[position][0].to_array() for position in scattered]
                 hits = self._scattered_hits(predicate, np.concatenate(arrays))
                 # Per-query ``any`` over the concatenated gather (every
                 # array is non-empty, as ``reduceat`` requires).

@@ -26,17 +26,17 @@ class RecordingOracle(GroundTruthOracle):
         self.set_keys: list = []
         self.point_indices: list[int] = []
 
-    def _answer_set(self, indices, predicate):
+    def _answer_set(self, indices, predicate, index_key):
         self.set_keys.append(
             (predicate, np.ascontiguousarray(indices, dtype=np.int64).tobytes())
         )
-        return super()._answer_set(indices, predicate)
+        return super()._answer_set(indices, predicate, index_key)
 
-    def _answer_set_batch(self, queries):
+    def _answer_set_batch(self, queries, index_keys):
         self.set_keys.extend(
             (predicate, indices.tobytes()) for indices, predicate in queries
         )
-        return super()._answer_set_batch(queries)
+        return super()._answer_set_batch(queries, index_keys)
 
     def _answer_point(self, index):
         self.point_indices.append(index)

@@ -15,7 +15,7 @@ from repro.crowd.oracle import GroundTruthOracle
 from repro.crowd.pricing import SizeDependentPricing
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
-from repro.errors import InvalidParameterError
+from repro.errors import BudgetExceededError, InvalidParameterError
 
 FEMALE = group(gender="female")
 
@@ -119,6 +119,24 @@ class TestCostAwareGroupCoverage:
         assert outcome.result.covered == naive_result.covered is False
         assert outcome.chosen_n < 50
         assert outcome.dollars_spent < naive.dollars_spent
+
+    def test_tasks_are_charged_to_the_inner_ledger(self, rng):
+        dataset = binary_dataset(5_000, 200, rng=rng)
+        inner = GroundTruthOracle(dataset)
+        outcome = cost_aware_group_coverage(
+            inner, FEMALE, 50, SizeDependentPricing(), dataset_size=len(dataset)
+        )
+        assert outcome.result.tasks.total > 0
+        assert inner.ledger.total == outcome.result.tasks.total
+
+    def test_inner_budget_is_enforced(self, rng):
+        dataset = binary_dataset(5_000, 200, rng=rng)
+        inner = GroundTruthOracle(dataset, budget=10)
+        with pytest.raises(BudgetExceededError):
+            cost_aware_group_coverage(
+                inner, FEMALE, 50, SizeDependentPricing(), dataset_size=len(dataset)
+            )
+        assert inner.ledger.total == 10
 
     def test_requires_view_or_size(self, rng):
         dataset = binary_dataset(10, 2, rng=rng)

@@ -54,9 +54,9 @@ class TestFigure4RunningExample:
         asked: list[tuple[int, int]] = []
 
         class TracingOracle(GroundTruthOracle):
-            def _answer_set(self, indices, predicate):
+            def _answer_set(self, indices, predicate, index_key):
                 asked.append((int(indices[0]), int(indices[-1])))
-                return super()._answer_set(indices, predicate)
+                return super()._answer_set(indices, predicate, index_key)
 
         group_coverage(
             TracingOracle(dataset), TRIANGLE, tau=3, n=16, dataset_size=16

@@ -86,7 +86,7 @@ class TestTicketLifecycle:
         answers = backend.gather(backend.submit(batch))
         assert answers == [
             oracle.membership_index.any_match(
-                request.predicate, request.indices
+                request.predicate, request.key[1]
             )
             for request in batch
         ]

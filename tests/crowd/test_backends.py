@@ -45,7 +45,7 @@ class TestLifecycle:
         assert backend.poll() == [ticket]
         answers = backend.gather(ticket)
         assert answers == [
-            oracle.membership_index.any_match(request.predicate, request.indices)
+            oracle.membership_index.any_match(request.predicate, request.key[1])
             for request in batch
         ]
         assert backend.outstanding == 0
@@ -173,7 +173,7 @@ class TestThreadedBackend:
             ticket = backend.submit(batch)
             answers = backend.gather(ticket)
             reference = [
-                oracle.membership_index.any_match(r.predicate, r.indices)
+                oracle.membership_index.any_match(r.predicate, r.key[1])
                 for r in batch
             ]
             assert answers == reference

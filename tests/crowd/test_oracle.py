@@ -15,6 +15,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.workers import Worker
 from repro.data.groups import Negation, group
 from repro.data.synthetic import binary_dataset
+from repro.engine.requests import IndexKey, set_query_key
 from repro.errors import BudgetExceededError, InvalidParameterError, OracleError
 
 FEMALE = group(gender="female")
@@ -85,6 +86,23 @@ class TestBatchQueries:
         assert batched.ledger.n_point_queries == 4
         assert batched.ledger.n_rounds == 1
 
+    @pytest.mark.parametrize("indices", [[], [3], [1, 2, 5]])
+    @pytest.mark.parametrize("kind", ["ground-truth", "flaky"])
+    def test_point_batch_takes_numpy_arrays_like_lists(self, dataset, indices, kind):
+        def make():
+            if kind == "flaky":
+                return FlakyOracle(
+                    dataset, np.random.default_rng(0), point_error_rate=0.5
+                )
+            return GroundTruthOracle(dataset)
+
+        from_list, from_array = make(), make()
+        rows = from_array.ask_point_batch(np.array(indices, dtype=np.int64))
+        assert rows == from_list.ask_point_batch(list(indices))
+        assert (from_array.ledger.n_point_queries, from_array.ledger.n_rounds) == (
+            from_list.ledger.n_point_queries, from_list.ledger.n_rounds,
+        )
+
     def test_empty_batches_are_free(self, dataset):
         oracle = GroundTruthOracle(dataset)
         assert oracle.ask_set_batch([]) == []
@@ -107,6 +125,68 @@ class TestBatchQueries:
         flipped = oracle.ask_set_batch(queries)
         straight = truth.ask_set_batch(queries)
         assert flipped == [not answer for answer in straight]
+
+
+class TestIndexKeyBoundary:
+    """The oracle keys every set query once; hooks receive that key."""
+
+    @staticmethod
+    def set_hook_oracle(dataset, seen):
+        class Recording(GroundTruthOracle):
+            def _answer_set(self, indices, predicate, index_key):
+                seen.append(index_key)
+                return super()._answer_set(indices, predicate, index_key)
+
+        return Recording(dataset)
+
+    @staticmethod
+    def batch_hook_oracle(dataset, seen):
+        class Recording(GroundTruthOracle):
+            def _answer_set_batch(self, queries, index_keys):
+                seen.extend(index_keys)
+                return super()._answer_set_batch(queries, index_keys)
+
+        return Recording(dataset)
+
+    QUERIES = [np.arange(5, 15), np.array([2, 9, 4]), np.empty(0, dtype=np.int64)]
+
+    def test_unkeyed_ask_set_passes_the_interned_key(self, dataset):
+        seen = []
+        oracle = self.set_hook_oracle(dataset, seen)
+        for indices in self.QUERIES:
+            oracle.ask_set(indices, FEMALE)
+        assert len(seen) == len(self.QUERIES)
+        for indices, key in zip(self.QUERIES, seen):
+            assert key is IndexKey.of(indices)
+
+    def test_unkeyed_ask_set_batch_passes_the_interned_keys(self, dataset):
+        for make in (self.set_hook_oracle, self.batch_hook_oracle):
+            seen = []
+            make(dataset, seen).ask_set_batch(
+                [(indices, FEMALE) for indices in self.QUERIES]
+            )
+            assert len(seen) == len(self.QUERIES)
+            for indices, key in zip(self.QUERIES, seen):
+                assert key is IndexKey.of(indices)
+
+    def test_a_callers_key_reaches_the_hook_unchanged(self, dataset):
+        # Equal to the interned run key but a distinct object, so identity
+        # shows the oracle forwarded it rather than re-deriving one.
+        own = IndexKey(5, 15, None, hash((5, 15)))
+        assert own == IndexKey.of_run(5, 15) and own is not IndexKey.of_run(5, 15)
+        indices = np.arange(5, 15)
+        seen = []
+        self.set_hook_oracle(dataset, seen).ask_set(
+            indices, FEMALE, key=(FEMALE, own)
+        )
+        assert seen[0] is own
+        for make in (self.set_hook_oracle, self.batch_hook_oracle):
+            seen = []
+            make(dataset, seen).ask_set_batch(
+                [(indices, FEMALE), (indices, FEMALE)],
+                keys=[(FEMALE, own), set_query_key(indices, FEMALE)],
+            )
+            assert seen[0] is own and seen[1] is IndexKey.of_run(5, 15)
 
 
 class TestGroundTruthOracle:

@@ -32,7 +32,7 @@ class RowAtATimeOracle(Oracle):
         super().__init__(dataset.schema, budget=budget)
         self.dataset = dataset
 
-    def _answer_set(self, indices, predicate):
+    def _answer_set(self, indices, predicate, index_key):
         return any(
             predicate.matches_row(self.dataset.value_row(int(i))) for i in indices
         )
@@ -49,8 +49,8 @@ class RowAtATimeFlakyOracle(RowAtATimeOracle):
         self.rng = rng
         self.set_error_rate = set_error_rate
 
-    def _answer_set(self, indices, predicate):
-        truth = super()._answer_set(indices, predicate)
+    def _answer_set(self, indices, predicate, index_key):
+        truth = super()._answer_set(indices, predicate, index_key)
         if self.rng.random() < self.set_error_rate:
             return not truth
         return truth
@@ -272,9 +272,9 @@ def test_subclassed_set_hook_sees_every_query():
     seen: list[tuple] = []
 
     class Tracing(GroundTruthOracle):
-        def _answer_set(self, indices, predicate):
+        def _answer_set(self, indices, predicate, index_key):
             seen.append((int(indices[0]), int(indices[-1])))
-            return super()._answer_set(indices, predicate)
+            return super()._answer_set(indices, predicate, index_key)
 
     dataset = random_dataset(np.random.default_rng(42))
     oracle = Tracing(dataset)

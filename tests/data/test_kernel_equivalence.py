@@ -34,6 +34,7 @@ from repro.data.sharded import (
     ShardedMembershipIndex,
     ShardExecutor,
 )
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError, ReproError, ShardExecutionError
 
 FEMALE = group(gender="female")
@@ -112,18 +113,18 @@ def _answer_surface(index, predicates, runs, scattereds, points):
     answers = []
     for predicate in predicates:
         for a, b in runs:
-            answers.append(index.count(predicate, np.arange(a, b)))
-            answers.append(index.any_match(predicate, np.arange(a, b)))
+            answers.append(index.count(predicate, IndexKey.of_run(a, b)))
+            answers.append(index.any_match(predicate, IndexKey.of_run(a, b)))
         starts = np.array([a for a, _ in runs], dtype=np.int64)
         stops = np.array([b for _, b in runs], dtype=np.int64)
         answers.append(index.any_match_runs(predicate, starts, stops).tolist())
         for indices in scattereds:
-            answers.append(index.count(predicate, indices))
+            answers.append(index.count(predicate, IndexKey.of(indices)))
         for point in points:
             answers.append(index.matches(predicate, point))
     batch = [(np.arange(a, b), p) for p in predicates for a, b in runs[:3]]
     batch += [(s, p) for p in predicates[:2] for s in scattereds]
-    answers.append(index.any_match_batch(batch))
+    answers.append(index.any_match_batch([(IndexKey.of(i), p) for i, p in batch]))
     answers.append(index.value_rows(points))
     return answers
 

@@ -29,6 +29,7 @@ from repro.data.kernels import (
 )
 from repro.data.schema import Schema
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.engine.requests import IndexKey
 
 FEMALE = group(gender="female")
 MALE = group(gender="male")
@@ -135,7 +136,7 @@ def test_fused_build_and_boundary_prefixes_answer_arbitrary_runs(
     for _ in range(4):
         a = data.draw(st.integers(min_value=0, max_value=len(members)))
         b = data.draw(st.integers(min_value=a, max_value=len(members)))
-        run = np.arange(a, b)
+        run = IndexKey.of(np.arange(a, b))
         assert index.count(FEMALE, run) == sum(members[a:b])
         assert index.any_match(FEMALE, run) == any(members[a:b])
 
@@ -150,7 +151,7 @@ def test_single_row_shards_and_trailing_partial_shard(members):
     for shard_size in (1, max(1, len(members) - 1), len(members)):
         ds = ShardedDataset.from_dataset(dense, shard_size, max_resident_shards=2)
         index = ShardedMembershipIndex(ds)
-        full = np.arange(len(members))
+        full = IndexKey.of(np.arange(len(members)))
         assert index.count(FEMALE, full) == sum(members)
         for point in {0, len(members) // 2, len(members) - 1}:
             assert index.matches(FEMALE, point) == members[point]
@@ -165,7 +166,7 @@ def test_empty_dataset_fused_build_is_a_no_op():
     totals = index.shard_totals(FEMALE)
     np.testing.assert_array_equal(totals, np.zeros(1, dtype=np.int64))
     assert ds.stats.loads == 0
-    assert index.count(FEMALE, np.empty(0, dtype=np.int64)) == 0
+    assert index.count(FEMALE, IndexKey.of(np.empty(0, dtype=np.int64))) == 0
 
 
 def test_fused_build_touches_each_chunk_once_for_many_predicates():

@@ -11,8 +11,9 @@ from repro.crowd.oracle import GroundTruthOracle
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
-from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, as_run
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
 from repro.data.synthetic import binary_dataset, intersectional_dataset
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError
 
 FEMALE = group(gender="female")
@@ -38,18 +39,28 @@ def multi_dataset(rng):
     return intersectional_dataset(schema, joint, rng=rng)
 
 
-class TestAsRun:
-    def test_detects_contiguous_ascending(self):
-        assert as_run(np.arange(5, 12)) == (5, 12)
-        assert as_run(np.array([3])) == (3, 4)
+class TestIndexKeyShape:
+    """``IndexKey.of`` is where a query's shape is decided; the index
+    answers from the key and never re-detects it."""
 
-    def test_rejects_non_runs(self):
-        assert as_run(np.array([], dtype=np.int64)) is None
-        assert as_run(np.array([1, 3])) is None
-        assert as_run(np.array([2, 1])) is None
-        assert as_run(np.array([1, 2, 2, 3])) is None
-        # Same endpoints/length as a run, but not ascending by 1.
-        assert as_run(np.array([0, 2, 1, 3])) is None
+    def test_contiguous_ascending_is_a_run(self):
+        assert IndexKey.of(np.arange(5, 12)) is IndexKey.of_run(5, 12)
+        assert IndexKey.of(np.array([3])) is IndexKey.of_run(3, 4)
+        assert IndexKey.of(np.arange(5, 12)).is_run
+
+    @pytest.mark.parametrize("indices", [
+        [],
+        [1, 3],  # gap
+        [2, 1],  # descending
+        [1, 2, 2, 3],  # duplicate
+        [0, 2, 1, 3],  # same endpoints/length as a run, not ascending by 1
+    ])
+    def test_anything_else_is_scattered(self, indices):
+        array = np.array(indices, dtype=np.int64)
+        key = IndexKey.of(array)
+        assert not key.is_run
+        assert key is IndexKey.of_scattered(array)
+        assert np.array_equal(key.to_array(), array)
 
 
 class TestMembershipIndex:
@@ -69,7 +80,9 @@ class TestMembershipIndex:
     def test_prefix_counts_match_mask(self, dataset):
         index = ShardedMembershipIndex.for_dataset(dataset)
         mask = dataset.mask(FEMALE)
-        counts = [index.count(FEMALE, np.arange(0, i)) for i in range(len(dataset) + 1)]
+        counts = [
+            index.count(FEMALE, IndexKey.of_run(0, i)) for i in range(len(dataset) + 1)
+        ]
         assert counts[0] == 0
         assert counts[-1] == mask.sum()
         assert np.array_equal(np.diff(counts), mask.astype(np.int64))
@@ -93,9 +106,10 @@ class TestMembershipIndex:
             expected = any(
                 predicate.matches_row(dataset.value_row(int(i))) for i in indices
             )
-            assert index.any_match(predicate, indices) == expected
+            key = IndexKey.of(indices)
+            assert index.any_match(predicate, key) == expected
             assert expected == bool(mask[indices].any())
-            assert index.count(predicate, indices) == int(mask[indices].sum())
+            assert index.count(predicate, key) == int(mask[indices].sum())
 
     def test_any_match_batch_mixes_runs_and_scatter(self, multi_dataset, rng):
         index = ShardedMembershipIndex.for_dataset(multi_dataset)
@@ -118,7 +132,9 @@ class TestMembershipIndex:
             else:
                 indices = np.empty(0, dtype=np.int64)
             queries.append((indices, predicate))
-        answers = index.any_match_batch(queries)
+        answers = index.any_match_batch(
+            [(IndexKey.of(indices), predicate) for indices, predicate in queries]
+        )
         for (indices, predicate), answer in zip(queries, answers):
             expected = any(
                 predicate.matches_row(multi_dataset.value_row(int(i)))
@@ -167,8 +183,8 @@ class TestPinning:
             ShardedDataset.from_dataset(dataset, shard_size=len(dataset))
         )
         for index in (one_shard, ShardedMembershipIndex.for_dataset(dataset)):
-            index.any_match(FEMALE, np.array([3, 400, 5]))
-            index.any_match(FEMALE, np.arange(10, 450))
+            index.any_match(FEMALE, IndexKey.of(np.array([3, 400, 5])))
+            index.any_match(FEMALE, IndexKey.of_run(10, 450))
             report = index.memory_report()
             assert report["prefix_builds"] == 1
             assert report["pinned_predicates"] == 1
@@ -178,7 +194,7 @@ class TestPinning:
             ShardedDataset.from_dataset(dataset, shard_size=len(dataset))
         )
         index.matches(FEMALE, 7)
-        index.count(FEMALE, np.arange(0, 300))
+        index.count(FEMALE, IndexKey.of_run(0, 300))
         assert index.memory_report()["prefix_builds"] == 1
 
     def test_unpinnable_budget_keeps_the_per_shard_path(self, dataset):
@@ -188,7 +204,7 @@ class TestPinning:
             dataset, shard_size=100, max_resident_shards=2
         )
         index = ShardedMembershipIndex(shards)
-        assert index.count(FEMALE, np.array([3, 450])) == int(
+        assert index.count(FEMALE, IndexKey.of(np.array([3, 450]))) == int(
             dataset.mask(FEMALE)[[3, 450]].sum()
         )
         report = index.memory_report()
@@ -229,16 +245,17 @@ class TestValidation:
 
         index = ShardedMembershipIndex.for_dataset(dataset)
         with pytest.raises(UnknownGroupError):
-            index.any_match(group(age="old"), np.arange(5))
+            index.any_match(group(age="old"), IndexKey.of_run(0, 5))
 
     def test_empty_dataset(self):
         schema = Schema.from_dict({"gender": ["male", "female"]})
         empty = LabeledDataset(schema, np.empty((0, 1), dtype=np.int16))
         index = ShardedMembershipIndex.for_dataset(empty)
         none = np.empty(0, dtype=np.int64)
-        assert index.any_match(FEMALE, none) is bool(empty.mask(FEMALE)[none].any())
-        assert index.count(FEMALE, none) == int(empty.mask(FEMALE)[none].sum()) == 0
-        assert index.any_match_batch([(none, FEMALE)]) == [False]
+        key = IndexKey.of(none)
+        assert index.any_match(FEMALE, key) is bool(empty.mask(FEMALE)[none].any())
+        assert index.count(FEMALE, key) == int(empty.mask(FEMALE)[none].sum()) == 0
+        assert index.any_match_batch([(key, FEMALE)]) == [False]
         assert index.value_rows([]) == []
 
     def test_oracle_index_must_answer_over_the_same_dataset(self, dataset):

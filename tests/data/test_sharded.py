@@ -74,7 +74,7 @@ def test_exact_multiple_has_no_trailing_partial_shard(dense):
         ds.shard_bounds(4)
     index = ShardedMembershipIndex(ds)
     run = np.arange(0, 1_000)
-    assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
+    assert index.count(FEMALE, IndexKey.of(run)) == reference_count(dense, FEMALE, run)
 
 
 def test_empty_dataset_answers_empty():
@@ -84,8 +84,9 @@ def test_empty_dataset_answers_empty():
     )
     assert ds.n_shards == 0
     index = ShardedMembershipIndex(ds)
-    assert index.count(FEMALE, np.empty(0, dtype=np.int64)) == 0
-    assert index.any_match(FEMALE, np.empty(0, dtype=np.int64)) is False
+    none = IndexKey.of(np.empty(0, dtype=np.int64))
+    assert index.count(FEMALE, none) == 0
+    assert index.any_match(FEMALE, none) is False
     assert index.value_rows([]) == []
 
 
@@ -97,7 +98,7 @@ def test_single_row_shards_match_dense(dense):
     for _ in range(30):
         a, b = sorted(int(x) for x in rng.integers(0, 1_001, size=2))
         run = np.arange(a, b)
-        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
+        assert index.count(FEMALE, IndexKey.of(run)) == reference_count(dense, FEMALE, run)
     for i in (0, 17, 999):
         assert index.matches(FEMALE, i) == FEMALE.matches_row(dense.value_row(i))
 
@@ -157,7 +158,7 @@ def test_from_memmap_round_trip(tmp_path, dense):
     assert len(ds) == len(dense)
     index = ShardedMembershipIndex(ds)
     run = np.arange(40, 900)
-    assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
+    assert index.count(FEMALE, IndexKey.of(run)) == reference_count(dense, FEMALE, run)
     assert ds.value_row(123) == dense.value_row(123)
     with pytest.raises(InvalidParameterError, match="shape"):
         ShardedDataset.from_memmap(
@@ -177,8 +178,8 @@ def test_boundary_aligned_runs_touch_no_chunks(dense):
     # the totals alone — no boundary shard is ever materialized.
     for start, stop in [(0, 200), (200, 800), (0, 1_000), (400, 400), (800, 1_000)]:
         run = np.arange(start, stop)
-        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run)
-        assert index.any_match(FEMALE, run) == reference_any(dense, FEMALE, run)
+        assert index.count(FEMALE, IndexKey.of(run)) == reference_count(dense, FEMALE, run)
+        assert index.any_match(FEMALE, IndexKey.of(run)) == reference_any(dense, FEMALE, run)
     assert ds.stats.loads == loads_after_build
 
 
@@ -196,22 +197,29 @@ def test_runs_starting_or_ending_on_boundary(dense):
     ]
     for start, stop in cases:
         run = np.arange(start, stop)
-        assert index.count(FEMALE, run) == reference_count(dense, FEMALE, run), (
+        assert index.count(FEMALE, IndexKey.of(run)) == reference_count(dense, FEMALE, run), (
             start, stop,
         )
 
 
-def test_key_hinted_answers_match_unhinted(dense):
-    ds = sharded_over(dense, 96)
-    index = ShardedMembershipIndex(ds)
-    run_key = IndexKey.of_run(100, 500)
-    run = np.arange(100, 500)
-    assert index.any_match(FEMALE, run, key=run_key) == index.any_match(FEMALE, run)
-    scattered = np.array([5, 97, 300, 999], dtype=np.int64)
-    scattered_key = IndexKey.of(scattered)
-    assert index.any_match(FEMALE, scattered, key=scattered_key) == index.any_match(
-        FEMALE, scattered
-    )
+@pytest.mark.parametrize("predicate", [FEMALE, Negation(FEMALE)])
+def test_run_and_scattered_keys_of_one_range_answer_alike(dense, predicate):
+    """A run key (prefix path) and a scattered key over the same content
+    (gather path) give identical answers, across shard boundaries."""
+    index = ShardedMembershipIndex(sharded_over(dense, 96))
+    for a, b in [(0, 1), (95, 97), (100, 500), (96, 192), (0, 1_000), (990, 1_000)]:
+        run_key = IndexKey.of_run(a, b)
+        scattered_key = IndexKey.of_scattered(np.arange(a, b, dtype=np.int64))
+        assert run_key.is_run and not scattered_key.is_run
+        assert index.count(predicate, run_key) == index.count(
+            predicate, scattered_key
+        ) == reference_count(dense, predicate, np.arange(a, b))
+        assert index.any_match(predicate, run_key) == index.any_match(
+            predicate, scattered_key
+        )
+        assert index.any_match_batch([(run_key, predicate)]) == index.any_match_batch(
+            [(scattered_key, predicate)]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +258,7 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
             assert dense.mask(predicate).tolist() == [
                 predicate.matches_row(dense.value_row(i)) for i in range(n)
             ]
-            queries, keys = [], []
+            queries = []
             for _ in range(40):
                 if rng.random() < 0.5:
                     a, b = sorted(int(x) for x in rng.integers(0, n + 1, size=2))
@@ -259,16 +267,17 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
                     k = int(rng.integers(0, 40))
                     indices = np.sort(rng.choice(n, size=k, replace=False))
                 queries.append((indices, predicate))
-                keys.append(IndexKey.of(indices))
-                assert index.count(predicate, indices) == reference_count(
+                key = IndexKey.of(indices)
+                assert index.count(predicate, key) == reference_count(
                     dense, predicate, indices
                 )
-                assert index.any_match(predicate, indices) == reference_any(
+                assert index.any_match(predicate, key) == reference_any(
                     dense, predicate, indices
                 )
             expected = [reference_any(dense, p, i) for i, p in queries]
-            assert index.any_match_batch(queries) == expected
-            assert index.any_match_batch(queries, keys=keys) == expected
+            assert index.any_match_batch(
+                [(IndexKey.of(i), p) for i, p in queries]
+            ) == expected
         starts = rng.integers(0, n // 2, size=25)
         stops = starts + rng.integers(0, n // 2, size=25)
         np.testing.assert_array_equal(
@@ -331,7 +340,7 @@ def test_memory_report_stays_under_structural_cap(dense):
     rng = np.random.default_rng(3)
     for _ in range(200):
         a, b = sorted(int(x) for x in rng.integers(0, 1_001, size=2))
-        index.count(FEMALE, np.arange(a, b))
+        index.count(FEMALE, IndexKey.of_run(a, b))
     report = index.memory_report()
     assert report["peak_tracked_bytes"] <= report["cap_bytes"]
     assert report["peak_tracked_bytes"] < dense_index_bytes(
@@ -349,27 +358,27 @@ def test_out_of_range_queries_raise_instead_of_clamping(dense):
         ShardedMembershipIndex.for_dataset(dense),
     ):
         with pytest.raises(OracleError, match="outside dataset"):
-            index.count(FEMALE, np.arange(990, 1_010))
+            index.count(FEMALE, IndexKey.of(np.arange(990, 1_010)))
         with pytest.raises(OracleError, match="outside dataset"):
-            index.any_match(
-                FEMALE, np.arange(990, 1_010), key=IndexKey.of_run(990, 1_010)
-            )
+            index.any_match(FEMALE, IndexKey.of_run(990, 1_010))
         with pytest.raises(OracleError, match="out of range"):
-            index.count(FEMALE, np.array([-5, 3], dtype=np.int64))
+            index.count(FEMALE, IndexKey.of(np.array([-5, 3], dtype=np.int64)))
         with pytest.raises(OracleError, match="out of range"):
-            index.any_match(FEMALE, np.array([3, 1_000], dtype=np.int64))
+            index.any_match(FEMALE, IndexKey.of(np.array([3, 1_000], dtype=np.int64)))
         with pytest.raises(OracleError, match="out of range"):
             index.matches(FEMALE, -1)
         with pytest.raises(OracleError, match="outside dataset"):
             index.any_match_runs(FEMALE, np.array([-1]), np.array([5]))
         with pytest.raises(OracleError):
-            index.any_match_batch([(np.array([3, -2], dtype=np.int64), FEMALE)])
+            index.any_match_batch(
+                [(IndexKey.of(np.array([3, -2], dtype=np.int64)), FEMALE)]
+            )
 
 
 def test_invalid_predicate_validated_against_schema(dense):
     index = ShardedMembershipIndex(sharded_over(dense, 100))
     with pytest.raises(Exception):
-        index.count(group(nonexistent="value"), np.arange(0, 10))
+        index.count(group(nonexistent="value"), IndexKey.of_run(0, 10))
 
 
 # ----------------------------------------------------------------------

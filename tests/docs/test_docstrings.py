@@ -38,6 +38,7 @@ DOCTESTED_MODULES = (
     "repro.data.dataset",
     "repro.data.kernels",
     "repro.data.sharded",
+    "repro.engine.requests",
     "repro.serving.protocol",
     "repro.serving.config",
     "repro.serving.board",
