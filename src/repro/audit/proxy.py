@@ -7,18 +7,50 @@ for can be checkpointed, and answers loaded from a checkpoint replay for
 free. The proxy shares the raw oracle's schema and ledger (charging is
 unchanged) and is transparent when nothing is loaded: same calls, same
 charges, same rounds, bit-identical results.
+
+It also owns the answer log that ends every checkpoint: the
+``set_answers``, ``point_answers`` and ``reliability`` sections.
 """
 
 from __future__ import annotations
 
 import inspect
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 import numpy as np
 
+from repro.audit import serialization as codec
 from repro.crowd.oracle import Oracle
+from repro.crowd.reliability.serialization import ReliabilitySnapshot
 from repro.engine.requests import QueryKey, set_query_key
+from repro.errors import CheckpointVersionError
 
-__all__ = ["RecordingOracleProxy"]
+__all__ = ["AnswerLog", "RecordingOracleProxy"]
+
+
+def _infer_dataset_size(oracle: Oracle) -> int | None:
+    """The dataset size behind an oracle, when it exposes one."""
+    dataset = getattr(oracle, "dataset", None)
+    if dataset is None:
+        dataset = getattr(getattr(oracle, "platform", None), "dataset", None)
+    return len(dataset) if dataset is not None else None
+
+
+def _reliability_platform(oracle: Oracle):
+    """The reliability-enabled :class:`~repro.crowd.platform.CrowdPlatform`
+    behind an oracle (or oracle proxy), when there is one, else ``None``."""
+    platform = getattr(oracle, "platform", None)
+    return platform if getattr(platform, "reliability", None) is not None else None
+
+
+@dataclass(frozen=True)
+class AnswerLog:
+    """A decoded answer log, as :meth:`RecordingOracleProxy.replay` loads it."""
+
+    set_answers: dict[QueryKey, bool]
+    point_answers: dict[int, dict[str, str]]
+    reliability: ReliabilitySnapshot | None
 
 
 class RecordingOracleProxy(Oracle):
@@ -61,14 +93,102 @@ class RecordingOracleProxy(Oracle):
                 f"mistaken for a missing attribute"
             ) from error
 
-    # -- replay loading --------------------------------------------------
-    def load_set_answers(self, answers: dict[QueryKey, bool]) -> None:
-        self._set_replay.update(answers)
-        self._set_seen.update(answers)
+    # -- the answer log --------------------------------------------------
+    def answer_log(self, cache=None) -> dict[str, Any]:
+        """The answer-log sections: every recorded answer, then the
+        entries of the :class:`~repro.engine.cache.AnswerCache` ``cache``
+        (implied negatives included), and the reliability snapshot
+        (``None`` without a reliability-enabled platform).
 
-    def load_point_answers(self, answers: dict[int, dict[str, str]]) -> None:
-        self._point_replay.update(answers)
-        self._point_seen.update(answers)
+        >>> from repro import GroundTruthOracle, binary_dataset
+        >>> oracle = GroundTruthOracle(binary_dataset(9, 3, placement="front"))
+        >>> RecordingOracleProxy(oracle).answer_log()
+        {'set_answers': [], 'point_answers': [], 'reliability': None}
+        """
+        set_answers = {**self._set_seen, **dict(() if cache is None else cache.entries())}
+        platform = _reliability_platform(self._session_inner)
+        return {
+            "set_answers": [
+                codec.set_answer_to_dict(predicate, index_key, answer)
+                for (predicate, index_key), answer in set_answers.items()
+            ],
+            "point_answers": codec.point_answers_to_list(self._point_seen),
+            "reliability": (
+                None
+                if platform is None
+                else ReliabilitySnapshot.capture(platform).to_dict()
+            ),
+        }
+
+    @staticmethod
+    def decode_answer_log(
+        data: Mapping[str, Any], oracle: Oracle, *, reliability: bool, source: str
+    ) -> AnswerLog:
+        """Decode the answer log of checkpoint ``data`` (whose version
+        has a reliability section when ``reliability``) for a resume
+        onto ``oracle``, changing nothing. Unreadable sections, and a
+        reliability section ``oracle`` has no platform for, raise
+        :class:`~repro.errors.CheckpointVersionError` naming ``source``.
+
+        >>> RecordingOracleProxy.decode_answer_log(
+        ...     {"version": 2}, None, reliability=True, source="checkpoint")
+        Traceback (most recent call last):
+        repro.errors.CheckpointVersionError: checkpoint declares version 2 but is missing the 'set_answers' field that version requires
+        """
+        try:
+            raw_set_answers = data["set_answers"]
+            raw_point_answers = data["point_answers"]
+            raw_reliability = data["reliability"] if reliability else None
+        except KeyError as error:
+            raise CheckpointVersionError(
+                f"{source} declares version {data.get('version')} but is "
+                f"missing the {error.args[0]!r} field that version requires"
+            ) from error
+        if raw_reliability is not None and _reliability_platform(oracle) is None:
+            raise CheckpointVersionError(
+                f"{source} carries a reliability section but the resuming "
+                "oracle has no reliability-enabled platform — resume with the "
+                "same CrowdPlatform(reliability=...) configuration the "
+                "checkpoint was written under"
+            )
+        return AnswerLog(
+            codec.set_answers_from_list(raw_set_answers),
+            codec.point_answers_from_list(raw_point_answers),
+            None if raw_reliability is None else ReliabilitySnapshot.from_dict(raw_reliability),
+        )
+
+    def replay(self, log: AnswerLog, cache=None) -> None:
+        """Load a decoded log: its answers replay for free through this
+        proxy and ``cache``; its reliability snapshot is restored.
+
+        >>> from repro import GroundTruthOracle, binary_dataset
+        >>> proxy = RecordingOracleProxy(
+        ...     GroundTruthOracle(binary_dataset(9, 3, placement="front")))
+        >>> proxy.replay(AnswerLog({}, {0: {"gender": "male"}}, None))
+        >>> proxy.ask_point(0), proxy.ledger.total
+        ({'gender': 'male'}, 0)
+        """
+        self._set_replay.update(log.set_answers)
+        self._set_seen.update(log.set_answers)
+        self._point_replay.update(log.point_answers)
+        self._point_seen.update(log.point_answers)
+        if cache is not None:
+            for key, answer in log.set_answers.items():
+                cache.store(key, answer)
+        if log.reliability is not None:
+            log.reliability.restore(_reliability_platform(self._session_inner))
+
+    def reliability_report(self):
+        """The inner platform's current
+        :class:`~repro.crowd.reliability.ReliabilityReport`, or ``None``.
+
+        >>> from repro import GroundTruthOracle, binary_dataset
+        >>> oracle = GroundTruthOracle(binary_dataset(9, 3, placement="front"))
+        >>> print(RecordingOracleProxy(oracle).reliability_report())
+        None
+        """
+        platform = _reliability_platform(self._session_inner)
+        return None if platform is None else platform.reliability.report()
 
     # -- public oracle API ------------------------------------------------
     def ask_set(self, indices, predicate, *, key=None) -> bool:

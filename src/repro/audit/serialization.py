@@ -55,13 +55,10 @@ __all__ = [
 ]
 
 
-# -- paid crowd answers (checkpoint substrate) --------------------------
-#
-# Sessions and the multi-tenant service both persist "everything the
-# crowd was paid for" — set answers keyed by (predicate, IndexKey),
-# point answers keyed by object index. Contiguous-run index keys
-# serialize as compact ``{"run": [start, stop]}`` endpoints instead of
-# exhaustive index lists; scattered arrays spell their indices out.
+# -- paid crowd answers: the entries of the answer log that
+# :class:`~repro.audit.proxy.RecordingOracleProxy` writes and replays.
+# Contiguous-run index keys serialize as compact ``{"run": [start, stop]}``
+# endpoints; scattered arrays spell their indices out.
 
 
 def set_answer_to_dict(predicate, index_key, answer: bool) -> dict[str, Any]:

@@ -19,16 +19,13 @@ deduplication comes free through the shared answer cache.
 
 Checkpoint / resume
 -------------------
-Crowd answers cost money; a session never forgets one. Every answer the
-oracle produced — set queries via the engine's
-:class:`~repro.engine.cache.AnswerCache` or the session's recording
-proxy, point queries via the proxy — can be serialized with
+Crowd answers cost money; a session never forgets one.
 :meth:`AuditSession.checkpoint` (typically after a
-:class:`~repro.errors.BudgetExceededError`) and revived with
-:meth:`AuditSession.resume`. A resumed session replays recorded answers
-for free: re-running the interrupted spec fast-forwards through the paid
-prefix without re-asking a single cached query and continues from the
-frontier. Determinism makes this exact — the steppers re-issue the same
+:class:`~repro.errors.BudgetExceededError`) writes the answer log of
+:mod:`repro.audit.proxy` — every paid set and point answer — and
+:meth:`AuditSession.resume` revives it: re-running the interrupted spec
+replays the paid prefix for free and continues from the frontier.
+Determinism makes this exact — the steppers re-issue the same
 queries in the same order, and rng-dependent specs re-draw the same
 samples because the checkpoint records the generator's exact stream
 state as of the interrupted spec's start (however the rng was provided).
@@ -53,20 +50,12 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.audit.proxy import RecordingOracleProxy
+from repro.audit.proxy import RecordingOracleProxy, _infer_dataset_size
 from repro.audit.report import AuditEntry, AuditReport
 from repro.audit.runners import make_group_stepper, run_spec
-from repro.audit.serialization import (
-    point_answers_from_list,
-    point_answers_to_list,
-    set_answer_to_dict,
-    set_answers_from_list,
-)
 from repro.audit.specs import AuditSpec, GroupAuditSpec, spec_from_dict
 from repro.core.results import LedgerWindow, TaskUsage
 from repro.crowd.oracle import Oracle
-from repro.crowd.reliability.serialization import ReliabilitySnapshot
-from repro.engine.requests import QueryKey
 from repro.engine.scheduler import QueryEngine
 from repro.errors import (
     BudgetExceededError,
@@ -158,29 +147,6 @@ class AuditProgress:
     rounds: int
 
 
-#: The recording/replaying proxy sessions wrap around their oracle now
-#: lives in :mod:`repro.audit.proxy`, shared with the multi-tenant
-#: :class:`~repro.service.AuditService`.
-_SessionOracle = RecordingOracleProxy
-
-
-def _infer_dataset_size(oracle: Oracle) -> int | None:
-    """The dataset size behind an oracle, when it exposes one."""
-    dataset = getattr(oracle, "dataset", None)
-    if dataset is None:
-        dataset = getattr(getattr(oracle, "platform", None), "dataset", None)
-    return len(dataset) if dataset is not None else None
-
-
-def _reliability_platform(oracle: Oracle):
-    """The reliability-enabled :class:`~repro.crowd.platform.CrowdPlatform`
-    behind an oracle (or oracle proxy), when there is one, else ``None``."""
-    platform = getattr(oracle, "platform", None)
-    if platform is not None and getattr(platform, "reliability", None) is not None:
-        return platform
-    return None
-
-
 class AuditSession:
     """Shared execution state for a batch of coverage audits.
 
@@ -240,7 +206,7 @@ class AuditSession:
         progress: Callable[[AuditProgress], None] | None = None,
     ) -> None:
         self.oracle = oracle
-        self._proxy = _SessionOracle(oracle)
+        self._proxy = RecordingOracleProxy(oracle)
 
         if isinstance(engine, QueryEngine):
             if batch_size is not None or speculation is not None:
@@ -547,9 +513,6 @@ class AuditSession:
         Feed it to :meth:`AuditSession.resume` (in this process or
         another) to continue without re-asking a single recorded query.
         """
-        set_answers: dict[QueryKey, bool] = dict(self._proxy._set_seen)
-        if self.engine is not None:
-            set_answers.update(dict(self.engine.cache.entries()))
         rng_state = (
             self._inflight_rng_state
             if self._inflight_rng_state is not None
@@ -570,32 +533,16 @@ class AuditSession:
                     else None
                 ),
                 "pending": [spec.to_dict() for spec in self._unfinished],
-                "set_answers": [
-                    set_answer_to_dict(predicate, index_key, answer)
-                    for (predicate, index_key), answer in set_answers.items()
-                ],
-                "point_answers": point_answers_to_list(self._proxy._point_seen),
-                "reliability": self._reliability_section(),
+                **self._proxy.answer_log(
+                    self.engine.cache if self.engine is not None else None
+                ),
             }
         )
 
-    def _reliability_section(self) -> dict | None:
-        """The versioned reliability payload for :meth:`checkpoint`, or
-        ``None`` when the oracle has no reliability-enabled platform."""
-        platform = _reliability_platform(self.oracle)
-        if platform is None:
-            return None
-        return ReliabilitySnapshot.capture(platform).to_dict()
-
     def reliability_report(self):
-        """The reliability policy's current
-        :class:`~repro.crowd.reliability.ReliabilityReport` (quarantine
-        roster, spend counters), or ``None`` when the session's oracle
-        has no reliability-enabled platform behind it."""
-        platform = _reliability_platform(self.oracle)
-        if platform is None:
-            return None
-        return platform.reliability.report()
+        """The :class:`~repro.crowd.reliability.ReliabilityReport` of the
+        oracle's reliability-enabled platform, or ``None`` without one."""
+        return self._proxy.reliability_report()
 
     @classmethod
     def resume(
@@ -614,7 +561,9 @@ class AuditSession:
         recorded answer for free replay, and restores
         :attr:`pending_specs` — re-running those reaches the same
         verdicts while paying only for queries the original session never
-        asked.
+        asked. An unreadable checkpoint raises
+        :class:`~repro.errors.CheckpointVersionError` before ``oracle``
+        (its ledger budget included) is touched.
         """
         data = json.loads(checkpoint)
         version = data.get("version")
@@ -637,25 +586,16 @@ class AuditSession:
             )
             seed = data["seed"]
             dataset_size = data["dataset_size"]
-            raw_set_answers = data["set_answers"]
-            raw_point_answers = data["point_answers"]
             raw_pending = data["pending"]
-            raw_reliability = data["reliability"] if version >= 3 else None
         except KeyError as error:
             raise CheckpointVersionError(
                 f"checkpoint declares version {version} but is missing the "
                 f"{error.args[0]!r} field that version requires"
             ) from error
-        session = cls(
-            oracle,
-            engine=True if engine_config is not None else None,
-            batch_size=batch_size,
-            speculation=speculation,
-            seed=seed,
-            task_budget=task_budget,
-            dataset_size=dataset_size,
-            progress=progress,
+        log = RecordingOracleProxy.decode_answer_log(
+            data, oracle, reliability=version >= 3, source="checkpoint"
         )
+        rng = None
         rng_state = data.get("rng_state")
         if rng_state is not None:
             # Restore the generator to the exact stream position the
@@ -671,17 +611,9 @@ class AuditSession:
                     "this build can restore — written by an incompatible "
                     f"version? ({error})"
                 ) from error
-            session.rng = np.random.Generator(bit_generator)
-        set_answers = set_answers_from_list(raw_set_answers)
-        session._proxy.load_set_answers(set_answers)
-        if session.engine is not None:
-            for key, answer in set_answers.items():
-                session.engine.cache.store(key, answer)
-        session._proxy.load_point_answers(
-            point_answers_from_list(raw_point_answers)
-        )
+            rng = np.random.Generator(bit_generator)
         try:
-            session._unfinished = [spec_from_dict(spec) for spec in raw_pending]
+            pending = [spec_from_dict(spec) for spec in raw_pending]
         except CheckpointVersionError:
             raise
         except (KeyError, InvalidParameterError, ValueError) as error:
@@ -692,16 +624,22 @@ class AuditSession:
                 f"checkpointed pending spec is not readable by this build "
                 f"({error}) — written by an incompatible checkpoint version?"
             ) from error
-        if raw_reliability is not None:
-            platform = _reliability_platform(oracle)
-            if platform is None:
-                raise CheckpointVersionError(
-                    "checkpoint carries a reliability section but the "
-                    "resuming oracle has no reliability-enabled platform — "
-                    "resume with the same CrowdPlatform(reliability=...) "
-                    "configuration the checkpoint was written under"
-                )
-            ReliabilitySnapshot.from_dict(raw_reliability).restore(platform)
+        session = cls(
+            oracle,
+            engine=True if engine_config is not None else None,
+            batch_size=batch_size,
+            speculation=speculation,
+            seed=seed,
+            task_budget=task_budget,
+            dataset_size=dataset_size,
+            progress=progress,
+        )
+        if rng is not None:
+            session.rng = rng
+        session._unfinished = pending
+        session._proxy.replay(
+            log, session.engine.cache if session.engine is not None else None
+        )
         return session
 
     def run_pending(self) -> AuditReport:
@@ -709,7 +647,6 @@ class AuditSession:
         if not self._unfinished:
             raise InvalidParameterError("session has no pending specs to run")
         return self.run_many(tuple(self._unfinished))
-
 
 
 def _round_emitter(

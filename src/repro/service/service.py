@@ -46,21 +46,13 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.audit.proxy import RecordingOracleProxy
+from repro.audit.proxy import RecordingOracleProxy, _infer_dataset_size
 from repro.audit.report import AuditEntry, AuditReport
 from repro.audit.runners import make_group_stepper, run_spec
-from repro.audit.serialization import (
-    point_answers_from_list,
-    point_answers_to_list,
-    set_answer_to_dict,
-    set_answers_from_list,
-)
-from repro.audit.session import _infer_dataset_size, _reliability_platform
 from repro.audit.specs import AuditSpec, GroupAuditSpec, spec_from_dict
 from repro.core.results import LedgerWindow, TaskUsage
 from repro.crowd.backends.base import CrowdBackend
 from repro.crowd.oracle import Oracle
-from repro.crowd.reliability.serialization import ReliabilitySnapshot
 from repro.engine.scheduler import Flow, QueryEngine
 from repro.errors import (
     BudgetExceededError,
@@ -76,7 +68,7 @@ __all__ = ["AuditService"]
 #: Version 2 adds the ``reliability`` section to the answer log (a
 #: versioned ReliabilitySnapshot payload, or ``None`` for services
 #: without a reliability-enabled platform); version-1 checkpoints
-#: remain readable.
+#: remain readable. Logs without the later ``tasks_paid`` count entries.
 _CHECKPOINT_VERSION = 2
 _READABLE_CHECKPOINT_VERSIONS = frozenset({1, 2})
 
@@ -277,6 +269,8 @@ class AuditService:
         if task_budget is not None:
             self._previous_budget = oracle.ledger.budget
             oracle.ledger.budget = task_budget
+        self._tasks_paid_before = 0  # restored by resume()
+        self._tasks_window = LedgerWindow(oracle.ledger)
 
         self._jobs: dict[str, _Job] = {}
         self._queue: list[_Job] = []
@@ -416,6 +410,12 @@ class AuditService:
         for job in self._jobs.values():
             tally[job.status.value] = tally.get(job.status.value, 0) + 1
         return tally
+
+    @property
+    def tasks_paid(self) -> int:
+        """Crowd tasks paid for the answer log: the count restored by
+        :meth:`resume` (replays are free) plus this service's spend."""
+        return self._tasks_paid_before + self._tasks_window.usage().total
 
     @property
     def has_work(self) -> bool:
@@ -637,8 +637,6 @@ class AuditService:
             raise InvalidParameterError(
                 "service has no job_store to checkpoint into"
             )
-        set_answers = dict(self._proxy._set_seen)
-        set_answers.update(dict(self.engine.cache.entries()))
         self.job_store.save_answers(
             {
                 "version": _CHECKPOINT_VERSION,
@@ -650,34 +648,17 @@ class AuditService:
                 },
                 "max_active_jobs": self.max_active_jobs,
                 "next_seq": self._seq,
-                "set_answers": [
-                    set_answer_to_dict(predicate, index_key, answer)
-                    for (predicate, index_key), answer in set_answers.items()
-                ],
-                "point_answers": point_answers_to_list(self._proxy._point_seen),
-                "reliability": self._reliability_section(),
+                "tasks_paid": self.tasks_paid,
+                **self._proxy.answer_log(self.engine.cache),
             }
         )
         for job in self._jobs.values():
             self._persist(job)
 
-    def _reliability_section(self) -> dict[str, Any] | None:
-        """The versioned reliability payload for :meth:`checkpoint`, or
-        ``None`` when the oracle has no reliability-enabled platform."""
-        platform = _reliability_platform(self.oracle)
-        if platform is None:
-            return None
-        return ReliabilitySnapshot.capture(platform).to_dict()
-
     def reliability_report(self):
-        """The reliability policy's current
-        :class:`~repro.crowd.reliability.ReliabilityReport` (quarantine
-        roster, spend counters), or ``None`` when the service's oracle
-        has no reliability-enabled platform behind it."""
-        platform = _reliability_platform(self.oracle)
-        if platform is None:
-            return None
-        return platform.reliability.report()
+        """The :class:`~repro.crowd.reliability.ReliabilityReport` of the
+        oracle's reliability-enabled platform, or ``None`` without one."""
+        return self._proxy.reliability_report()
 
     @classmethod
     def resume(
@@ -697,7 +678,9 @@ class AuditService:
         submission order). Every recorded answer is preloaded into the
         replay proxy and the answer cache, so re-run audits pay only for
         queries the crashed service never asked — determinism then
-        guarantees identical verdicts.
+        guarantees identical verdicts. An unreadable store raises
+        :class:`~repro.errors.CheckpointVersionError` before ``oracle``
+        (its ledger budget included) is touched.
         """
         answers = job_store.load_answers()
         if answers is None:
@@ -720,15 +703,20 @@ class AuditService:
             stored_max_active_jobs = answers["max_active_jobs"]
             dataset_size = answers["dataset_size"]
             seed = answers["seed"]
-            raw_set_answers = answers["set_answers"]
-            raw_point_answers = answers["point_answers"]
             next_seq = int(answers["next_seq"])
-            raw_reliability = answers["reliability"] if version >= 2 else None
         except KeyError as error:
             raise CheckpointVersionError(
                 f"service checkpoint declares version {version} but is missing "
                 f"the {error.args[0]!r} field that version requires"
             ) from error
+        log = RecordingOracleProxy.decode_answer_log(
+            answers, oracle, reliability=version >= 2, source="service checkpoint"
+        )
+        tasks_paid = int(answers.get("tasks_paid", len(log.set_answers) + len(log.point_answers)))
+        jobs = sorted(
+            (_Job.from_dict(record) for record in job_store.load_jobs().values()),
+            key=lambda job: job.seq,
+        )
         service = cls(
             oracle,
             backend=backend,
@@ -745,29 +733,10 @@ class AuditService:
             checkpoint_every=checkpoint_every,
             task_budget=task_budget,
         )
-        set_answers = set_answers_from_list(raw_set_answers)
-        service._proxy.load_set_answers(set_answers)
-        for key, answer in set_answers.items():
-            service.engine.cache.store(key, answer)
-        service._proxy.load_point_answers(
-            point_answers_from_list(raw_point_answers)
-        )
-        if raw_reliability is not None:
-            platform = _reliability_platform(oracle)
-            if platform is None:
-                raise CheckpointVersionError(
-                    "service checkpoint carries a reliability section but "
-                    "the resuming oracle has no reliability-enabled platform "
-                    "— resume with the same CrowdPlatform(reliability=...) "
-                    "configuration the checkpoint was written under"
-                )
-            ReliabilitySnapshot.from_dict(raw_reliability).restore(platform)
+        service._tasks_paid_before = tasks_paid
+        service._proxy.replay(log, service.engine.cache)
         max_seq = -1
-        for record in sorted(
-            job_store.load_jobs().values(),
-            key=lambda r: int(r.get("seq", -1)),
-        ):
-            job = _Job.from_dict(record)
+        for job in jobs:
             service._jobs[job.job_id] = job
             max_seq = max(max_seq, job.seq)
             if not job.status.terminal:

@@ -28,6 +28,19 @@ from typing import Any
 __all__ = ["JobStore", "InMemoryJobStore", "DirectoryJobStore"]
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` via a scratch file (unique per write,
+    removed on failure) and :func:`os.replace`: readers see the old file
+    or the new one; two writers never rename each other's scratch."""
+    scratch = path.with_name(f"{path.name}.tmp-{os.getpid()}-{secrets.token_hex(4)}")
+    try:
+        scratch.write_text(text)
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+
+
 class JobStore(ABC):
     """Persistence boundary for :class:`~repro.service.AuditService`.
 
@@ -73,7 +86,7 @@ class InMemoryJobStore(JobStore):
     >>> store = InMemoryJobStore()
     >>> store.load_answers() is None            # fresh store
     True
-    >>> store.save_answers({"version": 1, "set_answers": []})
+    >>> store.save_answers({"version": 1})
     >>> store.load_answers()["version"]
     1
     """
@@ -103,9 +116,9 @@ class InMemoryJobStore(JobStore):
 class DirectoryJobStore(JobStore):
     """Filesystem store: ``<root>/jobs/<job_id>.json`` + ``<root>/answers.json``.
 
-    Every write lands in a temporary file first and is moved into place
-    with :func:`os.replace`, so readers (and the resuming service) only
-    ever see complete records.
+    Every write goes through :func:`write_atomic` (a temporary file moved
+    into place with :func:`os.replace`), so readers (and the resuming
+    service) only ever see complete records.
 
     Examples
     --------
@@ -123,28 +136,9 @@ class DirectoryJobStore(JobStore):
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
 
-    def _write_atomic(self, path: Path, payload: dict[str, Any]) -> None:
-        # The scratch name must be unique per write: with a shared name,
-        # two processes checkpointing the same directory can rename each
-        # other's scratch out from underneath (FileNotFoundError, or
-        # publishing a peer's snapshot). Pinned by
-        # tests/service/test_store_concurrency.py.
-        scratch = path.with_suffix(
-            path.suffix + f".tmp-{os.getpid()}-{secrets.token_hex(4)}"
-        )
-        try:
-            scratch.write_text(json.dumps(payload))
-            os.replace(scratch, path)
-        except BaseException:
-            try:
-                os.unlink(scratch)
-            except FileNotFoundError:
-                pass
-            raise
-
     def save_job(self, job_id: str, record: dict[str, Any]) -> None:
         """Atomically write ``jobs/<job_id>.json``."""
-        self._write_atomic(self.jobs_dir / f"{job_id}.json", record)
+        write_atomic(self.jobs_dir / f"{job_id}.json", json.dumps(record))
 
     def load_jobs(self) -> dict[str, dict[str, Any]]:
         """Every ``jobs/*.json`` record, keyed by file stem (= job id)."""
@@ -160,7 +154,7 @@ class DirectoryJobStore(JobStore):
 
     def save_answers(self, payload: dict[str, Any]) -> None:
         """Atomically write ``answers.json`` (a full snapshot)."""
-        self._write_atomic(self.root / "answers.json", payload)
+        write_atomic(self.root / "answers.json", json.dumps(payload))
 
     def load_answers(self) -> dict[str, Any] | None:
         """The persisted answer log, or ``None`` for a fresh directory."""

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.errors import CheckpointVersionError, InvalidParameterError, ReproError
+from repro.service.store import write_atomic
 from repro.serving.protocol import Submission
 
 __all__ = ["LeaseLostError", "Lease", "JobBoard", "TERMINAL_STATUSES"]
@@ -87,25 +88,19 @@ class Lease:
     token: str
 
 
-def _write_atomic(path: Path, payload: Mapping[str, Any]) -> None:
-    scratch = path.with_name(path.name + f".tmp-{secrets.token_hex(4)}")
-    scratch.write_text(json.dumps(payload))
-    os.replace(scratch, path)
-
-
 def _link_exclusive(path: Path, payload: Mapping[str, Any]) -> bool:
     """Create ``path`` with ``payload`` atomically and exclusively:
     the file appears fully written or not at all, and exactly one of
     any number of racers succeeds. Returns False for the losers."""
     scratch = path.with_name(path.name + f".link-{secrets.token_hex(4)}")
-    scratch.write_text(json.dumps(payload))
     try:
+        scratch.write_text(json.dumps(payload))
         os.link(scratch, path)
         return True
     except FileExistsError:
         return False
     finally:
-        os.unlink(scratch)
+        scratch.unlink(missing_ok=True)
 
 
 def _read_json(path: Path) -> dict[str, Any] | None:
@@ -220,7 +215,7 @@ class JobBoard:
 
     def write_state(self, job_id: str, state: Mapping[str, Any]) -> None:
         """Atomically replace the job's state record."""
-        _write_atomic(self.job_dir(job_id) / "state.json", state)
+        write_atomic(self.job_dir(job_id) / "state.json", json.dumps(state))
 
     def states(self) -> Iterator[tuple[str, dict[str, Any]]]:
         """Iterate ``(job_id, state)`` over every job with a submission."""
@@ -310,7 +305,7 @@ class JobBoard:
                 f"{lease.worker}"
             )
         info["heartbeat"] = time.time()
-        _write_atomic(path, info)
+        write_atomic(path, json.dumps(info))
         # Verify the write stuck: a takeover racing the refresh must
         # leave exactly one owner, and the loser must find out here.
         info = _read_json(path)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -32,6 +31,7 @@ import numpy as np
 from repro.crowd.oracle import GroundTruthOracle, Oracle
 from repro.data.synthetic import binary_dataset, single_attribute_dataset
 from repro.errors import InvalidParameterError
+from repro.service.store import write_atomic
 
 __all__ = [
     "ServingConfig",
@@ -246,17 +246,7 @@ def init_serving_root(root: str | os.PathLike[str], config: ServingConfig) -> Pa
                 "different config; refusing to overwrite it"
             )
         return root
-    # Unique scratch name: two processes initialising the same root must
-    # not rename each other's half-written config (the PR 6 store race).
-    scratch = config_path.with_suffix(
-        f".json.tmp-{os.getpid()}-{secrets.token_hex(4)}"
-    )
-    try:
-        scratch.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
-        os.replace(scratch, config_path)
-    except BaseException:
-        scratch.unlink(missing_ok=True)
-        raise
+    write_atomic(config_path, json.dumps(config.to_dict(), indent=2, sort_keys=True))
     return root
 
 

@@ -181,15 +181,8 @@ def _run_leased_job(
     if query_log is not None:
         oracle = QueryLoggingOracle(oracle, query_log)
     store = DirectoryJobStore(board.job_dir(job_id) / "store")
-    checkpoint = store.load_answers()
-    resumed = checkpoint is not None
-    # Answers durable before this claim. Fresh asks replay free on the
-    # next resume, so cumulative spend = baseline + this ledger.
-    baseline = 0
+    resumed = store.load_answers() is not None
     if resumed:
-        baseline = len(checkpoint.get("set_answers") or []) + len(
-            checkpoint.get("point_answers") or []
-        )
         service = AuditService.resume(
             store, oracle, checkpoint_every=config.checkpoint_every
         )
@@ -213,6 +206,7 @@ def _run_leased_job(
         service.checkpoint()
     handle = service.jobs()[0]
     mirrored = len(handle.events())
+    baseline = service.tasks_paid  # paid before this claim
 
     state["worker"] = lease.worker
     state["status"] = "running" if not handle.status.terminal else state["status"]
@@ -247,7 +241,7 @@ def _run_leased_job(
                 mirrored = _mirror_events(
                     state, handle.events(), mirrored, lease.worker, baseline
                 )
-                state["tasks_paid"] = baseline + oracle.ledger.total
+                state["tasks_paid"] = service.tasks_paid
                 board.write_state(job_id, state)
             if config.step_delay_seconds:
                 time.sleep(config.step_delay_seconds)
@@ -273,7 +267,7 @@ def _run_leased_job(
     state["status"] = status
     state["result"] = result
     state["error"] = error
-    state["tasks_paid"] = baseline + oracle.ledger.total
+    state["tasks_paid"] = service.tasks_paid
     board.write_state(job_id, state)
     board.release(lease)
     service.close()

@@ -21,6 +21,7 @@ DOCTESTED_MODULES = (
     "repro.audit.specs",
     "repro.audit.report",
     "repro.audit.runners",
+    "repro.audit.proxy",
     "repro.audit.session",
     "repro.audit.serialization",
     "repro.service.jobs",

@@ -149,3 +149,44 @@ class TestDirectoryResume:
         store.save_answers({"version": 99})
         with pytest.raises(InvalidParameterError):
             AuditService.resume(store, GroundTruthOracle(dataset))
+
+    def test_tasks_paid_carries_over_a_resume(self, dataset):
+        """``tasks_paid`` is the whole bill: what the checkpointed service
+        paid plus what the resumed one pays, equal to an uninterrupted
+        run's."""
+        specs = [GroupAuditSpec(predicate=group(race=value), tau=80) for value in COUNTS]
+        reference_oracle = GroundTruthOracle(dataset)
+        with AuditService(reference_oracle) as reference:
+            for spec in specs:
+                reference.submit(spec)
+            reference.drain()
+        assert reference.tasks_paid == reference_oracle.ledger.total
+
+        store = InMemoryJobStore()
+        with AuditService(GroundTruthOracle(dataset), job_store=store) as first:
+            for spec in specs:
+                first.submit(spec)
+            for _ in range(3):
+                first.step()
+            first.checkpoint()
+            paid_before_crash = first.tasks_paid
+        assert 0 < paid_before_crash < reference.tasks_paid
+
+        revived = AuditService.resume(store, GroundTruthOracle(dataset))
+        assert revived.tasks_paid == paid_before_crash
+        with revived:
+            revived.drain()
+        assert revived.tasks_paid == reference.tasks_paid
+
+    def test_answer_log_without_tasks_paid_counts_its_entries(self, dataset):
+        store = InMemoryJobStore()
+        with AuditService(GroundTruthOracle(dataset), job_store=store) as service:
+            service.submit(GroupAuditSpec(predicate=group(race="black"), tau=80))
+            service.drain()
+        answers = store.load_answers()
+        del answers["tasks_paid"]
+        store.save_answers(answers)
+        revived = AuditService.resume(store, GroundTruthOracle(dataset))
+        assert revived.tasks_paid == len(answers["set_answers"]) + len(
+            answers["point_answers"]
+        )

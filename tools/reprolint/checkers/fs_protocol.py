@@ -16,7 +16,7 @@ store/board modules:
 3. **claims use link-or-rename** — functions matching the configured
    claim patterns (``*claim*``/``*takeover*``) must reach an exclusive
    publisher (``_link_exclusive``, ``os.rename``/``os.link``), not a
-   clobbering ``_write_atomic``: two racers both "succeed" at
+   clobbering ``write_atomic``: two racers both "succeed" at
    ``os.replace``, only one wins a hard link or rename.
 
 Options

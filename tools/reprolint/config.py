@@ -224,12 +224,7 @@ DEFAULT = Config(
             ),
             options={
                 "model_include": ("src/repro/*",),
-                "atomic_helpers": (
-                    "_write_atomic",
-                    "*._write_atomic",
-                    "_link_exclusive",
-                    "init_serving_root",
-                ),
+                "atomic_helpers": ("write_atomic", "_link_exclusive"),
                 "tolerant_readers": ("_read_json",),
             },
         ),
