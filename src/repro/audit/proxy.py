@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.audit import serialization as codec
 from repro.crowd.oracle import Oracle
+from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.reliability.serialization import ReliabilitySnapshot
 from repro.engine.requests import QueryKey, set_query_key
 from repro.errors import CheckpointVersionError
@@ -46,11 +47,14 @@ def _reliability_platform(oracle: Oracle):
 
 @dataclass(frozen=True)
 class AnswerLog:
-    """A decoded answer log, as :meth:`RecordingOracleProxy.replay` loads it."""
+    """A decoded answer log, as :meth:`RecordingOracleProxy.replay` loads
+    it: the recorded answers and, for a reliability-enabled platform, the
+    policy and platform rng the checkpoint restores (else ``None``)."""
 
     set_answers: dict[QueryKey, bool]
     point_answers: dict[int, dict[str, str]]
-    reliability: ReliabilitySnapshot | None
+    reliability: AdaptiveAssignmentPolicy | None
+    platform_rng: np.random.Generator | None
 
 
 class RecordingOracleProxy(Oracle):
@@ -151,20 +155,27 @@ class RecordingOracleProxy(Oracle):
                 "same CrowdPlatform(reliability=...) configuration the "
                 "checkpoint was written under"
             )
+        policy, platform_rng = None, None
+        if raw_reliability is not None:
+            policy, platform_rng = ReliabilitySnapshot.from_dict(
+                raw_reliability
+            ).restored(_reliability_platform(oracle))
         return AnswerLog(
             codec.set_answers_from_list(raw_set_answers),
             codec.point_answers_from_list(raw_point_answers),
-            None if raw_reliability is None else ReliabilitySnapshot.from_dict(raw_reliability),
+            policy,
+            platform_rng,
         )
 
     def replay(self, log: AnswerLog, cache=None) -> None:
         """Load a decoded log: its answers replay for free through this
-        proxy and ``cache``; its reliability snapshot is restored.
+        proxy and ``cache``; its policy and platform rng are installed on
+        the reliability-enabled platform.
 
         >>> from repro import GroundTruthOracle, binary_dataset
         >>> proxy = RecordingOracleProxy(
         ...     GroundTruthOracle(binary_dataset(9, 3, placement="front")))
-        >>> proxy.replay(AnswerLog({}, {0: {"gender": "male"}}, None))
+        >>> proxy.replay(AnswerLog({}, {0: {"gender": "male"}}, None, None))
         >>> proxy.ask_point(0), proxy.ledger.total
         ({'gender': 'male'}, 0)
         """
@@ -176,7 +187,10 @@ class RecordingOracleProxy(Oracle):
             for key, answer in log.set_answers.items():
                 cache.store(key, answer)
         if log.reliability is not None:
-            log.reliability.restore(_reliability_platform(self._session_inner))
+            platform = _reliability_platform(self._session_inner)
+            platform.reliability = log.reliability
+            if log.platform_rng is not None:
+                platform.rng = log.platform_rng
 
     def reliability_report(self):
         """The inner platform's current

@@ -29,12 +29,13 @@ repository's rng-stream discipline.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.errors import CheckpointVersionError, InvalidParameterError
 
 from repro.crowd.reliability.online import OnlineDawidSkene, PointVotes, SetVotes
 from repro.crowd.reliability.tracker import ReliabilityTracker
@@ -310,10 +311,34 @@ class AdaptiveAssignmentPolicy:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore :meth:`state_dict` output bit-identically, estimator
-        first so the tracker reads consistent statistics."""
-        self.estimator.load_state_dict(state["estimator"])
-        self.tracker.load_state_dict(state["tracker"])
-        self.n_hits = int(state["n_hits"])
-        self.n_votes = int(state["n_votes"])
-        self.n_probes = int(state["n_probes"])
+        """Restore :meth:`state_dict` output bit-identically. A payload
+        this build cannot read raises
+        :class:`~repro.errors.CheckpointVersionError` and leaves the
+        policy unchanged (see :meth:`loaded`).
+
+        >>> policy = AdaptiveAssignmentPolicy()
+        >>> broken = policy.state_dict()
+        >>> del broken["tracker"]
+        >>> policy.load_state_dict(broken)
+        Traceback (most recent call last):
+        repro.errors.CheckpointVersionError: reliability policy state is not readable by this build (KeyError: 'tracker')
+        """
+        self.__dict__.update(vars(self.loaded(state)))
+
+    def loaded(self, state: Mapping[str, Any]) -> "AdaptiveAssignmentPolicy":
+        """A copy of this policy carrying :meth:`state_dict` output
+        ``state``, estimator first so the tracker reads consistent
+        statistics; this policy is unchanged either way."""
+        policy = copy.deepcopy(self)
+        try:
+            policy.estimator.load_state_dict(state["estimator"])
+            policy.tracker.load_state_dict(state["tracker"])
+            policy.n_hits = int(state["n_hits"])
+            policy.n_votes = int(state["n_votes"])
+            policy.n_probes = int(state["n_probes"])
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
+            raise CheckpointVersionError(
+                "reliability policy state is not readable by this build "
+                f"({type(error).__name__}: {error})"
+            ) from error
+        return policy

@@ -32,6 +32,7 @@ from repro.errors import CheckpointVersionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.crowd.platform import CrowdPlatform
+    from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 
 __all__ = ["ReliabilitySnapshot", "RELIABILITY_STATE_VERSION"]
 
@@ -71,26 +72,32 @@ class ReliabilitySnapshot:
             platform_rng_state=dict(platform.rng.bit_generator.state),
         )
 
-    def restore(self, platform: "CrowdPlatform") -> None:
-        """Load this snapshot into an identically configured platform:
-        policy state first, then the platform rng stream position."""
+    def restored(
+        self, platform: "CrowdPlatform"
+    ) -> tuple["AdaptiveAssignmentPolicy", np.random.Generator | None]:
+        """This snapshot decoded for an identically configured platform,
+        which stays unchanged: a copy of its policy carrying the
+        snapshot's state, and a platform rng at the snapshot's stream
+        position (``None`` when the snapshot has none). An unreadable
+        payload raises :class:`~repro.errors.CheckpointVersionError`."""
         if platform.reliability is None:
             raise CheckpointVersionError(
                 "checkpoint has a reliability section but the resumed "
                 "platform was constructed without reliability="
             )
-        platform.reliability.load_state_dict(self.policy)
+        rng = None
         if self.platform_rng_state is not None:
             try:
                 bit_generator = getattr(
                     np.random, str(self.platform_rng_state["bit_generator"])
                 )()
                 bit_generator.state = dict(self.platform_rng_state)
-            except (KeyError, TypeError, ValueError) as error:
+            except (KeyError, TypeError, ValueError, AttributeError) as error:
                 raise CheckpointVersionError(
                     f"malformed platform rng state in reliability section: {error}"
                 ) from error
-            platform.rng = np.random.Generator(bit_generator)
+            rng = np.random.Generator(bit_generator)
+        return platform.reliability.loaded(self.policy), rng
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a JSON-compatible dict, stamped with

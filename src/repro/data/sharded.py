@@ -42,10 +42,9 @@ boundary.
 
 Everything is *exact*, so oracles answering over any shard geometry
 are bit-identical to answering over the in-RAM dataset: same verdicts,
-same task counts, same rng streams (pinned by
-``tests/crowd/test_sharded_equivalence.py``, and across executor modes
-by ``tests/data/test_kernel_equivalence.py``). Peak memory is
-structurally bounded by ``max_resident_shards`` chunks plus the
+same task counts, same rng streams (pinned across layouts and executor
+modes by the differential harness ``tests/test_differential.py``). Peak
+memory is structurally bounded by ``max_resident_shards`` chunks plus the
 prefix-table budget — ``benchmarks/bench_shards.py`` asserts it while
 auditing datasets 10× larger than an in-RAM index could hold.
 """
@@ -176,7 +175,7 @@ ProcessPoolExecutor` running the picklable kernels of
       discarded); a retry on a fresh executor replays deterministically.
 
     Results always come back in input order, so answers are identical in
-    every mode — pinned by ``tests/data/test_kernel_equivalence.py``.
+    every mode — pinned by ``tests/test_differential.py``.
 
     Examples
     --------

@@ -525,77 +525,70 @@ class AuditService:
             self._start(job)
 
     def _start(self, job: _Job) -> None:
+        """Activate ``job`` inside the job-failure boundary.
+
+        A group spec becomes a stepper on the shared engine and settles
+        when its flow completes; any other spec executes to completion
+        here, blocking the service loop (concurrent group flows keep
+        advancing underneath, and its ``tasks`` window includes what
+        they spend meanwhile). A job whose spec cannot start or run —
+        an invalid view, a missing rng — ends ``FAILED`` with the error
+        text, is persisted and frees its slot; only budget exhaustion,
+        which suspends every job, propagates.
+        """
         self._set_status(job, JobStatus.RUNNING)
         job.started_at = time.perf_counter()
         self._event(job, "started")
-        if isinstance(job.spec, GroupAuditSpec):
-            stepper = make_group_stepper(
-                job.spec,
-                dataset_size=self.dataset_size,
-                speculation=self.engine.speculation,
-            )
-
-            def finish(_stepper, job=job):
-                self._finish_group_job(job)
-                return None
-
-            job.flow = self.engine.admit(stepper, on_complete=finish)
-        else:
-            self._run_blocking(job)
-
-    def _finish_group_job(self, job: _Job) -> None:
-        assert job.flow is not None and job.started_at is not None
-        tasks = TaskUsage(n_set_queries=job.flow.dispatched)
-        result = job.flow.stepper.result(tasks=tasks)
-        job.result = AuditReport(
-            entries=(AuditEntry(spec=job.spec, result=result),),
-            tasks=tasks,
-            engine_stats=None,
-            wall_clock_seconds=time.perf_counter() - job.started_at,
-        )
-        self._set_status(job, JobStatus.SUCCEEDED)
-        self._event(job, "succeeded", f"dispatched={job.flow.dispatched}")
-        self._persist(job)
-
-    def _run_blocking(self, job: _Job) -> None:
-        """Execute a non-group spec to completion on the shared engine.
-
-        Concurrent group flows keep advancing underneath (the engine's
-        drain loop pumps every admitted flow), and every answer lands in
-        the shared cache — but this job occupies the service loop until
-        it finishes. The report's ``tasks`` window therefore includes
-        whatever concurrent flows spent during the overlap; exact
-        per-job attribution is a group-audit feature.
-        """
-        started = time.perf_counter()
         window = LedgerWindow(self.oracle.ledger)
-        rng = (
-            np.random.default_rng(job.seed) if job.seed is not None else None
-        )
         try:
+            if isinstance(job.spec, GroupAuditSpec):
+                stepper = make_group_stepper(
+                    job.spec,
+                    dataset_size=self.dataset_size,
+                    speculation=self.engine.speculation,
+                )
+
+                def finish(_stepper, job=job):
+                    tasks = TaskUsage(n_set_queries=job.flow.dispatched)
+                    self._settle(
+                        job,
+                        job.flow.stepper.result(tasks=tasks),
+                        tasks,
+                        f"dispatched={job.flow.dispatched}",
+                    )
+
+                job.flow = self.engine.admit(stepper, on_complete=finish)
+                return
             result = run_spec(
                 self._proxy,
                 job.spec,
                 engine=self.engine,
-                rng=rng,
+                rng=np.random.default_rng(job.seed) if job.seed is not None else None,
                 dataset_size=self.dataset_size,
             )
         except BudgetExceededError:
             raise  # handled service-wide in step()
         except Exception as error:  # noqa: BLE001 - job isolation boundary
+            self._settle(job, error=error)
+            return
+        self._settle(job, result, window.usage())
+
+    def _settle(self, job: _Job, result=None, tasks=None, detail="", *, error=None) -> None:
+        """Record a started job's outcome — its report, or the error
+        that failed it — and persist it."""
+        if error is not None:
             self._set_status(job, JobStatus.FAILED)
             job.error = f"{type(error).__name__}: {error}"
             self._event(job, "failed", job.error)
-            self._persist(job)
-            return
-        job.result = AuditReport(
-            entries=(AuditEntry(spec=job.spec, result=result),),
-            tasks=window.usage(),
-            engine_stats=None,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-        self._set_status(job, JobStatus.SUCCEEDED)
-        self._event(job, "succeeded")
+        else:
+            job.result = AuditReport(
+                entries=(AuditEntry(spec=job.spec, result=result),),
+                tasks=tasks,
+                engine_stats=None,
+                wall_clock_seconds=time.perf_counter() - job.started_at,
+            )
+            self._set_status(job, JobStatus.SUCCEEDED)
+            self._event(job, "succeeded", detail)
         self._persist(job)
 
     def _suspend_all(self, reason: str) -> None:

@@ -6,7 +6,8 @@ idempotency hash::
     jobs/<job_id>/
       submit.json     immutable submission record (spec, tenant, seed)
       state.json      mutable status/events/result — atomic replace
-      lease.json      live worker claim (worker id, token, heartbeat)
+      lease.<g>.json  claim generation g (worker id, token, heartbeat);
+                      the highest g is the live lease or its release
       cancel          cancellation request marker
       store/          the job's private DirectoryJobStore (checkpoints)
 
@@ -17,14 +18,13 @@ Three invariants carry the whole serving design:
   of any number of concurrent submitters of the same spec hash creates
   the job; everyone else observes it already exists and gets the same
   job id back. A partially written submission is never visible.
-* **Atomic claims.** A lease is claimed the same way (exclusive link).
-  Stale leases (heartbeat older than the TTL) are taken over by first
-  renaming the stale file aside — ``os.rename`` of one source path
-  succeeds for exactly one racer — and checking that the file moved
-  aside is the stale record that was read (a racer that read the same
-  stale record late may instead have moved the winner's fresh lease;
-  it puts that back and loses), so two workers can never both win a
-  takeover.
+* **Atomic claims.** Every claim, takeover and release creates the
+  next lease generation the same way (exclusive link); no lease file is
+  ever renamed or removed. A claimer that read generation ``g`` as free
+  or stale (heartbeat older than the TTL) wins only by creating
+  ``g + 1``, so of all racers that read the same record exactly one
+  wins, however late the others act, and a claimer killed at any point
+  leaves either no new generation or one that goes stale in turn.
 * **Torn-read-free state.** Every ``state.json`` write is temp file +
   ``os.replace``, the same contract :class:`~repro.service.DirectoryJobStore`
   pins for checkpoints: readers see the old record or the new one,
@@ -61,9 +61,9 @@ _STATE_VERSION = 1
 class LeaseLostError(ReproError):
     """The worker's lease was taken over (or released) under it.
 
-    Raised by :meth:`JobBoard.heartbeat` when the lease file no longer
-    carries the caller's token: the job now belongs to someone else and
-    the caller must stop touching its state.
+    Raised by :meth:`JobBoard.heartbeat` when a later lease generation
+    exists: the job now belongs to someone else and the caller must stop
+    touching its state.
 
     Examples
     --------
@@ -78,7 +78,8 @@ class Lease:
 
     Examples
     --------
-    >>> lease = Lease(job_id="j" + "0" * 16, worker="w1", token="ab12")
+    >>> lease = Lease(job_id="j" + "0" * 16, worker="w1", token="ab12",
+    ...               generation=1)
     >>> lease.worker
     'w1'
     """
@@ -86,6 +87,7 @@ class Lease:
     job_id: str
     worker: str
     token: str
+    generation: int
 
 
 def _link_exclusive(path: Path, payload: Mapping[str, Any]) -> bool:
@@ -238,12 +240,24 @@ class JobBoard:
         return (self.job_dir(job_id) / "cancel").exists()
 
     # -- leases -----------------------------------------------------------
-    def _lease_path(self, job_id: str) -> Path:
-        return self.job_dir(job_id) / "lease.json"
+    def _lease_path(self, job_id: str, generation: int) -> Path:
+        return self.job_dir(job_id) / f"lease.{generation}.json"
+
+    def _newest_lease(self, job_id: str) -> tuple[int, dict[str, Any] | None]:
+        """``(generation, record)`` of the job's highest lease generation;
+        ``(0, None)`` before the first claim. Generations are created in
+        order and never removed, so the first missing one ends the scan."""
+        generation = 0
+        while self._lease_path(job_id, generation + 1).exists():
+            generation += 1
+        if generation == 0:
+            return 0, None
+        return generation, _read_json(self._lease_path(job_id, generation))
 
     def lease_info(self, job_id: str) -> dict[str, Any] | None:
         """The current lease record, or ``None`` when unclaimed."""
-        return _read_json(self._lease_path(job_id))
+        _, info = self._newest_lease(job_id)
+        return None if info is None or info.get("released") else info
 
     def lease_is_stale(self, info: Mapping[str, Any], ttl: float) -> bool:
         """Whether a lease record's heartbeat is older than ``ttl``."""
@@ -253,38 +267,22 @@ class JobBoard:
         """Attempt to claim the job for ``worker``; ``None`` when someone
         else holds a live lease (or wins the race).
 
-        A stale lease (heartbeat older than ``ttl``) is taken over: the
-        stale file is renamed aside — an atomic step exactly one racer
-        can perform — and a fresh lease is created exclusively. If the
-        file renamed aside is not the stale record this call read,
-        another claimer completed its takeover in between: the moved
-        lease is that claimer's fresh one, so it goes back (unless a
-        third claimer already holds the path) and this call loses.
+        The claim creates the generation after the newest one this call
+        read, which must be released or stale (heartbeat older than
+        ``ttl``). Exactly one racer creates it; a racer that read an
+        older generation fails to create a generation that exists.
         """
+        generation, info = self._newest_lease(job_id)
+        if (
+            info is not None
+            and not info.get("released")
+            and not self.lease_is_stale(info, ttl)
+        ):
+            return None
         token = secrets.token_hex(8)
-        path = self._lease_path(job_id)
-        info = _read_json(path)
-        if info is not None:
-            if not self.lease_is_stale(info, ttl):
-                return None
-            aside = path.with_name(f"lease.stale-{token}")
-            try:
-                os.rename(path, aside)
-            except FileNotFoundError:
-                return None  # another claimer already took it aside
-            moved = _read_json(aside)
-            if moved is None or moved.get("token") != info.get("token"):
-                try:
-                    os.link(aside, path)
-                except FileExistsError:
-                    pass  # a third claimer holds the path; its lease stands
-                os.unlink(aside)
-                return None
-            os.unlink(aside)
         now = time.time()
-        lease = Lease(job_id=job_id, worker=worker, token=token)
         created = _link_exclusive(
-            path,
+            self._lease_path(job_id, generation + 1),
             {
                 "worker": worker,
                 "token": token,
@@ -292,50 +290,40 @@ class JobBoard:
                 "claimed_at": now,
             },
         )
-        return lease if created else None
+        if not created:
+            return None
+        return Lease(
+            job_id=job_id, worker=worker, token=token, generation=generation + 1
+        )
 
     def heartbeat(self, lease: Lease) -> None:
         """Refresh the lease's heartbeat; raises :class:`LeaseLostError`
-        when the lease no longer carries the caller's token."""
-        path = self._lease_path(lease.job_id)
+        when a later generation (a takeover or the release) exists."""
+        path = self._lease_path(lease.job_id, lease.generation)
+        successor = self._lease_path(lease.job_id, lease.generation + 1)
         info = _read_json(path)
-        if info is None or info.get("token") != lease.token:
+        if successor.exists() or info is None or info.get("token") != lease.token:
             raise LeaseLostError(
                 f"lease on {lease.job_id} no longer belongs to "
                 f"{lease.worker}"
             )
         info["heartbeat"] = time.time()
         write_atomic(path, json.dumps(info))
-        # Verify the write stuck: a takeover racing the refresh must
-        # leave exactly one owner, and the loser must find out here.
-        info = _read_json(path)
-        if info is None or info.get("token") != lease.token:
+        # A takeover that read the old heartbeat may have landed while
+        # this one was written; the loser must find out here.
+        if successor.exists():
             raise LeaseLostError(
                 f"lease on {lease.job_id} was taken over during refresh"
             )
 
     def release(self, lease: Lease) -> None:
-        """Drop the lease (after the final state write). A lease already
-        taken over is left alone."""
-        path = self._lease_path(lease.job_id)
-        info = _read_json(path)
-        if info is not None and info.get("token") == lease.token:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-
-    # -- worker scanning --------------------------------------------------
-    def claimable(self, job_id: str, *, ttl: float) -> bool:
-        """Cheap pre-claim filter: the job has a submission, is not
-        terminal, and carries no live lease."""
-        state = _read_json(self.job_dir(job_id) / "state.json")
-        if state is not None and state.get("status") in TERMINAL_STATUSES:
-            return False
-        if state is None and self.read_submission(job_id) is None:
-            return False
-        info = self.lease_info(job_id)
-        return info is None or self.lease_is_stale(info, ttl)
+        """Drop the lease (after the final state write) by creating the
+        next generation as a release record. A lease already taken over
+        is left alone."""
+        _link_exclusive(
+            self._lease_path(lease.job_id, lease.generation + 1),
+            {"worker": lease.worker, "token": lease.token, "released": True},
+        )
 
     # -- tallies ----------------------------------------------------------
     def counts(self) -> dict[str, int]:

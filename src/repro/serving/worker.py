@@ -123,6 +123,11 @@ class QueryLoggingOracle:
             self._write({"kind": "point", "index": int(index)})
         return self._inner.ask_point_batch(indices)
 
+    def ask_point_membership(self, index: int, predicate) -> bool:
+        """A point query phrased as membership, logged as the point
+        query it is paid as."""
+        return predicate.matches_row(self.ask_point(index))
+
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 

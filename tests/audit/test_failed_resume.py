@@ -75,6 +75,11 @@ LOG_CORRUPTIONS = {
     "set-answer": ("set_answers", drop("predicate")),
     "point-answer": ("point_answers", drop("labels")),
     "reliability-version": ("reliability", lambda r: r.update(version=99)),
+    "reliability-policy": ("reliability", lambda r: r["policy"].pop("tracker")),
+    "reliability-rng": (
+        "reliability",
+        lambda r: r["platform_rng_state"].update(bit_generator="NoSuchGenerator"),
+    ),
 }
 SESSION_CORRUPTIONS = dict(
     LOG_CORRUPTIONS,

@@ -18,6 +18,7 @@ from repro.core.group_coverage import group_coverage
 from repro.core.multiple_coverage import multiple_coverage
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
 from repro.data.synthetic import binary_dataset, single_attribute_dataset
 from repro.engine import QueryEngine
 from repro.errors import InvalidParameterError
@@ -260,3 +261,11 @@ class TestLegacyDeprecation:
                     dataset_size=len(ds),
                     engine=adhoc,
                 )
+
+
+def test_session_exposes_sharded_membership_index(dataset):
+    sharded = ShardedDataset.from_dataset(dataset, 512)
+    oracle = GroundTruthOracle(sharded)
+    with AuditSession(oracle) as session:
+        assert isinstance(session.membership_index, ShardedMembershipIndex)
+        assert session.dataset_size == len(dataset)

@@ -261,3 +261,51 @@ class TestFlakyOracle:
     def test_invalid_rates(self, dataset, rng):
         with pytest.raises(InvalidParameterError):
             FlakyOracle(dataset, rng, set_error_rate=2.0)
+
+
+class TestPointAndHookContracts:
+    def test_point_batch_bounds_checked(self, dataset):
+        """Batched point queries reject out-of-range indices like the
+        single-query path instead of wrapping via fancy-indexing."""
+        oracle = GroundTruthOracle(dataset)
+        with pytest.raises(OracleError):
+            oracle.ask_point_batch([0, -1])
+        with pytest.raises(OracleError):
+            oracle.ask_point_batch([len(dataset)])
+
+    def test_subclassed_point_hook_sees_batched_queries(self, dataset):
+        """A subclass overriding only _answer_point must observe every
+        batched point query, exactly like the set-hook contract."""
+        seen: list[int] = []
+
+        class Tracing(GroundTruthOracle):
+            def _answer_point(self, index):
+                seen.append(index)
+                return super()._answer_point(index)
+
+        class TracingFlaky(FlakyOracle):
+            def _answer_point(self, index):
+                seen.append(index)
+                return super()._answer_point(index)
+
+        Tracing(dataset).ask_point_batch([0, 1, 2, 3])
+        assert seen == [0, 1, 2, 3]
+        seen.clear()
+        TracingFlaky(dataset, np.random.default_rng(0)).ask_point_batch([5, 6])
+        assert seen == [5, 6]
+
+    def test_subclassed_set_hook_sees_every_query(self, dataset):
+        """Same contract for set queries, sequential and batched."""
+        seen: list[tuple] = []
+
+        class Tracing(GroundTruthOracle):
+            def _answer_set(self, indices, predicate, index_key):
+                seen.append((int(indices[0]), int(indices[-1])))
+                return super()._answer_set(indices, predicate, index_key)
+
+        oracle = Tracing(dataset)
+        oracle.ask_set(np.arange(0, 10), FEMALE)
+        oracle.ask_set_batch(
+            [(np.arange(10, 20), FEMALE), (np.array([1, 5, 9]), FEMALE)]
+        )
+        assert seen == [(0, 9), (10, 19), (1, 9)]

@@ -300,6 +300,19 @@ class TestAdaptiveAssignmentPolicy:
                 AdaptiveAssignmentPolicy(**kwargs)
 
 
+    @pytest.mark.parametrize("drop", ["estimator", "tracker", "n_probes"])
+    def test_unreadable_state_leaves_the_policy_unchanged(self, rng, drop):
+        policy = AdaptiveAssignmentPolicy()
+        _feed(policy.estimator, rng, 30, {0: good(), 3: uniform()})
+        policy.tracker.review()
+        before = policy.state_dict()
+        broken = AdaptiveAssignmentPolicy().state_dict()
+        del broken[drop]
+        with pytest.raises(CheckpointVersionError, match=drop):
+            policy.load_state_dict(broken)
+        assert policy.state_dict() == before
+
+
 class TestAdaptivePlatform:
     @pytest.fixture
     def dataset(self):

@@ -12,11 +12,15 @@ on top of the randomized property test.
 
 from __future__ import annotations
 
+import functools
+import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
+from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
 from repro.data.sharded import (
@@ -27,7 +31,7 @@ from repro.data.sharded import (
 )
 from repro.data.synthetic import binary_dataset, intersectional_dataset
 from repro.engine.requests import IndexKey
-from repro.errors import InvalidParameterError, OracleError
+from repro.errors import InvalidParameterError, OracleError, ReproError, ShardExecutionError
 
 FEMALE = group(gender="female")
 
@@ -432,3 +436,83 @@ def test_shard_stats_identity_under_contended_same_shard_loads(dense):
     chunk_bytes = 50 * ds.schema.n_attributes * np.dtype(np.int16).itemsize
     assert stats.resident_bytes == 4 * chunk_bytes
     assert stats.resident_bytes <= stats.peak_resident_bytes
+
+
+def test_processes_mode_requires_picklable_source():
+    schema = Schema.from_dict({"gender": ["male", "female"]})
+    with ShardExecutor(mode="processes") as executor:
+        with pytest.raises(InvalidParameterError, match="pickl"):
+            ShardedDataset.from_generator(
+                schema, 100, 25,
+                lambda s, a, b: np.zeros((b - a, 1), dtype=np.int16),
+                executor=executor,
+            )
+        dense = LabeledDataset(schema, np.zeros((100, 1), dtype=np.int16))
+        with pytest.raises(InvalidParameterError, match="chunk source"):
+            ShardedDataset.from_dataset(dense, 25, executor=executor)
+
+
+def _killer_chunk(
+    flag_path: str, shard_index: int, start: int, stop: int
+) -> np.ndarray:
+    """Generate rows, but SIGKILL the calling process the first time
+    shard 1 is requested (the flag file makes the kill one-shot, so a
+    retry on a fresh pool generates normally)."""
+    if shard_index == 1 and not os.path.exists(flag_path):
+        with open(flag_path, "w") as fh:
+            fh.write("killed")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.kill(os.getpid(), signal.SIGKILL)
+    rows = np.arange(start, stop, dtype=np.int64)
+    return ((rows * 2654435761 + 99 * 97) % 10_007 % 2).astype(np.int16)[:, None]
+
+
+def test_sigkill_mid_build_surfaces_library_error_and_retry_is_identical(tmp_path):
+    schema = Schema.from_dict({"gender": ["male", "female"]})
+    generate = functools.partial(_killer_chunk, str(tmp_path / "killed.flag"))
+
+    with ShardExecutor(mode="processes", max_workers=1) as executor:
+        ds = ShardedDataset.from_generator(
+            schema, 400, 100, generate, executor=executor
+        )
+        index = ShardedMembershipIndex.for_dataset(ds)
+        with pytest.raises(ShardExecutionError, match="worker died") as caught:
+            index.shard_totals(FEMALE)
+        # A single `except ReproError` clause catches it, and the
+        # original BrokenProcessPool rides along as the cause.
+        assert isinstance(caught.value, ReproError)
+        assert caught.value.__cause__ is not None
+
+    # Retry on a fresh executor (the flag file disarms the kill):
+    # bit-identical to the serial reference build.
+    with ShardExecutor(mode="processes", max_workers=1) as executor:
+        ds = ShardedDataset.from_generator(
+            schema, 400, 100, generate, executor=executor
+        )
+        retried = ShardedMembershipIndex.for_dataset(ds).shard_totals(FEMALE)
+    serial_ds = ShardedDataset.from_generator(schema, 400, 100, generate)
+    reference = ShardedMembershipIndex(serial_ds).shard_totals(FEMALE)
+    np.testing.assert_array_equal(retried, reference)
+
+
+def test_executor_recovers_with_fresh_pool_after_worker_death(tmp_path):
+    """The *same* executor object discards its broken pool and can map
+    again — later builds lazily spin up a fresh pool."""
+    schema = Schema.from_dict({"gender": ["male", "female"]})
+    generate = functools.partial(
+        _killer_chunk, str(tmp_path / "killed2.flag")
+    )
+    with ShardExecutor(mode="processes", max_workers=1) as executor:
+        ds = ShardedDataset.from_generator(
+            schema, 400, 100, generate, executor=executor
+        )
+        index = ShardedMembershipIndex.for_dataset(ds)
+        with pytest.raises(ShardExecutionError):
+            index.shard_totals(FEMALE)
+        # Same executor, fresh pool, disarmed generator: exact answer.
+        totals = index.shard_totals(FEMALE)
+        serial = ShardedMembershipIndex(
+            ShardedDataset.from_generator(schema, 400, 100, generate)
+        ).shard_totals(FEMALE)
+        np.testing.assert_array_equal(totals, serial)

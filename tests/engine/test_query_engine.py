@@ -12,9 +12,10 @@ from repro.core.group_coverage import (
     group_coverage,
     run_sequential,
 )
+from repro.core.multiple_coverage import multiple_coverage
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
-from repro.data.synthetic import binary_dataset
+from repro.data.synthetic import binary_dataset, single_attribute_dataset
 from repro.engine import AnswerCache, QueryEngine
 from repro.errors import BudgetExceededError, InvalidParameterError
 
@@ -335,3 +336,45 @@ class TestSpeculationEconomics:
             )
             waste = result.tasks.n_set_queries - reference.tasks.n_set_queries
             assert 0 <= waste <= batch_size
+
+
+def test_engine_run_attaches_stats():
+    dataset = binary_dataset(500, 10, rng=np.random.default_rng(0))
+    oracle = GroundTruthOracle(dataset)
+    result = group_coverage(
+        oracle, FEMALE, 20, dataset_size=len(dataset),
+        engine=QueryEngine(oracle),
+    )
+    assert result.engine_stats is not None
+    assert result.engine_stats.dispatched_queries == result.tasks.n_set_queries
+    sequential = group_coverage(
+        GroundTruthOracle(dataset), FEMALE, 20, dataset_size=len(dataset)
+    )
+    assert sequential.engine_stats is None
+
+
+def test_penalty_path_reuses_supergroup_pruning():
+    # Six groups of 100 in a 20k dataset with tau=40: the sampled
+    # estimates merge them, the merged super-group is covered, and the
+    # per-member penalty re-runs hit the implied-negative cache.
+    counts = {"maj": 20000 - 600, **{f"m{i}": 100 for i in range(6)}}
+    dataset = single_attribute_dataset(counts, rng=np.random.default_rng(0))
+    groups = [group(race=value) for value in counts]
+    sequential = multiple_coverage(
+        GroundTruthOracle(dataset), groups, 40,
+        rng=np.random.default_rng(9), dataset_size=len(dataset),
+    )
+    engine_oracle = GroundTruthOracle(dataset)
+    # speculation=0 isolates the cache effect: any task saving below
+    # comes purely from implied-negative replay, not batching luck.
+    engine = QueryEngine(engine_oracle, batch_size=32, speculation=0)
+    batched = multiple_coverage(
+        engine_oracle, groups, 40,
+        rng=np.random.default_rng(9), dataset_size=len(dataset),
+        engine=engine,
+    )
+    assert any(len(sg) > 1 for sg in batched.super_groups)
+    for ours, theirs in zip(batched.entries, sequential.entries):
+        assert (ours.covered, ours.count) == (theirs.covered, theirs.count)
+    assert batched.engine_stats.cache_hits > 0
+    assert batched.tasks.total < sequential.tasks.total

@@ -9,7 +9,7 @@ from repro.audit import AuditSession, GroupAuditSpec, MultipleAuditSpec
 from repro.crowd.backends import LatencyModelBackend, ThreadedBackend
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
-from repro.data.synthetic import single_attribute_dataset
+from repro.data.synthetic import binary_dataset, single_attribute_dataset
 from repro.errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -70,6 +70,24 @@ class TestSingleJob:
             with pytest.raises(JobFailedError):
                 handle.result()
             assert any(event.stage == "failed" for event in handle.events())
+
+    def test_group_job_that_cannot_start_fails_and_frees_its_slot(self):
+        female = group(gender="female")
+        store = InMemoryJobStore()
+        oracle = GroundTruthOracle(binary_dataset(1000, 30, rng=np.random.default_rng(0)))
+        with AuditService(oracle, max_active_jobs=1, job_store=store) as service:
+            bad = service.submit(GroupAuditSpec(predicate=female, tau=5, view=(1, 5, 5000)))
+            good = service.submit(GroupAuditSpec(predicate=female, tau=5))
+            for _ in range(50):
+                if not service.step():
+                    break
+            assert not service.has_work
+            assert bad.status == JobStatus.FAILED
+            with pytest.raises(JobFailedError, match="InvalidParameterError: .*5000"):
+                bad.result()
+            assert store.load_jobs()[bad.job_id]["status"] == "failed"
+            assert good.status == JobStatus.SUCCEEDED
+            assert good.result().result.covered
 
 
 class TestConcurrentJobs:

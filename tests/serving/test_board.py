@@ -27,10 +27,42 @@ def submitted_job(board, tau=40, tenant="lease"):
 
 def backdate_lease(board, job_id, seconds):
     """Age the current lease by moving its heartbeat into the past."""
-    path = board.job_dir(job_id) / "lease.json"
+    path = max(
+        board.job_dir(job_id).glob("lease.*.json"),
+        key=lambda lease: int(lease.name.split(".")[1]),
+    )
     info = json.loads(path.read_text())
     info["heartbeat"] -= seconds
     path.write_text(json.dumps(info))
+
+
+def late_racer_loses(board, monkeypatch, *, release_first):
+    """Let racer A win while racer B sits between reading the stale
+    lease and claiming; assert B and a later racer C lose to A."""
+    job_id = submitted_job(board)
+    doomed = board.try_claim(job_id, "doomed", ttl=30)
+    backdate_lease(board, job_id, 3600)
+    read_json = board_module._read_json
+    raced = {}
+
+    def read_then_let_a_win(path):
+        info = read_json(path)
+        if path.name.startswith("lease.") and "A" not in raced:
+            raced["A"] = None  # A's own reads must not re-enter
+            if release_first:
+                board.release(doomed)
+            raced["A"] = board.try_claim(job_id, "A", ttl=60)
+        return info
+
+    monkeypatch.setattr(board_module, "_read_json", read_then_let_a_win)
+    late = board.try_claim(job_id, "B", ttl=60)
+    monkeypatch.undo()
+    winner = raced["A"]
+    assert winner is not None and winner.worker == "A"
+    assert late is None
+    assert board.try_claim(job_id, "C", ttl=60) is None
+    board.heartbeat(winner)
+    assert board.lease_info(job_id)["token"] == winner.token
 
 
 class TestClaims:
@@ -60,7 +92,8 @@ class TestClaims:
         job_id = submitted_job(board)
         assert board.try_claim(job_id, "first", ttl=30) is not None
         assert board.try_claim(job_id, "second", ttl=30) is None
-        assert not board.claimable(job_id, ttl=30)
+        info = board.lease_info(job_id)
+        assert info["worker"] == "first" and not board.lease_is_stale(info, 30)
 
     def test_stale_lease_is_taken_over_by_exactly_one(self, board):
         job_id = submitted_job(board)
@@ -92,35 +125,41 @@ class TestClaims:
         self, board, monkeypatch
     ):
         """Racer B reads the stale lease, then pauses; racer A takes the
-        lease over completely. B's rename now moves A's fresh lease, so
-        B must put it back and lose — exactly one winner."""
+        lease over completely. B must lose however late it acts, and so
+        must a third racer C, so A stays the only winner."""
+        late_racer_loses(board, monkeypatch, release_first=False)
+
+    def test_late_takeover_does_not_steal_a_claim_after_release(
+        self, board, monkeypatch
+    ):
+        """Racer B reads the stale lease, then pauses; the stale holder
+        releases it and racer A claims the free job. B and a third racer
+        C must both lose."""
+        late_racer_loses(board, monkeypatch, release_first=True)
+
+    def test_claimer_killed_mid_claim_never_wedges_the_job(self, board):
+        """A claimer SIGKILLed between writing its claim and linking it
+        leaves only a stray scratch file; one killed right after linking
+        leaves a lease that goes stale. Either way a later claim wins."""
         job_id = submitted_job(board)
         assert board.try_claim(job_id, "doomed", ttl=30) is not None
         backdate_lease(board, job_id, 3600)
-        read_json = board_module._read_json
-        raced = {}
-
-        def read_then_let_a_win(path):
-            info = read_json(path)
-            if path.name == "lease.json" and "A" not in raced:
-                raced["A"] = None  # A's own reads must not re-enter
-                raced["A"] = board.try_claim(job_id, "A", ttl=60)
-            return info
-
-        monkeypatch.setattr(board_module, "_read_json", read_then_let_a_win)
-        late = board.try_claim(job_id, "B", ttl=60)
-        monkeypatch.setattr(board_module, "_read_json", read_json)
-        winner = raced["A"]
-        assert winner is not None and winner.worker == "A"
-        assert late is None
-        board.heartbeat(winner)
-        assert board.lease_info(job_id)["token"] == winner.token
+        stray = board.job_dir(job_id) / "lease.2.json.link-dead"
+        stray.write_text(json.dumps({"worker": "killed", "token": "x"}))
+        killed = board.try_claim(job_id, "killed-after-link", ttl=60)
+        assert killed is not None
+        backdate_lease(board, job_id, 3600)
+        survivor = board.try_claim(job_id, "survivor", ttl=60)
+        assert survivor is not None
+        with pytest.raises(LeaseLostError):
+            board.heartbeat(killed)
+        assert board.lease_info(job_id)["worker"] == "survivor"
 
     def test_release_then_reclaim(self, board):
         job_id = submitted_job(board)
         lease = board.try_claim(job_id, "one", ttl=30)
         board.release(lease)
-        assert board.claimable(job_id, ttl=30)
+        assert board.lease_info(job_id) is None
         assert board.try_claim(job_id, "two", ttl=30) is not None
 
 
