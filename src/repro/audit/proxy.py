@@ -9,7 +9,10 @@ unchanged) and is transparent when nothing is loaded: same calls, same
 charges, same rounds, bit-identical results.
 
 It also owns the answer log that ends every checkpoint: the
-``set_answers``, ``point_answers`` and ``reliability`` sections.
+``set_answers``, ``point_answers`` and ``reliability`` sections. Point
+answers are kept as ``int16`` code rows (:class:`PointStore`) and
+decoded to labels, in schema order, only when the log is written or a
+caller reads one.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.audit import serialization as codec
-from repro.crowd.oracle import Oracle
+from repro.crowd.oracle import Oracle, cut_after_member, scan_indices
 from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.reliability.serialization import ReliabilitySnapshot
+from repro.data.schema import Schema
 from repro.engine.requests import QueryKey, set_query_key
-from repro.errors import CheckpointVersionError
+from repro.errors import CheckpointVersionError, UnknownGroupError
 
-__all__ = ["AnswerLog", "RecordingOracleProxy"]
+__all__ = ["AnswerLog", "PointStore", "RecordingOracleProxy"]
 
 
 def _infer_dataset_size(oracle: Oracle) -> int | None:
@@ -57,6 +61,128 @@ class AnswerLog:
     platform_rng: np.random.Generator | None
 
 
+class PointStore:
+    """Point answers as code rows: one ``(n, d)`` ``int16`` matrix whose
+    row order is the insertion order of a position map (object index ->
+    row). Recording an index again keeps its first row and takes the
+    latest codes, as a dict keeps its first key and latest value.
+    Replayable rows — answers loaded from a checkpoint — are flagged.
+
+    Fresh batches are appended as they come and folded into the map only
+    when rows are read, so a scan's answers cost no per-object work
+    until a checkpoint decodes them.
+
+    >>> import numpy as np
+    >>> store = PointStore(Schema.from_dict({"gender": ["male", "female"]}))
+    >>> store.record([4, 2], np.array([[1], [0]], dtype=np.int16))
+    >>> store.record([4], np.array([[0]], dtype=np.int16))
+    >>> store.labels()
+    {4: {'gender': 'male'}, 2: {'gender': 'male'}}
+    """
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self._positions: dict[int, int] = {}
+        self._codes = np.empty((16, schema.n_attributes), dtype=np.int16)
+        self._replayable = np.zeros(16, dtype=bool)
+        self.n_replayable = 0
+        #: fresh ``(indices, codes)`` batches not folded into the map yet
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def positions(self) -> dict[int, int]:
+        """Object index -> row, in first-recorded order."""
+        self._fold()
+        return self._positions
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The recorded ``(n, d)`` code rows, in insertion order."""
+        return self._codes[: len(self.positions)]
+
+    def record(self, indices, codes: np.ndarray, *, replayable: bool = False) -> None:
+        """Record the code rows ``codes`` of objects ``indices``;
+        ``replayable`` marks them as answers a replay serves for free."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if not replayable:
+            self._pending.append((indices, codes))
+            return
+        self._fold()
+        rows = self._insert(indices.tolist(), codes)
+        self._replayable[rows] = True
+        self.n_replayable = int(self._replayable[: len(self._positions)].sum())
+
+    def record_one(self, index: int, codes: list[int]) -> None:
+        """:meth:`record` for one fresh object's codes."""
+        self._fold()
+        position = self._positions.setdefault(index, len(self._positions))
+        self._reserve(len(self._positions))
+        self._codes[position] = codes
+
+    def _fold(self) -> None:
+        pending, self._pending = self._pending, []
+        for indices, codes in pending:
+            self._insert(indices.tolist(), codes)
+
+    def _insert(self, indices: list[int], codes: np.ndarray) -> "slice | list[int]":
+        size, positions = len(self._positions), self._positions
+        fresh = dict(zip(indices, range(size, size + len(indices))))
+        if len(fresh) == len(indices) and positions.keys().isdisjoint(fresh):
+            rows: slice | list[int] = slice(size, size + len(indices))
+            positions.update(fresh)
+        else:  # re-recorded indices keep their first row
+            rows = [positions.setdefault(index, len(positions)) for index in indices]
+        self._reserve(len(positions))
+        self._codes[rows] = codes
+        return rows
+
+    def _reserve(self, size: int) -> None:
+        capacity = len(self._replayable)
+        if size > capacity:
+            capacity = max(size, 2 * capacity)
+            codes = np.empty((capacity, self.schema.n_attributes), dtype=np.int16)
+            codes[: len(self._codes)] = self._codes
+            replayable = np.zeros(capacity, dtype=bool)
+            replayable[: len(self._replayable)] = self._replayable
+            self._codes, self._replayable = codes, replayable
+
+    # Fresh batches never touch a replayable row (a replayable object is
+    # served, not asked), so replay lookups need no fold.
+    def replay_row(self, index: int) -> int | None:
+        """The replayable row of object ``index``, else ``None``."""
+        row = self._positions.get(index) if self.n_replayable else None
+        return row if row is not None and self._replayable[row] else None
+
+    def replay_rows(self, indices: np.ndarray) -> np.ndarray:
+        """The replayable row of each of ``indices``, ``-1`` where none."""
+        if not self.n_replayable:
+            return np.full(len(indices), -1, dtype=np.int64)
+        get = self._positions.get
+        rows = np.fromiter(
+            (get(index, -1) for index in indices.tolist()), dtype=np.int64, count=len(indices)
+        )
+        known = rows >= 0
+        rows[known] = np.where(self._replayable[rows[known]], rows[known], -1)
+        return rows
+
+    def codes_of(self, rows) -> np.ndarray:
+        """The code rows of replayable ``rows`` (as :meth:`replay_rows`
+        returns them)."""
+        return self._codes[rows]
+
+    def labels(self) -> dict[int, dict[str, str]]:
+        """``{index: labels}`` of every recorded object, in insertion
+        order, labels in schema order."""
+        return dict(zip(self.positions, self.schema.decode_rows(self.codes)))
+
+
+def _encode_labels(schema: Schema, point_answers: Mapping[int, Mapping[str, str]]) -> np.ndarray:
+    """The code rows of ``point_answers``' labels, in their order."""
+    return np.array(
+        [schema.encode_row(labels) for labels in point_answers.values()], dtype=np.int16
+    ).reshape(len(point_answers), schema.n_attributes)
+
+
 class RecordingOracleProxy(Oracle):
     """Records every paid answer; replays checkpointed ones for free.
 
@@ -72,9 +198,9 @@ class RecordingOracleProxy(Oracle):
         self.schema = inner.schema
         self.ledger = inner.ledger
         self._set_seen: dict[QueryKey, bool] = {}
-        self._point_seen: dict[int, dict[str, str]] = {}
         self._set_replay: dict[QueryKey, bool] = {}
-        self._point_replay: dict[int, dict[str, str]] = {}
+        #: every point answer recorded or loaded, as code rows
+        self.points = PointStore(inner.schema)
 
     def __getattr__(self, name: str):
         if name == "_session_inner":
@@ -116,7 +242,7 @@ class RecordingOracleProxy(Oracle):
                 codec.set_answer_to_dict(predicate, index_key, answer)
                 for (predicate, index_key), answer in set_answers.items()
             ],
-            "point_answers": codec.point_answers_to_list(self._point_seen),
+            "point_answers": codec.point_answers_to_list(self.points.labels()),
             "reliability": (
                 None
                 if platform is None
@@ -155,6 +281,13 @@ class RecordingOracleProxy(Oracle):
                 "same CrowdPlatform(reliability=...) configuration the "
                 "checkpoint was written under"
             )
+        point_answers = codec.point_answers_from_list(raw_point_answers)
+        try:
+            _encode_labels(oracle.schema, point_answers)
+        except UnknownGroupError as error:
+            raise CheckpointVersionError(
+                f"{source} holds a point answer outside the oracle's schema ({error})"
+            ) from error
         policy, platform_rng = None, None
         if raw_reliability is not None:
             policy, platform_rng = ReliabilitySnapshot.from_dict(
@@ -162,7 +295,7 @@ class RecordingOracleProxy(Oracle):
             ).restored(_reliability_platform(oracle))
         return AnswerLog(
             codec.set_answers_from_list(raw_set_answers),
-            codec.point_answers_from_list(raw_point_answers),
+            point_answers,
             policy,
             platform_rng,
         )
@@ -181,8 +314,11 @@ class RecordingOracleProxy(Oracle):
         """
         self._set_replay.update(log.set_answers)
         self._set_seen.update(log.set_answers)
-        self._point_replay.update(log.point_answers)
-        self._point_seen.update(log.point_answers)
+        self.points.record(
+            list(log.point_answers),
+            _encode_labels(self.schema, log.point_answers),
+            replayable=True,
+        )
         if cache is not None:
             for key, answer in log.set_answers.items():
                 cache.store(key, answer)
@@ -244,31 +380,61 @@ class RecordingOracleProxy(Oracle):
 
     def ask_point(self, index: int) -> dict[str, str]:
         index = int(index)
-        if index in self._point_replay:
-            return dict(self._point_replay[index])
+        row = self.points.replay_row(index)
+        if row is not None:
+            return self.schema.decode_rows(self.points.codes_of([row]))[0]
         labels = self._session_inner.ask_point(index)
-        self._point_seen[index] = dict(labels)
+        self.points.record_one(index, self.schema.encode_row(labels))
         return labels
 
     def ask_point_batch(self, indices) -> list[dict[str, str]]:
-        prepared = [int(index) for index in indices]
-        fresh = [
-            (position, index)
-            for position, index in enumerate(prepared)
-            if index not in self._point_replay
-        ]
-        answers: list[dict[str, str]] = [
-            dict(self._point_replay[index]) if index in self._point_replay else {}
-            for index in prepared
-        ]
-        if fresh:
-            fresh_answers = self._session_inner.ask_point_batch(
-                [index for _, index in fresh]
-            )
-            for (position, index), labels in zip(fresh, fresh_answers):
+        prepared = np.array([int(index) for index in indices], dtype=np.int64)
+        rows = self.points.replay_rows(prepared)
+        answers: list[dict[str, str]] = [{} for _ in prepared]
+        replayed = np.flatnonzero(rows >= 0)
+        replayed_labels = self.schema.decode_rows(self.points.codes_of(rows[replayed]))
+        for position, labels in zip(replayed, replayed_labels):
+            answers[position] = labels
+        fresh = np.flatnonzero(rows < 0)
+        if len(fresh):
+            fresh_answers = self._session_inner.ask_point_batch(prepared[fresh].tolist())
+            for position, labels in zip(fresh, fresh_answers):
                 answers[position] = labels
-                self._point_seen[index] = dict(labels)
+            self.points.record(
+                prepared[fresh],
+                _encode_labels(self.schema, dict(enumerate(fresh_answers))),
+            )
         return answers
+
+    def scan_points(self, indices, predicate, tau) -> np.ndarray:
+        """The scan in runs: replayed objects answer from the store for
+        free, and each fresh run is one scan of the inner oracle, whose
+        paid prefix is recorded before the next run starts. A resume
+        therefore re-asks nothing."""
+        indices = scan_indices(indices, tau)
+        rows = self.points.replay_rows(indices)
+        replayed = rows >= 0
+        cuts = np.flatnonzero(np.diff(replayed)) + 1
+        pieces: list[np.ndarray] = []
+        members = 0
+        for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(indices)]):
+            need = None if tau is None else tau - members
+            if start == stop or need == 0:
+                break
+            if replayed[start]:
+                codes = self.points.codes_of(rows[start:stop])
+            else:
+                codes = self._session_inner.scan_points(indices[start:stop], predicate, need)
+                self.points.record(indices[start : start + len(codes)], codes)
+            # A fresh run already ends at its need-th member: only counted.
+            codes, found = cut_after_member(self.schema, codes, predicate, need)
+            pieces.append(codes)
+            members += found
+            if len(codes) < stop - start:
+                break  # the tau-th member, or the end of the budget
+        if not pieces:
+            return np.empty((0, self.schema.n_attributes), dtype=np.int16)
+        return np.concatenate(pieces)
 
     # -- implementation hooks (unused: public methods are overridden) -----
     def _answer_set(self, indices, predicate, index_key) -> bool:  # pragma: no cover

@@ -17,9 +17,32 @@ from repro.core.results import GroupCoverageResult, LedgerWindow
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import GroupPredicate
+from repro.data.kernels import predicate_mask
 from repro.errors import InvalidParameterError
 
-__all__ = ["base_coverage", "execute_base_coverage"]
+__all__ = ["base_coverage", "execute_base_coverage", "scan_members"]
+
+
+def scan_members(
+    oracle: Oracle,
+    indices: np.ndarray,
+    predicate: GroupPredicate,
+    tau: int | None,
+) -> tuple[int, np.ndarray]:
+    """Point-query ``indices`` in order until the ``tau``-th member
+    (``tau=None``: to the end) through :meth:`~repro.crowd.oracle.Oracle.scan_points`.
+
+    Returns the number of objects asked and the members among them, in
+    order. A scan the task budget cut short raises the
+    :class:`~repro.errors.BudgetExceededError` the next per-point ask
+    would have raised, after the oracle recorded the paid prefix.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    rows = oracle.scan_points(indices, predicate, tau)
+    members = indices[: len(rows)][predicate_mask(oracle.schema, rows, predicate)]
+    if len(rows) < len(indices) and (tau is None or len(members) < tau):
+        oracle.ledger.charge_point()  # the budget is spent: raises
+    return len(rows), members
 
 
 def execute_base_coverage(
@@ -34,36 +57,28 @@ def execute_base_coverage(
     """Execution backend of Algorithm 7 (see :func:`base_coverage`).
 
     Dispatched to by :meth:`repro.audit.AuditSession.run` for a
-    :class:`~repro.audit.BaseAuditSpec`; ``on_round`` fires after every
-    point query (the session's progress hook).
+    :class:`~repro.audit.BaseAuditSpec`. The walk is one oracle
+    :meth:`~repro.crowd.oracle.Oracle.scan_points` call, so ``on_round``
+    (the session's progress hook) fires once, after the scan.
     """
     if tau < 0:
         raise InvalidParameterError(f"tau must be >= 0, got {tau}")
     view = resolve_view(view, dataset_size)
 
     window = LedgerWindow(oracle.ledger)
-    cnt = 0
-    discovered: list[int] = []
-    covered = tau == 0
-    if not covered:
-        for index in view:
-            is_member = oracle.ask_point_membership(int(index), predicate)
-            if on_round is not None:
-                on_round()
-            if is_member:
-                cnt += 1
-                discovered.append(int(index))
-                if cnt == tau:
-                    covered = True
-                    break
+    members = np.empty(0, dtype=np.int64)
+    if tau > 0:
+        asked, members = scan_members(oracle, view, predicate, tau)
+        if on_round is not None and asked:
+            on_round()
 
     return GroupCoverageResult(
         predicate=predicate,
-        covered=covered,
-        count=cnt,
+        covered=len(members) == tau,
+        count=len(members),
         tau=tau,
         tasks=window.usage(),
-        discovered_indices=tuple(discovered),
+        discovered_indices=tuple(members.tolist()),
     )
 
 

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.base_coverage import scan_members
 from repro.core.group_coverage import execute_group_coverage
 from repro.core.results import ClassifierCoverageResult, LedgerWindow
 from repro.core.tree import TreeNode
@@ -113,13 +114,8 @@ def label_positive_set(
     verified members and the exhaustion flag (mirrors
     :func:`partition_positive_set`).
     """
-    verified: list[int] = []
-    for position, index in enumerate(np.asarray(positive_indices, dtype=np.int64)):
-        if oracle.ask_point_membership(int(index), group):
-            verified.append(int(index))
-            if stop_after is not None and len(verified) >= stop_after:
-                return verified, position + 1 == len(positive_indices)
-    return verified, True
+    asked, verified = scan_members(oracle, positive_indices, group, stop_after)
+    return verified.tolist(), asked == len(positive_indices)
 
 
 def execute_classifier_coverage(
@@ -184,11 +180,8 @@ def execute_classifier_coverage(
     sample_positions = rng.choice(len(predicted_positive), size=sample_size, replace=False)
     sample_member_mask = np.zeros(len(predicted_positive), dtype=bool)
     sample_member_mask[sample_positions] = True
-    verified: list[int] = []
-    for position in sample_positions:
-        index = int(predicted_positive[position])
-        if oracle.ask_point_membership(index, group):
-            verified.append(index)
+    _, members = scan_members(oracle, predicted_positive[sample_positions], group, None)
+    verified: list[int] = members.tolist()
     precision_estimate = len(verified) / sample_size
 
     # Phase 2: clean the unsampled remainder of G.

@@ -83,6 +83,9 @@ def _run_supergroups(
     runs: dict[SuperGroup, GroupCoverageResult] = {}
     member_runs: dict[SuperGroup, dict[Group, GroupCoverageResult]] = {}
     entries: dict[Group, GroupEntry] = {}
+    # Attribution labels, so an object a noisy oracle let two
+    # super-groups discover is paid for once.
+    labeled: dict[int, dict[str, str]] = {}
 
     def make_stepper(
         super_group: SuperGroup, member: Group | None, tau_prime: int
@@ -108,11 +111,12 @@ def _run_supergroups(
             # Uncovered together: attribute every isolated member to its
             # group with one point query each; counts become exact.
             indices = list(runs[super_group].discovered_indices)
+            fresh = [index for index in indices if index not in labeled]
             if engine is not None:
-                rows = oracle.ask_point_batch(indices)
+                labeled.update(zip(fresh, oracle.ask_point_batch(fresh)))
             else:
-                rows = [oracle.ask_point(index) for index in indices]
-            for labels in rows:
+                labeled.update((index, oracle.ask_point(index)) for index in fresh)
+            for labels in map(labeled.__getitem__, indices):
                 for member in super_group:
                     if member.matches_row(labels):
                         counts[member] += 1

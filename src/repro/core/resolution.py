@@ -31,6 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.base_coverage import scan_members
 from repro.core.results import MultipleCoverageReport, TaskUsage
 from repro.core.tree import TreeNode
 from repro.core.views import resolve_view
@@ -155,13 +156,9 @@ def find_members(
         sample_size = min(density_sample_size, len(view))
         rng = rng or np.random.default_rng(0)
         sample_positions = rng.choice(len(view), size=sample_size, replace=False)
-        hits = 0
-        for position in sample_positions:
-            index = int(view[position])
-            if oracle.ask_point_membership(index, predicate):
-                hits += 1
-                found.append(index)
-        density = hits / sample_size
+        _, members = scan_members(oracle, view[sample_positions], predicate, None)
+        found.extend(members.tolist())
+        density = len(members) / sample_size
         keep = np.ones(len(view), dtype=bool)
         keep[sample_positions] = False
         view = view[keep]
@@ -171,11 +168,7 @@ def find_members(
             return found[:k], usage()
 
     if strategy == "scan":
-        for index in view:
-            if oracle.ask_point_membership(int(index), predicate):
-                found.append(int(index))
-                if len(found) >= k:
-                    break
+        found.extend(scan_members(oracle, view, predicate, k - len(found))[1].tolist())
         return found, usage()
 
     queue: deque[TreeNode] = deque()

@@ -34,6 +34,8 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.queries import PointQuery, SetQuery
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import GroupPredicate
+from repro.data.kernels import predicate_mask
+from repro.data.schema import Schema
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
 from repro.engine.requests import IndexKey, QueryKey
 from repro.errors import BudgetExceededError, InvalidParameterError
@@ -64,9 +66,14 @@ class TaskLedger:
     def total(self) -> int:
         return self.n_set_queries + self.n_point_queries
 
-    def note_round(self) -> None:
-        """Record one oracle round-trip (rounds are free; tasks cost)."""
-        self.n_rounds += 1
+    @property
+    def remaining(self) -> int | None:
+        """Tasks the budget still allows (``None`` without a budget)."""
+        return None if self.budget is None else max(self.budget - self.total, 0)
+
+    def note_round(self, n: int = 1) -> None:
+        """Record ``n`` oracle round-trips (rounds are free; tasks cost)."""
+        self.n_rounds += n
 
     def charge_set(self) -> None:
         self._check_budget()
@@ -202,6 +209,48 @@ class Oracle(ABC):
         self.ledger.note_round()
         return self._answer_point_batch(prepared)
 
+    def scan_points(
+        self,
+        indices: Sequence[int] | np.ndarray,
+        predicate: GroupPredicate,
+        tau: int | None,
+    ) -> np.ndarray:
+        """Point-query ``indices`` in order, stopping after the
+        ``tau``-th member of ``predicate`` (``tau=None``: never), at the
+        end of ``indices``, or when the task budget is spent.
+
+        Returns the ``(k, d)`` ``int16`` code rows of the prefix
+        ``indices[:k]`` it asked, each charged one point task and one
+        round-trip exactly as :meth:`ask_point` charges it. It never
+        raises for budget: a prefix that ends before the ``tau``-th
+        member and before the end of ``indices`` means the budget ran
+        out. This default asks :meth:`ask_point` once per object, so
+        every answer hook, rng stream and per-point cost is the
+        per-point loop's.
+
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> oracle = GroundTruthOracle(binary_dataset(9, 3, placement="front"))
+        >>> oracle.scan_points(np.arange(9), group(gender="female"), 2).ravel()
+        array([1, 1], dtype=int16)
+        >>> oracle.ledger.n_point_queries, oracle.ledger.n_rounds
+        (2, 2)
+        """
+        indices = scan_indices(indices, tau)
+        rows: list[list[int]] = []
+        members = 0
+        for index in indices.tolist():
+            if self.ledger.remaining == 0:
+                break
+            labels = self.ask_point(index)
+            rows.append(self.schema.encode_row(labels))
+            if tau is not None and predicate.matches_row(labels):
+                members += 1
+                if members == tau:
+                    break
+        return np.array(rows, dtype=np.int16).reshape(len(rows), self.schema.n_attributes)
+
     def ask_point_membership(self, index: int, predicate: GroupPredicate) -> bool:
         """Point query phrased as membership ("is this image a female?").
 
@@ -235,6 +284,30 @@ class Oracle(ABC):
 
     def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
         return [self._answer_point(index) for index in indices]
+
+
+def scan_indices(indices, tau: int | None) -> np.ndarray:
+    """A scan's ``indices`` as a flat ``int64`` array, once its ``tau``
+    is checked to be ``None`` or positive."""
+    if tau is not None and tau < 1:
+        raise InvalidParameterError(
+            f"a scan stops after its tau-th member; tau must be >= 1 or None, got {tau}"
+        )
+    return np.asarray(indices, dtype=np.int64).reshape(-1)
+
+
+def cut_after_member(
+    schema: Schema, codes: np.ndarray, predicate: GroupPredicate, need: int | None
+) -> tuple[np.ndarray, int]:
+    """``codes`` cut after their ``need``-th member of ``predicate``
+    (whole when they hold fewer, or when ``need`` is ``None``), and the
+    number of members the kept rows hold (0 when ``need`` is ``None``)."""
+    if need is None:
+        return codes, 0
+    hits = np.flatnonzero(predicate_mask(schema, codes, predicate))
+    if len(hits) >= need:
+        return codes[: hits[need - 1] + 1], need
+    return codes, len(hits)
 
 
 class GroundTruthOracle(Oracle):
@@ -318,6 +391,41 @@ class GroundTruthOracle(Oracle):
             # point query must keep flowing through its hook.
             return [self._answer_point(index) for index in indices]
         return self.membership_index.value_rows(indices)
+
+    #: rows a native scan gathers first; every later slice doubles, so an
+    #: early stop gathers at most about twice the prefix it charges
+    SCAN_SLICE = 4096
+
+    def scan_points(
+        self,
+        indices: Sequence[int] | np.ndarray,
+        predicate: GroupPredicate,
+        tau: int | None,
+    ) -> np.ndarray:
+        """:meth:`Oracle.scan_points` as gathers of code rows: each
+        slice is one :meth:`~repro.data.sharded.ShardedMembershipIndex.value_codes`
+        gather, one predicate mask and one ``flatnonzero``. The charged
+        prefix, and its ``k`` point tasks and ``k`` round-trips, are
+        exactly what the per-point loop would charge."""
+        if not self._native_point_hook:
+            return super().scan_points(indices, predicate, tau)
+        indices = scan_indices(indices, tau)
+        remaining = self.ledger.remaining
+        limit = len(indices) if remaining is None else min(len(indices), remaining)
+        slices: list[np.ndarray] = []
+        asked, members, size = 0, 0, self.SCAN_SLICE
+        while asked < limit and (tau is None or members < tau):
+            codes = self.membership_index.value_codes(indices[asked : min(asked + size, limit)])
+            codes, found = cut_after_member(
+                self.schema, codes, predicate, None if tau is None else tau - members
+            )
+            slices.append(codes)
+            asked, members, size = asked + len(codes), members + found, 2 * size
+        self.ledger.charge_point_batch(asked)
+        self.ledger.note_round(asked)
+        if not slices:
+            return np.empty((0, self.schema.n_attributes), dtype=np.int16)
+        return np.concatenate(slices)
 
 
 class CrowdOracle(Oracle):

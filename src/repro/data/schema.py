@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import SchemaError, UnknownGroupError
 
 __all__ = ["Attribute", "Schema"]
@@ -162,6 +164,38 @@ class Schema:
         raise UnknownGroupError(
             f"attribute {name!r} not in schema (have: {self.names!r})"
         )
+
+    def encode_row(self, labels: Mapping[str, str]) -> list[int]:
+        """The codes of one ``{attribute: value}`` labeling, in schema
+        order; a missing attribute or a value outside its domain raises
+        :class:`UnknownGroupError`.
+
+        >>> Schema.from_dict({"gender": ["male", "female"]}).encode_row(
+        ...     {"gender": "female"})
+        [1]
+        """
+        try:
+            return [a.code_of(labels[a.name]) for a in self.attributes]
+        except KeyError as error:
+            raise UnknownGroupError(
+                f"labeling {dict(labels)!r} has no value for attribute {error.args[0]!r}"
+            ) from None
+
+    def decode_rows(self, codes: np.ndarray) -> list[dict[str, str]]:
+        """``{attribute: value}`` labelings of a ``(k, d)`` code matrix,
+        keys in schema order; one fancy-index per attribute decodes the
+        whole matrix.
+
+        >>> import numpy as np
+        >>> Schema.from_dict({"gender": ["male", "female"]}).decode_rows(
+        ...     np.array([[1], [0]], dtype=np.int16))
+        [{'gender': 'female'}, {'gender': 'male'}]
+        """
+        columns = [
+            (a.name, np.asarray(a.values, dtype=object)[codes[:, j]])
+            for j, a in enumerate(self.attributes)
+        ]
+        return [{name: column[i] for name, column in columns} for i in range(len(codes))]
 
     def __contains__(self, name: object) -> bool:
         return any(a.name == name for a in self.attributes)

@@ -1253,14 +1253,24 @@ class ShardedMembershipIndex:
     # ------------------------------------------------------------------
     # point labels
     # ------------------------------------------------------------------
-    def value_rows(self, indices: Sequence[int]) -> list[dict[str, str]]:
-        """Ground-truth ``{attribute: value}`` rows for many objects,
-        decoded shard by shard; a negative or too-large index raises
-        instead of wrapping the way raw fancy-indexing would."""
-        if len(indices) == 0:
-            return []
+    def value_codes(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Ground-truth ``(k, d)`` ``int16`` code rows of many objects,
+        gathered shard by shard; a negative or too-large index raises
+        instead of wrapping the way raw fancy-indexing would.
+
+        >>> import numpy as np
+        >>> from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+        >>> from repro.data.synthetic import binary_dataset
+        >>> dense = binary_dataset(10, 3, placement="front")
+        >>> index = ShardedMembershipIndex.for_dataset(
+        ...     ShardedDataset.from_dataset(dense, shard_size=4))
+        >>> index.value_codes([9, 0, 5]).ravel().tolist()
+        [0, 1, 0]
+        """
         index_array = np.asarray(indices, dtype=np.int64)
         _check_object_indices(index_array, len(self.dataset))
+        if self.dataset.n_shards == 1:
+            return self.dataset.chunk(0)[index_array]
         size = self.dataset.shard_size
         shards = index_array // size
         codes = np.empty(
@@ -1270,15 +1280,14 @@ class ShardedMembershipIndex:
             selector = shards == shard_index
             local = index_array[selector] - int(shard_index) * size
             codes[selector] = self.dataset.chunk(int(shard_index))[local]
-        # One fancy-index per attribute decodes the whole batch.
-        columns = [
-            (attribute.name, np.asarray(attribute.values, dtype=object)[codes[:, j]])
-            for j, attribute in enumerate(self.dataset.schema)
-        ]
-        return [
-            {name: column[i] for name, column in columns}
-            for i in range(len(codes))
-        ]
+        return codes
+
+    def value_rows(self, indices: Sequence[int]) -> list[dict[str, str]]:
+        """Ground-truth ``{attribute: value}`` rows for many objects:
+        :meth:`value_codes` decoded in schema order."""
+        if len(indices) == 0:
+            return []
+        return self.dataset.schema.decode_rows(self.value_codes(indices))
 
     # ------------------------------------------------------------------
     # accounting

@@ -91,14 +91,15 @@ class Flow:
 
     :meth:`QueryEngine.admit` returns the flow as a handle: drivers use
     it to read progress (:attr:`dispatched` set queries billed to this
-    run, :attr:`finished`), and to :meth:`~QueryEngine.retire` the run.
+    run, the :attr:`rounds` that carried them, :attr:`finished`), and to
+    :meth:`~QueryEngine.retire` the run.
     ``spawned`` holds the flows the completion hook chained off this one
     (Multiple-Coverage's penalty re-runs), so a driver can account a
     whole completion tree to the audit that rooted it.
     """
 
     __slots__ = (
-        "stepper", "on_complete", "outstanding", "dispatched",
+        "stepper", "on_complete", "outstanding", "dispatched", "rounds",
         "spawned", "finished", "retired",
     )
 
@@ -109,6 +110,8 @@ class Flow:
         self.outstanding = 0
         #: set queries dispatched to the crowd on this flow's behalf
         self.dispatched = 0
+        #: pump rounds that dispatched at least one of those queries
+        self.rounds = 0
         #: flows chained off this one's completion hook
         self.spawned: list[Flow] = []
         self.finished = False
@@ -454,6 +457,7 @@ class QueryEngine:
             return False, []
         round_answers: dict[QueryKey, bool] = {}
         to_dispatch: list[SetRequest] = []
+        dispatchers: list[Flow] = []  # the flow each request is dispatched for
         feeds: list[tuple[Flow, dict[QueryKey, bool]]] = []
         collected = False
         for flow in list(self._flows):
@@ -497,6 +501,7 @@ class QueryEngine:
                 else:
                     self._waiters[key] = [flow]
                     to_dispatch.append(request)
+                    dispatchers.append(flow)
                     flow.outstanding += 1
                     flow.dispatched += 1
             if feed:
@@ -528,5 +533,8 @@ class QueryEngine:
                         waiter.dispatched -= 1
             self.dispatched_queries += submitted
             raise
+        finally:
+            for flow in dict.fromkeys(dispatchers[:submitted]):
+                flow.rounds += 1
         self.dispatched_queries += len(to_dispatch)
         return collected, tickets

@@ -549,7 +549,9 @@ class AuditService:
                 )
 
                 def finish(_stepper, job=job):
-                    tasks = TaskUsage(n_set_queries=job.flow.dispatched)
+                    tasks = TaskUsage(
+                        n_set_queries=job.flow.dispatched, n_rounds=job.flow.rounds
+                    )
                     self._settle(
                         job,
                         job.flow.stepper.result(tasks=tasks),

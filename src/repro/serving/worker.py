@@ -40,6 +40,8 @@ import time
 from pathlib import Path
 from typing import Any, TextIO
 
+import numpy as np
+
 from repro.audit.serialization import set_answer_to_dict
 from repro.engine.requests import set_query_key
 from repro.errors import InvalidParameterError, JobFailedError, ReproError
@@ -60,14 +62,17 @@ class QueryLoggingOracle:
     """Transparent oracle wrapper that logs every *paid* query.
 
     Sits between the replay proxy and the real oracle, so replayed
-    (already checkpointed) answers never reach it — every line in the
+    (already checkpointed) answers never reach it, and writes each line
+    only after the real oracle has charged the query — every line in the
     log is a query that was actually charged to the crowd in this
-    process. The chaos suite uses this to prove a resumed worker
-    re-asks **nothing** that was durable before the kill.
+    process, even when the budget runs out. The chaos suite uses this to
+    prove a resumed worker re-asks **nothing** that was durable before
+    the kill.
 
     Each log line is one JSON object: set queries in the same shape as
     checkpointed set answers (``predicate`` + ``run``/``indices``),
-    point queries as ``{"kind": "point", "index": i}``.
+    point queries as ``{"kind": "point", "index": i}`` — one per object
+    a :meth:`scan_points` charged, in order.
 
     Examples
     --------
@@ -88,40 +93,55 @@ class QueryLoggingOracle:
         self._inner = inner
         self._log = log
 
-    def _write(self, entry: dict[str, Any]) -> None:
-        self._log.write(json.dumps(entry) + "\n")
+    def _write(self, entries) -> None:
+        self._log.write("".join(json.dumps(entry) + "\n" for entry in entries))
         self._log.flush()
 
-    def _log_set(self, indices, predicate, key) -> None:
+    @staticmethod
+    def _set_entry(indices, predicate, key) -> dict[str, Any]:
         if key is None:
             key = set_query_key(indices, predicate)
         entry = set_answer_to_dict(key[0], key[1], True)
         entry.pop("answer", None)
         entry["kind"] = "set"
-        self._write(entry)
+        return entry
+
+    def _write_points(self, indices) -> None:
+        self._write({"kind": "point", "index": int(index)} for index in indices)
 
     def ask_set(self, indices, predicate, *, key=None) -> bool:
         """Forward one set query to the real oracle, logging it."""
-        self._log_set(indices, predicate, key)
-        return self._inner.ask_set(indices, predicate, key=key)
+        answer = self._inner.ask_set(indices, predicate, key=key)
+        self._write([self._set_entry(indices, predicate, key)])
+        return answer
 
     def ask_set_batch(self, queries, *, keys=None) -> list:
         """Forward a set-query batch, logging every member."""
-        for position, (indices, predicate) in enumerate(queries):
-            key = None if keys is None else keys[position]
-            self._log_set(indices, predicate, key)
-        return self._inner.ask_set_batch(queries, keys=keys)
+        answers = self._inner.ask_set_batch(queries, keys=keys)
+        self._write(
+            self._set_entry(indices, predicate, None if keys is None else keys[position])
+            for position, (indices, predicate) in enumerate(queries)
+        )
+        return answers
 
     def ask_point(self, index: int) -> dict[str, str]:
         """Forward one point query, logging it."""
-        self._write({"kind": "point", "index": int(index)})
-        return self._inner.ask_point(index)
+        labels = self._inner.ask_point(index)
+        self._write_points([index])
+        return labels
 
     def ask_point_batch(self, indices) -> list:
         """Forward a point-query batch, logging every member."""
-        for index in indices:
-            self._write({"kind": "point", "index": int(index)})
-        return self._inner.ask_point_batch(indices)
+        rows = self._inner.ask_point_batch(indices)
+        self._write_points(indices)
+        return rows
+
+    def scan_points(self, indices, predicate, tau):
+        """Forward a point scan, logging every object it charged."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        codes = self._inner.scan_points(indices, predicate, tau)
+        self._write_points(indices[: len(codes)].tolist())
+        return codes
 
     def ask_point_membership(self, index: int, predicate) -> bool:
         """A point query phrased as membership, logged as the point

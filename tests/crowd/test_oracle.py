@@ -12,8 +12,9 @@ from repro.crowd.oracle import (
     TaskLedger,
 )
 from repro.crowd.platform import CrowdPlatform
-from repro.crowd.workers import Worker
+from repro.crowd.workers import Worker, make_worker_pool
 from repro.data.groups import Negation, group
+from repro.data.sharded import ShardedDataset
 from repro.data.synthetic import binary_dataset
 from repro.engine.requests import IndexKey, set_query_key
 from repro.errors import BudgetExceededError, InvalidParameterError, OracleError
@@ -309,3 +310,124 @@ class TestPointAndHookContracts:
             [(np.arange(10, 20), FEMALE), (np.array([1, 5, 9]), FEMALE)]
         )
         assert seen == [(0, 9), (10, 19), (1, 9)]
+
+
+def per_point_scan(oracle, indices, predicate, tau):
+    """The loop :meth:`Oracle.scan_points` replaces: ask in order, stop
+    after the tau-th member or when the budget is spent."""
+    rows, members = [], 0
+    for index in indices:
+        if oracle.ledger.remaining == 0:
+            break
+        labels = oracle.ask_point(int(index))
+        rows.append(labels)
+        if tau is not None and predicate.matches_row(labels):
+            members += 1
+            if members == tau:
+                break
+    return rows
+
+
+def oracle_state(oracle):
+    """Ledger counters and the noise rng state an oracle leaves behind."""
+    source = getattr(oracle, "platform", oracle)
+    rng = getattr(source, "rng", None)
+    return (
+        oracle.ledger.n_point_queries,
+        oracle.ledger.n_rounds,
+        rng and rng.bit_generator.state,
+        getattr(getattr(source, "ledger", None), "n_hits", None),
+    )
+
+
+class TestScanPoints:
+    """``scan_points`` charges the points and rounds a per-point loop
+    charges, leaves the same rng state and returns the same answers."""
+
+    N = 2_000
+
+    @pytest.fixture(scope="class")
+    def scan_dataset(self):
+        return binary_dataset(self.N, 60, rng=np.random.default_rng(8))
+
+    def make(self, kind, dataset, budget=None):
+        if kind == "dense":
+            oracle = GroundTruthOracle(dataset, budget=budget)
+        elif kind == "sharded":
+            sharded = ShardedDataset.from_dataset(dataset, 300, max_resident_shards=2)
+            oracle = GroundTruthOracle(sharded, budget=budget)
+        elif kind == "flaky":
+            oracle = FlakyOracle(
+                dataset, np.random.default_rng(3), point_error_rate=0.2, budget=budget
+            )
+        elif kind == "crowd":
+            workers = make_worker_pool(5, np.random.default_rng(4), error_rate=0.2)
+            platform = CrowdPlatform(dataset, workers, np.random.default_rng(5))
+            oracle = CrowdOracle(platform, budget=budget)
+        else:
+
+            class Hooked(GroundTruthOracle):
+                def _answer_point(self, index):
+                    self.seen.append(index)
+                    return super()._answer_point(index)
+
+            oracle = Hooked(dataset, budget=budget)
+            oracle.seen = []
+        # Small slices make a native scan cross slices and shards.
+        oracle.SCAN_SLICE = 7
+        return oracle
+
+    def views(self):
+        rng = np.random.default_rng(9)
+        yield np.arange(self.N)
+        yield rng.permutation(self.N)[:900]
+        yield np.array([], dtype=np.int64)
+
+    @pytest.mark.parametrize("kind", ["dense", "sharded", "flaky", "crowd", "hooked"])
+    @pytest.mark.parametrize("tau", [None, 1, 7, 25, 10_000])
+    def test_scan_equals_the_per_point_loop(self, scan_dataset, kind, tau):
+        for view in self.views():
+            scanning, looping = self.make(kind, scan_dataset), self.make(kind, scan_dataset)
+            codes = scanning.scan_points(view, FEMALE, tau)
+            rows = per_point_scan(looping, view, FEMALE, tau)
+            assert codes.dtype == np.int16
+            assert codes.shape == (len(rows), scanning.schema.n_attributes)
+            assert scanning.schema.decode_rows(codes) == rows
+            assert oracle_state(scanning) == oracle_state(looping)
+            if kind == "hooked":
+                assert scanning.seen == looping.seen == [int(i) for i in view[: len(rows)]]
+
+    @pytest.mark.parametrize("kind", ["dense", "sharded", "flaky", "crowd", "hooked"])
+    def test_budget_stops_the_scan_without_raising(self, scan_dataset, kind):
+        scanning = self.make(kind, scan_dataset, budget=40)
+        looping = self.make(kind, scan_dataset, budget=40)
+        scanning.ask_set(np.arange(10), FEMALE)
+        looping.ask_set(np.arange(10), FEMALE)
+        codes = scanning.scan_points(np.arange(self.N), FEMALE, None)
+        assert len(codes) == 39
+        assert scanning.schema.decode_rows(codes) == per_point_scan(
+            looping, np.arange(self.N), FEMALE, None
+        )
+        assert oracle_state(scanning) == oracle_state(looping)
+        assert len(scanning.scan_points(np.arange(5), FEMALE, None)) == 0
+
+    def test_native_scan_gathers_in_growing_slices(self, scan_dataset, monkeypatch):
+        """An early stop gathers geometrically growing slices, never the
+        whole view."""
+        oracle = GroundTruthOracle(scan_dataset)
+        oracle.SCAN_SLICE = 16
+        index, gathered = oracle.membership_index, []
+        gather = index.value_codes
+        monkeypatch.setattr(index, "value_codes", lambda i: gathered.append(len(i)) or gather(i))
+        first = int(scan_dataset.positions(FEMALE)[0])
+        assert len(oracle.scan_points(np.arange(self.N), FEMALE, 1)) == first + 1
+        assert gathered == [16 * 2**k for k in range(len(gathered))]
+        assert sum(gathered[:-1]) <= first < sum(gathered)
+
+    def test_tau_must_be_positive(self, scan_dataset):
+        with pytest.raises(InvalidParameterError):
+            GroundTruthOracle(scan_dataset).scan_points(np.arange(5), FEMALE, 0)
+
+    def test_out_of_range_index_raises(self, scan_dataset):
+        with pytest.raises(OracleError):
+            GroundTruthOracle(scan_dataset).scan_points([0, self.N], FEMALE, None)

@@ -44,6 +44,19 @@ class TestSingleJob:
         assert oracle.ledger.total == reference.tasks.total
         assert handle.status == JobStatus.SUCCEEDED
 
+    def test_group_reports_count_their_round_trips(self, dataset):
+        """Each group job reports the oracle round trips that carried its
+        queries; concurrent jobs share rounds, so the oracle's total lies
+        between the largest job's and their sum."""
+        oracle = GroundTruthOracle(dataset)
+        with AuditService(oracle) as service:
+            handles = [
+                service.submit(spec_for(value), tenant=value) for value in ("r1", "r2")
+            ]
+            rounds = [handle.result().tasks.n_rounds for handle in handles]
+        assert all(0 < n for n in rounds)
+        assert max(rounds) <= oracle.ledger.n_rounds <= sum(rounds)
+
     def test_blocking_spec_kinds_run_on_the_shared_engine(self, dataset):
         spec = MultipleAuditSpec(
             groups=tuple(group(race=value) for value in COUNTS), tau=TAU
