@@ -1,12 +1,14 @@
-"""The recording/replaying oracle proxy sessions and services share.
+"""The recording oracle proxy sessions and services share: the one
+answer store.
 
 Both :class:`~repro.audit.session.AuditSession` and
 :class:`~repro.service.AuditService` wrap their oracle in a
-:class:`RecordingOracleProxy` so that every answer the crowd was paid
-for can be checkpointed, and answers loaded from a checkpoint replay for
-free. The proxy shares the raw oracle's schema and ledger (charging is
-unchanged) and is transparent when nothing is loaded: same calls, same
-charges, same rounds, bit-identical results.
+:class:`RecordingOracleProxy`. It pays the inner oracle once per
+distinct set or point query over its lifetime: every answer it holds,
+recorded or loaded from a checkpoint, answers again for free, across a
+session's runs and a service's jobs. The proxy shares the raw oracle's
+schema and ledger (charging is unchanged), so the first asking of a
+query makes the same call, charge and round as the raw oracle would.
 
 It also owns the answer log that ends every checkpoint: the
 ``set_answers``, ``point_answers`` and ``reliability`` sections. Point
@@ -66,11 +68,10 @@ class PointStore:
     row order is the insertion order of a position map (object index ->
     row). Recording an index again keeps its first row and takes the
     latest codes, as a dict keeps its first key and latest value.
-    Replayable rows — answers loaded from a checkpoint — are flagged.
 
-    Fresh batches are appended as they come and folded into the map only
-    when rows are read, so a scan's answers cost no per-object work
-    until a checkpoint decodes them.
+    Batches are appended as they come and folded into the map only when
+    rows are read, so a scan's answers cost no per-object work until a
+    lookup or a checkpoint reads them.
 
     >>> import numpy as np
     >>> store = PointStore(Schema.from_dict({"gender": ["male", "female"]}))
@@ -84,15 +85,15 @@ class PointStore:
         self.schema = schema
         self._positions: dict[int, int] = {}
         self._codes = np.empty((16, schema.n_attributes), dtype=np.int16)
-        self._replayable = np.zeros(16, dtype=bool)
-        self.n_replayable = 0
-        #: fresh ``(indices, codes)`` batches not folded into the map yet
+        #: ``(indices, codes)`` batches not folded into the map yet
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def positions(self) -> dict[int, int]:
         """Object index -> row, in first-recorded order."""
-        self._fold()
+        pending, self._pending = self._pending, []
+        for indices, codes in pending:
+            self._insert(indices.tolist(), codes)
         return self._positions
 
     @property
@@ -100,31 +101,29 @@ class PointStore:
         """The recorded ``(n, d)`` code rows, in insertion order."""
         return self._codes[: len(self.positions)]
 
-    def record(self, indices, codes: np.ndarray, *, replayable: bool = False) -> None:
-        """Record the code rows ``codes`` of objects ``indices``;
-        ``replayable`` marks them as answers a replay serves for free."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if not replayable:
-            self._pending.append((indices, codes))
-            return
-        self._fold()
-        rows = self._insert(indices.tolist(), codes)
-        self._replayable[rows] = True
-        self.n_replayable = int(self._replayable[: len(self._positions)].sum())
+    def record(self, indices, codes: np.ndarray) -> None:
+        """Record the code rows ``codes`` of objects ``indices``."""
+        self._pending.append((np.asarray(indices, dtype=np.int64).reshape(-1), codes))
 
     def record_one(self, index: int, codes: list[int]) -> None:
-        """:meth:`record` for one fresh object's codes."""
-        self._fold()
-        position = self._positions.setdefault(index, len(self._positions))
-        self._reserve(len(self._positions))
-        self._codes[position] = codes
+        """:meth:`record` for one object's codes, inserted at once."""
+        positions = self.positions
+        row = positions.setdefault(index, len(positions))
+        self._reserve(len(positions))
+        self._codes[row] = codes
 
-    def _fold(self) -> None:
-        pending, self._pending = self._pending, []
-        for indices, codes in pending:
-            self._insert(indices.tolist(), codes)
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """The row of each of ``indices``, ``-1`` where none is recorded."""
+        positions = self.positions
+        if not positions:  # a fresh store answers a whole scan in one call
+            return np.full(len(indices), -1, dtype=np.int64)
+        return np.fromiter(
+            (positions.get(index, -1) for index in indices.tolist()),
+            dtype=np.int64,
+            count=len(indices),
+        )
 
-    def _insert(self, indices: list[int], codes: np.ndarray) -> "slice | list[int]":
+    def _insert(self, indices: list[int], codes: np.ndarray) -> None:
         size, positions = len(self._positions), self._positions
         fresh = dict(zip(indices, range(size, size + len(indices))))
         if len(fresh) == len(indices) and positions.keys().isdisjoint(fresh):
@@ -134,41 +133,14 @@ class PointStore:
             rows = [positions.setdefault(index, len(positions)) for index in indices]
         self._reserve(len(positions))
         self._codes[rows] = codes
-        return rows
 
     def _reserve(self, size: int) -> None:
-        capacity = len(self._replayable)
-        if size > capacity:
-            capacity = max(size, 2 * capacity)
-            codes = np.empty((capacity, self.schema.n_attributes), dtype=np.int16)
+        if size > len(self._codes):
+            codes = np.empty(
+                (max(size, 2 * len(self._codes)), self.schema.n_attributes), dtype=np.int16
+            )
             codes[: len(self._codes)] = self._codes
-            replayable = np.zeros(capacity, dtype=bool)
-            replayable[: len(self._replayable)] = self._replayable
-            self._codes, self._replayable = codes, replayable
-
-    # Fresh batches never touch a replayable row (a replayable object is
-    # served, not asked), so replay lookups need no fold.
-    def replay_row(self, index: int) -> int | None:
-        """The replayable row of object ``index``, else ``None``."""
-        row = self._positions.get(index) if self.n_replayable else None
-        return row if row is not None and self._replayable[row] else None
-
-    def replay_rows(self, indices: np.ndarray) -> np.ndarray:
-        """The replayable row of each of ``indices``, ``-1`` where none."""
-        if not self.n_replayable:
-            return np.full(len(indices), -1, dtype=np.int64)
-        get = self._positions.get
-        rows = np.fromiter(
-            (get(index, -1) for index in indices.tolist()), dtype=np.int64, count=len(indices)
-        )
-        known = rows >= 0
-        rows[known] = np.where(self._replayable[rows[known]], rows[known], -1)
-        return rows
-
-    def codes_of(self, rows) -> np.ndarray:
-        """The code rows of replayable ``rows`` (as :meth:`replay_rows`
-        returns them)."""
-        return self._codes[rows]
+            self._codes = codes
 
     def labels(self) -> dict[int, dict[str, str]]:
         """``{index: labels}`` of every recorded object, in insertion
@@ -184,21 +156,22 @@ def _encode_labels(schema: Schema, point_answers: Mapping[int, Mapping[str, str]
 
 
 class RecordingOracleProxy(Oracle):
-    """Records every paid answer; replays checkpointed ones for free.
+    """The one answer store: every query is paid at most once.
 
     * **recording** — each answer the inner oracle produces is kept, so
-      a checkpoint can persist everything the crowd was paid for, and
-    * **replaying** — answers loaded from a checkpoint are returned
+      a checkpoint persists exactly what the crowd was paid for, and
+    * **answering** — every set or point query the proxy holds an
+      answer for, recorded or loaded from a checkpoint, is answered
       without consulting (or charging) the inner oracle: the mechanism
-      behind resume-without-re-asking.
+      behind resume-without-re-asking and behind runs and jobs sharing
+      what an earlier one paid for.
     """
 
     def __init__(self, inner: Oracle) -> None:
         self._session_inner = inner
         self.schema = inner.schema
         self.ledger = inner.ledger
-        self._set_seen: dict[QueryKey, bool] = {}
-        self._set_replay: dict[QueryKey, bool] = {}
+        self._set_answers: dict[QueryKey, bool] = {}
         #: every point answer recorded or loaded, as code rows
         self.points = PointStore(inner.schema)
 
@@ -224,23 +197,21 @@ class RecordingOracleProxy(Oracle):
             ) from error
 
     # -- the answer log --------------------------------------------------
-    def answer_log(self, cache=None) -> dict[str, Any]:
-        """The answer-log sections: every recorded answer, then the
-        entries of the :class:`~repro.engine.cache.AnswerCache` ``cache``
-        (implied negatives included), and the reliability snapshot
-        (``None`` without a reliability-enabled platform).
+    def answer_log(self) -> dict[str, Any]:
+        """The answer-log sections: every answer the proxy holds, each
+        paid once, and the reliability snapshot (``None`` without a
+        reliability-enabled platform).
 
         >>> from repro import GroundTruthOracle, binary_dataset
         >>> oracle = GroundTruthOracle(binary_dataset(9, 3, placement="front"))
         >>> RecordingOracleProxy(oracle).answer_log()
         {'set_answers': [], 'point_answers': [], 'reliability': None}
         """
-        set_answers = {**self._set_seen, **dict(() if cache is None else cache.entries())}
         platform = _reliability_platform(self._session_inner)
         return {
             "set_answers": [
                 codec.set_answer_to_dict(predicate, index_key, answer)
-                for (predicate, index_key), answer in set_answers.items()
+                for (predicate, index_key), answer in self._set_answers.items()
             ],
             "point_answers": codec.point_answers_to_list(self.points.labels()),
             "reliability": (
@@ -300,10 +271,10 @@ class RecordingOracleProxy(Oracle):
             platform_rng,
         )
 
-    def replay(self, log: AnswerLog, cache=None) -> None:
-        """Load a decoded log: its answers replay for free through this
-        proxy and ``cache``; its policy and platform rng are installed on
-        the reliability-enabled platform.
+    def replay(self, log: AnswerLog) -> None:
+        """Load a decoded log: this proxy answers its queries for free;
+        its policy and platform rng are installed on the
+        reliability-enabled platform.
 
         >>> from repro import GroundTruthOracle, binary_dataset
         >>> proxy = RecordingOracleProxy(
@@ -312,16 +283,10 @@ class RecordingOracleProxy(Oracle):
         >>> proxy.ask_point(0), proxy.ledger.total
         ({'gender': 'male'}, 0)
         """
-        self._set_replay.update(log.set_answers)
-        self._set_seen.update(log.set_answers)
+        self._set_answers.update(log.set_answers)
         self.points.record(
-            list(log.point_answers),
-            _encode_labels(self.schema, log.point_answers),
-            replayable=True,
+            list(log.point_answers), _encode_labels(self.schema, log.point_answers)
         )
-        if cache is not None:
-            for key, answer in log.set_answers.items():
-                cache.store(key, answer)
         if log.reliability is not None:
             platform = _reliability_platform(self._session_inner)
             platform.reliability = log.reliability
@@ -344,10 +309,10 @@ class RecordingOracleProxy(Oracle):
     def ask_set(self, indices, predicate, *, key=None) -> bool:
         if key is None:
             key = set_query_key(np.asarray(indices, dtype=np.int64), predicate)
-        if key in self._set_replay:
-            return self._set_replay[key]
+        if key in self._set_answers:
+            return self._set_answers[key]
         answer = self._session_inner.ask_set(indices, predicate, key=key)
-        self._set_seen[key] = answer
+        self._set_answers[key] = answer
         return answer
 
     def ask_set_batch(self, queries, *, keys=None) -> list[bool]:
@@ -360,40 +325,32 @@ class RecordingOracleProxy(Oracle):
                 set_query_key(indices, predicate) for indices, predicate in prepared
             ]
         fresh = [
-            (position, query)
-            for position, (key, query) in enumerate(zip(keys, prepared))
-            if key not in self._set_replay
+            position for position, key in enumerate(keys) if key not in self._set_answers
         ]
-        answers: list[bool] = [False] * len(prepared)
-        for position, key in enumerate(keys):
-            if key in self._set_replay:
-                answers[position] = self._set_replay[key]
         if fresh:
             fresh_answers = self._session_inner.ask_set_batch(
-                [query for _, query in fresh],
-                keys=[keys[position] for position, _ in fresh],
+                [prepared[position] for position in fresh],
+                keys=[keys[position] for position in fresh],
             )
-            for (position, _), answer in zip(fresh, fresh_answers):
-                answers[position] = answer
-                self._set_seen[keys[position]] = answer
-        return answers
+            for position, answer in zip(fresh, fresh_answers):
+                self._set_answers[keys[position]] = answer
+        return [self._set_answers[key] for key in keys]
 
     def ask_point(self, index: int) -> dict[str, str]:
         index = int(index)
-        row = self.points.replay_row(index)
+        row = self.points.positions.get(index)
         if row is not None:
-            return self.schema.decode_rows(self.points.codes_of([row]))[0]
+            return self.schema.decode_rows(self.points.codes[[row]])[0]
         labels = self._session_inner.ask_point(index)
         self.points.record_one(index, self.schema.encode_row(labels))
         return labels
 
     def ask_point_batch(self, indices) -> list[dict[str, str]]:
         prepared = np.array([int(index) for index in indices], dtype=np.int64)
-        rows = self.points.replay_rows(prepared)
+        rows = self.points.rows(prepared)
         answers: list[dict[str, str]] = [{} for _ in prepared]
-        replayed = np.flatnonzero(rows >= 0)
-        replayed_labels = self.schema.decode_rows(self.points.codes_of(rows[replayed]))
-        for position, labels in zip(replayed, replayed_labels):
+        held = np.flatnonzero(rows >= 0)
+        for position, labels in zip(held, self.schema.decode_rows(self.points.codes[rows[held]])):
             answers[position] = labels
         fresh = np.flatnonzero(rows < 0)
         if len(fresh):
@@ -407,22 +364,22 @@ class RecordingOracleProxy(Oracle):
         return answers
 
     def scan_points(self, indices, predicate, tau) -> np.ndarray:
-        """The scan in runs: replayed objects answer from the store for
-        free, and each fresh run is one scan of the inner oracle, whose
-        paid prefix is recorded before the next run starts. A resume
-        therefore re-asks nothing."""
+        """The scan in runs: held objects answer from the store for free,
+        and each fresh run is one scan of the inner oracle, whose paid
+        prefix is recorded before the next run starts. A resume, or a
+        scan over objects an earlier one labelled, re-asks nothing."""
         indices = scan_indices(indices, tau)
-        rows = self.points.replay_rows(indices)
-        replayed = rows >= 0
-        cuts = np.flatnonzero(np.diff(replayed)) + 1
+        rows = self.points.rows(indices)
+        held = rows >= 0
+        cuts = np.flatnonzero(np.diff(held)) + 1
         pieces: list[np.ndarray] = []
         members = 0
         for start, stop in zip([0, *cuts.tolist()], [*cuts.tolist(), len(indices)]):
             need = None if tau is None else tau - members
             if start == stop or need == 0:
                 break
-            if replayed[start]:
-                codes = self.points.codes_of(rows[start:stop])
+            if held[start]:
+                codes = self.points.codes[rows[start:stop]]
             else:
                 codes = self._session_inner.scan_points(indices[start:stop], predicate, need)
                 self.points.record(indices[start : start + len(codes)], codes)

@@ -345,8 +345,7 @@ class AuditSession:
         if spec not in self._unfinished:
             self._unfinished.append(spec)
         on_round = _round_emitter(callback, spec, window)
-        if callback is not None:
-            callback(AuditProgress(spec=spec, stage="start", tasks=0, rounds=0))
+        _emit(callback, spec, "start", window)
 
         self._inflight_rng_state = self._rng_state()
         try:
@@ -380,15 +379,7 @@ class AuditSession:
             ),
             wall_clock_seconds=time.perf_counter() - started,
         )
-        if callback is not None:
-            callback(
-                AuditProgress(
-                    spec=spec,
-                    stage="finish",
-                    tasks=tasks.total,
-                    rounds=tasks.n_rounds,
-                )
-            )
+        _emit(callback, spec, "finish", window)
         return report
 
     def run_many(
@@ -411,10 +402,12 @@ class AuditSession:
         input order, still sharing the engine's cache. Sequential
         sessions run everything in input order.
 
-        Entry order always matches input order. ``"round"`` progress
-        events of the concurrent group phase serve the whole batch and
-        carry ``spec=None``; per-spec rounds are only meaningful for the
-        sequentially-executed specs.
+        Entry order always matches input order. Each spec gets one
+        ``"start"`` event as it starts (the concurrent group specs all
+        before their shared phase) and one ``"finish"`` at the end.
+        ``"round"`` progress events of the concurrent group phase serve
+        the whole batch and carry ``spec=None``; per-spec rounds are
+        only meaningful for the sequentially-executed specs.
         """
         specs = tuple(specs)
         callback = on_progress if on_progress is not None else self.progress
@@ -437,6 +430,8 @@ class AuditSession:
                     if type(spec) is GroupAuditSpec
                 ]
                 if concurrent:
+                    for _, spec in concurrent:
+                        _emit(callback, spec, "start", window)
                     steppers = {
                         position: make_group_stepper(
                             spec,
@@ -461,6 +456,7 @@ class AuditSession:
                 if position in results:
                     continue
                 self._inflight_rng_state = self._rng_state()
+                _emit(callback, spec, "start", window)
                 results[position] = run_spec(
                     self._proxy,
                     spec,
@@ -493,16 +489,8 @@ class AuditSession:
             ),
             wall_clock_seconds=time.perf_counter() - started,
         )
-        if callback is not None:
-            for spec in specs:
-                callback(
-                    AuditProgress(
-                        spec=spec,
-                        stage="finish",
-                        tasks=tasks.total,
-                        rounds=tasks.n_rounds,
-                    )
-                )
+        for spec in specs:
+            _emit(callback, spec, "finish", window)
         return report
 
     # -- checkpoint / resume ----------------------------------------------
@@ -533,9 +521,7 @@ class AuditSession:
                     else None
                 ),
                 "pending": [spec.to_dict() for spec in self._unfinished],
-                **self._proxy.answer_log(
-                    self.engine.cache if self.engine is not None else None
-                ),
+                **self._proxy.answer_log(),
             }
         )
 
@@ -637,9 +623,7 @@ class AuditSession:
         if rng is not None:
             session.rng = rng
         session._unfinished = pending
-        session._proxy.replay(
-            log, session.engine.cache if session.engine is not None else None
-        )
+        session._proxy.replay(log)
         return session
 
     def run_pending(self) -> AuditReport:
@@ -647,6 +631,20 @@ class AuditSession:
         if not self._unfinished:
             raise InvalidParameterError("session has no pending specs to run")
         return self.run_many(tuple(self._unfinished))
+
+
+def _emit(
+    callback: Callable[[AuditProgress], None] | None,
+    spec: AuditSpec | None,
+    stage: str,
+    window: LedgerWindow,
+) -> None:
+    """Deliver a ``stage`` event with ``window``'s totals, if anyone listens."""
+    if callback is not None:
+        usage = window.usage()
+        callback(
+            AuditProgress(spec=spec, stage=stage, tasks=usage.total, rounds=usage.n_rounds)
+        )
 
 
 def _round_emitter(
@@ -657,13 +655,4 @@ def _round_emitter(
     """A zero-arg hook emitting a ``"round"`` event with window totals."""
     if callback is None:
         return None
-
-    def emit() -> None:
-        usage = window.usage()
-        callback(
-            AuditProgress(
-                spec=spec, stage="round", tasks=usage.total, rounds=usage.n_rounds
-            )
-        )
-
-    return emit
+    return lambda: _emit(callback, spec, "round", window)

@@ -107,16 +107,6 @@ class AnswerCache:
             for member in self._implications.get(predicate, ()):
                 self._answers.setdefault((member, index_key), False)
 
-    def entries(self) -> tuple[tuple[QueryKey, bool], ...]:
-        """Every cached ``(key, answer)`` pair, insertion-ordered.
-
-        This is the substrate of :meth:`repro.audit.AuditSession.checkpoint`:
-        the cache holds every set-query answer the crowd was paid for
-        (including implied negatives), which is exactly what a resumed
-        session must not pay for again.
-        """
-        return tuple(self._answers.items())
-
     def clear(self) -> None:
         """Drop all cached answers (implications stay registered)."""
         self._answers.clear()

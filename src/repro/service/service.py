@@ -4,7 +4,7 @@ The :class:`~repro.audit.AuditSession` binds execution state for *one*
 caller; the service multiplexes **jobs** — audit specs submitted by any
 number of tenants — over one shared
 :class:`~repro.crowd.backends.CrowdBackend`, one
-:class:`~repro.engine.QueryEngine`, and one answer cache::
+:class:`~repro.engine.QueryEngine`, and one recording proxy::
 
     service = AuditService(oracle, backend=lambda o: LatencyModelBackend(o))
     handle = service.submit(GroupAuditSpec(predicate=female, tau=50),
@@ -18,9 +18,9 @@ Three properties fall out of the shared engine:
   once; with a latency-modeling (or real) backend, eight concurrent
   audits finish in roughly the wall-clock of one
   (``benchmarks/bench_service.py`` measures it).
-* **Cross-job dedup.** Two tenants asking the same question pay once —
-  the engine's in-flight table and answer cache do not care which job a
-  query came from.
+* **Cross-job dedup.** Two tenants asking the same set or point
+  question pay once — the engine's in-flight table and the recording
+  proxy's answer store do not care which job a query came from.
 * **Crash safety.** Wrapped in a recording proxy, every paid answer can
   be checkpointed into a :class:`~repro.service.JobStore` together with
   per-job records; :meth:`AuditService.resume` revives every unfinished
@@ -186,7 +186,7 @@ class AuditService:
         shared backend *over the service's proxy* (so backend-dispatched
         answers are recorded). Defaults to the zero-latency
         :class:`~repro.crowd.backends.InlineBackend`.
-    batch_size / speculation / cache:
+    batch_size / speculation:
         Forwarded to the shared :class:`~repro.engine.QueryEngine`.
     max_active_jobs:
         Concurrency limit of the fair-share scheduler.
@@ -219,7 +219,6 @@ class AuditService:
         backend: "Callable[[Oracle], CrowdBackend] | None" = None,
         batch_size: int = 32,
         speculation: int | None = None,
-        cache=None,
         max_active_jobs: int = 8,
         dataset_size: int | None = None,
         seed: int | None = None,
@@ -253,7 +252,6 @@ class AuditService:
             backend=crowd_backend,
             batch_size=batch_size,
             speculation=speculation,
-            cache=cache,
         )
         self.backend = self.engine.backend
         self.max_active_jobs = max_active_jobs
@@ -624,9 +622,9 @@ class AuditService:
     def checkpoint(self) -> None:
         """Write the answer log and every job record to the store.
 
-        The answer log holds everything the crowd was paid for — set
-        answers from the proxy and the engine cache, point answers from
-        the proxy — so a resumed service replays them for free.
+        The answer log holds exactly what the crowd was paid for — the
+        proxy's set and point answers — so a resumed service replays
+        them for free.
         """
         if self.job_store is None:
             raise InvalidParameterError(
@@ -644,7 +642,7 @@ class AuditService:
                 "max_active_jobs": self.max_active_jobs,
                 "next_seq": self._seq,
                 "tasks_paid": self.tasks_paid,
-                **self._proxy.answer_log(self.engine.cache),
+                **self._proxy.answer_log(),
             }
         )
         for job in self._jobs.values():
@@ -671,9 +669,9 @@ class AuditService:
         Finished jobs come back with their results; queued, running, and
         suspended jobs are re-queued (same id, seed, tenant, priority,
         submission order). Every recorded answer is preloaded into the
-        replay proxy and the answer cache, so re-run audits pay only for
-        queries the crashed service never asked — determinism then
-        guarantees identical verdicts. An unreadable store raises
+        recording proxy, so re-run audits pay only for queries the
+        crashed service never asked — determinism then guarantees
+        identical verdicts. An unreadable store raises
         :class:`~repro.errors.CheckpointVersionError` before ``oracle``
         (its ledger budget included) is touched.
         """
@@ -729,7 +727,7 @@ class AuditService:
             task_budget=task_budget,
         )
         service._tasks_paid_before = tasks_paid
-        service._proxy.replay(log, service.engine.cache)
+        service._proxy.replay(log)
         max_seq = -1
         for job in jobs:
             service._jobs[job.job_id] = job

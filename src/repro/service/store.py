@@ -7,8 +7,8 @@ kinds of state:
 * **per-job records** — spec, tenant, priority, seed, status, events,
   and (for finished jobs) the full result report;
 * **the answer log** — every set/point answer the crowd was paid for,
-  shared across jobs (it feeds the replay proxy and the answer cache on
-  resume, which is what makes resumed audits re-ask nothing).
+  shared across jobs (it feeds the recording proxy on resume, which is
+  what makes resumed audits re-ask nothing).
 
 Two stores ship: :class:`InMemoryJobStore` (tests, ephemeral services)
 and :class:`DirectoryJobStore` (one JSON file per job under ``jobs/``

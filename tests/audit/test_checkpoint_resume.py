@@ -148,9 +148,12 @@ def test_resume_restores_rng_stream_position():
     first = MultipleAuditSpec(groups=(group(race="white"), group(race="black")), tau=40)
     second = MultipleAuditSpec(groups=(group(race="asian"), group(race="hispanic")), tau=40)
 
+    # The same two-session split, uninterrupted: one session would
+    # reuse `first`'s point labels in `second` and pay less.
     reference_oracle = GroundTruthOracle(dataset)
     with AuditSession(reference_oracle, engine=True, seed=13) as session:
         session.run(first)
+    with AuditSession(reference_oracle, engine=True, rng=session.rng) as session:
         reference = session.run(second)
 
     oracle = RecordingOracle(dataset)

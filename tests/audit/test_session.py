@@ -170,6 +170,33 @@ class TestProgress:
         rounds = [event.tasks for event in events if event.stage == "round"]
         assert rounds == sorted(rounds)
 
+    @pytest.mark.parametrize("engine", [None, True])
+    @pytest.mark.parametrize(
+        "spec",
+        [GroupAuditSpec(predicate=FEMALE, tau=30), BaseAuditSpec(predicate=FEMALE, tau=5)],
+        ids=["group", "base"],
+    )
+    def test_run_many_of_one_spec_emits_the_stages_of_run(self, dataset, engine, spec):
+        def stages(method, argument):
+            events: list[AuditProgress] = []
+            with AuditSession(GroundTruthOracle(dataset), engine=engine) as session:
+                getattr(session, method)(argument, on_progress=events.append)
+            return [event.stage for event in events]
+
+        assert stages("run", spec)[0] == "start"
+        assert stages("run_many", [spec]) == stages("run", spec)
+
+    def test_run_many_starts_each_spec_as_it_starts(self, dataset):
+        specs = [GroupAuditSpec(predicate=FEMALE, tau=30), BaseAuditSpec(predicate=MALE, tau=5)]
+        events: list[AuditProgress] = []
+        with AuditSession(GroundTruthOracle(dataset), progress=events.append) as session:
+            session.run_many(specs)
+        starts = [i for i, event in enumerate(events) if event.stage == "start"]
+        assert [events[i].spec for i in starts] == specs
+        assert events[starts[1] - 1].stage == "round"  # the first spec ran in between
+        assert events[starts[1]].tasks == events[starts[1] - 1].tasks
+        assert [event.spec for event in events if event.stage == "finish"] == specs
+
     def test_per_run_callback_overrides_session_default(self, dataset):
         session_events, run_events = [], []
         with AuditSession(

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import io
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,7 +263,7 @@ def execute(config: Config, env: Env) -> Outcome:
 
     oracle = fresh()
     batching = dict(zip(("batch_size", "speculation"), config.engine or ()))
-    sampling = None
+    sampling = answer_log = None
     if config.driver == "legacy":
         rng = np.random.default_rng(config.seed)
         engine = None if config.engine is None else QueryEngine(oracle, **batching)
@@ -283,13 +284,14 @@ def execute(config: Config, env: Env) -> Outcome:
             with AuditSession.resume(session.checkpoint(), fresh()) as session:
                 reports = (session.run_pending(),)
         sampling = session.rng.bit_generator.state
+        answer_log = json.loads(session.checkpoint())
     else:
         def backend(proxy):
             if config.driver == "service-inline":
                 return InlineBackend(proxy)
             return LatencyModelBackend(proxy, rng=np.random.default_rng(config.seed))
 
-        store = None if config.kill is None else InMemoryJobStore()
+        store = InMemoryJobStore()  # drain() writes the answer log to it
         service = AuditService(oracle, backend=backend, seed=config.seed, job_store=store,
                                task_budget=config.kill, **batching)
         try:
@@ -305,6 +307,7 @@ def execute(config: Config, env: Env) -> Outcome:
             with AuditService.resume(store, fresh(), backend=backend) as service:
                 service.drain()
                 reports = tuple(service.handle(job.job_id).result() for job in jobs)
+        answer_log = store.load_answers()
 
     paid_queries: list[list[str]] = []
     for raw, log in built:
@@ -314,9 +317,12 @@ def execute(config: Config, env: Env) -> Outcome:
         unpaid = len(lines) - raw.ledger.total
         assert unpaid == 0
         paid_queries.append(lines[: raw.ledger.total])
+    paid = sum(raw.ledger.total for raw, _ in built)
+    if answer_log is not None:  # the answer log is exactly the bill
+        assert len(answer_log["set_answers"]) + len(answer_log["point_answers"]) == paid
     return Outcome(
         reports=reports,
-        paid=sum(raw.ledger.total for raw, _ in built),
+        paid=paid,
         hits=sum(raw.platform.ledger.n_hits for raw, _ in built if hasattr(raw, "platform")),
         state=(sampling, oracle_state(built[-1][0])),
         paid_queries=paid_queries,
@@ -563,6 +569,12 @@ NAMED = {
     # an object two super-groups discover over noisy labels is paid once
     "noisy_labels_label_each_object_once": Config(kind="intersectional", n_rows=80, tau=7, n=2,
         oracle="flaky", seed=65536),
+    # two tenants' jobs pay once for a point both ask
+    "jobs_pay_once_for_a_shared_point": Config(kind="base", tau=5, driver="service-inline",
+        engine=ENGINE, tenants=2),
+    # a resumed job re-derives the negatives a replayed super-group "no" implies
+    "kill_resume_rederives_implied_negatives": Config(kind="multiple", data_seed=0, n_rows=80,
+        tau=2, n=2, driver="service-inline", engine=(1, 0), oracle="truth", kill=5, seed=0),
     # the mixed axes no pairwise suite reached
     "processes_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
         engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
@@ -604,10 +616,6 @@ GAPS = [
                  id=f"kill_restarts_{oracle}_noise",
                  marks=gap(reason=f"checkpoints do not carry the {oracle} oracle's rng"))
     for oracle in ("flaky", "crowd")
-] + [
-    pytest.param(Config(kind="base", tau=5, driver="service-inline", engine=ENGINE, tenants=2),
-                 id="jobs_pay_again_for_a_shared_point",
-                 marks=gap(reason="the service shares set answers across jobs, not point answers")),
 ]
 
 
