@@ -28,7 +28,10 @@ per row:
   with ``--memmap-tier``, at N = 100M) with the cap several times under
   the dense requirement.
 
-Results land in ``BENCH_shards.json``. Full sweep (what the committed
+Results land in ``BENCH_shards.json``. Each row's ``sharded`` (the
+sequential repeats) and ``sharded_engine`` entries also record the
+``chunk_loads`` and ``prefix_builds`` that mode caused, so the two
+modes' data-plane work can be compared. Full sweep (what the committed
 baseline is built from)::
 
     PYTHONPATH=src python benchmarks/bench_shards.py --memmap-tier 100000000
@@ -289,10 +292,21 @@ def run_case(
         # huge tiers stay single-shot to keep the sweep bounded.
         repeats = 3 if n_objects <= dense_cap else 1
         row["repeats"] = repeats
+
+        def count_work(run: dict, since: dict) -> dict:
+            """Record the chunk loads and prefix builds ``run`` caused
+            (this process's ledger), apart from the other mode's."""
+            report = index.memory_report()
+            for counter in ("chunk_loads", "prefix_builds"):
+                run[counter] = report[counter] - since[counter]
+            return report
+
+        start = index.memory_report()
         sharded, sharded_result = _timed_session(
             lambda: GroundTruthOracle(dataset, index=index),
             spec, engine=False, seed=seed, repeats=repeats,
         )
+        after_sequential = count_work(sharded, start)
         row["sharded"] = sharded
 
         # The engine run shares the index (and so its warm totals —
@@ -303,6 +317,7 @@ def run_case(
             lambda: GroundTruthOracle(dataset, index=index),
             spec, engine=True, seed=seed,
         )
+        count_work(engine_row, after_sequential)
         row["sharded_engine"] = engine_row
         row["engine_verdict_identical"] = (
             _fingerprint(engine_result) == _fingerprint(sharded_result)

@@ -23,8 +23,14 @@ vocabulary:
   predicates over *one* chunk touch and returns their local prefix-count
   tables (``prefix[-1]`` is the shard total, so a totals-plus-prefix
   build streams each chunk exactly once), and :func:`fused_source_pass`
-  / :func:`scattered_hits_pass` are their process-safe forms taking a
-  :class:`ChunkSource` instead of an in-memory chunk.
+  is its process-safe form taking a :class:`ChunkSource` instead of an
+  in-memory chunk;
+* **gather kernel** — :func:`gather_hits` answers every scattered
+  ``(predicate, local rows)`` item a batch has on *one* shard off one
+  chunk touch, masking only the gathered rows (no prefix table). The
+  index runs it in-process on resident chunks, and a ``processes`` pool
+  runs it on the chunk a worker materialized from the shard's
+  :class:`ChunkSource`.
 
 Everything here is deterministic and allocation-bounded: one chunk is
 materialized per call, masks are evaluated once per predicate, and the
@@ -52,7 +58,7 @@ __all__ = [
     "predicate_mask",
     "fused_prefix_tables",
     "fused_source_pass",
-    "scattered_hits_pass",
+    "gather_hits",
 ]
 
 
@@ -271,36 +277,35 @@ def fused_source_pass(
     return counts, (tables if want_tables else None)
 
 
-def scattered_hits_pass(
-    source: ChunkSource,
+def gather_hits(
     schema: Schema,
-    shard_index: int,
-    start: int,
-    stop: int,
-    predicate: GroupPredicate,
-    local_indices: NDArray[np.int64],
-) -> NDArray[np.bool_]:
-    """Membership bits of scattered *local* rows within one shard.
+    chunk: NDArray[np.int16],
+    items: Sequence[tuple[GroupPredicate, NDArray[np.int64]]],
+) -> list[NDArray[np.bool_]]:
+    """Membership bits of many ``(predicate, local rows)`` items of one
+    shard.
 
-    The process-safe form of a scattered gather: the worker materializes
-    its shard's chunk from ``source``, evaluates the predicate mask
-    once, and returns only the (small) boolean hit array for the
-    requested rows — never the chunk.
+    The per-shard unit of a shard-major batch: every scattered item the
+    batch has on this shard, across all its predicates, answers off one
+    chunk touch. Each predicate is masked over its gathered rows only —
+    ``chunk[local]``, never the whole chunk — and no prefix table is
+    built, so a scattered key costs work in proportion to its size.
+    Under a ``processes`` pool the worker calls it on the chunk it
+    materialized from the shard's :class:`ChunkSource`, and only the
+    local index arrays and their boolean hits cross the boundary.
 
     Examples
     --------
     >>> import numpy as np
     >>> from repro.data.schema import Schema
-    >>> from repro.data.groups import group
-    >>> from repro.data.kernels import CallableChunkSource, scattered_hits_pass
+    >>> from repro.data.groups import Negation, group
+    >>> from repro.data.kernels import gather_hits
     >>> schema = Schema.from_dict({"gender": ["male", "female"]})
-    >>> def chunk(shard_index, start, stop):
-    ...     return np.arange(start, stop, dtype=np.int16).reshape(-1, 1) % 2
-    >>> scattered_hits_pass(
-    ...     CallableChunkSource(chunk), schema, 0, 0, 8,
-    ...     group(gender="female"), np.array([0, 3, 5]))
-    array([False,  True,  True])
+    >>> chunk = np.array([[0], [1], [1], [0]], dtype=np.int16)
+    >>> female = group(gender="female")
+    >>> [hits.tolist() for hits in gather_hits(
+    ...     schema, chunk, [(female, np.array([0, 2])),
+    ...                     (Negation(female), np.array([3]))])]
+    [[False, True], [True]]
     """
-    chunk = source.chunk(shard_index, start, stop)
-    mask = predicate_mask(schema, chunk, predicate)
-    return np.asarray(mask[local_indices], dtype=bool)
+    return [predicate_mask(schema, chunk[local], predicate) for predicate, local in items]

@@ -31,10 +31,18 @@ shard whose chunk is its own code matrix
 A contiguous-run query spanning many shards therefore splits at shard
 boundaries — interior shards answer from the totals, boundary shards
 from their local prefix tables — and the partial counts re-merge into
-the exact answer. Scattered index arrays group by owning shard and
-resolve shard-parallel through a :class:`ShardExecutor`, whose
-``processes`` mode runs the picklable kernels of
-:mod:`repro.data.kernels` on a :class:`~concurrent.futures.\
+the exact answer. Scattered keys of a predicate that is not pinned
+build no prefix table at all: a batch
+(:meth:`ShardedMembershipIndex.any_match_batch`) groups its scattered
+indices by owning shard across all its predicates and visits each
+touched shard once — resident shards first, most recently used first —
+answering every ``(predicate, local rows)`` item there with
+:func:`~repro.data.kernels.gather_hits`, which masks only the gathered
+rows; the same visit builds the batch's missing run boundary tables off
+the chunk in hand. A single scattered ``count`` / ``any_match`` or a
+point ``matches`` is a batch of one. Visits run through a
+:class:`ShardExecutor`, whose ``processes`` mode ships one picklable
+task per shard per batch to a :class:`~concurrent.futures.\
 ProcessPoolExecutor` — workers materialize chunks from the dataset's
 :class:`~repro.data.kernels.ChunkSource` (memory map or deterministic
 generator) on their own side, so chunk arrays never cross the pickle
@@ -71,7 +79,7 @@ from repro.data.kernels import (
     MemmapChunkSource,
     fused_prefix_tables,
     fused_source_pass,
-    scattered_hits_pass,
+    gather_hits,
 )
 from repro.data.schema import Schema
 from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
@@ -104,9 +112,12 @@ def _run_fused_task(task: tuple) -> tuple[list[int], list[np.ndarray] | None]:
     return fused_source_pass(*task)
 
 
-def _run_scattered_task(task: tuple) -> np.ndarray:
-    """Unpack one scattered-gather work item (module-level so it pickles)."""
-    return scattered_hits_pass(*task)
+def _run_gather_task(task: tuple) -> list[np.ndarray]:
+    """One shard's gathers inside a pool worker: the chunk materializes
+    from its source on the worker's side, so chunk bytes never pickle
+    (module-level so it pickles)."""
+    source, schema, shard_index, start, stop, items = task
+    return gather_hits(schema, source.chunk(shard_index, start, stop), items)
 
 
 def _noop(item: int) -> int:
@@ -126,7 +137,10 @@ class ShardStats:
     requirement. Counters track the *calling* process only: pool workers
     of a ``processes`` executor materialize their chunks on their own
     side (bounded to one chunk per worker at a time) and never touch
-    this ledger.
+    this ledger. Every resident chunk came from exactly one counted load,
+    so ``loads - evictions == resident_shards`` holds at every quiescent
+    point, even when threads race to load one shard: the losers' loads
+    count in ``raced_loads`` instead.
 
     Examples
     --------
@@ -141,8 +155,12 @@ class ShardStats:
     (4, 2)
     """
 
-    #: chunk materializations (a regenerated evicted shard counts again)
+    #: chunk materializations that became resident (a regenerated
+    #: evicted shard counts again)
     loads: int = 0
+    #: materializations that lost a load race to another thread and were
+    #: dropped for the winner's chunk (never resident, so not in ``loads``)
+    raced_loads: int = 0
     #: chunks dropped to respect ``max_resident_shards``
     evictions: int = 0
     #: chunks resident right now / the lifetime high-water mark
@@ -579,7 +597,10 @@ LabeledDataset` — equivalence tests and small jobs),
     def chunk(self, shard_index: int) -> np.ndarray:
         """The shard's resident ``(rows, d)`` code chunk, loading (and
         evicting the least recently used shard) as needed. Thread-safe;
-        returned arrays are read-only."""
+        returned arrays are read-only. When two threads load one shard at
+        once, the first to finish makes its chunk resident and counts in
+        ``stats.loads``; the other returns that chunk and counts in
+        ``stats.raced_loads``."""
         with self._lock:
             cached = self._chunks.get(shard_index)
             if cached is not None:
@@ -605,9 +626,9 @@ LabeledDataset` — equivalence tests and small jobs),
         with self._lock:
             raced = self._chunks.get(shard_index)
             if raced is not None:
-                # Another thread loaded it first; this thread's loader
-                # call still materialized a chunk, so it still counts.
-                self.stats.loads += 1
+                # Another thread loaded it first. This thread's chunk is
+                # dropped, never resident, so it counts apart from loads.
+                self.stats.raced_loads += 1
                 self._chunks.move_to_end(shard_index)
                 return raced
             self.stats.loads += 1
@@ -626,6 +647,23 @@ LabeledDataset` — equivalence tests and small jobs),
                 self.stats.peak_resident_bytes, self.stats.resident_bytes
             )
         return chunk
+
+    def resident_order(self) -> list[int]:
+        """Indices of the resident shards, most recently used first: the
+        order a shard-major batch visits them in, so it uses every chunk
+        already in hand before a load evicts one.
+
+        >>> import numpy as np
+        >>> from repro.data.synthetic import binary_dataset
+        >>> ds = ShardedDataset.from_dataset(
+        ...     binary_dataset(100, 5, rng=np.random.default_rng(0)),
+        ...     shard_size=25, max_resident_shards=2)
+        >>> _ = [ds.chunk(s) for s in (0, 1, 2)]
+        >>> ds.resident_order()
+        [2, 1]
+        """
+        with self._lock:
+            return list(reversed(self._chunks))
 
     # ------------------------------------------------------------------
     # row access (the oracle surface)
@@ -994,12 +1032,12 @@ class ShardedMembershipIndex:
     def _pin_on_first_touch(self, predicate: GroupPredicate) -> np.ndarray | None:
         """Pin a predicate no query has touched yet, when the budget can.
 
-        Run and batch queries pin through their totals build; this gives
-        scattered and point queries the same first touch, so they never
-        build a per-shard LRU table that a later run query would build a
-        second time. Returns the pinned global table, or ``None`` when
-        the predicate was touched before or the budget cannot pin it —
-        then the caller keeps the per-shard path."""
+        Run queries pin through their totals build; this gives scattered
+        and point queries the same first touch, so every later query on
+        the predicate, whatever its shape, is one lookup. Returns the
+        pinned global table, or ``None`` when the predicate was touched
+        before or the budget cannot pin it — then the caller gathers
+        shard-major."""
         if predicate in self._totals:
             return None
         with self._lock:
@@ -1022,11 +1060,15 @@ class ShardedMembershipIndex:
         return self._totals[predicate]
 
     def _shard_prefix(
-        self, predicate: GroupPredicate, shard_index: int
+        self,
+        predicate: GroupPredicate,
+        shard_index: int,
+        chunk: np.ndarray | None = None,
     ) -> np.ndarray:
         """The shard's local prefix-count table (length ``rows + 1``):
         sliced out of a pinned global table when one exists, otherwise
-        built from the chunk on demand and cached LRU."""
+        built on demand (from ``chunk`` when the caller holds the shard's
+        chunk already) and cached LRU."""
         pinned = self._prefixes.pinned.get(predicate)
         if pinned is not None:
             start, stop = self.dataset.shard_bounds(shard_index)
@@ -1036,7 +1078,8 @@ class ShardedMembershipIndex:
             cached = self._prefixes.get(key)
         if cached is not None:
             return cached
-        chunk = self.dataset.chunk(shard_index)
+        if chunk is None:
+            chunk = self.dataset.chunk(shard_index)
         prefix = fused_prefix_tables(self.dataset.schema, chunk, (predicate,))[0]
         with self._lock:
             raced = self._prefixes.get(key)
@@ -1045,31 +1088,43 @@ class ShardedMembershipIndex:
             self._prefixes.put(key, prefix)
         return prefix
 
+    def _check_run(self, start: int, stop: int) -> None:
+        """Same contract as value_rows: a non-empty run outside the
+        dataset raises instead of silently clamping (a pinned prefix
+        table would overrun, or wrap on a negative start, on the same
+        input)."""
+        if start < 0 or stop > len(self.dataset):
+            raise OracleError(
+                f"query run [{start}, {stop}) outside dataset "
+                f"[0, {len(self.dataset)})"
+            )
+
     def _count_run(
         self,
         predicate: GroupPredicate,
         start: int,
         stop: int,
         totals: np.ndarray | None = None,
+        tables: dict | None = None,
     ) -> int:
         """Exact member count over the contiguous run ``[start, stop)``:
         totals for whole shards, local prefixes for the (at most two)
         partially covered boundary shards. ``totals`` lets batched
         callers hoist the per-predicate lookup out of their per-run
-        loop."""
+        loop; ``tables`` maps ``(predicate, shard)`` to boundary tables a
+        batch already holds."""
         if stop <= start:
             return 0
         if start < 0 or stop > len(self.dataset):
-            # Same contract as value_rows: out-of-range queries raise
-            # instead of silently clamping (a pinned prefix table would
-            # overrun, or wrap on a negative start, on the same input).
-            raise OracleError(
-                f"query run [{start}, {stop}) outside dataset "
-                f"[0, {len(self.dataset)})"
-            )
+            self._check_run(start, stop)
         pinned = self._prefixes.pinned.get(predicate)
         if pinned is not None:
             return int(pinned[stop] - pinned[start])
+
+        def prefix(shard_index: int) -> np.ndarray:
+            held = tables.get((predicate, shard_index)) if tables else None
+            return held if held is not None else self._shard_prefix(predicate, shard_index)
+
         size = self.dataset.shard_size
         first = start // size
         last = (stop - 1) // size
@@ -1078,75 +1133,104 @@ class ShardedMembershipIndex:
         count = int(totals[last + 1] - totals[first])
         first_base = first * size
         if start > first_base:
-            count -= int(self._shard_prefix(predicate, first)[start - first_base])
+            count -= int(prefix(first)[start - first_base])
         last_base = last * size
         _, last_stop = self.dataset.shard_bounds(last)
         if stop < last_stop:
             in_last = int(totals[last + 1] - totals[last])
-            count -= in_last - int(
-                self._shard_prefix(predicate, last)[stop - last_base]
-            )
+            count -= in_last - int(prefix(last)[stop - last_base])
         return count
 
-    def _scattered_hits(
-        self, predicate: GroupPredicate, indices: np.ndarray
-    ) -> np.ndarray:
-        """Per-index membership of an arbitrary (non-empty) index array,
-        resolved shard-by-shard through the executor. In ``processes``
-        mode each shard's gather runs as a picklable kernel — only the
-        local index array and its boolean hits cross the boundary —
-        unless the predicate's global prefix table is already pinned, in
-        which case the parent answers lock-free without dispatching (or
-        touching a chunk) at all."""
-        _check_object_indices(indices, len(self.dataset))
-        pinned = self._prefixes.pinned.get(predicate)
-        if pinned is None:
-            pinned = self._pin_on_first_touch(predicate)
-        if pinned is not None:
-            return np.asarray(pinned[indices + 1] > pinned[indices])
+    def _shard_major(
+        self,
+        gathers: Sequence[tuple[GroupPredicate, np.ndarray]],
+        boundaries: Sequence[tuple[GroupPredicate, int]] = (),
+    ) -> tuple[list[np.ndarray], dict]:
+        """Per-index membership of each ``(predicate, indices)`` gather
+        (indices non-empty and range-checked), plus the local prefix
+        table of each ``(predicate, shard)`` in ``boundaries``, visiting
+        every shard they touch once.
+
+        A gather whose predicate is pinned (or pins on this first touch)
+        answers from its global table without touching a chunk. The rest
+        group by owning shard across all predicates, and each touched
+        shard is visited once — resident shards first, most recently
+        used first, so no chunk in hand is evicted before its turn. A
+        visit builds the shard's missing boundary tables and runs
+        :func:`~repro.data.kernels.gather_hits` over all of its gathered
+        rows: no prefix table is built for a scattered key. Under a
+        ``processes`` executor with more than one shard to gather, the
+        boundary tables build in this process (they are cached here) and
+        the gathers run as one pickled task per shard."""
+        schema = self.dataset.schema
         size = self.dataset.shard_size
-        shards = indices // size
-        unique_shards = np.unique(shards)
-        hits = np.zeros(len(indices), dtype=bool)
-
-        if self.executor.uses_processes and len(unique_shards) > 1:
-            source = self.dataset.chunk_source
-            predicate.validate(self.dataset.schema)
-            selectors = []
-            tasks = []
-            for shard_index in (int(s) for s in unique_shards):
-                selector = shards == shard_index
-                local = indices[selector] - shard_index * size
-                selectors.append(selector)
-                tasks.append(
-                    (source, self.dataset.schema, shard_index,
-                     *self.dataset.shard_bounds(shard_index), predicate, local)
+        hits: list[np.ndarray] = []
+        # shard -> [(hits of the gather, its positions there, predicate, local rows)]
+        work: dict[int, list] = {}
+        for predicate, indices in gathers:
+            pinned = self._prefixes.pinned.get(predicate)
+            if pinned is None:
+                pinned = self._pin_on_first_touch(predicate)
+            if pinned is not None:
+                hits.append(pinned[indices + 1] > pinned[indices])
+                continue
+            predicate.validate(schema)
+            out = np.empty(len(indices), dtype=bool)
+            hits.append(out)
+            shards = indices // size
+            order = np.argsort(shards, kind="stable")
+            cuts = np.flatnonzero(np.diff(shards[order])) + 1
+            for rows in np.split(order, cuts):
+                shard_index = int(shards[rows[0]])
+                work.setdefault(shard_index, []).append(
+                    (out, rows, predicate, indices[rows] - shard_index * size)
                 )
-            for selector, shard_hits in zip(
-                selectors, self.executor.map(_run_scattered_task, tasks)
-            ):
-                hits[selector] = shard_hits
-            return hits
+        needed: dict[int, list[GroupPredicate]] = {}
+        for predicate, shard_index in boundaries:
+            needed.setdefault(shard_index, []).append(predicate)
+        tables: dict = {}
+        if not work and not needed:
+            return hits, tables
+        touched = work.keys() | needed.keys()
+        resident = [s for s in self.dataset.resident_order() if s in touched]
+        order = resident + sorted(touched.difference(resident))
 
-        def eval_shard(shard_index: int):
-            selector = shards == shard_index
-            local = indices[selector] - shard_index * size
+        def visit(shard_index: int, gather: bool = True) -> list[np.ndarray]:
+            # The hold slot bounds how many chunks threaded visits keep
+            # alive at once to the residency cap.
             with self.dataset.hold_slots:
-                prefix = self._shard_prefix(predicate, int(shard_index))
-            return selector, prefix[local + 1] > prefix[local]
+                chunk = self.dataset.chunk(shard_index)
+                for predicate in needed.get(shard_index, ()):
+                    tables[predicate, shard_index] = self._shard_prefix(
+                        predicate, shard_index, chunk
+                    )
+                entries = work.get(shard_index) if gather else None
+                if not entries:
+                    return []
+                return gather_hits(schema, chunk, [(p, local) for _, _, p, local in entries])
 
-        if self.executor.uses_processes:
-            # Single-shard gather with no chunk source advantage: build
-            # the boundary prefix in-parent (the closure would not
-            # pickle anyway).
-            results = [eval_shard(int(s)) for s in unique_shards]
+        gathered = [s for s in order if s in work]
+        if self.executor.uses_processes and len(gathered) > 1:
+            for shard_index in order:
+                if shard_index in needed:
+                    visit(shard_index, gather=False)
+            source = self.dataset.chunk_source
+            tasks = [
+                (source, schema, s, *self.dataset.shard_bounds(s),
+                 [(p, local) for _, _, p, local in work[s]])
+                for s in gathered
+            ]
+            results = zip(gathered, self.executor.map(_run_gather_task, tasks))
+        elif self.executor.uses_processes:
+            # One shard to gather at most: no pool round trip (and the
+            # closure would not pickle anyway).
+            results = zip(order, [visit(s) for s in order])
         else:
-            results = self.executor.map(
-                eval_shard, (int(s) for s in unique_shards)
-            )
-        for selector, shard_hits in results:
-            hits[selector] = shard_hits
-        return hits
+            results = zip(order, self.executor.map(visit, order))
+        for shard_index, shard_hits in results:
+            for (out, rows, _, _), bits in zip(work.get(shard_index, ()), shard_hits):
+                out[rows] = bits
+        return hits, tables
 
     # ------------------------------------------------------------------
     # the query surface
@@ -1173,7 +1257,7 @@ class ShardedMembershipIndex:
             return self._count_run(predicate, key.start, key.stop)
         if not key.payload:
             return 0
-        return int(self._scattered_hits(predicate, key.to_array()).sum())
+        return int(self._gather_one(predicate, key.to_array()).sum())
 
     def any_match(self, predicate: GroupPredicate, key: IndexKey) -> bool:
         """Does the keyed index set contain at least one member of
@@ -1182,21 +1266,20 @@ class ShardedMembershipIndex:
             return self._count_run(predicate, key.start, key.stop) > 0
         if not key.payload:
             return False
-        return bool(self._scattered_hits(predicate, key.to_array()).any())
+        return bool(self._gather_one(predicate, key.to_array()).any())
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
         """Ground-truth membership of a single object."""
-        index = int(index)
-        _check_object_indices(np.asarray([index], dtype=np.int64), len(self.dataset))
+        return bool(self._gather_one(predicate, np.asarray([int(index)], dtype=np.int64))[0])
+
+    def _gather_one(self, predicate: GroupPredicate, indices: np.ndarray) -> np.ndarray:
+        """A single scattered query (or point) as a shard-major batch of
+        one, after the pinned lookup every dense query takes."""
+        _check_object_indices(indices, len(self.dataset))
         pinned = self._prefixes.pinned.get(predicate)
-        if pinned is None:
-            pinned = self._pin_on_first_touch(predicate)
         if pinned is not None:
-            return bool(pinned[index + 1] > pinned[index])
-        shard = self.dataset.shard_of(index)
-        prefix = self._shard_prefix(predicate, shard)
-        local = index - shard * self.dataset.shard_size
-        return bool(prefix[local + 1] > prefix[local])
+            return pinned[indices + 1] > pinned[indices]
+        return self._shard_major(((predicate, indices),))[0][0]
 
     def any_match_runs(
         self, predicate: GroupPredicate, starts: np.ndarray, stops: np.ndarray
@@ -1216,38 +1299,70 @@ class ShardedMembershipIndex:
     def any_match_batch(
         self, queries: Sequence[tuple[IndexKey, GroupPredicate]]
     ) -> list[bool]:
-        """Answer many keyed set queries, grouped by predicate; empty
-        keys answer ``False``. Totals for every predicate the batch
-        needs are built in one fused streaming pass first; then run keys
-        split/merge at shard boundaries and the scattered keys of one
-        predicate concatenate into a single shard-parallel gather."""
+        """Answer many keyed set queries; empty keys answer ``False``.
+
+        Every key is range-checked before any work. Totals for every
+        predicate with a run key are built in one fused streaming pass;
+        then the scattered keys of each predicate concatenate into one
+        gather, and one shard-major pass (:meth:`_shard_major`) answers
+        every gather and builds every missing run boundary table,
+        touching each shard the batch needs once. Run keys split/merge
+        at shard boundaries; each gather reduces per query with one
+        segmented ``any``."""
         answers = [False] * len(queries)
-        by_predicate: dict[GroupPredicate, list[int]] = {}
-        for position, (_, predicate) in enumerate(queries):
-            by_predicate.setdefault(predicate, []).append(position)
-        # One chunk touch builds totals for every predicate missing them.
-        self.build_totals(list(by_predicate))
-        for predicate, positions in by_predicate.items():
-            totals = self.shard_totals(predicate)
-            scattered: list[int] = []
-            for position in positions:
-                key = queries[position][0]
-                if key.payload is None:
-                    answers[position] = (
-                        self._count_run(predicate, key.start, key.stop, totals) > 0
-                    )
-                elif key.payload:
-                    scattered.append(position)
-            if scattered:
-                arrays = [queries[position][0].to_array() for position in scattered]
-                hits = self._scattered_hits(predicate, np.concatenate(arrays))
-                # Per-query ``any`` over the concatenated gather (every
-                # array is non-empty, as ``reduceat`` requires).
-                starts = np.cumsum([0] + [len(a) for a in arrays[:-1]])
-                for position, hit in zip(
-                    scattered, np.logical_or.reduceat(hits, starts)
+        runs: list[tuple[int, GroupPredicate, int, int]] = []
+        scattered: dict[GroupPredicate, list[int]] = {}
+        for position, (key, predicate) in enumerate(queries):
+            if key.payload is None:
+                if key.stop > key.start:
+                    self._check_run(key.start, key.stop)
+                    runs.append((position, predicate, key.start, key.stop))
+            elif key.payload:
+                scattered.setdefault(predicate, []).append(position)
+        gathers = []
+        splits = []
+        for predicate, positions in scattered.items():
+            arrays = [queries[position][0].to_array() for position in positions]
+            indices = np.concatenate(arrays)
+            _check_object_indices(indices, len(self.dataset))
+            gathers.append((predicate, indices))
+            splits.append(np.cumsum([0] + [len(a) for a in arrays[:-1]]))
+        # One chunk touch builds totals for every run predicate missing them.
+        self.build_totals(list(dict.fromkeys(predicate for _, predicate, _, _ in runs)))
+        pinned = self._prefixes.pinned
+        size, n_objects = self.dataset.shard_size, len(self.dataset)
+        held: list[tuple[int, GroupPredicate, int, int]] = []
+        tables: dict = {}
+        with self._lock:
+            for run in runs:
+                position, predicate, start, stop = run
+                table = pinned.get(predicate)
+                if table is not None:
+                    answers[position] = bool(table[stop] > table[start])
+                    continue
+                held.append(run)
+                # The partly covered first and last shards need their
+                # tables. Hold cached ones for the whole batch: the
+                # builds below may evict them from the LRU.
+                for shard_index, partial in (
+                    (start // size, start % size),
+                    ((stop - 1) // size, stop % size and stop < n_objects),
                 ):
-                    answers[position] = bool(hit)
+                    if partial and (predicate, shard_index) not in tables:
+                        tables[predicate, shard_index] = self._prefixes.get(
+                            (predicate, shard_index)
+                        )
+        missing = [key for key, table in tables.items() if table is None]
+        hits, built = self._shard_major(gathers, missing)
+        tables.update(built)
+        for position, predicate, start, stop in held:
+            totals = self._totals[predicate]
+            answers[position] = self._count_run(predicate, start, stop, totals, tables) > 0
+        for positions, starts, shard_hits in zip(scattered.values(), splits, hits):
+            # Per-query ``any`` over the concatenated gather (every
+            # array is non-empty, as ``reduceat`` requires).
+            for position, hit in zip(positions, np.logical_or.reduceat(shard_hits, starts)):
+                answers[position] = bool(hit)
         return answers
 
     # ------------------------------------------------------------------

@@ -199,7 +199,8 @@ class TestPinning:
 
     def test_unpinnable_budget_keeps_the_per_shard_path(self, dataset):
         """Five shards, a two-table budget: a scattered query only loads
-        and tabulates the shards it touches, as before."""
+        the shards it touches and masks its gathered rows there, building
+        no prefix table."""
         shards = ShardedDataset.from_dataset(
             dataset, shard_size=100, max_resident_shards=2
         )
@@ -209,7 +210,7 @@ class TestPinning:
         )
         report = index.memory_report()
         assert shards.stats.loads == 2
-        assert report["prefix_builds"] == 2
+        assert report["prefix_builds"] == 0
         assert report["pinned_predicates"] == 0
 
     def test_intersectional_audit_pins_every_predicate_once(self, rng):

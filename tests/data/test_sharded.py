@@ -408,10 +408,10 @@ def test_shard_stats_exact_under_threaded_totals_build(dense):
 
 def test_shard_stats_identity_under_contended_same_shard_loads(dense):
     """Many raw threads hammering ``chunk()`` over a shard set larger
-    than the residency cap: both loaders of a racing pair count (per the
-    chunk() contract), so ``loads`` is not deterministic — but the
-    conservation law ``loads - evictions == resident_shards`` and the
-    byte ledger must hold exactly."""
+    than the residency cap: ``loads`` is not deterministic (the loser of
+    a racing pair counts in ``raced_loads`` instead, per the chunk()
+    contract) — but the conservation law ``loads - evictions ==
+    resident_shards`` and the byte ledger must hold exactly."""
     ds = sharded_over(dense, 50, max_resident_shards=4)
     barrier = threading.Barrier(8)
 
@@ -436,6 +436,93 @@ def test_shard_stats_identity_under_contended_same_shard_loads(dense):
     chunk_bytes = 50 * ds.schema.n_attributes * np.dtype(np.int16).itemsize
     assert stats.resident_bytes == 4 * chunk_bytes
     assert stats.resident_bytes <= stats.peak_resident_bytes
+
+
+def test_raced_load_counts_apart_from_resident_loads(dense):
+    """Two threads load one shard at once (the loader holds each until
+    both are inside it): one chunk becomes resident and counts in
+    ``loads``, the other is dropped and counts in ``raced_loads``, so
+    the conservation law holds exactly."""
+    barrier = threading.Barrier(2, timeout=10)
+
+    def loader(shard_index: int, start: int, stop: int) -> np.ndarray:
+        barrier.wait()
+        return np.array(dense.codes[start:stop], dtype=np.int16)
+
+    ds = ShardedDataset(dense.schema, len(dense), 100, loader, max_resident_shards=4)
+    chunks = [None, None]
+
+    def load(slot: int) -> None:
+        chunks[slot] = ds.chunk(3)
+
+    threads = [threading.Thread(target=load, args=(slot,)) for slot in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert chunks[0] is chunks[1]
+    stats = ds.stats
+    assert (stats.loads, stats.raced_loads) == (1, 1)
+    assert stats.loads - stats.evictions == stats.resident_shards == 1
+
+
+# ----------------------------------------------------------------------
+# shard-major batches over an index that cannot pin
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+def test_shard_major_batch_equals_dense_and_touches_each_shard_once(tmp_path, mode):
+    """Five shards, two resident, a two-table prefix budget: nothing pins,
+    so one batch mixing boundary-crossing runs, scattered keys over 3+
+    shards and empty keys of three predicates goes shard-major. Answers
+    equal the dense masks, and once totals are built the batch loads no
+    shard twice."""
+    schema = Schema.from_dict(
+        {"gender": ["male", "female"], "race": ["white", "black", "asian"]}
+    )
+    joint = {
+        ("male", "white"): 330, ("female", "white"): 80, ("male", "black"): 30,
+        ("female", "black"): 20, ("male", "asian"): 25, ("female", "asian"): 15,
+    }
+    dense = intersectional_dataset(schema, joint, rng=np.random.default_rng(4))
+    path = tmp_path / "codes.npy"
+    np.save(path, dense.codes)
+    predicates = [
+        group(gender="female", race="black"),
+        SuperGroup([group(race="black"), group(gender="female", race="asian")]),
+        Negation(group(gender="male")),
+    ]
+    keys = [
+        IndexKey.of_run(50, 250),  # crosses two boundaries
+        IndexKey.of_run(190, 210),
+        IndexKey.of(np.array([5, 130, 260, 420], dtype=np.int64)),
+        IndexKey.of(np.array([101, 102, 350, 351, 499], dtype=np.int64)),
+        IndexKey.of(np.arange(0, 500, 37)),
+        IndexKey.of_run(7, 7),
+        IndexKey.of(np.empty(0, dtype=np.int64)),
+    ]
+    queries = [(key, p) for p in predicates for key in keys]
+    expected = [bool(dense.mask(p)[key.to_array()].any()) for key, p in queries]
+    # The shards a batch needs a chunk of: every scattered key's, and each
+    # run's partly covered boundary shards.
+    touched = {int(i) // 100 for key, _ in queries if key.payload for i in key.to_array()}
+    touched |= {0, 2, 1}
+    with ShardExecutor(mode=mode, max_workers=2) as executor:
+        ds = ShardedDataset.from_memmap(
+            schema, path, 100, executor=executor, max_resident_shards=2
+        )
+        index = ShardedMembershipIndex(ds)
+        index.build_totals(predicates)
+        assert index.memory_report()["pinned_predicates"] == 0
+        loads = ds.stats.loads
+        assert index.any_match_batch(queries) == expected
+        assert ds.stats.loads - loads <= len(touched)
+        for key, p in queries:
+            assert index.count(p, key) == int(dense.mask(p)[key.to_array()].sum())
+        loads = ds.stats.loads
+        for bad in (IndexKey.of(np.array([3, 500], dtype=np.int64)), IndexKey.of_run(450, 501)):
+            with pytest.raises(OracleError):
+                index.any_match_batch(queries + [(bad, predicates[0])])
+        assert ds.stats.loads == loads  # range-checked before any work
 
 
 def test_processes_mode_requires_picklable_source():

@@ -209,9 +209,9 @@ def make_spec(config: Config):
     if config.kind == "base":
         return BaseAuditSpec(predicate=predicate, tau=tau, view=view)
     if config.kind == "multiple":
-        return MultipleAuditSpec(groups=RACES, tau=tau, n=n)
+        return MultipleAuditSpec(groups=RACES, tau=tau, n=n, view=view)
     if config.kind == "intersectional":
-        return IntersectionalAuditSpec(schema=SCHEMA, tau=tau, n=n)
+        return IntersectionalAuditSpec(schema=SCHEMA, tau=tau, n=n, view=view)
     codes = dataset_codes(config.data_seed, config.n_rows)
     noise = np.random.default_rng([config.data_seed, 2]).random(config.n_rows) < 0.02
     predicted = tuple(int(i) for i in np.flatnonzero((codes[:, 0] == 1) ^ noise))
@@ -575,6 +575,11 @@ NAMED = {
     # a resumed job re-derives the negatives a replayed super-group "no" implies
     "kill_resume_rederives_implied_negatives": Config(kind="multiple", data_seed=0, n_rows=80,
         tau=2, n=2, driver="service-inline", engine=(1, 0), oracle="truth", kill=5, seed=0),
+    # a layout that cannot pin answers a sampled view's scattered keys
+    # shard-major, with no prefix table
+    **cases("unpinnable_layout_gathers_shard_major", kind=["group", "multiple", "intersectional"],
+            executor=["serial", "threads", "processes"], n_rows=600, tau=12, view=True,
+            layout="from_memmap", max_cached_prefixes=1, **BATCH),
     # the mixed axes no pairwise suite reached
     "processes_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
         engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
