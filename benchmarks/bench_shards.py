@@ -4,10 +4,10 @@ Runs group / multiple / intersectional coverage audits at N ∈ {1M, 10M}
 over a :class:`~repro.data.sharded.ShardedDataset` whose code chunks are
 *generated on demand* (seeded per shard) and evicted LRU — the full
 ``(N, d)`` matrix never exists — sweeping the executor modes
-(``threads`` and ``processes`` by default; the chunk generators are
-module-level partials, so they pickle into pool workers). The
-``--memmap-tier`` flag adds the 100M-row tier: codes are streamed to an
-on-disk ``.npy`` once, then audited through
+(``serial``, ``threads`` and ``processes`` by default; the chunk
+generators are module-level partials, so they pickle into pool
+workers). The ``--memmap-tier`` flag adds the 100M-row tier: codes are
+streamed to an on-disk ``.npy`` once, then audited through
 :meth:`~repro.data.sharded.ShardedDataset.from_memmap` with a
 ``processes`` executor — workers open the map themselves, so chunk
 bytes never cross the pickle boundary. Three guarantees are asserted
@@ -74,7 +74,7 @@ from repro.data.sharded import (
 DEFAULT_SIZES = (1_000_000, 10_000_000)
 DEFAULT_TAU = 50
 DEFAULT_RESIDENT = 2
-DEFAULT_EXECUTORS = ("threads", "processes")
+DEFAULT_EXECUTORS = ("serial", "threads", "processes")
 #: Above this N the in-RAM comparison run is skipped (it would need the
 #: memory the sharded path exists to avoid).
 DEFAULT_DENSE_CAP = 1_000_000

@@ -1,8 +1,9 @@
 """Picklable predicate kernels: the compute units of the sharded path.
 
-The sharded out-of-core index (:mod:`repro.data.sharded`) hands its hot
+The sharded out-of-core index (:mod:`repro.data.sharded`) runs its hot
 loops — predicate-mask evaluation, fused count + prefix-table
-construction, scattered membership gathers — to a
+construction, scattered membership gathers — on these kernels. Its one
+full-shard streaming pass, the fused totals build, goes through a
 :class:`~repro.data.sharded.ShardExecutor`. In ``serial`` and
 ``threads`` modes any callable works, but ``processes`` mode crosses a
 pickle boundary: the work item must describe *how to get the chunk*
@@ -28,9 +29,8 @@ vocabulary:
 * **gather kernel** — :func:`gather_hits` answers every scattered
   ``(predicate, local rows)`` item a batch has on *one* shard off one
   chunk touch, masking only the gathered rows (no prefix table). The
-  index runs it in-process on resident chunks, and a ``processes`` pool
-  runs it on the chunk a worker materialized from the shard's
-  :class:`ChunkSource`.
+  index runs it in the calling thread, on the chunk its shard-major
+  visit holds, in every executor mode.
 
 Everything here is deterministic and allocation-bounded: one chunk is
 materialized per call, masks are evaluated once per predicate, and the
@@ -289,10 +289,9 @@ def gather_hits(
     batch has on this shard, across all its predicates, answers off one
     chunk touch. Each predicate is masked over its gathered rows only —
     ``chunk[local]``, never the whole chunk — and no prefix table is
-    built, so a scattered key costs work in proportion to its size.
-    Under a ``processes`` pool the worker calls it on the chunk it
-    materialized from the shard's :class:`ChunkSource`, and only the
-    local index arrays and their boolean hits cross the boundary.
+    built, so a scattered key costs work in proportion to its size. The
+    index calls it in the calling thread, whatever its executor mode: a
+    batch touches a few shards, too few to repay a pool round trip.
 
     Examples
     --------

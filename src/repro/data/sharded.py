@@ -40,10 +40,11 @@ answering every ``(predicate, local rows)`` item there with
 :func:`~repro.data.kernels.gather_hits`, which masks only the gathered
 rows; the same visit builds the batch's missing run boundary tables off
 the chunk in hand. A single scattered ``count`` / ``any_match`` or a
-point ``matches`` is a batch of one. Visits run through a
+point ``matches`` is a batch of one. Batch visits run in the calling
+thread; only the fused totals build streams every shard through a
 :class:`ShardExecutor`, whose ``processes`` mode ships one picklable
-task per shard per batch to a :class:`~concurrent.futures.\
-ProcessPoolExecutor` — workers materialize chunks from the dataset's
+task per shard to a :class:`~concurrent.futures.ProcessPoolExecutor` —
+workers materialize chunks from the dataset's
 :class:`~repro.data.kernels.ChunkSource` (memory map or deterministic
 generator) on their own side, so chunk arrays never cross the pickle
 boundary.
@@ -112,14 +113,6 @@ def _run_fused_task(task: tuple) -> tuple[list[int], list[np.ndarray] | None]:
     return fused_source_pass(*task)
 
 
-def _run_gather_task(task: tuple) -> list[np.ndarray]:
-    """One shard's gathers inside a pool worker: the chunk materializes
-    from its source on the worker's side, so chunk bytes never pickle
-    (module-level so it pickles)."""
-    source, schema, shard_index, start, stop, items = task
-    return gather_hits(schema, source.chunk(shard_index, start, stop), items)
-
-
 def _noop(item: int) -> int:
     """Round-trip payload for ShardExecutor.warm (module-level so it
     pickles into pool workers)."""
@@ -174,9 +167,11 @@ class ShardStats:
 class ShardExecutor:
     """Maps a function over shards: serially, on threads, or on processes.
 
-    The executor is the parallelism seam of the sharded path: fused
-    totals builds and scattered-batch gathers hand it one work item per
-    shard. Three modes, validated at construction:
+    The executor is the parallelism seam of the sharded path: the fused
+    totals build (:meth:`ShardedMembershipIndex.build_totals`) hands it
+    one work item per shard, and that full-shard streaming pass is its
+    only caller — shard-major batches visit their few shards in the
+    calling thread. Three modes, validated at construction:
 
     * ``"serial"`` (default) — runs in the calling thread; exact answers
       need no concurrency.
@@ -326,8 +321,8 @@ LabeledDataset` — equivalence tests and small jobs),
 
     ``executor`` selects how the shared membership index
     (:meth:`ShardedMembershipIndex.for_dataset`, and through it every
-    oracle/session/service over this dataset) parallelizes its builds
-    and gathers; the default is serial.
+    oracle/session/service over this dataset) parallelizes its fused
+    totals builds; the default is serial.
 
     The class mirrors the read-only surface oracles need
     (``schema`` / ``__len__`` / ``value_row``) so
@@ -587,10 +582,6 @@ LabeledDataset` — equivalence tests and small jobs),
         start = shard_index * self.shard_size
         return start, min(start + self.shard_size, self._n_objects)
 
-    def shard_of(self, index: int) -> int:
-        """The shard owning global row ``index``."""
-        return int(index) // self.shard_size
-
     # ------------------------------------------------------------------
     # chunk residency
     # ------------------------------------------------------------------
@@ -676,7 +667,7 @@ LabeledDataset` — equivalence tests and small jobs),
             raise OracleError(
                 f"object index {index} out of range [0, {self._n_objects})"
             )
-        shard = self.shard_of(index)
+        shard = index // self.shard_size
         row = self.chunk(shard)[index - shard * self.shard_size]
         return {
             attribute.name: attribute.value_of(int(row[j]))
@@ -806,10 +797,10 @@ class ShardedMembershipIndex:
     dataset:
         The :class:`ShardedDataset` to answer over.
     executor:
-        The :class:`ShardExecutor` for fused builds and scattered-batch
-        gathers; defaults to the dataset's executor, else serial
-        (answers are identical in every mode). A ``processes`` executor
-        requires the dataset to carry a picklable
+        The :class:`ShardExecutor` for fused totals builds (batch
+        visits run in the calling thread); defaults to the dataset's
+        executor, else serial (answers are identical in every mode). A
+        ``processes`` executor requires the dataset to carry a picklable
         :class:`~repro.data.kernels.ChunkSource`.
     max_cached_prefixes:
         Entry budget shared by pinned and LRU prefix tables (each ≤
@@ -956,11 +947,6 @@ class ShardedMembershipIndex:
 
         if self.executor.uses_processes and n_shards > 1:
             source = self.dataset.chunk_source
-            if source is None:
-                raise InvalidParameterError(
-                    "processes-mode builds need a dataset chunk source "
-                    "(from_memmap / from_generator)"
-                )
             tasks = [
                 (source, schema, s, *self.dataset.shard_bounds(s),
                  tuple(missing), want_tables)
@@ -1158,10 +1144,10 @@ class ShardedMembershipIndex:
         used first, so no chunk in hand is evicted before its turn. A
         visit builds the shard's missing boundary tables and runs
         :func:`~repro.data.kernels.gather_hits` over all of its gathered
-        rows: no prefix table is built for a scattered key. Under a
-        ``processes`` executor with more than one shard to gather, the
-        boundary tables build in this process (they are cached here) and
-        the gathers run as one pickled task per shard."""
+        rows: no prefix table is built for a scattered key. Visits run
+        in the calling thread in every executor mode, so a batch holds
+        one chunk at a time and caches its tables in this process; the
+        executor serves only :meth:`build_totals`' full streaming pass."""
         schema = self.dataset.schema
         size = self.dataset.shard_size
         hits: list[np.ndarray] = []
@@ -1189,47 +1175,19 @@ class ShardedMembershipIndex:
         for predicate, shard_index in boundaries:
             needed.setdefault(shard_index, []).append(predicate)
         tables: dict = {}
-        if not work and not needed:
-            return hits, tables
         touched = work.keys() | needed.keys()
         resident = [s for s in self.dataset.resident_order() if s in touched]
         order = resident + sorted(touched.difference(resident))
-
-        def visit(shard_index: int, gather: bool = True) -> list[np.ndarray]:
-            # The hold slot bounds how many chunks threaded visits keep
-            # alive at once to the residency cap.
-            with self.dataset.hold_slots:
-                chunk = self.dataset.chunk(shard_index)
-                for predicate in needed.get(shard_index, ()):
-                    tables[predicate, shard_index] = self._shard_prefix(
-                        predicate, shard_index, chunk
-                    )
-                entries = work.get(shard_index) if gather else None
-                if not entries:
-                    return []
-                return gather_hits(schema, chunk, [(p, local) for _, _, p, local in entries])
-
-        gathered = [s for s in order if s in work]
-        if self.executor.uses_processes and len(gathered) > 1:
-            for shard_index in order:
-                if shard_index in needed:
-                    visit(shard_index, gather=False)
-            source = self.dataset.chunk_source
-            tasks = [
-                (source, schema, s, *self.dataset.shard_bounds(s),
-                 [(p, local) for _, _, p, local in work[s]])
-                for s in gathered
-            ]
-            results = zip(gathered, self.executor.map(_run_gather_task, tasks))
-        elif self.executor.uses_processes:
-            # One shard to gather at most: no pool round trip (and the
-            # closure would not pickle anyway).
-            results = zip(order, [visit(s) for s in order])
-        else:
-            results = zip(order, self.executor.map(visit, order))
-        for shard_index, shard_hits in results:
-            for (out, rows, _, _), bits in zip(work.get(shard_index, ()), shard_hits):
-                out[rows] = bits
+        for shard_index in order:
+            chunk = self.dataset.chunk(shard_index)
+            for predicate in needed.get(shard_index, ()):
+                tables[predicate, shard_index] = self._shard_prefix(
+                    predicate, shard_index, chunk
+                )
+            entries = work.get(shard_index, ())
+            bits = gather_hits(schema, chunk, [(p, local) for _, _, p, local in entries])
+            for (out, rows, _, _), shard_hits in zip(entries, bits):
+                out[rows] = shard_hits
         return hits, tables
 
     # ------------------------------------------------------------------

@@ -475,7 +475,9 @@ def test_shard_major_batch_equals_dense_and_touches_each_shard_once(tmp_path, mo
     so one batch mixing boundary-crossing runs, scattered keys over 3+
     shards and empty keys of three predicates goes shard-major. Answers
     equal the dense masks, and once totals are built the batch loads no
-    shard twice."""
+    shard twice. Batch visits run in the calling thread in every mode:
+    after a pool build no chunk is resident here, so a ``processes``
+    batch loads each shard it touches here exactly once."""
     schema = Schema.from_dict(
         {"gender": ["male", "female"], "race": ["white", "black", "asian"]}
     )
@@ -515,7 +517,10 @@ def test_shard_major_batch_equals_dense_and_touches_each_shard_once(tmp_path, mo
         assert index.memory_report()["pinned_predicates"] == 0
         loads = ds.stats.loads
         assert index.any_match_batch(queries) == expected
-        assert ds.stats.loads - loads <= len(touched)
+        if mode == "processes":
+            assert ds.stats.loads - loads == len(touched)
+        else:
+            assert ds.stats.loads - loads <= len(touched)
         for key, p in queries:
             assert index.count(p, key) == int(dense.mask(p)[key.to_array()].sum())
         loads = ds.stats.loads
