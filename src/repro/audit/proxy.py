@@ -14,23 +14,33 @@ It also owns the answer log that ends every checkpoint: the
 ``set_answers``, ``point_answers`` and ``reliability`` sections. Point
 answers are kept as ``int16`` code rows (:class:`PointStore`) and
 decoded to labels, in schema order, only when the log is written or a
-caller reads one.
+caller reads one. Set answers of a generation scan are kept as the
+scan's arrays and keyed, in bill order, only when the log is written or
+a query looks an answer up.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.audit import serialization as codec
-from repro.crowd.oracle import Oracle, cut_after_member, scan_indices
+from repro.crowd.oracle import (
+    Oracle,
+    cut_after_member,
+    scan_asked,
+    scan_indices,
+    scan_segments,
+)
 from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.reliability.serialization import ReliabilitySnapshot
 from repro.data.schema import Schema
-from repro.engine.requests import QueryKey, set_query_key
+from repro.data.groups import GroupPredicate
+from repro.engine.requests import IndexKey, QueryKey, set_query_key
 from repro.errors import CheckpointVersionError, UnknownGroupError
 
 __all__ = ["AnswerLog", "PointStore", "RecordingOracleProxy"]
@@ -171,7 +181,20 @@ class RecordingOracleProxy(Oracle):
         self._session_inner = inner
         self.schema = inner.schema
         self.ledger = inner.ledger
+        #: set answers in bill order: the keyed prefix, then the scans
+        #: (predicate, view, starts, stops, answers of the asked ranges)
+        #: not keyed yet
         self._set_answers: dict[QueryKey, bool] = {}
+        self._scans: list[
+            tuple[GroupPredicate, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = []
+        #: predicates answered query by query, recorded or loaded, as of
+        #: the first ``_indexed`` answers of the store
+        self._keyed: set[GroupPredicate] = set()
+        self._indexed = 0
+        #: predicate -> the view its scans ran over, and their asked
+        #: ranges as ``start * (len(view) + 1) + stop`` codes
+        self._scanned: dict[GroupPredicate, tuple[np.ndarray, set[int]]] = {}
         #: every point answer recorded or loaded, as code rows
         self.points = PointStore(inner.schema)
 
@@ -208,6 +231,7 @@ class RecordingOracleProxy(Oracle):
         {'set_answers': [], 'point_answers': [], 'reliability': None}
         """
         platform = _reliability_platform(self._session_inner)
+        self._key_scans()
         return {
             "set_answers": [
                 codec.set_answer_to_dict(predicate, index_key, answer)
@@ -283,6 +307,7 @@ class RecordingOracleProxy(Oracle):
         >>> proxy.ask_point(0), proxy.ledger.total
         ({'gender': 'male'}, 0)
         """
+        self._key_scans()
         self._set_answers.update(log.set_answers)
         self.points.record(
             list(log.point_answers), _encode_labels(self.schema, log.point_answers)
@@ -309,10 +334,12 @@ class RecordingOracleProxy(Oracle):
     def ask_set(self, indices, predicate, *, key=None) -> bool:
         if key is None:
             key = set_query_key(np.asarray(indices, dtype=np.int64), predicate)
-        if key in self._set_answers:
-            return self._set_answers[key]
-        answer = self._session_inner.ask_set(indices, predicate, key=key)
-        self._set_answers[key] = answer
+        if self._scans:
+            self._key_scans()
+        answer = self._set_answers.get(key)
+        if answer is None:
+            answer = self._session_inner.ask_set(indices, predicate, key=key)
+            self._set_answers[key] = answer
         return answer
 
     def ask_set_batch(self, queries, *, keys=None) -> list[bool]:
@@ -324,17 +351,58 @@ class RecordingOracleProxy(Oracle):
             keys = [
                 set_query_key(indices, predicate) for indices, predicate in prepared
             ]
-        fresh = [
-            position for position, key in enumerate(keys) if key not in self._set_answers
-        ]
+        if self._scans:
+            self._key_scans()
+        answers = [self._set_answers.get(key) for key in keys]
+        fresh = [position for position, answer in enumerate(answers) if answer is None]
         if fresh:
             fresh_answers = self._session_inner.ask_set_batch(
                 [prepared[position] for position in fresh],
                 keys=[keys[position] for position in fresh],
             )
             for position, answer in zip(fresh, fresh_answers):
-                self._set_answers[keys[position]] = answer
-        return [self._set_answers[key] for key in keys]
+                answers[position] = self._set_answers[keys[position]] = answer
+        return answers
+
+    def scan_sets(self, view, starts, stops, predicate, need, *, paired=False) -> np.ndarray:
+        """The inner oracle's scan when this proxy can hold no answer the
+        scan might ask: none for ``predicate`` at all, or only answers of
+        earlier scans over this same ``view`` array, on other ranges
+        (the generations of one run). Its answers are kept as arrays and
+        keyed only when read. Otherwise the per-query loop through
+        :meth:`ask_set`, so every held answer stays free."""
+        view, starts, stops = scan_segments(view, starts, stops, need, paired)
+        self._index_keyed()
+        codes = starts * (len(view) + 1) + stops
+        held = self._scanned.setdefault(predicate, (view, set()))
+        if predicate in self._keyed or held[0] is not view or not held[1].isdisjoint(
+            codes.tolist()
+        ):
+            return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
+        answers = self._session_inner.scan_sets(
+            view, starts, stops, predicate, need, paired=paired
+        )
+        asked = np.flatnonzero(scan_asked(answers, paired))
+        self._scans.append((predicate, view, starts[asked], stops[asked], answers[asked]))
+        held[1].update(codes[asked].tolist())
+        return answers
+
+    def _index_keyed(self) -> None:
+        """Note the predicates of the answers keyed query by query since
+        the last call: the newest entries of the store, read from its end."""
+        fresh = len(self._set_answers) - self._indexed
+        self._keyed.update(key[0] for key in islice(reversed(self._set_answers), fresh))
+        self._indexed = len(self._set_answers)
+
+    def _key_scans(self) -> None:
+        """Key the recorded scans' answers into the answer store, in
+        bill order (they are not query-by-query answers)."""
+        self._index_keyed()
+        scans, self._scans = self._scans, []
+        for predicate, view, starts, stops, answers in scans:
+            for start, stop, answer in zip(starts.tolist(), stops.tolist(), answers.tolist()):
+                self._set_answers[predicate, IndexKey.of(view[start:stop])] = answer
+        self._indexed = len(self._set_answers)
 
     def ask_point(self, index: int) -> dict[str, str]:
         index = int(index)

@@ -23,17 +23,25 @@ Lemma 3.3), against the Θ(N/n) lower bound any algorithm must pay when the
 group is uncovered.
 
 The algorithm lives in :class:`GroupCoverageStepper`, a *resumable*
-formulation that emits pending set queries and consumes answers. Two
-drivers share one contract (steppers in, an ``on_complete`` hook that may
-spawn follow-up steppers, an ``on_round`` progress hook):
-:func:`run_sequential` asks one query per oracle round-trip, front of the
-FIFO first — the paper's execution model — and
-:meth:`repro.engine.QueryEngine.run` batches the ready frontier of every
-tree into few round-trips and shares answers with concurrent runs. Under
-a deterministic oracle both produce identical verdicts, counts, and
-discovered members; engine mode may consume a slightly different number
-of tasks (cache hits save queries, speculative final-round batches waste
-some around early stops).
+formulation of the FIFO. Two drivers share one contract (steppers in, an
+``on_complete`` hook that may spawn follow-up steppers, an ``on_round``
+progress hook). :func:`run_sequential` is the paper's execution model:
+it asks every query in the FIFO's order, one task and one round-trip
+each, but hands the oracle a whole *generation* of the FIFO at a time
+(:meth:`GroupCoverageStepper.scan`, one
+:meth:`~repro.crowd.oracle.Oracle.scan_sets` call). The FIFO is
+breadth-first, so generation ``g + 1`` is exactly the children of
+generation ``g``'s "yes" nodes; inside a generation only a sibling
+depends on its left half's answer, and the scan honours that. The
+per-query control plane therefore runs once per generation, in NumPy,
+and a ground-truth oracle answers the generation in one vectorized
+pass. :meth:`repro.engine.QueryEngine.run` instead pulls the ready
+frontier of every tree (:meth:`~GroupCoverageStepper.pending` /
+:meth:`~GroupCoverageStepper.feed`), batches it into few round-trips and
+shares answers with concurrent runs. Under a deterministic oracle both
+produce identical verdicts, counts, and discovered members; engine mode
+may consume a slightly different number of tasks (cache hits save
+queries, speculative final-round batches waste some around early stops).
 """
 
 from __future__ import annotations
@@ -70,9 +78,14 @@ class GroupCoverageStepper:
     """Algorithm 1 as a resumable state machine.
 
     The stepper owns the execution trees and the FIFO discipline of the
-    sequential algorithm but externalises the oracle: callers pull ready
-    queries from :meth:`pending` and push answers through :meth:`feed`
-    until :attr:`done`.
+    sequential algorithm but externalises the oracle. It is driven one
+    of two ways, never both:
+
+    * :meth:`scan` asks the next FIFO generation in one
+      :meth:`~repro.crowd.oracle.Oracle.scan_sets` call (the sequential
+      driver), keeping the generation as arrays of view ranges;
+    * :meth:`pending` / :meth:`feed` hand out ready queries and take
+      their answers until :attr:`done` (the engine).
 
     *Ready* means dispatchable now: every queued root and left child, plus
     each right child whose left sibling already answered "yes" (a left
@@ -115,20 +128,18 @@ class GroupCoverageStepper:
         self._discovered: list[int] = []
         self._unapplied = 0  # answers fed but not yet consumed by _advance
         total = len(self._view)
-        # The roots of the subtrees; tau == 0 is covered before any query.
-        roots = (
-            [TreeNode(begin, min(begin + n, total) - 1) for begin in range(0, total, n)]
-            if tau > 0
-            else []
-        )
-        # Algorithm 1's FIFO. Its one removal (``Q.del(T.parent.right)``)
-        # always takes the node directly behind the left child just
-        # popped, because siblings are enqueued back to back.
-        self._queue: deque[TreeNode] = deque(roots)
-        self._enqueued = len(roots)  # FIFO sequence number of the next node
-        # The ready frontier, a heap of (sequence number, node) for every
-        # queued node that may be asked now and has not been emitted yet.
-        self._ready: list[tuple[int, TreeNode]] = list(enumerate(roots))  # sorted: a heap
+        # The roots of the subtrees, as view ranges [start, stop); tau == 0
+        # is covered before any query.
+        starts = np.arange(0, total if tau > 0 else 0, n, dtype=np.int64)
+        #: the FIFO generation :meth:`scan` asks next: view ranges, and
+        #: whether they come as (left, right) sibling pairs
+        self._generation = (starts, np.minimum(starts + n, total), False)
+        self._scanned = False
+        # Algorithm 1's FIFO as tree nodes, built by the first pending().
+        # Its one removal (``Q.del(T.parent.right)``) always takes the
+        # node directly behind the left child just popped, because
+        # siblings are enqueued back to back.
+        self._queue: deque[TreeNode] | None = None
         # Keyed by node object (identity hash): keys keep their nodes
         # alive, so a recycled memory address can never alias a stale
         # answer onto a fresh node.
@@ -136,7 +147,7 @@ class GroupCoverageStepper:
         # In-flight queries: key -> (sequence number, node).
         self._requests: dict[QueryKey, tuple[int, TreeNode]] = {}
         self._covered = tau == 0
-        self._done = not roots
+        self._done = not len(starts)
 
     # -- stepper protocol ------------------------------------------------
     @property
@@ -177,6 +188,7 @@ class GroupCoverageStepper:
         costs O(emitted · log frontier), not a scan of the queue."""
         if self._done:
             return []
+        self._grow_tree()
         outstanding = len(self._requests) + self._unapplied
         emission_cap = max(
             (self.tau - self._cnt) + self.speculation - outstanding, 1
@@ -209,6 +221,7 @@ class GroupCoverageStepper:
 
     def feed(self, answers: Mapping[QueryKey, bool]) -> None:
         """Record answers for previously pending queries and advance."""
+        self._grow_tree()
         for key, answer in answers.items():
             entry = self._requests.pop(key, None)
             if entry is None:
@@ -246,7 +259,72 @@ class GroupCoverageStepper:
             engine_stats=engine_stats,
         )
 
+    # -- generation scans --------------------------------------------------
+    def scan(self, oracle: Oracle) -> None:
+        """Ask the next FIFO generation through one
+        :meth:`~repro.crowd.oracle.Oracle.scan_sets` call and apply its
+        answers in FIFO order: the sequential algorithm's queries, in its
+        order, each charged one task and one round-trip.
+
+        Roots are unpaired; every later generation is the (left, right)
+        halves of the last one's "yes" ranges of two or more objects. A
+        "yes" on a root, or on a right half after a "yes" on its left,
+        certifies one more member, and each size-1 "yes" range is a
+        discovered member. The scan stops at the member that makes the
+        count reach ``tau``. A scan the task budget cut short raises the
+        :class:`~repro.errors.BudgetExceededError` the next per-query ask
+        would have raised, after the oracle recorded the paid prefix."""
+        if self._done:
+            return
+        if self._queue is not None:
+            raise InvalidParameterError(
+                "this stepper is driven query by query through pending()/feed()"
+            )
+        self._scanned = True
+        starts, stops, paired = self._generation
+        answers = oracle.scan_sets(
+            self._view, starts, stops, self.predicate, self.tau - self._cnt, paired=paired
+        )
+        reached = len(answers)
+        if paired:
+            rights = answers[1::2]
+            self._cnt += int(np.count_nonzero(answers[0::2][: len(rights)] & rights))
+        else:
+            self._cnt += int(np.count_nonzero(answers))
+        starts, stops = starts[:reached], stops[:reached]
+        singletons = answers & (stops - starts == 1)
+        self._discovered += self._view[starts[singletons]].tolist()
+        if self._cnt == self.tau:
+            self._done = self._covered = True
+            return
+        if reached < len(self._generation[0]):
+            oracle.ledger.charge_set()  # the budget is spent: raises
+        split = answers & ~singletons
+        begin, end = starts[split], stops[split]
+        # TreeNode.split: the left half ends at the floor of the midpoint.
+        middle = (begin + end + 1) // 2
+        self._generation = (
+            np.column_stack([begin, middle]).ravel(),
+            np.column_stack([middle, end]).ravel(),
+            True,
+        )
+        self._done = not len(begin)
+
     # -- internals -------------------------------------------------------
+    def _grow_tree(self) -> None:
+        """Build the root nodes of the query-by-query drive, once."""
+        if self._queue is not None:
+            return
+        if self._scanned:
+            raise InvalidParameterError("this stepper is driven by generation scans")
+        starts, stops, _ = self._generation
+        roots = [TreeNode(begin, stop - 1) for begin, stop in zip(starts.tolist(), stops.tolist())]
+        self._queue = deque(roots)
+        self._enqueued = len(roots)  # FIFO sequence number of the next node
+        # The ready frontier, a heap of (sequence number, node) for every
+        # queued node that may be asked now and has not been emitted yet.
+        self._ready: list[tuple[int, TreeNode]] = list(enumerate(roots))  # sorted: a heap
+
     def _advance(self) -> None:
         """Process answered nodes in global FIFO order (the sequential
         algorithm's exact pop order) until blocked, covered, or drained."""
@@ -310,13 +388,15 @@ def run_sequential(
     on_complete: "CompletionHook | None" = None,
     on_round: Callable[[], None] | None = None,
 ) -> None:
-    """Drive ``steppers`` to done one query at a time, exactly as the
-    paper executes its algorithms, under :meth:`QueryEngine.run`'s hook
-    contract.
+    """Drive ``steppers`` to done in the paper's order, under
+    :meth:`QueryEngine.run`'s hook contract.
 
-    Each stepper asks the front of its FIFO (``pending(limit=1)``), one
-    oracle round-trip per query, and ``on_round`` fires after every
-    answer. A finished stepper — one born done included — is handed to
+    Each stepper asks its FIFO one generation at a time
+    (:meth:`GroupCoverageStepper.scan`, one
+    :meth:`~repro.crowd.oracle.Oracle.scan_sets` call): the queries and
+    their order are the one-query-at-a-time algorithm's, each charged one
+    task and one round-trip, and ``on_round`` fires after every scan. A
+    finished stepper — one born done included — is handed to
     ``on_complete``, which may return follow-up steppers; those run to
     done, depth first, before the next of ``steppers`` starts.
     """
@@ -330,9 +410,7 @@ def run_sequential(
             stack.pop()
             continue
         while not stepper.done:
-            request = stepper.pending(limit=1)[0]
-            answer = oracle.ask_set(request.indices, request.predicate, key=request.key)
-            stepper.feed({request.key: answer})
+            stepper.scan(oracle)
             if on_round is not None:
                 on_round()
         if on_complete is not None:
@@ -356,8 +434,8 @@ def execute_group_coverage(
     This is what :meth:`repro.audit.AuditSession.run` dispatches a
     :class:`~repro.audit.GroupAuditSpec` to; the :func:`group_coverage`
     function form is a thin wrapper over the same code. ``on_round`` is
-    invoked after every oracle round-trip (each sequential answer, each
-    engine batch) — the session's progress-callback hook.
+    invoked after every sequential generation scan and every engine
+    batch — the session's progress-callback hook.
     """
     _validate(n, tau)
     view = resolve_view(view, dataset_size)
@@ -425,7 +503,8 @@ def group_coverage(
         given, the run's ready queries are batched into few oracle
         round-trips and answers are shared (via the engine's cache) with
         any other runs on the same engine. When omitted, queries are
-        asked strictly sequentially — the paper's execution model.
+        asked in the sequential FIFO order, one task and one round-trip
+        each — the paper's execution model.
 
     Returns
     -------

@@ -17,8 +17,8 @@ Execution modes
 Phase 3 is one driver: each super-group is a Group-Coverage stepper,
 and a covered merged super-group's completion hook spawns its members'
 penalty re-runs. Without an ``engine`` the steppers go through
-:func:`~repro.core.group_coverage.run_sequential`, one query at a time
-in the paper's order. Passing an ``engine``
+:func:`~repro.core.group_coverage.run_sequential`, one FIFO generation
+scan at a time, every query in the paper's order. Passing an ``engine``
 (:class:`repro.engine.QueryEngine`) hands the same steppers and hook to
 :meth:`~repro.engine.QueryEngine.run` instead, and additionally:
 

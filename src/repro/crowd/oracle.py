@@ -251,6 +251,69 @@ class Oracle(ABC):
                     break
         return np.array(rows, dtype=np.int16).reshape(len(rows), self.schema.n_attributes)
 
+    def scan_sets(
+        self,
+        view: Sequence[int] | np.ndarray,
+        starts: Sequence[int] | np.ndarray,
+        stops: Sequence[int] | np.ndarray,
+        predicate: GroupPredicate,
+        need: int | None,
+        *,
+        paired: bool = False,
+    ) -> np.ndarray:
+        """Set-query the view segments ``view[starts[i]:stops[i]]`` in
+        order — one generation of Algorithm 1's FIFO — stopping after the
+        ``need``-th credited "yes" (``need=None``: never), at the end of
+        the segments, or at the first query the task budget refuses.
+
+        Unpaired, every "yes" is credited. In a ``paired`` generation
+        segments ``2j`` and ``2j + 1`` are the left and right halves of
+        a range that held a member: the right half is asked only after
+        the left answered "yes" (a left "no" implies the right "yes" for
+        free), and only a right "yes" after a left "yes" is credited.
+        ``view`` holds distinct dataset indices, as a stepper's does.
+
+        Returns one answer per segment of the prefix the scan reached,
+        an implied right "yes" included (:func:`scan_asked` tells which
+        were asked). Each asked query is charged one set task and one
+        round-trip exactly as :meth:`ask_set` charges it, and the scan
+        never raises for budget: a prefix that ends before the
+        ``need``-th credited "yes" and before the last segment means the
+        budget ran out. This default asks :meth:`ask_set` once per
+        asked segment, keyed by the segment's exact
+        :class:`~repro.engine.requests.IndexKey`, so every answer hook,
+        rng stream and per-query cost is the per-query loop's.
+
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> oracle = GroundTruthOracle(binary_dataset(8, 1, placement="front"))
+        >>> oracle.scan_sets(np.arange(8), [0, 2, 4, 6], [2, 4, 6, 8],
+        ...                  group(gender="female"), None, paired=True).tolist()
+        [True, False, False, True]
+        >>> oracle.ledger.n_set_queries, oracle.ledger.n_rounds
+        (3, 3)
+        """
+        view, starts, stops = scan_segments(view, starts, stops, need, paired)
+        answers: list[bool] = []
+        credited = 0
+        for position, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+            right = paired and position % 2 == 1
+            if right and not answers[-1]:
+                answers.append(True)  # implied by the left half's "no"
+                continue
+            segment = view[start:stop]
+            try:
+                answer = self.ask_set(segment, predicate, key=(predicate, IndexKey.of(segment)))
+            except BudgetExceededError:
+                break
+            answers.append(answer)
+            if answer and (right or not paired):
+                credited += 1
+                if credited == need:
+                    break
+        return np.array(answers, dtype=bool)
+
     def ask_point_membership(self, index: int, predicate: GroupPredicate) -> bool:
         """Point query phrased as membership ("is this image a female?").
 
@@ -294,6 +357,69 @@ def scan_indices(indices, tau: int | None) -> np.ndarray:
             f"a scan stops after its tau-th member; tau must be >= 1 or None, got {tau}"
         )
     return np.asarray(indices, dtype=np.int64).reshape(-1)
+
+
+def scan_segments(
+    view, starts, stops, need: int | None, paired: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A set scan's ``view``, ``starts`` and ``stops`` as flat ``int64``
+    arrays, once checked: ``need`` is ``None`` or positive, every
+    segment is non-empty and inside ``view``, and a ``paired`` scan has
+    whole pairs."""
+    if need is not None and need < 1:
+        raise InvalidParameterError(
+            f"a set scan stops after its need-th credited yes; need must be >= 1 "
+            f"or None, got {need}"
+        )
+    # A flat int64 view comes back as the same object: callers may key on it.
+    view, starts, stops = (
+        array if array.ndim == 1 else array.reshape(-1)
+        for array in (np.asarray(values, dtype=np.int64) for values in (view, starts, stops))
+    )
+    if len(starts) != len(stops) or (paired and len(starts) % 2):
+        raise InvalidParameterError(
+            f"a set scan needs one stop per start and, when paired, whole pairs; "
+            f"got {len(starts)} starts and {len(stops)} stops"
+        )
+    if len(starts) and ((starts < 0) | (stops <= starts) | (stops > len(view))).any():
+        raise InvalidParameterError(
+            f"set scan segments must be non-empty ranges of the {len(view)}-entry view"
+        )
+    return view, starts, stops
+
+
+def scan_asked(answers: np.ndarray, paired: bool) -> np.ndarray:
+    """Which of a set scan's ``answers`` were asked: all of them, except
+    in a ``paired`` scan each right half whose left half said "no"."""
+    asked = np.ones(len(answers), dtype=bool)
+    if paired:
+        asked[1::2] = answers[0::2][: len(answers) // 2]
+    return asked
+
+
+def cut_scan(
+    truths: np.ndarray, paired: bool, need: int | None, budget: int | None
+) -> np.ndarray:
+    """The answers a set scan reaches when ``truths`` are its segments'
+    answers: implied right halves read "yes", and the prefix ends after
+    the ``need``-th credited "yes" or before the query past ``budget``
+    asked ones, whichever comes first."""
+    answers = truths.copy()
+    credited = truths.copy()
+    if paired:
+        answers[1::2] |= ~truths[0::2]
+        credited[0::2] = False
+        credited[1::2] &= truths[0::2]
+    end = len(answers)
+    if need is not None:
+        hits = np.flatnonzero(credited)
+        if len(hits) >= need:
+            end = int(hits[need - 1]) + 1
+    if budget is not None:
+        asked = np.flatnonzero(scan_asked(answers, paired))
+        if len(asked) > budget:
+            end = min(end, int(asked[budget]))
+    return answers[:end]
 
 
 def cut_after_member(
@@ -426,6 +552,52 @@ class GroundTruthOracle(Oracle):
         if not slices:
             return np.empty((0, self.schema.n_attributes), dtype=np.int16)
         return np.concatenate(slices)
+
+    def scan_sets(
+        self,
+        view: Sequence[int] | np.ndarray,
+        starts: Sequence[int] | np.ndarray,
+        stops: Sequence[int] | np.ndarray,
+        predicate: GroupPredicate,
+        need: int | None,
+        *,
+        paired: bool = False,
+    ) -> np.ndarray:
+        """:meth:`Oracle.scan_sets` as one truth pass over the whole
+        generation: segments of a strictly ascending view that are runs
+        answer through
+        :meth:`~repro.data.sharded.ShardedMembershipIndex.any_match_runs`,
+        the rest through one
+        :meth:`~repro.data.sharded.ShardedMembershipIndex.member_mask`
+        gather and a segmented ``any``. The answers, and the tasks and
+        round-trips charged for them, are exactly what the per-query
+        loop would produce."""
+        if not self._native_set_hook:
+            return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
+        view, starts, stops = scan_segments(view, starts, stops, need, paired)
+        truths = np.zeros(len(starts), dtype=bool)
+        if len(starts):
+            low, high = view[starts], view[stops - 1]
+            runs = high - low == stops - starts - 1
+            if len(view) > 1 and not (view[1:] > view[:-1]).all():
+                runs[:] = False  # first and last bound only an ascending segment
+            index = self.membership_index
+            if runs.any():
+                truths[runs] = index.any_match_runs(predicate, low[runs], high[runs] + 1)
+            gathered = np.flatnonzero(~runs)
+            if len(gathered):
+                lengths = stops[gathered] - starts[gathered]
+                offsets = np.cumsum(lengths) - lengths
+                positions = np.arange(int(lengths.sum())) + np.repeat(
+                    starts[gathered] - offsets, lengths
+                )
+                hits = index.member_mask(predicate, view[positions])
+                truths[gathered] = np.logical_or.reduceat(hits, offsets)
+        answers = cut_scan(truths, paired, need, self.ledger.remaining)
+        asked = int(np.count_nonzero(scan_asked(answers, paired)))
+        self.ledger.charge_set_batch(asked)
+        self.ledger.note_round(asked)
+        return answers
 
 
 class CrowdOracle(Oracle):

@@ -778,19 +778,19 @@ class ShardedMembershipIndex:
 
     The query surface — :meth:`count`, :meth:`any_match`,
     :meth:`any_match_runs`, :meth:`any_match_batch`, :meth:`matches`,
-    :meth:`value_rows` — is what every simulated oracle, platform,
-    session, and service answers from, whether the dataset is in RAM
-    (one shard, see :meth:`for_dataset`) or out of core. Internally a
-    query splits at shard boundaries: interior shards answer from the
-    cross-shard totals (built by one fused streaming pass per *set* of
-    predicates — each chunk is touched once however many predicates need
-    totals), boundary shards from their local prefix tables (pinned by
-    the fused build when they fit the cache budget, else built on demand
-    and LRU-capped), and the partial counts merge. Shard-aligned runs
-    never load a chunk at all. Set queries arrive keyed by
-    :class:`~repro.engine.requests.IndexKey`, so the index never
-    re-detects a query's shape: run keys answer from prefixes,
-    scattered keys gather over their zero-copy index view.
+    :meth:`member_mask`, :meth:`value_rows` — is what every simulated
+    oracle, platform, session, and service answers from, whether the
+    dataset is in RAM (one shard, see :meth:`for_dataset`) or out of
+    core. Internally a query splits at shard boundaries: interior shards
+    answer from the cross-shard totals (built by one fused streaming
+    pass per *set* of predicates — each chunk is touched once however
+    many predicates need totals), boundary shards from their local
+    prefix tables (pinned by the fused build when they fit the cache
+    budget, else built on demand and LRU-capped), and the partial counts
+    merge. Shard-aligned runs never load a chunk at all. Set queries
+    arrive keyed by :class:`~repro.engine.requests.IndexKey`, so the
+    index never re-detects a query's shape: run keys answer from
+    prefixes, scattered keys gather over their zero-copy index view.
 
     Parameters
     ----------
@@ -1215,7 +1215,7 @@ class ShardedMembershipIndex:
             return self._count_run(predicate, key.start, key.stop)
         if not key.payload:
             return 0
-        return int(self._gather_one(predicate, key.to_array()).sum())
+        return int(self.member_mask(predicate, key.to_array()).sum())
 
     def any_match(self, predicate: GroupPredicate, key: IndexKey) -> bool:
         """Does the keyed index set contain at least one member of
@@ -1224,15 +1224,16 @@ class ShardedMembershipIndex:
             return self._count_run(predicate, key.start, key.stop) > 0
         if not key.payload:
             return False
-        return bool(self._gather_one(predicate, key.to_array()).any())
+        return bool(self.member_mask(predicate, key.to_array()).any())
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
         """Ground-truth membership of a single object."""
-        return bool(self._gather_one(predicate, np.asarray([int(index)], dtype=np.int64))[0])
+        return bool(self.member_mask(predicate, np.asarray([int(index)], dtype=np.int64))[0])
 
-    def _gather_one(self, predicate: GroupPredicate, indices: np.ndarray) -> np.ndarray:
-        """A single scattered query (or point) as a shard-major batch of
-        one, after the pinned lookup every dense query takes."""
+    def member_mask(self, predicate: GroupPredicate, indices: np.ndarray) -> np.ndarray:
+        """Ground-truth membership of each of the (non-empty, ``int64``)
+        ``indices``: one lookup of a pinned table, else one shard-major
+        gather."""
         _check_object_indices(indices, len(self.dataset))
         pinned = self._prefixes.pinned.get(predicate)
         if pinned is not None:
@@ -1242,17 +1243,55 @@ class ShardedMembershipIndex:
     def any_match_runs(
         self, predicate: GroupPredicate, starts: np.ndarray, stops: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`any_match` over many runs of one predicate."""
-        starts = np.asarray(starts, dtype=np.int64)
-        stops = np.asarray(stops, dtype=np.int64)
+        """Vectorized :meth:`any_match` over the runs ``[starts[i],
+        stops[i])`` of one predicate; empty runs answer ``False``.
+
+        A pinned predicate answers every run with one fancy-indexed
+        compare of its global table. Otherwise each run end counts the
+        members before it from the totals, plus its shard's prefix table
+        when it falls inside a shard; those boundary tables are held for
+        the call, and the missing ones are built in one shard-major
+        pass.
+
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> index = ShardedMembershipIndex.for_dataset(
+        ...     ShardedDataset.from_dataset(binary_dataset(10, 3, placement="front"), 4))
+        >>> index.any_match_runs(group(gender="female"), [0, 3, 5], [2, 9, 5]).tolist()
+        [True, False, False]
+        """
+        starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+        stops = np.asarray(stops, dtype=np.int64).reshape(-1)
+        n_objects = len(self.dataset)
+        live = stops > starts
+        outside = np.flatnonzero(live & ((starts < 0) | (stops > n_objects)))
+        if len(outside):
+            self._check_run(int(starts[outside[0]]), int(stops[outside[0]]))
+        # Empty runs count nothing: both of their ends read position 0.
+        ends = np.concatenate([np.where(live, starts, 0), np.where(live, stops, 0)])
         totals = self.shard_totals(predicate)
-        return np.array(
-            [
-                self._count_run(predicate, int(start), int(stop), totals) > 0
-                for start, stop in zip(starts, stops)
-            ],
-            dtype=bool,
-        )
+        pinned = self._prefixes.pinned.get(predicate)
+        if pinned is not None:
+            before = pinned[ends]
+        else:
+            size = self.dataset.shard_size
+            shards = np.where(ends < n_objects, ends // size, self.dataset.n_shards)
+            before = totals[shards]
+            inside = np.flatnonzero((ends % size != 0) & (ends < n_objects))
+            tables: dict = {}
+            with self._lock:
+                for shard_index in np.unique(shards[inside]).tolist():
+                    tables[predicate, shard_index] = self._prefixes.get(
+                        (predicate, shard_index)
+                    )
+            tables.update(
+                self._shard_major((), [key for key, table in tables.items() if table is None])[1]
+            )
+            for (_, shard_index), table in tables.items():
+                rows = inside[shards[inside] == shard_index]
+                before[rows] += table[ends[rows] - shard_index * size]
+        return live & (before[len(starts) :] > before[: len(starts)])
 
     def any_match_batch(
         self, queries: Sequence[tuple[IndexKey, GroupPredicate]]

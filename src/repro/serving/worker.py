@@ -43,6 +43,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from repro.audit.serialization import set_answer_to_dict
+from repro.crowd.oracle import scan_asked, scan_segments
 from repro.engine.requests import set_query_key
 from repro.errors import InvalidParameterError, JobFailedError, ReproError
 from repro.service import AuditService, DirectoryJobStore
@@ -71,8 +72,9 @@ class QueryLoggingOracle:
 
     Each log line is one JSON object: set queries in the same shape as
     checkpointed set answers (``predicate`` + ``run``/``indices``),
-    point queries as ``{"kind": "point", "index": i}`` — one per object
-    a :meth:`scan_points` charged, in order.
+    point queries as ``{"kind": "point", "index": i}`` — one line per
+    query a :meth:`scan_sets` or object a :meth:`scan_points` charged,
+    in order.
 
     Examples
     --------
@@ -142,6 +144,17 @@ class QueryLoggingOracle:
         codes = self._inner.scan_points(indices, predicate, tau)
         self._write_points(indices[: len(codes)].tolist())
         return codes
+
+    def scan_sets(self, view, starts, stops, predicate, need, *, paired=False):
+        """Forward a set scan, logging every query it charged, in order."""
+        view, starts, stops = scan_segments(view, starts, stops, need, paired)
+        answers = self._inner.scan_sets(view, starts, stops, predicate, need, paired=paired)
+        asked = np.flatnonzero(scan_asked(answers, paired))
+        self._write(
+            self._set_entry(view[start:stop], predicate, None)
+            for start, stop in zip(starts[asked].tolist(), stops[asked].tolist())
+        )
+        return answers
 
     def ask_point_membership(self, index: int, predicate) -> bool:
         """A point query phrased as membership, logged as the point

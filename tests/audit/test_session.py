@@ -217,7 +217,12 @@ class TestProgress:
                 on_progress=events.append,
             )
         rounds = [event for event in events if event.stage == "round"]
-        assert len(rounds) == report.tasks.total
+        # One event per generation scan of Algorithm 1's FIFO: the roots,
+        # then one per halving of the n=50 ranges; each scan asks.
+        assert 1 < len(rounds) <= 1 + (50 - 1).bit_length()
+        asked = [event.tasks for event in rounds]
+        assert asked == sorted(set(asked)) and asked[-1] == report.tasks.total
+        assert [event.rounds for event in rounds] == asked
 
 
 class TestLegacyDeprecation:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.schema import Schema
+
+#: The differential harness's wide draw (CI's ``differential-wide`` job,
+#: ``pytest --hypothesis-profile=differential-wide``): its hypothesis
+#: tests take this many examples instead of their tier-1 budgets.
+settings.register_profile("differential-wide", max_examples=2000)
 
 
 @pytest.fixture

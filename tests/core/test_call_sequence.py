@@ -20,7 +20,7 @@ import pytest
 from repro.core.group_coverage import execute_group_coverage
 from repro.core.intersectional_coverage import execute_intersectional_coverage
 from repro.core.multiple_coverage import execute_multiple_coverage
-from repro.crowd.oracle import FlakyOracle, GroundTruthOracle
+from repro.crowd.oracle import FlakyOracle, GroundTruthOracle, scan_asked
 from repro.data.groups import group
 from repro.data.schema import Schema
 from repro.data.synthetic import intersectional_dataset, single_attribute_dataset
@@ -52,17 +52,33 @@ KINDS = ["group", "multiple", "multiple+attribution", "intersectional"]
 
 
 class CallLog:
-    """Replaces an oracle's four ``ask_*`` methods with recording
-    wrappers that hash every call, in order, into one sha256."""
+    """Replaces an oracle's four ``ask_*`` methods and ``scan_sets`` with
+    recording wrappers that hash every call, in order, into one sha256.
+    A set scan logs each query it charged as the ``set`` call the
+    per-query loop made, once, whether or not it asked ``ask_set``."""
 
     def __init__(self, oracle) -> None:
         self._digest = hashlib.sha256()
+        self._scanning = False
         ask_set, ask_set_batch = oracle.ask_set, oracle.ask_set_batch
         ask_point, ask_point_batch = oracle.ask_point, oracle.ask_point_batch
+        scan_sets = oracle.scan_sets
 
         def logged_ask_set(indices, predicate, *, key=None):
-            self._record(b"set", [(indices, predicate)])
+            if not self._scanning:
+                self._record(b"set", [(indices, predicate)])
             return ask_set(indices, predicate, key=key)
+
+        def logged_scan_sets(view, starts, stops, predicate, need, *, paired=False):
+            self._scanning = True
+            try:
+                answers = scan_sets(view, starts, stops, predicate, need, paired=paired)
+            finally:
+                self._scanning = False
+            for position in np.flatnonzero(scan_asked(answers, paired)):
+                segment = np.asarray(view)[starts[position] : stops[position]]
+                self._record(b"set", [(segment, predicate)])
+            return answers
 
         def logged_ask_set_batch(queries, *, keys=None):
             self._record(b"set_batch", queries)
@@ -80,6 +96,7 @@ class CallLog:
         oracle.ask_set_batch = logged_ask_set_batch
         oracle.ask_point = logged_ask_point
         oracle.ask_point_batch = logged_ask_point_batch
+        oracle.scan_sets = logged_scan_sets
 
     def _record(self, method: bytes, queries) -> None:
         self._digest.update(b"%s:%d;" % (method, len(queries)))

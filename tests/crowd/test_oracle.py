@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.group_coverage import GroupCoverageStepper, run_sequential
 from repro.crowd.oracle import (
     CrowdOracle,
     FlakyOracle,
     GroundTruthOracle,
     TaskLedger,
+    scan_asked,
 )
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.workers import Worker, make_worker_pool
@@ -431,3 +433,159 @@ class TestScanPoints:
     def test_out_of_range_index_raises(self, scan_dataset):
         with pytest.raises(OracleError):
             GroundTruthOracle(scan_dataset).scan_points([0, self.N], FEMALE, None)
+
+
+def per_query_set_scan(oracle, view, starts, stops, predicate, need, paired):
+    """The loop :meth:`Oracle.scan_sets` replaces: ask each segment in
+    order (a right half only after its left half's "yes"), stop after the
+    need-th credited "yes" or when the budget is spent."""
+    answers, credited = [], 0
+    for position, (start, stop) in enumerate(zip(starts, stops)):
+        right = paired and position % 2 == 1
+        if right and not answers[-1]:
+            answers.append(True)
+            continue
+        if oracle.ledger.remaining == 0:
+            break
+        answers.append(oracle.ask_set(view[start:stop], predicate))
+        if answers[-1] and (right or not paired):
+            credited += 1
+            if credited == need:
+                break
+    return answers
+
+
+def set_scan_state(oracle):
+    """Set-query counters and the noise rng state an oracle leaves behind."""
+    source = getattr(oracle, "platform", oracle)
+    rng = getattr(source, "rng", None)
+    return (
+        oracle.ledger.n_set_queries,
+        oracle.ledger.n_rounds,
+        rng and rng.bit_generator.state,
+        getattr(getattr(source, "ledger", None), "n_hits", None),
+    )
+
+
+class TestScanSets:
+    """``scan_sets`` asks the queries a per-query loop asks, in its
+    order, charges the same tasks and rounds, leaves the same rng state
+    and returns the same answers."""
+
+    N = 2_000
+
+    @pytest.fixture(scope="class")
+    def scan_dataset(self):
+        return binary_dataset(self.N, 60, rng=np.random.default_rng(8))
+
+    def make(self, kind, dataset, budget=None):
+        if kind == "dense":
+            return GroundTruthOracle(dataset, budget=budget)
+        if kind == "sharded":
+            sharded = ShardedDataset.from_dataset(dataset, 300, max_resident_shards=2)
+            return GroundTruthOracle(sharded, budget=budget)
+        if kind == "flaky":
+            return FlakyOracle(
+                dataset, np.random.default_rng(3), set_error_rate=0.2, budget=budget
+            )
+        if kind == "crowd":
+            workers = make_worker_pool(5, np.random.default_rng(4), error_rate=0.2)
+            platform = CrowdPlatform(dataset, workers, np.random.default_rng(5))
+            return CrowdOracle(platform, budget=budget)
+
+        class Hooked(GroundTruthOracle):
+            def _answer_set(self, indices, predicate, index_key):
+                self.seen.append((indices.tolist(), index_key))
+                return super()._answer_set(indices, predicate, index_key)
+
+        oracle = Hooked(dataset, budget=budget)
+        oracle.seen = []
+        return oracle
+
+    def generations(self):
+        """Roots and paired halves over ascending, sampled and shuffled views."""
+        rng = np.random.default_rng(9)
+        for view in (
+            np.arange(self.N),
+            np.sort(rng.choice(self.N, 900, replace=False)),
+            rng.permutation(self.N)[:900],
+        ):
+            for n in (7, 64):
+                starts = np.arange(0, len(view), n)
+                stops = np.minimum(starts + n, len(view))
+                yield view, starts, stops, False
+                picked = np.sort(rng.choice(len(starts), 12, replace=False))
+                begin, end = starts[picked], stops[picked]
+                middle = (begin + end + 1) // 2
+                yield (view, np.column_stack([begin, middle]).ravel(),
+                       np.column_stack([middle, end]).ravel(), True)
+
+    KINDS = ["dense", "sharded", "flaky", "crowd", "hooked"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("need", [None, 1, 3, 10_000])
+    def test_scan_equals_the_per_query_loop(self, scan_dataset, kind, need):
+        for view, starts, stops, paired in self.generations():
+            scanning, looping = self.make(kind, scan_dataset), self.make(kind, scan_dataset)
+            answers = scanning.scan_sets(view, starts, stops, FEMALE, need, paired=paired)
+            expected = per_query_set_scan(looping, view, starts, stops, FEMALE, need, paired)
+            assert answers.dtype == bool and answers.tolist() == expected
+            assert set_scan_state(scanning) == set_scan_state(looping)
+            asked = np.flatnonzero(scan_asked(answers, paired))
+            assert scanning.ledger.n_set_queries == len(asked)
+            if kind == "hooked":
+                # Every asked segment, in order, under its exact key.
+                assert scanning.seen == looping.seen == [
+                    (view[a:b].tolist(), IndexKey.of(view[a:b]))
+                    for a, b in zip(starts[asked], stops[asked])
+                ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_budget_cut_inside_a_generation(self, scan_dataset, kind, paired):
+        view, starts, stops, _ = next(
+            g for g in self.generations() if g[3] == paired and len(g[1]) > 20
+        )
+        scanning = self.make(kind, scan_dataset, budget=8)
+        looping = self.make(kind, scan_dataset, budget=8)
+        scanning.ask_point(0)
+        looping.ask_point(0)
+        answers = scanning.scan_sets(view, starts, stops, FEMALE, None, paired=paired)
+        expected = per_query_set_scan(looping, view, starts, stops, FEMALE, None, paired)
+        assert answers.tolist() == expected and len(expected) < len(starts)
+        assert scan_asked(answers, paired).sum() == 7 == scanning.ledger.n_set_queries
+        assert set_scan_state(scanning) == set_scan_state(looping)
+        assert len(scanning.scan_sets(view, starts[:4], stops[:4], FEMALE, None)) == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_budget_cut_raises_the_per_query_error(self, scan_dataset, kind):
+        """A sequential run the budget cuts mid-generation raises the
+        error text the per-query loop raised, with the same bill."""
+        errors, states = [], []
+        for drive in ("scan", "loop"):
+            oracle = self.make(kind, scan_dataset, budget=37)
+            stepper = GroupCoverageStepper(FEMALE, 60, n=16, view=np.arange(self.N))
+            with pytest.raises(BudgetExceededError) as raised:
+                if drive == "scan":
+                    run_sequential(oracle, [stepper])
+                while drive == "loop":
+                    request = stepper.pending(limit=1)[0]
+                    answer = oracle.ask_set(request.indices, FEMALE, key=request.key)
+                    stepper.feed({request.key: answer})
+            errors.append(str(raised.value))
+            states.append(set_scan_state(oracle))
+        assert errors[0] == errors[1] and states[0] == states[1]
+
+    def test_arguments_are_checked(self, scan_dataset):
+        oracle = GroundTruthOracle(scan_dataset)
+        view = np.arange(10)
+        for starts, stops, need, paired in [
+            ([0], [5], 0, False),  # need must be positive
+            ([0, 5], [5], None, False),  # one stop per start
+            ([0], [5], None, True),  # whole pairs
+            ([3], [3], None, False),  # empty segment
+            ([5], [11], None, False),  # past the view
+        ]:
+            with pytest.raises(InvalidParameterError):
+                oracle.scan_sets(view, starts, stops, FEMALE, need, paired=paired)
+        assert oracle.ledger.total == 0

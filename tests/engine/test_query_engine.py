@@ -188,14 +188,14 @@ class TestSequentialDriver:
             events.append(f"{name} built")
             stepper = make_stepper(dataset, tau=tau)
             names[stepper] = name
-            pending = stepper.pending
+            scan = stepper.scan
 
-            def logged_pending(limit=None):
+            def logged_scan(oracle):
                 if events[-1] != name:
                     events.append(name)
-                return pending(limit)
+                return scan(oracle)
 
-            stepper.pending = logged_pending
+            stepper.scan = logged_scan
             return stepper
 
         children = {"a": [("a1", 3), ("a2", 2)], "a1": [("a1x", 1)]}
@@ -217,10 +217,18 @@ class TestSequentialDriver:
             "b built", "b", "b done",
         ]
 
-    def test_on_round_fires_once_per_asked_query(self, dataset):
+    def test_on_round_fires_once_per_generation_scan(self, dataset):
         oracle = GroundTruthOracle(dataset)
         rounds = []
         spawned = []
+        scans = []
+        scan_sets = oracle.scan_sets
+
+        def counted_scan_sets(*args, **kwargs):
+            scans.append(oracle.ledger.n_set_queries)
+            return scan_sets(*args, **kwargs)
+
+        oracle.scan_sets = counted_scan_sets
 
         def on_complete(stepper):
             if not spawned:
@@ -236,8 +244,10 @@ class TestSequentialDriver:
         )
         asked = oracle.ledger.n_set_queries
         assert asked > 0
-        assert rounds == list(range(1, asked + 1))
-        assert oracle.ledger.n_rounds == asked
+        # After each scan, and each scan asks: the counts strictly rise.
+        assert len(rounds) == len(scans) > 3
+        assert scans == [0, *rounds[:-1]] and rounds == sorted(set(rounds))
+        assert rounds[-1] == asked == oracle.ledger.n_rounds
 
     def test_budget_exhaustion_propagates_and_charges_only_asked_queries(
         self, dataset
@@ -248,7 +258,7 @@ class TestSequentialDriver:
         with pytest.raises(BudgetExceededError):
             run_sequential(oracle, [stepper], on_round=lambda: rounds.append(1))
         assert not stepper.done
-        assert len(rounds) == 10
+        assert rounds == []  # the cut scan of the 40 roots completes no round
         assert oracle.ledger.n_set_queries == oracle.ledger.n_rounds == 10
 
 

@@ -1,12 +1,13 @@
 """One differential harness over the configuration space of an audit.
 
 :func:`configurations` draws a :class:`Config` (spec kind, layout,
-executor, driver, engine, oracle, kill); :func:`check` holds it to one
-rule against its dense, serial, unkilled reference and
-:func:`check_surface` holds the membership index to NumPy. ``NAMED``
-keeps every configuration the former pairwise suites pinned, under that
-test's name; ``GAPS`` pins the known exceptions. The hypothesis tests
-are derandomized: a failure reproduces from its test ID.
+executor, driver, engine, oracle, kill; named configurations may also
+rerun); :func:`check` holds it to one rule against its dense, serial,
+unkilled reference and :func:`check_surface` holds the membership index
+to NumPy. ``NAMED`` keeps every configuration the former pairwise suites
+pinned, under that test's name; ``GAPS`` pins the known exceptions. The
+hypothesis tests are derandomized: a failure reproduces from its test
+ID.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class Config:
     kill: int | None = None
     seed: int = 1
     tenants: int = 1  # service drivers: identical jobs, one per tenant
+    rerun: int | None = None  # session drivers: then a group run at this tau
 
     def dense(self) -> "Config":
         """The same draw on the dense layout and the serial executor."""
@@ -102,8 +104,10 @@ class Config:
             shard_size=64, max_resident_shards=2, max_cached_prefixes=None)
 
     def reference(self) -> "Config":
+        """Legacy functions pay every run afresh: a rerun needs a session."""
+        legacy = self.engine is None and self.rerun is None
         return dataclasses.replace(self.dense(), kill=None,
-            driver="legacy" if self.engine is None else self.driver)
+            driver="legacy" if legacy else self.driver)
 
 
 @st.composite
@@ -275,11 +279,14 @@ def execute(config: Config, env: Env) -> Outcome:
     elif config.driver in ("run", "run_many"):
         engine = None if config.engine is None else True
         session = AuditSession(oracle, engine=engine, seed=config.seed, task_budget=config.kill,
-                               **batching)
+                               dataset_size=config.n_rows, **batching)
         try:
             with session:
                 run = session.run if config.driver == "run" else session.run_many
                 reports = (run(spec if config.driver == "run" else [spec]),)
+                if config.rerun is not None:
+                    again = make_spec(dataclasses.replace(config, kind="group", tau=config.rerun))
+                    reports += (run(again if config.driver == "run" else [again]),)
         except BudgetExceededError:
             with AuditSession.resume(session.checkpoint(), fresh()) as session:
                 reports = (session.run_pending(),)
@@ -355,9 +362,10 @@ def fingerprint(reports: tuple[AuditReport, ...], *, usage: bool) -> list:
 
 
 def rows_outcome(config: Config) -> Outcome:
-    """The draw's sequential legacy run over the row-at-a-time oracle."""
-    return reference_outcome(dataclasses.replace(
-        config.reference(), engine=None, driver="legacy", oracle="rows", tenants=1))
+    """The draw's sequential run over the row-at-a-time oracle: a legacy
+    run, or a session run when the draw reruns."""
+    return reference_outcome(dataclasses.replace(config.reference(), engine=None,
+        driver="legacy" if config.rerun is None else "run", oracle="rows", tenants=1))
 
 
 def group_runs(report: AuditReport) -> int:
@@ -484,13 +492,21 @@ def env(tmp_path_factory):
         yield Env(tmp_path_factory.mktemp("differential"), pool, threads)
 
 
-@settings(deadline=None, derandomize=True, max_examples=16)
+def budget(tier1: int) -> int:
+    """``tier1`` examples, or the ``differential-wide`` profile's budget
+    when pytest runs with ``--hypothesis-profile=differential-wide``."""
+    if settings.get_current_profile_name() == "differential-wide":
+        return settings.default.max_examples
+    return tier1
+
+
+@settings(deadline=None, derandomize=True, max_examples=budget(16))
 @given(config=configurations())
 def test_configuration_space(env, config):
     check(config, env)
 
 
-@settings(deadline=None, derandomize=True, max_examples=10)
+@settings(deadline=None, derandomize=True, max_examples=budget(10))
 @given(config=configurations())
 def test_index_surface(env, config):
     check_surface(config, env)
@@ -580,6 +596,14 @@ NAMED = {
     **cases("unpinnable_layout_gathers_shard_major", kind=["group", "multiple", "intersectional"],
             executor=["serial", "threads", "processes"], n_rows=600, tau=12, view=True,
             layout="from_memmap", max_cached_prefixes=1, **BATCH),
+    # a sequential run on a sampled view killed inside its fifth FIFO
+    # generation (asks 25 to 42); the resumed run re-asks nothing
+    "sequential_scattered_view_killed_mid_generation": Config(data_seed=5, tau=25, n=24,
+        view=True, driver="run", kill=33),
+    # a second run over a predicate the first paid for takes the proxy's
+    # per-query loop: held answers free, fresh ones paid once
+    **cases("second_run_over_a_paid_predicate", oracle=["truth", "flaky"], data_seed=3, tau=8,
+            n=16, driver=["run", "run_many"], rerun=20),
     # the mixed axes no pairwise suite reached
     "processes_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
         engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
