@@ -364,7 +364,9 @@ class RecordingOracleProxy(Oracle):
                 answers[position] = self._set_answers[keys[position]] = answer
         return answers
 
-    def scan_sets(self, view, starts, stops, predicate, need, *, paired=False) -> np.ndarray:
+    def scan_sets(
+        self, view, starts, stops, predicate, need, *, paired=False, ascending=None
+    ) -> np.ndarray:
         """The inner oracle's scan when this proxy can hold no answer the
         scan might ask: none for ``predicate`` at all, or only answers of
         earlier scans over this same ``view`` array, on other ranges
@@ -380,7 +382,7 @@ class RecordingOracleProxy(Oracle):
         ):
             return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
         answers = self._session_inner.scan_sets(
-            view, starts, stops, predicate, need, paired=paired
+            view, starts, stops, predicate, need, paired=paired, ascending=ascending
         )
         asked = np.flatnonzero(scan_asked(answers, paired))
         self._scans.append((predicate, view, starts[asked], stops[asked], answers[asked]))

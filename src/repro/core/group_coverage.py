@@ -283,7 +283,13 @@ class GroupCoverageStepper:
         self._scanned = True
         starts, stops, paired = self._generation
         answers = oracle.scan_sets(
-            self._view, starts, stops, self.predicate, self.tau - self._cnt, paired=paired
+            self._view,
+            starts,
+            stops,
+            self.predicate,
+            self.tau - self._cnt,
+            paired=paired,
+            ascending=self._ascending,
         )
         reached = len(answers)
         if paired:

@@ -260,6 +260,7 @@ class Oracle(ABC):
         need: int | None,
         *,
         paired: bool = False,
+        ascending: bool | None = None,
     ) -> np.ndarray:
         """Set-query the view segments ``view[starts[i]:stops[i]]`` in
         order — one generation of Algorithm 1's FIFO — stopping after the
@@ -272,6 +273,9 @@ class Oracle(ABC):
         the left answered "yes" (a left "no" implies the right "yes" for
         free), and only a right "yes" after a left "yes" is credited.
         ``view`` holds distinct dataset indices, as a stepper's does.
+        ``ascending`` says whether ``view`` is strictly ascending when the
+        caller knows (a stepper checks once, at construction); ``None``
+        leaves an oracle that needs to know to check the view itself.
 
         Returns one answer per segment of the prefix the scan reached,
         an implied right "yes" included (:func:`scan_asked` tells which
@@ -562,6 +566,7 @@ class GroundTruthOracle(Oracle):
         need: int | None,
         *,
         paired: bool = False,
+        ascending: bool | None = None,
     ) -> np.ndarray:
         """:meth:`Oracle.scan_sets` as one truth pass over the whole
         generation: segments of a strictly ascending view that are runs
@@ -579,7 +584,9 @@ class GroundTruthOracle(Oracle):
         if len(starts):
             low, high = view[starts], view[stops - 1]
             runs = high - low == stops - starts - 1
-            if len(view) > 1 and not (view[1:] > view[:-1]).all():
+            if ascending is None:
+                ascending = len(view) < 2 or bool((view[1:] > view[:-1]).all())
+            if not ascending:
                 runs[:] = False  # first and last bound only an ascending segment
             index = self.membership_index
             if runs.any():
@@ -614,7 +621,7 @@ class CrowdOracle(Oracle):
     def _answer_set(
         self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
     ) -> bool:
-        return self.platform.publish_set_query(SetQuery(indices, predicate))
+        return self.platform.publish_set_query(SetQuery(indices, predicate), index_key)
 
     def _answer_point(self, index: int) -> dict[str, str]:
         return self.platform.publish_point_query(PointQuery(index))

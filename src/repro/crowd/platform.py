@@ -119,20 +119,24 @@ class CrowdPlatform:
         )
         return [self.eligible_workers[int(i)] for i in chosen]
 
-    def publish_set_query(self, query: SetQuery) -> bool:
+    def publish_set_query(
+        self, query: SetQuery, index_key: IndexKey | None = None
+    ) -> bool:
         """Publish a set query; returns the aggregated answer.
 
         The HIT shows ``len(query.indices)`` images, which is what a
         size-dependent pricing model bills for. With ``reliability=None``
         (the default) this is the paper's fixed-redundancy majority vote;
         with a policy attached, routing and stopping are adaptive.
+        ``index_key`` is the interned key of ``query.indices`` when the
+        caller holds one (an oracle always does); without it the key is
+        derived here by :meth:`~repro.engine.requests.IndexKey.of`.
         """
-        index_array = np.asarray(query.indices, dtype=np.int64)
-        truth = self.membership_index.any_match(
-            query.predicate, IndexKey.of(index_array)
-        )
+        if index_key is None:
+            index_key = IndexKey.of(np.asarray(query.indices, dtype=np.int64))
+        truth = self.membership_index.any_match(query.predicate, index_key)
         if self.reliability is not None:
-            return self._publish_set_adaptive(query, index_array, truth)
+            return self._publish_set_adaptive(query, truth)
         assigned = self._assign_workers()
         answers = tuple(worker.answer_set(truth, self.rng) for worker in assigned)
         aggregated = bool(majority_vote(answers, rng=self.rng))
@@ -144,29 +148,28 @@ class CrowdPlatform:
                 )
             )
         self._account(
-            query, assigned, answers, aggregated, truth,
-            n_images=max(len(index_array), 1),
+            query, assigned, answers, aggregated, truth, n_images=len(query)
         )
         return aggregated
 
-    def _publish_set_adaptive(
-        self, query: SetQuery, index_array: np.ndarray, truth: bool
-    ) -> bool:
+    def _publish_set_adaptive(self, query: SetQuery, truth: bool) -> bool:
         """Adaptive set-query path: sequential votes from trusted workers,
         stopped on posterior log-odds; every vote is billed as usual."""
         policy = self.reliability
         assert policy is not None
-        order, probe = policy.plan(self.eligible_workers, self.rng)
+        eligible, rng = self.eligible_workers, self.rng
+        order, probe = policy.plan(eligible, rng)
         assigned: list[Worker] = []
         answers: list[bool] = []
+        vote_log_odds, should_stop = policy.vote_log_odds, policy.should_stop
         log_odds = policy.prior_log_odds()
         for pos in order:
-            worker = self.eligible_workers[pos]
-            answer = bool(worker.answer_set(truth, self.rng))
+            worker = eligible[pos]
+            answer = bool(worker.answer_set(truth, rng))
             assigned.append(worker)
             answers.append(answer)
-            log_odds += policy.vote_log_odds(worker.worker_id, answer)
-            if policy.should_stop(log_odds, len(answers)):
+            log_odds += vote_log_odds(worker.worker_id, answer)
+            if should_stop(log_odds, len(answers)):
                 break
         aggregated = policy.decide(log_odds)
         n_probes = 0
@@ -184,8 +187,7 @@ class CrowdPlatform:
         if self.record_votes:
             self._pending_set_votes.append(votes)
         self._account(
-            query, assigned, tuple(answers), aggregated, truth,
-            n_images=max(len(index_array), 1),
+            query, assigned, tuple(answers), aggregated, truth, n_images=len(query)
         )
         return aggregated
 

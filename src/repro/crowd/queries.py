@@ -53,12 +53,12 @@ class SetQuery:
     predicate: GroupPredicate
 
     def __init__(self, indices: Sequence[int] | np.ndarray, predicate: GroupPredicate) -> None:
-        index_tuple = tuple(int(i) for i in indices)
-        if not index_tuple:
+        index_array = np.asarray(indices, dtype=np.int64)
+        if not index_array.size:
             raise InvalidParameterError("a SetQuery needs at least one object")
-        if any(i < 0 for i in index_tuple):
+        if (index_array < 0).any():
             raise InvalidParameterError("negative object index in SetQuery")
-        object.__setattr__(self, "indices", index_tuple)
+        object.__setattr__(self, "indices", tuple(index_array.tolist()))
         object.__setattr__(self, "predicate", predicate)
 
     def __len__(self) -> int:

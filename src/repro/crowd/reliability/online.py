@@ -1,4 +1,4 @@
-"""`OnlineDawidSkene`: streaming, vectorized worker-reliability estimation.
+"""`OnlineDawidSkene`: streaming worker-reliability estimation.
 
 The batch :class:`~repro.crowd.aggregation.DawidSkene` estimator needs
 every response up front and re-solves EM from scratch; an audit platform
@@ -11,25 +11,34 @@ partial E-steps over sufficient statistics**:
 * the estimator stores, per worker, *observed* confusion counts (plus a
   weak symmetric prior applied at read time, so estimates never
   degenerate to 0/1),
-* each observed batch of HITs runs a vectorized E-step — task posteriors
-  from the current priors and confusions — and then folds the implied
-  counts back in, scaled by a ``damping`` step size below 1 so one noisy
-  batch cannot yank the estimates,
+* each observed batch of HITs runs an E-step — task posteriors from the
+  current priors and confusions — and then folds the implied counts
+  back in, scaled by a ``damping`` step size below 1 so one noisy batch
+  cannot yank the estimates,
 * an optional exponential ``decay`` forgets old counts, letting the
   estimator track workers whose quality drifts over an audit's lifetime.
 
 Set queries use 2x2 matrices (truth in {no, yes}); point queries use one
 k x k matrix per schema attribute, with value codes discovered online.
-All updates are :func:`numpy.add.at` scatter-adds over the whole batch —
-no per-vote Python loops on the hot path. Reads go through one cached
-:class:`PoolView` — every worker's set confusion, accuracy and vote
-log-odds as whole-pool arrays — built lazily after each update, so the
-per-vote routing and stopping decisions between batches are array
-indexing, not fresh 2x2 NumPy work.
+
+A set batch touches only the rows of the workers who voted in it, so
+its sweeps run in Python scalars over those rows' 2x2 counts, with one
+:func:`numpy.log` and one :func:`numpy.exp` call per sweep. Python's
+float arithmetic is NumPy's float64 arithmetic, and NumPy's ``log`` and
+``exp`` give an element the same result whatever the array's length,
+so the result is bit-identical to the whole-pool formula (``math.log``
+and ``math.exp`` are not: they differ from NumPy in the last bit on
+some inputs). Each row's confusion, vote log-odds and vote count are
+cached and patched after a batch for the rows it changed — the voters,
+or every row when ``decay < 1`` forgets them all — so the per-vote
+routing and stopping reads between batches are list lookups. The whole
+pool as arrays, :class:`PoolView`, is built from those caches only when
+something reads it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -47,7 +56,25 @@ PointVotes = Sequence[tuple[int, Mapping[str, str]]]
 
 _ROW_GROWTH = 16
 _LOG_FLOOR = 1e-300
-_TRUTHS = np.arange(2)
+
+
+def _confusions(
+    obs: Sequence[float], prior_right: float, prior_wrong: float
+) -> list[float]:
+    """Rows of flat 2x2 counts ``obs`` (``no|no, yes|no, no|yes,
+    yes|yes`` per row) as flat ``P(answer | truth)`` rows, prior
+    pseudo-counts included; the float operations of
+    ``counts / counts.sum(axis=2)`` over ``prior + obs``."""
+    rates: list[float] = []
+    for base in range(0, len(obs), 4):
+        no_no = prior_right + obs[base]
+        yes_no = prior_wrong + obs[base + 1]
+        no_yes = prior_wrong + obs[base + 2]
+        yes_yes = prior_right + obs[base + 3]
+        when_no = no_no + yes_no
+        when_yes = no_yes + yes_yes
+        rates += (no_no / when_no, yes_no / when_no, no_yes / when_yes, yes_yes / when_yes)
+    return rates
 
 
 class _AttributeModel:
@@ -115,9 +142,9 @@ class PoolView:
     """Whole-pool set-query estimates, one row per worker in first-seen
     order (:attr:`OnlineDawidSkene.worker_ids`).
 
-    Built by :meth:`OnlineDawidSkene.pool` and cached until the
-    estimator's statistics or worker registry change; the arrays are
-    read-only.
+    Built by :meth:`OnlineDawidSkene.pool` from the estimator's per-row
+    caches and kept until its statistics or worker registry change; the
+    arrays are read-only.
     """
 
     #: ``P(answer | truth)`` per worker, shape ``(W, 2, 2)``.
@@ -202,13 +229,24 @@ class OnlineDawidSkene:
 
         self._rows: dict[int, int] = {}
         self._row_ids: list[int] = []
-        self._set_obs: npt.NDArray[np.float64] = np.zeros((0, 2, 2), dtype=np.float64)
-        self._set_votes: npt.NDArray[np.int64] = np.zeros(0, dtype=np.int64)
-        self._set_class_obs: npt.NDArray[np.float64] = np.zeros(2, dtype=np.float64)
+        # The set statistics, flat: four counts per row (no|no, yes|no,
+        # no|yes, yes|yes) and a vote count per row, at the row capacity,
+        # and the two class counts. The per-HIT pass reads and writes them
+        # as Python numbers; the ``_set_*`` properties view them as arrays.
+        self._obs = array("d")
+        self._votes = array("q")
+        self._class_obs = array("d", (0.0, 0.0))
         self._point_models: dict[str, _AttributeModel] = {}
+        # Read caches of the set statistics: each row's flat confusion and
+        # its logs (floored), and the class priors and their logs.
+        self._confusion_rows: list[tuple[float, ...]] = []
+        self._log_rows: list[tuple[float, ...]] = []
+        self._priors: tuple[float, ...] = (0.5, 0.5)
+        self._log_priors: tuple[float, ...] = (0.0, 0.0)
         self._pool: PoolView | None = None
         self.n_set_batches = 0
         self.n_point_batches = 0
+        self._refresh(())
 
     # -- worker registry ---------------------------------------------------
     def _row(self, worker_id: int) -> int:
@@ -217,17 +255,16 @@ class OnlineDawidSkene:
             row = len(self._row_ids)
             self._rows[worker_id] = row
             self._row_ids.append(worker_id)
-            self._pool = None
-            if row >= self._set_obs.shape[0]:
-                capacity = self._set_obs.shape[0] + _ROW_GROWTH
-                grown = np.zeros((capacity, 2, 2), dtype=np.float64)
-                grown[: self._set_obs.shape[0]] = self._set_obs
-                self._set_obs = grown
-                grown_votes = np.zeros(capacity, dtype=np.int64)
-                grown_votes[: self._set_votes.shape[0]] = self._set_votes
-                self._set_votes = grown_votes
+            if row >= len(self._votes):
+                # New buffers, not in-place growth: a view may hold the old.
+                self._obs = self._obs + array("d", bytes(32 * _ROW_GROWTH))
+                self._votes = self._votes + array("q", bytes(8 * _ROW_GROWTH))
+                capacity = len(self._votes)
                 for model in self._point_models.values():
                     model.ensure_rows(capacity)
+            self._confusion_rows.append(())
+            self._log_rows.append(())
+            self._refresh((row,))
         return row
 
     def rows(self, worker_ids: Iterable[int]) -> list[int]:
@@ -250,52 +287,134 @@ class OnlineDawidSkene:
     def n_observations(self, worker_id: int) -> int:
         """How many set-query votes by ``worker_id`` have been observed."""
         row = self._rows.get(worker_id)
-        return 0 if row is None else int(self._set_votes[row])
+        return 0 if row is None else self._votes[row]
+
+    @property
+    def _set_obs(self) -> npt.NDArray[np.float64]:
+        """The set counts as a writable ``(capacity, 2, 2)`` view;
+        assigning an array stores a copy of it."""
+        return np.frombuffer(self._obs, dtype=np.float64).reshape(-1, 2, 2)
+
+    @_set_obs.setter
+    def _set_obs(self, counts: npt.ArrayLike) -> None:
+        self._obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
+
+    @property
+    def _set_votes(self) -> npt.NDArray[np.int64]:
+        """The vote counts as a writable ``(capacity,)`` view."""
+        return np.frombuffer(self._votes, dtype=np.int64)
+
+    @_set_votes.setter
+    def _set_votes(self, votes: npt.ArrayLike) -> None:
+        self._votes = array("q", np.asarray(votes, dtype=np.int64).tobytes())
+
+    @property
+    def _set_class_obs(self) -> npt.NDArray[np.float64]:
+        """The class counts as a writable ``(2,)`` view."""
+        return np.frombuffer(self._class_obs, dtype=np.float64)
+
+    @_set_class_obs.setter
+    def _set_class_obs(self, counts: npt.ArrayLike) -> None:
+        self._class_obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
 
     # -- read-time estimates ----------------------------------------------
-    def _set_prior_counts(self) -> npt.NDArray[np.float64]:
+    def _prior_pair(self) -> tuple[float, float]:
+        """The symmetric set prior's pseudo-counts of a right and of a
+        wrong answer."""
         p = self.prior_correct
-        return self.prior_strength * np.array(
-            [[p, 1.0 - p], [1.0 - p, p]], dtype=np.float64
-        )
+        return self.prior_strength * p, self.prior_strength * (1.0 - p)
+
+    def _set_prior_counts(self) -> npt.NDArray[np.float64]:
+        right, wrong = self._prior_pair()
+        return np.array([[right, wrong], [wrong, right]], dtype=np.float64)
+
+    def _class_pair(self, class_obs: Sequence[float]) -> tuple[float, float]:
+        """:attr:`class_priors` as two floats, for class counts ``class_obs``."""
+        half = self.prior_strength * 0.5
+        count_no, count_yes = half + class_obs[0], half + class_obs[1]
+        total = count_no + count_yes
+        return count_no / total, count_yes / total
+
+    def _log_rates(
+        self, obs: Sequence[float], class_obs: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """The class priors and the flat confusions of the rows whose flat
+        counts are ``obs``, and their logs from one :func:`numpy.log`
+        call (each of the value plus ``_LOG_FLOOR``)."""
+        rates = list(self._class_pair(class_obs))
+        rates += _confusions(obs, *self._prior_pair())
+        return rates, np.log([rate + _LOG_FLOOR for rate in rates]).tolist()
+
+    def _store(self, rows: Sequence[int], rates: list[float], logs: list[float]) -> None:
+        """Cache :meth:`_log_rates` output for ``rows``."""
+        self._priors = (rates[0], rates[1])
+        self._log_priors = (logs[0], logs[1])
+        for k, row in enumerate(rows):
+            self._confusion_rows[row] = tuple(rates[4 * k + 2 : 4 * k + 6])
+            self._log_rows[row] = tuple(logs[4 * k + 2 : 4 * k + 6])
+        self._pool = None
+
+    def _refresh(self, rows: Iterable[int]) -> None:
+        """Recompute the read caches of ``rows`` and of the class priors
+        from the raw statistics."""
+        rows = list(rows)
+        buffer = self._obs
+        obs: list[float] = []
+        for row in rows:
+            obs += buffer[4 * row : 4 * row + 4]
+        self._store(rows, *self._log_rates(obs, self._class_obs.tolist()))
 
     def pool(self) -> PoolView:
         """Every registered worker's current set-query estimates as one
-        :class:`PoolView`, built on first read and reused until a worker
-        is registered, a set batch is observed, or state is loaded."""
+        :class:`PoolView`, built from the per-row caches on first read
+        and reused until a worker is registered, a set batch is
+        observed, or state is loaded."""
         pool = self._pool
         if pool is None:
             n_rows = len(self._row_ids)
-            counts = self._set_prior_counts() + self._set_obs[:n_rows]
-            confusion = counts / counts.sum(axis=2, keepdims=True)
-            priors = self.class_priors
-            accuracy = priors[0] * confusion[:, 0, 0] + priors[1] * confusion[:, 1, 1]
-            log_conf = np.log(confusion + _LOG_FLOOR)
+            confusion = np.array(self._confusion_rows, dtype=np.float64).reshape(
+                n_rows, 2, 2
+            )
+            prior_no, prior_yes = self._priors
+            accuracy = prior_no * confusion[:, 0, 0] + prior_yes * confusion[:, 1, 1]
+            log_conf = np.array(self._log_rows, dtype=np.float64).reshape(n_rows, 2, 2)
             log_odds = log_conf[:, 1, :] - log_conf[:, 0, :]
-            log_priors = np.log(priors + _LOG_FLOOR)
             votes = self._set_votes[:n_rows].copy()
-            for array in (confusion, accuracy, log_odds, votes):
-                array.flags.writeable = False
+            for values in (confusion, accuracy, log_odds, votes):
+                values.flags.writeable = False
             pool = self._pool = PoolView(
                 confusion=confusion,
                 accuracy=accuracy,
                 log_odds=log_odds,
                 votes=votes,
-                prior_log_odds=float(log_priors[1] - log_priors[0]),
+                prior_log_odds=self.prior_log_odds(),
             )
         return pool
+
+    def row_confusion(self, row: int) -> tuple[float, float, float, float]:
+        """Row ``row``'s current set confusion ``P(answer | truth)``,
+        prior included, flattened as ``(no | no, yes | no, no | yes,
+        yes | yes)``: the cached values every other read is built from."""
+        return self._confusion_rows[row]
 
     def confusion(self, worker_id: int) -> npt.NDArray[np.float64]:
         """The worker's current 2x2 set confusion ``P(answer | truth)``
         (row = truth in {no, yes}, column = answer), prior included."""
         row = self._row(worker_id)
-        return self.pool().confusion[row].copy()
+        return np.array(self._confusion_rows[row], dtype=np.float64).reshape(2, 2)
 
     def worker_accuracy(self, worker_id: int) -> float:
         """Estimated P(correct) for the worker: the confusion diagonal
         weighted by the current class priors."""
-        row = self._row(worker_id)
-        return float(self.pool().accuracy[row])
+        return self.accuracies((worker_id,))[0]
+
+    def accuracies(self, worker_ids: Iterable[int]) -> list[float]:
+        """:meth:`worker_accuracy` of each worker, registering unseen
+        workers (in the given order) first."""
+        rows = self.rows(worker_ids)
+        prior_no, prior_yes = self._priors
+        confusion = self._confusion_rows
+        return [prior_no * confusion[row][0] + prior_yes * confusion[row][3] for row in rows]
 
     @property
     def class_priors(self) -> npt.NDArray[np.float64]:
@@ -307,14 +426,17 @@ class OnlineDawidSkene:
 
     def prior_log_odds(self) -> float:
         """``log P(yes) - log P(no)`` before any vote is seen."""
-        return self.pool().prior_log_odds
+        return self._log_priors[1] - self._log_priors[0]
 
     def vote_log_odds(self, worker_id: int, answer: bool) -> float:
         """The log-likelihood-ratio increment one vote contributes to the
         posterior log-odds of "truth = yes", under the worker's current
         confusion estimate."""
-        row = self._row(worker_id)
-        return float(self.pool().log_odds[row, 1 if answer else 0])
+        row = self._rows.get(worker_id)
+        if row is None:
+            row = self._row(worker_id)
+        log_conf = self._log_rows[row]
+        return log_conf[3] - log_conf[1] if answer else log_conf[2] - log_conf[0]
 
     def posterior_log_odds(self, votes: SetVotes) -> float:
         """Posterior log-odds of "truth = yes" after all ``votes``,
@@ -328,51 +450,79 @@ class OnlineDawidSkene:
     def observe_set_batch(self, hits: Sequence[SetVotes]) -> npt.NDArray[np.float64]:
         """Fold one batch of set-query HITs into the running statistics.
 
-        Runs the damped partial E/M sweeps over the whole batch at once
-        (vectorized scatter-adds) and returns the final per-HIT posterior
-        ``P(truth = yes)`` under the *updated* estimates.
+        Runs the damped partial E/M sweeps over the voters' rows only and
+        returns the final per-HIT posterior ``P(truth = yes)`` under the
+        *updated* estimates. A worker who votes more than once (in one
+        HIT or across the batch's HITs) accumulates in vote order.
         """
-        n_hits = len(hits)
-        task_list: list[int] = []
-        row_list: list[int] = []
-        ans_list: list[int] = []
+        known = self._rows
+        tasks: list[int] = []
+        rows: list[int] = []
+        answers: list[int] = []
         for i, votes in enumerate(hits):
             for worker_id, answer in votes:
-                task_list.append(i)
-                row_list.append(self._row(worker_id))
-                ans_list.append(1 if answer else 0)
-        if not task_list:
+                row = known.get(worker_id)
+                tasks.append(i)
+                rows.append(self._row(worker_id) if row is None else row)
+                answers.append(1 if answer else 0)
+        n_hits = len(hits)
+        if not rows:
             return np.zeros(n_hits, dtype=np.float64)
-        task_idx = np.array(task_list, dtype=np.int64)
-        rows = np.array(row_list, dtype=np.int64)
-        ans = np.array(ans_list, dtype=np.int64)
-        votes_idx = np.arange(len(task_list))
-        # Scatter targets of both truths at once, shape (votes, 2): cell
-        # (rows[v], truth, ans[v]) for v in vote order, so duplicate rows
-        # accumulate in the same order as one scatter per truth would.
-        obs_idx = (rows[:, None], _TRUTHS, ans[:, None])
-
         self._forget()
-        prior_counts = self._set_prior_counts()
+        voters = list(dict.fromkeys(rows))
+        base = {row: 4 * k for k, row in enumerate(voters)}
+        # Flat offsets of each vote's (truth = no, answer) count; its
+        # (truth = yes, answer) count is two further on.
+        cells = [base[row] + answer for row, answer in zip(rows, answers)]
+        buffer = self._obs
+        obs: list[float] = []
+        for row in voters:
+            obs += buffer[4 * row : 4 * row + 4]
+        class_obs = self._class_obs.tolist()
+        if self.decay == 1.0:
+            # The caches hold the logs of the counts as they stand.
+            logs = list(self._log_priors)
+            for row in voters:
+                logs += self._log_rows[row]
+        else:
+            _, logs = self._log_rates(obs, class_obs)
         step = self.damping / self.sweeps
         for _ in range(self.sweeps):
-            # Only the voting workers' rows enter the E-step.
-            counts = prior_counts + self._set_obs[rows]
-            conf = counts / counts.sum(axis=2, keepdims=True)
-            log_conf = np.log(conf[votes_idx, :, ans] + _LOG_FLOOR)
-            log_post = np.empty((n_hits, 2), dtype=np.float64)
-            log_post[:] = np.log(self.class_priors + _LOG_FLOOR)
-            np.add.at(log_post, task_idx, log_conf)
-            log_post -= log_post.max(axis=1, keepdims=True)
-            post = np.exp(log_post)
-            post /= post.sum(axis=1, keepdims=True)
-            np.add.at(self._set_obs, obs_idx, step * post[task_idx])
-            self._set_class_obs += step * post.sum(axis=0)
-        np.add.at(self._set_votes, rows, 1)
+            # E-step: each HIT's log posterior, votes added in vote order.
+            log_post = [[logs[0], logs[1]] for _ in range(n_hits)]
+            for cell, i in zip(cells, tasks):
+                log_post[i][0] += logs[cell + 2]
+                log_post[i][1] += logs[cell + 4]
+            shifted: list[float] = []
+            for log_no, log_yes in log_post:
+                top = max(log_no, log_yes)
+                shifted += (log_no - top, log_yes - top)
+            exps = np.exp(shifted).tolist()
+            post = [
+                (exps[k] / (exps[k] + exps[k + 1]), exps[k + 1] / (exps[k] + exps[k + 1]))
+                for k in range(0, 2 * n_hits, 2)
+            ]
+            # Damped M-step into the voters' counts and the class counts.
+            for cell, i in zip(cells, tasks):
+                obs[cell] += step * post[i][0]
+                obs[cell + 2] += step * post[i][1]
+            sum_no, sum_yes = post[0]
+            for post_no, post_yes in post[1:]:
+                sum_no += post_no
+                sum_yes += post_yes
+            class_obs = [class_obs[0] + step * sum_no, class_obs[1] + step * sum_yes]
+            rates, logs = self._log_rates(obs, class_obs)
+        for k, row in enumerate(voters):
+            buffer[4 * row : 4 * row + 4] = array("d", obs[4 * k : 4 * k + 4])
+        self._class_obs = array("d", class_obs)
+        for row in rows:
+            self._votes[row] += 1
         self.n_set_batches += 1
-        self._pool = None
-        posterior: npt.NDArray[np.float64] = post[:, 1].copy()
-        return posterior
+        if self.decay == 1.0:
+            self._store(voters, rates, logs)
+        else:  # decay moved every row's counts
+            self._refresh(range(len(self._row_ids)))
+        return np.array([post_yes for _, post_yes in post], dtype=np.float64)
 
     def observe_point_batch(self, hits: Sequence[PointVotes]) -> list[dict[str, str]]:
         """Fold one batch of point-query HITs into the per-attribute
@@ -393,11 +543,11 @@ class OnlineDawidSkene:
         for attribute, flat in attributes.items():
             model = self._point_models.get(attribute)
             if model is None:
-                model = _AttributeModel(self._set_obs.shape[0])
+                model = _AttributeModel(len(self._votes))
                 self._point_models[attribute] = model
             codes = np.array([model.code_for(v) for _, _, v in flat], dtype=np.int64)
             rows = np.array([self._row(w) for _, w, _ in flat], dtype=np.int64)
-            model.ensure_rows(self._set_obs.shape[0])
+            model.ensure_rows(len(self._votes))
             task_idx = np.array([i for i, _, _ in flat], dtype=np.int64)
             post = self._point_posterior(model, task_idx, rows, codes, len(hits))
             step = self.damping
@@ -431,11 +581,11 @@ class OnlineDawidSkene:
         for attribute, pairs in per_attribute.items():
             model = self._point_models.get(attribute)
             if model is None:
-                model = _AttributeModel(self._set_obs.shape[0])
+                model = _AttributeModel(len(self._votes))
                 self._point_models[attribute] = model
             codes = np.array([model.code_for(v) for _, v in pairs], dtype=np.int64)
             rows = np.array([self._row(w) for w, _ in pairs], dtype=np.int64)
-            model.ensure_rows(self._set_obs.shape[0])
+            model.ensure_rows(len(self._votes))
             task_idx = np.zeros(len(pairs), dtype=np.int64)
             post = self._point_posterior(model, task_idx, rows, codes, 1)
             result[attribute] = {
@@ -517,4 +667,6 @@ class OnlineDawidSkene:
         }
         self.n_set_batches = int(state["n_set_batches"])
         self.n_point_batches = int(state["n_point_batches"])
-        self._pool = None
+        self._confusion_rows = [()] * n_rows
+        self._log_rows = [()] * n_rows
+        self._refresh(range(n_rows))

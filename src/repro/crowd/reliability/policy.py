@@ -158,6 +158,9 @@ class AdaptiveAssignmentPolicy:
         self.n_hits = 0
         self.n_votes = 0
         self.n_probes = 0
+        #: the estimator's ``n_set_batches`` when the tracker last reviewed
+        #: it (``None``: unknown, so the next review visits every worker)
+        self._reviewed_batches: int | None = None
 
     # -- routing -----------------------------------------------------------
     def plan(
@@ -174,31 +177,32 @@ class AdaptiveAssignmentPolicy:
         """
         if not eligible:
             raise InvalidParameterError("plan needs a non-empty eligible pool")
-        is_quarantined = self.tracker.is_quarantined
+        quarantined = set(self.tracker.quarantined_ids())
         active = [
             pos
             for pos, worker in enumerate(eligible)
-            if not is_quarantined(worker.worker_id)
+            if worker.worker_id not in quarantined
         ]
         if not active:
             active = list(range(len(eligible)))
-        noise = rng.random(len(active))
+        noise = rng.random(len(active)).tolist()
         # Registers unseen workers in eligible order, which checkpoints keep.
-        rows = self.estimator.rows(eligible[pos].worker_id for pos in active)
-        scores = self.estimator.pool().accuracy[rows]
-        scores += self.exploration * noise
-        ranked = [active[i] for i in np.argsort(-scores, kind="stable")]
-        order = ranked[: self.max_assignments]
+        accuracy = self.estimator.accuracies(eligible[pos].worker_id for pos in active)
+        exploration = self.exploration
+        scores = [trust + exploration * bonus for trust, bonus in zip(accuracy, noise)]
+        # Best first; a stable sort keeps ties in eligible order.
+        ranked = sorted(range(len(active)), key=scores.__getitem__, reverse=True)
+        order = [active[i] for i in ranked[: self.max_assignments]]
         probe = None
         if self.n_hits % self.probation_interval == self.probation_interval - 1:
-            quarantined = [
+            probation = [
                 pos
                 for pos, worker in enumerate(eligible)
-                if self.tracker.is_quarantined(worker.worker_id)
+                if worker.worker_id in quarantined
             ]
-            if quarantined:
+            if probation:
                 probe = min(
-                    quarantined,
+                    probation,
                     key=lambda pos: (
                         self.estimator.n_observations(eligible[pos].worker_id),
                         eligible[pos].worker_id,
@@ -257,9 +261,19 @@ class AdaptiveAssignmentPolicy:
     def observe_set(self, votes: SetVotes, *, n_probes: int = 0) -> float:
         """Fold one HIT's set votes (probes included) into the estimator,
         run a quarantine review, and return the updated posterior
-        ``P(truth = yes)`` for the HIT."""
-        posterior = self.estimator.observe_set_batch([votes])
-        self.tracker.review()
+        ``P(truth = yes)`` for the HIT.
+
+        The review visits only the voters: with ``decay=1.0`` no other
+        worker's statistics changed since the previous review. Decay
+        changes every worker's, and so does an update the estimator took
+        outside this policy; then every worker is reviewed."""
+        estimator = self.estimator
+        in_step = estimator.n_set_batches == self._reviewed_batches
+        posterior = estimator.observe_set_batch([votes])
+        voters = None
+        if in_step and estimator.decay == 1.0:
+            voters = estimator.rows(worker_id for worker_id, _ in votes)
+        self._review(voters)
         self.n_hits += 1
         self.n_votes += len(votes) - n_probes
         self.n_probes += n_probes
@@ -272,11 +286,15 @@ class AdaptiveAssignmentPolicy:
         quarantine review, and return the MAP ``{attribute: value}``
         labeling under the updated estimates."""
         labels = self.estimator.observe_point_batch([votes])
-        self.tracker.review()
+        self._review(None)
         self.n_hits += 1
         self.n_votes += len(votes) - n_probes
         self.n_probes += n_probes
         return labels[0]
+
+    def _review(self, rows: list[int] | None) -> None:
+        self.tracker.review(rows)
+        self._reviewed_batches = self.estimator.n_set_batches
 
     # -- reporting and state -----------------------------------------------
     def report(self) -> ReliabilityReport:
@@ -330,6 +348,7 @@ class AdaptiveAssignmentPolicy:
         ``state``, estimator first so the tracker reads consistent
         statistics; this policy is unchanged either way."""
         policy = copy.deepcopy(self)
+        policy._reviewed_batches = None
         try:
             policy.estimator.load_state_dict(state["estimator"])
             policy.tracker.load_state_dict(state["tracker"])

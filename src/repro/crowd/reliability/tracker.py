@@ -28,10 +28,7 @@ quarantine decisions (reprolint RPL001/RPL008 discipline).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
-import numpy as np
-import numpy.typing as npt
+from typing import Any, Iterable, Mapping
 
 from repro.errors import InvalidParameterError
 
@@ -46,8 +43,6 @@ FLAG_UNIFORM = "uniform_guesser"
 FLAG_ALWAYS_YES = "always_yes"
 FLAG_ALWAYS_NO = "always_no"
 FLAG_ADVERSARY = "adversary"
-#: flag by code, as :meth:`ReliabilityTracker._flag_codes` numbers them.
-_FLAGS = (None, FLAG_ALWAYS_YES, FLAG_ALWAYS_NO, FLAG_ADVERSARY, FLAG_UNIFORM)
 
 
 class ReliabilityTracker:
@@ -140,82 +135,71 @@ class ReliabilityTracker:
     def classify(self, worker_id: int) -> str | None:
         """The worker's current behavioral flag, or ``None`` when their
         signature looks legitimate (or evidence is still insufficient)."""
-        row = self.estimator.row_of(worker_id)
-        if row is None:
+        estimator = self.estimator
+        row = estimator.row_of(worker_id)
+        if row is None or estimator.n_observations(worker_id) < self.min_observations:
             return None
-        return _FLAGS[int(self._flag_codes()[row])]
-
-    def _flag_codes(self) -> npt.NDArray[np.int64]:
-        """Every registered worker's flag as an index into ``_FLAGS``,
-        by estimator row, from one vector pass over the pool view."""
-        pool = self.estimator.pool()
-        yes_rate_when_no = pool.confusion[:, 0, 1]
-        yes_rate_when_yes = pool.confusion[:, 1, 1]
+        _, yes_rate_when_no, _, yes_rate_when_yes = estimator.row_confusion(row)
+        extreme = self.extreme_rate
+        if yes_rate_when_no >= extreme and yes_rate_when_yes >= extreme:
+            return FLAG_ALWAYS_YES
+        if 1.0 - yes_rate_when_no >= extreme and 1.0 - yes_rate_when_yes >= extreme:
+            return FLAG_ALWAYS_NO
         j = yes_rate_when_yes - yes_rate_when_no
-        # Assigned in reverse precedence, so the strongest flag wins.
-        codes = np.zeros(len(j), dtype=np.int64)
-        codes[np.abs(j) < self.spam_margin] = 4
-        codes[j <= -self.spam_margin] = 3
-        codes[
-            (1.0 - yes_rate_when_no >= self.extreme_rate)
-            & (1.0 - yes_rate_when_yes >= self.extreme_rate)
-        ] = 2
-        codes[
-            (yes_rate_when_no >= self.extreme_rate)
-            & (yes_rate_when_yes >= self.extreme_rate)
-        ] = 1
-        codes[pool.votes < self.min_observations] = 0
-        return codes
+        if j <= -self.spam_margin:
+            return FLAG_ADVERSARY
+        if abs(j) < self.spam_margin:
+            return FLAG_UNIFORM
+        return None
 
     # -- quarantine lifecycle ----------------------------------------------
-    def review(self) -> list[int]:
-        """Re-classify every known worker: quarantine newly flagged ones,
-        reinstate quarantined workers whose probation has cleared. Returns
-        worker ids whose state changed, in first-seen order."""
-        codes = self._flag_codes()
-        # Active workers with a clean signature have nothing to update, so
-        # only flagged and quarantined rows are visited.
-        rows = set(np.flatnonzero(codes).tolist())
-        for worker_id, state in self._states.items():
-            if state == _QUARANTINED:
-                row = self.estimator.row_of(worker_id)
-                if row is not None:
-                    rows.add(row)
-        worker_ids = self.estimator.worker_ids
+    def review(self, rows: Iterable[int] | None = None) -> list[int]:
+        """Re-classify workers: quarantine newly flagged ones, reinstate
+        quarantined workers whose probation has cleared. Returns worker
+        ids whose state changed, in first-seen order.
+
+        ``rows`` are the estimator rows whose statistics changed since
+        the last review — a HIT's voters — and only they are visited;
+        ``None`` (the default) visits every known worker. A worker whose
+        statistics did not change gets the verdict of their last review
+        again: a clean active worker stays, a flagged one was quarantined
+        then, and a quarantined one either had their probation restarted
+        then (so has no probes now) or was left as is.
+        """
+        estimator = self.estimator
+        worker_ids = estimator.worker_ids
+        visit = range(len(worker_ids)) if rows is None else sorted(set(rows))
         changed: list[int] = []
-        for row in sorted(rows):
+        for row in visit:
             worker_id = worker_ids[row]
-            flag = _FLAGS[int(codes[row])]
+            flag = self.classify(worker_id)
             if self._states.get(worker_id, _ACTIVE) == _ACTIVE:
-                # An active row is visited only when flagged: quarantine it.
-                self._states[worker_id] = _QUARANTINED
-                self._flags[worker_id] = flag
-                self._obs_at_quarantine[worker_id] = (
-                    self.estimator.n_observations(worker_id)
-                )
-                self.n_quarantines += 1
-                changed.append(worker_id)
-            else:
-                probes = (
-                    self.estimator.n_observations(worker_id)
-                    - self._obs_at_quarantine.get(worker_id, 0)
-                )
-                if (
-                    probes >= self.probation_votes
-                    and flag is None
-                    and self.youden_j(worker_id) >= self.reentry_margin
-                ):
-                    self._states[worker_id] = _ACTIVE
-                    self._flags.pop(worker_id, None)
-                    self._obs_at_quarantine.pop(worker_id, None)
-                    self.n_reinstatements += 1
-                    changed.append(worker_id)
-                elif flag is not None:
-                    # Still misbehaving: refresh the flag, restart probation.
+                if flag is not None:
+                    self._states[worker_id] = _QUARANTINED
                     self._flags[worker_id] = flag
-                    self._obs_at_quarantine[worker_id] = (
-                        self.estimator.n_observations(worker_id)
+                    self._obs_at_quarantine[worker_id] = estimator.n_observations(
+                        worker_id
                     )
+                    self.n_quarantines += 1
+                    changed.append(worker_id)
+                continue
+            probes = estimator.n_observations(
+                worker_id
+            ) - self._obs_at_quarantine.get(worker_id, 0)
+            if (
+                probes >= self.probation_votes
+                and flag is None
+                and self.youden_j(worker_id) >= self.reentry_margin
+            ):
+                self._states[worker_id] = _ACTIVE
+                self._flags.pop(worker_id, None)
+                self._obs_at_quarantine.pop(worker_id, None)
+                self.n_reinstatements += 1
+                changed.append(worker_id)
+            elif flag is not None:
+                # Still misbehaving: refresh the flag, restart probation.
+                self._flags[worker_id] = flag
+                self._obs_at_quarantine[worker_id] = estimator.n_observations(worker_id)
         return changed
 
     def is_quarantined(self, worker_id: int) -> bool:

@@ -145,10 +145,12 @@ class QueryLoggingOracle:
         self._write_points(indices[: len(codes)].tolist())
         return codes
 
-    def scan_sets(self, view, starts, stops, predicate, need, *, paired=False):
+    def scan_sets(self, view, starts, stops, predicate, need, *, paired=False, ascending=None):
         """Forward a set scan, logging every query it charged, in order."""
         view, starts, stops = scan_segments(view, starts, stops, need, paired)
-        answers = self._inner.scan_sets(view, starts, stops, predicate, need, paired=paired)
+        answers = self._inner.scan_sets(
+            view, starts, stops, predicate, need, paired=paired, ascending=ascending
+        )
         asked = np.flatnonzero(scan_asked(answers, paired))
         self._write(
             self._set_entry(view[start:stop], predicate, None)

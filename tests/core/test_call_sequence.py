@@ -69,10 +69,14 @@ class CallLog:
                 self._record(b"set", [(indices, predicate)])
             return ask_set(indices, predicate, key=key)
 
-        def logged_scan_sets(view, starts, stops, predicate, need, *, paired=False):
+        def logged_scan_sets(
+            view, starts, stops, predicate, need, *, paired=False, ascending=None
+        ):
             self._scanning = True
             try:
-                answers = scan_sets(view, starts, stops, predicate, need, paired=paired)
+                answers = scan_sets(
+                    view, starts, stops, predicate, need, paired=paired, ascending=ascending
+                )
             finally:
                 self._scanning = False
             for position in np.flatnonzero(scan_asked(answers, paired)):

@@ -541,6 +541,35 @@ class TestScanSets:
                 ]
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_a_known_view_order_gives_the_same_scan(self, scan_dataset, kind):
+        for view, starts, stops, paired in self.generations():
+            ascending = bool((view[1:] > view[:-1]).all())
+            told, checked = self.make(kind, scan_dataset), self.make(kind, scan_dataset)
+            answers = told.scan_sets(
+                view, starts, stops, FEMALE, None, paired=paired, ascending=ascending
+            )
+            expected = checked.scan_sets(view, starts, stops, FEMALE, None, paired=paired)
+            assert answers.tolist() == expected.tolist()
+            assert set_scan_state(told) == set_scan_state(checked)
+
+    def test_the_stepper_passes_its_view_order(self, scan_dataset):
+        oracle = GroundTruthOracle(scan_dataset)
+        scan_sets, seen = oracle.scan_sets, []
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["ascending"])
+            return scan_sets(*args, **kwargs)
+
+        oracle.scan_sets = recorded
+        for view, ascending in [
+            (np.arange(self.N), True),
+            (np.random.default_rng(3).permutation(self.N), False),
+        ]:
+            seen.clear()
+            run_sequential(oracle, [GroupCoverageStepper(FEMALE, 5, n=64, view=view)])
+            assert seen and set(seen) == {ascending}
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("paired", [False, True])
     def test_budget_cut_inside_a_generation(self, scan_dataset, kind, paired):
         view, starts, stops, _ = next(

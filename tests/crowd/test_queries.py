@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.crowd.queries import HitRecord, PointQuery, SetQuery
@@ -33,6 +34,38 @@ class TestSetQuery:
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidParameterError):
             SetQuery([1, -2], FEMALE)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [3, 1, 2],
+            (3, 1, 2),
+            range(3, 0, -1),
+            range(7, 70, 9),
+            np.array([3, 1, 2], dtype=np.int16),
+            np.array([3, 1, 2], dtype=np.uint8),
+            [3.0, 1.7, 2.2],
+            [np.int64(3), 1, True + 1],
+        ],
+    )
+    def test_every_index_sequence_gives_the_same_python_int_tuple(self, indices):
+        query = SetQuery(indices, FEMALE)
+        assert query.indices == tuple(int(index) for index in indices)
+        assert all(type(index) is int for index in query.indices)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([], "a SetQuery needs at least one object"),
+            (np.array([], dtype=np.int64), "a SetQuery needs at least one object"),
+            ([1, -2], "negative object index in SetQuery"),
+            (np.array([4, -1], dtype=np.int16), "negative object index in SetQuery"),
+        ],
+    )
+    def test_error_texts(self, indices, message):
+        with pytest.raises(InvalidParameterError) as raised:
+            SetQuery(indices, FEMALE)
+        assert str(raised.value) == message
 
     def test_describe_mentions_predicate_and_size(self):
         text = SetQuery([0, 1, 2], FEMALE).describe()

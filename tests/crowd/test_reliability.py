@@ -598,7 +598,8 @@ class _ScalarTracker(ReliabilityTracker):
             return "uniform_guesser"
         return None
 
-    def review(self):
+    def review(self, rows=None):
+        # ``rows`` is ignored: the reference reviews every known worker.
         changed = []
         est = self.estimator
         for worker_id in est.worker_ids:
@@ -818,19 +819,26 @@ class TestPoolViewInvalidation:
 
 
 class TestAdaptivePlatformMatchesScalarPath:
-    def _run(self, policy):
+    ADVERSARIAL_POOL = dict(
+        n_workers=14, error_rate=0.03, spammer_fraction=0.3,
+        spammer_error_rate=0.5, adversary_fraction=0.15,
+    )
+    # The serve-crowd benchmark's crowd (perfbench/workloads.py).
+    SERVE_CROWD_POOL = dict(n_workers=20, error_rate=0.0136, spammer_fraction=0.2)
+    SERVE_CROWD_POLICY = dict(log_odds_threshold=9.0, max_assignments=11)
+
+    def _run(self, policy, pool=ADVERSARIAL_POOL, n_hits=260, on_set_hit=None):
         dataset = binary_dataset(600, 20, rng=np.random.default_rng(7))
-        pool = make_worker_pool(
-            14, np.random.default_rng(3), error_rate=0.03,
-            spammer_fraction=0.3, spammer_error_rate=0.5,
-            adversary_fraction=0.15,
+        pool = dict(pool)
+        workers = make_worker_pool(
+            pool.pop("n_workers"), np.random.default_rng(3), **pool
         )
         platform = CrowdPlatform(
-            dataset, pool, np.random.default_rng(11), reliability=policy
+            dataset, workers, np.random.default_rng(11), reliability=policy
         )
         query_rng = np.random.default_rng(42)
         drained = []
-        for hit in range(260):
+        for hit in range(n_hits):
             if hit % 20 == 19:
                 platform.publish_point_query(PointQuery(int(query_rng.integers(600))))
             else:
@@ -839,6 +847,8 @@ class TestAdaptivePlatformMatchesScalarPath:
                 platform.publish_set_query(
                     SetQuery(np.asarray(indices, dtype=np.int64), FEMALE)
                 )
+                if on_set_hit is not None:
+                    on_set_hit(platform.hit_records[-1])
             if hit % 50 == 49:
                 drained.append(platform.drain_set_votes())
         records = [
@@ -859,3 +869,63 @@ class TestAdaptivePlatformMatchesScalarPath:
         report = policy.report()
         assert report.n_quarantines > 0 and report.n_probes > 0
         assert report.n_workers == 14
+
+    @pytest.mark.parametrize("exploration", [0.25, 2.0])
+    def test_serve_crowd_recipe(self, exploration):
+        kwargs = dict(self.SERVE_CROWD_POLICY, exploration=exploration)
+        policy = AdaptiveAssignmentPolicy(**kwargs)
+        reference = self._run(_ScalarPolicy(**kwargs), self.SERVE_CROWD_POOL)
+        assert self._run(policy, self.SERVE_CROWD_POOL) == reference
+        assert policy.report().n_workers == 20
+
+    def test_decaying_estimator(self):
+        kwargs = dict(log_odds_threshold=3.5, probation_interval=3, exploration=2.0)
+        estimator = OnlineDawidSkene(decay=0.93)
+        policy = AdaptiveAssignmentPolicy(
+            estimator=estimator, tracker=ReliabilityTracker(estimator), **kwargs
+        )
+        reference = _ScalarPolicy(**kwargs)
+        reference.estimator = _ScalarDawidSkene(decay=0.93)
+        reference.tracker = _ScalarTracker(reference.estimator)
+        assert self._run(policy) == self._run(reference)
+        assert policy.report().n_quarantines > 0
+
+    def test_a_set_hit_recomputes_only_the_voters_rows(self):
+        pool = dict(self.ADVERSARIAL_POOL, n_workers=200)
+        kwargs = dict(log_odds_threshold=3.5, probation_interval=3, exploration=2.0)
+        policy = AdaptiveAssignmentPolicy(**kwargs)
+        estimator, tracker = policy.estimator, policy.tracker
+        stored, reviewed, pool_reads = [], [], []
+        store, review, read_pool = estimator._store, tracker.review, estimator.pool
+
+        def spied_store(rows, rates, logs):
+            stored.append(list(rows))
+            store(rows, rates, logs)
+
+        def spied_review(rows=None):
+            reviewed.append(rows)
+            return review(rows)
+
+        def spied_pool():
+            pool_reads.append(True)
+            return read_pool()
+
+        checked = []
+
+        def check(record):
+            voters = list(dict.fromkeys(estimator.row_of(w) for w in record.worker_ids))
+            if len(stored) == 1:  # every worker was registered before this HIT
+                assert stored == [voters]
+                assert sorted(set(reviewed[-1])) == sorted(voters)
+                checked.append(record)
+            stored.clear()
+
+        estimator._store = spied_store
+        tracker.review = spied_review
+        estimator.pool = spied_pool
+        result = self._run(policy, pool, n_hits=120, on_set_hit=check)
+        assert not pool_reads and len(checked) == 113
+        assert policy.report().n_workers == 200
+        del estimator._store, tracker.review, estimator.pool
+        reference = _ScalarPolicy(**kwargs)
+        assert result == self._run(reference, pool, n_hits=120)

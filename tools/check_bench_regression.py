@@ -25,11 +25,17 @@ by its identity fields (``audit``, ``n_objects``, shard geometry, ...)
 rather than its position, so a smoke slice re-running only ``N=10k``
 lines up with the matching baseline entries and the rest skip.
 
+Deterministic counters need no tolerance: each ``--exact KEY`` names a
+key, at any depth, whose value (a number, a flag, a list or a whole
+subtree) must equal the baseline's. A named key missing from the
+baseline, or from one side where the other has it, fails the gate too,
+so a renamed counter cannot pass unchecked.
+
 Usage::
 
     python tools/check_bench_regression.py \
         --baseline BENCH_serving.json --new /tmp/BENCH_serving.json \
-        [--tolerance 0.5]
+        [--tolerance 0.5] [--exact tasks --exact verdicts ...]
 """
 
 from __future__ import annotations
@@ -132,6 +138,39 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
     return failures
 
 
+def exact_mismatches(baseline: dict, fresh: dict, keys) -> list[str]:
+    """Failure messages for every ``keys`` value that differs between the
+    two runs (empty when all are equal)."""
+    keys = set(keys)
+    failures: list[str] = []
+    found: set[str] = set()
+
+    def walk(base, new, path: str) -> None:
+        if not (isinstance(base, dict) and isinstance(new, dict)):
+            return
+        for key in sorted(base.keys() | new.keys()):
+            where = f"{path}{key}"
+            if key in keys:
+                found.add(key)
+                if key not in base or key not in new:
+                    side = "baseline" if key in base else "new run"
+                    failures.append(f"MISMATCH {where}: only in {side}")
+                elif base[key] != new[key]:
+                    failures.append(
+                        f"MISMATCH {where}: {json.dumps(new[key])} != "
+                        f"{json.dumps(base[key])} (must be equal)"
+                    )
+                else:
+                    print(f"  equal {where}")
+            elif key in base and key in new:
+                walk(base[key], new[key], f"{where}.")
+
+    walk(baseline, fresh, "")
+    for key in sorted(keys - found):
+        failures.append(f"MISMATCH {key}: not in the baseline")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True)
@@ -141,6 +180,13 @@ def main(argv=None) -> int:
         type=float,
         default=0.5,
         help="allowed fraction of baseline performance (0 < t <= 1)",
+    )
+    parser.add_argument(
+        "--exact",
+        action="append",
+        default=[],
+        metavar="KEY",
+        help="a key (at any depth) whose value must equal the baseline's; repeatable",
     )
     args = parser.parse_args(argv)
     if not 0 < args.tolerance <= 1:
@@ -153,6 +199,7 @@ def main(argv=None) -> int:
     print(f"comparing {args.new} against {args.baseline} "
           f"(tolerance {args.tolerance:g})")
     failures = compare(baseline, fresh, args.tolerance)
+    failures += exact_mismatches(baseline, fresh, args.exact)
     for message in failures:
         print(message, file=sys.stderr)
     if failures:
