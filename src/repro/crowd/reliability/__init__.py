@@ -6,8 +6,9 @@ regardless of how trustworthy the answering workers are. This subsystem
 closes the loop instead:
 
 * :class:`OnlineDawidSkene` (:mod:`~repro.crowd.reliability.online`) —
-  a streaming, vectorized Dawid–Skene estimator: per-worker confusion
-  matrices updated as answers arrive, via damped partial E-steps.
+  a streaming Dawid–Skene estimator: per-worker confusion matrices
+  updated as answers arrive, via damped partial E-steps over the rows
+  of the workers who voted.
 * :class:`ReliabilityTracker` (:mod:`~repro.crowd.reliability.tracker`)
   — classifies confusion signatures (uniform guessers, always-yes/no,
   polarity-flipped adversaries) and manages quarantine with probation

@@ -325,6 +325,7 @@ class OnlineDawidSkene:
         return self.prior_strength * p, self.prior_strength * (1.0 - p)
 
     def _set_prior_counts(self) -> npt.NDArray[np.float64]:
+        """The set prior's pseudo-counts as a ``(truth, answer)`` array."""
         right, wrong = self._prior_pair()
         return np.array([[right, wrong], [wrong, right]], dtype=np.float64)
 
