@@ -296,7 +296,7 @@ class OnlineDawidSkene:
         return np.frombuffer(self._obs, dtype=np.float64).reshape(-1, 2, 2)
 
     @_set_obs.setter
-    def _set_obs(self, counts: npt.ArrayLike) -> None:
+    def _set_obs(self, counts: npt.NDArray[np.float64]) -> None:
         self._obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
 
     @property
@@ -305,7 +305,7 @@ class OnlineDawidSkene:
         return np.frombuffer(self._votes, dtype=np.int64)
 
     @_set_votes.setter
-    def _set_votes(self, votes: npt.ArrayLike) -> None:
+    def _set_votes(self, votes: npt.NDArray[np.int64]) -> None:
         self._votes = array("q", np.asarray(votes, dtype=np.int64).tobytes())
 
     @property
@@ -314,7 +314,7 @@ class OnlineDawidSkene:
         return np.frombuffer(self._class_obs, dtype=np.float64)
 
     @_set_class_obs.setter
-    def _set_class_obs(self, counts: npt.ArrayLike) -> None:
+    def _set_class_obs(self, counts: npt.NDArray[np.float64]) -> None:
         self._class_obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
 
     # -- read-time estimates ----------------------------------------------

@@ -270,7 +270,7 @@ class AdaptiveAssignmentPolicy:
         estimator = self.estimator
         in_step = estimator.n_set_batches == self._reviewed_batches
         posterior = estimator.observe_set_batch([votes])
-        voters = None
+        voters: list[int] | None = None
         if in_step and estimator.decay == 1.0:
             voters = estimator.rows(worker_id for worker_id, _ in votes)
         self._review(voters)

@@ -177,15 +177,12 @@ class ReliabilityTracker:
                 if flag is not None:
                     self._states[worker_id] = _QUARANTINED
                     self._flags[worker_id] = flag
-                    self._obs_at_quarantine[worker_id] = estimator.n_observations(
-                        worker_id
-                    )
+                    self._obs_at_quarantine[worker_id] = estimator.n_observations(worker_id)
                     self.n_quarantines += 1
                     changed.append(worker_id)
                 continue
-            probes = estimator.n_observations(
-                worker_id
-            ) - self._obs_at_quarantine.get(worker_id, 0)
+            probes = estimator.n_observations(worker_id)
+            probes -= self._obs_at_quarantine.get(worker_id, 0)
             if (
                 probes >= self.probation_votes
                 and flag is None
