@@ -284,6 +284,17 @@ class TestAdaptiveAssignmentPolicy:
         assert report.n_workers == 3
         assert report.mean_votes_per_hit == 2.0
 
+    def test_update_outside_the_policy_is_reviewed_at_the_next_hit(self, rng):
+        # The HIT's review visits only its voters unless the estimator took
+        # an update since the last review: then worker 2, flagged by that
+        # update but not voting now, must still be quarantined.
+        policy = AdaptiveAssignmentPolicy()
+        policy.observe_set([(0, True), (1, True)])
+        _feed(policy.estimator, rng, 40, {0: good(), 1: good(), 2: always(True)})
+        assert not policy.tracker.is_quarantined(2)
+        policy.observe_set([(0, True), (1, True)])
+        assert policy.tracker.is_quarantined(2)
+
     def test_empty_pool_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             AdaptiveAssignmentPolicy().plan([], rng)
@@ -889,6 +900,30 @@ class TestAdaptivePlatformMatchesScalarPath:
         reference.tracker = _ScalarTracker(reference.estimator)
         assert self._run(policy) == self._run(reference)
         assert policy.report().n_quarantines > 0
+
+    def test_decay_reclassifies_a_worker_who_stopped_voting(self):
+        # Decay moves every worker's confusion, so a HIT reviews everyone:
+        # adversary 2 stops voting after 30 HITs and decays into a guesser.
+        def run(policy):
+            rng = np.random.default_rng(1)
+            flags = []
+            for hit in range(60):
+                truth = bool(rng.random() < 0.5)
+                votes = [(0, truth), (1, truth)] + ([(2, not truth)] if hit < 30 else [])
+                policy.observe_set(votes)
+                flags.append(policy.tracker.flag(2))
+            return flags, policy.state_dict()
+
+        estimator = OnlineDawidSkene(decay=0.9)
+        policy = AdaptiveAssignmentPolicy(
+            estimator=estimator, tracker=ReliabilityTracker(estimator)
+        )
+        reference = _ScalarPolicy()
+        reference.estimator = _ScalarDawidSkene(decay=0.9)
+        reference.tracker = _ScalarTracker(reference.estimator)
+        flags, state = run(policy)
+        assert (flags, state) == run(reference)
+        assert flags[29] == "adversary" and flags[-1] == "uniform_guesser"
 
     def test_a_set_hit_recomputes_only_the_voters_rows(self):
         pool = dict(self.ADVERSARIAL_POOL, n_workers=200)
