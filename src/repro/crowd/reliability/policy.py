@@ -177,17 +177,16 @@ class AdaptiveAssignmentPolicy:
         """
         if not eligible:
             raise InvalidParameterError("plan needs a non-empty eligible pool")
+        worker_ids = [worker.worker_id for worker in eligible]
         quarantined = set(self.tracker.quarantined_ids())
         active = [
-            pos
-            for pos, worker in enumerate(eligible)
-            if worker.worker_id not in quarantined
+            pos for pos, worker_id in enumerate(worker_ids) if worker_id not in quarantined
         ]
         if not active:
             active = list(range(len(eligible)))
         noise = rng.random(len(active)).tolist()
         # Registers unseen workers in eligible order, which checkpoints keep.
-        accuracy = self.estimator.accuracies(eligible[pos].worker_id for pos in active)
+        accuracy = self.estimator.accuracies([worker_ids[pos] for pos in active])
         exploration = self.exploration
         scores = [trust + exploration * bonus for trust, bonus in zip(accuracy, noise)]
         # Best first; a stable sort keeps ties in eligible order.
@@ -196,16 +195,14 @@ class AdaptiveAssignmentPolicy:
         probe = None
         if self.n_hits % self.probation_interval == self.probation_interval - 1:
             probation = [
-                pos
-                for pos, worker in enumerate(eligible)
-                if worker.worker_id in quarantined
+                pos for pos, worker_id in enumerate(worker_ids) if worker_id in quarantined
             ]
             if probation:
                 probe = min(
                     probation,
                     key=lambda pos: (
-                        self.estimator.n_observations(eligible[pos].worker_id),
-                        eligible[pos].worker_id,
+                        self.estimator.n_observations(worker_ids[pos]),
+                        worker_ids[pos],
                     ),
                 )
         return order, probe
