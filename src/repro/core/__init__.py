@@ -38,7 +38,6 @@ from repro.core.results import (
     TaskUsage,
 )
 from repro.core.sampling import LabeledPool, label_samples
-from repro.core.tree import TreeNode
 
 __all__ = [
     "group_coverage",
@@ -63,7 +62,6 @@ __all__ = [
     "MultipleCoverageReport",
     "IntersectionalCoverageReport",
     "ClassifierCoverageResult",
-    "TreeNode",
     "CostAwareResult",
     "SpendingOracle",
     "choose_set_size",

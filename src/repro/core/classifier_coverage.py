@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.base_coverage import scan_members
 from repro.core.group_coverage import execute_group_coverage
 from repro.core.results import ClassifierCoverageResult, LedgerWindow
-from repro.core.tree import TreeNode
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import Group, Negation
@@ -80,23 +79,24 @@ def partition_positive_set(
     positive_indices = np.asarray(positive_indices, dtype=np.int64)
     not_group = Negation(group)
     verified: list[int] = []
-    queue: deque[TreeNode] = deque()
-    for begin in range(0, len(positive_indices), n):
-        queue.append(TreeNode(begin, min(begin + n, len(positive_indices)) - 1))
+    total = len(positive_indices)
+    # A FIFO of [start, stop) ranges of positive_indices.
+    queue = deque((begin, min(begin + n, total)) for begin in range(0, total, n))
     while queue:
-        node = queue.popleft()
-        chunk = positive_indices[node.b_index : node.e_index + 1]
+        start, stop = queue.popleft()
+        chunk = positive_indices[start:stop]
         contains_non_member = oracle.ask_set(chunk, not_group)
         if not contains_non_member:
             # The whole chunk is certified g.
             verified.extend(int(i) for i in chunk)
             if stop_after is not None and len(verified) >= stop_after:
                 return verified, False
-        elif node.size > 1:
-            left, right = node.split()
-            queue.append(left)
-            queue.append(right)
-        # size-1 nodes answering "yes" are non-members: drop silently.
+        elif stop - start > 1:
+            # The left half ends at the floor of the midpoint.
+            middle = (start + stop + 1) // 2
+            queue.append((start, middle))
+            queue.append((middle, stop))
+        # size-1 ranges answering "yes" are non-members: drop silently.
     return verified, True
 
 

@@ -12,8 +12,7 @@ The algorithm is a group-testing style divide and conquer:
   right sibling (the parent contained a member; the left half does not).
 * A set query with answer **yes** splits the range in half. Disjointness
   of sibling ranges turns "both children yes" into one extra *certain*
-  member, tracked through each node's ``checked`` flag; the count lower
-  bound ``cnt`` therefore never overstates ``|g|``.
+  member, so the count lower bound ``cnt`` never overstates ``|g|``.
 * Stop as soon as ``cnt == tau`` (covered), or when the queue drains
   (uncovered — and then ``cnt`` is the exact member count, every member
   having been isolated in a size-1 "yes" node).
@@ -23,41 +22,31 @@ Lemma 3.3), against the Θ(N/n) lower bound any algorithm must pay when the
 group is uncovered.
 
 The algorithm lives in :class:`GroupCoverageStepper`, a *resumable*
-formulation of the FIFO. Two drivers share one contract (steppers in, an
-``on_complete`` hook that may spawn follow-up steppers, an ``on_round``
-progress hook). :func:`run_sequential` is the paper's execution model:
-it asks every query in the FIFO's order, one task and one round-trip
-each, but hands the oracle a whole *generation* of the FIFO at a time
-(:meth:`GroupCoverageStepper.scan`, one
-:meth:`~repro.crowd.oracle.Oracle.scan_sets` call). The FIFO is
-breadth-first, so generation ``g + 1`` is exactly the children of
-generation ``g``'s "yes" nodes; inside a generation only a sibling
-depends on its left half's answer, and the scan honours that. The
-per-query control plane therefore runs once per generation, in NumPy,
-and a ground-truth oracle answers the generation in one vectorized
-pass. :meth:`repro.engine.QueryEngine.run` instead pulls the ready
-frontier of every tree (:meth:`~GroupCoverageStepper.pending` /
-:meth:`~GroupCoverageStepper.feed`), batches it into few round-trips and
-shares answers with concurrent runs. Under a deterministic oracle both
-produce identical verdicts, counts, and discovered members; engine mode
-may consume a slightly different number of tasks (cache hits save
-queries, speculative final-round batches waste some around early stops).
+formulation of the FIFO, under two drivers with one contract (steppers
+in, an ``on_complete`` hook that may spawn follow-up steppers, an
+``on_round`` progress hook). :func:`run_sequential` is the paper's
+execution model, one task and one round-trip per query in FIFO order,
+handing the oracle one breadth-first *generation* at a time
+(:meth:`GroupCoverageStepper.scan`). :meth:`repro.engine.QueryEngine.run`
+pulls every tree's ready frontier (:meth:`~GroupCoverageStepper.pending`
+/ :meth:`~GroupCoverageStepper.feed`) into few round-trips and shares
+answers with concurrent runs. Under a deterministic oracle both produce
+identical verdicts, counts, and discovered members; engine mode may
+consume a slightly different number of tasks (cache hits save queries,
+speculative final-round batches waste some around early stops).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.results import GroupCoverageResult, LedgerWindow, TaskUsage
-from repro.core.tree import TreeNode
 from repro.core.views import resolve_view, resolve_view_order
 from repro.crowd.oracle import Oracle
 from repro.data.groups import GroupPredicate
-from repro.engine.requests import IndexKey, QueryKey, SetRequest
+from repro.engine.requests import IndexKey, QueryBatch
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -74,32 +63,25 @@ def _validate(n: int, tau: int) -> None:
         raise InvalidParameterError(f"tau must be >= 0, got {tau}")
 
 
+#: A FIFO node's answer state: not asked yet, asked and awaited, "no", "yes".
+_UNASKED, _ASKED, _NO, _YES = 0, 1, 2, 3
+
+
 class GroupCoverageStepper:
     """Algorithm 1 as a resumable state machine.
 
-    The stepper owns the execution trees and the FIFO discipline of the
-    sequential algorithm but externalises the oracle. It is driven one
-    of two ways, never both:
-
-    * :meth:`scan` asks the next FIFO generation in one
-      :meth:`~repro.crowd.oracle.Oracle.scan_sets` call (the sequential
-      driver), keeping the generation as arrays of view ranges;
-    * :meth:`pending` / :meth:`feed` hand out ready queries and take
-      their answers until :attr:`done` (the engine).
-
-    *Ready* means dispatchable now: every queued root and left child, plus
-    each right child whose left sibling already answered "yes" (a left
-    sibling's "no" implies the right child's "yes" for free, so asking it
-    early would waste a task). That is exactly the per-tree frontier —
-    trees never depend on each other — which is what lets an engine batch
-    across trees and across concurrent runs. The stepper keeps that
-    frontier incrementally, as a heap of ready nodes ordered by when they
-    were enqueued, so each query costs O(log frontier) to emit however
-    long the queue grows.
-
-    Answers are *applied* in the sequential algorithm's global FIFO order
-    regardless of arrival order, so ``covered``/``count``/``discovered``
-    match the sequential execution exactly under a deterministic oracle.
+    The stepper owns Algorithm 1's FIFO as arrays, one row per node in
+    enqueue order (view range ``[start, stop)``, answer state), and
+    externalises the oracle. Roots come first and every later node is
+    half of a sibling pair enqueued back to back, so a node's FIFO
+    position says what it is. :meth:`scan` asks the rest of the head
+    generation in NumPy (the sequential driver); :meth:`pending` /
+    :meth:`feed` hand out the *ready* queries — every root and left
+    half, and each right half whose left sibling answered "yes" — and
+    take their answers back by FIFO position (the engine), reading a
+    batch's few rows through memoryviews. Answers are *applied* in the
+    global FIFO order whatever their arrival order, so results match the
+    sequential execution exactly under a deterministic oracle.
     """
 
     def __init__(
@@ -122,32 +104,33 @@ class GroupCoverageStepper:
         self.speculation = speculation
         # Bounds-checks negativity and repeats (the stepper has no
         # dataset_size to check the upper bound against; group_coverage
-        # does that).
-        self._view, self._ascending = resolve_view_order(view, None)
+        # does that). Contiguous, so a range's slice is a request payload.
+        view, self._ascending = resolve_view_order(view, None)
+        self._view = np.ascontiguousarray(view)
         self._cnt = 0
         self._discovered: list[int] = []
-        self._unapplied = 0  # answers fed but not yet consumed by _advance
         total = len(self._view)
-        # The roots of the subtrees, as view ranges [start, stop); tau == 0
-        # is covered before any query.
-        starts = np.arange(0, total if tau > 0 else 0, n, dtype=np.int64)
-        #: the FIFO generation :meth:`scan` asks next: view ranges, and
-        #: whether they come as (left, right) sibling pairs
-        self._generation = (starts, np.minimum(starts + n, total), False)
-        self._scanned = False
-        # Algorithm 1's FIFO as tree nodes, built by the first pending().
-        # Its one removal (``Q.del(T.parent.right)``) always takes the
-        # node directly behind the left child just popped, because
-        # siblings are enqueued back to back.
-        self._queue: deque[TreeNode] | None = None
-        # Keyed by node object (identity hash): keys keep their nodes
-        # alive, so a recycled memory address can never alias a stale
-        # answer onto a fresh node.
-        self._answers: dict[TreeNode, bool] = {}
-        # In-flight queries: key -> (sequence number, node).
-        self._requests: dict[QueryKey, tuple[int, TreeNode]] = {}
+        # The roots' view ranges [start, stop) (none when tau == 0). Node p
+        # is row p + 1 behind a sentinel row; rows past the tail are unasked.
+        self._roots = roots = -(-total // n) if tau > 0 else 0
+        self._start = np.empty(1 + 3 * roots, dtype=np.int64)
+        self._stop = np.empty_like(self._start)
+        self._state = np.zeros(len(self._start), dtype=np.int8)
+        self._start[1 : roots + 1] = np.arange(0, n * roots, n)
+        self._stop[1:roots] = self._start[2 : roots + 1]
+        self._stop[roots : roots + 1] = total
+        self._bind_rows()
+        self._head = 0  # the first node not applied yet
+        self._tail = self._gen_end = roots  # the next node; the next generation
+        # The emission cursor: behind it every node was emitted, implied,
+        # or is a right half waiting for its left sibling; those a late
+        # "yes" frees wait in _late.
+        self._next = 0
+        self._late: list[int] = []
+        self._in_flight = 0  # emitted, not answered
+        self._unapplied = 0  # answered, not consumed by _advance
         self._covered = tau == 0
-        self._done = not len(starts)
+        self._done = not roots
 
     # -- stepper protocol ------------------------------------------------
     @property
@@ -166,77 +149,81 @@ class GroupCoverageStepper:
     def discovered_indices(self) -> tuple[int, ...]:
         return tuple(self._discovered)
 
-    def pending(self, limit: int | None = None) -> list[SetRequest]:
+    def pending(self, limit: int | None = None) -> QueryBatch:
         """The ready queries not yet emitted, in FIFO order, at most
-        ``limit`` of them (``limit=1`` is the sequential driver's "next
-        query": the FIFO front is always ready there).
-
-        Emission is additionally capped so that total *outstanding* work
-        (queries in flight plus answers not yet consumed) never exceeds
-        the certification deficit ``tau - count`` plus the
-        ``speculation`` budget. One consumed answer raises the count by
-        at most one, so a stop at ``count == tau`` leaves at most
-        ``speculation`` paid-but-unused queries behind — the waste a
-        covered run can incur is bounded by the speculation budget.
-        Engine-mode callers set ``speculation`` to the engine's batch
-        size: one batch of speculative look-ahead, which keeps uncovered
-        groups and small-deficit runs batching wide (every query there
-        is needed regardless). The oldest ready query is always allowed
-        through so progress never stalls.
-
-        Each emitted query is popped off the ready frontier, so a call
-        costs O(emitted · log frontier), not a scan of the queue."""
-        if self._done:
-            return []
-        self._grow_tree()
-        outstanding = len(self._requests) + self._unapplied
-        emission_cap = max(
-            (self.tau - self._cnt) + self.speculation - outstanding, 1
-        )
-        if limit is None or limit > emission_cap:
-            limit = emission_cap
-        ready: list[SetRequest] = []
-        frontier = self._ready
-        view = self._view
-        while frontier and len(ready) < limit:
-            entry = heappop(frontier)
-            node = entry[1]
-            begin, end = node.b_index, node.e_index
-            segment = view[begin : end + 1]
+        ``limit`` of them and, so that a stop at ``count == tau`` strands
+        at most ``speculation`` paid queries, at most the deficit
+        ``tau - count`` plus ``speculation`` minus the queries in flight
+        or answered but not applied — but always the oldest one. The
+        freed right halves come first, then the ready nodes from the
+        cursor on (every root and every other node of the pairs, a
+        ``range``): a call costs O(emitted), not a scan of the queue."""
+        emitted: list[int] = []
+        if not self._done:
+            cap = self.tau - self._cnt + self.speculation - self._in_flight - self._unapplied
+            limit = max(cap, 1) if limit is None else min(limit, max(cap, 1))
+            if self._late:
+                self._late.sort()
+                emitted, self._late = self._late[:limit], self._late[limit:]
+            roots, position, tail = self._roots, self._next, self._tail
+            if position < tail and position >= roots and (position - roots) & 1:
+                if self._state_at[position] == _YES:  # its left sibling's row
+                    emitted.append(position)
+                position += 1
+            if position < roots:
+                last = min(roots, position + limit - len(emitted))
+                emitted += range(position, last)
+                position = last
+            if position >= roots and len(emitted) < limit:
+                last = min(tail, position + 2 * (limit - len(emitted)))
+                emitted += range(position, last, 2)
+                position = last
+            self._next = position
+        start, stop, state = self._start_at, self._stop_at, self._state_at
+        starts = [start[position + 1] for position in emitted]
+        stops = [stop[position + 1] for position in emitted]
+        for position in emitted:
+            state[position + 1] = _ASKED
+        self._in_flight += len(emitted)
+        # Strictly ascending entries span exactly end - begin - 1 steps
+        # only when every step is +1: the range is a run. A scattered
+        # range's key is its slice of the view's bytes. The interned key
+        # is looked up here, and built only when new.
+        view, entry, data = self._view, self._view_at, self._view_bytes
+        interned = IndexKey._interned
+        keys = []
+        for begin, end in zip(starts, stops):
+            low, high = entry[begin], entry[end - 1]
             if not self._ascending:
-                index_key = IndexKey.of(segment)
+                keys.append(IndexKey.of(view[begin:end]))
+            elif high - low == end - begin - 1:
+                keys.append(interned.get((low, high + 1)) or IndexKey.of_run(low, high + 1))
             else:
-                low, high = view.item(begin), view.item(end)
-                # Strictly ascending entries span exactly end - begin
-                # steps only when every step is +1: the node is a run.
-                index_key = (
-                    IndexKey.of_run(low, high + 1)
-                    if high - low == end - begin
-                    else IndexKey.of_scattered(segment)
-                )
-            request = SetRequest(segment, self.predicate, index_key=index_key)
-            self._requests[request.key] = entry
-            ready.append(request)
-        return ready
+                payload = data[8 * begin : 8 * end].tobytes()
+                keys.append(interned.get(payload) or IndexKey.of_scattered(view[begin:end]))
+        return QueryBatch(self.predicate, emitted, keys, view, starts, stops)
 
-    def feed(self, answers: Mapping[QueryKey, bool]) -> None:
-        """Record answers for previously pending queries and advance."""
-        self._grow_tree()
-        for key, answer in answers.items():
-            entry = self._requests.pop(key, None)
-            if entry is None:
+    def feed(self, positions: Sequence[int], answers: Sequence[bool]) -> None:
+        """Record the answers of previously emitted queries, each named
+        once by its FIFO position from the batch, and advance."""
+        if len(positions) != len(answers):
+            raise InvalidParameterError(
+                f"fed {len(answers)} answers for {len(positions)} positions"
+            )
+        roots, cursor, tail, state = self._roots, self._next, self._tail, self._state_at
+        for position, answer in zip(positions, answers):
+            if not 0 <= position < tail or state[position + 1] != _ASKED:
                 raise InvalidParameterError(
                     "answer fed for a query this stepper never requested"
                 )
-            sequence, node = entry
-            answer = bool(answer)
-            self._answers[node] = answer
-            self._unapplied += 1
-            parent = node.parent
-            if answer and parent is not None and parent.left is node:
-                # The right sibling, enqueued right behind this node,
-                # may now be asked.
-                heappush(self._ready, (sequence + 1, parent.right))
+            state[position + 1] = _YES if answer else _NO
+            # A left half's "yes" frees its right sibling, enqueued right
+            # behind it; the cursor finds it unless it has passed it.
+            if answer and position >= roots and not (position - roots) & 1:
+                if position + 1 < cursor:
+                    self._late.append(position + 1)
+        self._in_flight -= len(positions)
+        self._unapplied += len(positions)
         self._advance()
 
     # -- result ----------------------------------------------------------
@@ -261,7 +248,7 @@ class GroupCoverageStepper:
 
     # -- generation scans --------------------------------------------------
     def scan(self, oracle: Oracle) -> None:
-        """Ask the next FIFO generation through one
+        """Ask the rest of the head generation through one
         :meth:`~repro.crowd.oracle.Oracle.scan_sets` call and apply its
         answers in FIFO order: the sequential algorithm's queries, in its
         order, each charged one task and one round-trip.
@@ -273,15 +260,20 @@ class GroupCoverageStepper:
         discovered member. The scan stops at the member that makes the
         count reach ``tau``. A scan the task budget cut short raises the
         :class:`~repro.errors.BudgetExceededError` the next per-query ask
-        would have raised, after the oracle recorded the paid prefix."""
+        would have raised, after the oracle recorded the paid prefix. A
+        scan may follow :meth:`pending` / :meth:`feed` once nothing they
+        emitted is outstanding and the head is not a lone right half."""
         if self._done:
             return
-        if self._queue is not None:
+        head, roots = self._head, self._roots
+        if self._in_flight or self._unapplied or (head >= roots and (head - roots) & 1):
             raise InvalidParameterError(
-                "this stepper is driven query by query through pending()/feed()"
+                "a generation scan cannot resume while queries emitted by "
+                "pending() are outstanding or half a sibling pair is applied"
             )
-        self._scanned = True
-        starts, stops, paired = self._generation
+        starts = self._start[head + 1 : self._gen_end + 1]
+        stops = self._stop[head + 1 : self._gen_end + 1]
+        paired = head >= roots
         answers = oracle.scan_sets(
             self._view,
             starts,
@@ -297,94 +289,102 @@ class GroupCoverageStepper:
             self._cnt += int(np.count_nonzero(answers[0::2][: len(rights)] & rights))
         else:
             self._cnt += int(np.count_nonzero(answers))
+        asked = len(starts)
         starts, stops = starts[:reached], stops[:reached]
         singletons = answers & (stops - starts == 1)
         self._discovered += self._view[starts[singletons]].tolist()
         if self._cnt == self.tau:
             self._done = self._covered = True
             return
-        if reached < len(self._generation[0]):
+        if reached < asked:
             oracle.ledger.charge_set()  # the budget is spent: raises
         split = answers & ~singletons
         begin, end = starts[split], stops[split]
-        # TreeNode.split: the left half ends at the floor of the midpoint.
+        row, count = self._room(2 * len(begin)), 2 * len(begin)
+        # The left half ends at the floor of the midpoint.
         middle = (begin + end + 1) // 2
-        self._generation = (
-            np.column_stack([begin, middle]).ravel(),
-            np.column_stack([middle, end]).ravel(),
-            True,
-        )
-        self._done = not len(begin)
+        self._start[row : row + count : 2], self._start[row + 1 : row + count : 2] = begin, middle
+        self._stop[row : row + count : 2], self._stop[row + 1 : row + count : 2] = middle, end
+        self._head = self._next = self._gen_end
+        self._tail = self._gen_end = self._tail + count
+        self._done = self._head == self._tail
 
     # -- internals -------------------------------------------------------
-    def _grow_tree(self) -> None:
-        """Build the root nodes of the query-by-query drive, once."""
-        if self._queue is not None:
-            return
-        if self._scanned:
-            raise InvalidParameterError("this stepper is driven by generation scans")
-        starts, stops, _ = self._generation
-        roots = [TreeNode(begin, stop - 1) for begin, stop in zip(starts.tolist(), stops.tolist())]
-        self._queue = deque(roots)
-        self._enqueued = len(roots)  # FIFO sequence number of the next node
-        # The ready frontier, a heap of (sequence number, node) for every
-        # queued node that may be asked now and has not been emitted yet.
-        self._ready: list[tuple[int, TreeNode]] = list(enumerate(roots))  # sorted: a heap
-
     def _advance(self) -> None:
-        """Process answered nodes in global FIFO order (the sequential
-        algorithm's exact pop order) until blocked, covered, or drained."""
-        queue = self._queue
-        answers = self._answers
-        while not self._done:
-            if not queue:
-                # Queue drained below the threshold: every "yes" range was
-                # driven down to singletons, so cnt is the exact member
-                # count (Lemma 3.1).
-                self._done = True
+        """Apply answered nodes in global FIFO order until blocked,
+        covered, or drained. A right half whose left sibling said "no"
+        applies with an implied "yes" (``Q.del(T.parent.right)``); a
+        root's "yes", and a right half's asked "yes", certify a member."""
+        if self._done:
+            return
+        roots, tau, cnt = self._roots, self.tau, self._cnt
+        start, stop, state, entry = self._start_at, self._stop_at, self._state_at, self._view_at
+        position, tail, gen_end = self._head, self._tail, self._gen_end
+        consumed = 0
+        halves: list[int] = []  # begin, end of each range to split
+        before_gen_end = 0  # len(halves) when the head reached gen_end
+        while position < tail:
+            if position == gen_end:
+                before_gen_end = len(halves)
+            answer = state[position + 1]
+            right = position >= roots and (position - roots) & 1
+            if answer >= _NO:
+                consumed += 1
+                if answer == _NO:
+                    position += 1
+                    continue
+                if position < roots or right:
+                    cnt += 1
+            elif not (right and state[position] == _NO):
+                break  # blocked on an unanswered query
+            begin, end = start[position + 1], stop[position + 1]
+            position += 1
+            if end - begin == 1:
+                self._discovered.append(entry[begin])
+            if cnt == tau:
+                self._cnt = tau
+                self._done = self._covered = True
                 return
-            node = queue[0]
-            answer = answers.pop(node, None)
-            if answer is None:
-                return  # blocked on an unanswered query
-            queue.popleft()
-            self._unapplied -= 1
-            parent = node.parent
-            if parent is None:
-                if not answer:
-                    continue  # prune the whole chunk
-                self._cnt += 1
-            else:
-                if not answer:
-                    if parent.left is node:
-                        # The parent held a member and the left half does
-                        # not: the right sibling's answer is "yes" for free.
-                        node = queue.popleft()
-                        assert node is parent.right, "siblings are enqueued back to back"
-                    else:
-                        # Right child "no": the left sibling already
-                        # certified the parent's member; nothing new.
-                        continue
-                # `node` now carries a (possibly implied) "yes" answer.
-                if parent.checked:
-                    # Both children contain members; disjoint ranges make
-                    # that one additional certain member.
-                    self._cnt += 1
-                else:
-                    parent.checked = True
-            singleton = node.b_index == node.e_index
-            if singleton:
-                self._discovered.append(self._view.item(node.b_index))
-            if self._cnt == self.tau:
-                self._done = True
-                self._covered = True
-                return
-            if not singleton:
-                left, right = node.split()
-                queue.append(left)
-                queue.append(right)
-                heappush(self._ready, (self._enqueued, left))
-                self._enqueued += 2
+            if end - begin > 1:
+                halves += (begin, end)
+        self._cnt = cnt
+        self._unapplied -= consumed
+        if position >= gen_end:  # the head reached the next generation
+            self._gen_end = tail + (len(halves) if position == gen_end else before_gen_end)
+            if position == self._gen_end:
+                self._gen_end = tail + len(halves)
+        self._head = position
+        self._next = max(self._next, position)
+        row = self._room(len(halves))
+        start, stop = self._start_at, self._stop_at
+        for k in range(0, len(halves), 2):
+            begin, end = halves[k], halves[k + 1]
+            middle = (begin + end + 1) // 2  # the floor of the midpoint
+            start[row + k], stop[row + k + 1] = begin, end
+            stop[row + k] = start[row + k + 1] = middle
+        self._tail += len(halves)
+        # Queue drained below the threshold: every "yes" range was driven
+        # down to singletons, so cnt is the exact member count (Lemma 3.1).
+        self._done = position == self._tail
+
+    def _room(self, count: int) -> int:
+        """The tail's row, with room for ``count`` more (unasked) rows."""
+        row = self._tail + 1
+        if row + count > len(self._start):
+            for name in ("_start", "_stop", "_state"):
+                old = getattr(self, name)
+                setattr(self, name, np.zeros(2 * (row + count), dtype=old.dtype))
+                getattr(self, name)[:row] = old[:row]
+            self._bind_rows()
+        return row
+
+    def _bind_rows(self) -> None:
+        """Scalar accessors of the rows, the view and its bytes."""
+        self._start_at = memoryview(self._start)
+        self._stop_at = memoryview(self._stop)
+        self._state_at = memoryview(self._state)
+        self._view_at = memoryview(self._view)
+        self._view_bytes = self._view_at.cast("B")
 
 
 def run_sequential(

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.base_coverage import scan_members
 from repro.core.results import MultipleCoverageReport, TaskUsage
-from repro.core.tree import TreeNode
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import Group, GroupPredicate
@@ -171,19 +170,19 @@ def find_members(
         found.extend(scan_members(oracle, view, predicate, k - len(found))[1].tolist())
         return found, usage()
 
-    queue: deque[TreeNode] = deque()
-    for begin in range(0, len(view), n):
-        queue.append(TreeNode(begin, min(begin + n, len(view)) - 1))
+    # A FIFO of [start, stop) ranges of the view.
+    queue = deque((begin, min(begin + n, len(view))) for begin in range(0, len(view), n))
     while queue and len(found) < k:
-        node = queue.popleft()
-        if not oracle.ask_set(view[node.b_index : node.e_index + 1], predicate):
+        start, stop = queue.popleft()
+        if not oracle.ask_set(view[start:stop], predicate):
             continue
-        if node.size == 1:
-            found.append(int(view[node.b_index]))
+        if stop - start == 1:
+            found.append(int(view[start]))
             continue
-        left, right = node.split()
-        queue.append(left)
-        queue.append(right)
+        # The left half ends at the floor of the midpoint.
+        middle = (start + stop + 1) // 2
+        queue.append((start, middle))
+        queue.append((middle, stop))
     return found, usage()
 
 

@@ -129,6 +129,9 @@ class CrowdBackend(ABC):
         self._open: dict[int, Ticket] = {}
         #: per-ticket worker-vote attributions captured at dispatch.
         self._votes: dict[int, list[tuple[tuple[int, bool], ...]]] = {}
+        # Looked up once: a proxy's miss costs a static lookup each time.
+        drain = getattr(oracle, "drain_set_votes", None)
+        self._drain_votes = drain if callable(drain) else None
 
     # -- public lifecycle -------------------------------------------------
     def submit(self, requests: "Sequence[SetRequest]") -> Ticket:
@@ -245,10 +248,8 @@ class CrowdBackend(ABC):
             [(request.indices, request.predicate) for request in requests],
             keys=[request.key for request in requests],
         )
-        if ticket is not None:
-            drain = getattr(self.oracle, "drain_set_votes", None)
-            if callable(drain):
-                votes = drain()
-                if votes:
-                    self._votes[ticket.ticket_id] = list(votes)
+        if ticket is not None and self._drain_votes is not None:
+            votes = self._drain_votes()
+            if votes:
+                self._votes[ticket.ticket_id] = list(votes)
         return answers

@@ -281,9 +281,12 @@ class AdaptiveAssignmentPolicy:
     ) -> dict[str, str]:
         """Fold one HIT's point votes into the estimator, run a
         quarantine review, and return the MAP ``{attribute: value}``
-        labeling under the updated estimates."""
+        labeling under the updated estimates. Point votes never touch the
+        set statistics reviews read, so the review is skipped while the
+        estimator is in step with the last one."""
         labels = self.estimator.observe_point_batch([votes])
-        self._review(None)
+        if self.estimator.n_set_batches != self._reviewed_batches:
+            self._review(None)
         self.n_hits += 1
         self.n_votes += len(votes) - n_probes
         self.n_probes += n_probes

@@ -604,15 +604,15 @@ LabeledDataset` — equivalence tests and small jobs),
                 f"loader returned shape {chunk.shape} for shard {shard_index}, "
                 f"expected ({stop - start}, {self.schema.n_attributes})"
             )
-        for j, attribute in enumerate(self.schema):
-            column = chunk[:, j]
-            if column.size and (
-                column.min() < 0 or column.max() >= attribute.cardinality
-            ):
-                raise InvalidParameterError(
-                    f"shard {shard_index} codes for attribute "
-                    f"{attribute.name!r} outside [0, {attribute.cardinality})"
-                )
+        # Every load, reloads included, checks this outside input: as
+        # uint16 a negative code is >= 32768, so one max per column does.
+        if len(chunk):
+            for j, attribute in enumerate(self.schema):
+                if chunk[:, j].view(np.uint16).max() >= attribute.cardinality:
+                    raise InvalidParameterError(
+                        f"shard {shard_index} codes for attribute "
+                        f"{attribute.name!r} outside [0, {attribute.cardinality})"
+                    )
         chunk.setflags(write=False)
         with self._lock:
             raced = self._chunks.get(shard_index)

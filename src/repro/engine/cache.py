@@ -20,34 +20,32 @@ crowd gave first.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.data.groups import GroupPredicate
-from repro.engine.requests import QueryKey
+from repro.engine.requests import IndexKey, QueryKey
 from repro.errors import InvalidParameterError
 
 __all__ = ["AnswerCache"]
 
-#: Sentinel distinguishing "key absent" from any cached value in one
-#: dict probe (values are plain bools, never identical to this object).
-_MISS = object()
-
-
 class AnswerCache:
-    """Memoizes set-query answers by :data:`~repro.engine.requests.QueryKey`.
+    """Memoizes set-query answers by :data:`~repro.engine.requests.QueryKey`,
+    in one table per predicate: a batch about one predicate costs one
+    probe per :class:`~repro.engine.requests.IndexKey`.
 
     Attributes
     ----------
     hits / misses:
         Lookup accounting. A hit is a lookup answered from the cache
         (including implied answers); a miss is a lookup that fell through
-        to the oracle. Increments hold ``_stats_lock``: ``count += 1``
-        is a read-modify-write, so two threads sharing a cache through
-        a threaded backend would otherwise lose counts (RPL007).
+        to the oracle. Increments hold ``_stats_lock``, once per batch:
+        ``count += k`` is a read-modify-write, so two threads sharing a
+        cache through a threaded backend would otherwise lose counts
+        (RPL007).
     """
 
     def __init__(self) -> None:
-        self._answers: dict[QueryKey, bool] = {}
+        self._answers: dict[GroupPredicate, dict[IndexKey, bool]] = {}
         self._implications: dict[GroupPredicate, tuple[GroupPredicate, ...]] = {}
         self._source: object | None = None
         self._stats_lock = threading.Lock()
@@ -83,29 +81,43 @@ class AnswerCache:
         self._implications[parent] = tuple(members)
 
     def lookup(self, key: QueryKey) -> bool | None:
-        """The cached answer for ``key``, or ``None`` (counted as a miss).
+        """The cached answer for ``key``, or ``None`` (counted as a miss)."""
+        return self.lookup_batch(key[0], [key[1]])[0]
 
-        One dict probe per lookup: stored values are always ``bool``, so
-        a private sentinel distinguishes "absent" without a second
-        ``in`` check — this is the hottest lookup in engine mode.
-        """
-        answer = self._answers.get(key, _MISS)
-        if answer is _MISS:
-            with self._stats_lock:
-                self.misses += 1
-            return None
+    def lookup_batch(
+        self, predicate: GroupPredicate, index_keys: Sequence[IndexKey]
+    ) -> list[bool | None]:
+        """The cached answers of ``predicate`` over each of
+        ``index_keys`` (``None`` where absent), counted as hits and
+        misses under one lock acquisition."""
+        table = self._answers.get(predicate, {})
+        answers = [table.get(index_key) for index_key in index_keys]
+        hits = len(answers) - answers.count(None)
         with self._stats_lock:
-            self.hits += 1
-        return answer
+            self.hits += hits
+            self.misses += len(answers) - hits
+        return answers
 
     def store(self, key: QueryKey, answer: bool) -> None:
         """Record an oracle answer, propagating negative implications."""
-        answer = bool(answer)
-        self._answers[key] = answer
-        if not answer:
-            predicate, index_key = key
-            for member in self._implications.get(predicate, ()):
-                self._answers.setdefault((member, index_key), False)
+        self.store_batch(key[0], [key[1]], [answer])
+
+    def store_batch(
+        self,
+        predicate: GroupPredicate,
+        index_keys: Sequence[IndexKey],
+        answers: Sequence[bool],
+    ) -> None:
+        """Record the oracle's answers for ``predicate`` over each of
+        ``index_keys``, propagating negative implications."""
+        self._answers.setdefault(predicate, {}).update(zip(index_keys, map(bool, answers)))
+        members = self._implications.get(predicate, ())
+        if members:
+            negatives = [key for key, answer in zip(index_keys, answers) if not answer]
+            for member in members:
+                implied = self._answers.setdefault(member, {})
+                for index_key in negatives:
+                    implied.setdefault(index_key, False)
 
     def clear(self) -> None:
         """Drop all cached answers (implications stay registered)."""
@@ -117,7 +129,7 @@ class AnswerCache:
         return self.hits / looked_up if looked_up else 0.0
 
     def __len__(self) -> int:
-        return len(self._answers)
+        return sum(map(len, self._answers.values()))
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._answers
+    def __contains__(self, key: QueryKey) -> bool:
+        return key[1] in self._answers.get(key[0], ())

@@ -1,14 +1,16 @@
-"""The unit of work the engine schedules: one pending set query.
+"""The units of work the engine schedules: pending set queries.
 
-A request is keyed by *(predicate, exact index content)* so that two runs
-asking the same question about the same objects — whatever view slice the
-indices came from — collide in the answer cache and in the in-flight
-dedup table.
+A stepper hands the engine its ready queries as one :class:`QueryBatch`,
+and the engine builds a :class:`SetRequest` only for a query it
+dispatches. A query is keyed by *(predicate, exact index content)* so
+that two runs asking the same question about the same objects — whatever
+view slice the indices came from — collide in the answer cache and in
+the in-flight dedup table.
 
 Index identity is carried by :class:`IndexKey`, which comes in two
 shapes. A **contiguous ascending run** (``start, start+1, ..., stop-1``
-— the only shape tree nodes over ``arange`` views ever produce) is keyed
-by its endpoints: O(1) to build and to hash, no byte-string
+— the only shape Algorithm 1's ranges over ``arange`` views produce) is
+keyed by its endpoints: O(1) to build and to hash, no byte-string
 materialized. Any other index array falls back to its raw little-endian
 int64 bytes with the hash computed exactly once; keys are **interned**
 per process, so every later lookup of the same content compares by
@@ -17,13 +19,15 @@ object identity instead of re-hashing megabyte byte-strings.
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.groups import GroupPredicate
 
-__all__ = ["IndexKey", "QueryKey", "SetRequest", "set_query_key"]
+__all__ = ["IndexKey", "QueryBatch", "QueryKey", "SetRequest", "set_query_key"]
 
 
 def _as_run(indices: np.ndarray) -> tuple[int, int] | None:
@@ -32,8 +36,8 @@ def _as_run(indices: np.ndarray) -> tuple[int, int] | None:
     query's shape is detected (:meth:`IndexKey.of`).
 
     The O(n) check is far cheaper than the O(n) gather it replaces with
-    an O(1) prefix lookup, and run-shaped queries dominate: every tree
-    node over an ``arange`` view slices out exactly such a run.
+    an O(1) prefix lookup, and run-shaped queries dominate: every range
+    of an ``arange`` view slices out exactly such a run.
 
     Examples
     --------
@@ -53,15 +57,17 @@ def _as_run(indices: np.ndarray) -> tuple[int, int] | None:
     return (start, stop)
 
 
-class IndexKey:
-    """Interned, hash-cached identity of a set query's index array.
+class IndexKey(tuple):
+    """Interned identity of a set query's index array.
 
     Use :meth:`IndexKey.of` — the constructor is an implementation
     detail. Equal index content always yields the *same object*, so dict
-    probes against previously seen keys short-circuit on identity.
+    probes against previously seen keys short-circuit on identity. A key
+    is the tuple ``(start, stop, payload)``: hashing and comparing it
+    run in C, and a payload key's byte string caches its own hash.
     """
 
-    __slots__ = ("start", "stop", "payload", "_hash")
+    __slots__ = ()
 
     #: Intern table: one canonical IndexKey per distinct index content.
     #: Run keys are tiny; payload keys hold the bytes they deduplicate.
@@ -75,13 +81,15 @@ class IndexKey:
     #: for the life of the process.
     _MAX_INTERNED = 1 << 16
 
-    def __init__(
-        self, start: int, stop: int, payload: bytes | None, hash_value: int
-    ) -> None:
-        self.start = start
-        self.stop = stop
-        self.payload = payload
-        self._hash = hash_value
+    def __new__(cls, start: int, stop: int, payload: bytes | None) -> "IndexKey":
+        return tuple.__new__(cls, (start, stop, payload))
+
+    def __getnewargs__(self) -> tuple[int, int, bytes | None]:
+        return tuple(self)  # pickle and copy rebuild through __new__
+
+    start = property(itemgetter(0))  # a run's first index (-1 otherwise)
+    stop = property(itemgetter(1))  # one past a run's last index (-1 otherwise)
+    payload = property(itemgetter(2))  # a non-run's raw int64 bytes (None for a run)
 
     @classmethod
     def of(cls, indices: np.ndarray) -> "IndexKey":
@@ -102,7 +110,7 @@ class IndexKey:
         probe = (int(start), int(stop))
         key = cls._interned.get(probe)
         if key is None:
-            key = cls(probe[0], probe[1], None, hash(probe))
+            key = cls(probe[0], probe[1], None)
             cls._intern(probe, key)
         return key
 
@@ -112,10 +120,10 @@ class IndexKey:
         is *not* a contiguous ascending run (:meth:`of` without the run
         check). Passing a run would intern a second, non-canonical key
         for its content."""
-        payload = indices.tobytes()  # hashed exactly once, on interning
+        payload = indices.tobytes()  # hashed once: bytes cache their hash
         key = cls._interned.get(payload)
         if key is None:
-            key = cls(-1, -1, payload, hash(payload))
+            key = cls(-1, -1, payload)
             cls._intern(payload, key)
         return key
 
@@ -128,40 +136,26 @@ class IndexKey:
     @property
     def is_run(self) -> bool:
         """True when this key denotes a contiguous ascending run."""
-        return self.payload is None
+        return self[2] is None
 
     @property
     def n_objects(self) -> int:
         """How many indices the key denotes."""
-        if self.payload is None:
-            return self.stop - self.start
-        return len(self.payload) // 8
+        start, stop, payload = self
+        if payload is None:
+            return stop - start
+        return len(payload) // 8
 
     def to_array(self) -> np.ndarray:
         """Rebuild the index array the key was derived from."""
-        if self.payload is None:
-            return np.arange(self.start, self.stop, dtype=np.int64)
-        return np.frombuffer(self.payload, dtype=np.int64)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, IndexKey):
-            return NotImplemented
-        # Interning makes equal keys identical in-process, but keys can
-        # also be rebuilt (checkpoint resume), so fall back to content.
-        return (
-            self.start == other.start
-            and self.stop == other.stop
-            and self.payload == other.payload
-        )
+        start, stop, payload = self
+        if payload is None:
+            return np.arange(start, stop, dtype=np.int64)
+        return np.frombuffer(payload, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging sugar
-        if self.payload is None:
-            return f"IndexKey(run=[{self.start}, {self.stop}))"
+        if self[2] is None:
+            return f"IndexKey(run=[{self[0]}, {self[1]}))"
         return f"IndexKey({self.n_objects} scattered indices)"
 
 
@@ -177,12 +171,12 @@ def set_query_key(indices: np.ndarray, predicate: GroupPredicate) -> QueryKey:
 
 
 class SetRequest:
-    """A ready set query emitted by a stepper, awaiting an answer.
+    """A set query dispatched to a crowd backend, awaiting an answer.
 
-    ``index_key`` lets emitters that already know their indices' shape
-    (a stepper slicing a strictly ascending view knows from a node's two
-    end values whether it is a run) skip the O(n) run detection; when
-    omitted the key is derived from the array.
+    ``index_key`` lets callers that already know their indices' shape
+    skip the O(n) run detection; when omitted the key is derived from
+    the array. :meth:`QueryBatch.requests` builds requests from a
+    stepper's keys and contiguous view slices without either step.
     """
 
     __slots__ = ("indices", "predicate", "key")
@@ -206,3 +200,37 @@ class SetRequest:
             f"SetRequest({len(self.indices)} objects, "
             f"{self.predicate.describe()!r})"
         )
+
+
+@dataclass(eq=False, slots=True)
+class QueryBatch:
+    """One stepper's ready queries about one ``predicate``, handed to the
+    engine in one piece: ``positions[i]`` is the FIFO position the
+    stepper's ``feed`` takes the ``i``-th answer back by, ``keys[i]`` the
+    :class:`IndexKey` of ``view[starts[i]:stops[i]]``. ``view`` is a
+    contiguous int64 array, so its slices need no conversion."""
+
+    predicate: GroupPredicate
+    positions: Sequence[int]
+    keys: Sequence[IndexKey]
+    view: np.ndarray
+    starts: Sequence[int]
+    stops: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def requests(self, picks: Iterable[int] | None = None) -> list[SetRequest]:
+        """The queries ``picks`` (every query when ``None``), in that
+        order, as :class:`SetRequest` objects."""
+        predicate, view, keys, starts, stops = (
+            self.predicate, self.view, self.keys, self.starts, self.stops
+        )
+        requests = []
+        for i in range(len(keys)) if picks is None else picks:
+            request = SetRequest.__new__(SetRequest)
+            request.indices = view[starts[i] : stops[i]]
+            request.predicate = predicate
+            request.key = (predicate, keys[i])
+            requests.append(request)
+        return requests

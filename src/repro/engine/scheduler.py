@@ -6,7 +6,7 @@ emit the set queries they are ready for and consume answers — and the
 engine drives any number of them concurrently against one
 :class:`~repro.crowd.backends.CrowdBackend`:
 
-1. **collect** every ready request from every admitted stepper,
+1. **collect** each admitted stepper's ready queries as one batch,
 2. **dedup** them through the shared :class:`~repro.engine.cache.AnswerCache`
    and an in-flight table (two runs asking the same question pay once),
 3. **submit** the remainder to the backend in batches — each batch is a
@@ -33,17 +33,18 @@ real crowd platforms, which publish HITs in batches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from repro.crowd.backends.base import CrowdBackend, Ticket
 from repro.crowd.backends.inline import InlineBackend
 from repro.engine.cache import AnswerCache
-from repro.engine.requests import QueryKey, SetRequest
+from repro.engine.requests import IndexKey, QueryBatch, QueryKey, SetRequest
 from repro.engine.stats import EngineStats
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
     from repro.crowd.oracle import Oracle
+    from repro.data.groups import GroupPredicate
 
 __all__ = ["CoverageStepper", "Flow", "QueryEngine"]
 
@@ -68,22 +69,23 @@ class CoverageStepper(Protocol):
 
     The contract a stepper must honour:
 
-    * ``pending()`` returns every query whose dispatch does **not** depend
-      on an unanswered query, excluding queries already emitted and still
-      awaiting their answer. It must be non-empty while ``done`` is false
-      and no emitted request is outstanding — the engine treats an undone
-      stepper with no pending work and nothing in flight as stalled.
-    * ``feed`` accepts answers for any subset of previously pending
-      requests, keyed by :data:`~repro.engine.requests.QueryKey`, and
+    * ``pending()`` returns, as one :class:`~repro.engine.requests.QueryBatch`,
+      every query whose dispatch does **not** depend on an unanswered
+      query, excluding queries already emitted. It must be non-empty
+      while ``done`` is false and no emitted query is outstanding — the
+      engine treats an undone stepper with no pending work and nothing
+      in flight as stalled.
+    * ``feed(positions, answers)`` accepts answers for any subset of
+      emitted queries, each named once by its batch position, and
       advances the run as far as the new answers allow.
     """
 
     @property
     def done(self) -> bool: ...
 
-    def pending(self) -> Sequence[SetRequest]: ...
+    def pending(self) -> QueryBatch: ...
 
-    def feed(self, answers: Mapping[QueryKey, bool]) -> None: ...
+    def feed(self, positions: Sequence[int], answers: Sequence[bool]) -> None: ...
 
 
 class Flow:
@@ -195,8 +197,9 @@ class QueryEngine:
         self.deduped_queries = 0
         #: admitted, unfinished flows in admission order
         self._flows: list[Flow] = []
-        #: key -> flows awaiting that key's answer (first = the dispatcher)
-        self._waiters: dict[QueryKey, list[Flow]] = {}
+        #: predicate -> index key -> (flow, position) awaiting the answer
+        #: (first = the dispatcher)
+        self._waiters: dict[GroupPredicate, dict[IndexKey, list[tuple[Flow, int]]]] = {}
         #: ticket id -> the keys it carries, in submission order
         self._tickets: dict[int, list[QueryKey]] = {}
 
@@ -299,16 +302,27 @@ class QueryEngine:
                 f"ticket {ticket.ticket_id} carried {len(keys)} queries "
                 f"but {len(answers)} answers were absorbed"
             )
-        feeds: dict[Flow, dict[QueryKey, bool]] = {}
-        for key, answer in zip(keys, answers):
-            answer = bool(answer)
-            self.cache.store(key, answer)
-            for flow in self._waiters.pop(key, ()):
-                feeds.setdefault(flow, {})[key] = answer
-        for flow, answered in feeds.items():
-            flow.outstanding -= len(answered)
+        feeds: dict[Flow, tuple[list[int], list[bool]]] = {}
+        first = 0
+        while first < len(keys):
+            # A ticket carries each flow's dispatches back to back: take
+            # each run of keys about one predicate object at once.
+            predicate, last = keys[first][0], first + 1
+            while last < len(keys) and keys[last][0] is predicate:
+                last += 1
+            index_keys = [key[1] for key in keys[first:last]]
+            self.cache.store_batch(predicate, index_keys, answers[first:last])
+            waiting = self._waiters[predicate]
+            for index_key, answer in zip(index_keys, answers[first:last]):
+                for flow, position in waiting.pop(index_key, ()):
+                    fed = feeds.get(flow) or feeds.setdefault(flow, ([], []))
+                    fed[0].append(position)
+                    fed[1].append(answer)
+            first = last
+        for flow, (positions, fed_answers) in feeds.items():
+            flow.outstanding -= len(positions)
             if not flow.retired:
-                flow.stepper.feed(answered)
+                flow.stepper.feed(positions, fed_answers)
 
     def discard(self, ticket: Ticket) -> None:
         """Drop an outstanding ticket whose answers will never arrive
@@ -318,8 +332,8 @@ class QueryEngine:
         keys = self._tickets.pop(ticket.ticket_id, None)
         if keys is None:
             return
-        for key in keys:
-            for flow in self._waiters.pop(key, ()):
+        for predicate, index_key in keys:
+            for flow, _ in self._waiters[predicate].pop(index_key, ()):
                 flow.outstanding -= 1
 
     def settle(self) -> None:
@@ -455,10 +469,11 @@ class QueryEngine:
         self.settle()
         if not self._flows:
             return False, []
-        round_answers: dict[QueryKey, bool] = {}
+        round_answers: dict[GroupPredicate, dict[IndexKey, bool]] = {}
         to_dispatch: list[SetRequest] = []
-        dispatchers: list[Flow] = []  # the flow each request is dispatched for
-        feeds: list[tuple[Flow, dict[QueryKey, bool]]] = []
+        #: (flow, index of its first request in to_dispatch)
+        dispatchers: list[tuple[Flow, int]] = []
+        feeds: list[tuple[Flow, list[int], list[bool]]] = []
         collected = False
         for flow in list(self._flows):
             if flow.outstanding:
@@ -470,46 +485,54 @@ class QueryEngine:
                 # and a one-ticket-at-a-time service dispatch the exact
                 # same queries per flow).
                 continue
-            requests = list(flow.stepper.pending())
-            if not requests:
+            batch = flow.stepper.pending()
+            if not len(batch):
                 raise RuntimeError(
                     "stepper is not done but has no pending queries — "
                     "its dependency tracking is broken"
                 )
             collected = True
-            feed: dict[QueryKey, bool] = {}
-            for request in requests:
-                key = request.key
-                if key in round_answers:
+            predicate, keys, positions = batch.predicate, batch.keys, batch.positions
+            answered = round_answers.setdefault(predicate, {})
+            waiting = self._waiters.setdefault(predicate, {})
+            fed_positions: list[int] = []
+            fed_answers: list[bool] = []
+            unresolved: list[int] = []
+            for i, key in enumerate(keys):
+                answer = answered.get(key)
+                if answer is not None:
                     # Another flow asked the same question this round and
                     # the cache already answered it.
-                    self.deduped_queries += 1
-                    feed[key] = round_answers[key]
-                    continue
-                waiters = self._waiters.get(key)
-                if waiters is not None:
+                    fed_positions.append(positions[i])
+                    fed_answers.append(answer)
+                elif key in waiting:
                     # In flight (this round or an earlier pump): join the
                     # waiters instead of paying twice.
-                    self.deduped_queries += 1
-                    waiters.append(flow)
+                    waiting[key].append((flow, positions[i]))
                     flow.outstanding += 1
-                    continue
-                cached = self.cache.lookup(key)
-                if cached is not None:
-                    round_answers[key] = cached
-                    feed[key] = cached
                 else:
-                    self._waiters[key] = [flow]
-                    to_dispatch.append(request)
-                    dispatchers.append(flow)
-                    flow.outstanding += 1
-                    flow.dispatched += 1
-            if feed:
-                feeds.append((flow, feed))
+                    unresolved.append(i)
+            self.deduped_queries += len(keys) - len(unresolved)
+            cached = self.cache.lookup_batch(predicate, [keys[i] for i in unresolved])
+            missed = [i for i, answer in zip(unresolved, cached) if answer is None]
+            for i, answer in zip(unresolved, cached):
+                if answer is None:
+                    waiting[keys[i]] = [(flow, positions[i])]
+                else:
+                    answered[keys[i]] = answer
+                    fed_positions.append(positions[i])
+                    fed_answers.append(answer)
+            if missed:
+                dispatchers.append((flow, len(to_dispatch)))
+                to_dispatch += batch.requests(missed)
+                flow.outstanding += len(missed)
+                flow.dispatched += len(missed)
+            if fed_positions:
+                feeds.append((flow, fed_positions, fed_answers))
         if collected:
             self.scheduler_rounds += 1
-        for flow, feed in feeds:
-            flow.stepper.feed(feed)
+        for flow, fed_positions, fed_answers in feeds:
+            flow.stepper.feed(fed_positions, fed_answers)
         tickets: list[Ticket] = []
         submitted = 0
         try:
@@ -526,15 +549,18 @@ class QueryEngine:
             # every later audit asking the same question would wait
             # forever on a ticket that does not exist.
             for request in to_dispatch[submitted:]:
-                waiters = self._waiters.pop(request.key, ())
-                for position, waiter in enumerate(waiters):
+                predicate, index_key = request.key
+                waiters = self._waiters[predicate].pop(index_key, ())
+                for position, (waiter, _) in enumerate(waiters):
                     waiter.outstanding -= 1
                     if position == 0:  # the dispatcher carried the attribution
                         waiter.dispatched -= 1
             self.dispatched_queries += submitted
             raise
         finally:
-            for flow in dict.fromkeys(dispatchers[:submitted]):
-                flow.rounds += 1
+            for flow, first in dispatchers:
+                if first < submitted:
+                    flow.rounds += 1
         self.dispatched_queries += len(to_dispatch)
         return collected, tickets
+

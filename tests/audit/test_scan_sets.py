@@ -39,9 +39,10 @@ def per_query(proxy, steppers):
     """The per-query loop the generation scans replace."""
     for stepper in steppers:
         while not stepper.done:
-            request = stepper.pending(limit=1)[0]
+            batch = stepper.pending(limit=1)
+            (request,) = batch.requests()
             answer = proxy.ask_set(request.indices, FEMALE, key=request.key)
-            stepper.feed({request.key: answer})
+            stepper.feed(batch.positions, [answer])
 
 
 @pytest.mark.parametrize("kind", ["truth", "flaky"])

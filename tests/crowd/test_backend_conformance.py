@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.audit.proxy as proxy_module
+from repro.audit.proxy import RecordingOracleProxy
 from repro.crowd.backends import (
     InlineBackend,
     LatencyModelBackend,
@@ -132,6 +134,27 @@ class TestEdgeCases:
         backend.submit(requests_over(dataset, count=3))
         assert backend.oracle.ledger.n_set_queries == 3
         assert backend.oracle.ledger.n_rounds == 1
+
+    def test_vote_hook_is_looked_up_once(self, make_backend, dataset, monkeypatch):
+        # Over a recording proxy, a ground-truth oracle's missing
+        # drain_set_votes is a miss through the proxy's __getattr__.
+        proxy = RecordingOracleProxy(GroundTruthOracle(dataset))
+        misses = []
+        getattr_static = proxy_module.inspect.getattr_static
+
+        def counted(obj, name, *default):
+            misses.append(name)
+            return getattr_static(obj, name, *default)
+
+        monkeypatch.setattr(proxy_module.inspect, "getattr_static", counted)
+        backend = make_backend(proxy)
+        try:
+            for request in requests_over(dataset, count=4):
+                backend.gather(backend.submit([request]))
+        finally:
+            backend.close()
+        assert misses == ["drain_set_votes"]
+        assert proxy.ledger.n_set_queries == 4
 
     def test_close_is_idempotent(self, backend, dataset):
         ticket = backend.submit(requests_over(dataset, count=1))

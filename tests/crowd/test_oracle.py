@@ -175,7 +175,7 @@ class TestIndexKeyBoundary:
     def test_a_callers_key_reaches_the_hook_unchanged(self, dataset):
         # Equal to the interned run key but a distinct object, so identity
         # shows the oracle forwarded it rather than re-deriving one.
-        own = IndexKey(5, 15, None, hash((5, 15)))
+        own = IndexKey(5, 15, None)
         assert own == IndexKey.of_run(5, 15) and own is not IndexKey.of_run(5, 15)
         indices = np.arange(5, 15)
         seen = []
@@ -598,9 +598,10 @@ class TestScanSets:
                 if drive == "scan":
                     run_sequential(oracle, [stepper])
                 while drive == "loop":
-                    request = stepper.pending(limit=1)[0]
+                    batch = stepper.pending(limit=1)
+                    (request,) = batch.requests()
                     answer = oracle.ask_set(request.indices, FEMALE, key=request.key)
-                    stepper.feed({request.key: answer})
+                    stepper.feed(batch.positions, [answer])
             errors.append(str(raised.value))
             states.append(set_scan_state(oracle))
         assert errors[0] == errors[1] and states[0] == states[1]

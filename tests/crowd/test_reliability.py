@@ -653,6 +653,15 @@ class _ScalarPolicy(AdaptiveAssignmentPolicy):
             estimator=estimator, tracker=_ScalarTracker(estimator), **kwargs
         )
 
+    def observe_point(self, votes, *, n_probes=0):
+        # The reference reviews every worker after every point HIT.
+        labels = self.estimator.observe_point_batch([votes])
+        self.tracker.review()
+        self.n_hits += 1
+        self.n_votes += len(votes) - n_probes
+        self.n_probes += n_probes
+        return labels[0]
+
     def plan(self, eligible, rng):
         active = [
             pos
@@ -838,7 +847,9 @@ class TestAdaptivePlatformMatchesScalarPath:
     SERVE_CROWD_POOL = dict(n_workers=20, error_rate=0.0136, spammer_fraction=0.2)
     SERVE_CROWD_POLICY = dict(log_odds_threshold=9.0, max_assignments=11)
 
-    def _run(self, policy, pool=ADVERSARIAL_POOL, n_hits=260, on_set_hit=None):
+    def _run(
+        self, policy, pool=ADVERSARIAL_POOL, n_hits=260, on_set_hit=None, point_every=20
+    ):
         dataset = binary_dataset(600, 20, rng=np.random.default_rng(7))
         pool = dict(pool)
         workers = make_worker_pool(
@@ -850,7 +861,7 @@ class TestAdaptivePlatformMatchesScalarPath:
         query_rng = np.random.default_rng(42)
         drained = []
         for hit in range(n_hits):
-            if hit % 20 == 19:
+            if hit % point_every == point_every - 1:
                 platform.publish_point_query(PointQuery(int(query_rng.integers(600))))
             else:
                 indices = query_rng.choice(600, size=int(query_rng.integers(1, 20)),
@@ -900,6 +911,49 @@ class TestAdaptivePlatformMatchesScalarPath:
         reference.tracker = _ScalarTracker(reference.estimator)
         assert self._run(policy) == self._run(reference)
         assert policy.report().n_quarantines > 0
+
+    @pytest.mark.parametrize("decay", [1.0, 0.93])
+    def test_point_hits_between_set_hits(self, decay):
+        # Every third HIT is a point HIT: the reviews it skips would have
+        # changed nothing the scalar path's full reviews change.
+        kwargs = dict(log_odds_threshold=3.5, probation_interval=3, exploration=2.0)
+        estimator = OnlineDawidSkene(decay=decay)
+        policy = AdaptiveAssignmentPolicy(
+            estimator=estimator, tracker=ReliabilityTracker(estimator), **kwargs
+        )
+        reference = _ScalarPolicy(**kwargs)
+        reference.estimator = _ScalarDawidSkene(decay=decay)
+        reference.tracker = _ScalarTracker(reference.estimator)
+        assert self._run(policy, point_every=3) == self._run(reference, point_every=3)
+        report = policy.report()
+        assert report.n_quarantines > 0 and report.n_hits == 260
+
+    def test_an_in_step_point_hit_visits_no_rows(self):
+        policy = AdaptiveAssignmentPolicy()
+        tracker = policy.tracker
+        visited = []
+        classify = tracker.classify
+
+        def spied_classify(worker_id):
+            visited.append(worker_id)
+            return classify(worker_id)
+
+        tracker.classify = spied_classify
+        rng = np.random.default_rng(2)
+        for _ in range(12):
+            truth = bool(rng.random() < 0.5)
+            policy.observe_set([(0, truth), (1, truth), (2, not truth)])
+        visited.clear()
+        labels = policy.observe_point([(0, {"gender": "female"}), (3, {"gender": "male"})])
+        assert visited == [] and labels == {"gender": "female"}
+        # An update outside the policy puts the estimator out of step:
+        # the next point HIT reviews the whole pool.
+        policy.estimator.observe_set_batch([[(1, True)]])
+        policy.observe_point([(1, {"gender": "male"})])
+        assert sorted(visited) == [0, 1, 2, 3]
+        visited.clear()
+        policy.observe_point([(2, {"gender": "male"})])
+        assert visited == []
 
     def test_decay_reclassifies_a_worker_who_stopped_voting(self):
         # Decay moves every worker's confusion, so a HIT reviews everyone:

@@ -144,6 +144,31 @@ def test_loader_shape_and_range_validation():
         bad_codes.chunk(0)
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 3])
+def test_a_reload_with_bad_codes_still_raises(bad):
+    """Codes are checked on every load: a loader whose codes go bad only
+    when an evicted shard is read again is caught on that reload, for a
+    negative code as for one past the cardinality, and the error names
+    the first bad attribute."""
+    schema = Schema.from_dict({"gender": ["male", "female"], "race": ["a", "b", "c"]})
+    loads = []
+
+    def loader(shard_index, start, stop):
+        loads.append(shard_index)
+        codes = np.zeros((stop - start, 2), dtype=np.int16)
+        if loads.count(shard_index) > 1:
+            codes[-1, 0] = bad
+            codes[0, 1] = bad
+        return codes
+
+    ds = ShardedDataset(schema, 10, 5, loader, max_resident_shards=1)
+    ds.chunk(0)
+    ds.chunk(1)  # evicts shard 0
+    with pytest.raises(InvalidParameterError, match="attribute 'gender' outside"):
+        ds.chunk(0)
+    assert loads == [0, 1, 0]
+
+
 def test_constructor_validation():
     schema = Schema.from_dict({"gender": ["male", "female"]})
     loader = lambda s, a, b: np.zeros((b - a, 1), dtype=np.int16)  # noqa: E731

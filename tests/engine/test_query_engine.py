@@ -266,7 +266,13 @@ class TestStepperContract:
     def test_feeding_an_unrequested_answer_raises(self, dataset):
         stepper = make_stepper(dataset)
         with pytest.raises(InvalidParameterError):
-            stepper.feed({(FEMALE, b"bogus"): True})
+            stepper.feed([0], [True])
+        emitted = stepper.pending(limit=1).positions
+        with pytest.raises(InvalidParameterError):
+            stepper.feed([emitted[0] + 1], [True])
+        stepper.feed(emitted, [False])
+        with pytest.raises(InvalidParameterError):
+            stepper.feed(emitted, [False])  # each position is answered once
 
     def test_result_before_done_raises(self, dataset):
         stepper = make_stepper(dataset)
@@ -279,18 +285,20 @@ class TestStepperContract:
         assert len(front) == 1
         # The front is now in flight: a second scan skips it rather than
         # re-emitting (a driver would double-pay the oracle otherwise).
-        assert front[0].key not in {r.key for r in stepper.pending()}
+        assert front.keys[0] not in stepper.pending().keys
 
     def test_partial_feed_does_not_reemit_in_flight_queries(self, dataset):
         oracle = GroundTruthOracle(dataset)
         stepper = make_stepper(dataset, tau=5)
         first_round = stepper.pending()
         assert len(first_round) > 1
-        answered = first_round[0]
-        stepper.feed({answered.key: oracle.ask_set(answered.indices, FEMALE)})
-        emitted = {request.key for request in stepper.pending()}
-        for still_waiting in first_round[1:]:
-            assert still_waiting.key not in emitted
+        answered = first_round.requests([0])[0]
+        stepper.feed(
+            first_round.positions[:1], [oracle.ask_set(answered.indices, FEMALE)]
+        )
+        emitted = set(stepper.pending().keys)
+        for still_waiting in first_round.keys[1:]:
+            assert still_waiting not in emitted
 
     def test_pending_capped_by_certification_deficit(self, dataset):
         stepper = make_stepper(dataset, tau=3)
