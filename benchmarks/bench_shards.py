@@ -19,9 +19,9 @@ per row:
   it (one shard, every predicate pinned): verdicts AND task counts must
   match exactly;
 * **structural memory bound** — the sharded path's tracked peak
-  (resident chunks + prefix tables + totals) never exceeds its
-  configuration cap (LRU + worker-held chunk budget, twice the
-  residency cap, plus the prefix-cache budget), and that cap stays below
+  (resident chunks + cached bitmaps and rank directories) never exceeds
+  its configuration cap (LRU + build-window chunk budget, twice the
+  residency cap, plus the bitmap budget), and that cap stays below
   :func:`~repro.data.sharded.dense_index_bytes` — what a fully in-RAM
   index would need resident for the same workload;
 * **completion at scale** — the group audit finishes at N = 10M (and,
@@ -30,8 +30,8 @@ per row:
 
 Results land in ``BENCH_shards.json``. Each row's ``sharded`` (the
 sequential repeats) and ``sharded_engine`` entries also record the
-``chunk_loads`` and ``prefix_builds`` that mode caused, so the two
-modes' data-plane work can be compared. Full sweep (what the committed
+``chunk_loads``, ``bitmap_builds`` and ``rank_builds`` that mode
+caused, so the two modes' data-plane work can be compared. Full sweep (what the committed
 baseline is built from)::
 
     PYTHONPATH=src python benchmarks/bench_shards.py --memmap-tier 100000000
@@ -274,10 +274,8 @@ def run_case(
                 max_resident_shards=resident,
                 name=f"{audit}@{n_objects}",
             )
-        # Budget the prefix cache to pin whole predicates (≈ 4·N bytes
-        # per pinned int32 table — half the classic in-RAM layout's
-        # int64 prefix table, and it turns every post-build boundary
-        # query into a lock-free lookup instead of a chunk regeneration).
+        # A budget of n_shards table units is ≈ 4·N bytes: room for 32
+        # value bitmaps (N/8 bytes each), so no audit here evicts one.
         budget = prefix_budget if prefix_budget else max(dataset.n_shards, resident)
         row["prefix_budget"] = budget
         index = ShardedMembershipIndex(
@@ -294,10 +292,10 @@ def run_case(
         row["repeats"] = repeats
 
         def count_work(run: dict, since: dict) -> dict:
-            """Record the chunk loads and prefix builds ``run`` caused
+            """Record the chunk loads and bitmap builds ``run`` caused
             (this process's ledger), apart from the other mode's."""
             report = index.memory_report()
-            for counter in ("chunk_loads", "prefix_builds"):
+            for counter in ("chunk_loads", "bitmap_builds", "rank_builds"):
                 run[counter] = report[counter] - since[counter]
             return report
 
@@ -329,7 +327,7 @@ def run_case(
             )
 
         memory = index.memory_report()
-        n_predicates = max(len(index._totals), 1)
+        n_predicates = max(memory["indexed_predicates"], 1)
         dense_needed = dense_index_bytes(
             n_objects, schema.n_attributes, n_predicates
         )
@@ -412,8 +410,8 @@ def main(argv: list[str] | None = None) -> dict:
     )
     parser.add_argument(
         "--prefix-budget", type=int, default=None,
-        help="prefix-cache entry budget (default: n_shards, which pins "
-        "whole predicates)",
+        help="bitmap budget in shard-table units of 4·(shard_size+1) bytes "
+        "(default: n_shards, room for 32 value bitmaps)",
     )
     parser.add_argument(
         "--memmap-tier", type=int, default=None, metavar="N",

@@ -445,9 +445,9 @@ class GroundTruthOracle(Oracle):
 
     All answering is vectorized through the dataset's shared
     :class:`~repro.data.sharded.ShardedMembershipIndex`: contiguous-run
-    set queries resolve in O(1) from prefix-count tables, scattered ones
-    through one gather per batch, and point-query batches through one
-    fancy-index per attribute. Many oracles over one dataset share that
+    set queries resolve in O(1) from rank lookups over packed bitmaps,
+    scattered ones through one gathered bit test per batch, and
+    point-query batches through one fancy-index per attribute. Many oracles over one dataset share that
     index, so none recomputes a membership column; ``index=`` must be
     that same index (or one over the same shards). ``dataset`` may be
     in RAM or a sharded out-of-core

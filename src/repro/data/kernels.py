@@ -1,9 +1,8 @@
-"""Picklable predicate kernels: the compute units of the sharded path.
+"""Picklable predicate kernels: the compute units of the membership index.
 
-The sharded out-of-core index (:mod:`repro.data.sharded`) runs its hot
-loops — predicate-mask evaluation, fused count + prefix-table
-construction, scattered membership gathers — on these kernels. Its one
-full-shard streaming pass, the fused totals build, goes through a
+The membership index (:mod:`repro.data.sharded`) answers every set
+query from packed bitmaps, and these kernels build and read them. Its
+one full-shard streaming pass, the bitmap build, goes through a
 :class:`~repro.data.sharded.ShardExecutor`. In ``serial`` and
 ``threads`` modes any callable works, but ``processes`` mode crosses a
 pickle boundary: the work item must describe *how to get the chunk*
@@ -16,33 +15,32 @@ vocabulary:
   file with ``mmap_mode="r"`` in the worker, cached per process) and
   :class:`CallableChunkSource` (re-run a picklable deterministic
   generator), unified under :class:`ChunkSource`;
-* **mask kernel** — :func:`predicate_mask`, the one predicate evaluator
-  every membership substrate shares (the dense
-  :class:`~repro.data.dataset.LabeledDataset` routes its memoized masks
-  through it too);
-* **fused kernels** — :func:`fused_prefix_tables` evaluates *many*
-  predicates over *one* chunk touch and returns their local prefix-count
-  tables (``prefix[-1]`` is the shard total, so a totals-plus-prefix
-  build streams each chunk exactly once), and :func:`fused_source_pass`
-  is its process-safe form taking a :class:`ChunkSource` instead of an
-  in-memory chunk;
-* **gather kernel** — :func:`gather_hits` answers every scattered
-  ``(predicate, local rows)`` item a batch has on *one* shard off one
-  chunk touch, masking only the gathered rows (no prefix table). The
-  index runs it in the calling thread, on the chunk its shard-major
-  visit holds, in every executor mode.
+* **mask kernel** — :func:`predicate_mask`, the row-wise predicate
+  evaluator (the dense :class:`~repro.data.dataset.LabeledDataset`
+  routes its memoized masks through it, and it is the reference every
+  bitmap kernel is tested against);
+* **build kernels** — :func:`pack_columns` turns one chunk into the
+  little-endian ``uint64`` bitmap words of many ``(attribute, value)``
+  columns off one chunk touch, aligned to the chunk's global first row
+  so shards of any size OR into one global bitmap; and
+  :func:`fused_source_pass` is its process-safe form taking a
+  :class:`ChunkSource` instead of an in-memory chunk;
+* **read kernels** — :func:`predicate_words`, the word-wise twin of
+  :func:`predicate_mask` (``Group`` = AND, ``SuperGroup`` = OR,
+  ``Negation`` = NOT with the tail masked) over the whole bitmap, a
+  gathered set of words or one word; :func:`rank_directory` (one
+  ``int32`` count per word) and :func:`rank`, which with one masked
+  ``np.bitwise_count`` counts the members before any position.
 
-Everything here is deterministic and allocation-bounded: one chunk is
-materialized per call, masks are evaluated once per predicate, and the
-returned tables are exactly what the two-pass route (mask, then count,
-then cumsum) would have produced — pinned by
-``tests/data/test_kernel_properties.py``.
+Everything here is deterministic and exact: a bit test equals the
+predicate mask at that row and a rank equals the mask's ``cumsum`` —
+pinned by ``tests/data/test_kernel_properties.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,9 +54,13 @@ __all__ = [
     "MemmapChunkSource",
     "CallableChunkSource",
     "predicate_mask",
-    "fused_prefix_tables",
+    "predicate_conditions",
+    "predicate_words",
+    "pack_columns",
     "fused_source_pass",
-    "gather_hits",
+    "valid_words",
+    "rank_directory",
+    "rank",
 ]
 
 
@@ -196,115 +198,188 @@ class CallableChunkSource:
         return np.asarray(self.generate(shard_index, start, stop), dtype=np.int16)
 
 
-def fused_prefix_tables(
-    schema: Schema,
-    chunk: NDArray[np.int16],
-    predicates: Sequence[GroupPredicate],
-) -> list[NDArray[np.int32]]:
-    """Local prefix-count tables of many predicates over one chunk.
 
-    The fused form of the old two-pass route: each predicate's mask is
-    evaluated once and immediately cumsum-ed into its ``rows + 1``-long
-    prefix table, so a totals-plus-prefix build touches the chunk
-    exactly once however many predicates it indexes. ``table[-1]`` is
-    the shard's member count — the totals entry — and
-    ``table[b] - table[a]`` counts members of local rows ``[a, b)``.
-    Tables are ``int32``: a local count is bounded by the shard's row
-    count, and chunks anywhere near 2³¹ rows could not be materialized
-    in the first place — half the bytes of ``int64`` tables, which is
-    where the index's prefix-cache headroom comes from.
 
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.data.schema import Schema
-    >>> from repro.data.groups import group
-    >>> from repro.data.kernels import fused_prefix_tables
-    >>> schema = Schema.from_dict({"gender": ["male", "female"]})
-    >>> tables = fused_prefix_tables(
-    ...     schema, np.array([[0], [1], [1], [0]], dtype=np.int16),
-    ...     [group(gender="female"), group(gender="male")])
-    >>> [table.tolist() for table in tables]
-    [[0, 0, 1, 2, 2], [0, 1, 1, 1, 2]]
+#: One bitmap word: 64 objects, object ``64·w + r`` at bit ``r`` of word
+#: ``w`` (little-endian, the order :func:`numpy.packbits` writes with
+#: ``bitorder="little"``).
+WORD = np.dtype("<u8")
+#: ``BIT[r]`` has only bit ``r`` set; ``LOW[r]`` has the ``r`` bits below it.
+BIT: NDArray[np.uint64] = np.left_shift(np.uint64(1), np.arange(64, dtype=WORD))
+LOW: NDArray[np.uint64] = BIT - np.uint64(1)
+BIT.setflags(write=False)
+LOW.setflags(write=False)
+_ALL = np.uint64(2**64 - 1)
+
+#: An ``(attribute, value)`` condition, as a :class:`Group` stores it.
+Condition = tuple[str, str]
+
+
+def n_words(n_objects: int) -> int:
+    """Words of a bitmap over ``n_objects`` objects. Word ``n_objects //
+    64`` always exists (it holds the tail, possibly no bits), so a rank
+    lookup at any end in ``[0, n_objects]`` reads a real word."""
+    return n_objects // 64 + 1
+
+
+def predicate_conditions(predicate: GroupPredicate) -> tuple[Condition, ...]:
+    """The distinct conditions ``predicate`` reads, in first-use order:
+    the value bitmaps :func:`predicate_words` combines.
+
+    >>> from repro.data.groups import Negation, SuperGroup, group
+    >>> predicate_conditions(Negation(SuperGroup([
+    ...     group(race="black"), group(gender="female", race="black")])))
+    (('race', 'black'), ('gender', 'female'))
     """
-    tables: list[NDArray[np.int32]] = []
-    for predicate in predicates:
-        mask = predicate_mask(schema, chunk, predicate)
-        table = np.zeros(len(mask) + 1, dtype=np.int32)
-        np.cumsum(mask, out=table[1:])
-        table.setflags(write=False)
-        tables.append(table)
-    return tables
+    if isinstance(predicate, Group):
+        return predicate.conditions
+    if isinstance(predicate, SuperGroup):
+        return tuple(dict.fromkeys(c for m in predicate.members for c in m.conditions))
+    if isinstance(predicate, Negation):
+        return predicate_conditions(predicate.inner)
+    raise InvalidParameterError(f"unsupported predicate type: {type(predicate)!r}")
+
+
+def pack_columns(
+    chunk: NDArray[np.int16], start: int, columns: Sequence[tuple[int, int]]
+) -> list[NDArray[np.uint64]]:
+    """Bitmap words of ``chunk[:, j] == code`` for each ``(j, code)`` of
+    ``columns``, for a chunk whose first row is global row ``start``.
+
+    Word 0 of each result is global word ``start // 64``, and the bits
+    of rows before ``start`` are zero, so OR-ing every shard's words
+    into one zeroed bitmap assembles the global bitmap exactly, whatever
+    the shard size. One chunk touch packs every column.
+
+    >>> import numpy as np
+    >>> chunk = np.array([[1], [0], [1]], dtype=np.int16)
+    >>> [hex(int(w)) for w in pack_columns(chunk, 62, [(0, 1)])[0]]
+    ['0x4000000000000000', '0x1']
+    """
+    pad = start & 63
+    rows = len(chunk)
+    bits = np.zeros(-(-(pad + rows) // 64) * 64, dtype=bool)
+    words = []
+    for j, code in columns:
+        np.equal(chunk[:, j], code, out=bits[pad : pad + rows])
+        words.append(np.packbits(bits, bitorder="little").view(WORD))
+    return words
 
 
 def fused_source_pass(
     source: ChunkSource,
-    schema: Schema,
     shard_index: int,
     start: int,
     stop: int,
-    predicates: Sequence[GroupPredicate],
-    want_tables: bool,
-) -> tuple[list[int], list[NDArray[np.int32]] | None]:
-    """One shard's contribution to a fused totals + prefix build.
+    columns: Sequence[tuple[int, int]],
+) -> list[NDArray[np.uint64]]:
+    """One shard's contribution to a streaming bitmap build:
+    :func:`pack_columns` over the chunk materialized from ``source``
+    inside the calling process. Under a process pool that is the worker,
+    so only the packed words (an eighth of a byte per row and column)
+    cross the pickle boundary, never chunk bytes.
 
-    Materializes the chunk from ``source`` (inside the calling process —
-    under a pool this is the worker, so chunk bytes never pickle),
-    evaluates every predicate once, and returns the per-predicate member
-    counts plus, when ``want_tables`` is set, the full local prefix
-    tables. Builders pass ``want_tables=False`` when shipping tables
-    back would cost more than rebuilding the few boundary ones on
-    demand.
-
-    Examples
-    --------
     >>> import numpy as np
-    >>> from repro.data.schema import Schema
-    >>> from repro.data.groups import group
     >>> from repro.data.kernels import CallableChunkSource, fused_source_pass
-    >>> schema = Schema.from_dict({"gender": ["male", "female"]})
     >>> def chunk(shard_index, start, stop):
     ...     return np.arange(start, stop, dtype=np.int16).reshape(-1, 1) % 2
-    >>> counts, tables = fused_source_pass(
-    ...     CallableChunkSource(chunk), schema, 0, 0, 6,
-    ...     [group(gender="female")], True)
-    >>> counts, tables[0].tolist()
-    ([3], [0, 0, 1, 1, 2, 2, 3])
+    >>> source = CallableChunkSource(chunk)
+    >>> [bin(int(w)) for w in fused_source_pass(source, 0, 0, 6, [(0, 1)])[0]]
+    ['0b101010']
     """
-    chunk = source.chunk(shard_index, start, stop)
-    tables = fused_prefix_tables(schema, chunk, predicates)
-    counts = [int(table[-1]) for table in tables]
-    return counts, (tables if want_tables else None)
+    return pack_columns(source.chunk(shard_index, start, stop), start, columns)
 
 
-def gather_hits(
-    schema: Schema,
-    chunk: NDArray[np.int16],
-    items: Sequence[tuple[GroupPredicate, NDArray[np.int64]]],
-) -> list[NDArray[np.bool_]]:
-    """Membership bits of many ``(predicate, local rows)`` items of one
-    shard.
+def valid_words(n_objects: int, at: Any = slice(None)) -> Any:
+    """The words of the all-objects bitmap at ``at``: every bit set
+    except those past ``n_objects`` in the tail word.
 
-    The per-shard unit of a shard-major batch: every scattered item the
-    batch has on this shard, across all its predicates, answers off one
-    chunk touch. Each predicate is masked over its gathered rows only —
-    ``chunk[local]``, never the whole chunk — and no prefix table is
-    built, so a scattered key costs work in proportion to its size. The
-    index calls it in the calling thread, whatever its executor mode: a
-    batch touches a few shards, too few to repay a pool round trip.
+    >>> [hex(int(w)) for w in valid_words(66)]
+    ['0xffffffffffffffff', '0x3']
+    """
+    last, tail = n_objects >> 6, np.uint64((1 << (n_objects & 63)) - 1)
+    if isinstance(at, slice):
+        words = np.full(last + 1, _ALL, dtype=WORD)
+        words[last] = tail
+        return words[at]
+    if isinstance(at, (int, np.integer)):
+        return tail if at == last else _ALL
+    return np.where(at == last, tail, _ALL)
 
-    Examples
-    --------
+
+def predicate_words(
+    predicate: GroupPredicate,
+    bitmaps: Mapping[Condition, NDArray[np.uint64]],
+    n_objects: int,
+    at: Any = slice(None),
+) -> Any:
+    """The word-wise twin of :func:`predicate_mask`: ``predicate``'s
+    bitmap words at ``at``, combined from the value bitmaps of its
+    conditions (``bitmaps[(attribute, value)]``, as
+    :func:`pack_columns` builds them over ``n_objects`` objects).
+
+    A :class:`Group` is an AND of its conditions' words, a
+    :class:`SuperGroup` an OR of its members' and a :class:`Negation` a
+    NOT with the bits past ``n_objects`` masked off, so every result
+    has a zero tail. ``at`` is a slice (the whole bitmap, possibly a
+    view of a value bitmap: do not write to it), an array of word
+    indices (a gathered array) or one word index (one ``uint64``, no
+    array allocated).
+
     >>> import numpy as np
-    >>> from repro.data.schema import Schema
     >>> from repro.data.groups import Negation, group
-    >>> from repro.data.kernels import gather_hits
-    >>> schema = Schema.from_dict({"gender": ["male", "female"]})
-    >>> chunk = np.array([[0], [1], [1], [0]], dtype=np.int16)
-    >>> female = group(gender="female")
-    >>> [hits.tolist() for hits in gather_hits(
-    ...     schema, chunk, [(female, np.array([0, 2])),
-    ...                     (Negation(female), np.array([3]))])]
-    [[False, True], [True]]
+    >>> female = pack_columns(np.array([[1], [0], [1]], dtype=np.int16), 0, [(0, 1)])[0]
+    >>> bitmaps = {("gender", "female"): female}
+    >>> bin(int(predicate_words(Negation(group(gender="female")), bitmaps, 3, 0)))
+    '0b10'
     """
-    return [predicate_mask(schema, chunk[local], predicate) for predicate, local in items]
+    if isinstance(predicate, Group):
+        conditions = iter(predicate.conditions)
+        words = bitmaps[next(conditions)][at]
+        for condition in conditions:
+            words = words & bitmaps[condition][at]
+        return words
+    if isinstance(predicate, SuperGroup):
+        members = iter(predicate.members)
+        words = predicate_words(next(members), bitmaps, n_objects, at)
+        for member in members:
+            words = words | predicate_words(member, bitmaps, n_objects, at)
+        return words
+    if isinstance(predicate, Negation):
+        inner = predicate_words(predicate.inner, bitmaps, n_objects, at)
+        return ~inner & valid_words(n_objects, at)
+    raise InvalidParameterError(f"unsupported predicate type: {type(predicate)!r}")
+
+
+def rank_directory(words: NDArray[np.uint64]) -> NDArray[Any]:
+    """``directory[w]`` = set bits in ``words[:w]``, one ``int32`` per
+    word (``int64`` past 2³¹ objects): with one masked popcount of word
+    ``i // 64`` it gives the members among objects ``[0, i)``
+    (:func:`rank`).
+
+    >>> import numpy as np
+    >>> rank_directory(np.array([3, 0, 1], dtype=np.uint64)).tolist()
+    [0, 2, 2]
+    """
+    dtype = np.int32 if 64 * len(words) < 2**31 else np.int64
+    directory = np.zeros(len(words), dtype=dtype)
+    np.cumsum(np.bitwise_count(words[:-1]), out=directory[1:], dtype=dtype)
+    directory.setflags(write=False)
+    return directory
+
+
+def rank(directory: NDArray[Any], words: Any, ends: Any) -> Any:
+    """Members among objects ``[0, end)`` for each of ``ends`` (an array
+    or one ``int``), given ``words`` = the predicate's bitmap words at
+    ``ends // 64``.
+
+    >>> import numpy as np
+    >>> words = np.array([0b1011, 0], dtype=np.uint64)
+    >>> int(rank(rank_directory(words), words[0], 2)), int(rank(rank_directory(words), words[0], 4))
+    (2, 3)
+    """
+    masked = words & LOW[ends & 63]
+    if isinstance(ends, np.ndarray):
+        return directory[ends >> 6] + np.bitwise_count(masked)
+    # One end: Python's popcount, with no ufunc call and no array.
+    return int(directory[ends >> 6]) + int(masked).bit_count()

@@ -9,52 +9,41 @@ loader callable) and evicted LRU under a resident-shard cap; an in-RAM
 :class:`~repro.data.dataset.LabeledDataset` is answered as a single
 shard whose chunk is its own code matrix
 (:meth:`ShardedMembershipIndex.for_dataset`). The index answers
-``count`` / ``any_match`` / batched-gather queries by combining
+``count`` / ``any_match`` / batched queries from a **bitmap index**:
 
-* **cross-shard totals** — one ``int64`` per shard per predicate
-  (``totals[s]`` = members among shards ``[0, s)``), built in a single
-  **fused** streaming pass (:mod:`repro.data.kernels`) that evaluates
-  every requested predicate and its local prefix table off one chunk
-  touch, and from then on answering every *shard-aligned* run in O(1)
-  without touching a single chunk; and
-* **prefix tables** — when the cache budget covers a predicate's full
-  shard count, the predicate's first query (whatever its shape) runs
-  the fused build, which splices its per-shard tables into one *pinned*
-  global prefix table (``prefix[i]`` = members among rows ``[0, i)``)
-  and every later query on that predicate answers lock-free from it;
-  an in-RAM dataset pins every predicate. Otherwise boundary tables
-  build on demand for the (at most two) *partially* covered shards of
-  a run and cache LRU under an entry-count budget shared with the
-  pinned tier (each entry is at most ``4·(shard_size+1)`` bytes, so the
-  byte footprint is bounded too).
+* **value bitmaps** — one little-endian ``uint64`` bitmap over all N
+  objects per ``(attribute, value)`` a query reads (N/8 bytes), built
+  in a **fused** streaming pass (:func:`~repro.data.kernels.pack_columns`)
+  that packs every new value of a batch off one chunk touch per shard,
+  whatever the shard size;
+* **predicate words** — a predicate's words are combined from its
+  values' bitmaps word by word
+  (:func:`~repro.data.kernels.predicate_words`: AND, OR, NOT with the
+  tail masked), over the whole bitmap or only the gathered words a
+  query reads; and
+* **rank directories** — one ``int32`` count per word for each
+  predicate with run queries, so a run's member count is two rank
+  lookups plus a masked ``np.bitwise_count`` per end.
 
-A contiguous-run query spanning many shards therefore splits at shard
-boundaries — interior shards answer from the totals, boundary shards
-from their local prefix tables — and the partial counts re-merge into
-the exact answer. Scattered keys of a predicate that is not pinned
-build no prefix table at all: a batch
-(:meth:`ShardedMembershipIndex.any_match_batch`) groups its scattered
-indices by owning shard across all its predicates and visits each
-touched shard once — resident shards first, most recently used first —
-answering every ``(predicate, local rows)`` item there with
-:func:`~repro.data.kernels.gather_hits`, which masks only the gathered
-rows; the same visit builds the batch's missing run boundary tables off
-the chunk in hand. A single scattered ``count`` / ``any_match`` or a
-point ``matches`` is a batch of one. Batch visits run in the calling
-thread; only the fused totals build streams every shard through a
-:class:`ShardExecutor`, whose ``processes`` mode ships one picklable
-task per shard to a :class:`~concurrent.futures.ProcessPoolExecutor` —
-workers materialize chunks from the dataset's
-:class:`~repro.data.kernels.ChunkSource` (memory map or deterministic
-generator) on their own side, so chunk arrays never cross the pickle
-boundary.
+A scattered key is a gathered bit test and a run key two rank lookups,
+so no set query loads a chunk once its bitmaps are built: chunks load
+only for the streaming builds and for point labels
+(:meth:`ShardedMembershipIndex.value_codes`). Bitmaps and rank
+directories share one byte budget and are evicted whole, least recently
+used first; one that cannot fit is used for its batch and dropped. The
+streaming build maps shards through a :class:`ShardExecutor`, whose
+``processes`` mode ships one picklable task per shard to a
+:class:`~concurrent.futures.ProcessPoolExecutor` — workers materialize
+chunks from the dataset's :class:`~repro.data.kernels.ChunkSource`
+(memory map or deterministic generator) on their own side, so chunk
+arrays never cross the pickle boundary; only packed words come back.
 
 Everything is *exact*, so oracles answering over any shard geometry
 are bit-identical to answering over the in-RAM dataset: same verdicts,
 same task counts, same rng streams (pinned across layouts and executor
 modes by the differential harness ``tests/test_differential.py``). Peak
 memory is structurally bounded by ``max_resident_shards`` chunks plus the
-prefix-table budget — ``benchmarks/bench_shards.py`` asserts it while
+bitmap budget — ``benchmarks/bench_shards.py`` asserts it while
 auditing datasets 10× larger than an in-RAM index could hold.
 """
 
@@ -75,12 +64,19 @@ import numpy as np
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import GroupPredicate
 from repro.data.kernels import (
+    BIT,
+    WORD,
     CallableChunkSource,
     ChunkSource,
+    Condition,
     MemmapChunkSource,
-    fused_prefix_tables,
     fused_source_pass,
-    gather_hits,
+    n_words,
+    pack_columns,
+    predicate_conditions,
+    predicate_words,
+    rank,
+    rank_directory,
 )
 from repro.data.schema import Schema
 from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
@@ -108,8 +104,8 @@ def _check_object_indices(index_array: np.ndarray, n_objects: int) -> None:
         raise OracleError(f"object index {bad} out of range [0, {n_objects})")
 
 
-def _run_fused_task(task: tuple) -> tuple[list[int], list[np.ndarray] | None]:
-    """Unpack one fused-build work item (module-level so it pickles)."""
+def _run_fused_task(task: tuple) -> list[np.ndarray]:
+    """Unpack one bitmap-build work item (module-level so it pickles)."""
     return fused_source_pass(*task)
 
 
@@ -167,17 +163,19 @@ class ShardStats:
 class ShardExecutor:
     """Maps a function over shards: serially, on threads, or on processes.
 
-    The executor is the parallelism seam of the sharded path: the fused
-    totals build (:meth:`ShardedMembershipIndex.build_totals`) hands it
-    one work item per shard, and that full-shard streaming pass is its
-    only caller — shard-major batches visit their few shards in the
-    calling thread. Three modes, validated at construction:
+    The executor is the parallelism seam of the sharded path: the
+    streaming bitmap build (:meth:`ShardedMembershipIndex.build_totals`)
+    hands it one work item per shard, and that full-shard pass is its
+    only caller — set queries read bitmaps and touch no chunk. Three
+    modes, validated at construction:
 
     * ``"serial"`` (default) — runs in the calling thread; exact answers
       need no concurrency.
     * ``"threads"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
-      pays off when chunk loading is IO-bound or mask evaluation
-      dominates (NumPy releases the GIL for large chunks).
+      pays off when chunk loading is IO-bound or packing dominates
+      (NumPy releases the GIL for large chunks). Chunks still become
+      resident in shard order, so residency and its counters are those
+      of a serial pass.
     * ``"processes"`` — a :class:`~concurrent.futures.\
 ProcessPoolExecutor` running the picklable kernels of
       :mod:`repro.data.kernels`; sidesteps the GIL entirely. Work items
@@ -322,7 +320,7 @@ LabeledDataset` — equivalence tests and small jobs),
     ``executor`` selects how the shared membership index
     (:meth:`ShardedMembershipIndex.for_dataset`, and through it every
     oracle/session/service over this dataset) parallelizes its fused
-    totals builds; the default is serial.
+    bitmap builds; the default is serial.
 
     The class mirrors the read-only surface oracles need
     (``schema`` / ``__len__`` / ``value_row``) so
@@ -401,7 +399,6 @@ LabeledDataset` — equivalence tests and small jobs),
         self.stats = ShardStats()
         self._chunks: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hold_slots: threading.BoundedSemaphore | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -551,19 +548,6 @@ LabeledDataset` — equivalence tests and small jobs),
         return self._n_objects
 
     @property
-    def hold_slots(self) -> threading.BoundedSemaphore:
-        """Bounds how many chunks shard-parallel workers may *hold* (load
-        + compute over) at once, so the worst-case footprint stays at
-        twice the residency cap that ``memory_report`` budgets for.
-        Created on first use, so an unqueried dataset costs nothing."""
-        with self._lock:
-            if self._hold_slots is None:
-                self._hold_slots = threading.BoundedSemaphore(
-                    self.max_resident_shards
-                )
-            return self._hold_slots
-
-    @property
     def n_objects(self) -> int:
         """Dataset size ``N`` (rows across all shards)."""
         return self._n_objects
@@ -597,6 +581,16 @@ LabeledDataset` — equivalence tests and small jobs),
             if cached is not None:
                 self._chunks.move_to_end(shard_index)
                 return cached
+        return self._admit(shard_index, self._load(shard_index))
+
+    def _peek(self, shard_index: int) -> np.ndarray | None:
+        """The shard's resident chunk, or ``None``, leaving the LRU order
+        as it is."""
+        with self._lock:
+            return self._chunks.get(shard_index)
+
+    def _load(self, shard_index: int) -> np.ndarray:
+        """Materialize and check one chunk without making it resident."""
         start, stop = self.shard_bounds(shard_index)
         chunk = np.asarray(self._loader(shard_index, start, stop), dtype=np.int16)
         if chunk.ndim != 2 or chunk.shape != (stop - start, self.schema.n_attributes):
@@ -614,14 +608,23 @@ LabeledDataset` — equivalence tests and small jobs),
                         f"{attribute.name!r} outside [0, {attribute.cardinality})"
                     )
         chunk.setflags(write=False)
+        return chunk
+
+    def _admit(self, shard_index: int, chunk: np.ndarray) -> np.ndarray:
+        """Make ``chunk`` the shard's resident chunk, most recently used,
+        evicting least recently used shards past the cap, and return the
+        resident chunk. A shard whose chunk is already resident is only
+        touched; if that chunk is another thread's, this one lost a load
+        race and counts in ``raced_loads``. A chunk in hand that was
+        evicted meanwhile becomes resident again and counts as the
+        reload it replaces."""
         with self._lock:
-            raced = self._chunks.get(shard_index)
-            if raced is not None:
-                # Another thread loaded it first. This thread's chunk is
-                # dropped, never resident, so it counts apart from loads.
-                self.stats.raced_loads += 1
+            resident = self._chunks.get(shard_index)
+            if resident is not None:
+                if resident is not chunk:
+                    self.stats.raced_loads += 1
                 self._chunks.move_to_end(shard_index)
-                return raced
+                return resident
             self.stats.loads += 1
             self._chunks[shard_index] = chunk
             self.stats.resident_bytes += chunk.nbytes
@@ -638,23 +641,6 @@ LabeledDataset` — equivalence tests and small jobs),
                 self.stats.peak_resident_bytes, self.stats.resident_bytes
             )
         return chunk
-
-    def resident_order(self) -> list[int]:
-        """Indices of the resident shards, most recently used first: the
-        order a shard-major batch visits them in, so it uses every chunk
-        already in hand before a load evicts one.
-
-        >>> import numpy as np
-        >>> from repro.data.synthetic import binary_dataset
-        >>> ds = ShardedDataset.from_dataset(
-        ...     binary_dataset(100, 5, rng=np.random.default_rng(0)),
-        ...     shard_size=25, max_resident_shards=2)
-        >>> _ = [ds.chunk(s) for s in (0, 1, 2)]
-        >>> ds.resident_order()
-        [2, 1]
-        """
-        with self._lock:
-            return list(reversed(self._chunks))
 
     # ------------------------------------------------------------------
     # row access (the oracle surface)
@@ -690,87 +676,41 @@ LabeledDataset` — equivalence tests and small jobs),
 
 
 @dataclass
-class _PrefixCache:
-    """Entry-capped store of prefix tables (internal).
+class _BitmapCache:
+    """Byte-capped LRU of the index's bitmaps (internal; callers hold the
+    index lock).
 
-    Two tiers sharing one ``max_entries`` budget (the unit is one
-    shard-sized ``int32`` table of at most ``4·(shard_size+1)`` bytes,
-    so the byte footprint is bounded by ``max_entries`` times that plus
-    a two-entry LRU floor — the ``prefix_cap`` term of
-    :meth:`ShardedMembershipIndex.memory_report`):
+    Entries are value bitmaps, keyed by their ``(attribute, value)``
+    condition, and rank directories, keyed by their predicate. Inserting
+    evicts least recently used entries until the cache fits
+    ``max_bytes`` again: an entry larger than the whole budget goes last,
+    evicted at once. The batch that built it still holds it, so a budget
+    smaller than one bitmap costs a rebuild per batch, never an answer."""
 
-    * ``pinned`` — whole-predicate **global** prefix tables (length
-      ``N + 1``, global cumulative counts) assembled by the fused build
-      when the predicate's full ``n_shards`` tables fit the remaining
-      budget. A pinned predicate charges ``n_shards`` entries — the same
-      bytes as its per-shard tables — and answers *every* run, scatter,
-      and point query with one lookup, read lock-free on the hot
-      path (the dict is only ever grown, under the index lock).
-    * ``entries`` — the on-demand per-(predicate, shard) LRU for
-      boundary shards of predicates too large to pin. Eviction triggers
-      on total entry count (pinned cost + LRU), but the LRU always
-      keeps a floor of two live entries — a run touches at most two
-      boundary shards, so the floor stops fully-pinned budgets from
-      starving unpinned predicates into a rebuild per query. Byte
-      counters are tracked for reporting, not for eviction."""
-
-    max_entries: int
-    pinned: "dict[GroupPredicate, np.ndarray]" = field(default_factory=dict)
-    pinned_entry_cost: int = 0
-    entries: "OrderedDict[tuple[GroupPredicate, int], np.ndarray]" = field(
-        default_factory=OrderedDict
-    )
+    max_bytes: int
+    entries: "OrderedDict[object, np.ndarray]" = field(default_factory=OrderedDict)
     resident_bytes: int = 0
     peak_resident_bytes: int = 0
-    builds: int = 0
+    bitmap_builds: int = 0
+    rank_builds: int = 0
     evictions: int = 0
 
-    def get(self, key) -> np.ndarray | None:
+    def get(self, key: object) -> np.ndarray | None:
         cached = self.entries.get(key)
         if cached is not None:
             self.entries.move_to_end(key)
         return cached
 
-    def can_pin(self, n_entries: int) -> bool:
-        """Whether ``n_entries`` more shard-table-equivalents of pinned
-        budget are available."""
-        return self.pinned_entry_cost + n_entries <= self.max_entries
-
-    def pin(self, predicate, global_prefix: np.ndarray, cost: int) -> None:
-        """Pin one predicate's global table (caller checked
-        :meth:`can_pin` with the same ``cost``)."""
-        if predicate in self.pinned:
-            return
-        self.builds += 1
-        self.pinned[predicate] = global_prefix
-        self.pinned_entry_cost += cost
-        self.resident_bytes += global_prefix.nbytes
-        self._shrink()
-
-    def put(self, key, prefix: np.ndarray) -> None:
+    def put(self, key: object, array: np.ndarray) -> None:
         if key in self.entries:
             return
-        self.builds += 1
-        self.entries[key] = prefix
-        self.resident_bytes += prefix.nbytes
-        self._shrink()
-
-    def _shrink(self) -> None:
-        # The LRU keeps a small floor of entries even when pinned tables
-        # consume the whole budget: a run has at most two boundary
-        # shards, so two live slots are what stops an unpinned
-        # predicate's boundary queries from rebuilding (chunk load +
-        # mask + cumsum) on every call. The floor is accounted for in
-        # ``memory_report``'s ``prefix_cap`` term.
-        floor = min(2, self.max_entries)
-        keep = max(self.max_entries - self.pinned_entry_cost, floor)
-        while len(self.entries) > keep:
+        self.entries[key] = array
+        self.resident_bytes += array.nbytes
+        while self.resident_bytes > self.max_bytes:
             _, evicted = self.entries.popitem(last=False)
             self.evictions += 1
             self.resident_bytes -= evicted.nbytes
-        self.peak_resident_bytes = max(
-            self.peak_resident_bytes, self.resident_bytes
-        )
+        self.peak_resident_bytes = max(self.peak_resident_bytes, self.resident_bytes)
 
 
 class ShardedMembershipIndex:
@@ -781,30 +721,31 @@ class ShardedMembershipIndex:
     :meth:`member_mask`, :meth:`value_rows` — is what every simulated
     oracle, platform, session, and service answers from, whether the
     dataset is in RAM (one shard, see :meth:`for_dataset`) or out of
-    core. Internally a query splits at shard boundaries: interior shards
-    answer from the cross-shard totals (built by one fused streaming
-    pass per *set* of predicates — each chunk is touched once however
-    many predicates need totals), boundary shards from their local
-    prefix tables (pinned by the fused build when they fit the cache
-    budget, else built on demand and LRU-capped), and the partial counts
-    merge. Shard-aligned runs never load a chunk at all. Set queries
-    arrive keyed by :class:`~repro.engine.requests.IndexKey`, so the
-    index never re-detects a query's shape: run keys answer from
-    prefixes, scattered keys gather over their zero-copy index view.
+    core. Set queries answer from packed bitmaps: one ``uint64`` bitmap
+    per ``(attribute, value)`` a predicate reads, built by one streaming
+    pass per batch of new values (each chunk touched once however many
+    values it packs), combined word-wise into the predicate's words
+    (:func:`~repro.data.kernels.predicate_words`). A scattered key is a
+    gathered bit test; a run key counts with the predicate's rank
+    directory and one masked popcount per end, whatever shards it
+    crosses. Neither loads a chunk once the bitmaps are built. Set
+    queries arrive keyed by :class:`~repro.engine.requests.IndexKey`,
+    so the index never re-detects a query's shape.
 
     Parameters
     ----------
     dataset:
         The :class:`ShardedDataset` to answer over.
     executor:
-        The :class:`ShardExecutor` for fused totals builds (batch
-        visits run in the calling thread); defaults to the dataset's
-        executor, else serial (answers are identical in every mode). A
-        ``processes`` executor requires the dataset to carry a picklable
-        :class:`~repro.data.kernels.ChunkSource`.
+        The :class:`ShardExecutor` for streaming bitmap builds; defaults
+        to the dataset's executor, else serial (answers are identical in
+        every mode). A ``processes`` executor requires the dataset to
+        carry a picklable :class:`~repro.data.kernels.ChunkSource`.
     max_cached_prefixes:
-        Entry budget shared by pinned and LRU prefix tables (each ≤
-        ``4·(shard_size+1)`` bytes). Defaults to the dataset's
+        The bitmap budget, in units of one shard's ``int32`` prefix
+        table: ``max_cached_prefixes × 4·(shard_size + 1)`` bytes of
+        value bitmaps and rank directories, evicted whole, least
+        recently used first. Defaults to the dataset's
         ``max_resident_shards``.
 
     Examples
@@ -845,14 +786,14 @@ class ShardedMembershipIndex:
                 )
         self.dataset = dataset
         self.executor = executor if executor is not None else ShardExecutor()
-        self._totals: dict[GroupPredicate, np.ndarray] = {}
-        self._prefixes = _PrefixCache(
-            max_entries=(
-                max_cached_prefixes
-                if max_cached_prefixes is not None
-                else dataset.max_resident_shards
-            )
+        entries = (
+            max_cached_prefixes
+            if max_cached_prefixes is not None
+            else dataset.max_resident_shards
         )
+        self._bitmaps = _BitmapCache(max_bytes=entries * 4 * (dataset.shard_size + 1))
+        #: validated predicates -> the conditions their bitmaps combine
+        self._conditions: dict[GroupPredicate, tuple[Condition, ...]] = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -861,14 +802,13 @@ class ShardedMembershipIndex:
     ) -> "ShardedMembershipIndex":
         """The shared index of one dataset (created on first use and
         memoized on the dataset), so every oracle, platform, and session
-        over it shares totals and prefix tables.
+        over it shares its bitmaps.
 
         A :class:`ShardedDataset` is indexed as it is, and the index
         inherits its executor. An in-RAM
         :class:`~repro.data.dataset.LabeledDataset` is one shard whose
         chunk is a read-only view of its code matrix (no copy), under a
-        budget that pins every predicate, so no table is ever evicted
-        and rebuilt.
+        budget that never evicts, so no bitmap is ever built twice.
 
         Examples
         --------
@@ -905,16 +845,15 @@ class ShardedMembershipIndex:
         return len(self.dataset)
 
     # ------------------------------------------------------------------
-    # the sharded substrate
+    # the bitmap substrate
     # ------------------------------------------------------------------
     def build_totals(self, predicates: Sequence[GroupPredicate]) -> None:
-        """Build cross-shard totals for every listed predicate that
-        lacks them, in **one** fused streaming pass: each chunk is
-        materialized once (shard-parallel through the executor) and
-        every missing predicate's mask, member count, and local prefix
-        table come off that single touch. When the missing predicates'
-        table sets fit the prefix budget the tables are pinned, so later
-        queries answer lock-free without ever reloading a chunk.
+        """Build the value bitmaps and rank directories of every listed
+        predicate that lacks them. The missing values are packed in
+        **one** streaming pass: each chunk is materialized once
+        (shard-parallel through the executor) however many values it
+        packs, and the rank directories follow from the bitmaps without
+        touching a chunk.
 
         Examples
         --------
@@ -926,158 +865,137 @@ class ShardedMembershipIndex:
         ...     binary_dataset(100, 5, rng=np.random.default_rng(0)), shard_size=25)
         >>> index = ShardedMembershipIndex(ds)
         >>> index.build_totals([group(gender="female"), group(gender="male")])
-        >>> ds.stats.loads  # four shards, one fused pass for BOTH predicates
+        >>> ds.stats.loads  # four shards, one pass for BOTH predicates
         4
         """
-        missing: list[GroupPredicate] = []
-        for predicate in predicates:
-            if predicate not in self._totals and predicate not in missing:
-                missing.append(predicate)
-        if not missing:
-            return
-        schema = self.dataset.schema
-        for predicate in missing:
-            predicate.validate(schema)
-        n_shards = self.dataset.n_shards
-        # Ship tables back only when they can all be pinned: otherwise
-        # most would be evicted on arrival (and, under a process pool,
-        # pickled across the boundary for nothing).
-        with self._lock:
-            want_tables = self._can_pin(len(missing))
+        self._held(predicates, predicates)
 
+    def _conditions_of(self, predicate: GroupPredicate) -> tuple[Condition, ...]:
+        """The conditions ``predicate`` reads, validating it against the
+        schema on its first touch."""
+        conditions = self._conditions.get(predicate)
+        if conditions is None:
+            predicate.validate(self.dataset.schema)
+            conditions = predicate_conditions(predicate)
+            with self._lock:
+                self._conditions[predicate] = conditions
+        return conditions
+
+    def _held(
+        self,
+        predicates: Sequence[GroupPredicate],
+        ranked: Sequence[GroupPredicate] = (),
+    ) -> tuple[dict[Condition, np.ndarray], dict[GroupPredicate, np.ndarray]]:
+        """The value bitmaps of every condition ``predicates`` read and
+        the rank directories of ``ranked``, built as needed. The caller
+        holds them for its batch, whatever the budget evicts meanwhile."""
+        conditions = dict.fromkeys(c for p in predicates for c in self._conditions_of(p))
+        cache = self._bitmaps
+        with self._lock:
+            bitmaps = {c: w for c in conditions if (w := cache.get(c)) is not None}
+            ranks = {p: d for p in ranked if (d := cache.get(p)) is not None}
+        if len(bitmaps) < len(conditions):
+            built = self._stream([c for c in conditions if c not in bitmaps])
+            with self._lock:
+                for condition, words in built.items():
+                    cache.bitmap_builds += 1
+                    cache.put(condition, words)
+            bitmaps.update(built)
+        for predicate in ranked:
+            if predicate not in ranks:
+                ranks[predicate] = rank_directory(predicate_words(predicate, bitmaps, len(self)))
+                with self._lock:
+                    cache.rank_builds += 1
+                    cache.put(predicate, ranks[predicate])
+        return bitmaps, ranks
+
+    def _stream(self, conditions: Sequence[Condition]) -> dict[Condition, np.ndarray]:
+        """Value bitmaps of ``conditions``, packed in one pass over every
+        shard (:func:`~repro.data.kernels.pack_columns`)."""
+        dataset = self.dataset
+        schema = dataset.schema
+        columns = [
+            (schema.index_of(name), schema.attribute(name).code_of(value))
+            for name, value in conditions
+        ]
+        bitmaps = [np.zeros(n_words(len(dataset)), dtype=WORD) for _ in columns]
+
+        def merge(shard_index: int, pieces: list[np.ndarray]) -> None:
+            offset = shard_index * dataset.shard_size >> 6
+            for bitmap, piece in zip(bitmaps, pieces):
+                bitmap[offset : offset + len(piece)] |= piece
+
+        def pack(item: tuple[int, np.ndarray | None]) -> tuple[np.ndarray, list[np.ndarray]]:
+            shard_index, chunk = item
+            if chunk is None:
+                chunk = dataset._load(shard_index)
+            return chunk, pack_columns(chunk, shard_index * dataset.shard_size, columns)
+
+        n_shards = dataset.n_shards
         if self.executor.uses_processes and n_shards > 1:
-            source = self.dataset.chunk_source
             tasks = [
-                (source, schema, s, *self.dataset.shard_bounds(s),
-                 tuple(missing), want_tables)
+                (dataset.chunk_source, s, *dataset.shard_bounds(s), columns)
                 for s in range(n_shards)
             ]
-            results = self.executor.map(_run_fused_task, tasks)
+            for shard_index, pieces in enumerate(self.executor.map(_run_fused_task, tasks)):
+                merge(shard_index, pieces)
         else:
-            def build_shard(shard_index: int):
-                # The hold slot bounds how many chunks threaded workers
-                # keep alive at once (load + mask evaluation) to the
-                # residency cap.
-                with self.dataset.hold_slots:
-                    chunk = self.dataset.chunk(shard_index)
-                    tables = fused_prefix_tables(schema, chunk, missing)
-                counts = [int(table[-1]) for table in tables]
-                return counts, (tables if want_tables else None)
+            # Workers load and pack a window of shards at a time, and this
+            # thread admits their chunks in shard order: the LRU and its
+            # counters end as a serial pass leaves them, whatever order
+            # the workers finish in, and no more than the residency cap
+            # of chunks is held outside the LRU.
+            window = max(1, min(dataset.max_resident_shards, self.executor.effective_workers))
+            for first in range(0, n_shards, window):
+                items = [(s, dataset._peek(s)) for s in range(first, min(first + window, n_shards))]
+                for (shard_index, _), (chunk, pieces) in zip(items, self.executor.map(pack, items)):
+                    dataset._admit(shard_index, chunk)
+                    merge(shard_index, pieces)
+        for bitmap in bitmaps:
+            bitmap.setflags(write=False)
+        return dict(zip(conditions, bitmaps))
 
-            results = self.executor.map(build_shard, range(n_shards))
+    def _rank(
+        self,
+        predicate: GroupPredicate,
+        bitmaps: dict[Condition, np.ndarray],
+        directory: np.ndarray,
+        ends,
+    ):
+        """Members of ``predicate`` among objects ``[0, end)`` for each of
+        ``ends`` (an ``int64`` array, or one ``int`` with no array
+        allocated)."""
+        return rank(directory, predicate_words(predicate, bitmaps, len(self), ends >> 6), ends)
 
-        counts = np.zeros((len(missing), n_shards), dtype=np.int64)
-        for shard_index, (shard_counts, _) in enumerate(results):
-            counts[:, shard_index] = shard_counts
-        with self._lock:
-            for row, predicate in enumerate(missing):
-                totals = np.zeros(n_shards + 1, dtype=np.int64)
-                np.cumsum(counts[row], out=totals[1:])
-                totals.setflags(write=False)
-                # A racing build produced identical content; keep the first.
-                self._totals.setdefault(predicate, totals)
-            tables_present = want_tables and n_shards > 0 and all(
-                tables is not None for _, tables in results
-            )
-            if tables_present:
-                for row, predicate in enumerate(missing):
-                    if predicate in self._prefixes.pinned:
-                        continue
-                    if not self._prefixes.can_pin(n_shards):
-                        break
-                    # Splice the per-shard tables into ONE global prefix
-                    # table (prefix[i] = members among rows [0, i)), at
-                    # the exact bytes the per-shard tables would have
-                    # cost, so every later query on this predicate is a
-                    # lookup in one array.
-                    totals = self._totals[predicate]
-                    global_prefix = np.empty(
-                        len(self.dataset) + 1, dtype=np.int32
-                    )
-                    global_prefix[0] = 0
-                    for shard_index in range(n_shards):
-                        start, stop = self.dataset.shard_bounds(shard_index)
-                        np.add(
-                            results[shard_index][1][row][1:],
-                            int(totals[shard_index]),
-                            out=global_prefix[start + 1 : stop + 1],
-                        )
-                    global_prefix.setflags(write=False)
-                    self._prefixes.pin(predicate, global_prefix, n_shards)
-
-    def _can_pin(self, n_predicates: int) -> bool:
-        """Whether the prefix budget can pin ``n_predicates`` more
-        predicates (callers hold the index lock). Pinned global tables
-        are int32 (counts are bounded by N), so pinning is only
-        well-defined below the int32 ceiling — far beyond any dataset
-        the sharded tier targets."""
-        return len(self.dataset) < 2**31 - 1 and self._prefixes.can_pin(
-            n_predicates * self.dataset.n_shards
-        )
-
-    def _pin_on_first_touch(self, predicate: GroupPredicate) -> np.ndarray | None:
-        """Pin a predicate no query has touched yet, when the budget can.
-
-        Run queries pin through their totals build; this gives scattered
-        and point queries the same first touch, so every later query on
-        the predicate, whatever its shape, is one lookup. Returns the
-        pinned global table, or ``None`` when the predicate was touched
-        before or the budget cannot pin it — then the caller gathers
-        shard-major."""
-        if predicate in self._totals:
-            return None
-        with self._lock:
-            pinnable = self._can_pin(1)
-        if not pinnable:
-            return None
-        self.build_totals((predicate,))
-        return self._prefixes.pinned.get(predicate)
+    def _bits(
+        self, predicate: GroupPredicate, bitmaps: dict[Condition, np.ndarray], indices: np.ndarray
+    ) -> np.ndarray:
+        """Membership of each of ``indices``: one gathered bit test."""
+        words = predicate_words(predicate, bitmaps, len(self), indices >> 6)
+        return (words & BIT[indices & 63]) != 0
 
     def shard_totals(self, predicate: GroupPredicate) -> np.ndarray:
         """Cumulative member counts at shard boundaries: ``totals[s]`` =
-        members among shards ``[0, s)`` (length ``n_shards + 1``),
-        building through :meth:`build_totals` on first use; afterwards
-        any shard-aligned range is answered in O(1) from this table
-        alone."""
-        cached = self._totals.get(predicate)
-        if cached is not None:
-            return cached
-        self.build_totals((predicate,))
-        return self._totals[predicate]
+        members among shards ``[0, s)`` (length ``n_shards + 1``), read
+        off the predicate's rank directory (built on first use).
 
-    def _shard_prefix(
-        self,
-        predicate: GroupPredicate,
-        shard_index: int,
-        chunk: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The shard's local prefix-count table (length ``rows + 1``):
-        sliced out of a pinned global table when one exists, otherwise
-        built on demand (from ``chunk`` when the caller holds the shard's
-        chunk already) and cached LRU."""
-        pinned = self._prefixes.pinned.get(predicate)
-        if pinned is not None:
-            start, stop = self.dataset.shard_bounds(shard_index)
-            return pinned[start : stop + 1] - pinned[start]
-        key = (predicate, shard_index)
-        with self._lock:
-            cached = self._prefixes.get(key)
-        if cached is not None:
-            return cached
-        if chunk is None:
-            chunk = self.dataset.chunk(shard_index)
-        prefix = fused_prefix_tables(self.dataset.schema, chunk, (predicate,))[0]
-        with self._lock:
-            raced = self._prefixes.get(key)
-            if raced is not None:
-                return raced
-            self._prefixes.put(key, prefix)
-        return prefix
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> index = ShardedMembershipIndex(ShardedDataset.from_dataset(
+        ...     binary_dataset(10, 3, placement="front"), 4))
+        >>> index.shard_totals(group(gender="female")).tolist()
+        [0, 3, 3, 3]
+        """
+        bitmaps, ranks = self._held((predicate,), (predicate,))
+        ends = np.arange(self.dataset.n_shards + 1, dtype=np.int64) * self.dataset.shard_size
+        ends = np.minimum(ends, len(self))
+        return self._rank(predicate, bitmaps, ranks[predicate], ends).astype(np.int64)
 
     def _check_run(self, start: int, stop: int) -> None:
         """Same contract as value_rows: a non-empty run outside the
-        dataset raises instead of silently clamping (a pinned prefix
-        table would overrun, or wrap on a negative start, on the same
+        dataset raises instead of silently clamping (a rank lookup
+        would overrun, or wrap on a negative start, on the same
         input)."""
         if start < 0 or stop > len(self.dataset):
             raise OracleError(
@@ -1085,110 +1003,18 @@ class ShardedMembershipIndex:
                 f"[0, {len(self.dataset)})"
             )
 
-    def _count_run(
-        self,
-        predicate: GroupPredicate,
-        start: int,
-        stop: int,
-        totals: np.ndarray | None = None,
-        tables: dict | None = None,
-    ) -> int:
+    def _count_run(self, predicate: GroupPredicate, start: int, stop: int) -> int:
         """Exact member count over the contiguous run ``[start, stop)``:
-        totals for whole shards, local prefixes for the (at most two)
-        partially covered boundary shards. ``totals`` lets batched
-        callers hoist the per-predicate lookup out of their per-run
-        loop; ``tables`` maps ``(predicate, shard)`` to boundary tables a
-        batch already holds."""
+        two scalar rank lookups, whatever shards the run crosses."""
         if stop <= start:
             return 0
         if start < 0 or stop > len(self.dataset):
             self._check_run(start, stop)
-        pinned = self._prefixes.pinned.get(predicate)
-        if pinned is not None:
-            return int(pinned[stop] - pinned[start])
-
-        def prefix(shard_index: int) -> np.ndarray:
-            held = tables.get((predicate, shard_index)) if tables else None
-            return held if held is not None else self._shard_prefix(predicate, shard_index)
-
-        size = self.dataset.shard_size
-        first = start // size
-        last = (stop - 1) // size
-        if totals is None:
-            totals = self.shard_totals(predicate)
-        count = int(totals[last + 1] - totals[first])
-        first_base = first * size
-        if start > first_base:
-            count -= int(prefix(first)[start - first_base])
-        last_base = last * size
-        _, last_stop = self.dataset.shard_bounds(last)
-        if stop < last_stop:
-            in_last = int(totals[last + 1] - totals[last])
-            count -= in_last - int(prefix(last)[stop - last_base])
-        return count
-
-    def _shard_major(
-        self,
-        gathers: Sequence[tuple[GroupPredicate, np.ndarray]],
-        boundaries: Sequence[tuple[GroupPredicate, int]] = (),
-    ) -> tuple[list[np.ndarray], dict]:
-        """Per-index membership of each ``(predicate, indices)`` gather
-        (indices non-empty and range-checked), plus the local prefix
-        table of each ``(predicate, shard)`` in ``boundaries``, visiting
-        every shard they touch once.
-
-        A gather whose predicate is pinned (or pins on this first touch)
-        answers from its global table without touching a chunk. The rest
-        group by owning shard across all predicates, and each touched
-        shard is visited once — resident shards first, most recently
-        used first, so no chunk in hand is evicted before its turn. A
-        visit builds the shard's missing boundary tables and runs
-        :func:`~repro.data.kernels.gather_hits` over all of its gathered
-        rows: no prefix table is built for a scattered key. Visits run
-        in the calling thread in every executor mode, so a batch holds
-        one chunk at a time and caches its tables in this process; the
-        executor serves only :meth:`build_totals`' full streaming pass."""
-        schema = self.dataset.schema
-        size = self.dataset.shard_size
-        hits: list[np.ndarray] = []
-        # shard -> [(hits of the gather, its positions there, predicate, local rows)]
-        work: dict[int, list] = {}
-        for predicate, indices in gathers:
-            pinned = self._prefixes.pinned.get(predicate)
-            if pinned is None:
-                pinned = self._pin_on_first_touch(predicate)
-            if pinned is not None:
-                hits.append(pinned[indices + 1] > pinned[indices])
-                continue
-            predicate.validate(schema)
-            out = np.empty(len(indices), dtype=bool)
-            hits.append(out)
-            shards = indices // size
-            order = np.argsort(shards, kind="stable")
-            cuts = np.flatnonzero(np.diff(shards[order])) + 1
-            for rows in np.split(order, cuts):
-                shard_index = int(shards[rows[0]])
-                work.setdefault(shard_index, []).append(
-                    (out, rows, predicate, indices[rows] - shard_index * size)
-                )
-        needed: dict[int, list[GroupPredicate]] = {}
-        for predicate, shard_index in boundaries:
-            needed.setdefault(shard_index, []).append(predicate)
-        tables: dict = {}
-        touched = work.keys() | needed.keys()
-        resident = [s for s in self.dataset.resident_order() if s in touched]
-        order = resident + sorted(touched.difference(resident))
-        for shard_index in order:
-            chunk = self.dataset.chunk(shard_index)
-            for predicate in needed.get(shard_index, ()):
-                tables[predicate, shard_index] = self._shard_prefix(
-                    predicate, shard_index, chunk
-                )
-            entries = work.get(shard_index, ())
-            bits = gather_hits(schema, chunk, [(p, local) for _, _, p, local in entries])
-            for (out, rows, _, _), shard_hits in zip(entries, bits):
-                out[rows] = shard_hits
-        return hits, tables
+        bitmaps, ranks = self._held((predicate,), (predicate,))
+        directory = ranks[predicate]
+        return int(self._rank(predicate, bitmaps, directory, stop)) - int(
+            self._rank(predicate, bitmaps, directory, start)
+        )
 
     # ------------------------------------------------------------------
     # the query surface
@@ -1227,31 +1053,28 @@ class ShardedMembershipIndex:
         return bool(self.member_mask(predicate, key.to_array()).any())
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
-        """Ground-truth membership of a single object."""
-        return bool(self.member_mask(predicate, np.asarray([int(index)], dtype=np.int64))[0])
+        """Ground-truth membership of a single object: one bit test, no
+        array allocated."""
+        index = int(index)
+        if not 0 <= index < len(self.dataset):
+            raise OracleError(f"object index {index} out of range [0, {len(self.dataset)})")
+        bitmaps, _ = self._held((predicate,))
+        words = predicate_words(predicate, bitmaps, len(self), index >> 6)
+        return bool(words & BIT[index & 63])
 
     def member_mask(self, predicate: GroupPredicate, indices: np.ndarray) -> np.ndarray:
         """Ground-truth membership of each of the (non-empty, ``int64``)
-        ``indices``: one lookup of a pinned table, else one shard-major
-        gather."""
+        ``indices``: one gathered bit test."""
         _check_object_indices(indices, len(self.dataset))
-        pinned = self._prefixes.pinned.get(predicate)
-        if pinned is not None:
-            return pinned[indices + 1] > pinned[indices]
-        return self._shard_major(((predicate, indices),))[0][0]
+        bitmaps, _ = self._held((predicate,))
+        return self._bits(predicate, bitmaps, indices)
 
     def any_match_runs(
         self, predicate: GroupPredicate, starts: np.ndarray, stops: np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`any_match` over the runs ``[starts[i],
-        stops[i])`` of one predicate; empty runs answer ``False``.
-
-        A pinned predicate answers every run with one fancy-indexed
-        compare of its global table. Otherwise each run end counts the
-        members before it from the totals, plus its shard's prefix table
-        when it falls inside a shard; those boundary tables are held for
-        the call, and the missing ones are built in one shard-major
-        pass.
+        stops[i])`` of one predicate; empty runs answer ``False``. Every
+        end is one rank lookup, gathered in one pass.
 
         >>> import numpy as np
         >>> from repro.data.groups import group
@@ -1263,34 +1086,14 @@ class ShardedMembershipIndex:
         """
         starts = np.asarray(starts, dtype=np.int64).reshape(-1)
         stops = np.asarray(stops, dtype=np.int64).reshape(-1)
-        n_objects = len(self.dataset)
         live = stops > starts
-        outside = np.flatnonzero(live & ((starts < 0) | (stops > n_objects)))
+        outside = np.flatnonzero(live & ((starts < 0) | (stops > len(self.dataset))))
         if len(outside):
             self._check_run(int(starts[outside[0]]), int(stops[outside[0]]))
         # Empty runs count nothing: both of their ends read position 0.
         ends = np.concatenate([np.where(live, starts, 0), np.where(live, stops, 0)])
-        totals = self.shard_totals(predicate)
-        pinned = self._prefixes.pinned.get(predicate)
-        if pinned is not None:
-            before = pinned[ends]
-        else:
-            size = self.dataset.shard_size
-            shards = np.where(ends < n_objects, ends // size, self.dataset.n_shards)
-            before = totals[shards]
-            inside = np.flatnonzero((ends % size != 0) & (ends < n_objects))
-            tables: dict = {}
-            with self._lock:
-                for shard_index in np.unique(shards[inside]).tolist():
-                    tables[predicate, shard_index] = self._prefixes.get(
-                        (predicate, shard_index)
-                    )
-            tables.update(
-                self._shard_major((), [key for key, table in tables.items() if table is None])[1]
-            )
-            for (_, shard_index), table in tables.items():
-                rows = inside[shards[inside] == shard_index]
-                before[rows] += table[ends[rows] - shard_index * size]
+        bitmaps, ranks = self._held((predicate,), (predicate,))
+        before = self._rank(predicate, bitmaps, ranks[predicate], ends)
         return live & (before[len(starts) :] > before[: len(starts)])
 
     def any_match_batch(
@@ -1298,68 +1101,42 @@ class ShardedMembershipIndex:
     ) -> list[bool]:
         """Answer many keyed set queries; empty keys answer ``False``.
 
-        Every key is range-checked before any work. Totals for every
-        predicate with a run key are built in one fused streaming pass;
-        then the scattered keys of each predicate concatenate into one
-        gather, and one shard-major pass (:meth:`_shard_major`) answers
-        every gather and builds every missing run boundary table,
-        touching each shard the batch needs once. Run keys split/merge
-        at shard boundaries; each gather reduces per query with one
-        segmented ``any``."""
+        Every key is range-checked before any work. One streaming pass
+        builds every value bitmap the batch lacks; then each predicate's
+        run keys answer with one gathered rank lookup of all their ends,
+        and its scattered keys concatenate into one gathered bit test,
+        reduced per query with one segmented ``any``."""
         answers = [False] * len(queries)
-        runs: list[tuple[int, GroupPredicate, int, int]] = []
+        runs: dict[GroupPredicate, list[tuple[int, int, int]]] = {}
         scattered: dict[GroupPredicate, list[int]] = {}
         for position, (key, predicate) in enumerate(queries):
             if key.payload is None:
                 if key.stop > key.start:
                     self._check_run(key.start, key.stop)
-                    runs.append((position, predicate, key.start, key.stop))
+                    runs.setdefault(predicate, []).append((position, key.start, key.stop))
             elif key.payload:
                 scattered.setdefault(predicate, []).append(position)
         gathers = []
-        splits = []
         for predicate, positions in scattered.items():
             arrays = [queries[position][0].to_array() for position in positions]
             indices = np.concatenate(arrays)
             _check_object_indices(indices, len(self.dataset))
-            gathers.append((predicate, indices))
-            splits.append(np.cumsum([0] + [len(a) for a in arrays[:-1]]))
-        # One chunk touch builds totals for every run predicate missing them.
-        self.build_totals(list(dict.fromkeys(predicate for _, predicate, _, _ in runs)))
-        pinned = self._prefixes.pinned
-        size, n_objects = self.dataset.shard_size, len(self.dataset)
-        held: list[tuple[int, GroupPredicate, int, int]] = []
-        tables: dict = {}
-        with self._lock:
-            for run in runs:
-                position, predicate, start, stop = run
-                table = pinned.get(predicate)
-                if table is not None:
-                    answers[position] = bool(table[stop] > table[start])
-                    continue
-                held.append(run)
-                # The partly covered first and last shards need their
-                # tables. Hold cached ones for the whole batch: the
-                # builds below may evict them from the LRU.
-                for shard_index, partial in (
-                    (start // size, start % size),
-                    ((stop - 1) // size, stop % size and stop < n_objects),
-                ):
-                    if partial and (predicate, shard_index) not in tables:
-                        tables[predicate, shard_index] = self._prefixes.get(
-                            (predicate, shard_index)
-                        )
-        missing = [key for key, table in tables.items() if table is None]
-        hits, built = self._shard_major(gathers, missing)
-        tables.update(built)
-        for position, predicate, start, stop in held:
-            totals = self._totals[predicate]
-            answers[position] = self._count_run(predicate, start, stop, totals, tables) > 0
-        for positions, starts, shard_hits in zip(scattered.values(), splits, hits):
+            gathers.append((indices, np.cumsum([0] + [len(a) for a in arrays[:-1]])))
+        bitmaps, ranks = self._held(list(dict.fromkeys([*runs, *scattered])), list(runs))
+        for predicate, items in runs.items():
+            positions, starts, stops = zip(*items)
+            before = self._rank(
+                predicate, bitmaps, ranks[predicate], np.array(starts + stops, dtype=np.int64)
+            )
+            hits = before[len(items) :] > before[: len(items)]
+            for position, hit in zip(positions, hits.tolist()):
+                answers[position] = hit
+        for (predicate, positions), (indices, splits) in zip(scattered.items(), gathers):
             # Per-query ``any`` over the concatenated gather (every
             # array is non-empty, as ``reduceat`` requires).
-            for position, hit in zip(positions, np.logical_or.reduceat(shard_hits, starts)):
-                answers[position] = bool(hit)
+            hits = np.logical_or.reduceat(self._bits(predicate, bitmaps, indices), splits)
+            for position, hit in zip(positions, hits.tolist()):
+                answers[position] = hit
         return answers
 
     # ------------------------------------------------------------------
@@ -1407,10 +1184,13 @@ class ShardedMembershipIndex:
     def memory_report(self) -> dict[str, int]:
         """Structural memory accounting of the sharded path.
 
-        ``peak_tracked_bytes`` (resident chunks + prefix tables + totals,
-        at their high-water marks) is what ``benchmarks/bench_shards.py``
-        compares against :func:`dense_index_bytes`; ``cap_bytes`` is the
-        configuration-implied ceiling it can never exceed. Under a
+        ``peak_tracked_bytes`` (resident chunks + cached bitmaps and rank
+        directories, at their high-water marks) is what
+        ``benchmarks/bench_shards.py`` compares against
+        :func:`dense_index_bytes`; ``cap_bytes`` is the
+        configuration-implied ceiling it can never exceed: twice the
+        resident chunks, the pool workers' chunks and the bitmap
+        budget. Under a
         ``processes`` executor each pool worker additionally holds at
         most one chunk at a time in its own address space — that bound
         is the ``worker_chunk_cap`` term of ``cap_bytes`` (it can never
@@ -1420,9 +1200,9 @@ class ShardedMembershipIndex:
         stats = self.dataset.stats
         row_bytes = 2 * self.dataset.schema.n_attributes
         chunk_bytes = self.dataset.shard_size * row_bytes
-        # LRU-resident chunks plus the chunks shard-parallel workers may
-        # hold outside the table (bounded by the dataset's hold_slots
-        # semaphore to the same count): worst case 2 × the residency cap.
+        # LRU-resident chunks plus the window of chunks a bitmap build
+        # holds before admitting them (at most the residency cap): worst
+        # case 2 × the residency cap.
         chunk_cap = 2 * self.dataset.max_resident_shards * chunk_bytes
         # Pool workers of a processes executor each materialize at most
         # one chunk at a time on their own side.
@@ -1431,39 +1211,26 @@ class ShardedMembershipIndex:
             if self.executor.uses_processes
             else 0
         )
-        # Prefix tables are int32 (4 bytes/entry); the +2 is the LRU's
-        # boundary-table floor, which survives even a fully-pinned
-        # budget (see _PrefixCache._shrink).
-        prefix_cap = (
-            (self._prefixes.max_entries + 2) * 4 * (self.dataset.shard_size + 1)
-        )
-        totals_bytes = sum(t.nbytes for t in self._totals.values())
+        cache = self._bitmaps
         return {
             "peak_chunk_bytes": stats.peak_resident_bytes,
-            "peak_prefix_bytes": self._prefixes.peak_resident_bytes,
-            "totals_bytes": totals_bytes,
-            "peak_tracked_bytes": (
-                stats.peak_resident_bytes
-                + self._prefixes.peak_resident_bytes
-                + totals_bytes
-            ),
+            "peak_bitmap_bytes": cache.peak_resident_bytes,
+            "peak_tracked_bytes": stats.peak_resident_bytes + cache.peak_resident_bytes,
             "worker_chunk_cap": worker_chunk_cap,
-            "cap_bytes": chunk_cap
-            + worker_chunk_cap
-            + prefix_cap
-            + (self.dataset.n_shards + 1) * 8 * max(len(self._totals), 1),
+            "cap_bytes": chunk_cap + worker_chunk_cap + cache.max_bytes,
             "chunk_loads": stats.loads,
             "chunk_evictions": stats.evictions,
-            "prefix_builds": self._prefixes.builds,
-            "prefix_evictions": self._prefixes.evictions,
-            "pinned_predicates": len(self._prefixes.pinned),
+            "bitmap_builds": cache.bitmap_builds,
+            "rank_builds": cache.rank_builds,
+            "bitmap_evictions": cache.evictions,
+            "indexed_predicates": len(self._conditions),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
         return (
             f"ShardedMembershipIndex({self.dataset.name!r}, "
             f"N={len(self.dataset)}, shards={self.dataset.n_shards}, "
-            f"indexed_predicates={len(self._totals)})"
+            f"indexed_predicates={len(self._conditions)})"
         )
 
 

@@ -175,10 +175,11 @@ class TestMembershipIndex:
             index.value_rows([len(dataset)])
 
 
-class TestPinning:
-    def test_scattered_first_touch_pins_so_a_later_run_does_not_rebuild(self, dataset):
-        """Whatever shape a predicate's first query has, a budget that
-        can pin it pins it then: the later run query reuses the table."""
+class TestBitmapBudget:
+    def test_first_touch_builds_the_bitmap_a_later_run_reuses(self, dataset):
+        """Whatever shape a predicate's first query has, it builds the
+        value bitmap once; a later run query reuses it and adds only a
+        rank directory, without loading a chunk."""
         one_shard = ShardedMembershipIndex(
             ShardedDataset.from_dataset(dataset, shard_size=len(dataset))
         )
@@ -186,37 +187,38 @@ class TestPinning:
             index.any_match(FEMALE, IndexKey.of(np.array([3, 400, 5])))
             index.any_match(FEMALE, IndexKey.of_run(10, 450))
             report = index.memory_report()
-            assert report["prefix_builds"] == 1
-            assert report["pinned_predicates"] == 1
+            assert report["bitmap_builds"] == 1
+            assert report["rank_builds"] == 1
+            assert report["bitmap_evictions"] == 0
+            assert report["chunk_loads"] == 1
 
-    def test_point_first_touch_pins_too(self, dataset):
+    def test_point_first_touch_builds_it_too(self, dataset):
         index = ShardedMembershipIndex(
             ShardedDataset.from_dataset(dataset, shard_size=len(dataset))
         )
         index.matches(FEMALE, 7)
         index.count(FEMALE, IndexKey.of_run(0, 300))
-        assert index.memory_report()["prefix_builds"] == 1
+        assert index.memory_report()["bitmap_builds"] == 1
 
-    def test_unpinnable_budget_keeps_the_per_shard_path(self, dataset):
-        """Five shards, a two-table budget: a scattered query only loads
-        the shards it touches and masks its gathered rows there, building
-        no prefix table."""
-        shards = ShardedDataset.from_dataset(
-            dataset, shard_size=100, max_resident_shards=2
-        )
+    def test_budget_below_one_bitmap_still_answers_exactly(self, dataset):
+        """Single-row shards and a two-table budget (16 bytes) cannot
+        keep a 64-byte bitmap: each query builds it in one pass, answers
+        from it and drops it."""
+        shards = ShardedDataset.from_dataset(dataset, shard_size=1, max_resident_shards=2)
         index = ShardedMembershipIndex(shards)
-        assert index.count(FEMALE, IndexKey.of(np.array([3, 450]))) == int(
-            dataset.mask(FEMALE)[[3, 450]].sum()
-        )
+        for indices in ([3, 450], [7, 8, 499]):
+            assert index.count(FEMALE, IndexKey.of(np.array(indices))) == int(
+                dataset.mask(FEMALE)[indices].sum()
+            )
         report = index.memory_report()
-        assert shards.stats.loads == 2
-        assert report["prefix_builds"] == 0
-        assert report["pinned_predicates"] == 0
+        assert shards.stats.loads == 2 * len(dataset)
+        assert report["bitmap_builds"] == report["bitmap_evictions"] == 2
+        assert report["peak_bitmap_bytes"] == 0
 
-    def test_intersectional_audit_pins_every_predicate_once(self, rng):
+    def test_intersectional_audit_builds_every_bitmap_once(self, rng):
         """Algorithm 3 over an in-RAM dataset touches more predicates than
-        the default resident budget of four: each is built exactly once
-        and pinned, and the per-shard LRU is never used."""
+        the default resident budget of four: each value bitmap is built
+        exactly once, in one chunk load, and nothing is ever evicted."""
         schema = Schema.from_dict({
             "gender": ["male", "female"],
             "race": ["white", "black", "asian", "other"],
@@ -232,11 +234,13 @@ class TestPinning:
             session.run(IntersectionalAuditSpec(schema=schema, tau=30))
         index = oracle.membership_index
         report = index.memory_report()
-        assert report["pinned_predicates"] > 4
-        assert report["prefix_builds"] == report["pinned_predicates"]
-        assert report["prefix_builds"] == len(index._totals)
-        assert report["prefix_evictions"] == 0
-        assert len(index._prefixes.entries) == 0
+        assert report["indexed_predicates"] > 4
+        assert report["bitmap_builds"] == len({
+            condition for predicate in index._conditions
+            for condition in index._conditions[predicate]
+        })
+        assert report["rank_builds"] <= report["indexed_predicates"]
+        assert report["bitmap_evictions"] == 0
         assert report["chunk_loads"] == 1 and report["chunk_evictions"] == 0
 
 

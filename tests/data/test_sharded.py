@@ -20,6 +20,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.audit import AuditSession, IntersectionalAuditSpec
+from repro.crowd.oracle import GroundTruthOracle
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
@@ -417,7 +419,10 @@ def test_shard_stats_exact_under_threaded_totals_build(dense):
     """``ShardStats`` counters stay exact when chunk loads race on the
     executor's thread pool: each shard of a totals build is touched by
     exactly one task, so ``loads`` must equal ``n_shards`` — a single
-    lost ``+= 1`` under contention breaks the equality."""
+    lost ``+= 1`` under contention breaks the equality. Chunks become
+    resident in shard order whatever order the workers finish in, so the
+    build leaves the last shards resident, and two threads-mode runs of
+    one audit record the counters of a serial run."""
     for _ in range(5):  # repeat: a torn increment is probabilistic
         with ShardExecutor(mode="threads", max_workers=8) as executor:
             ds = sharded_over(dense, 25, max_resident_shards=3)
@@ -429,6 +434,29 @@ def test_shard_stats_exact_under_threaded_totals_build(dense):
             assert stats.evictions == stats.loads - stats.resident_shards
             assert stats.peak_resident_shards <= ds.max_resident_shards
             assert stats.resident_bytes <= stats.peak_resident_bytes
+            assert [s for s in range(ds.n_shards) if ds._peek(s) is not None] == [37, 38, 39]
+
+    schema = Schema.from_dict({"gender": ["male", "female"], "race": ["white", "black"]})
+    joint = {
+        ("male", "white"): 700, ("female", "white"): 200,
+        ("male", "black"): 60, ("female", "black"): 40,
+    }
+    audited = intersectional_dataset(schema, joint, rng=np.random.default_rng(5))
+
+    def counters(mode: str) -> tuple[int, int]:
+        with ShardExecutor(mode=mode, max_workers=4) as executor:
+            ds = ShardedDataset.from_dataset(
+                audited, 60, executor=executor, max_resident_shards=2
+            )
+            oracle = GroundTruthOracle(ds)
+            with AuditSession(oracle, seed=3) as session:
+                session.run(IntersectionalAuditSpec(schema=schema, tau=30))
+            report = oracle.membership_index.memory_report()
+            return report["chunk_loads"], report["chunk_evictions"]
+
+    serial = counters("serial")
+    assert serial[0] > ds.n_shards  # point answers reload chunks after the build
+    assert counters("threads") == counters("threads") == serial
 
 
 def test_shard_stats_identity_under_contended_same_shard_loads(dense):
@@ -492,17 +520,16 @@ def test_raced_load_counts_apart_from_resident_loads(dense):
 
 
 # ----------------------------------------------------------------------
-# shard-major batches over an index that cannot pin
+# batches answer from bitmaps, in every executor mode
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
-def test_shard_major_batch_equals_dense_and_touches_each_shard_once(tmp_path, mode):
-    """Five shards, two resident, a two-table prefix budget: nothing pins,
-    so one batch mixing boundary-crossing runs, scattered keys over 3+
-    shards and empty keys of three predicates goes shard-major. Answers
-    equal the dense masks, and once totals are built the batch loads no
-    shard twice. Batch visits run in the calling thread in every mode:
-    after a pool build no chunk is resident here, so a ``processes``
-    batch loads each shard it touches here exactly once."""
+def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, mode):
+    """Five shards, two resident, a two-table budget (808 bytes, room
+    for every 64-byte bitmap here): one batch mixing boundary-crossing
+    runs, scattered keys over 3+ shards and empty keys of three
+    predicates equals the dense masks, and once the streaming build has
+    run it loads no chunk in any mode. A bad key fails the batch before
+    any work: no chunk loads, no bitmap builds."""
     schema = Schema.from_dict(
         {"gender": ["male", "female"], "race": ["white", "black", "asian"]}
     )
@@ -529,30 +556,25 @@ def test_shard_major_batch_equals_dense_and_touches_each_shard_once(tmp_path, mo
     ]
     queries = [(key, p) for p in predicates for key in keys]
     expected = [bool(dense.mask(p)[key.to_array()].any()) for key, p in queries]
-    # The shards a batch needs a chunk of: every scattered key's, and each
-    # run's partly covered boundary shards.
-    touched = {int(i) // 100 for key, _ in queries if key.payload for i in key.to_array()}
-    touched |= {0, 2, 1}
     with ShardExecutor(mode=mode, max_workers=2) as executor:
         ds = ShardedDataset.from_memmap(
             schema, path, 100, executor=executor, max_resident_shards=2
         )
         index = ShardedMembershipIndex(ds)
-        index.build_totals(predicates)
-        assert index.memory_report()["pinned_predicates"] == 0
-        loads = ds.stats.loads
-        assert index.any_match_batch(queries) == expected
-        if mode == "processes":
-            assert ds.stats.loads - loads == len(touched)
-        else:
-            assert ds.stats.loads - loads <= len(touched)
-        for key, p in queries:
-            assert index.count(p, key) == int(dense.mask(p)[key.to_array()].sum())
         loads = ds.stats.loads
         for bad in (IndexKey.of(np.array([3, 500], dtype=np.int64)), IndexKey.of_run(450, 501)):
             with pytest.raises(OracleError):
                 index.any_match_batch(queries + [(bad, predicates[0])])
         assert ds.stats.loads == loads  # range-checked before any work
+        assert index.memory_report()["bitmap_builds"] == 0
+        index.build_totals(predicates)
+        report = index.memory_report()
+        assert report["bitmap_builds"] == 4 and report["bitmap_evictions"] == 0
+        loads = ds.stats.loads
+        assert index.any_match_batch(queries) == expected
+        for key, p in queries:
+            assert index.count(p, key) == int(dense.mask(p)[key.to_array()].sum())
+        assert ds.stats.loads == loads
 
 
 def test_processes_mode_requires_picklable_source():
