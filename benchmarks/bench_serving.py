@@ -33,6 +33,7 @@ from pathlib import Path
 
 from repro.audit import GroupAuditSpec
 from repro.data.groups import group
+from repro.service import DirectoryJobStore
 from repro.serving import (
     JobBoard,
     ServingClient,
@@ -157,14 +158,11 @@ def measure_recovery() -> dict:
     board = JobBoard(root)
     spec = GroupAuditSpec(predicate=group(gender="female"), tau=250)
     job_id, _ = board.submit(Submission.from_spec(spec, tenant="victim", seed=1))
-    answers_path = board.job_dir(job_id) / "store" / "answers.json"
+    store = DirectoryJobStore(board.job_dir(job_id) / "store")
 
     def durable_count() -> int:
-        try:
-            payload = json.loads(answers_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return 0
-        return len(payload.get("set_answers") or [])
+        payload = store.load_answers()
+        return 0 if payload is None else len(payload.get("set_answers") or [])
 
     with WorkerPool(root, n_workers=1) as pool:
         deadline = time.monotonic() + 60

@@ -16,7 +16,9 @@ answers are kept as ``int16`` code rows (:class:`PointStore`) and
 decoded to labels, in schema order, only when the log is written or a
 caller reads one. Set answers of a generation scan are kept as the
 scan's arrays and keyed, in bill order, only when the log is written or
-a query looks an answer up.
+a query looks an answer up. A service's checkpoint writes only the
+answers past a persisted cursor (:meth:`RecordingOracleProxy.answer_delta`);
+its job store folds them onto the ones it holds.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class PointStore:
         self._codes = np.empty((16, schema.n_attributes), dtype=np.int16)
         #: ``(indices, codes)`` batches not folded into the map yet
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        #: rows recorded again by a later batch than the one that added them
+        self.rerecorded: set[int] = set()
 
     @property
     def positions(self) -> dict[int, int]:
@@ -118,7 +122,10 @@ class PointStore:
     def record_one(self, index: int, codes: list[int]) -> None:
         """:meth:`record` for one object's codes, inserted at once."""
         positions = self.positions
-        row = positions.setdefault(index, len(positions))
+        size = len(positions)
+        row = positions.setdefault(index, size)
+        if row < size:
+            self.rerecorded.add(row)
         self._reserve(len(positions))
         self._codes[row] = codes
 
@@ -141,6 +148,7 @@ class PointStore:
             positions.update(fresh)
         else:  # re-recorded indices keep their first row
             rows = [positions.setdefault(index, len(positions)) for index in indices]
+            self.rerecorded.update(row for row in rows if row < size)
         self._reserve(len(positions))
         self._codes[rows] = codes
 
@@ -152,10 +160,28 @@ class PointStore:
             codes[: len(self._codes)] = self._codes
             self._codes = codes
 
-    def labels(self) -> dict[int, dict[str, str]]:
-        """``{index: labels}`` of every recorded object, in insertion
-        order, labels in schema order."""
-        return dict(zip(self.positions, self.schema.decode_rows(self.codes)))
+    def labels(self, since: int = 0) -> dict[int, dict[str, str]]:
+        """``{index: labels}`` of the objects recorded at rows ``since``
+        on, in insertion order, after those at :attr:`rerecorded` rows
+        below ``since``; labels in schema order.
+
+        >>> store = PointStore(Schema.from_dict({"gender": ["male", "female"]}))
+        >>> store.record([4, 2], np.array([[1], [0]], dtype=np.int16))
+        >>> store.labels(since=1)
+        {2: {'gender': 'male'}}
+        >>> store.record([4], np.array([[0]], dtype=np.int16))
+        >>> store.labels(since=1)
+        {4: {'gender': 'male'}, 2: {'gender': 'male'}}
+        """
+        positions = self.positions
+        indices = list(islice(positions, since, None))
+        codes = self.codes[since:]
+        again = sorted(row for row in self.rerecorded if row < since)
+        if again:
+            order = list(positions)
+            indices = [order[row] for row in again] + indices
+            codes = np.concatenate([self._codes[again], codes])
+        return dict(zip(indices, self.schema.decode_rows(codes)))
 
 
 def _encode_labels(schema: Schema, point_answers: Mapping[int, Mapping[str, str]]) -> np.ndarray:
@@ -197,6 +223,9 @@ class RecordingOracleProxy(Oracle):
         self._scanned: dict[GroupPredicate, tuple[np.ndarray, set[int]]] = {}
         #: every point answer recorded or loaded, as code rows
         self.points = PointStore(inner.schema)
+        #: the set answers and point rows a journal already holds:
+        #: :meth:`answer_delta` starts there
+        self.persisted: tuple[int, int] = (0, 0)
 
     def __getattr__(self, name: str):
         if name == "_session_inner":
@@ -230,14 +259,54 @@ class RecordingOracleProxy(Oracle):
         >>> RecordingOracleProxy(oracle).answer_log()
         {'set_answers': [], 'point_answers': [], 'reliability': None}
         """
-        platform = _reliability_platform(self._session_inner)
         self._key_scans()
+        return self._log_sections(self._set_answers.items(), self.points.labels())
+
+    def log_end(self) -> tuple[int, int]:
+        """The cursor past every answer held: ``(set answers, point rows)``."""
+        self._key_scans()
+        return len(self._set_answers), len(self.points.positions)
+
+    def answer_delta(self) -> tuple[dict[str, Any], tuple[int, int]]:
+        """The answer-log sections a journal holding every answer before
+        :attr:`persisted` is missing, and the cursor past them: the set
+        answers and point rows recorded since, the point rows recorded
+        again below it, and the whole reliability snapshot. Folded onto
+        that journal (:class:`~repro.service.store.JournalFold`), they
+        give :meth:`answer_log`.
+
+        >>> from repro import GroundTruthOracle, binary_dataset
+        >>> proxy = RecordingOracleProxy(
+        ...     GroundTruthOracle(binary_dataset(9, 3, placement="front")))
+        >>> _ = proxy.ask_point(0)
+        >>> proxy.mark_persisted(proxy.log_end())
+        >>> _ = proxy.ask_point(1)
+        >>> proxy.answer_delta()
+        ({'set_answers': [], 'point_answers': [{'index': 1, 'labels': {'gender': 'female'}}], 'reliability': None}, (0, 2))
+        """
+        end = self.log_end()
+        sets, rows = self.persisted
+        return (
+            self._log_sections(
+                islice(self._set_answers.items(), sets, None), self.points.labels(since=rows)
+            ),
+            end,
+        )
+
+    def mark_persisted(self, cursor: tuple[int, int]) -> None:
+        """Note that a journal holds every answer before ``cursor`` (as
+        :meth:`answer_delta` returned it), re-recorded rows included."""
+        self.persisted = cursor
+        self.points.rerecorded.clear()
+
+    def _log_sections(self, set_answers, point_answers) -> dict[str, Any]:
+        platform = _reliability_platform(self._session_inner)
         return {
             "set_answers": [
                 codec.set_answer_to_dict(predicate, index_key, answer)
-                for (predicate, index_key), answer in self._set_answers.items()
+                for (predicate, index_key), answer in set_answers
             ],
-            "point_answers": codec.point_answers_to_list(self.points.labels()),
+            "point_answers": codec.point_answers_to_list(point_answers),
             "reliability": (
                 None
                 if platform is None

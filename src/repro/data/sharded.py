@@ -30,7 +30,8 @@ so no set query loads a chunk once its bitmaps are built: chunks load
 only for the streaming builds and for point labels
 (:meth:`ShardedMembershipIndex.value_codes`). Bitmaps and rank
 directories share one byte budget and are evicted whole, least recently
-used first; one that cannot fit is used for its batch and dropped. The
+used first; the budget always holds every value bitmap and one rank
+directory (:func:`bitmap_floor`). The
 streaming build maps shards through a :class:`ShardExecutor`, whose
 ``processes`` mode ships one picklable task per shard to a
 :class:`~concurrent.futures.ProcessPoolExecutor` — workers materialize
@@ -89,6 +90,7 @@ __all__ = [
     "ShardExecutor",
     "ShardedDataset",
     "ShardedMembershipIndex",
+    "bitmap_floor",
     "dense_index_bytes",
 ]
 
@@ -675,6 +677,22 @@ LabeledDataset` — equivalence tests and small jobs),
         )
 
 
+def bitmap_floor(dataset: ShardedDataset) -> int:
+    """The least bitmap budget of an index over ``dataset``: one bitmap
+    per value its schema declares plus one rank directory, so no call
+    re-streams the dataset to rebuild a bitmap it just dropped.
+
+    >>> import numpy as np
+    >>> from repro.data.synthetic import binary_dataset
+    >>> dense = binary_dataset(1_000, 30, rng=np.random.default_rng(0))
+    >>> bitmap_floor(ShardedDataset.from_dataset(dense, shard_size=1))  # 2.5 bitmaps
+    320
+    """
+    words = n_words(len(dataset))
+    rank_bytes = 4 if 64 * words < 2**31 else 8  # rank_directory's dtype
+    return (8 * sum(dataset.schema.cardinalities) + rank_bytes) * words
+
+
 @dataclass
 class _BitmapCache:
     """Byte-capped LRU of the index's bitmaps (internal; callers hold the
@@ -683,9 +701,9 @@ class _BitmapCache:
     Entries are value bitmaps, keyed by their ``(attribute, value)``
     condition, and rank directories, keyed by their predicate. Inserting
     evicts least recently used entries until the cache fits
-    ``max_bytes`` again: an entry larger than the whole budget goes last,
-    evicted at once. The batch that built it still holds it, so a budget
-    smaller than one bitmap costs a rebuild per batch, never an answer."""
+    ``max_bytes`` again. The index never sets ``max_bytes`` below
+    :func:`bitmap_floor`, so every value bitmap and a rank directory fit;
+    an evicted entry is rebuilt when next read."""
 
     max_bytes: int
     entries: "OrderedDict[object, np.ndarray]" = field(default_factory=OrderedDict)
@@ -745,8 +763,8 @@ class ShardedMembershipIndex:
         The bitmap budget, in units of one shard's ``int32`` prefix
         table: ``max_cached_prefixes × 4·(shard_size + 1)`` bytes of
         value bitmaps and rank directories, evicted whole, least
-        recently used first. Defaults to the dataset's
-        ``max_resident_shards``.
+        recently used first, but never less than :func:`bitmap_floor`.
+        Defaults to the dataset's ``max_resident_shards``.
 
     Examples
     --------
@@ -791,7 +809,9 @@ class ShardedMembershipIndex:
             if max_cached_prefixes is not None
             else dataset.max_resident_shards
         )
-        self._bitmaps = _BitmapCache(max_bytes=entries * 4 * (dataset.shard_size + 1))
+        self._bitmaps = _BitmapCache(
+            max_bytes=max(entries * 4 * (dataset.shard_size + 1), bitmap_floor(dataset))
+        )
         #: validated predicates -> the conditions their bitmaps combine
         self._conditions: dict[GroupPredicate, tuple[Condition, ...]] = {}
         self._lock = threading.Lock()

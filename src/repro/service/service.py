@@ -624,12 +624,14 @@ class AuditService:
 
         The answer log holds exactly what the crowd was paid for — the
         proxy's set and point answers — so a resumed service replays
-        them for free.
+        them for free. Each checkpoint saves the answers recorded since
+        the last one; the store folds them onto those it holds.
         """
         if self.job_store is None:
             raise InvalidParameterError(
                 "service has no job_store to checkpoint into"
             )
+        sections, cursor = self._proxy.answer_delta()
         self.job_store.save_answers(
             {
                 "version": _CHECKPOINT_VERSION,
@@ -642,9 +644,10 @@ class AuditService:
                 "max_active_jobs": self.max_active_jobs,
                 "next_seq": self._seq,
                 "tasks_paid": self.tasks_paid,
-                **self._proxy.answer_log(),
+                **sections,
             }
         )
+        self._proxy.mark_persisted(cursor)
         for job in self._jobs.values():
             self._persist(job)
 
@@ -728,6 +731,7 @@ class AuditService:
         )
         service._tasks_paid_before = tasks_paid
         service._proxy.replay(log)
+        service._proxy.mark_persisted(service._proxy.log_end())
         max_seq = -1
         for job in jobs:
             service._jobs[job.job_id] = job

@@ -9,7 +9,8 @@ idempotency hash::
       lease.<g>.json  claim generation g (worker id, token, heartbeat);
                       the highest g is the live lease or its release
       cancel          cancellation request marker
-      store/          the job's private DirectoryJobStore (checkpoints)
+      store/          the job's private DirectoryJobStore: an append-only
+                      checkpoint journal and its lock file
 
 Three invariants carry the whole serving design:
 
@@ -26,9 +27,10 @@ Three invariants carry the whole serving design:
   wins, however late the others act, and a claimer killed at any point
   leaves either no new generation or one that goes stale in turn.
 * **Torn-read-free state.** Every ``state.json`` write is temp file +
-  ``os.replace``, the same contract :class:`~repro.service.DirectoryJobStore`
-  pins for checkpoints: readers see the old record or the new one,
-  never a hybrid.
+  ``os.replace``: readers see the old record or the new one, never a
+  hybrid. :class:`~repro.service.DirectoryJobStore` keeps the same
+  promise for checkpoints with CRC-framed appends, whose readers skip a
+  frame not yet whole.
 
 The board is deliberately dumb — no daemon, no locks held across calls
 — so any process that can see the filesystem can act as gateway or

@@ -2,7 +2,9 @@
 
 Each case runs one audit spec to the end and hashes what a checkpoint
 writes: the whole :meth:`AuditSession.checkpoint` string, and the
-service's ``answers.json`` with its ``tasks_paid`` counter removed. The
+JSON of the service's folded answer log
+(:meth:`~repro.service.DirectoryJobStore.load_answers`) with its
+``tasks_paid`` counter removed. The
 expected sha256 prefixes were recorded from the reference
 implementation, so any change to the answer-log format, its key order,
 its entry order or its reliability section shows up here.
@@ -96,7 +98,7 @@ def service_answer_log_digest(reliability: str, tmp_path) -> str:
         for spec in SPECS.values():
             service.submit(spec)
         service.drain()
-    payload = json.loads((store.root / "answers.json").read_text())
+    payload = store.load_answers()
     assert entries(payload) == payload.pop("tasks_paid") == oracle.ledger.total
     return sha(json.dumps(payload))
 
@@ -120,7 +122,7 @@ EXPECTED_SESSION: dict[tuple[str, str, str], str] = {
     ('multiple', 'engine', 'adaptive'): '98b12d91e4dd06d4',
 }
 
-# reliability -> sha256[:16] of answers.json minus ``tasks_paid``,
+# reliability -> sha256[:16] of the folded answer log minus ``tasks_paid``,
 # re-recorded when the implied negatives left the log and the jobs began
 # sharing point answers (none: 1,553 tasks -> 1,536).
 EXPECTED_SERVICE: dict[str, str] = {

@@ -37,7 +37,7 @@ from repro.data.kernels import (
     rank_directory,
 )
 from repro.data.schema import Schema
-from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, bitmap_floor
 from repro.engine.requests import IndexKey
 
 FEMALE = group(gender="female")
@@ -178,8 +178,9 @@ def test_word_kernels_equal_the_mask_and_its_cumsum(n, shard_size, predicate, se
 
 
 #: (N, shard size, prefix budget): N and shards off multiples of 64, a
-#: single object, one shard, and budgets below one bitmap (137 objects
-#: need 24-byte bitmaps; one single-row shard table is 8 bytes).
+#: single object, one shard, and budgets below one bitmap, which the
+#: index floors (137 objects need 24-byte bitmaps; one single-row shard
+#: table is 8 bytes).
 GEOMETRIES = st.one_of(
     st.sampled_from([
         (6_000, 137, None), (6_000, 6_000, None), (6_000, 64, 1),
@@ -233,11 +234,10 @@ def test_index_answers_like_the_mask_over_any_geometry_and_budget(
 
     report = index.memory_report()
     assert report["peak_tracked_bytes"] <= report["cap_bytes"]
-    bitmap_bytes = 8 * n_words(n)
-    if 4 * (shard_size + 1) * (budget or 2) < bitmap_bytes:
-        # No bitmap fits: each was used for its call and dropped.
-        assert report["bitmap_evictions"] >= report["bitmap_builds"] > 0
-        assert report["peak_bitmap_bytes"] < bitmap_bytes
+    # A budget below one bitmap is floored at every value bitmap plus a
+    # rank directory, so one predicate's bitmaps are never evicted.
+    assert report["cap_bytes"] >= bitmap_floor(ds)
+    assert report["bitmap_evictions"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.crowd.oracle import GroundTruthOracle
 from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
-from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, bitmap_floor
 from repro.data.synthetic import binary_dataset, intersectional_dataset
 from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError
@@ -201,9 +201,10 @@ class TestBitmapBudget:
         assert index.memory_report()["bitmap_builds"] == 1
 
     def test_budget_below_one_bitmap_still_answers_exactly(self, dataset):
-        """Single-row shards and a two-table budget (16 bytes) cannot
-        keep a 64-byte bitmap: each query builds it in one pass, answers
-        from it and drops it."""
+        """Single-row shards ask a two-table budget (16 bytes), below one
+        64-byte bitmap: the index floors it at a bitmap per schema value
+        plus a rank directory, so the first query builds the bitmap in one
+        pass and the second reuses it instead of streaming again."""
         shards = ShardedDataset.from_dataset(dataset, shard_size=1, max_resident_shards=2)
         index = ShardedMembershipIndex(shards)
         for indices in ([3, 450], [7, 8, 499]):
@@ -211,9 +212,10 @@ class TestBitmapBudget:
                 dataset.mask(FEMALE)[indices].sum()
             )
         report = index.memory_report()
-        assert shards.stats.loads == 2 * len(dataset)
-        assert report["bitmap_builds"] == report["bitmap_evictions"] == 2
-        assert report["peak_bitmap_bytes"] == 0
+        assert shards.stats.loads == len(dataset)
+        assert report["bitmap_builds"] == 1 and report["bitmap_evictions"] == 0
+        assert report["peak_bitmap_bytes"] == 64
+        assert report["cap_bytes"] >= bitmap_floor(shards)
 
     def test_intersectional_audit_builds_every_bitmap_once(self, rng):
         """Algorithm 3 over an in-RAM dataset touches more predicates than

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -52,8 +54,9 @@ class TestDirectoryJobStore:
         store.save_job("job-00000", {"seq": 0})
         store.save_job("job-00001", {"seq": 1})
         store.save_answers({"version": 1})
-        assert (tmp_path / "ckpt" / "jobs" / "job-00000.json").exists()
-        assert (tmp_path / "ckpt" / "answers.json").exists()
+        assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) == [
+            "journal", "journal.lock",
+        ]
         assert set(store.load_jobs()) == {"job-00000", "job-00001"}
         assert store.load_answers() == {"version": 1}
 
@@ -69,12 +72,14 @@ class TestDirectoryJobStore:
         store.save_job("job-00000", {"seq": 0, "status": "succeeded"})
         assert store.load_jobs()["job-00000"]["status"] == "succeeded"
 
-    def test_records_are_plain_json(self, tmp_path):
+    def test_records_are_crc_framed_json(self, tmp_path):
         store = DirectoryJobStore(tmp_path)
         store.save_job("job-00000", {"seq": 0})
-        payload = json.loads((tmp_path / "jobs" / "job-00000.json").read_text())
-        assert payload == {"seq": 0}
-
+        data = (tmp_path / "journal").read_bytes()
+        length, crc = struct.unpack_from("<II", data)
+        body = data[8:]
+        assert length == len(body) and crc == zlib.crc32(body)
+        assert json.loads(body) == {"jobs": {"job-00000": {"seq": 0}}}
 
 class TestDirectoryResume:
     def test_service_resumes_from_directory(self, tmp_path, dataset):

@@ -1,17 +1,21 @@
 """A write that fails part-way leaves no scratch file and no torn record.
 
-Every durable file of the serving layer — the job store's records and
-answer log, the board's submissions and state records, the root's
-``serving.json`` — is written to a scratch file and renamed into place.
-Here the scratch write fails half-way, as on a full disk (``ENOSPC``):
-the error must reach the caller, the scratch file must be gone, and the
-previous version of the file must still be there, whole.
+Every durable file of the serving layer's board — its submissions and
+state records, the root's ``serving.json`` — is written to a scratch
+file and renamed into place. Here the scratch write fails half-way, as
+on a full disk (``ENOSPC``): the error must reach the caller, the
+scratch file must be gone, and the previous version of the file must
+still be there, whole. The job store appends to a journal instead, and
+its torn frame must not reach a reader.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import os
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -53,18 +57,48 @@ def scratch_files(directory: Path) -> list[str]:
     )
 
 
-def test_store_writes(tmp_path, disk_full):
+def test_store_writes(tmp_path, monkeypatch):
+    """The job store appends frames to its journal instead: a frame torn
+    by a full disk surfaces the error, readers keep the previous state,
+    and the next append cuts the torn bytes off before its own."""
     store = DirectoryJobStore(tmp_path / "store")
     store.save_job("job-00000", {"seq": 0})
     store.save_answers({"version": 2})
-    disk_full()
-    with pytest.raises(OSError, match="No space"):
-        store.save_job("job-00000", {"seq": 1})
-    with pytest.raises(OSError, match="No space"):
-        store.save_answers({"version": 3})
+    before = store.journal.read_bytes()
+    real_write = os.write
+
+    def torn_write(descriptor, data):
+        real_write(descriptor, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", torn_write)
+        with pytest.raises(OSError, match="No space"):
+            store.save_job("job-00000", {"seq": 1})
+        with pytest.raises(OSError, match="No space"):
+            store.save_answers({"version": 3})
+    torn = store.journal.read_bytes()
+    assert len(torn) > len(before) and torn.startswith(before)
     assert scratch_files(tmp_path) == []
     assert store.load_jobs() == {"job-00000": {"seq": 0}}
     assert store.load_answers() == {"version": 2}
+
+    store.save_answers({"version": 3})  # the disk has room again
+    assert store.load_answers() == {"version": 3}
+    assert store.load_jobs() == {"job-00000": {"seq": 0}}
+    assert verified_length(store.journal.read_bytes()) == store.journal.stat().st_size
+
+
+def verified_length(data: bytes) -> int:
+    """How many leading bytes of a journal are whole, CRC-valid frames."""
+    offset = 0
+    while offset + 8 <= len(data):
+        length, crc = struct.unpack_from("<II", data, offset)
+        body = data[offset + 8 : offset + 8 + length]
+        if len(body) < length or zlib.crc32(body) != crc:
+            break
+        offset += 8 + length
+    return offset
 
 
 def test_board_writes(tmp_path, disk_full):

@@ -31,6 +31,7 @@ from repro.audit.serialization import (
     set_answers_from_list,
 )
 from repro.data.groups import group
+from repro.service import DirectoryJobStore
 from repro.serving import JobBoard, Submission, WorkerPool, run_worker
 
 from .conftest import background_worker, make_root, wait_until
@@ -60,10 +61,9 @@ def chaos_submission() -> Submission:
 
 def durable_answers(board: JobBoard, job_id: str):
     """The checkpointed (paid-and-durable) answer keys of a job."""
-    path = board.job_dir(job_id) / "store" / "answers.json"
-    if not path.exists():
+    payload = DirectoryJobStore(board.job_dir(job_id) / "store").load_answers()
+    if payload is None:
         return set(), set()
-    payload = json.loads(path.read_text())
     set_keys = set(set_answers_from_list(payload.get("set_answers") or []))
     point_keys = set(
         point_answers_from_list(payload.get("point_answers") or [])

@@ -62,3 +62,37 @@ def test_the_command_line_gates_exact_keys(tmp_path):
     args = ["--baseline", str(baseline), "--new", str(fresh), "--tolerance", "0.25"]
     assert main(args) == 0
     assert main(args + ["--exact", "tasks"]) == 1
+
+
+SHARDS = {
+    "results": [
+        {"audit": "group", "n_objects": 1_000_000, "sharded": {"chunk_loads": 8, "seconds": 0.01}},
+        {"audit": "group", "n_objects": 10_000_000, "sharded": {"chunk_loads": 80, "seconds": 0.1}},
+    ]
+}
+
+
+def _slice(**sharded):
+    """A smoke re-run of the 1M entry only, with ``sharded`` changed."""
+    entry = json.loads(json.dumps(SHARDS["results"][0]))
+    entry["sharded"].update(sharded)
+    return {"results": [entry]}
+
+
+def test_exact_keys_inside_result_lists_pair_elements_by_identity():
+    assert exact_mismatches(SHARDS, _slice(seconds=0.5), ["chunk_loads"]) == []
+    assert exact_mismatches(SHARDS, _slice(chunk_loads=9), ["chunk_loads"]) == [
+        "MISMATCH results[audit=group,n_objects=1000000].sharded.chunk_loads: "
+        "9 != 8 (must be equal)"
+    ]
+    reordered = {"results": [SHARDS["results"][1], SHARDS["results"][0]]}
+    assert exact_mismatches(SHARDS, reordered, ["chunk_loads"]) == []
+
+
+def test_a_counter_gone_from_a_paired_element_fails():
+    entry = json.loads(json.dumps(SHARDS["results"][0]))
+    del entry["sharded"]["chunk_loads"]
+    assert exact_mismatches(SHARDS, {"results": [entry]}, ["chunk_loads"]) == [
+        "MISMATCH results[audit=group,n_objects=1000000].sharded.chunk_loads: "
+        "only in baseline"
+    ]

@@ -27,9 +27,11 @@ lines up with the matching baseline entries and the rest skip.
 
 Deterministic counters need no tolerance: each ``--exact KEY`` names a
 key, at any depth, whose value (a number, a flag, a list or a whole
-subtree) must equal the baseline's. A named key missing from the
-baseline, or from one side where the other has it, fails the gate too,
-so a renamed counter cannot pass unchecked.
+subtree) must equal the baseline's. Result lists are walked element by
+element, paired by the same identity fields; an element on one side only
+is skipped. A named key missing from the baseline, or from one side of
+a pair where the other has it, fails the gate too, so a renamed counter
+cannot pass unchecked.
 
 Usage::
 
@@ -146,6 +148,15 @@ def exact_mismatches(baseline: dict, fresh: dict, keys) -> list[str]:
     found: set[str] = set()
 
     def walk(base, new, path: str) -> None:
+        if isinstance(base, list) and isinstance(new, list):
+            # Elements pair up by identity, as in compare(); an element
+            # on one side only is a scenario the other run skipped.
+            paired = {element_key(element, index): element for index, element in enumerate(new)}
+            for index, element in enumerate(base):
+                label = element_key(element, index)
+                if label in paired:
+                    walk(element, paired[label], f"{path.rstrip('.')}{label}.")
+            return
         if not (isinstance(base, dict) and isinstance(new, dict)):
             return
         for key in sorted(base.keys() | new.keys()):
