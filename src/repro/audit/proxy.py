@@ -402,7 +402,7 @@ class RecordingOracleProxy(Oracle):
     # -- public oracle API ------------------------------------------------
     def ask_set(self, indices, predicate, *, key=None) -> bool:
         if key is None:
-            key = set_query_key(np.asarray(indices, dtype=np.int64), predicate)
+            key = set_query_key(indices, predicate)
         if self._scans:
             self._key_scans()
         answer = self._set_answers.get(key)
@@ -411,26 +411,18 @@ class RecordingOracleProxy(Oracle):
             self._set_answers[key] = answer
         return answer
 
-    def ask_set_batch(self, queries, *, keys=None) -> list[bool]:
-        prepared = [
-            (np.asarray(indices, dtype=np.int64), predicate)
-            for indices, predicate in queries
-        ]
-        if keys is None:
-            keys = [
-                set_query_key(indices, predicate) for indices, predicate in prepared
-            ]
+    def ask_set_batch(self, queries) -> list[bool]:
         if self._scans:
             self._key_scans()
-        answers = [self._set_answers.get(key) for key in keys]
+        held = self._set_answers
+        answers = [held.get(key) for key in queries]
         fresh = [position for position, answer in enumerate(answers) if answer is None]
         if fresh:
             fresh_answers = self._session_inner.ask_set_batch(
-                [prepared[position] for position in fresh],
-                keys=[keys[position] for position in fresh],
+                [queries[position] for position in fresh]
             )
             for position, answer in zip(fresh, fresh_answers):
-                answers[position] = self._set_answers[keys[position]] = answer
+                answers[position] = held[queries[position]] = answer
         return answers
 
     def scan_sets(

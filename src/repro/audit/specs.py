@@ -9,12 +9,13 @@ into experiment manifests, embedded in an
 :class:`~repro.audit.report.AuditReport`, or shipped across a process
 boundary via :meth:`to_dict`/:meth:`from_dict`.
 
-Views are normalized to tuples of python ints at construction time (a
-frozen dataclass cannot hold a mutable ndarray); ``view=None`` means the
-session's whole dataset. Semantic validation (``tau`` ranges, view
-bounds) happens at run time, in the exact order the legacy functions
-validated, so ``session.run(spec)`` raises precisely what the function
-form would have raised.
+Views are normalized at construction time to their native ``int64``
+bytes (a frozen dataclass cannot hold a mutable ndarray; bytes hash and
+compare by content, and :meth:`view_array` reads them without a copy);
+``view=None`` means the session's whole dataset. Semantic validation
+(``tau`` ranges, view bounds) happens at run time, in the exact order
+the legacy functions validated, so ``session.run(spec)`` raises
+precisely what the function form would have raised.
 """
 
 from __future__ import annotations
@@ -46,19 +47,29 @@ __all__ = [
 ]
 
 
-def _as_index_tuple(
-    indices: Sequence[int] | npt.NDArray[np.int64] | None,
-) -> tuple[int, ...] | None:
-    """Normalize an index collection to a hashable tuple of python ints."""
-    if indices is None:
+def _index_bytes(
+    indices: Sequence[int] | npt.NDArray[np.int64] | bytes | None,
+) -> bytes | None:
+    """An index collection as the native ``int64`` bytes a spec stores:
+    hashable, compared by content, and readable without a copy by
+    :func:`_index_array`. Stored bytes pass through unchanged."""
+    if indices is None or isinstance(indices, bytes):
+        return indices
+    return np.asarray(indices, dtype=np.int64).tobytes()
+
+
+def _index_array(data: bytes | None) -> npt.NDArray[np.int64] | None:
+    """The stored bytes as a read-only ``int64`` array over the same
+    buffer (``None`` stays ``None``)."""
+    return None if data is None else np.frombuffer(data, dtype=np.int64)
+
+
+def _index_list(data: bytes | None) -> list[int] | None:
+    """The stored bytes as the JSON list :meth:`to_dict` writes."""
+    if data is None:
         return None
-    return tuple(
-        int(index) for index in np.asarray(indices, dtype=np.int64).ravel()
-    )
-
-
-def _view_array(view: tuple[int, ...] | None) -> npt.NDArray[np.int64] | None:
-    return None if view is None else np.asarray(view, dtype=np.int64)
+    values: list[int] = np.frombuffer(data, dtype=np.int64).tolist()
+    return values
 
 
 def _missing_field(spec_type: type[object], error: KeyError) -> InvalidParameterError:
@@ -83,8 +94,9 @@ class GroupAuditSpec:
     n:
         Set-query size bound.
     view:
-        Dataset indices to search; ``None`` means the session's whole
-        dataset.
+        Dataset indices to search, stored as their native ``int64``
+        bytes (:meth:`view_array` reads them); ``None`` means the
+        session's whole dataset.
 
     Examples
     --------
@@ -102,14 +114,15 @@ class GroupAuditSpec:
     predicate: GroupPredicate
     tau: int
     n: int = 50
-    view: tuple[int, ...] | None = None
+    view: bytes | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "view", _as_index_tuple(self.view))
+        object.__setattr__(self, "view", _index_bytes(self.view))
 
     def view_array(self) -> npt.NDArray[np.int64] | None:
-        """The normalized view as an ``int64`` array (``None`` = whole dataset)."""
-        return _view_array(self.view)
+        """The normalized view as a read-only ``int64`` array over the
+        stored bytes (``None`` = whole dataset)."""
+        return _index_array(self.view)
 
     def describe(self) -> str:
         """One-line human-readable summary of the audit question."""
@@ -122,7 +135,7 @@ class GroupAuditSpec:
             "predicate": predicate_to_dict(self.predicate),
             "tau": self.tau,
             "n": self.n,
-            "view": list(self.view) if self.view is not None else None,
+            "view": _index_list(self.view),
         }
 
     @classmethod
@@ -155,14 +168,15 @@ class BaseAuditSpec:
 
     predicate: GroupPredicate
     tau: int
-    view: tuple[int, ...] | None = None
+    view: bytes | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "view", _as_index_tuple(self.view))
+        object.__setattr__(self, "view", _index_bytes(self.view))
 
     def view_array(self) -> npt.NDArray[np.int64] | None:
-        """The normalized view as an ``int64`` array (``None`` = whole dataset)."""
-        return _view_array(self.view)
+        """The normalized view as a read-only ``int64`` array over the
+        stored bytes (``None`` = whole dataset)."""
+        return _index_array(self.view)
 
     def describe(self) -> str:
         """One-line human-readable summary of the audit question."""
@@ -174,7 +188,7 @@ class BaseAuditSpec:
             "kind": self.kind,
             "predicate": predicate_to_dict(self.predicate),
             "tau": self.tau,
-            "view": list(self.view) if self.view is not None else None,
+            "view": _index_list(self.view),
         }
 
     @classmethod
@@ -215,15 +229,16 @@ class MultipleAuditSpec:
     c: float = 2.0
     multi: bool = False
     attribute_supergroup_members: bool = False
-    view: tuple[int, ...] | None = None
+    view: bytes | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "view", _as_index_tuple(self.view))
+        object.__setattr__(self, "view", _index_bytes(self.view))
 
     def view_array(self) -> npt.NDArray[np.int64] | None:
-        """The normalized view as an ``int64`` array (``None`` = whole dataset)."""
-        return _view_array(self.view)
+        """The normalized view as a read-only ``int64`` array over the
+        stored bytes (``None`` = whole dataset)."""
+        return _index_array(self.view)
 
     def describe(self) -> str:
         """One-line human-readable summary of the audit question."""
@@ -239,7 +254,7 @@ class MultipleAuditSpec:
             "c": self.c,
             "multi": self.multi,
             "attribute_supergroup_members": self.attribute_supergroup_members,
-            "view": list(self.view) if self.view is not None else None,
+            "view": _index_list(self.view),
         }
 
     @classmethod
@@ -288,14 +303,15 @@ class IntersectionalAuditSpec:
     tau: int
     n: int = 50
     c: float = 2.0
-    view: tuple[int, ...] | None = None
+    view: bytes | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "view", _as_index_tuple(self.view))
+        object.__setattr__(self, "view", _index_bytes(self.view))
 
     def view_array(self) -> npt.NDArray[np.int64] | None:
-        """The normalized view as an ``int64`` array (``None`` = whole dataset)."""
-        return _view_array(self.view)
+        """The normalized view as a read-only ``int64`` array over the
+        stored bytes (``None`` = whole dataset)."""
+        return _index_array(self.view)
 
     def describe(self) -> str:
         """One-line human-readable summary of the audit question."""
@@ -312,7 +328,7 @@ class IntersectionalAuditSpec:
             "tau": self.tau,
             "n": self.n,
             "c": self.c,
-            "view": list(self.view) if self.view is not None else None,
+            "view": _index_list(self.view),
         }
 
     @classmethod
@@ -352,31 +368,33 @@ class ClassifierAuditSpec:
 
     group: Group
     tau: int
-    predicted_positive: tuple[int, ...] = ()
+    predicted_positive: bytes = b""
     n: int = 50
     sample_fraction: float = 0.10
     fp_threshold: float = 0.25
-    view: tuple[int, ...] | None = None
+    view: bytes | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "predicted_positive", _as_index_tuple(self.predicted_positive) or ()
+            self, "predicted_positive", _index_bytes(self.predicted_positive) or b""
         )
-        object.__setattr__(self, "view", _as_index_tuple(self.view))
+        object.__setattr__(self, "view", _index_bytes(self.view))
 
     def view_array(self) -> npt.NDArray[np.int64] | None:
-        """The normalized view as an ``int64`` array (``None`` = whole dataset)."""
-        return _view_array(self.view)
+        """The normalized view as a read-only ``int64`` array over the
+        stored bytes (``None`` = whole dataset)."""
+        return _index_array(self.view)
 
     def predicted_positive_array(self) -> npt.NDArray[np.int64]:
-        """The classifier's predicted-positive set as an ``int64`` array."""
-        return np.asarray(self.predicted_positive, dtype=np.int64)
+        """The classifier's predicted-positive set as a read-only
+        ``int64`` array over the stored bytes."""
+        return np.frombuffer(self.predicted_positive, dtype=np.int64)
 
     def describe(self) -> str:
         """One-line human-readable summary of the audit question."""
         return (
             f"classifier-coverage({self.group.describe()}, tau={self.tau}, "
-            f"|G|={len(self.predicted_positive)})"
+            f"|G|={len(self.predicted_positive_array())})"
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -385,11 +403,11 @@ class ClassifierAuditSpec:
             "kind": self.kind,
             "group": predicate_to_dict(self.group),
             "tau": self.tau,
-            "predicted_positive": list(self.predicted_positive),
+            "predicted_positive": self.predicted_positive_array().tolist(),
             "n": self.n,
             "sample_fraction": self.sample_fraction,
             "fp_threshold": self.fp_threshold,
-            "view": list(self.view) if self.view is not None else None,
+            "view": _index_list(self.view),
         }
 
     @classmethod

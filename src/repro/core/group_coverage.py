@@ -201,7 +201,7 @@ class GroupCoverageStepper:
             else:
                 payload = data[8 * begin : 8 * end].tobytes()
                 keys.append(interned.get(payload) or IndexKey.of_scattered(view[begin:end]))
-        return QueryBatch(self.predicate, emitted, keys, view, starts, stops)
+        return QueryBatch(self.predicate, emitted, keys)
 
     def feed(self, positions: Sequence[int], answers: Sequence[bool]) -> None:
         """Record the answers of previously emitted queries, each named

@@ -43,7 +43,7 @@ from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
     from repro.crowd.oracle import Oracle
-    from repro.engine.requests import SetRequest
+    from repro.engine.requests import QueryKey
 
 __all__ = ["Ticket", "CrowdBackend"]
 
@@ -63,10 +63,10 @@ class Ticket:
     >>> from repro.crowd.oracle import GroundTruthOracle
     >>> from repro.data.synthetic import binary_dataset
     >>> from repro.data.groups import group
-    >>> from repro.engine.requests import SetRequest
+    >>> from repro.engine.requests import set_query_key
     >>> ds = binary_dataset(100, 10, rng=np.random.default_rng(0))
     >>> backend = InlineBackend(GroundTruthOracle(ds))
-    >>> ticket = backend.submit([SetRequest(np.arange(100), group(gender="female"))])
+    >>> ticket = backend.submit([set_query_key(np.arange(100), group(gender="female"))])
     >>> (ticket.ticket_id, ticket.n_queries)
     (0, 1)
 
@@ -110,10 +110,10 @@ class CrowdBackend(ABC):
     >>> from repro.crowd.oracle import GroundTruthOracle
     >>> from repro.data.synthetic import binary_dataset
     >>> from repro.data.groups import group
-    >>> from repro.engine.requests import SetRequest
+    >>> from repro.engine.requests import set_query_key
     >>> ds = binary_dataset(100, 10, rng=np.random.default_rng(0))
     >>> backend = InlineBackend(GroundTruthOracle(ds))       # any CrowdBackend
-    >>> ticket = backend.submit([SetRequest(np.arange(100), group(gender="female"))])
+    >>> ticket = backend.submit([set_query_key(np.arange(100), group(gender="female"))])
     >>> ticket in backend.poll() or backend.next_done() is ticket
     True
     >>> backend.gather(ticket)
@@ -134,8 +134,10 @@ class CrowdBackend(ABC):
         self._drain_votes = drain if callable(drain) else None
 
     # -- public lifecycle -------------------------------------------------
-    def submit(self, requests: "Sequence[SetRequest]") -> Ticket:
-        """Publish one batch of set queries; returns its :class:`Ticket`.
+    def submit(self, queries: "Sequence[QueryKey]") -> Ticket:
+        """Publish one batch of set queries, each named by its
+        :data:`~repro.engine.requests.QueryKey`; returns its
+        :class:`Ticket`.
 
         Charging happens at submission (the batch is published — the
         crowd gets paid whether or not the caller ever gathers), so a
@@ -143,15 +145,15 @@ class CrowdBackend(ABC):
         :class:`~repro.errors.BudgetExceededError` here, before a ticket
         exists.
         """
-        requests = tuple(requests)
-        if not requests:
+        queries = tuple(queries)
+        if not queries:
             raise InvalidParameterError("cannot submit an empty batch")
         ticket = Ticket(
             ticket_id=self._next_ticket_id,
-            n_queries=len(requests),
+            n_queries=len(queries),
             submitted_at=self._now(),
         )
-        self._submit(ticket, requests)
+        self._submit(ticket, queries)
         # Registered only after _submit succeeds: a refused batch (budget,
         # adapter failure at publish time) leaves no dangling ticket.
         self._next_ticket_id += 1
@@ -205,7 +207,7 @@ class CrowdBackend(ABC):
         return 0.0
 
     @abstractmethod
-    def _submit(self, ticket: Ticket, requests: "Sequence[SetRequest]") -> None: ...
+    def _submit(self, ticket: Ticket, queries: "Sequence[QueryKey]") -> None: ...
 
     @abstractmethod
     def _ready(self, ticket: Ticket) -> bool: ...
@@ -237,17 +239,14 @@ class CrowdBackend(ABC):
 
     # -- shared helper ----------------------------------------------------
     def _dispatch(
-        self, requests: "Sequence[SetRequest]", *, ticket: "Ticket | None" = None
+        self, queries: "Sequence[QueryKey]", *, ticket: "Ticket | None" = None
     ) -> list[bool]:
         """Route one batch through the oracle's blocking batch API —
         the charging path every simulated backend shares. When a ticket
         is given and the oracle buffers per-HIT worker votes
         (``drain_set_votes``), the attributions are captured for
         :meth:`take_votes`."""
-        answers = self.oracle.ask_set_batch(
-            [(request.indices, request.predicate) for request in requests],
-            keys=[request.key for request in requests],
-        )
+        answers = self.oracle.ask_set_batch(queries)
         if ticket is not None and self._drain_votes is not None:
             votes = self._drain_votes()
             if votes:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.crowd.backends.base import CrowdBackend, Ticket
 
 if TYPE_CHECKING:
-    from repro.engine.requests import SetRequest
+    from repro.engine.requests import QueryKey
 
 __all__ = ["InlineBackend"]
 
@@ -36,11 +36,11 @@ class InlineBackend(CrowdBackend):
     >>> from repro.crowd.oracle import GroundTruthOracle
     >>> from repro.data.synthetic import binary_dataset
     >>> from repro.data.groups import group
-    >>> from repro.engine.requests import SetRequest
+    >>> from repro.engine.requests import set_query_key
     >>> ds = binary_dataset(100, 10, rng=np.random.default_rng(0))
     >>> backend = InlineBackend(GroundTruthOracle(ds))
-    >>> ticket = backend.submit([SetRequest(np.arange(50), group(gender="female")),
-    ...                          SetRequest(np.arange(0), group(gender="female"))])
+    >>> ticket = backend.submit([set_query_key(np.arange(50), group(gender="female")),
+    ...                          set_query_key(np.arange(0), group(gender="female"))])
     >>> backend.gather(ticket)                    # ready immediately
     [True, False]
     >>> backend.oracle.ledger.n_rounds            # one round-trip per batch
@@ -51,8 +51,8 @@ class InlineBackend(CrowdBackend):
         super().__init__(oracle)
         self._answers: dict[int, list[bool]] = {}
 
-    def _submit(self, ticket: Ticket, requests: "Sequence[SetRequest]") -> None:
-        self._answers[ticket.ticket_id] = self._dispatch(requests, ticket=ticket)
+    def _submit(self, ticket: Ticket, queries: "Sequence[QueryKey]") -> None:
+        self._answers[ticket.ticket_id] = self._dispatch(queries, ticket=ticket)
 
     def _ready(self, ticket: Ticket) -> bool:
         return True

@@ -35,7 +35,7 @@ from repro.crowd.backends.base import CrowdBackend, Ticket
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
-    from repro.engine.requests import SetRequest
+    from repro.engine.requests import QueryKey
 
 __all__ = ["SimulatedClock", "LatencyModel", "LatencyModelBackend"]
 
@@ -166,10 +166,10 @@ class LatencyModelBackend(CrowdBackend):
     >>> from repro.crowd.oracle import GroundTruthOracle
     >>> from repro.data.synthetic import binary_dataset
     >>> from repro.data.groups import group
-    >>> from repro.engine.requests import SetRequest
+    >>> from repro.engine.requests import set_query_key
     >>> ds = binary_dataset(100, 10, rng=np.random.default_rng(0))
     >>> backend = LatencyModelBackend(GroundTruthOracle(ds))
-    >>> ticket = backend.submit([SetRequest(np.arange(100), group(gender="female"))])
+    >>> ticket = backend.submit([set_query_key(np.arange(100), group(gender="female"))])
     >>> backend.poll()                      # not ready: no virtual time passed
     []
     >>> backend.gather(ticket)              # waiting advances the clock
@@ -199,10 +199,10 @@ class LatencyModelBackend(CrowdBackend):
     def _now(self) -> float:
         return self.clock.now()
 
-    def _submit(self, ticket: Ticket, requests: "Sequence[SetRequest]") -> None:
+    def _submit(self, ticket: Ticket, queries: "Sequence[QueryKey]") -> None:
         # Dollars at submission (the HITs are published and will be
         # worked whatever happens next); availability later.
-        answers = self._dispatch(requests, ticket=ticket)
+        answers = self._dispatch(queries, ticket=ticket)
         self._answers[ticket.ticket_id] = answers
         if self.attribute_workers and ticket.ticket_id not in self._votes:
             # No platform identity behind the oracle: attribute each
@@ -212,7 +212,7 @@ class LatencyModelBackend(CrowdBackend):
                 for i, answer in enumerate(answers)
             ]
         self._ready_at[ticket.ticket_id] = self.clock.now() + self.model.batch_seconds(
-            len(requests), self._speed_factors, self.rng
+            len(queries), self._speed_factors, self.rng
         )
 
     def _ready(self, ticket: Ticket) -> bool:

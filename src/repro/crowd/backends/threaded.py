@@ -10,8 +10,8 @@ By default the batch is answered by the oracle under a lock (the
 :class:`~repro.crowd.oracle.TaskLedger` is not thread-safe, and atomic
 batch budget enforcement must stay atomic). A real adapter replaces that
 with its own I/O by passing ``adapter=``: a callable taking the
-sequence of :class:`~repro.engine.requests.SetRequest` and returning one
-bool per request. Adapters do their own charging/pricing — the ledger
+sequence of :data:`~repro.engine.requests.QueryKey` and returning one
+bool per query. Adapters do their own charging/pricing — the ledger
 only sees batches the default dispatch path answers.
 """
 
@@ -25,7 +25,7 @@ from repro.crowd.backends.base import CrowdBackend, Ticket
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
-    from repro.engine.requests import SetRequest
+    from repro.engine.requests import QueryKey
 
 __all__ = ["ThreadedBackend"]
 
@@ -40,7 +40,7 @@ class ThreadedBackend(CrowdBackend):
     max_workers:
         Concurrent in-flight batches (pool threads).
     adapter:
-        Optional external dispatch: ``adapter(requests) -> Sequence[bool]``,
+        Optional external dispatch: ``adapter(queries) -> Sequence[bool]``,
         run on a pool thread per batch. Exceptions it raises surface at
         :meth:`gather` of the affected ticket.
 
@@ -58,10 +58,10 @@ class ThreadedBackend(CrowdBackend):
     >>> from repro.crowd.oracle import GroundTruthOracle
     >>> from repro.data.synthetic import binary_dataset
     >>> from repro.data.groups import group
-    >>> from repro.engine.requests import SetRequest
+    >>> from repro.engine.requests import set_query_key
     >>> ds = binary_dataset(100, 10, rng=np.random.default_rng(0))
     >>> backend = ThreadedBackend(GroundTruthOracle(ds), max_workers=2)
-    >>> ticket = backend.submit([SetRequest(np.arange(100), group(gender="female"))])
+    >>> ticket = backend.submit([set_query_key(np.arange(100), group(gender="female"))])
     >>> backend.gather(backend.next_done())
     [True]
     >>> backend.close()
@@ -72,7 +72,7 @@ class ThreadedBackend(CrowdBackend):
         oracle,
         *,
         max_workers: int = 4,
-        adapter: "Callable[[Sequence[SetRequest]], Sequence[bool]] | None" = None,
+        adapter: "Callable[[Sequence[QueryKey]], Sequence[bool]] | None" = None,
     ) -> None:
         if max_workers < 1:
             raise InvalidParameterError(
@@ -87,22 +87,22 @@ class ThreadedBackend(CrowdBackend):
         self._futures: dict[int, Future] = {}
         self._closed = False
 
-    def _call(self, ticket: Ticket, requests: "Sequence[SetRequest]") -> Sequence[bool]:
+    def _call(self, ticket: Ticket, queries: "Sequence[QueryKey]") -> Sequence[bool]:
         if self._adapter is not None:
             # External adapters do their own dispatch; worker identities
             # (if any) are theirs to surface — no votes are captured.
-            return self._adapter(requests)
+            return self._adapter(queries)
         with self._oracle_lock:
             # Vote capture happens inside the oracle lock: the drain is
             # atomic with the dispatch, so concurrent batches cannot
             # interleave their attributions.
-            return self._dispatch(requests, ticket=ticket)
+            return self._dispatch(queries, ticket=ticket)
 
-    def _submit(self, ticket: Ticket, requests: "Sequence[SetRequest]") -> None:
+    def _submit(self, ticket: Ticket, queries: "Sequence[QueryKey]") -> None:
         if self._closed:
             raise InvalidParameterError("backend is closed")
         self._futures[ticket.ticket_id] = self._pool.submit(
-            self._call, ticket, requests
+            self._call, ticket, queries
         )
 
     def _ready(self, ticket: Ticket) -> bool:

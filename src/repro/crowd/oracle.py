@@ -161,13 +161,9 @@ class Oracle(ABC):
         self.ledger.note_round()
         return self._answer_point(int(index))
 
-    def ask_set_batch(
-        self,
-        queries: Sequence[tuple[Sequence[int] | np.ndarray, GroupPredicate]],
-        *,
-        keys: Sequence[QueryKey] | None = None,
-    ) -> list[bool]:
-        """Answer many set queries in one oracle round-trip.
+    def ask_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
+        """Answer many set queries, each named by its
+        :data:`~repro.engine.requests.QueryKey`, in one oracle round-trip.
 
         Each query is still charged one set task (the fixed-price cost
         model is unchanged); the batch costs a single round-trip, which is
@@ -175,25 +171,22 @@ class Oracle(ABC):
         per batch: a batch the remaining budget cannot absorb raises
         ``BudgetExceededError`` before anything is charged or answered,
         so the ledger never pays for answers the caller did not receive.
-        ``keys`` — a parallel sequence of precomputed
-        :data:`~repro.engine.requests.QueryKey` — is the batched form of
-        :meth:`ask_set`'s ``key``.
+
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> from repro.engine.requests import set_query_key
+        >>> oracle = GroundTruthOracle(binary_dataset(9, 3, placement="front"))
+        >>> female = group(gender="female")
+        >>> oracle.ask_set_batch([set_query_key(np.arange(3), female),
+        ...                       set_query_key(np.array([4, 8]), female)])
+        [True, False]
         """
         if not queries:
             return []
-        prepared = [
-            (np.asarray(indices, dtype=np.int64), predicate)
-            for indices, predicate in queries
-        ]
-        self.ledger.charge_set_batch(len(prepared))
+        self.ledger.charge_set_batch(len(queries))
         self.ledger.note_round()
-        if keys is None:
-            index_keys = [IndexKey.of(indices) for indices, _ in prepared]
-        else:
-            index_keys = [key[1] for key in keys]
-        return [
-            bool(answer) for answer in self._answer_set_batch(prepared, index_keys)
-        ]
+        return [bool(answer) for answer in self._answer_set_batch(queries)]
 
     def ask_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
         """Answer many point queries in one oracle round-trip.
@@ -337,16 +330,13 @@ class Oracle(ABC):
     @abstractmethod
     def _answer_point(self, index: int) -> dict[str, str]: ...
 
-    def _answer_set_batch(
-        self,
-        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
-        index_keys: Sequence[IndexKey],
-    ) -> list[bool]:
-        """Default batch path: answer one by one. Subclasses with a
-        vectorizable backend override this."""
+    def _answer_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
+        """Default batch path: answer one by one, each query's indices
+        rebuilt from its key. Subclasses with a vectorizable backend
+        override this."""
         return [
-            self._answer_set(indices, predicate, index_key)
-            for (indices, predicate), index_key in zip(queries, index_keys)
+            self._answer_set(index_key.to_array(), predicate, index_key)
+            for predicate, index_key in queries
         ]
 
     def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
@@ -499,18 +489,12 @@ class GroundTruthOracle(Oracle):
     ) -> bool:
         return self.membership_index.any_match(predicate, index_key)
 
-    def _answer_set_batch(
-        self,
-        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
-        index_keys: Sequence[IndexKey],
-    ) -> list[bool]:
+    def _answer_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
         if not self._native_set_hook:
             # Only the per-query hook was customized: batches must still
             # flow through it, one query at a time.
-            return super()._answer_set_batch(queries, index_keys)
-        return self.membership_index.any_match_batch(
-            [(key, predicate) for key, (_, predicate) in zip(index_keys, queries)]
-        )
+            return super()._answer_set_batch(queries)
+        return self.membership_index.any_match_batch(queries)
 
     def _answer_point(self, index: int) -> dict[str, str]:
         return self.dataset.value_row(index)
@@ -672,23 +656,17 @@ class FlakyOracle(Oracle):
             return not truth
         return truth
 
-    def _answer_set_batch(
-        self,
-        queries: Sequence[tuple[np.ndarray, GroupPredicate]],
-        index_keys: Sequence[IndexKey],
-    ) -> list[bool]:
+    def _answer_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
         if not self._native_set_hook:
             # One scalar flip draw per query — the same stream the
             # vectorized draw below consumes, so the fallback stays
             # bit-identical too.
-            return super()._answer_set_batch(queries, index_keys)
+            return super()._answer_set_batch(queries)
         # Truths come from the vectorized index; the flip draws stay one
         # vector of length len(queries), which consumes the generator's
         # stream exactly like len(queries) scalar draws — sequential and
         # batched execution remain bit-identical under one seed.
-        truths = self.membership_index.any_match_batch(
-            [(key, predicate) for key, (_, predicate) in zip(index_keys, queries)]
-        )
+        truths = self.membership_index.any_match_batch(queries)
         flips = self.rng.random(len(queries)) < self.set_error_rate
         return [truth != bool(flip) for truth, flip in zip(truths, flips)]
 

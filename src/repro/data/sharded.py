@@ -83,7 +83,7 @@ from repro.data.schema import Schema
 from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
 
 if TYPE_CHECKING:
-    from repro.engine.requests import IndexKey
+    from repro.engine.requests import IndexKey, QueryKey
 
 __all__ = [
     "ShardStats",
@@ -1116,10 +1116,9 @@ class ShardedMembershipIndex:
         before = self._rank(predicate, bitmaps, ranks[predicate], ends)
         return live & (before[len(starts) :] > before[: len(starts)])
 
-    def any_match_batch(
-        self, queries: Sequence[tuple[IndexKey, GroupPredicate]]
-    ) -> list[bool]:
-        """Answer many keyed set queries; empty keys answer ``False``.
+    def any_match_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
+        """Answer many set queries, each named by its
+        :data:`~repro.engine.requests.QueryKey`; empty keys answer ``False``.
 
         Every key is range-checked before any work. One streaming pass
         builds every value bitmap the batch lacks; then each predicate's
@@ -1129,7 +1128,7 @@ class ShardedMembershipIndex:
         answers = [False] * len(queries)
         runs: dict[GroupPredicate, list[tuple[int, int, int]]] = {}
         scattered: dict[GroupPredicate, list[int]] = {}
-        for position, (key, predicate) in enumerate(queries):
+        for position, (predicate, key) in enumerate(queries):
             if key.payload is None:
                 if key.stop > key.start:
                     self._check_run(key.start, key.stop)
@@ -1138,7 +1137,7 @@ class ShardedMembershipIndex:
                 scattered.setdefault(predicate, []).append(position)
         gathers = []
         for predicate, positions in scattered.items():
-            arrays = [queries[position][0].to_array() for position in positions]
+            arrays = [queries[position][1].to_array() for position in positions]
             indices = np.concatenate(arrays)
             _check_object_indices(indices, len(self.dataset))
             gathers.append((indices, np.cumsum([0] + [len(a) for a in arrays[:-1]])))

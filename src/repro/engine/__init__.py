@@ -5,7 +5,7 @@ layering and :class:`QueryEngine` for the scheduling loop.
 """
 
 from repro.engine.cache import AnswerCache
-from repro.engine.requests import IndexKey, QueryBatch, QueryKey, SetRequest, set_query_key
+from repro.engine.requests import IndexKey, QueryBatch, QueryKey, set_query_key
 from repro.engine.scheduler import CoverageStepper, Flow, QueryEngine
 from repro.engine.stats import EngineStats
 
@@ -18,6 +18,5 @@ __all__ = [
     "QueryBatch",
     "QueryEngine",
     "QueryKey",
-    "SetRequest",
     "set_query_key",
 ]

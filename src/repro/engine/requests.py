@@ -1,11 +1,13 @@
 """The units of work the engine schedules: pending set queries.
 
-A stepper hands the engine its ready queries as one :class:`QueryBatch`,
-and the engine builds a :class:`SetRequest` only for a query it
-dispatches. A query is keyed by *(predicate, exact index content)* so
-that two runs asking the same question about the same objects — whatever
-view slice the indices came from — collide in the answer cache and in
-the in-flight dedup table.
+A stepper hands the engine its ready queries as one :class:`QueryBatch`.
+A query is keyed by *(predicate, exact index content)* — its
+:data:`QueryKey` — so that two runs asking the same question about the
+same objects, whatever view slice the indices came from, collide in the
+answer cache and in the in-flight dedup table. The key is also the only
+form a dispatched query takes below the engine: backends, proxies and
+oracles pass ``Sequence[QueryKey]``, and only an oracle that answers one
+query at a time rebuilds its indices, with :meth:`IndexKey.to_array`.
 
 Index identity is carried by :class:`IndexKey`, which comes in two
 shapes. A **contiguous ascending run** (``start, start+1, ..., stop-1``
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.data.groups import GroupPredicate
 
-__all__ = ["IndexKey", "QueryBatch", "QueryKey", "SetRequest", "set_query_key"]
+__all__ = ["IndexKey", "QueryBatch", "QueryKey", "set_query_key"]
 
 
 def _as_run(indices: np.ndarray) -> tuple[int, int] | None:
@@ -170,67 +172,16 @@ def set_query_key(indices: np.ndarray, predicate: GroupPredicate) -> QueryKey:
     return (predicate, IndexKey.of(indices))
 
 
-class SetRequest:
-    """A set query dispatched to a crowd backend, awaiting an answer.
-
-    ``index_key`` lets callers that already know their indices' shape
-    skip the O(n) run detection; when omitted the key is derived from
-    the array. :meth:`QueryBatch.requests` builds requests from a
-    stepper's keys and contiguous view slices without either step.
-    """
-
-    __slots__ = ("indices", "predicate", "key")
-
-    def __init__(
-        self,
-        indices: np.ndarray,
-        predicate: GroupPredicate,
-        *,
-        index_key: IndexKey | None = None,
-    ) -> None:
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.predicate = predicate
-        self.key: QueryKey = (
-            predicate,
-            index_key if index_key is not None else IndexKey.of(self.indices),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging sugar
-        return (
-            f"SetRequest({len(self.indices)} objects, "
-            f"{self.predicate.describe()!r})"
-        )
-
-
 @dataclass(eq=False, slots=True)
 class QueryBatch:
     """One stepper's ready queries about one ``predicate``, handed to the
     engine in one piece: ``positions[i]`` is the FIFO position the
     stepper's ``feed`` takes the ``i``-th answer back by, ``keys[i]`` the
-    :class:`IndexKey` of ``view[starts[i]:stops[i]]``. ``view`` is a
-    contiguous int64 array, so its slices need no conversion."""
+    :class:`IndexKey` of that query's indices."""
 
     predicate: GroupPredicate
     positions: Sequence[int]
     keys: Sequence[IndexKey]
-    view: np.ndarray
-    starts: Sequence[int]
-    stops: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def requests(self, picks: Iterable[int] | None = None) -> list[SetRequest]:
-        """The queries ``picks`` (every query when ``None``), in that
-        order, as :class:`SetRequest` objects."""
-        predicate, view, keys, starts, stops = (
-            self.predicate, self.view, self.keys, self.starts, self.stops
-        )
-        requests = []
-        for i in range(len(keys)) if picks is None else picks:
-            request = SetRequest.__new__(SetRequest)
-            request.indices = view[starts[i] : stops[i]]
-            request.predicate = predicate
-            request.key = (predicate, keys[i])
-            requests.append(request)
-        return requests

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 from repro.crowd.backends.base import CrowdBackend, Ticket
 from repro.crowd.backends.inline import InlineBackend
 from repro.engine.cache import AnswerCache
-from repro.engine.requests import IndexKey, QueryBatch, QueryKey, SetRequest
+from repro.engine.requests import IndexKey, QueryBatch, QueryKey
 from repro.engine.stats import EngineStats
 from repro.errors import InvalidParameterError
 
@@ -470,8 +470,8 @@ class QueryEngine:
         if not self._flows:
             return False, []
         round_answers: dict[GroupPredicate, dict[IndexKey, bool]] = {}
-        to_dispatch: list[SetRequest] = []
-        #: (flow, index of its first request in to_dispatch)
+        to_dispatch: list[QueryKey] = []
+        #: (flow, index of its first query in to_dispatch)
         dispatchers: list[tuple[Flow, int]] = []
         feeds: list[tuple[Flow, list[int], list[bool]]] = []
         collected = False
@@ -524,7 +524,7 @@ class QueryEngine:
                     fed_answers.append(answer)
             if missed:
                 dispatchers.append((flow, len(to_dispatch)))
-                to_dispatch += batch.requests(missed)
+                to_dispatch += [(predicate, keys[i]) for i in missed]
                 flow.outstanding += len(missed)
                 flow.dispatched += len(missed)
             if fed_positions:
@@ -540,16 +540,15 @@ class QueryEngine:
                 chunk = to_dispatch[start : start + self.batch_size]
                 ticket = self.backend.submit(chunk)
                 self.oracle_round_trips += 1
-                self._tickets[ticket.ticket_id] = [request.key for request in chunk]
+                self._tickets[ticket.ticket_id] = chunk
                 tickets.append(ticket)
                 submitted += len(chunk)
         except BaseException:
             # A refused batch (budget exhaustion) publishes nothing: the
-            # unsubmitted requests must leave the in-flight table, or
+            # unsubmitted queries must leave the in-flight table, or
             # every later audit asking the same question would wait
             # forever on a ticket that does not exist.
-            for request in to_dispatch[submitted:]:
-                predicate, index_key = request.key
+            for predicate, index_key in to_dispatch[submitted:]:
                 waiters = self._waiters[predicate].pop(index_key, ())
                 for position, (waiter, _) in enumerate(waiters):
                     waiter.outstanding -= 1

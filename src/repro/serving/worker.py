@@ -100,9 +100,7 @@ class QueryLoggingOracle:
         self._log.flush()
 
     @staticmethod
-    def _set_entry(indices, predicate, key) -> dict[str, Any]:
-        if key is None:
-            key = set_query_key(indices, predicate)
+    def _set_entry(key) -> dict[str, Any]:
         entry = set_answer_to_dict(key[0], key[1], True)
         entry.pop("answer", None)
         entry["kind"] = "set"
@@ -114,16 +112,15 @@ class QueryLoggingOracle:
     def ask_set(self, indices, predicate, *, key=None) -> bool:
         """Forward one set query to the real oracle, logging it."""
         answer = self._inner.ask_set(indices, predicate, key=key)
-        self._write([self._set_entry(indices, predicate, key)])
+        if key is None:
+            key = set_query_key(indices, predicate)
+        self._write([self._set_entry(key)])
         return answer
 
-    def ask_set_batch(self, queries, *, keys=None) -> list:
+    def ask_set_batch(self, queries) -> list:
         """Forward a set-query batch, logging every member."""
-        answers = self._inner.ask_set_batch(queries, keys=keys)
-        self._write(
-            self._set_entry(indices, predicate, None if keys is None else keys[position])
-            for position, (indices, predicate) in enumerate(queries)
-        )
+        answers = self._inner.ask_set_batch(queries)
+        self._write(self._set_entry(key) for key in queries)
         return answers
 
     def ask_point(self, index: int) -> dict[str, str]:
@@ -153,7 +150,7 @@ class QueryLoggingOracle:
         )
         asked = np.flatnonzero(scan_asked(answers, paired))
         self._write(
-            self._set_entry(view[start:stop], predicate, None)
+            self._set_entry(set_query_key(view[start:stop], predicate))
             for start, stop in zip(starts[asked].tolist(), stops[asked].tolist())
         )
         return answers

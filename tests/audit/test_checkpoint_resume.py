@@ -32,11 +32,11 @@ class RecordingOracle(GroundTruthOracle):
         )
         return super()._answer_set(indices, predicate, index_key)
 
-    def _answer_set_batch(self, queries, index_keys):
+    def _answer_set_batch(self, queries):
         self.set_keys.extend(
-            (predicate, indices.tobytes()) for indices, predicate in queries
+            (predicate, index_key.to_array().tobytes()) for predicate, index_key in queries
         )
-        return super()._answer_set_batch(queries, index_keys)
+        return super()._answer_set_batch(queries)
 
     def _answer_point(self, index):
         self.point_indices.append(index)

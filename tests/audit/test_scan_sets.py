@@ -40,8 +40,8 @@ def per_query(proxy, steppers):
     for stepper in steppers:
         while not stepper.done:
             batch = stepper.pending(limit=1)
-            (request,) = batch.requests()
-            answer = proxy.ask_set(request.indices, FEMALE, key=request.key)
+            (index_key,) = batch.keys
+            answer = proxy.ask_set(index_key.to_array(), FEMALE, key=(FEMALE, index_key))
             stepper.feed(batch.positions, [answer])
 
 

@@ -24,12 +24,13 @@ MALE = group(gender="male")
 
 
 class TestNormalization:
-    def test_view_ndarray_becomes_tuple_of_ints(self):
+    def test_view_ndarray_becomes_int64_bytes(self):
         spec = GroupAuditSpec(
             predicate=FEMALE, tau=5, view=np.array([3, 1, 2], dtype=np.int32)
         )
-        assert spec.view == (3, 1, 2)
-        assert all(type(i) is int for i in spec.view)
+        assert spec.view == np.array([3, 1, 2], dtype=np.int64).tobytes()
+        assert spec == GroupAuditSpec(predicate=FEMALE, tau=5, view=(3, 1, 2))
+        assert spec.to_dict()["view"] == [3, 1, 2]
 
     def test_view_none_stays_none(self):
         spec = GroupAuditSpec(predicate=FEMALE, tau=5)
@@ -42,6 +43,27 @@ class TestNormalization:
             spec.view_array(), np.array([5, 7], dtype=np.int64)
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GroupAuditSpec(predicate=FEMALE, tau=5, view=[5, 7, 2]),
+            BaseAuditSpec(predicate=FEMALE, tau=5, view=[5, 7, 2]),
+            MultipleAuditSpec(groups=[FEMALE, MALE], tau=5, view=[5, 7, 2]),
+            IntersectionalAuditSpec(
+                schema=Schema.from_dict({"gender": ["male", "female"]}), tau=5, view=[5, 7, 2]
+            ),
+            ClassifierAuditSpec(group=FEMALE, tau=5, view=[5, 7, 2]),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_view_array_is_a_read_only_view_of_one_buffer(self, spec):
+        first, second = spec.view_array(), spec.view_array()
+        assert first.dtype == np.int64 and first.tolist() == [5, 7, 2]
+        assert not first.flags.writeable
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0] = 1
+
     def test_groups_normalized_to_tuple(self):
         spec = MultipleAuditSpec(groups=[FEMALE, MALE], tau=5)
         assert spec.groups == (FEMALE, MALE)
@@ -50,13 +72,16 @@ class TestNormalization:
         spec = ClassifierAuditSpec(
             group=FEMALE, tau=5, predicted_positive=np.array([9, 4])
         )
-        assert spec.predicted_positive == (9, 4)
+        assert spec.predicted_positive_array().tolist() == [9, 4]
+        assert spec.describe().endswith("|G|=2)")
+        assert not spec.predicted_positive_array().flags.writeable
 
     def test_specs_are_frozen_and_hashable(self):
         spec = GroupAuditSpec(predicate=FEMALE, tau=5, view=[1, 2])
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.tau = 6
         assert hash(spec) == hash(GroupAuditSpec(predicate=FEMALE, tau=5, view=[1, 2]))
+        assert dataclasses.replace(spec, tau=6).view_array().tolist() == [1, 2]
 
     def test_equal_specs_compare_equal(self):
         assert GroupAuditSpec(predicate=FEMALE, tau=5) == GroupAuditSpec(

@@ -84,9 +84,9 @@ class CallLog:
                 self._record(b"set", [(segment, predicate)])
             return answers
 
-        def logged_ask_set_batch(queries, *, keys=None):
-            self._record(b"set_batch", queries)
-            return ask_set_batch(queries, keys=keys)
+        def logged_ask_set_batch(queries):
+            self._record(b"set_batch", [(key.to_array(), predicate) for predicate, key in queries])
+            return ask_set_batch(queries)
 
         def logged_ask_point(index):
             self._record(b"point", [(index, None)])

@@ -254,7 +254,7 @@ def test_scans_and_batches_share_the_fifo(view, data, tau, n, speculation):
                 continue
         batch = mixed.pending(data.draw(st.one_of(st.none(), st.integers(1, 6))))
         assert len(batch), "stepper stalled"
-        queries = [(request.indices, FEMALE) for request in batch.requests()]
+        queries = [(FEMALE, key) for key in batch.keys]
         mixed.feed(batch.positions, oracle.ask_set_batch(queries))
     alone = GroupCoverageStepper(FEMALE, tau, n=n, view=view)
     run_sequential(GroundTruthOracle(dataset), [alone])
@@ -272,14 +272,14 @@ def test_ascending_view_keys_are_canonical(view, data, n):
     stepper = GroupCoverageStepper(FEMALE, len(view) + 1, n=n, view=view)
     while not stepper.done:
         batch = stepper.pending()
-        requests = batch.requests()
-        for request in requests:
-            assert request.key[1] is IndexKey.of(request.indices)
+        indices = [key.to_array() for key in batch.keys]
+        for key, array in zip(batch.keys, indices):
+            assert key is IndexKey.of(array)
         stepper.feed(
-            batch.positions,
-            [not members.isdisjoint(request.indices.tolist()) for request in requests],
+            batch.positions, [not members.isdisjoint(array.tolist()) for array in indices]
         )
     assert stepper.count == len(members)
+    assert set(stepper.discovered_indices) == members
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,12 +292,11 @@ def test_unordered_view_keys_are_canonical(view, data, n):
     stepper = GroupCoverageStepper(FEMALE, len(view) + 1, n=n, view=view)
     while not stepper.done:
         batch = stepper.pending()
-        requests = batch.requests()
-        for request in requests:
-            assert request.key[1] is IndexKey.of(request.indices)
+        indices = [key.to_array() for key in batch.keys]
+        for key, array in zip(batch.keys, indices):
+            assert key is IndexKey.of(array)
         stepper.feed(
-            batch.positions,
-            [not members.isdisjoint(request.indices.tolist()) for request in requests],
+            batch.positions, [not members.isdisjoint(array.tolist()) for array in indices]
         )
     assert stepper.count == len(members)
     assert set(stepper.discovered_indices) == members

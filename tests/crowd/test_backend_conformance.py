@@ -23,7 +23,7 @@ from repro.crowd.backends import (
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
-from repro.engine.requests import SetRequest
+from repro.engine.requests import set_query_key
 from repro.errors import InvalidParameterError
 from repro.service import AuditService, JobStatus
 
@@ -57,9 +57,9 @@ def backend(make_backend, dataset):
     instance.close()
 
 
-def requests_over(dataset, *, predicate=FEMALE, chunk=50, count=None):
+def queries_over(dataset, *, predicate=FEMALE, chunk=50, count=None):
     batches = [
-        SetRequest(
+        set_query_key(
             np.arange(start, min(start + chunk, len(dataset))), predicate
         )
         for start in range(0, len(dataset), chunk)
@@ -69,9 +69,9 @@ def requests_over(dataset, *, predicate=FEMALE, chunk=50, count=None):
 
 class TestTicketLifecycle:
     def test_submit_returns_monotonic_tickets(self, backend, dataset):
-        first = backend.submit(requests_over(dataset, count=2))
+        first = backend.submit(queries_over(dataset, count=2))
         second = backend.submit(
-            requests_over(dataset, predicate=MALE, count=3)
+            queries_over(dataset, predicate=MALE, count=3)
         )
         assert second.ticket_id > first.ticket_id
         assert (first.n_queries, second.n_queries) == (2, 3)
@@ -84,17 +84,14 @@ class TestTicketLifecycle:
         self, backend, dataset
     ):
         oracle = backend.oracle
-        batch = requests_over(dataset, count=4)
+        batch = queries_over(dataset, count=4)
         answers = backend.gather(backend.submit(batch))
         assert answers == [
-            oracle.membership_index.any_match(
-                request.predicate, request.key[1]
-            )
-            for request in batch
+            oracle.membership_index.any_match(*query) for query in batch
         ]
 
     def test_gather_is_exactly_once(self, backend, dataset):
-        ticket = backend.submit(requests_over(dataset, count=1))
+        ticket = backend.submit(queries_over(dataset, count=1))
         backend.gather(ticket)
         with pytest.raises(InvalidParameterError):
             backend.gather(ticket)
@@ -102,8 +99,8 @@ class TestTicketLifecycle:
     def test_foreign_ticket_rejected(self, backend, dataset, make_backend):
         other = make_backend(GroundTruthOracle(dataset))
         try:
-            foreign = other.submit(requests_over(dataset, count=1))
-            backend.submit(requests_over(dataset, count=1))
+            foreign = other.submit(queries_over(dataset, count=1))
+            backend.submit(queries_over(dataset, count=1))
             with pytest.raises(InvalidParameterError):
                 backend.gather(foreign)
         finally:
@@ -111,7 +108,7 @@ class TestTicketLifecycle:
 
     def test_poll_only_reports_outstanding_tickets(self, backend, dataset):
         assert backend.poll() == []
-        ticket = backend.submit(requests_over(dataset, count=1))
+        ticket = backend.submit(queries_over(dataset, count=1))
         ready = backend.next_done()
         assert ready.ticket_id == ticket.ticket_id
         assert all(t.ticket_id == ticket.ticket_id for t in backend.poll())
@@ -131,7 +128,7 @@ class TestEdgeCases:
             backend.next_done()
 
     def test_charging_happens_at_submit(self, backend, dataset):
-        backend.submit(requests_over(dataset, count=3))
+        backend.submit(queries_over(dataset, count=3))
         assert backend.oracle.ledger.n_set_queries == 3
         assert backend.oracle.ledger.n_rounds == 1
 
@@ -149,15 +146,15 @@ class TestEdgeCases:
         monkeypatch.setattr(proxy_module.inspect, "getattr_static", counted)
         backend = make_backend(proxy)
         try:
-            for request in requests_over(dataset, count=4):
-                backend.gather(backend.submit([request]))
+            for query in queries_over(dataset, count=4):
+                backend.gather(backend.submit([query]))
         finally:
             backend.close()
         assert misses == ["drain_set_votes"]
         assert proxy.ledger.n_set_queries == 4
 
     def test_close_is_idempotent(self, backend, dataset):
-        ticket = backend.submit(requests_over(dataset, count=1))
+        ticket = backend.submit(queries_over(dataset, count=1))
         backend.gather(ticket)
         backend.close()
         backend.close()
@@ -171,9 +168,9 @@ class TestCrossBackendEquivalence:
             instance = factory(oracle)
             try:
                 tickets = [
-                    instance.submit(requests_over(dataset, count=4)),
+                    instance.submit(queries_over(dataset, count=4)),
                     instance.submit(
-                        requests_over(dataset, predicate=MALE, count=4)
+                        queries_over(dataset, predicate=MALE, count=4)
                     ),
                 ]
                 answers = [instance.gather(t) for t in tickets]

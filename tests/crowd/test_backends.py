@@ -15,7 +15,7 @@ from repro.crowd.backends import (
 from repro.crowd.oracle import GroundTruthOracle
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
-from repro.engine import QueryEngine, SetRequest
+from repro.engine import QueryEngine, set_query_key
 from repro.errors import BudgetExceededError, InvalidParameterError
 
 FEMALE = group(gender="female")
@@ -27,9 +27,9 @@ def dataset():
     return binary_dataset(600, 25, rng=np.random.default_rng(11))
 
 
-def requests_over(dataset, *, predicate=FEMALE, chunk=50):
+def queries_over(dataset, *, predicate=FEMALE, chunk=50):
     return [
-        SetRequest(np.arange(start, min(start + chunk, len(dataset))), predicate)
+        set_query_key(np.arange(start, min(start + chunk, len(dataset))), predicate)
         for start in range(0, len(dataset), chunk)
     ]
 
@@ -38,22 +38,21 @@ class TestLifecycle:
     def test_submit_poll_gather_round_trip(self, dataset):
         oracle = GroundTruthOracle(dataset)
         backend = InlineBackend(oracle)
-        batch = requests_over(dataset)[:4]
+        batch = queries_over(dataset)[:4]
         ticket = backend.submit(batch)
         assert ticket.n_queries == 4
         assert backend.outstanding == 1
         assert backend.poll() == [ticket]
         answers = backend.gather(ticket)
         assert answers == [
-            oracle.membership_index.any_match(request.predicate, request.key[1])
-            for request in batch
+            oracle.membership_index.any_match(*query) for query in batch
         ]
         assert backend.outstanding == 0
         assert backend.poll() == []
 
     def test_gather_is_one_shot(self, dataset):
         backend = InlineBackend(GroundTruthOracle(dataset))
-        ticket = backend.submit(requests_over(dataset)[:1])
+        ticket = backend.submit(queries_over(dataset)[:1])
         backend.gather(ticket)
         with pytest.raises(InvalidParameterError):
             backend.gather(ticket)
@@ -70,14 +69,14 @@ class TestLifecycle:
 
     def test_next_done_returns_submission_order_when_inline(self, dataset):
         backend = InlineBackend(GroundTruthOracle(dataset))
-        first = backend.submit(requests_over(dataset)[:1])
-        backend.submit(requests_over(dataset, predicate=MALE)[:1])
+        first = backend.submit(queries_over(dataset)[:1])
+        backend.submit(queries_over(dataset, predicate=MALE)[:1])
         assert backend.next_done() is first
 
     def test_charging_happens_at_submit(self, dataset):
         oracle = GroundTruthOracle(dataset)
         backend = InlineBackend(oracle)
-        batch = requests_over(dataset)[:3]
+        batch = queries_over(dataset)[:3]
         backend.submit(batch)
         # Tasks and the round-trip are billed whether or not anyone
         # gathers: the HITs are published.
@@ -88,7 +87,7 @@ class TestLifecycle:
         oracle = GroundTruthOracle(dataset, budget=2)
         backend = InlineBackend(oracle)
         with pytest.raises(BudgetExceededError):
-            backend.submit(requests_over(dataset)[:3])
+            backend.submit(queries_over(dataset)[:3])
         assert backend.outstanding == 0
         assert oracle.ledger.total == 0
 
@@ -97,7 +96,7 @@ class TestLatencyModelBackend:
     def test_answers_withheld_until_the_clock_reaches_them(self, dataset):
         oracle = GroundTruthOracle(dataset)
         backend = LatencyModelBackend(oracle, rng=np.random.default_rng(0))
-        ticket = backend.submit(requests_over(dataset)[:4])
+        ticket = backend.submit(queries_over(dataset)[:4])
         # Published and paid, but not ready: no virtual time has passed.
         assert backend.poll() == []
         assert oracle.ledger.n_set_queries == 4
@@ -111,7 +110,7 @@ class TestLatencyModelBackend:
         backend = LatencyModelBackend(
             GroundTruthOracle(dataset), rng=np.random.default_rng(1)
         )
-        ticket = backend.submit(requests_over(dataset)[:2])
+        ticket = backend.submit(queries_over(dataset)[:2])
         assert backend.clock.now() == 0.0
         backend.gather(ticket)
         assert backend.clock.now() >= backend.model.publish_overhead_seconds
@@ -124,14 +123,14 @@ class TestLatencyModelBackend:
         serial = LatencyModelBackend(
             GroundTruthOracle(dataset), model=model, rng=np.random.default_rng(2)
         )
-        for batch in (requests_over(dataset)[:4], requests_over(dataset)[4:8]):
+        for batch in (queries_over(dataset)[:4], queries_over(dataset)[4:8]):
             serial.gather(serial.submit(batch))
         overlapped = LatencyModelBackend(
             GroundTruthOracle(dataset), model=model, rng=np.random.default_rng(2)
         )
         tickets = [
-            overlapped.submit(requests_over(dataset)[:4]),
-            overlapped.submit(requests_over(dataset)[4:8]),
+            overlapped.submit(queries_over(dataset)[:4]),
+            overlapped.submit(queries_over(dataset)[4:8]),
         ]
         for ticket in tickets:
             overlapped.gather(ticket)
@@ -143,7 +142,7 @@ class TestLatencyModelBackend:
             backend = LatencyModelBackend(
                 GroundTruthOracle(dataset), rng=np.random.default_rng(7)
             )
-            backend.gather(backend.submit(requests_over(dataset)[:5]))
+            backend.gather(backend.submit(queries_over(dataset)[:5]))
             times.append(backend.clock.now())
         assert times[0] == times[1]
 
@@ -152,7 +151,7 @@ class TestLatencyModelBackend:
         backend = LatencyModelBackend(
             GroundTruthOracle(dataset), clock=clock, rng=np.random.default_rng(3)
         )
-        backend.gather(backend.submit(requests_over(dataset)[:1]))
+        backend.gather(backend.submit(queries_over(dataset)[:1]))
         assert clock.now() == backend.clock.now() > 0.0
 
     def test_model_validation(self):
@@ -169,12 +168,11 @@ class TestThreadedBackend:
         oracle = GroundTruthOracle(dataset)
         backend = ThreadedBackend(oracle, max_workers=2)
         try:
-            batch = requests_over(dataset)[:4]
+            batch = queries_over(dataset)[:4]
             ticket = backend.submit(batch)
             answers = backend.gather(ticket)
             reference = [
-                oracle.membership_index.any_match(r.predicate, r.key[1])
-                for r in batch
+                oracle.membership_index.any_match(*query) for query in batch
             ]
             assert answers == reference
         finally:
@@ -184,13 +182,13 @@ class TestThreadedBackend:
         oracle = GroundTruthOracle(dataset)
         calls = []
 
-        def adapter(requests):
-            calls.append(len(requests))
-            return [True] * len(requests)
+        def adapter(queries):
+            calls.append(len(queries))
+            return [True] * len(queries)
 
         backend = ThreadedBackend(oracle, adapter=adapter)
         try:
-            ticket = backend.submit(requests_over(dataset)[:3])
+            ticket = backend.submit(queries_over(dataset)[:3])
             assert backend.gather(ticket) == [True, True, True]
             assert calls == [3]
             # The adapter charges its own platform; the ledger saw nothing.
@@ -199,12 +197,12 @@ class TestThreadedBackend:
             backend.close()
 
     def test_adapter_errors_surface_at_gather(self, dataset):
-        def adapter(requests):
+        def adapter(queries):
             raise ValueError("platform rejected the batch")
 
         backend = ThreadedBackend(GroundTruthOracle(dataset), adapter=adapter)
         try:
-            ticket = backend.submit(requests_over(dataset)[:1])
+            ticket = backend.submit(queries_over(dataset)[:1])
             with pytest.raises(ValueError):
                 backend.gather(ticket)
         finally:
@@ -216,22 +214,22 @@ class TestThreadedBackend:
         of tripping over a ghost ticket forever."""
         calls = []
 
-        def adapter(requests):
+        def adapter(queries):
             if not calls:
                 calls.append("boom")
                 raise ValueError("transient platform failure")
-            return [True] * len(requests)
+            return [True] * len(queries)
 
         backend = ThreadedBackend(GroundTruthOracle(dataset), adapter=adapter)
         try:
-            doomed = backend.submit(requests_over(dataset)[:1])
+            doomed = backend.submit(queries_over(dataset)[:1])
             with pytest.raises(ValueError):
                 backend.gather(doomed)
             assert backend.outstanding == 0
             assert backend.poll() == []
             with pytest.raises(InvalidParameterError):
                 backend.next_done()
-            retry = backend.submit(requests_over(dataset)[:1])
+            retry = backend.submit(queries_over(dataset)[:1])
             assert backend.gather(retry) == [True]
         finally:
             backend.close()
@@ -240,7 +238,7 @@ class TestThreadedBackend:
         backend = ThreadedBackend(GroundTruthOracle(dataset))
         backend.close()
         with pytest.raises(InvalidParameterError):
-            backend.submit(requests_over(dataset)[:1])
+            backend.submit(queries_over(dataset)[:1])
 
 
 class TestEngineOverBackends:

@@ -70,12 +70,12 @@ class TestBatchQueries:
             for _ in range(20)
         ]
         queries.append((np.arange(len(dataset)), group(gender="male")))
-        answers = batched.ask_set_batch(queries)
+        answers = batched.ask_set_batch([set_query_key(i, p) for i, p in queries])
         assert answers == [single.ask_set(i, p) for i, p in queries]
 
     def test_batch_charges_per_query_but_one_round(self, dataset):
         oracle = GroundTruthOracle(dataset)
-        oracle.ask_set_batch([(np.arange(5), FEMALE)] * 7)
+        oracle.ask_set_batch([set_query_key(np.arange(5), FEMALE)] * 7)
         assert oracle.ledger.n_set_queries == 7
         assert oracle.ledger.n_rounds == 1
 
@@ -116,7 +116,7 @@ class TestBatchQueries:
     def test_unaffordable_batch_charges_nothing(self, dataset):
         oracle = GroundTruthOracle(dataset, budget=3)
         with pytest.raises(BudgetExceededError):
-            oracle.ask_set_batch([(np.arange(5), FEMALE)] * 4)
+            oracle.ask_set_batch([set_query_key(np.arange(5), FEMALE)] * 4)
         assert oracle.ledger.total == 0
 
     def test_flaky_batch_error_rate(self, dataset):
@@ -124,7 +124,9 @@ class TestBatchQueries:
             dataset, np.random.default_rng(0), set_error_rate=1.0
         )
         truth = GroundTruthOracle(dataset)
-        queries = [(np.arange(10), FEMALE), (np.arange(10, 20), FEMALE)]
+        queries = [
+            set_query_key(np.arange(10), FEMALE), set_query_key(np.arange(10, 20), FEMALE)
+        ]
         flipped = oracle.ask_set_batch(queries)
         straight = truth.ask_set_batch(queries)
         assert flipped == [not answer for answer in straight]
@@ -145,9 +147,9 @@ class TestIndexKeyBoundary:
     @staticmethod
     def batch_hook_oracle(dataset, seen):
         class Recording(GroundTruthOracle):
-            def _answer_set_batch(self, queries, index_keys):
-                seen.extend(index_keys)
-                return super()._answer_set_batch(queries, index_keys)
+            def _answer_set_batch(self, queries):
+                seen.extend(index_key for _, index_key in queries)
+                return super()._answer_set_batch(queries)
 
         return Recording(dataset)
 
@@ -162,11 +164,11 @@ class TestIndexKeyBoundary:
         for indices, key in zip(self.QUERIES, seen):
             assert key is IndexKey.of(indices)
 
-    def test_unkeyed_ask_set_batch_passes_the_interned_keys(self, dataset):
+    def test_ask_set_batch_passes_the_interned_keys(self, dataset):
         for make in (self.set_hook_oracle, self.batch_hook_oracle):
             seen = []
             make(dataset, seen).ask_set_batch(
-                [(indices, FEMALE) for indices in self.QUERIES]
+                [set_query_key(indices, FEMALE) for indices in self.QUERIES]
             )
             assert len(seen) == len(self.QUERIES)
             for indices, key in zip(self.QUERIES, seen):
@@ -186,8 +188,7 @@ class TestIndexKeyBoundary:
         for make in (self.set_hook_oracle, self.batch_hook_oracle):
             seen = []
             make(dataset, seen).ask_set_batch(
-                [(indices, FEMALE), (indices, FEMALE)],
-                keys=[(FEMALE, own), set_query_key(indices, FEMALE)],
+                [(FEMALE, own), set_query_key(indices, FEMALE)]
             )
             assert seen[0] is own and seen[1] is IndexKey.of_run(5, 15)
 
@@ -309,7 +310,7 @@ class TestPointAndHookContracts:
         oracle = Tracing(dataset)
         oracle.ask_set(np.arange(0, 10), FEMALE)
         oracle.ask_set_batch(
-            [(np.arange(10, 20), FEMALE), (np.array([1, 5, 9]), FEMALE)]
+            [set_query_key(np.arange(10, 20), FEMALE), set_query_key(np.array([1, 5, 9]), FEMALE)]
         )
         assert seen == [(0, 9), (10, 19), (1, 9)]
 
@@ -599,8 +600,10 @@ class TestScanSets:
                     run_sequential(oracle, [stepper])
                 while drive == "loop":
                     batch = stepper.pending(limit=1)
-                    (request,) = batch.requests()
-                    answer = oracle.ask_set(request.indices, FEMALE, key=request.key)
+                    (index_key,) = batch.keys
+                    answer = oracle.ask_set(
+                        index_key.to_array(), FEMALE, key=(FEMALE, index_key)
+                    )
                     stepper.feed(batch.positions, [answer])
             errors.append(str(raised.value))
             states.append(set_scan_state(oracle))

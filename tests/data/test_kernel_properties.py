@@ -217,16 +217,16 @@ def test_index_answers_like_the_mask_over_any_geometry_and_budget(
         assert index.count(predicate, key) == max(int(prefix[b] - prefix[a]), 0)
 
     # One batch mixing run keys, scattered keys and empty keys.
-    queries = [(IndexKey.of_run(a, b), predicate) for a, b in pairs]
+    queries = [(predicate, IndexKey.of_run(a, b)) for a, b in pairs]
     if n:
         for _ in range(3):
             scattered = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
-            queries.append((IndexKey.of(np.array(scattered, dtype=np.int64)), predicate))
+            queries.append((predicate, IndexKey.of(np.array(scattered, dtype=np.int64))))
         point = data.draw(st.integers(0, n - 1))
         assert index.matches(predicate, point) == mask[point]
-    queries.append((IndexKey.of(np.empty(0, dtype=np.int64)), predicate))
+    queries.append((predicate, IndexKey.of(np.empty(0, dtype=np.int64))))
     assert index.any_match_batch(queries) == [
-        bool(mask[key.to_array()].any()) for key, _ in queries
+        bool(mask[key.to_array()].any()) for _, key in queries
     ]
     np.testing.assert_array_equal(index.shard_totals(predicate), prefix[
         np.minimum(np.arange(ds.n_shards + 1) * shard_size, n)

@@ -133,7 +133,7 @@ class TestMembershipIndex:
                 indices = np.empty(0, dtype=np.int64)
             queries.append((indices, predicate))
         answers = index.any_match_batch(
-            [(IndexKey.of(indices), predicate) for indices, predicate in queries]
+            [(predicate, IndexKey.of(indices)) for indices, predicate in queries]
         )
         for (indices, predicate), answer in zip(queries, answers):
             expected = any(
@@ -262,7 +262,7 @@ class TestValidation:
         key = IndexKey.of(none)
         assert index.any_match(FEMALE, key) is bool(empty.mask(FEMALE)[none].any())
         assert index.count(FEMALE, key) == int(empty.mask(FEMALE)[none].sum()) == 0
-        assert index.any_match_batch([(key, FEMALE)]) == [False]
+        assert index.any_match_batch([(FEMALE, key)]) == [False]
         assert index.value_rows([]) == []
 
     def test_oracle_index_must_answer_over_the_same_dataset(self, dataset):

@@ -249,8 +249,8 @@ def test_run_and_scattered_keys_of_one_range_answer_alike(dense, predicate):
         assert index.any_match(predicate, run_key) == index.any_match(
             predicate, scattered_key
         )
-        assert index.any_match_batch([(run_key, predicate)]) == index.any_match_batch(
-            [(scattered_key, predicate)]
+        assert index.any_match_batch([(predicate, run_key)]) == index.any_match_batch(
+            [(predicate, scattered_key)]
         )
 
 
@@ -308,7 +308,7 @@ def test_property_sharded_equals_dense_on_random_views(shard_size, mode):
                 )
             expected = [reference_any(dense, p, i) for i, p in queries]
             assert index.any_match_batch(
-                [(IndexKey.of(i), p) for i, p in queries]
+                [(p, IndexKey.of(i)) for i, p in queries]
             ) == expected
         starts = rng.integers(0, n // 2, size=25)
         stops = starts + rng.integers(0, n // 2, size=25)
@@ -409,7 +409,7 @@ def test_out_of_range_queries_raise_instead_of_clamping(dense):
             index.any_match_runs(FEMALE, np.array([-1]), np.array([5]))
         with pytest.raises(OracleError):
             index.any_match_batch(
-                [(IndexKey.of(np.array([3, -2], dtype=np.int64)), FEMALE)]
+                [(FEMALE, IndexKey.of(np.array([3, -2], dtype=np.int64)))]
             )
 
 
@@ -561,8 +561,8 @@ def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, 
         IndexKey.of_run(7, 7),
         IndexKey.of(np.empty(0, dtype=np.int64)),
     ]
-    queries = [(key, p) for p in predicates for key in keys]
-    expected = [bool(dense.mask(p)[key.to_array()].any()) for key, p in queries]
+    queries = [(p, key) for p in predicates for key in keys]
+    expected = [bool(dense.mask(p)[key.to_array()].any()) for p, key in queries]
     with ShardExecutor(mode=mode, max_workers=2) as executor:
         ds = ShardedDataset.from_memmap(
             schema, path, 100, executor=executor, max_resident_shards=2
@@ -571,7 +571,7 @@ def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, 
         loads = ds.stats.loads
         for bad in (IndexKey.of(np.array([3, 500], dtype=np.int64)), IndexKey.of_run(450, 501)):
             with pytest.raises(OracleError):
-                index.any_match_batch(queries + [(bad, predicates[0])])
+                index.any_match_batch(queries + [(predicates[0], bad)])
         assert ds.stats.loads == loads  # range-checked before any work
         assert index.memory_report()["bitmap_builds"] == 0
         index.build_totals(predicates)
@@ -579,7 +579,7 @@ def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, 
         assert report["bitmap_builds"] == 4 and report["bitmap_evictions"] == 0
         loads = ds.stats.loads
         assert index.any_match_batch(queries) == expected
-        for key, p in queries:
+        for p, key in queries:
             assert index.count(p, key) == int(dense.mask(p)[key.to_array()].sum())
         assert ds.stats.loads == loads
 

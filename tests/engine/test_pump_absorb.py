@@ -112,9 +112,9 @@ class TestPumpAbsorb:
         engine = QueryEngine(GroundTruthOracle(dataset))
         other = InlineBackend(GroundTruthOracle(dataset))
         import numpy as _np
-        from repro.engine import SetRequest
+        from repro.engine import set_query_key
 
-        foreign = other.submit([SetRequest(_np.arange(5), FEMALE)])
+        foreign = other.submit([set_query_key(_np.arange(5), FEMALE)])
         with pytest.raises(InvalidParameterError):
             engine.absorb(foreign, [True])
 

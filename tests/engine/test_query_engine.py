@@ -292,10 +292,8 @@ class TestStepperContract:
         stepper = make_stepper(dataset, tau=5)
         first_round = stepper.pending()
         assert len(first_round) > 1
-        answered = first_round.requests([0])[0]
-        stepper.feed(
-            first_round.positions[:1], [oracle.ask_set(answered.indices, FEMALE)]
-        )
+        answered = first_round.keys[0].to_array()
+        stepper.feed(first_round.positions[:1], [oracle.ask_set(answered, FEMALE)])
         emitted = set(stepper.pending().keys)
         for still_waiting in first_round.keys[1:]:
             assert still_waiting not in emitted

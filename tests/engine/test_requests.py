@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.groups import group
-from repro.engine import IndexKey, SetRequest, set_query_key
+from repro.engine import IndexKey, set_query_key
 
 FEMALE = group(gender="female")
 
@@ -60,19 +60,17 @@ class TestIndexKey:
         assert key == rebuilt and hash(key) == hash(rebuilt)
 
 
-class TestSetRequest:
-    def test_key_matches_set_query_key(self):
-        indices = np.arange(4, 9)
-        request = SetRequest(indices, FEMALE)
-        assert request.key == set_query_key(indices, FEMALE)
-        assert request.key[1].is_run
-
-    def test_precomputed_index_key_is_trusted(self):
-        indices = np.arange(4, 9)
-        request = SetRequest(indices, FEMALE, index_key=IndexKey.of_run(4, 9))
-        assert request.key == set_query_key(indices, FEMALE)
+class TestSetQueryKey:
+    def test_key_is_the_predicate_and_the_content_key(self):
+        assert set_query_key(np.arange(4, 9), FEMALE) == (FEMALE, IndexKey.of_run(4, 9))
+        scattered = np.array([4, 9, 5])
+        key = set_query_key(scattered, FEMALE)
+        assert key[0] is FEMALE and key[1] is IndexKey.of(scattered.copy())
+        assert np.array_equal(key[1].to_array(), scattered)
 
     def test_dtype_normalization(self):
-        request = SetRequest(np.array([1, 2, 3], dtype=np.int32), FEMALE)
-        assert request.indices.dtype == np.int64
-        assert request.key[1] is IndexKey.of(np.arange(1, 4))
+        run = set_query_key(np.array([1, 2, 3], dtype=np.int32), FEMALE)
+        assert run[1] is IndexKey.of(np.arange(1, 4))
+        scattered = set_query_key(np.array([7, 2], dtype=np.int32), FEMALE)
+        assert scattered[1] is IndexKey.of(np.array([7, 2], dtype=np.int64))
+        assert scattered[1].to_array().dtype == np.int64

@@ -439,7 +439,7 @@ def mask_surface(dense, runs, scattereds, points, batch) -> list:
         answers += [(int(m.sum()), bool(m.any())) for m in picks]
         answers.append([bool(mask[a:b].any()) for a, b in runs])
         answers += [bool(mask[i]) for i in points]
-    answers.append([bool(dense.mask(p)[key.to_array()].any()) for key, p in batch])
+    answers.append([bool(dense.mask(p)[key.to_array()].any()) for p, key in batch])
     return answers
 
 
@@ -456,16 +456,16 @@ def check_surface(config: Config, env: Env) -> None:
     scattereds += [np.empty(0, dtype=np.int64)]
     points = [int(x) for x in rng.integers(0, n, size=8)]
     dense = LabeledDataset(SCHEMA, dataset_codes(config.data_seed, n))
-    keyed = [(IndexKey.of_run(a, b), p) for p in PREDICATES for a, b in runs[:3]]
-    keyed += [(IndexKey.of(s), p) for p in PREDICATES[:2] for s in scattereds]
-    batch = [(key.to_array(), p) for key, p in keyed]
+    keyed = [(p, IndexKey.of_run(a, b)) for p in PREDICATES for a, b in runs[:3]]
+    keyed += [(p, IndexKey.of(s)) for p in PREDICATES[:2] for s in scattereds]
+    batch = [(key.to_array(), p) for p, key in keyed]
     expected = mask_surface(dense, runs, scattereds, points, keyed)
     rows = RowAtATimeOracle(dense)
 
     def ask(config):
         dataset, index = env.layout(config)
         oracle = GroundTruthOracle(dataset, index=index)
-        answers = oracle.ask_set_batch(batch)
+        answers = oracle.ask_set_batch(keyed)
         assert [oracle.ask_set(i, p) for i, p in batch] == answers
         assert answers == [rows.ask_set(i, p) for i, p in batch]
         assert oracle.ask_point_batch(points) == [rows.ask_point(i) for i in points]
