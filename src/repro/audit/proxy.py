@@ -10,6 +10,13 @@ session's runs and a service's jobs. The proxy shares the raw oracle's
 schema and ledger (charging is unchanged), so the first asking of a
 query makes the same call, charge and round as the raw oracle would.
 
+Its set answers live in one :class:`~repro.engine.cache.AnswerCache`
+(:attr:`RecordingOracleProxy.answer_cache`), which a
+:class:`~repro.engine.QueryEngine` over the proxy uses as its cache: a
+dispatched query's entry is probed once, by the engine, and filled by
+the proxy when it pays; an answer the proxy holds that no engine
+gathered is still dispatched and billed, and answered free.
+
 It also owns the answer log that ends every checkpoint: the
 ``set_answers``, ``point_answers`` and ``reliability`` sections. Point
 answers are kept as ``int16`` code rows (:class:`PointStore`) and
@@ -42,6 +49,7 @@ from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.reliability.serialization import ReliabilitySnapshot
 from repro.data.schema import Schema
 from repro.data.groups import GroupPredicate
+from repro.engine.cache import AnswerCache
 from repro.engine.requests import IndexKey, QueryKey, set_query_key
 from repro.errors import CheckpointVersionError, UnknownGroupError
 
@@ -207,17 +215,14 @@ class RecordingOracleProxy(Oracle):
         self._session_inner = inner
         self.schema = inner.schema
         self.ledger = inner.ledger
-        #: set answers in bill order: the keyed prefix, then the scans
+        #: the set-answer store, which an engine over this proxy caches
+        #: in: its bill holds the keyed answers in bill order; the scans
         #: (predicate, view, starts, stops, answers of the asked ranges)
-        #: not keyed yet
-        self._set_answers: dict[QueryKey, bool] = {}
+        #: follow them, not keyed yet
+        self.answer_cache = AnswerCache()
         self._scans: list[
             tuple[GroupPredicate, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
-        #: predicates answered query by query, recorded or loaded, as of
-        #: the first ``_indexed`` answers of the store
-        self._keyed: set[GroupPredicate] = set()
-        self._indexed = 0
         #: predicate -> the view its scans ran over, and their asked
         #: ranges as ``start * (len(view) + 1) + stop`` codes
         self._scanned: dict[GroupPredicate, tuple[np.ndarray, set[int]]] = {}
@@ -260,12 +265,12 @@ class RecordingOracleProxy(Oracle):
         {'set_answers': [], 'point_answers': [], 'reliability': None}
         """
         self._key_scans()
-        return self._log_sections(self._set_answers.items(), self.points.labels())
+        return self._log_sections(self.answer_cache.logged(), self.points.labels())
 
     def log_end(self) -> tuple[int, int]:
         """The cursor past every answer held: ``(set answers, point rows)``."""
         self._key_scans()
-        return len(self._set_answers), len(self.points.positions)
+        return len(self.answer_cache.bill), len(self.points.positions)
 
     def answer_delta(self) -> tuple[dict[str, Any], tuple[int, int]]:
         """The answer-log sections a journal holding every answer before
@@ -287,9 +292,7 @@ class RecordingOracleProxy(Oracle):
         end = self.log_end()
         sets, rows = self.persisted
         return (
-            self._log_sections(
-                islice(self._set_answers.items(), sets, None), self.points.labels(since=rows)
-            ),
+            self._log_sections(self.answer_cache.logged(sets), self.points.labels(since=rows)),
             end,
         )
 
@@ -377,7 +380,8 @@ class RecordingOracleProxy(Oracle):
         ({'gender': 'male'}, 0)
         """
         self._key_scans()
-        self._set_answers.update(log.set_answers)
+        for (predicate, index_key), answer in log.set_answers.items():
+            self.answer_cache.record(predicate, index_key, answer)
         self.points.record(
             list(log.point_answers), _encode_labels(self.schema, log.point_answers)
         )
@@ -405,41 +409,33 @@ class RecordingOracleProxy(Oracle):
             key = set_query_key(indices, predicate)
         if self._scans:
             self._key_scans()
-        answer = self._set_answers.get(key)
-        if answer is None:
-            answer = self._session_inner.ask_set(indices, predicate, key=key)
-            self._set_answers[key] = answer
+        inner = self._session_inner
+        (answer,) = self.answer_cache.answer(
+            [key], lambda fresh: [inner.ask_set(indices, predicate, key=key)]
+        )
         return answer
 
     def ask_set_batch(self, queries) -> list[bool]:
         if self._scans:
             self._key_scans()
-        held = self._set_answers
-        answers = [held.get(key) for key in queries]
-        fresh = [position for position, answer in enumerate(answers) if answer is None]
-        if fresh:
-            fresh_answers = self._session_inner.ask_set_batch(
-                [queries[position] for position in fresh]
-            )
-            for position, answer in zip(fresh, fresh_answers):
-                answers[position] = held[queries[position]] = answer
-        return answers
+        return self.answer_cache.answer(queries, self._session_inner.ask_set_batch)
 
     def scan_sets(
         self, view, starts, stops, predicate, need, *, paired=False, ascending=None
     ) -> np.ndarray:
         """The inner oracle's scan when this proxy can hold no answer the
-        scan might ask: none for ``predicate`` at all, or only answers of
-        earlier scans over this same ``view`` array, on other ranges
-        (the generations of one run). Its answers are kept as arrays and
-        keyed only when read. Otherwise the per-query loop through
-        :meth:`ask_set`, so every held answer stays free."""
+        scan might ask: its store holds none for ``predicate``, and the
+        scans not keyed yet ran over this same ``view`` array, on other
+        ranges (the generations of one run). Its answers are kept as
+        arrays and keyed only when read. Otherwise the per-query loop
+        through :meth:`ask_set`, so every held answer stays free."""
         view, starts, stops = scan_segments(view, starts, stops, need, paired)
-        self._index_keyed()
         codes = starts * (len(view) + 1) + stops
         held = self._scanned.setdefault(predicate, (view, set()))
-        if predicate in self._keyed or held[0] is not view or not held[1].isdisjoint(
-            codes.tolist()
+        if (
+            self.answer_cache.tables.get(predicate)
+            or held[0] is not view
+            or not held[1].isdisjoint(codes.tolist())
         ):
             return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
         answers = self._session_inner.scan_sets(
@@ -450,22 +446,14 @@ class RecordingOracleProxy(Oracle):
         held[1].update(codes[asked].tolist())
         return answers
 
-    def _index_keyed(self) -> None:
-        """Note the predicates of the answers keyed query by query since
-        the last call: the newest entries of the store, read from its end."""
-        fresh = len(self._set_answers) - self._indexed
-        self._keyed.update(key[0] for key in islice(reversed(self._set_answers), fresh))
-        self._indexed = len(self._set_answers)
-
     def _key_scans(self) -> None:
         """Key the recorded scans' answers into the answer store, in
-        bill order (they are not query-by-query answers)."""
-        self._index_keyed()
+        bill order."""
         scans, self._scans = self._scans, []
+        record = self.answer_cache.record
         for predicate, view, starts, stops, answers in scans:
             for start, stop, answer in zip(starts.tolist(), stops.tolist(), answers.tolist()):
-                self._set_answers[predicate, IndexKey.of(view[start:stop])] = answer
-        self._indexed = len(self._set_answers)
+                record(predicate, IndexKey.of(view[start:stop]), answer)
 
     def ask_point(self, index: int) -> dict[str, str]:
         index = int(index)

@@ -181,7 +181,7 @@ class CrowdBackend(ABC):
             # asynchronous budget refusal) surfaces here exactly once,
             # and the ticket must not wedge poll()/next_done() forever.
             del self._open[ticket.ticket_id]
-        return [bool(answer) for answer in answers]
+        return list(map(bool, answers))
 
     def next_done(self) -> Ticket:
         """Block until some outstanding ticket is ready; return it

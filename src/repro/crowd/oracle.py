@@ -186,7 +186,7 @@ class Oracle(ABC):
             return []
         self.ledger.charge_set_batch(len(queries))
         self.ledger.note_round()
-        return [bool(answer) for answer in self._answer_set_batch(queries)]
+        return list(map(bool, self._answer_set_batch(queries)))
 
     def ask_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
         """Answer many point queries in one oracle round-trip.
@@ -601,11 +601,26 @@ class CrowdOracle(Oracle):
         #: the platform's hidden-truth index — exposed so sessions and
         #: diagnostics reach one shared index whatever the oracle kind.
         self.membership_index = platform.membership_index
+        self._native_set_hook = type(self)._answer_set is CrowdOracle._answer_set
 
     def _answer_set(
         self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
     ) -> bool:
-        return self.platform.publish_set_query(SetQuery(indices, predicate), index_key)
+        truth = self.membership_index.any_match(predicate, index_key)
+        return self.platform.publish_set_query(SetQuery(indices, predicate), truth=truth)
+
+    def _answer_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
+        if not self._native_set_hook:
+            # Only the per-query hook was customized: batches must still
+            # flow through it, one query at a time.
+            return super()._answer_set_batch(queries)
+        # One index pass reads every HIT's hidden truth; truths draw no
+        # rng, so each HIT's worker draws keep their order.
+        truths = self.membership_index.any_match_batch(queries)
+        return [
+            self.platform.publish_set_query(SetQuery(key.to_array(), predicate), truth=truth)
+            for (predicate, key), truth in zip(queries, truths)
+        ]
 
     def _answer_point(self, index: int) -> dict[str, str]:
         return self.platform.publish_point_query(PointQuery(index))

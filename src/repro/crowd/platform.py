@@ -119,22 +119,20 @@ class CrowdPlatform:
         )
         return [self.eligible_workers[int(i)] for i in chosen]
 
-    def publish_set_query(
-        self, query: SetQuery, index_key: IndexKey | None = None
-    ) -> bool:
+    def publish_set_query(self, query: SetQuery, *, truth: bool | None = None) -> bool:
         """Publish a set query; returns the aggregated answer.
 
         The HIT shows ``len(query.indices)`` images, which is what a
         size-dependent pricing model bills for. With ``reliability=None``
         (the default) this is the paper's fixed-redundancy majority vote;
         with a policy attached, routing and stopping are adaptive.
-        ``index_key`` is the interned key of ``query.indices`` when the
-        caller holds one (an oracle always does); without it the key is
-        derived here by :meth:`~repro.engine.requests.IndexKey.of`.
+        ``truth`` is the query's hidden answer when the caller already
+        read it from :attr:`membership_index` (an oracle always does);
+        without it the platform reads it here.
         """
-        if index_key is None:
-            index_key = IndexKey.of(np.asarray(query.indices, dtype=np.int64))
-        truth = self.membership_index.any_match(query.predicate, index_key)
+        if truth is None:
+            key = IndexKey.of(np.asarray(query.indices, dtype=np.int64))
+            truth = self.membership_index.any_match(query.predicate, key)
         if self.reliability is not None:
             return self._publish_set_adaptive(query, truth)
         assigned = self._assign_workers()

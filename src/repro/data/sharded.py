@@ -58,6 +58,8 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -1066,11 +1068,7 @@ class ShardedMembershipIndex:
     def any_match(self, predicate: GroupPredicate, key: IndexKey) -> bool:
         """Does the keyed index set contain at least one member of
         ``predicate``?"""
-        if key.payload is None:
-            return self._count_run(predicate, key.start, key.stop) > 0
-        if not key.payload:
-            return False
-        return bool(self.member_mask(predicate, key.to_array()).any())
+        return self.count(predicate, key) > 0
 
     def matches(self, predicate: GroupPredicate, index: int) -> bool:
         """Ground-truth membership of a single object: one bit test, no
@@ -1120,41 +1118,59 @@ class ShardedMembershipIndex:
         """Answer many set queries, each named by its
         :data:`~repro.engine.requests.QueryKey`; empty keys answer ``False``.
 
-        Every key is range-checked before any work. One streaming pass
-        builds every value bitmap the batch lacks; then each predicate's
-        run keys answer with one gathered rank lookup of all their ends,
-        and its scattered keys concatenate into one gathered bit test,
-        reduced per query with one segmented ``any``."""
+        Each predicate's keys are read in one pass: its run ends as one
+        ``int64`` array, its scattered payloads joined once and read with
+        one ``np.frombuffer``. Every key is range-checked before one
+        streaming pass builds the value bitmaps the batch lacks; then
+        each predicate answers its runs with one gathered rank lookup and
+        its scattered keys with one gathered bit test and one
+        ``logical_or.reduceat``."""
+        groups: dict[GroupPredicate, list[int]] = {}  # predicate -> positions
+        last = None
+        for position, predicate in enumerate(map(itemgetter(0), queries)):
+            if predicate is not last:  # hash each span's predicate once
+                last = predicate
+                if predicate not in groups:
+                    groups[predicate] = []
+                where = groups[predicate]
+            where.append(position)
+        n_objects, reads = len(self), []
+        for predicate, where in groups.items():
+            keys = [queries[position] for position in where] if len(groups) > 1 else queries
+            starts, stops, payloads = zip(*map(itemgetter(1), keys))
+            runs = []
+            if None in payloads:  # a run key carries no payload
+                runs = [i for i, payload in enumerate(payloads) if payload is None]
+            for i in runs:
+                if starts[i] < 0 or stops[i] > n_objects:
+                    self._check_run(starts[i], stops[i])
+            scattered = list(filter(None, payloads))  # empty keys answer False
+            indices = np.frombuffer(b"".join(scattered), dtype=np.int64)
+            # One unsigned maximum: a negative index reads as a huge one.
+            if scattered and int(np.maximum.reduce(indices.view(np.uint64))) >= n_objects:
+                _check_object_indices(indices, n_objects)
+            ends = [starts[i] for i in runs] + [stops[i] for i in runs]
+            reads.append((predicate, where, payloads, runs, ends, scattered, indices))
+        bitmaps, ranks = self._held(list(groups), [read[0] for read in reads if read[3]])
         answers = [False] * len(queries)
-        runs: dict[GroupPredicate, list[tuple[int, int, int]]] = {}
-        scattered: dict[GroupPredicate, list[int]] = {}
-        for position, (predicate, key) in enumerate(queries):
-            if key.payload is None:
-                if key.stop > key.start:
-                    self._check_run(key.start, key.stop)
-                    runs.setdefault(predicate, []).append((position, key.start, key.stop))
-            elif key.payload:
-                scattered.setdefault(predicate, []).append(position)
-        gathers = []
-        for predicate, positions in scattered.items():
-            arrays = [queries[position][1].to_array() for position in positions]
-            indices = np.concatenate(arrays)
-            _check_object_indices(indices, len(self.dataset))
-            gathers.append((indices, np.cumsum([0] + [len(a) for a in arrays[:-1]])))
-        bitmaps, ranks = self._held(list(dict.fromkeys([*runs, *scattered])), list(runs))
-        for predicate, items in runs.items():
-            positions, starts, stops = zip(*items)
-            before = self._rank(
-                predicate, bitmaps, ranks[predicate], np.array(starts + stops, dtype=np.int64)
-            )
-            hits = before[len(items) :] > before[: len(items)]
-            for position, hit in zip(positions, hits.tolist()):
-                answers[position] = hit
-        for (predicate, positions), (indices, splits) in zip(scattered.items(), gathers):
-            # Per-query ``any`` over the concatenated gather (every
-            # array is non-empty, as ``reduceat`` requires).
-            hits = np.logical_or.reduceat(self._bits(predicate, bitmaps, indices), splits)
-            for position, hit in zip(positions, hits.tolist()):
+        for predicate, where, payloads, runs, ends, scattered, indices in reads:
+            hits = [False] * len(payloads)
+            if runs:
+                ends = np.array(ends, dtype=np.int64)
+                before = self._rank(predicate, bitmaps, ranks[predicate], ends)
+                for i, hit in zip(runs, (before[len(runs) :] > before[: len(runs)]).tolist()):
+                    hits[i] = hit
+            if scattered:
+                starts = [size >> 3 for size in accumulate(map(len, scattered[:-1]), initial=0)]
+                found = np.logical_or.reduceat(self._bits(predicate, bitmaps, indices), starts)
+                if len(scattered) == len(payloads):
+                    hits = found.tolist()
+                else:
+                    for i, hit in zip([i for i, p in enumerate(payloads) if p], found.tolist()):
+                        hits[i] = hit
+            if len(groups) == 1:
+                return hits
+            for position, hit in zip(where, hits):
                 answers[position] = hit
         return answers
 

@@ -7,8 +7,9 @@ engine drives any number of them concurrently against one
 :class:`~repro.crowd.backends.CrowdBackend`:
 
 1. **collect** each admitted stepper's ready queries as one batch,
-2. **dedup** them through the shared :class:`~repro.engine.cache.AnswerCache`
-   and an in-flight table (two runs asking the same question pay once),
+2. **dedup** them through the shared :class:`~repro.engine.cache.AnswerCache`,
+   whose entries also hold the queries in flight (two runs asking the
+   same question pay once),
 3. **submit** the remainder to the backend in batches — each batch is a
    :class:`~repro.crowd.backends.Ticket` whose answers arrive later,
 4. **absorb** completed tickets, feeding each stepper as far as its
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from repro.crowd.backends.base import CrowdBackend, Ticket
 from repro.crowd.backends.inline import InlineBackend
-from repro.engine.cache import AnswerCache
+from repro.engine.cache import ABSORBED, LOGGED, STAMP, YES, AnswerCache
 from repro.engine.requests import IndexKey, QueryBatch, QueryKey
 from repro.engine.stats import EngineStats
 from repro.errors import InvalidParameterError
@@ -48,15 +49,6 @@ if TYPE_CHECKING:
 
 __all__ = ["CoverageStepper", "Flow", "QueryEngine"]
 
-
-def _answer_source(oracle: "Oracle") -> object:
-    """The object an oracle's answers derive from, for cache binding:
-    its dataset when it exposes one (directly or via a platform), else
-    the oracle itself."""
-    dataset = getattr(oracle, "dataset", None)
-    if dataset is None:
-        dataset = getattr(getattr(oracle, "platform", None), "dataset", None)
-    return dataset if dataset is not None else oracle
 
 #: ``on_complete`` callback: receives a finished stepper, may return new
 #: steppers to schedule (e.g. Multiple-Coverage's per-member re-runs when
@@ -102,7 +94,7 @@ class Flow:
 
     __slots__ = (
         "stepper", "on_complete", "outstanding", "dispatched", "rounds",
-        "spawned", "finished", "retired",
+        "spawned", "finished", "retired", "fed",
     )
 
     def __init__(self, stepper: CoverageStepper, on_complete: CompletionHook | None):
@@ -118,6 +110,8 @@ class Flow:
         self.spawned: list[Flow] = []
         self.finished = False
         self.retired = False
+        #: (positions, answers) a ticket being absorbed feeds this flow
+        self.fed: tuple[list[int], list[bool]] | None = None
 
 
 class QueryEngine:
@@ -146,13 +140,17 @@ class QueryEngine:
         on sparse groups at the price of up to ``speculation`` wasted
         tasks per run that stops early (covered); ``0`` never wastes a
         task but serializes small-deficit runs.
-    cache:
-        A shared :class:`AnswerCache`; a fresh one is created when
-        omitted. Passing the same cache to several engines (or reusing
-        one engine across audits) carries answers across runs.
 
     Notes
     -----
+    The engine caches in the :class:`AnswerCache` of a
+    :class:`~repro.audit.proxy.RecordingOracleProxy` oracle (its
+    ``answer_cache``), so every engine over one proxy shares its answers;
+    over any other oracle it keeps its own. Only answers an engine
+    gathered are cache hits: one the proxy holds from a checkpoint or a
+    sequential run is still dispatched and billed to its run, and the
+    proxy answers it free.
+
     Batching is *speculative* around early stops: when a run reaches its
     threshold mid-round, in-flight queries past the stopping point are
     wasted (bounded by ``speculation`` per run). Verdicts and counts are
@@ -167,7 +165,6 @@ class QueryEngine:
         backend: CrowdBackend | None = None,
         batch_size: int = 32,
         speculation: int | None = None,
-        cache: AnswerCache | None = None,
     ) -> None:
         if batch_size < 1:
             raise InvalidParameterError(
@@ -189,19 +186,17 @@ class QueryEngine:
         self.oracle = self.backend.oracle
         self.batch_size = batch_size
         self.speculation = batch_size if speculation is None else speculation
-        self.cache = cache if cache is not None else AnswerCache()
-        self.cache.bind(_answer_source(self.oracle))
+        cache = getattr(self.oracle, "answer_cache", None)
+        self.cache = cache if isinstance(cache, AnswerCache) else AnswerCache()
         self.scheduler_rounds = 0
         self.oracle_round_trips = 0
         self.dispatched_queries = 0
         self.deduped_queries = 0
         #: admitted, unfinished flows in admission order
         self._flows: list[Flow] = []
-        #: predicate -> index key -> (flow, position) awaiting the answer
-        #: (first = the dispatcher)
-        self._waiters: dict[GroupPredicate, dict[IndexKey, list[tuple[Flow, int]]]] = {}
-        #: ticket id -> the keys it carries, in submission order
-        self._tickets: dict[int, list[QueryKey]] = {}
+        #: ticket id -> the keys it carries, in submission order, and
+        #: their in-flight cache entries (which hold the waiters)
+        self._tickets: dict[int, tuple[list[QueryKey], list[list]]] = {}
 
     def ensure_executes_for(self, oracle: "Oracle") -> None:
         """Raise unless this engine dispatches to ``oracle`` — algorithms
@@ -292,34 +287,55 @@ class QueryEngine:
         here; they fire at the next :meth:`pump` (or :meth:`settle`), in
         admission order.
         """
-        keys = self._tickets.pop(ticket.ticket_id, None)
-        if keys is None:
+        record = self._tickets.pop(ticket.ticket_id, None)
+        if record is None:
             raise InvalidParameterError(
                 f"ticket {ticket.ticket_id} is not outstanding on this engine"
             )
+        keys, entries = record
         if len(answers) != len(keys):
             raise InvalidParameterError(
                 f"ticket {ticket.ticket_id} carried {len(keys)} queries "
                 f"but {len(answers)} answers were absorbed"
             )
-        feeds: dict[Flow, tuple[list[int], list[bool]]] = {}
-        first = 0
-        while first < len(keys):
-            # A ticket carries each flow's dispatches back to back: take
-            # each run of keys about one predicate object at once.
-            predicate, last = keys[first][0], first + 1
-            while last < len(keys) and keys[last][0] is predicate:
-                last += 1
-            index_keys = [key[1] for key in keys[first:last]]
-            self.cache.store_batch(predicate, index_keys, answers[first:last])
-            waiting = self._waiters[predicate]
-            for index_key, answer in zip(index_keys, answers[first:last]):
-                for flow, position in waiting.pop(index_key, ()):
-                    fed = feeds.get(flow) or feeds.setdefault(flow, ([], []))
-                    fed[0].append(position)
-                    fed[1].append(answer)
-            first = last
-        for flow, (positions, fed_answers) in feeds.items():
+        cache = self.cache
+        #: flows fed by this ticket, in the order their first answer came
+        touched: list[Flow] = []
+        #: (super-group, the index keys it answered "no" for) per span
+        negatives: list[tuple[GroupPredicate, list[IndexKey]]] = []
+        last = fed_flow = None
+        for (predicate, key), answer, entry in zip(keys, answers, entries):
+            if predicate is not last:
+                # A ticket carries each flow's dispatches back to back.
+                table, last = cache.table(predicate), predicate
+                implied = [] if predicate in cache.implications else None
+                if implied is not None:
+                    negatives.append((predicate, implied))
+            table[key] = (YES | ABSORBED if answer else ABSORBED) | (entry[0] or 0) & LOGGED
+            if implied is not None and not answer:
+                implied.append(key)
+            # The dispatcher: one flow for a whole span of the ticket.
+            if entry[1] is not fed_flow:
+                fed_flow, fed = entry[1], entry[1].fed
+                if fed is None:
+                    fed = fed_flow.fed = ([], [])
+                    touched.append(fed_flow)
+                positions_append, answers_append = fed[0].append, fed[1].append
+            positions_append(entry[2])
+            answers_append(answer)
+            for waiter in range(3, len(entry), 2):  # flows that joined it in flight
+                flow, joined = entry[waiter], entry[waiter].fed
+                if joined is None:
+                    joined = flow.fed = ([], [])
+                    touched.append(flow)
+                joined[0].append(entry[waiter + 1])
+                joined[1].append(answer)
+        for predicate, implied in negatives:
+            cache.imply(predicate, implied, absorbed=True)
+        feeds = [(flow, flow.fed) for flow in touched]
+        for flow in touched:
+            flow.fed = None
+        for flow, (positions, fed_answers) in feeds:
             flow.outstanding -= len(positions)
             if not flow.retired:
                 flow.stepper.feed(positions, fed_answers)
@@ -329,12 +345,23 @@ class QueryEngine:
         (its gather failed). Waiting flows stop counting it as in
         flight; the queries themselves are abandoned — drivers retire or
         re-run the affected audits. A no-op for unknown tickets."""
-        keys = self._tickets.pop(ticket.ticket_id, None)
-        if keys is None:
-            return
-        for predicate, index_key in keys:
-            for flow, _ in self._waiters[predicate].pop(index_key, ()):
-                flow.outstanding -= 1
+        record = self._tickets.pop(ticket.ticket_id, None)
+        if record is not None:
+            for key, entry in zip(*record):
+                self._release(key, entry)
+
+    def _release(self, key: QueryKey, entry: list) -> None:
+        """Take a query that will not be answered out of flight: its
+        entry reverts to the answer held before (or paid since), if any,
+        and its waiters stop counting it."""
+        table = self.cache.tables.get(key[0], {})
+        if table.get(key[1]) is entry:
+            if entry[0] is None:
+                del table[key[1]]
+            else:
+                table[key[1]] = entry[0]
+        for flow in entry[1::2]:
+            flow.outstanding -= 1
 
     def settle(self) -> None:
         """Fire completion hooks for every flow whose stepper finished,
@@ -394,19 +421,17 @@ class QueryEngine:
         """
         tracked = [self.admit(stepper, on_complete=on_complete) for stepper in steppers]
 
-        def all_finished() -> bool:
-            stack = list(tracked)
-            while stack:
-                flow = stack.pop()
-                if not (flow.finished or flow.retired):
-                    return False
-                stack.extend(flow.spawned)
-            return True
+        def tree() -> list[Flow]:
+            """The tracked flows and every flow chained off them, breadth-first."""
+            flows = list(tracked)
+            for flow in flows:
+                flows.extend(flow.spawned)
+            return flows
 
         try:
             while True:
                 self.settle()
-                if all_finished():
+                if all(flow.finished or flow.retired for flow in tree()):
                     break
                 collected, _ = self._pump()
                 while self._tickets:
@@ -433,21 +458,11 @@ class QueryEngine:
             # An aborted drive (budget exhaustion, oracle failure) must
             # not leave its steppers admitted: a later drive on this
             # engine would keep pumping them — and keep paying for them.
-            stack = list(tracked)
-            while stack:
-                flow = stack.pop()
+            for flow in tree():
                 if not flow.finished:
                     self.retire(flow)
-                stack.extend(flow.spawned)
             raise
-
-        dispatched_for: dict[CoverageStepper, int] = {}
-        stack = list(tracked)
-        while stack:
-            flow = stack.pop(0)
-            dispatched_for[flow.stepper] = flow.dispatched
-            stack.extend(flow.spawned)
-        return dispatched_for
+        return {flow.stepper: flow.dispatched for flow in tree()}
 
     # -- internals -------------------------------------------------------
     def _finish(self, flow: Flow) -> None:
@@ -469,8 +484,13 @@ class QueryEngine:
         self.settle()
         if not self._flows:
             return False, []
-        round_answers: dict[GroupPredicate, dict[IndexKey, bool]] = {}
+        cache = self.cache
+        cache.pumps += 1
+        stamp = cache.pumps * STAMP  # above every code a hit in an earlier pump left
+        hits = 0
         to_dispatch: list[QueryKey] = []
+        #: the in-flight cache entry of each query in to_dispatch
+        dispatched: list[list] = []
         #: (flow, index of its first query in to_dispatch)
         dispatchers: list[tuple[Flow, int]] = []
         feeds: list[tuple[Flow, list[int], list[bool]]] = []
@@ -492,43 +512,43 @@ class QueryEngine:
                     "its dependency tracking is broken"
                 )
             collected = True
-            predicate, keys, positions = batch.predicate, batch.keys, batch.positions
-            answered = round_answers.setdefault(predicate, {})
-            waiting = self._waiters.setdefault(predicate, {})
+            predicate = batch.predicate
+            table = cache.table(predicate)
             fed_positions: list[int] = []
             fed_answers: list[bool] = []
-            unresolved: list[int] = []
-            for i, key in enumerate(keys):
-                answer = answered.get(key)
-                if answer is not None:
-                    # Another flow asked the same question this round and
-                    # the cache already answered it.
-                    fed_positions.append(positions[i])
-                    fed_answers.append(answer)
-                elif key in waiting:
+            first, earlier_hits, waiting = len(to_dispatch), hits, 0
+            for position, key in zip(batch.positions, batch.keys):
+                # One probe: an answer (held, or read earlier this
+                # round), a query in flight, or nothing.
+                entry = table.get(key)
+                if entry is None or entry.__class__ is int and not entry & ABSORBED:
+                    # Unknown, or held without an engine having gathered
+                    # it (replayed, or paid by a sequential run):
+                    # dispatch; a proxy holding it answers free.
+                    entry = table[key] = [entry, flow, position]
+                    to_dispatch.append((predicate, key))
+                    dispatched.append(entry)
+                elif entry.__class__ is list:
                     # In flight (this round or an earlier pump): join the
                     # waiters instead of paying twice.
-                    waiting[key].append((flow, positions[i]))
-                    flow.outstanding += 1
+                    entry += flow, position
+                    waiting += 1
                 else:
-                    unresolved.append(i)
-            self.deduped_queries += len(keys) - len(unresolved)
-            cached = self.cache.lookup_batch(predicate, [keys[i] for i in unresolved])
-            missed = [i for i, answer in zip(unresolved, cached) if answer is None]
-            for i, answer in zip(unresolved, cached):
-                if answer is None:
-                    waiting[keys[i]] = [(flow, positions[i])]
-                else:
-                    answered[keys[i]] = answer
-                    fed_positions.append(positions[i])
-                    fed_answers.append(answer)
-            if missed:
-                dispatchers.append((flow, len(to_dispatch)))
-                to_dispatch += [(predicate, keys[i]) for i in missed]
-                flow.outstanding += len(missed)
-                flow.dispatched += len(missed)
+                    # A code stamped this round: another flow asked the
+                    # same question and the cache already answered it.
+                    if entry < stamp:
+                        hits += 1
+                        table[key] = entry & (STAMP - 1) | stamp
+                    fed_positions.append(position)
+                    fed_answers.append(entry & YES == YES)
+            self.deduped_queries += waiting + len(fed_positions) - (hits - earlier_hits)
+            flow.outstanding += waiting + len(to_dispatch) - first
+            if len(to_dispatch) > first:
+                dispatchers.append((flow, first))
+                flow.dispatched += len(to_dispatch) - first
             if fed_positions:
                 feeds.append((flow, fed_positions, fed_answers))
+        cache.count(hits, len(to_dispatch))
         if collected:
             self.scheduler_rounds += 1
         for flow, fed_positions, fed_answers in feeds:
@@ -540,7 +560,9 @@ class QueryEngine:
                 chunk = to_dispatch[start : start + self.batch_size]
                 ticket = self.backend.submit(chunk)
                 self.oracle_round_trips += 1
-                self._tickets[ticket.ticket_id] = chunk
+                self._tickets[ticket.ticket_id] = (
+                    chunk, dispatched[start : start + self.batch_size]
+                )
                 tickets.append(ticket)
                 submitted += len(chunk)
         except BaseException:
@@ -548,12 +570,9 @@ class QueryEngine:
             # unsubmitted queries must leave the in-flight table, or
             # every later audit asking the same question would wait
             # forever on a ticket that does not exist.
-            for predicate, index_key in to_dispatch[submitted:]:
-                waiters = self._waiters[predicate].pop(index_key, ())
-                for position, (waiter, _) in enumerate(waiters):
-                    waiter.outstanding -= 1
-                    if position == 0:  # the dispatcher carried the attribution
-                        waiter.dispatched -= 1
+            for key, entry in zip(to_dispatch[submitted:], dispatched[submitted:]):
+                self._release(key, entry)
+                entry[1].dispatched -= 1  # the dispatcher carried the attribution
             self.dispatched_queries += submitted
             raise
         finally:

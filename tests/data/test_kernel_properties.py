@@ -17,6 +17,8 @@ whatever its bitmap budget.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro.data.kernels import (
 from repro.data.schema import Schema
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, bitmap_floor
 from repro.engine.requests import IndexKey
+from repro.errors import OracleError
 
 FEMALE = group(gender="female")
 MALE = group(gender="male")
@@ -238,6 +241,65 @@ def test_index_answers_like_the_mask_over_any_geometry_and_budget(
     # rank directory, so one predicate's bitmaps are never evicted.
     assert report["cap_bytes"] >= bitmap_floor(ds)
     assert report["bitmap_evictions"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=GEOMETRIES,
+    predicates=st.lists(PREDICATES, min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_one_batch_interleaving_predicates_answers_like_the_mask(
+    geometry, predicates, seed, data
+):
+    """One ``any_match_batch`` call reads each predicate's keys in one
+    pass, whatever spans of the batch they sit in: groups, super-groups
+    and negations interleaved (a predicate object again later, and an
+    equal predicate as a second object), over run, scattered, empty and
+    repeated keys, answer key by key like the mask."""
+    n, shard_size, budget = geometry
+    codes = random_codes(n, seed)
+    ds = ShardedDataset.from_generator(
+        SCHEMA, n, shard_size, lambda s, a, b: codes[a:b], max_resident_shards=2
+    )
+    index = ShardedMembershipIndex(ds, max_cached_prefixes=budget)
+    # An equal predicate built again is a second object of the same key.
+    predicates = predicates + [copy.deepcopy(predicates[0])]
+    bounds = st.integers(0, n)
+    keys = [IndexKey.of(np.empty(0, dtype=np.int64))]
+    keys += [IndexKey.of_run(a, b) for a, b in data.draw(
+        st.lists(st.tuples(bounds, bounds), min_size=1, max_size=6))]
+    if n:
+        keys += [IndexKey.of(np.array(indices, dtype=np.int64)) for indices in data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=20), max_size=6))]
+    spans = data.draw(st.lists(
+        st.tuples(st.sampled_from(predicates), st.lists(st.sampled_from(keys), max_size=8)),
+        min_size=1, max_size=8,
+    ))
+    queries = [(predicate, key) for predicate, span in spans for key in span]
+    masks = {predicate: predicate_mask(SCHEMA, codes, predicate) for predicate in predicates}
+    assert index.any_match_batch(queries) == [
+        bool(masks[predicate][key.to_array()].any()) for predicate, key in queries
+    ]
+
+
+def test_out_of_range_key_last_in_a_batch_raises_before_any_bitmap_build():
+    codes = random_codes(300, 5)
+    ds = ShardedDataset.from_generator(
+        SCHEMA, 300, 64, lambda s, a, b: codes[a:b], max_resident_shards=2
+    )
+    index = ShardedMembershipIndex(ds)
+    good = [(FEMALE, IndexKey.of_run(0, 50)), (MALE, IndexKey.of(np.array([3, 90, 7])))]
+    for bad in (
+        (MALE, IndexKey.of(np.array([5, 300]))),
+        (group(race="asian"), IndexKey.of(np.array([-1, 4]))),
+        (FEMALE, IndexKey.of_run(250, 301)),
+    ):
+        with pytest.raises(OracleError, match="out|outside"):
+            index.any_match_batch([*good, bad])
+        assert index.memory_report()["bitmap_builds"] == 0
+        assert ds.stats.loads == 0
 
 
 # ----------------------------------------------------------------------

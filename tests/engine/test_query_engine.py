@@ -7,6 +7,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.audit.proxy import RecordingOracleProxy
 from repro.core.group_coverage import (
     GroupCoverageStepper,
     group_coverage,
@@ -121,20 +122,21 @@ class TestCacheAccounting:
         assert stats.cache_hits > 0
         assert stats.oracle_round_trips == 0
 
-    def test_shared_cache_across_engines(self, dataset):
-        cache = AnswerCache()
-        oracle_a = GroundTruthOracle(dataset)
-        QueryEngine(oracle_a, cache=cache).run([make_stepper(dataset)])
-        oracle_b = GroundTruthOracle(dataset)
-        QueryEngine(oracle_b, cache=cache).run([make_stepper(dataset)])
-        assert oracle_b.ledger.n_set_queries == 0
+    def test_engines_over_one_proxy_share_its_cache(self, dataset):
+        oracle = GroundTruthOracle(dataset)
+        proxy = RecordingOracleProxy(oracle)
+        first, second = QueryEngine(proxy), QueryEngine(proxy)
+        assert first.cache is second.cache is proxy.answer_cache
+        first.run([make_stepper(dataset)])
+        paid = oracle.ledger.n_set_queries
+        second.run([make_stepper(dataset)])
+        assert oracle.ledger.n_set_queries == paid
+        assert second.dispatched_queries == 0
+        assert second.cache.hits >= first.dispatched_queries
 
-    def test_shared_cache_across_datasets_rejected(self, dataset):
-        cache = AnswerCache()
-        QueryEngine(GroundTruthOracle(dataset), cache=cache)
-        other = binary_dataset(100, 5, rng=np.random.default_rng(1))
-        with pytest.raises(InvalidParameterError):
-            QueryEngine(GroundTruthOracle(other), cache=cache)
+    def test_engines_over_raw_oracles_keep_their_own_cache(self, dataset):
+        a, b = QueryEngine(GroundTruthOracle(dataset)), QueryEngine(GroundTruthOracle(dataset))
+        assert isinstance(a.cache, AnswerCache) and a.cache is not b.cache
 
 
 def engine_driver(oracle):
