@@ -111,7 +111,7 @@ def run_scenario(name: str, *, n_jobs: int, n_tenants: int, n_workers: int) -> d
             submitted_at[record["job_id"]] = time.perf_counter()
             return record["job_id"]
 
-        with ThreadPoolExecutor(max_workers=min(16, n_tenants)) as pool:
+        with client, ThreadPoolExecutor(max_workers=min(16, n_tenants)) as pool:
             job_ids = list(pool.map(submit, range(n_jobs)))
         assert len(set(job_ids)) == n_jobs, "job ids collided"
         submit_seconds = time.perf_counter() - started

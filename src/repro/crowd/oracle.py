@@ -607,7 +607,9 @@ class CrowdOracle(Oracle):
         self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
     ) -> bool:
         truth = self.membership_index.any_match(predicate, index_key)
-        return self.platform.publish_set_query(SetQuery(indices, predicate), truth=truth)
+        return self.platform.publish_set_query(
+            SetQuery.of_key(index_key, predicate), truth=truth
+        )
 
     def _answer_set_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
         if not self._native_set_hook:
@@ -617,8 +619,9 @@ class CrowdOracle(Oracle):
         # One index pass reads every HIT's hidden truth; truths draw no
         # rng, so each HIT's worker draws keep their order.
         truths = self.membership_index.any_match_batch(queries)
+        publish = self.platform.publish_set_query
         return [
-            self.platform.publish_set_query(SetQuery(key.to_array(), predicate), truth=truth)
+            publish(SetQuery.of_key(key, predicate), truth=truth)
             for (predicate, key), truth in zip(queries, truths)
         ]
 

@@ -26,10 +26,13 @@ from repro.crowd.reliability.policy import AdaptiveAssignmentPolicy
 from repro.crowd.workers import Worker
 from repro.data.dataset import LabeledDataset
 from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
-from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError, NoEligibleWorkersError
 
 __all__ = ["CrowdPlatform"]
+
+
+def _ids(workers: Sequence[Worker]) -> tuple[int, ...]:
+    return tuple(worker.worker_id for worker in workers)
 
 
 class CrowdPlatform:
@@ -122,7 +125,7 @@ class CrowdPlatform:
     def publish_set_query(self, query: SetQuery, *, truth: bool | None = None) -> bool:
         """Publish a set query; returns the aggregated answer.
 
-        The HIT shows ``len(query.indices)`` images, which is what a
+        The HIT shows ``len(query)`` images, which is what a
         size-dependent pricing model bills for. With ``reliability=None``
         (the default) this is the paper's fixed-redundancy majority vote;
         with a policy attached, routing and stopping are adaptive.
@@ -131,8 +134,7 @@ class CrowdPlatform:
         without it the platform reads it here.
         """
         if truth is None:
-            key = IndexKey.of(np.asarray(query.indices, dtype=np.int64))
-            truth = self.membership_index.any_match(query.predicate, key)
+            truth = self.membership_index.any_match(query.predicate, query.index_key)
         if self.reliability is not None:
             return self._publish_set_adaptive(query, truth)
         assigned = self._assign_workers()
@@ -146,7 +148,7 @@ class CrowdPlatform:
                 )
             )
         self._account(
-            query, assigned, answers, aggregated, truth, n_images=len(query)
+            query, _ids(assigned), answers, aggregated, truth, n_images=len(query)
         )
         return aggregated
 
@@ -157,35 +159,33 @@ class CrowdPlatform:
         assert policy is not None
         eligible, rng = self.eligible_workers, self.rng
         order, probe = policy.plan(eligible, rng)
-        assigned: list[Worker] = []
+        worker_ids: list[int] = []
         answers: list[bool] = []
         vote_log_odds, should_stop = policy.vote_log_odds, policy.should_stop
         log_odds = policy.prior_log_odds()
         for pos in order:
             worker = eligible[pos]
+            worker_id = worker.worker_id
             answer = bool(worker.answer_set(truth, rng))
-            assigned.append(worker)
+            worker_ids.append(worker_id)
             answers.append(answer)
-            log_odds += vote_log_odds(worker.worker_id, answer)
+            log_odds += vote_log_odds(worker_id, answer)
             if should_stop(log_odds, len(answers)):
                 break
         aggregated = policy.decide(log_odds)
         n_probes = 0
         if probe is not None:
             # Paid probation probe: feeds the estimator, never the verdict.
-            probe_worker = self.eligible_workers[probe]
-            assigned.append(probe_worker)
-            answers.append(bool(probe_worker.answer_set(truth, self.rng)))
+            probe_worker = eligible[probe]
+            worker_ids.append(probe_worker.worker_id)
+            answers.append(bool(probe_worker.answer_set(truth, rng)))
             n_probes = 1
-        votes = tuple(
-            (worker.worker_id, answer)
-            for worker, answer in zip(assigned, answers)
-        )
+        votes = tuple(zip(worker_ids, answers))
         policy.observe_set(votes, n_probes=n_probes)
         if self.record_votes:
             self._pending_set_votes.append(votes)
         self._account(
-            query, assigned, tuple(answers), aggregated, truth, n_images=len(query)
+            query, tuple(worker_ids), tuple(answers), aggregated, truth, n_images=len(query)
         )
         return aggregated
 
@@ -201,7 +201,7 @@ class CrowdPlatform:
             for worker in assigned
         )
         aggregated = majority_point(answers, rng=self.rng)
-        self._account(query, assigned, answers, aggregated, truth, n_images=1)
+        self._account(query, _ids(assigned), answers, aggregated, truth, n_images=1)
         return aggregated
 
     def _publish_point_adaptive(
@@ -244,7 +244,7 @@ class CrowdPlatform:
             n_probes = 1
         policy.observe_point(votes, n_probes=n_probes)
         self._account(
-            query, assigned, tuple(answers), aggregated, truth, n_images=1
+            query, _ids(assigned), tuple(answers), aggregated, truth, n_images=1
         )
         return aggregated
 
@@ -259,7 +259,7 @@ class CrowdPlatform:
     def _account(
         self,
         query: SetQuery | PointQuery,
-        assigned: list[Worker],
+        worker_ids: tuple[int, ...],
         answers: tuple,
         aggregated,
         truth,
@@ -268,18 +268,18 @@ class CrowdPlatform:
     ) -> None:
         price = self.ledger.charge(
             is_set_query=isinstance(query, SetQuery),
-            n_assignments=len(assigned),
+            n_assignments=len(worker_ids),
             n_images=n_images,
         )
         self.n_raw_answers += len(answers)
-        self.n_raw_incorrect += sum(1 for answer in answers if answer != truth)
+        self.n_raw_incorrect += len(answers) - answers.count(truth)
         if aggregated != truth:
             self.n_aggregated_incorrect += 1
         if self.record_hits:
             self.hit_records.append(
                 HitRecord(
                     query=query,
-                    worker_ids=tuple(worker.worker_id for worker in assigned),
+                    worker_ids=worker_ids,
                     answers=answers,
                     aggregated=aggregated,
                     truth=truth,

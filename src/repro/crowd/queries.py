@@ -16,12 +16,13 @@ trail (used to compute the raw worker error rates that §6.3.1 reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.data.groups import GroupPredicate
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError
 
 __all__ = ["PointQuery", "SetQuery", "HitRecord"]
@@ -38,38 +39,114 @@ class PointQuery:
             raise InvalidParameterError(f"negative object index: {self.index}")
 
 
-@dataclass(frozen=True)
 class SetQuery:
     """A yes/no question about a set of objects.
 
     "Does ``{t_i : i in indices}`` contain at least one object satisfying
     ``predicate``?"
 
-    ``indices`` is stored as an immutable tuple; callers typically pass a
-    contiguous range of a dataset view, but any index set is allowed.
+    ``indices`` is an immutable tuple of Python ints; callers typically
+    pass a contiguous range of a dataset view, but any index set is
+    allowed. :meth:`of_key` builds a query from the interned
+    :class:`~repro.engine.requests.IndexKey` an oracle batch already
+    holds, and builds ``indices`` only when something reads it. Either
+    way a query is frozen, and compares and hashes by ``(indices,
+    predicate)``.
     """
 
-    indices: tuple[int, ...]
+    __slots__ = ("predicate", "_indices", "_key")
+
     predicate: GroupPredicate
 
     def __init__(self, indices: Sequence[int] | np.ndarray, predicate: GroupPredicate) -> None:
         index_array = np.asarray(indices, dtype=np.int64)
-        if not index_array.size:
-            raise InvalidParameterError("a SetQuery needs at least one object")
-        if (index_array < 0).any():
-            raise InvalidParameterError("negative object index in SetQuery")
-        object.__setattr__(self, "indices", tuple(index_array.tolist()))
+        _check(index_array.size, bool((index_array < 0).any()))
+        object.__setattr__(self, "_indices", tuple(index_array.tolist()))
+        object.__setattr__(self, "_key", None)
         object.__setattr__(self, "predicate", predicate)
 
+    @classmethod
+    def of_key(cls, key: IndexKey, predicate: GroupPredicate) -> "SetQuery":
+        """The query over the indices ``key`` denotes, checked as the
+        constructor checks them; ``indices`` is built on first read.
+
+        >>> from repro.data.groups import group
+        >>> query = SetQuery.of_key(IndexKey.of_run(4, 7), group(gender="female"))
+        >>> len(query), query.indices
+        (3, (4, 5, 6))
+        """
+        start, stop, payload = key
+        if payload is None:
+            _check(stop - start, start < 0)
+        else:
+            _check(len(payload), bool(payload) and np.frombuffer(payload, np.int64).min() < 0)
+        query = object.__new__(cls)
+        object.__setattr__(query, "_indices", None)
+        object.__setattr__(query, "_key", key)
+        object.__setattr__(query, "predicate", predicate)
+        return query
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The queried object indices, in the order given."""
+        indices = self._indices
+        if indices is None:
+            start, stop, payload = self._key
+            if payload is None:
+                indices = tuple(range(start, stop))
+            else:
+                indices = tuple(np.frombuffer(payload, dtype=np.int64).tolist())
+            object.__setattr__(self, "_indices", indices)
+        return indices
+
+    @property
+    def index_key(self) -> IndexKey:
+        """The interned :class:`~repro.engine.requests.IndexKey` of
+        :attr:`indices`."""
+        key = self._key
+        if key is None:
+            key = IndexKey.of(np.array(self._indices, dtype=np.int64))
+            object.__setattr__(self, "_key", key)
+        return key
+
     def __len__(self) -> int:
-        return len(self.indices)
+        indices = self._indices
+        return self._key.n_objects if indices is None else len(indices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.indices, self.predicate) == (other.indices, other.predicate)
+
+    def __hash__(self) -> int:
+        return hash((self.indices, self.predicate))
+
+    def __repr__(self) -> str:
+        return f"SetQuery(indices={self.indices!r}, predicate={self.predicate!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, (self.indices, self.predicate))
 
     def describe(self) -> str:
         """HIT instructions shown to the (simulated) worker."""
         return (
             f"Is there at least one image matching [{self.predicate.describe()}] "
-            f"among these {len(self.indices)} images?"
+            f"among these {len(self)} images?"
         )
+
+
+def _check(size: int, negative: bool) -> None:
+    """Raise for an empty or negative index set, as :class:`SetQuery` does."""
+    if size <= 0:
+        raise InvalidParameterError("a SetQuery needs at least one object")
+    if negative:
+        raise InvalidParameterError("negative object index in SetQuery")
 
 
 @dataclass(frozen=True)

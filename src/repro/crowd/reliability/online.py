@@ -23,17 +23,24 @@ k x k matrix per schema attribute, with value codes discovered online.
 
 A set batch touches only the rows of the workers who voted in it, so
 its sweeps run in Python scalars over those rows' 2x2 counts, with one
-:func:`numpy.log` and one :func:`numpy.exp` call per sweep. Python's
-float arithmetic is NumPy's float64 arithmetic, and NumPy's ``log`` and
-``exp`` give an element the same result whatever the array's length,
-so the result is bit-identical to the whole-pool formula (``math.log``
-and ``math.exp`` are not: they differ from NumPy in the last bit on
-some inputs). Each row's confusion, vote log-odds and vote count are
-cached and patched after a batch for the rows it changed — the voters,
-or every row when ``decay < 1`` forgets them all — so the per-vote
-routing and stopping reads between batches are list lookups. The whole
-pool as arrays, :class:`PoolView`, is built from those caches only when
-something reads it.
+:func:`numpy.log` call per sweep and one scalar :func:`numpy.exp` per
+HIT and sweep: less its maximum, one side of a HIT's log posterior is
+exactly ``0.0``, whose exponential is ``1.0``. Python's float arithmetic
+is NumPy's float64 arithmetic, and NumPy's ``log`` and ``exp`` give an
+element the same result whatever the array's length (a scalar
+included), so the result is bit-identical to the whole-pool formula
+(``math.log`` and ``math.exp`` are not: they differ from NumPy in the
+last bit on some inputs). Each row's confusion, vote log-odds and vote
+count are cached and patched after a batch for the rows it changed —
+the voters, or every row when ``decay < 1`` forgets them all — so the
+per-vote routing and stopping reads between batches are list lookups.
+The whole pool as arrays, :class:`PoolView`, is built from those caches
+only when something reads it.
+
+The adaptive policy folds one HIT per batch, so a batch costs little
+beyond its votes: each vote's flat count offset is taken once, in vote
+order, and one pass over the voters' counts yields the rates and, from
+the one :func:`numpy.log` call, their logs.
 """
 
 from __future__ import annotations
@@ -56,25 +63,6 @@ PointVotes = Sequence[tuple[int, Mapping[str, str]]]
 
 _ROW_GROWTH = 16
 _LOG_FLOOR = 1e-300
-
-
-def _confusions(
-    obs: Sequence[float], prior_right: float, prior_wrong: float
-) -> list[float]:
-    """Rows of flat 2x2 counts ``obs`` (``no|no, yes|no, no|yes,
-    yes|yes`` per row) as flat ``P(answer | truth)`` rows, prior
-    pseudo-counts included; the float operations of
-    ``counts / counts.sum(axis=2)`` over ``prior + obs``."""
-    rates: list[float] = []
-    for base in range(0, len(obs), 4):
-        no_no = prior_right + obs[base]
-        yes_no = prior_wrong + obs[base + 1]
-        no_yes = prior_wrong + obs[base + 2]
-        yes_yes = prior_right + obs[base + 3]
-        when_no = no_no + yes_no
-        when_yes = no_yes + yes_yes
-        rates += (no_no / when_no, yes_no / when_no, no_yes / when_yes, yes_yes / when_yes)
-    return rates
 
 
 class _AttributeModel:
@@ -329,22 +317,29 @@ class OnlineDawidSkene:
         right, wrong = self._prior_pair()
         return np.array([[right, wrong], [wrong, right]], dtype=np.float64)
 
-    def _class_pair(self, class_obs: Sequence[float]) -> tuple[float, float]:
-        """:attr:`class_priors` as two floats, for class counts ``class_obs``."""
-        half = self.prior_strength * 0.5
-        count_no, count_yes = half + class_obs[0], half + class_obs[1]
-        total = count_no + count_yes
-        return count_no / total, count_yes / total
-
     def _log_rates(
         self, obs: Sequence[float], class_obs: Sequence[float]
     ) -> tuple[list[float], list[float]]:
-        """The class priors and the flat confusions of the rows whose flat
-        counts are ``obs``, and their logs from one :func:`numpy.log`
-        call (each of the value plus ``_LOG_FLOOR``)."""
-        rates = list(self._class_pair(class_obs))
-        rates += _confusions(obs, *self._prior_pair())
-        return rates, np.log([rate + _LOG_FLOOR for rate in rates]).tolist()
+        """The class priors and the flat ``P(answer | truth)`` rows of the
+        flat counts ``obs`` (``no|no, yes|no, no|yes, yes|yes`` per row),
+        prior pseudo-counts included, and their logs from one
+        :func:`numpy.log` call (each of the value plus ``_LOG_FLOOR``).
+        These are the float operations of ``counts / counts.sum(axis=-1)``
+        over ``prior + obs`` and over ``prior + class_obs``."""
+        right, wrong = self._prior_pair()
+        half = self.prior_strength * 0.5
+        count_no, count_yes = half + class_obs[0], half + class_obs[1]
+        total = count_no + count_yes
+        rates = [count_no / total, count_yes / total]
+        for base in range(0, len(obs), 4):
+            no_no = right + obs[base]
+            yes_no = wrong + obs[base + 1]
+            no_yes = wrong + obs[base + 2]
+            yes_yes = right + obs[base + 3]
+            when_no = no_no + yes_no
+            when_yes = no_yes + yes_yes
+            rates += (no_no / when_no, yes_no / when_no, no_yes / when_yes, yes_yes / when_yes)
+        return rates, np.log(np.add(rates, _LOG_FLOOR)).tolist()
 
     def _store(self, rows: Sequence[int], rates: list[float], logs: list[float]) -> None:
         """Cache :meth:`_log_rates` output for ``rows``."""
@@ -457,24 +452,28 @@ class OnlineDawidSkene:
         HIT or across the batch's HITs) accumulates in vote order.
         """
         known = self._rows
-        tasks: list[int] = []
+        slots: dict[int, int] = {}
         rows: list[int] = []
-        answers: list[int] = []
+        cells: list[int] = []
+        tasks: list[int] = []
         for i, votes in enumerate(hits):
             for worker_id, answer in votes:
                 row = known.get(worker_id)
+                if row is None:
+                    row = self._row(worker_id)
+                base = slots.get(row)
+                if base is None:
+                    base = slots[row] = 4 * len(slots)
+                rows.append(row)
+                # Flat offset of the vote's (truth = no, answer) count; its
+                # (truth = yes, answer) count is two further on.
+                cells.append(base + 1 if answer else base)
                 tasks.append(i)
-                rows.append(self._row(worker_id) if row is None else row)
-                answers.append(1 if answer else 0)
         n_hits = len(hits)
         if not rows:
             return np.zeros(n_hits, dtype=np.float64)
         self._forget()
-        voters = list(dict.fromkeys(rows))
-        base = {row: 4 * k for k, row in enumerate(voters)}
-        # Flat offsets of each vote's (truth = no, answer) count; its
-        # (truth = yes, answer) count is two further on.
-        cells = [base[row] + answer for row, answer in zip(rows, answers)]
+        voters = list(slots)
         buffer = self._obs
         obs: list[float] = []
         for row in voters:
@@ -490,23 +489,25 @@ class OnlineDawidSkene:
         step = self.damping / self.sweeps
         for _ in range(self.sweeps):
             # E-step: each HIT's log posterior, votes added in vote order.
-            log_post = [[logs[0], logs[1]] for _ in range(n_hits)]
+            log_no = [logs[0]] * n_hits
+            log_yes = [logs[1]] * n_hits
             for cell, i in zip(cells, tasks):
-                log_post[i][0] += logs[cell + 2]
-                log_post[i][1] += logs[cell + 4]
-            shifted: list[float] = []
-            for log_no, log_yes in log_post:
-                top = max(log_no, log_yes)
-                shifted += (log_no - top, log_yes - top)
-            exps = np.exp(shifted).tolist()
-            post = [
-                (exps[k] / (exps[k] + exps[k + 1]), exps[k + 1] / (exps[k] + exps[k + 1]))
-                for k in range(0, 2 * n_hits, 2)
-            ]
+                log_no[i] += logs[cell + 2]
+                log_yes[i] += logs[cell + 4]
+            # Less its maximum, one side of a log posterior is 0.0, whose
+            # exp is 1.0: the other side takes one scalar np.exp.
+            post: list[tuple[float, float]] = []
+            for no, yes in zip(log_no, log_yes):
+                if no >= yes:
+                    exp_no, exp_yes = 1.0, float(np.exp(yes - no))
+                else:
+                    exp_no, exp_yes = float(np.exp(no - yes)), 1.0
+                post.append((exp_no / (exp_no + exp_yes), exp_yes / (exp_no + exp_yes)))
             # Damped M-step into the voters' counts and the class counts.
             for cell, i in zip(cells, tasks):
-                obs[cell] += step * post[i][0]
-                obs[cell + 2] += step * post[i][1]
+                post_no, post_yes = post[i]
+                obs[cell] += step * post_no
+                obs[cell + 2] += step * post_yes
             sum_no, sum_yes = post[0]
             for post_no, post_yes in post[1:]:
                 sum_no += post_no

@@ -178,22 +178,22 @@ class AdaptiveAssignmentPolicy:
         if not eligible:
             raise InvalidParameterError("plan needs a non-empty eligible pool")
         worker_ids = [worker.worker_id for worker in eligible]
-        quarantined = set(self.tracker.quarantined_ids())
-        active = [
-            pos for pos, worker_id in enumerate(worker_ids) if worker_id not in quarantined
-        ]
-        if not active:
-            active = list(range(len(eligible)))
-        noise = rng.random(len(active)).tolist()
+        quarantined = self.tracker.quarantined
+        active: Sequence[int] = range(len(worker_ids))
+        active_ids = worker_ids
+        if quarantined:
+            active = [pos for pos in active if worker_ids[pos] not in quarantined] or active
+            active_ids = [worker_ids[pos] for pos in active]
+        noise = rng.random(len(active_ids)).tolist()
         # Registers unseen workers in eligible order, which checkpoints keep.
-        accuracy = self.estimator.accuracies([worker_ids[pos] for pos in active])
+        accuracy = self.estimator.accuracies(active_ids)
         exploration = self.exploration
         scores = [trust + exploration * bonus for trust, bonus in zip(accuracy, noise)]
         # Best first; a stable sort keeps ties in eligible order.
-        ranked = sorted(range(len(active)), key=scores.__getitem__, reverse=True)
+        ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         order = [active[i] for i in ranked[: self.max_assignments]]
         probe = None
-        if self.n_hits % self.probation_interval == self.probation_interval - 1:
+        if quarantined and self.n_hits % self.probation_interval == self.probation_interval - 1:
             probation = [
                 pos for pos, worker_id in enumerate(worker_ids) if worker_id in quarantined
             ]
@@ -269,7 +269,7 @@ class AdaptiveAssignmentPolicy:
         posterior = estimator.observe_set_batch([votes])
         voters: list[int] | None = None
         if in_step and estimator.decay == 1.0:
-            voters = estimator.rows(worker_id for worker_id, _ in votes)
+            voters = estimator.rows([worker_id for worker_id, _ in votes])
         self._review(voters)
         self.n_hits += 1
         self.n_votes += len(votes) - n_probes

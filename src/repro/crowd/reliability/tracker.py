@@ -28,7 +28,7 @@ quarantine decisions (reprolint RPL001/RPL008 discipline).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import AbstractSet, Any, Iterable, Mapping
 
 from repro.errors import InvalidParameterError
 
@@ -120,6 +120,8 @@ class ReliabilityTracker:
         self.probation_votes = probation_votes
 
         self._states: dict[int, str] = {}
+        #: the workers ``_states`` holds as quarantined, kept wherever it changes
+        self._quarantined: set[int] = set()
         self._flags: dict[int, str] = {}
         self._obs_at_quarantine: dict[int, int] = {}
         self.n_quarantines = 0
@@ -176,6 +178,7 @@ class ReliabilityTracker:
             if self._states.get(worker_id, _ACTIVE) == _ACTIVE:
                 if flag is not None:
                     self._states[worker_id] = _QUARANTINED
+                    self._quarantined.add(worker_id)
                     self._flags[worker_id] = flag
                     self._obs_at_quarantine[worker_id] = estimator.n_observations(worker_id)
                     self.n_quarantines += 1
@@ -189,6 +192,7 @@ class ReliabilityTracker:
                 and self.youden_j(worker_id) >= self.reentry_margin
             ):
                 self._states[worker_id] = _ACTIVE
+                self._quarantined.discard(worker_id)
                 self._flags.pop(worker_id, None)
                 self._obs_at_quarantine.pop(worker_id, None)
                 self.n_reinstatements += 1
@@ -208,6 +212,12 @@ class ReliabilityTracker:
         """The behavioral flag that put the worker in quarantine
         (``None`` for active workers)."""
         return self._flags.get(worker_id)
+
+    @property
+    def quarantined(self) -> AbstractSet[int]:
+        """The currently quarantined worker ids as a set, for membership
+        tests in the per-HIT routing; read it, never change it."""
+        return self._quarantined
 
     def quarantined_ids(self) -> tuple[int, ...]:
         """Currently quarantined worker ids, sorted ascending for
@@ -234,6 +244,7 @@ class ReliabilityTracker:
         """Restore :meth:`state_dict` output exactly; the attached
         estimator must be restored separately (and first)."""
         self._states = {int(w): str(s) for w, s in state["states"].items()}
+        self._quarantined = {w for w, s in self._states.items() if s == _QUARANTINED}
         self._flags = {int(w): str(f) for w, f in state["flags"].items()}
         self._obs_at_quarantine = {
             int(w): int(n) for w, n in state["obs_at_quarantine"].items()

@@ -271,6 +271,9 @@ class AuditService:
         self._tasks_window = LedgerWindow(oracle.ledger)
 
         self._jobs: dict[str, _Job] = {}
+        #: jobs whose record changed since it was last saved: a checkpoint
+        #: saves these, so its cost does not grow with the finished jobs
+        self._unsaved: dict[str, _Job] = {}
         self._queue: list[_Job] = []
         self._seq = 0
         self._rounds = 0
@@ -294,6 +297,7 @@ class AuditService:
             else:
                 self._running_by_tenant.pop(job.tenant, None)
         job.status = status
+        self._unsaved[job.job_id] = job
 
     # -- lifecycle --------------------------------------------------------
     def __enter__(self) -> "AuditService":
@@ -605,6 +609,8 @@ class AuditService:
             self.checkpoint()
 
     def _event(self, job: _Job, stage: str, detail: str = "") -> None:
+        # A result or an error is set only together with an event.
+        self._unsaved[job.job_id] = job
         job.events.append(
             JobEvent(
                 stage=stage,
@@ -618,9 +624,11 @@ class AuditService:
     def _persist(self, job: _Job) -> None:
         if self.job_store is not None:
             self.job_store.save_job(job.job_id, job.to_dict())
+        self._unsaved.pop(job.job_id, None)
 
     def checkpoint(self) -> None:
-        """Write the answer log and every job record to the store.
+        """Write the answer log and the job records that changed since
+        they were last saved to the store.
 
         The answer log holds exactly what the crowd was paid for — the
         proxy's set and point answers — so a resumed service replays
@@ -648,7 +656,8 @@ class AuditService:
             }
         )
         self._proxy.mark_persisted(cursor)
-        for job in self._jobs.values():
+        # In submission order, as the records were first saved.
+        for job in sorted(self._unsaved.values(), key=lambda job: job.seq):
             self._persist(job)
 
     def reliability_report(self):

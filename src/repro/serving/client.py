@@ -6,14 +6,18 @@ already handle: ``400`` → :class:`~repro.errors.InvalidParameterError`,
 ``404`` → the same (unknown job id), ``409`` →
 :class:`~repro.errors.JobFailedError`, ``429`` →
 :class:`~repro.serving.protocol.ServerBusyError` carrying the server's
-``Retry-After``. Every call opens its own connection, so one client may
-be shared across threads.
+``Retry-After``. Each thread keeps one keep-alive connection to the
+gateway and sends its calls over it, so one client may be shared across
+threads. A call whose reused connection turns out to be closed (the
+gateway restarted or dropped it) reconnects and sends once more; every
+route is safe to repeat, since submit and cancel are idempotent.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Iterator, Mapping
 
@@ -42,6 +46,24 @@ class ServingClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's keep-alive connection; a later call opens
+        a new one."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+        for connection in connections:
+            connection.close()
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     @property
     def base(self) -> str:
@@ -49,24 +71,43 @@ class ServingClient:
         return f"{self.host}:{self.port}"
 
     # -- plumbing ---------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection (it connects on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._lock:
+                self._connections.append(connection)
+        return connection
+
     def _request(
         self,
         method: str,
         path: str,
         body: Mapping[str, Any] | None = None,
     ) -> dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = None if body is None else json.dumps(body)
-            headers = {"Content-Type": "application/json"} if payload else {}
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
+        payload = None if body is None else json.dumps(body)
+        headers = {"Content-Type": "application/json"} if payload else {}
+        connection = self._connection()
+        reused = connection.sock is not None
+        while True:
+            try:
+                connection.request(method, path, body=payload, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+            except ConnectionError:
+                connection.close()
+                if not reused:
+                    raise
+                reused = False  # the gateway closed it while idle: once more
+                continue
+            except BaseException:
+                connection.close()  # never reuse a connection left mid-response
+                raise
             return self._decode(response.status, response.headers, raw)
-        finally:
-            connection.close()
 
     @staticmethod
     def _decode(status: int, headers, raw: bytes) -> dict[str, Any]:

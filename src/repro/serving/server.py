@@ -1,10 +1,11 @@
 """The HTTP/JSON gateway in front of a serving root.
 
 Stdlib-only (``http.server`` + ``socketserver`` threading mixin): one
-thread per connection, no framework. The gateway holds **no job
-state** — every request is answered off the filesystem job board, so
-any number of gateways can front the same root and a gateway restart
-loses nothing.
+thread per connection, no framework. Connections are HTTP/1.1
+keep-alive; :meth:`ServingGateway.stop` closes the open ones. The
+gateway holds **no job state** — every request is answered off the
+filesystem job board, so any number of gateways can front the same root
+and a gateway restart loses nothing.
 
 Protocol (all bodies JSON)::
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -90,6 +92,9 @@ class ServingGateway(ThreadingHTTPServer):
         self._queued: dict[str, set[str]] = {}
         self._admission_lock = threading.Lock()
         self._thread: threading.Thread | None = None
+        #: accepted connections not yet closed, so stop() can close them
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(address, _GatewayHandler)
 
     # -- lifecycle --------------------------------------------------------
@@ -115,12 +120,34 @@ class ServingGateway(ThreadingHTTPServer):
         self._thread.start()
 
     def stop(self) -> None:
-        """Shut the server down and release the socket."""
+        """Shut the server down, close its kept-alive connections and
+        release the socket."""
         self.shutdown()
+        with self._open_lock:
+            open_connections = list(self._open)
+        for connection in open_connections:
+            try:
+                # Wakes the handler thread blocked reading the next request.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it already
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+
+    def process_request(self, request, client_address) -> None:
+        """Serve an accepted connection on its own thread, remembering it
+        until :meth:`shutdown_request` closes it."""
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Close a connection whose handler finished, and forget it."""
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
 
     def __enter__(self) -> "ServingGateway":
         """Context-manager entry: starts serving."""
@@ -169,6 +196,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     gateway's board."""
 
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle's algorithm on, a
+    #: keep-alive client's delayed ACK would hold the body back ~40 ms.
+    disable_nagle_algorithm = True
     server: ServingGateway
 
     # -- plumbing ---------------------------------------------------------
@@ -192,8 +222,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._body
         if not raw:
             return {}
         try:
@@ -220,6 +249,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
+            # Read the whole body before routing: a route that fails early
+            # must not leave part of it on a kept-alive connection.
+            length = int(self.headers.get("Content-Length") or 0)
+            self._body = self.rfile.read(length) if length else b""
             self._route_post()
         except ServerBusyError as error:
             self._send_json(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.crowd.queries import HitRecord, PointQuery, SetQuery
 from repro.data.groups import group
+from repro.engine.requests import IndexKey
 from repro.errors import InvalidParameterError
 
 FEMALE = group(gender="female")
@@ -74,6 +78,42 @@ class TestSetQuery:
 
     def test_hashable(self):
         assert SetQuery([1, 2], FEMALE) == SetQuery((1, 2), FEMALE)
+
+    def test_frozen_and_picklable(self):
+        query = SetQuery([1, 2], FEMALE)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            query.predicate = FEMALE
+        lazy = SetQuery.of_key(IndexKey.of(np.array([5, 1])), FEMALE)
+        for original in (query, lazy):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and copy.indices == original.indices
+
+    @pytest.mark.parametrize("indices", [[4, 5, 6, 7], [9, 2, 30], [0], [3, 2]])
+    def test_of_key_is_the_query_over_the_keys_indices(self, indices):
+        array = np.array(indices, dtype=np.int64)
+        key = IndexKey.of(array)
+        lazy = SetQuery.of_key(key, FEMALE)
+        eager = SetQuery(array, FEMALE)
+        assert len(lazy) == len(eager) == len(indices)
+        assert lazy.index_key is key and eager.index_key is key
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert lazy.indices == eager.indices == tuple(indices)
+        assert all(type(index) is int for index in lazy.indices)
+        assert repr(lazy) == repr(eager) and lazy.describe() == eager.describe()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (IndexKey.of_run(3, 3), "a SetQuery needs at least one object"),
+            (IndexKey.of(np.array([], dtype=np.int64)), "a SetQuery needs at least one object"),
+            (IndexKey.of_run(-2, 3), "negative object index in SetQuery"),
+            (IndexKey.of(np.array([4, -1])), "negative object index in SetQuery"),
+        ],
+    )
+    def test_of_key_error_texts(self, key, message):
+        with pytest.raises(InvalidParameterError) as raised:
+            SetQuery.of_key(key, FEMALE)
+        assert str(raised.value) == message
 
 
 class TestHitRecord:

@@ -25,6 +25,7 @@ from repro.crowd.reliability import (
 from repro.crowd.workers import Worker, make_worker_pool
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
+from repro.engine.requests import set_query_key
 from repro.errors import CheckpointVersionError, InvalidParameterError
 
 FEMALE = group(gender="female")
@@ -788,6 +789,60 @@ class TestPoolViewMatchesScalarFormulas:
             est.pool().accuracy[0] = 1.0
 
 
+class TestOneHitUpdateMatchesScalarFormulas:
+    """The policy folds one HIT per update, through the policy's own
+    quarantine reviews and probe accounting (batches of several HITs are
+    covered above)."""
+
+    @pytest.mark.parametrize("decay", [1.0, 0.93])
+    def test_random_one_hit_streams(self, decay):
+        behaviors = (good(0.05), always(True), uniform(), adversarial())
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 11, int(decay * 100)])
+            kwargs = dict(
+                decay=decay,
+                damping=float(rng.uniform(0.2, 1.0)),
+                sweeps=int(rng.integers(1, 4)),
+            )
+            estimator = OnlineDawidSkene(**kwargs)
+            min_observations = int(rng.integers(1, 10))
+            policy = AdaptiveAssignmentPolicy(
+                estimator=estimator,
+                tracker=ReliabilityTracker(estimator, min_observations=min_observations),
+            )
+            reference = _ScalarPolicy()
+            reference.estimator = _ScalarDawidSkene(**kwargs)
+            reference.tracker = _ScalarTracker(
+                reference.estimator, min_observations=min_observations
+            )
+            n_workers = int(rng.integers(2, 25))
+            kinds = rng.integers(0, 4, n_workers)
+            for hit in range(int(rng.integers(20, 80))):
+                truth = bool(rng.random() < 0.5)
+                # Workers first vote as the stream reaches them (unseen
+                # until then); a worker may vote twice in one HIT.
+                seen = min(n_workers, 2 + hit // 3)
+                voters = rng.integers(0, seen, int(rng.integers(0, 8))).tolist()
+                n_probes = int(rng.random() < 0.3)
+                voters += rng.integers(0, n_workers, n_probes).tolist()
+                votes = [
+                    (worker_id, bool(behaviors[kinds[worker_id]](truth, rng)))
+                    for worker_id in voters
+                ]
+                assert policy.observe_set(votes, n_probes=n_probes) == (
+                    reference.observe_set(votes, n_probes=n_probes)
+                )
+                assert policy.tracker.state_dict() == reference.tracker.state_dict()
+                if hit % 10 == 0:
+                    _assert_pool_matches_scalar(
+                        estimator, reference.estimator, policy.tracker, reference.tracker
+                    )
+            assert policy.state_dict() == reference.state_dict()
+            _assert_pool_matches_scalar(
+                estimator, reference.estimator, policy.tracker, reference.tracker
+            )
+
+
 class TestPoolViewInvalidation:
     def _pair(self):
         est, ref = OnlineDawidSkene(), _ScalarDawidSkene()
@@ -848,8 +903,13 @@ class TestAdaptivePlatformMatchesScalarPath:
     SERVE_CROWD_POLICY = dict(log_odds_threshold=9.0, max_assignments=11)
 
     def _run(
-        self, policy, pool=ADVERSARIAL_POOL, n_hits=260, on_set_hit=None, point_every=20
+        self, policy, pool=ADVERSARIAL_POOL, n_hits=260, on_set_hit=None, point_every=20,
+        batched=False,
     ):
+        """Publish a fixed HIT stream. ``batched`` sends the set HITs
+        between two point HITs or drains through one
+        ``CrowdOracle.ask_set_batch`` call: truths read in one pass, each
+        HIT's query built lazily from its key."""
         dataset = binary_dataset(600, 20, rng=np.random.default_rng(7))
         pool = dict(pool)
         workers = make_worker_pool(
@@ -858,24 +918,39 @@ class TestAdaptivePlatformMatchesScalarPath:
         platform = CrowdPlatform(
             dataset, workers, np.random.default_rng(11), reliability=policy
         )
+        oracle = CrowdOracle(platform)
         query_rng = np.random.default_rng(42)
-        drained = []
+        drained, batch, verdicts = [], [], []
+
+        def flush():
+            if batch:
+                verdicts.extend(oracle.ask_set_batch(batch))
+                batch.clear()
+
         for hit in range(n_hits):
             if hit % point_every == point_every - 1:
+                flush()
                 platform.publish_point_query(PointQuery(int(query_rng.integers(600))))
             else:
                 indices = query_rng.choice(600, size=int(query_rng.integers(1, 20)),
                                            replace=False)
-                platform.publish_set_query(
-                    SetQuery(np.asarray(indices, dtype=np.int64), FEMALE)
-                )
-                if on_set_hit is not None:
-                    on_set_hit(platform.hit_records[-1])
+                indices = np.asarray(indices, dtype=np.int64)
+                if batched:
+                    batch.append(set_query_key(indices, FEMALE))
+                else:
+                    verdicts.append(platform.publish_set_query(SetQuery(indices, FEMALE)))
+                    if on_set_hit is not None:
+                        on_set_hit(platform.hit_records[-1])
             if hit % 50 == 49:
+                flush()
                 drained.append(platform.drain_set_votes())
+        flush()
+        hits = platform.hit_records
+        assert verdicts == [r.aggregated for r in hits if isinstance(r.query, SetQuery)]
         records = [
-            (r.worker_ids, r.answers, r.aggregated, r.truth, r.price)
-            for r in platform.hit_records
+            (r.worker_ids, r.answers, r.aggregated, r.truth, r.price,
+             (r.query.indices, len(r.query)) if isinstance(r.query, SetQuery) else r.query)
+            for r in hits
         ]
         ledger = platform.ledger
         totals = (ledger.n_set_hits, ledger.n_point_hits, ledger.n_assignments,
@@ -927,6 +1002,22 @@ class TestAdaptivePlatformMatchesScalarPath:
         assert self._run(policy, point_every=3) == self._run(reference, point_every=3)
         report = policy.report()
         assert report.n_quarantines > 0 and report.n_hits == 260
+
+    @pytest.mark.parametrize("decay", [1.0, 0.93])
+    @pytest.mark.parametrize("pool", [ADVERSARIAL_POOL, SERVE_CROWD_POOL])
+    def test_oracle_batches_match_the_scalar_path(self, pool, decay):
+        # Set HITs go through CrowdOracle.ask_set_batch: one truth pass per
+        # batch and lazily built queries; the reference publishes each HIT.
+        kwargs = dict(log_odds_threshold=3.5, probation_interval=3, exploration=2.0)
+        estimator = OnlineDawidSkene(decay=decay)
+        policy = AdaptiveAssignmentPolicy(
+            estimator=estimator, tracker=ReliabilityTracker(estimator), **kwargs
+        )
+        reference = _ScalarPolicy(**kwargs)
+        reference.estimator = _ScalarDawidSkene(decay=decay)
+        reference.tracker = _ScalarTracker(reference.estimator)
+        assert self._run(policy, pool, batched=True) == self._run(reference, pool)
+        assert policy.report().n_hits == 260
 
     def test_an_in_step_point_hit_visits_no_rows(self):
         policy = AdaptiveAssignmentPolicy()

@@ -279,6 +279,50 @@ class TestRecoveryAndGrowth:
         assert again.tasks_paid == reference.tasks_paid
         assert {path: path.read_bytes() for path in legacy} == written
 
+    def test_a_checkpoint_saves_only_the_jobs_that_changed(self, dataset):
+        """Finished jobs are not serialised again: a checkpoint saves the
+        records whose status, events or result changed since they were
+        saved, so its cost does not grow with the unchanged jobs."""
+
+        class CountingStore(InMemoryJobStore):
+            def __init__(self):
+                super().__init__()
+                self.saved = []
+
+            def save_job(self, job_id, record):
+                self.saved.append(job_id)
+                super().save_job(job_id, record)
+
+        def saves(n_finished):
+            store = CountingStore()
+            service = AuditService(GroundTruthOracle(dataset), job_store=store, batch_size=4)
+            with service:
+                for tau in range(n_finished):
+                    service.submit(GroupAuditSpec(predicate=group(race="black"), tau=10 + tau))
+                service.drain()
+                counts = []
+                for _ in range(2):
+                    store.saved.clear()
+                    service.checkpoint()
+                    counts.append(list(store.saved))
+                late = service.submit(SPECS[0]).job_id
+                store.saved.clear()
+                service.step()  # starts the job: an event no save carried yet
+                service.checkpoint()
+                counts.append(list(store.saved))
+                revived = AuditService.resume(store, GroundTruthOracle(dataset))
+                for _ in range(2):
+                    store.saved.clear()
+                    revived.checkpoint()
+                    counts.append(list(store.saved))
+            return late, counts
+
+        # A resumed service saved the unfinished job's record as it
+        # requeued it; the records it read from the store are not saved.
+        for n_finished in (3, 30):
+            late, counts = saves(n_finished)
+            assert counts == [[], [], [late], [], []]
+
     def test_thousand_checkpoints_stay_within_the_compaction_bound(self, tmp_path):
         """The journal of a long-lived service stays within twice its
         folded state (up to each frame's few bytes of framing): the

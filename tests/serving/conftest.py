@@ -83,4 +83,5 @@ def gateway(serving_root):
 @pytest.fixture
 def client(gateway):
     """A client pointed at the live gateway."""
-    return ServingClient("127.0.0.1", gateway.port)
+    with ServingClient("127.0.0.1", gateway.port) as client:
+        yield client

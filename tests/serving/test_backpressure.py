@@ -39,7 +39,8 @@ def small_gateway(small_root):
 
 @pytest.fixture
 def small_client(small_gateway):
-    return ServingClient("127.0.0.1", small_gateway.port)
+    with ServingClient("127.0.0.1", small_gateway.port) as client:
+        yield client
 
 
 class TestBackpressure:
