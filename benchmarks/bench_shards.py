@@ -313,7 +313,7 @@ def run_case(
         # every sharded structure the benchmark built.
         engine_row, engine_result = _timed_session(
             lambda: GroundTruthOracle(dataset, index=index),
-            spec, engine=True, seed=seed,
+            spec, engine=True, seed=seed, repeats=repeats,
         )
         count_work(engine_row, after_sequential)
         row["sharded_engine"] = engine_row

@@ -192,13 +192,6 @@ class PointStore:
         return dict(zip(indices, self.schema.decode_rows(codes)))
 
 
-def _encode_labels(schema: Schema, point_answers: Mapping[int, Mapping[str, str]]) -> np.ndarray:
-    """The code rows of ``point_answers``' labels, in their order."""
-    return np.array(
-        [schema.encode_row(labels) for labels in point_answers.values()], dtype=np.int16
-    ).reshape(len(point_answers), schema.n_attributes)
-
-
 class RecordingOracleProxy(Oracle):
     """The one answer store: every query is paid at most once.
 
@@ -350,7 +343,7 @@ class RecordingOracleProxy(Oracle):
             )
         point_answers = codec.point_answers_from_list(raw_point_answers)
         try:
-            _encode_labels(oracle.schema, point_answers)
+            oracle.schema.encode_rows(point_answers.values())
         except UnknownGroupError as error:
             raise CheckpointVersionError(
                 f"{source} holds a point answer outside the oracle's schema ({error})"
@@ -383,7 +376,7 @@ class RecordingOracleProxy(Oracle):
         for (predicate, index_key), answer in log.set_answers.items():
             self.answer_cache.record(predicate, index_key, answer)
         self.points.record(
-            list(log.point_answers), _encode_labels(self.schema, log.point_answers)
+            list(log.point_answers), self.schema.encode_rows(log.point_answers.values())
         )
         if log.reliability is not None:
             platform = _reliability_platform(self._session_inner)
@@ -476,10 +469,7 @@ class RecordingOracleProxy(Oracle):
             fresh_answers = self._session_inner.ask_point_batch(prepared[fresh].tolist())
             for position, labels in zip(fresh, fresh_answers):
                 answers[position] = labels
-            self.points.record(
-                prepared[fresh],
-                _encode_labels(self.schema, dict(enumerate(fresh_answers))),
-            )
+            self.points.record(prepared[fresh], self.schema.encode_rows(fresh_answers))
         return answers
 
     def scan_points(self, indices, predicate, tau) -> np.ndarray:

@@ -89,13 +89,11 @@ def aggregate_groups(
     tuple[SuperGroup, ...]
         Super-groups covering every input group exactly once.
 
+    >>> import numpy as np
     >>> from repro.core.sampling import LabeledPool
-    >>> from repro.data import group
-    >>> pool = LabeledPool()
-    >>> for i in range(93):
-    ...     pool.add(i, {"race": "white"})
-    >>> for i in range(93, 95):
-    ...     pool.add(i, {"race": "black"})
+    >>> from repro.data import Schema, group
+    >>> pool = LabeledPool(Schema.from_dict({"race": ["white", "black", "asian"]}))
+    >>> pool.add(np.arange(95), [0] * 93 + [1] * 2)  # 93 white, 2 black
     >>> gs = [group(race="white"), group(race="black"), group(race="asian")]
     >>> supers = aggregate_groups(pool, 1000, 50, gs)
     >>> sorted(len(s) for s in supers)   # black+asian merge, white alone

@@ -18,7 +18,9 @@ Phase 3 is one driver: each super-group is a Group-Coverage stepper,
 and a covered merged super-group's completion hook spawns its members'
 penalty re-runs. Without an ``engine`` the steppers go through
 :func:`~repro.core.group_coverage.run_sequential`, one FIFO generation
-scan at a time, every query in the paper's order. Passing an ``engine``
+scan at a time, every query in the paper's order; the sampling phase
+and each member attribution are one point scan
+(:func:`~repro.core.sampling.label_points`). Passing an ``engine``
 (:class:`repro.engine.QueryEngine`) hands the same steppers and hook to
 :meth:`~repro.engine.QueryEngine.run` instead, and additionally:
 
@@ -45,10 +47,11 @@ from repro.core.results import (
     LedgerWindow,
     MultipleCoverageReport,
 )
-from repro.core.sampling import LabeledPool, label_samples
+from repro.core.sampling import LabeledPool, label_points, label_samples
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.groups import Group, SuperGroup
+from repro.data.kernels import predicate_mask
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
@@ -83,9 +86,9 @@ def _run_supergroups(
     runs: dict[SuperGroup, GroupCoverageResult] = {}
     member_runs: dict[SuperGroup, dict[Group, GroupCoverageResult]] = {}
     entries: dict[Group, GroupEntry] = {}
-    # Attribution labels, so an object a noisy oracle let two
+    # Attribution code rows, so an object a noisy oracle let two
     # super-groups discover is paid for once.
-    labeled: dict[int, dict[str, str]] = {}
+    labeled: dict[int, np.ndarray] = {}
 
     def make_stepper(
         super_group: SuperGroup, member: Group | None, tau_prime: int
@@ -108,19 +111,22 @@ def _run_supergroups(
         own_runs = member_runs.get(super_group)
         counts = {member: pool.count(member) for member in super_group}
         if own_runs is None and attribute_supergroup_members:
-            # Uncovered together: attribute every isolated member to its
-            # group with one point query each; counts become exact.
-            indices = list(runs[super_group].discovered_indices)
+            # Uncovered together: attribute every isolated member to the
+            # first group it matches, one point query each; counts
+            # become exact.
+            indices = runs[super_group].discovered_indices
             fresh = [index for index in indices if index not in labeled]
-            if engine is not None:
-                labeled.update(zip(fresh, oracle.ask_point_batch(fresh)))
-            else:
-                labeled.update((index, oracle.ask_point(index)) for index in fresh)
-            for labels in map(labeled.__getitem__, indices):
-                for member in super_group:
-                    if member.matches_row(labels):
-                        counts[member] += 1
-                        break
+            labeled.update(zip(fresh, label_points(oracle, fresh, batched=engine is not None)))
+            codes = np.array(
+                [labeled[index] for index in indices], dtype=np.int16
+            ).reshape(len(indices), oracle.schema.n_attributes)
+            matches = np.array(
+                [predicate_mask(oracle.schema, codes, member) for member in super_group]
+            )
+            first = matches.argmax(axis=0)[matches.any(axis=0)]
+            found = np.bincount(first, minlength=len(super_group))
+            for member, extra in zip(super_group, found.tolist()):
+                counts[member] += extra
         for member in super_group:
             if own_runs is None:
                 covered, exact = False, attribute_supergroup_members

@@ -14,138 +14,89 @@ serve two purposes at once:
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
 from repro.crowd.oracle import Oracle
-from repro.data.groups import Group, GroupPredicate, Negation, SuperGroup
+from repro.data.groups import GroupPredicate
+from repro.data.kernels import predicate_mask
+from repro.data.schema import Schema
 from repro.errors import InvalidParameterError
 
-__all__ = ["LabeledPool", "label_samples"]
+__all__ = ["LabeledPool", "label_points", "label_samples"]
 
 
 class LabeledPool:
     """Objects whose labels the crowd has already provided.
 
-    Maps dataset index to the ``{attribute: value}`` labeling the crowd
-    returned (which, under a noisy oracle, may differ from ground truth —
-    downstream logic treats it as truth, exactly like the paper does).
-
-    Storage is columnar: besides the row dicts, the pool maintains one
-    integer-code array per attribute (codes assigned per pool in
-    first-seen order, ``-1`` for rows missing the attribute), so
-    :meth:`count` and :meth:`members` — which Multiple-Coverage calls
-    once per group per super-group — are NumPy reductions instead of a
-    Python loop over every labeled row.
+    Holds their dataset ``indices``, in the order they were labeled, and
+    the ``(k, d)`` ``int16`` code rows of the labels the crowd returned
+    under ``schema`` (which, under a noisy oracle, may differ from
+    ground truth — downstream logic treats them as truth, exactly like
+    the paper does). :meth:`count` and :meth:`members` — which
+    Multiple-Coverage calls once per group per super-group — are one
+    :func:`~repro.data.kernels.predicate_mask` over the rows.
     """
 
-    def __init__(self, rows: Mapping[int, Mapping[str, str]] | None = None) -> None:
-        self.rows: dict[int, dict[str, str]] = {}
-        #: insertion-ordered dataset indices, parallel to the columns
-        self._order: list[int] = []
-        #: dataset index -> position in ``_order``
-        self._positions: dict[int, int] = {}
-        #: attribute name -> per-row value codes (grown lazily)
-        self._columns: dict[str, list[int]] = {}
-        #: attribute name -> value -> pool-local code
-        self._codings: dict[str, dict[str, int]] = {}
-        #: compiled ``np.asarray`` views of ``_columns`` (invalidated on add)
-        self._compiled: dict[str, np.ndarray] | None = None
-        if rows:
-            for index, labels in rows.items():
-                self.add(index, labels)
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self.indices = np.empty(0, dtype=np.int64)
+        self.codes = np.empty((0, schema.n_attributes), dtype=np.int16)
 
-    def add(self, index: int, labels: Mapping[str, str]) -> None:
-        index = int(index)
-        row = {str(k): str(v) for k, v in labels.items()}
-        self._compiled = None
-        position = self._positions.get(index)
-        if position is None:
-            position = len(self._order)
-            self._positions[index] = position
-            self._order.append(index)
-            for column in self._columns.values():
-                column.append(-1)
-        else:
-            # Relabeling an index overwrites in place, keeping its
-            # original insertion position (dict semantics).
-            for column in self._columns.values():
-                column[position] = -1
-        self.rows[index] = row
-        size = len(self._order)
-        for name, value in row.items():
-            column = self._columns.get(name)
-            if column is None:
-                column = [-1] * size
-                self._columns[name] = column
-                self._codings[name] = {}
-            coding = self._codings[name]
-            code = coding.setdefault(value, len(coding))
-            column[position] = code
-
-    # ------------------------------------------------------------------
-    # vectorized predicate evaluation
-    # ------------------------------------------------------------------
-    def _column(self, name: str) -> np.ndarray:
-        if self._compiled is None:
-            self._compiled = {}
-        compiled = self._compiled.get(name)
-        if compiled is None:
-            compiled = np.asarray(self._columns[name], dtype=np.int32)
-            self._compiled[name] = compiled
-        return compiled
-
-    def _mask(self, predicate: GroupPredicate) -> np.ndarray:
-        """Boolean membership of ``predicate`` over the pool's rows, in
-        insertion order."""
-        size = len(self._order)
-        if isinstance(predicate, Group):
-            mask = np.ones(size, dtype=bool)
-            for name, value in predicate.conditions:
-                coding = self._codings.get(name)
-                code = -2 if coding is None else coding.get(value, -2)
-                if code < 0:  # attribute or value never labeled: no row matches
-                    return np.zeros(size, dtype=bool)
-                mask &= self._column(name) == code
-            return mask
-        if isinstance(predicate, SuperGroup):
-            mask = np.zeros(size, dtype=bool)
-            for member in predicate.members:
-                mask |= self._mask(member)
-            return mask
-        if isinstance(predicate, Negation):
-            return ~self._mask(predicate.inner)
-        # Unknown predicate type: fall back to row-at-a-time semantics.
-        return np.fromiter(
-            (predicate.matches_row(self.rows[index]) for index in self._order),
-            dtype=bool,
-            count=size,
-        )
+    def add(self, indices: Sequence[int] | np.ndarray, codes: np.ndarray) -> None:
+        """Append objects not yet in the pool with their code rows."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        codes = np.asarray(codes, dtype=np.int16).reshape(-1, self.schema.n_attributes)
+        if len(indices) != len(codes):
+            raise InvalidParameterError(
+                f"{len(indices)} indices need as many code rows, got {len(codes)}"
+            )
+        self.indices = np.concatenate([self.indices, indices])
+        self.codes = np.concatenate([self.codes, codes])
 
     def count(self, predicate: GroupPredicate) -> int:
         """``L.count(g)``: labeled objects satisfying ``predicate``."""
-        if not self._order:
-            return 0
-        return int(self._mask(predicate).sum())
+        return int(np.count_nonzero(predicate_mask(self.schema, self.codes, predicate)))
 
     def members(self, predicate: GroupPredicate) -> tuple[int, ...]:
         """Indices of labeled objects satisfying ``predicate``, in
-        insertion order."""
-        if not self._order:
-            return ()
-        mask = self._mask(predicate)
-        order = np.asarray(self._order, dtype=np.int64)
-        return tuple(int(index) for index in order[mask])
+        labeling order."""
+        return tuple(self.indices[predicate_mask(self.schema, self.codes, predicate)].tolist())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.indices)
 
     def __contains__(self, index: object) -> bool:
-        return index in self.rows
+        return index in self.indices
 
     def __repr__(self) -> str:  # pragma: no cover - repr sugar
-        return f"LabeledPool({len(self.rows)} rows)"
+        return f"LabeledPool({len(self)} rows)"
+
+
+def label_points(
+    oracle: Oracle, indices: Sequence[int] | np.ndarray, *, batched: bool
+) -> np.ndarray:
+    """Point-query every object of ``indices``, in order, and return the
+    ``(k, d)`` ``int16`` code rows of the answers.
+
+    ``batched`` asks them in one
+    :meth:`~repro.crowd.oracle.Oracle.ask_point_batch` round-trip;
+    otherwise they are one
+    :meth:`~repro.crowd.oracle.Oracle.scan_points` walk, and a walk the
+    task budget cut short raises the
+    :class:`~repro.errors.BudgetExceededError` the next per-point ask
+    would have raised, after the oracle recorded the paid prefix.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if batched:
+        return oracle.schema.encode_rows(oracle.ask_point_batch(indices.tolist()))
+    if not len(indices):
+        return np.empty((0, oracle.schema.n_attributes), dtype=np.int16)
+    codes = oracle.scan_points(indices, None, tau=None)
+    if len(codes) < len(indices):
+        oracle.ledger.charge_point()  # the budget is spent: raises
+    return codes
 
 
 def sample_size_for(tau: int, c: float, view_size: int) -> int:
@@ -182,8 +133,9 @@ def label_samples(
     batched:
         Publish all point queries in one oracle round-trip
         (:meth:`~repro.crowd.oracle.Oracle.ask_point_batch`) instead of
-        one at a time. Same tasks, same labels under a deterministic
-        oracle; engine-mode Multiple-Coverage sets this.
+        one :meth:`~repro.crowd.oracle.Oracle.scan_points` walk (see
+        :func:`label_points`). Same tasks, same labels under a
+        deterministic oracle; engine-mode Multiple-Coverage sets this.
 
     >>> import numpy as np
     >>> from repro.crowd import GroundTruthOracle
@@ -200,22 +152,14 @@ def label_samples(
     if c < 0:
         raise InvalidParameterError(f"sample-size parameter c must be >= 0, got {c}")
     view = np.asarray(view, dtype=np.int64)
-    pool = pool if pool is not None else LabeledPool()
+    pool = pool if pool is not None else LabeledPool(oracle.schema)
 
     sample_size = sample_size_for(tau, c, len(view))
     if sample_size == 0:
         return view, pool
     chosen_positions = rng.choice(len(view), size=sample_size, replace=False)
-    if batched:
-        chosen_indices = [int(view[position]) for position in chosen_positions]
-        for index, labels in zip(
-            chosen_indices, oracle.ask_point_batch(chosen_indices)
-        ):
-            pool.add(index, labels)
-    else:
-        for position in chosen_positions:
-            index = int(view[position])
-            pool.add(index, oracle.ask_point(index))
+    chosen = view[chosen_positions]
+    pool.add(chosen, label_points(oracle, chosen, batched=batched))
     keep = np.ones(len(view), dtype=bool)
     keep[chosen_positions] = False
     return view[keep], pool

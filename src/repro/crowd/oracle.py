@@ -205,12 +205,13 @@ class Oracle(ABC):
     def scan_points(
         self,
         indices: Sequence[int] | np.ndarray,
-        predicate: GroupPredicate,
+        predicate: GroupPredicate | None,
         tau: int | None,
     ) -> np.ndarray:
         """Point-query ``indices`` in order, stopping after the
-        ``tau``-th member of ``predicate`` (``tau=None``: never), at the
-        end of ``indices``, or when the task budget is spent.
+        ``tau``-th member of ``predicate`` (``tau=None``: never, and
+        ``predicate`` is not read), at the end of ``indices``, or when
+        the task budget is spent.
 
         Returns the ``(k, d)`` ``int16`` code rows of the prefix
         ``indices[:k]`` it asked, each charged one point task and one
@@ -417,7 +418,7 @@ def cut_scan(
 
 
 def cut_after_member(
-    schema: Schema, codes: np.ndarray, predicate: GroupPredicate, need: int | None
+    schema: Schema, codes: np.ndarray, predicate: GroupPredicate | None, need: int | None
 ) -> tuple[np.ndarray, int]:
     """``codes`` cut after their ``need``-th member of ``predicate``
     (whole when they hold fewer, or when ``need`` is ``None``), and the
@@ -513,7 +514,7 @@ class GroundTruthOracle(Oracle):
     def scan_points(
         self,
         indices: Sequence[int] | np.ndarray,
-        predicate: GroupPredicate,
+        predicate: GroupPredicate | None,
         tau: int | None,
     ) -> np.ndarray:
         """:meth:`Oracle.scan_points` as gathers of code rows: each

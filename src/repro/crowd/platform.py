@@ -216,6 +216,7 @@ class CrowdPlatform:
         assigned: list[Worker] = []
         answers: list[dict[str, str]] = []
         votes: list[tuple[int, dict[str, str]]] = []
+        posteriors = None
         for pos in order:
             worker = self.eligible_workers[pos]
             answer = worker.answer_point(truth, self.dataset.schema, self.rng)
@@ -226,8 +227,10 @@ class CrowdPlatform:
             if policy.should_stop_point(posteriors, len(answers)):
                 break
         # The verdict uses only verdict-bearing votes, decided before the
-        # estimator absorbs them (mirrors the set-query path).
-        posteriors = policy.estimator.point_posteriors(votes)
+        # estimator absorbs them (mirrors the set-query path): the loop's
+        # last scoring, scored here only when no worker voted.
+        if posteriors is None:
+            posteriors = policy.estimator.point_posteriors(votes)
         aggregated = {
             attribute: max(values, key=values.__getitem__)
             for attribute, values in posteriors.items()

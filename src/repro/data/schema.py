@@ -181,6 +181,17 @@ class Schema:
                 f"labeling {dict(labels)!r} has no value for attribute {error.args[0]!r}"
             ) from None
 
+    def encode_rows(self, labelings: Iterable[Mapping[str, str]]) -> np.ndarray:
+        """The ``(k, d)`` ``int16`` code matrix of many labelings, one
+        :meth:`encode_row` each, in order.
+
+        >>> Schema.from_dict({"gender": ["male", "female"]}).encode_rows(
+        ...     [{"gender": "female"}, {"gender": "male"}]).tolist()
+        [[1], [0]]
+        """
+        rows = [self.encode_row(labels) for labels in labelings]
+        return np.array(rows, dtype=np.int16).reshape(len(rows), self.n_attributes)
+
     def decode_rows(self, codes: np.ndarray) -> list[dict[str, str]]:
         """``{attribute: value}`` labelings of a ``(k, d)`` code matrix,
         keys in schema order; one fancy-index per attribute decodes the

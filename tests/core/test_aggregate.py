@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.aggregate import aggregate_groups, expected_count
 from repro.core.sampling import LabeledPool
 from repro.data.groups import Group, group
+from repro.data.schema import Schema
 from repro.errors import InvalidParameterError
 
+RACE = Schema.from_dict({"race": [
+    "white", "black", "asian", "a", "b", "c", "d", "major", "m1", "m2", "m3",
+    "big", "mid", "tiny",
+]})
+JOINT = Schema.from_dict(
+    {"gender": ["male", "female"], "race": ["white", "black", "asian", "hispanic"]}
+)
 
-def pool_with(counts: dict[str, int], attribute: str = "race") -> LabeledPool:
-    pool = LabeledPool()
-    index = 0
-    for value, count in counts.items():
-        for _ in range(count):
-            pool.add(index, {attribute: value})
-            index += 1
+
+def pool_with(counts: dict[str, int]) -> LabeledPool:
+    values = [value for value, count in counts.items() for _ in range(count)]
+    pool = LabeledPool(RACE)
+    pool.add(np.arange(len(values)), RACE.encode_rows({"race": value} for value in values))
     return pool
 
 
@@ -26,7 +33,7 @@ class TestExpectedCount:
         assert expected_count(pool, group(race="black"), 1000) == pytest.approx(100.0)
 
     def test_empty_pool(self):
-        assert expected_count(LabeledPool(), group(race="black"), 1000) == 0.0
+        assert expected_count(LabeledPool(RACE), group(race="black"), 1000) == 0.0
 
 
 class TestAggregation:
@@ -79,24 +86,23 @@ class TestAggregation:
         assert [g.value_of("race") for g in supers[0]] == ["tiny", "mid", "big"]
 
     def test_empty_groups(self):
-        assert aggregate_groups(LabeledPool(), 100, 50, []) == ()
+        assert aggregate_groups(LabeledPool(RACE), 100, 50, []) == ()
 
     def test_duplicate_groups_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate_groups(
-                LabeledPool(), 100, 50, [group(race="a"), group(race="a")]
+                LabeledPool(RACE), 100, 50, [group(race="a"), group(race="a")]
             )
 
     def test_invalid_tau(self):
         with pytest.raises(InvalidParameterError):
-            aggregate_groups(LabeledPool(), 100, 0, [group(race="a"), group(race="b")])
+            aggregate_groups(LabeledPool(RACE), 100, 0, [group(race="a"), group(race="b")])
 
 
 class TestSiblingConstraint:
     def _pool(self):
-        pool = LabeledPool()
-        for i in range(100):
-            pool.add(i, {"gender": "male", "race": "white"})
+        pool = LabeledPool(JOINT)
+        pool.add(np.arange(100), JOINT.encode_rows([{"gender": "male", "race": "white"}] * 100))
         return pool
 
     def test_multi_true_only_merges_siblings(self):

@@ -1,7 +1,8 @@
 """Pin the exact oracle call sequence of sequential and engine runs.
 
 Every ``ask_set``, ``ask_set_batch``, ``ask_point`` and ``ask_point_batch``
-call is logged in order as (method, predicate, index bytes). Each case
+call, and every query a ``scan_sets`` or ``scan_points`` charged, is
+logged in order as (method, predicate, index bytes). Each case
 compares the log's sha256, a digest of the verdicts, and the ledger's
 ``total``/``n_rounds`` with values recorded from the reference
 implementation, for both execution modes: one query at a time (the
@@ -52,17 +53,19 @@ KINDS = ["group", "multiple", "multiple+attribution", "intersectional"]
 
 
 class CallLog:
-    """Replaces an oracle's four ``ask_*`` methods and ``scan_sets`` with
-    recording wrappers that hash every call, in order, into one sha256.
-    A set scan logs each query it charged as the ``set`` call the
-    per-query loop made, once, whether or not it asked ``ask_set``."""
+    """Replaces an oracle's four ``ask_*`` methods, ``scan_sets`` and
+    ``scan_points`` with recording wrappers that hash every call, in
+    order, into one sha256. A set scan logs each query it charged as the
+    ``set`` call the per-query loop made, and a point scan each object it
+    charged as the ``point`` call the per-point loop made, once, whether
+    or not it asked ``ask_set``/``ask_point``."""
 
     def __init__(self, oracle) -> None:
         self._digest = hashlib.sha256()
         self._scanning = False
         ask_set, ask_set_batch = oracle.ask_set, oracle.ask_set_batch
         ask_point, ask_point_batch = oracle.ask_point, oracle.ask_point_batch
-        scan_sets = oracle.scan_sets
+        scan_sets, scan_points = oracle.scan_sets, oracle.scan_points
 
         def logged_ask_set(indices, predicate, *, key=None):
             if not self._scanning:
@@ -88,8 +91,19 @@ class CallLog:
             self._record(b"set_batch", [(key.to_array(), predicate) for predicate, key in queries])
             return ask_set_batch(queries)
 
+        def logged_scan_points(indices, predicate, tau):
+            self._scanning = True
+            try:
+                codes = scan_points(indices, predicate, tau)
+            finally:
+                self._scanning = False
+            for index in np.asarray(indices, dtype=np.int64)[: len(codes)]:
+                self._record(b"point", [(index, None)])
+            return codes
+
         def logged_ask_point(index):
-            self._record(b"point", [(index, None)])
+            if not self._scanning:
+                self._record(b"point", [(index, None)])
             return ask_point(index)
 
         def logged_ask_point_batch(indices):
@@ -101,6 +115,7 @@ class CallLog:
         oracle.ask_point = logged_ask_point
         oracle.ask_point_batch = logged_ask_point_batch
         oracle.scan_sets = logged_scan_sets
+        oracle.scan_points = logged_scan_points
 
     def _record(self, method: bytes, queries) -> None:
         self._digest.update(b"%s:%d;" % (method, len(queries)))

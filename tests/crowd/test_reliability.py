@@ -403,6 +403,33 @@ class TestAdaptivePlatform:
         assert labels == dataset.value_row(3)
         assert policy.n_hits == 1
 
+    def test_point_hits_score_each_vote_once(self):
+        """An adaptive point HIT's verdict reuses the stop rule's last
+        scoring: one ``point_posteriors`` call per verdict-bearing vote
+        (the serve-crowd crowd: 196 calls for 50 HITs and 196
+        assignments, where scoring the verdict again made 246)."""
+        dataset = binary_dataset(600, 20, rng=np.random.default_rng(7))
+        workers = make_worker_pool(
+            20, np.random.default_rng(3), error_rate=0.0136, spammer_fraction=0.2
+        )
+        policy = AdaptiveAssignmentPolicy(log_odds_threshold=9.0, max_assignments=11)
+        platform = CrowdPlatform(
+            dataset, workers, np.random.default_rng(11), reliability=policy
+        )
+        scored = []
+        point_posteriors = policy.estimator.point_posteriors
+
+        def counted(votes):
+            scored.append(len(votes))
+            return point_posteriors(votes)
+
+        policy.estimator.point_posteriors = counted
+        query_rng = np.random.default_rng(42)
+        for _ in range(50):
+            platform.publish_point_query(PointQuery(int(query_rng.integers(600))))
+        assert platform.ledger.n_point_hits == 50
+        assert len(scored) == platform.ledger.n_assignments == policy.report().n_votes == 196
+
     def test_probes_are_billed_but_not_verdict_bearing(self, dataset):
         policy = AdaptiveAssignmentPolicy(
             probation_interval=1, log_odds_threshold=3.5

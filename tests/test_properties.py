@@ -174,15 +174,11 @@ def test_pattern_combiner_matches_tabular_reference(case):
     dataset_size=st.integers(min_value=10, max_value=5000),
 )
 def test_aggregate_partitions_and_respects_tau(sampled, tau, dataset_size):
-    pool = LabeledPool()
-    index = 0
-    groups = []
-    for i, count in enumerate(sampled):
-        value = f"g{i}"
-        groups.append(Group({"race": value}))
-        for _ in range(count):
-            pool.add(index, {"race": value})
-            index += 1
+    schema = Schema.from_dict({"race": [f"g{i}" for i in range(len(sampled))]})
+    groups = [Group({"race": value}) for value in schema.attribute("race").values]
+    codes = np.repeat(np.arange(len(sampled)), sampled)
+    pool = LabeledPool(schema)
+    pool.add(np.arange(len(codes)), codes)
     supers = aggregate_groups(pool, dataset_size, tau, groups)
 
     # Partition: every group appears in exactly one super-group.
