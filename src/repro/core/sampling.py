@@ -45,8 +45,13 @@ class LabeledPool:
         self.codes = np.empty((0, schema.n_attributes), dtype=np.int16)
 
     def add(self, indices: Sequence[int] | np.ndarray, codes: np.ndarray) -> None:
-        """Append objects not yet in the pool with their code rows."""
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        """Append objects not yet in the pool with their code rows.
+
+        Raises :class:`~repro.errors.InvalidParameterError` for an index
+        repeated in ``indices`` or already in the pool: a labeled object
+        is never asked about again, so it is never relabeled.
+        """
+        indices = self._new_indices(indices)
         codes = np.asarray(codes, dtype=np.int16).reshape(-1, self.schema.n_attributes)
         if len(indices) != len(codes):
             raise InvalidParameterError(
@@ -54,6 +59,13 @@ class LabeledPool:
             )
         self.indices = np.concatenate([self.indices, indices])
         self.codes = np.concatenate([self.codes, codes])
+
+    def _new_indices(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        every = np.sort(np.concatenate([self.indices, indices]))
+        if (every[1:] == every[:-1]).any():
+            raise InvalidParameterError("an object already in the pool cannot be added again")
+        return indices
 
     def count(self, predicate: GroupPredicate) -> int:
         """``L.count(g)``: labeled objects satisfying ``predicate``."""
@@ -130,6 +142,9 @@ def label_samples(
     ----------
     pool:
         An existing pool to extend; a fresh one is created when omitted.
+        A sample that draws an object already in it (or drawn twice from a
+        ``view`` with repeats) raises
+        :class:`~repro.errors.InvalidParameterError` before any query.
     batched:
         Publish all point queries in one oracle round-trip
         (:meth:`~repro.crowd.oracle.Oracle.ask_point_batch`) instead of
@@ -158,7 +173,7 @@ def label_samples(
     if sample_size == 0:
         return view, pool
     chosen_positions = rng.choice(len(view), size=sample_size, replace=False)
-    chosen = view[chosen_positions]
+    chosen = pool._new_indices(view[chosen_positions])  # before any is paid for
     pool.add(chosen, label_points(oracle, chosen, batched=batched))
     keep = np.ones(len(view), dtype=bool)
     keep[chosen_positions] = False

@@ -18,7 +18,7 @@ from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
 from repro.data.sharded import ShardedDataset
 from repro.data.synthetic import binary_dataset, single_attribute_dataset
-from repro.errors import BudgetExceededError, InvalidParameterError
+from repro.errors import BudgetExceededError, InvalidParameterError, UnknownGroupError
 
 FEMALE = group(gender="female")
 
@@ -52,6 +52,17 @@ class TestLabeledPool:
         assert pool.count(sg) == 2
         assert pool.count(Negation(sg)) == 1
 
+    def test_relabel_rejected(self):
+        pool = pool_of(GENDER, {0: {"gender": "male"}})
+        with pytest.raises(InvalidParameterError):
+            pool.add([0], GENDER.encode_rows([{"gender": "female"}]))
+        assert len(pool) == 1
+        assert pool.count(FEMALE) == 0
+
+    def test_index_repeated_in_one_batch_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            pool_of(GENDER, {}).add([0, 0], GENDER.encode_rows([{"gender": "female"}] * 2))
+
     def test_empty_pool_counts_nothing(self):
         pool = LabeledPool(JOINT)
         assert pool.count(group(gender="female", race="asian")) == 0
@@ -83,6 +94,8 @@ class TestLabeledPool:
             expected = [index for index, labels in enumerate(rows) if predicate.matches_row(labels)]
             assert pool.count(predicate) == len(expected)
             assert pool.members(predicate) == tuple(expected)
+        with pytest.raises(UnknownGroupError):
+            pool.count(group(age="old"))  # an attribute outside the schema
 
 
 class TestLabelSamples:
@@ -125,6 +138,15 @@ class TestLabelSamples:
         view, pool2 = label_samples(oracle, view, tau=10, rng=rng, pool=pool)
         assert pool2 is pool
         assert len(pool) == 40
+
+    def test_sample_overlapping_the_pool_rejected_before_any_query(self, rng):
+        dataset = binary_dataset(100, 30, rng=rng)
+        oracle = GroundTruthOracle(dataset)
+        _, pool = label_samples(oracle, np.arange(100), tau=10, rng=rng)
+        with pytest.raises(InvalidParameterError):
+            label_samples(oracle, np.arange(100), tau=50, rng=rng, pool=pool)
+        assert len(pool) == 20
+        assert oracle.ledger.n_point_queries == 20
 
     def test_view_order_preserved(self, rng):
         dataset = binary_dataset(100, 10, rng=rng)
