@@ -74,11 +74,12 @@ def _reliability_platform(oracle: Oracle):
 @dataclass(frozen=True)
 class AnswerLog:
     """A decoded answer log, as :meth:`RecordingOracleProxy.replay` loads
-    it: the recorded answers and, for a reliability-enabled platform, the
-    policy and platform rng the checkpoint restores (else ``None``)."""
+    it: the recorded answers (points as indices and their code rows) and,
+    for a reliability-enabled platform, the policy and platform rng the
+    checkpoint restores (else ``None``)."""
 
     set_answers: dict[QueryKey, bool]
-    point_answers: dict[int, dict[str, str]]
+    point_answers: tuple[list[int], np.ndarray]
     reliability: AdaptiveAssignmentPolicy | None
     platform_rng: np.random.Generator | None
 
@@ -121,7 +122,8 @@ class PointStore:
     @property
     def codes(self) -> np.ndarray:
         """The recorded ``(n, d)`` code rows, in insertion order."""
-        return self._codes[: len(self.positions)]
+        size = len(self.positions)  # folding may grow the buffer: first
+        return self._codes[:size]
 
     def record(self, indices, codes: np.ndarray) -> None:
         """Record the code rows ``codes`` of objects ``indices``."""
@@ -343,7 +345,7 @@ class RecordingOracleProxy(Oracle):
             )
         point_answers = codec.point_answers_from_list(raw_point_answers)
         try:
-            oracle.schema.encode_rows(point_answers.values())
+            point_codes = oracle.schema.encode_rows(point_answers.values())
         except UnknownGroupError as error:
             raise CheckpointVersionError(
                 f"{source} holds a point answer outside the oracle's schema ({error})"
@@ -355,7 +357,7 @@ class RecordingOracleProxy(Oracle):
             ).restored(_reliability_platform(oracle))
         return AnswerLog(
             codec.set_answers_from_list(raw_set_answers),
-            point_answers,
+            (list(point_answers), point_codes),
             policy,
             platform_rng,
         )
@@ -368,16 +370,14 @@ class RecordingOracleProxy(Oracle):
         >>> from repro import GroundTruthOracle, binary_dataset
         >>> proxy = RecordingOracleProxy(
         ...     GroundTruthOracle(binary_dataset(9, 3, placement="front")))
-        >>> proxy.replay(AnswerLog({}, {0: {"gender": "male"}}, None, None))
+        >>> proxy.replay(AnswerLog({}, ([0], np.array([[0]], np.int16)), None, None))
         >>> proxy.ask_point(0), proxy.ledger.total
         ({'gender': 'male'}, 0)
         """
         self._key_scans()
         for (predicate, index_key), answer in log.set_answers.items():
             self.answer_cache.record(predicate, index_key, answer)
-        self.points.record(
-            list(log.point_answers), self.schema.encode_rows(log.point_answers.values())
-        )
+        self.points.record(*log.point_answers)
         if log.reliability is not None:
             platform = _reliability_platform(self._session_inner)
             platform.reliability = log.reliability
@@ -457,20 +457,16 @@ class RecordingOracleProxy(Oracle):
         self.points.record_one(index, self.schema.encode_row(labels))
         return labels
 
-    def ask_point_batch(self, indices) -> list[dict[str, str]]:
+    def ask_point_batch(self, indices) -> np.ndarray:
+        """Held objects answer from the store for free; the fresh ones,
+        each once in first-seen order, are one inner batch, recorded."""
         prepared = np.array([int(index) for index in indices], dtype=np.int64)
         rows = self.points.rows(prepared)
-        answers: list[dict[str, str]] = [{} for _ in prepared]
-        held = np.flatnonzero(rows >= 0)
-        for position, labels in zip(held, self.schema.decode_rows(self.points.codes[rows[held]])):
-            answers[position] = labels
-        fresh = np.flatnonzero(rows < 0)
-        if len(fresh):
-            fresh_answers = self._session_inner.ask_point_batch(prepared[fresh].tolist())
-            for position, labels in zip(fresh, fresh_answers):
-                answers[position] = labels
-            self.points.record(prepared[fresh], self.schema.encode_rows(fresh_answers))
-        return answers
+        fresh = list(dict.fromkeys(prepared[rows < 0].tolist()))
+        if fresh:
+            self.points.record(fresh, self._session_inner.ask_point_batch(fresh))
+            rows = self.points.rows(prepared)
+        return self.points.codes[rows]
 
     def scan_points(self, indices, predicate, tau) -> np.ndarray:
         """The scan in runs: held objects answer from the store for free,

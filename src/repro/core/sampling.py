@@ -90,7 +90,7 @@ def label_points(
     oracle: Oracle, indices: Sequence[int] | np.ndarray, *, batched: bool
 ) -> np.ndarray:
     """Point-query every object of ``indices``, in order, and return the
-    ``(k, d)`` ``int16`` code rows of the answers.
+    ``(k, d)`` ``int16`` code rows of the answers, as the oracle returns them.
 
     ``batched`` asks them in one
     :meth:`~repro.crowd.oracle.Oracle.ask_point_batch` round-trip;
@@ -102,7 +102,7 @@ def label_points(
     """
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     if batched:
-        return oracle.schema.encode_rows(oracle.ask_point_batch(indices.tolist()))
+        return oracle.ask_point_batch(indices)
     if not len(indices):
         return np.empty((0, oracle.schema.n_attributes), dtype=np.int16)
     codes = oracle.scan_points(indices, None, tau=None)
@@ -149,8 +149,8 @@ def label_samples(
         Publish all point queries in one oracle round-trip
         (:meth:`~repro.crowd.oracle.Oracle.ask_point_batch`) instead of
         one :meth:`~repro.crowd.oracle.Oracle.scan_points` walk (see
-        :func:`label_points`). Same tasks, same labels under a
-        deterministic oracle; engine-mode Multiple-Coverage sets this.
+        :func:`label_points`), both as code rows. Same tasks, same labels
+        under a deterministic oracle; engine-mode Multiple-Coverage sets this.
 
     >>> import numpy as np
     >>> from repro.crowd import GroundTruthOracle

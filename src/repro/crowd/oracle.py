@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,15 +188,17 @@ class Oracle(ABC):
         self.ledger.note_round()
         return list(map(bool, self._answer_set_batch(queries)))
 
-    def ask_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
-        """Answer many point queries in one oracle round-trip.
+    def ask_point_batch(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Answer many point queries in one oracle round-trip: the
+        ``(k, d)`` ``int16`` code rows of the answers, in order, as
+        :meth:`scan_points` returns them (``(0, d)`` for no indices).
 
         Per-query task charging with atomic budget enforcement, single
         round-trip — the point-query analogue of :meth:`ask_set_batch`
         (used to batch the sampling phase of Multiple-Coverage).
         """
         if len(indices) == 0:
-            return []
+            return np.empty((0, self.schema.n_attributes), dtype=np.int16)
         prepared = [int(index) for index in indices]
         self.ledger.charge_point_batch(len(prepared))
         self.ledger.note_round()
@@ -340,8 +342,10 @@ class Oracle(ABC):
             for predicate, index_key in queries
         ]
 
-    def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
-        return [self._answer_point(index) for index in indices]
+    def _answer_point_batch(self, indices: Sequence[int]) -> np.ndarray:
+        """Default batch path: the per-point hook's answers as code rows.
+        Subclasses with a vectorizable backend override this."""
+        return self.schema.encode_rows(map(self._answer_point, indices))
 
 
 def scan_indices(indices, tau: int | None) -> np.ndarray:
@@ -438,10 +442,10 @@ class GroundTruthOracle(Oracle):
     :class:`~repro.data.sharded.ShardedMembershipIndex`: contiguous-run
     set queries resolve in O(1) from rank lookups over packed bitmaps,
     scattered ones through one gathered bit test per batch, and
-    point-query batches through one fancy-index per attribute. Many oracles over one dataset share that
-    index, so none recomputes a membership column; ``index=`` must be
-    that same index (or one over the same shards). ``dataset`` may be
-    in RAM or a sharded out-of-core
+    point-query batches and scans through one gather of code rows. Many
+    oracles over one dataset share that index, so none recomputes a
+    membership column; ``index=`` must be that same index (or one over
+    the same shards). ``dataset`` may be in RAM or a sharded out-of-core
     :class:`~repro.data.sharded.ShardedDataset` — answers are
     bit-identical, without the latter ever fully materializing.
 
@@ -500,12 +504,11 @@ class GroundTruthOracle(Oracle):
     def _answer_point(self, index: int) -> dict[str, str]:
         return self.dataset.value_row(index)
 
-    def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
+    def _answer_point_batch(self, indices: Sequence[int]) -> np.ndarray:
         if not self._native_point_hook:
-            # A subclass customized per-point answering; every batched
-            # point query must keep flowing through its hook.
-            return [self._answer_point(index) for index in indices]
-        return self.membership_index.value_rows(indices)
+            # A customized per-point hook must see every batched query.
+            return super()._answer_point_batch(indices)
+        return self.membership_index.value_codes(indices)
 
     #: rows a native scan gathers first; every later slice doubles, so an
     #: early stop gathers at most about twice the prefix it charges
@@ -690,25 +693,22 @@ class FlakyOracle(Oracle):
         return [truth != bool(flip) for truth, flip in zip(truths, flips)]
 
     def _answer_point(self, index: int) -> dict[str, str]:
-        return self._flip_point(self.dataset.value_row(index))
+        return self.schema.decode_rows(self._flip(self.membership_index.value_codes([index])))[0]
 
-    def _answer_point_batch(self, indices: Sequence[int]) -> list[dict[str, str]]:
+    def _answer_point_batch(self, indices: Sequence[int]) -> np.ndarray:
         if not self._native_point_hook:
-            return [self._answer_point(index) for index in indices]
-        # Truth rows are fetched in one vectorized gather; the flips stay
-        # a per-row loop because each flip conditionally consumes rng
-        # draws — vectorizing them would shift the stream and break
-        # bit-identity with sequential execution.
-        truths = self.membership_index.value_rows(indices)
-        return [self._flip_point(truth) for truth in truths]
+            return super()._answer_point_batch(indices)
+        return self._flip(self.membership_index.value_codes(indices))
 
-    def _flip_point(self, truth: Mapping[str, str]) -> dict[str, str]:
-        answer: dict[str, str] = {}
-        for attribute in self.schema:
-            true_value = truth[attribute.name]
-            if self.rng.random() < self.point_error_rate:
-                wrong = [v for v in attribute.values if v != true_value]
-                answer[attribute.name] = wrong[self.rng.integers(len(wrong))]
-            else:
-                answer[attribute.name] = true_value
-        return answer
+    def _flip(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` with each code flipped, w.p. ``point_error_rate``, to a
+        uniform wrong one: a per-row loop, as a flip draws its pick
+        conditionally, so single and batched answers read one stream."""
+        cardinalities = self.schema.cardinalities
+        rows = codes.tolist()
+        for row in rows:
+            for j, cardinality in enumerate(cardinalities):
+                if self.rng.random() < self.point_error_rate:
+                    wrong = int(self.rng.integers(cardinality - 1))
+                    row[j] = wrong + (wrong >= row[j])
+        return np.array(rows, dtype=np.int16).reshape(codes.shape)

@@ -717,7 +717,9 @@ class AuditService:
         log = RecordingOracleProxy.decode_answer_log(
             answers, oracle, reliability=version >= 2, source="service checkpoint"
         )
-        tasks_paid = int(answers.get("tasks_paid", len(log.set_answers) + len(log.point_answers)))
+        tasks_paid = int(
+            answers.get("tasks_paid", len(log.set_answers) + len(log.point_answers[0]))
+        )
         jobs = sorted(
             (_Job.from_dict(record) for record in job_store.load_jobs().values()),
             key=lambda job: job.seq,

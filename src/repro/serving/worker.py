@@ -129,11 +129,11 @@ class QueryLoggingOracle:
         self._write_points([index])
         return labels
 
-    def ask_point_batch(self, indices) -> list:
+    def ask_point_batch(self, indices) -> np.ndarray:
         """Forward a point-query batch, logging every member."""
-        rows = self._inner.ask_point_batch(indices)
+        codes = self._inner.ask_point_batch(indices)
         self._write_points(indices)
-        return rows
+        return codes
 
     def scan_points(self, indices, predicate, tau):
         """Forward a point scan, logging every object it charged."""

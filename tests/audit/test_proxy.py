@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.audit import AuditSession
-from repro.audit.proxy import RecordingOracleProxy
+from repro.audit.proxy import PointStore, RecordingOracleProxy
 from repro.crowd.oracle import GroundTruthOracle
+from repro.data.schema import Schema
 from repro.data.synthetic import binary_dataset
 from repro.errors import InvalidParameterError
 
@@ -78,3 +79,30 @@ class TestBudgetValidation:
         session = AuditSession(GroundTruthOracle(dataset), task_budget=None)
         session.close()
         GroundTruthOracle(dataset, budget=1)  # the smallest legal ceiling
+
+
+class TestPointAnswers:
+    def test_codes_fold_pending_batches_before_slicing(self):
+        store = PointStore(Schema.from_dict({"gender": ["male", "female"]}))
+        store.record(np.arange(20), np.ones((20, 1), np.int16))
+        codes = store.codes  # the first read folds the batch and grows the buffer
+        assert codes.shape == (20, 1)
+        assert (codes == 1).all()
+
+    def test_point_batch_returns_code_rows_held_and_fresh(self, dataset):
+        oracle = GroundTruthOracle(dataset)
+        proxy = RecordingOracleProxy(oracle)
+        proxy.ask_point(7)
+        codes = proxy.ask_point_batch([9, 7, 3])
+        np.testing.assert_array_equal(codes, dataset.codes[[9, 7, 3]])
+        assert (oracle.ledger.n_point_queries, oracle.ledger.n_rounds) == (3, 2)
+        assert proxy.ask_point_batch([]).shape == (0, 1)
+        assert list(proxy.points.positions) == [7, 9, 3]
+
+    def test_point_batch_pays_a_repeated_index_once(self, dataset):
+        oracle = GroundTruthOracle(dataset)
+        proxy = RecordingOracleProxy(oracle)
+        codes = proxy.ask_point_batch([3, 5, 3])
+        np.testing.assert_array_equal(codes, dataset.codes[[3, 5, 3]])
+        assert oracle.ledger.n_point_queries == 2
+        assert [entry["index"] for entry in proxy.answer_log()["point_answers"]] == [3, 5]

@@ -77,7 +77,7 @@ def test_scan_replays_recorded_runs_and_asks_only_fresh_ones(dataset):
     labels = {index: dataset.value_row(index) for index in replayed}
     log = io.StringIO()
     proxy = RecordingOracleProxy(QueryLoggingOracle(truth, log))
-    proxy.replay(AnswerLog({}, labels, None, None))
+    proxy.replay(AnswerLog({}, (replayed, dataset.schema.encode_rows(labels.values())), None, None))
     codes = proxy.scan_points(np.arange(len(dataset)), FEMALE, 30)
     expected = GroundTruthOracle(dataset).scan_points(np.arange(len(dataset)), FEMALE, 30)
     np.testing.assert_array_equal(codes, expected)

@@ -15,7 +15,9 @@ from repro.crowd.oracle import (
 )
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.workers import Worker, make_worker_pool
+from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, group
+from repro.data.schema import Schema
 from repro.data.sharded import ShardedDataset
 from repro.data.synthetic import binary_dataset
 from repro.engine.requests import IndexKey, set_query_key
@@ -83,9 +85,9 @@ class TestBatchQueries:
         batched = GroundTruthOracle(dataset)
         single = GroundTruthOracle(dataset)
         indices = [0, 3, 17, 49]
-        assert batched.ask_point_batch(indices) == [
-            single.ask_point(i) for i in indices
-        ]
+        codes = batched.ask_point_batch(indices)
+        assert codes.dtype == np.int16
+        assert codes.tolist() == dataset.schema.encode_rows(map(single.ask_point, indices)).tolist()
         assert batched.ledger.n_point_queries == 4
         assert batched.ledger.n_rounds == 1
 
@@ -100,8 +102,9 @@ class TestBatchQueries:
             return GroundTruthOracle(dataset)
 
         from_list, from_array = make(), make()
-        rows = from_array.ask_point_batch(np.array(indices, dtype=np.int64))
-        assert rows == from_list.ask_point_batch(list(indices))
+        codes = from_array.ask_point_batch(np.array(indices, dtype=np.int64))
+        np.testing.assert_array_equal(codes, from_list.ask_point_batch(list(indices)))
+        assert (codes.dtype, codes.shape) == (np.int16, (len(indices), 1))
         assert (from_array.ledger.n_point_queries, from_array.ledger.n_rounds) == (
             from_list.ledger.n_point_queries, from_list.ledger.n_rounds,
         )
@@ -109,7 +112,7 @@ class TestBatchQueries:
     def test_empty_batches_are_free(self, dataset):
         oracle = GroundTruthOracle(dataset)
         assert oracle.ask_set_batch([]) == []
-        assert oracle.ask_point_batch([]) == []
+        assert oracle.ask_point_batch([]).shape == (0, dataset.schema.n_attributes)
         assert oracle.ledger.total == 0
         assert oracle.ledger.n_rounds == 0
 
@@ -130,6 +133,22 @@ class TestBatchQueries:
         flipped = oracle.ask_set_batch(queries)
         straight = truth.ask_set_batch(queries)
         assert flipped == [not answer for answer in straight]
+
+    def test_flaky_point_batch_reads_the_per_point_stream(self):
+        """A flip draws one pick among the attribute's other values; with
+        three or more values the pick matters, and single and batched
+        answers must read the same draws and leave the same stream."""
+        schema = Schema.from_dict({"gender": ["male", "female"], "age": ["0", "1", "2", "3"]})
+        codes = np.random.default_rng(3).integers(0, [2, 4], size=(60, 2)).astype(np.int16)
+        dataset = LabeledDataset(schema, codes)
+        indices = list(range(0, 60, 2))
+        looping = FlakyOracle(dataset, np.random.default_rng(8), point_error_rate=0.4)
+        batching = FlakyOracle(dataset, np.random.default_rng(8), point_error_rate=0.4)
+        labels = [looping.ask_point(index) for index in indices]
+        batched = batching.ask_point_batch(indices)
+        assert schema.decode_rows(batched) == labels
+        assert (batched != codes[indices]).any(axis=0).all()  # both attributes flipped
+        assert looping.rng.random() == batching.rng.random()
 
 
 class TestIndexKeyBoundary:

@@ -468,7 +468,9 @@ def check_surface(config: Config, env: Env) -> None:
         answers = oracle.ask_set_batch(keyed)
         assert [oracle.ask_set(i, p) for i, p in batch] == answers
         assert answers == [rows.ask_set(i, p) for i, p in batch]
-        assert oracle.ask_point_batch(points) == [rows.ask_point(i) for i in points]
+        codes = oracle.ask_point_batch(points)
+        assert codes.dtype == np.int16
+        assert codes.tolist() == SCHEMA.encode_rows(map(rows.ask_point, points)).tolist()
         assert answer_surface(index, runs, scattereds, points, keyed) == expected
         assert index.value_rows(points) == [dense.value_row(i) for i in points]
         return dataset
