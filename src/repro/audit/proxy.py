@@ -472,10 +472,18 @@ class RecordingOracleProxy(Oracle):
         """The scan in runs: held objects answer from the store for free,
         and each fresh run is one scan of the inner oracle, whose paid
         prefix is recorded before the next run starts. A resume, or a
-        scan over objects an earlier one labelled, re-asks nothing."""
+        scan over objects an earlier one labelled, re-asks nothing, and
+        an object the scan repeats is paid once: the scan reaches a
+        repeat only after its first occurrence was paid and recorded, so
+        the repeat answers from the store as a held object does."""
         indices = scan_indices(indices, tau)
         rows = self.points.rows(indices)
         held = rows >= 0
+        fresh = np.sort(indices[~held])
+        if (fresh[1:] == fresh[:-1]).any():
+            first = np.zeros(len(indices), dtype=bool)
+            first[np.unique(indices, return_index=True)[1]] = True
+            held |= ~first
         cuts = np.flatnonzero(np.diff(held)) + 1
         pieces: list[np.ndarray] = []
         members = 0
@@ -484,7 +492,10 @@ class RecordingOracleProxy(Oracle):
             if start == stop or need == 0:
                 break
             if held[start]:
-                codes = self.points.codes[rows[start:stop]]
+                run = rows[start:stop]
+                if (run < 0).any():  # repeats, recorded since the lookup
+                    run = self.points.rows(indices[start:stop])
+                codes = self.points.codes[run]
             else:
                 codes = self._session_inner.scan_points(indices[start:stop], predicate, need)
                 self.points.record(indices[start : start + len(codes)], codes)

@@ -153,37 +153,15 @@ class CrowdPlatform:
         return aggregated
 
     def _publish_set_adaptive(self, query: SetQuery, truth: bool) -> bool:
-        """Adaptive set-query path: sequential votes from trusted workers,
-        stopped on posterior log-odds; every vote is billed as usual."""
+        """Adaptive set-query path: the policy routes, collects, decides
+        and absorbs the HIT in one pass; every vote is billed as usual."""
         policy = self.reliability
         assert policy is not None
-        eligible, rng = self.eligible_workers, self.rng
-        order, probe = policy.plan(eligible, rng)
-        worker_ids: list[int] = []
-        answers: list[bool] = []
-        vote_log_odds, should_stop = policy.vote_log_odds, policy.should_stop
-        log_odds = policy.prior_log_odds()
-        for pos in order:
-            worker = eligible[pos]
-            worker_id = worker.worker_id
-            answer = bool(worker.answer_set(truth, rng))
-            worker_ids.append(worker_id)
-            answers.append(answer)
-            log_odds += vote_log_odds(worker_id, answer)
-            if should_stop(log_odds, len(answers)):
-                break
-        aggregated = policy.decide(log_odds)
-        n_probes = 0
-        if probe is not None:
-            # Paid probation probe: feeds the estimator, never the verdict.
-            probe_worker = eligible[probe]
-            worker_ids.append(probe_worker.worker_id)
-            answers.append(bool(probe_worker.answer_set(truth, rng)))
-            n_probes = 1
-        votes = tuple(zip(worker_ids, answers))
-        policy.observe_set(votes, n_probes=n_probes)
+        worker_ids, answers, aggregated = policy.run_set_hit(
+            self.eligible_workers, truth, self.rng
+        )
         if self.record_votes:
-            self._pending_set_votes.append(votes)
+            self._pending_set_votes.append(tuple(zip(worker_ids, answers)))
         self._account(
             query, tuple(worker_ids), tuple(answers), aggregated, truth, n_images=len(query)
         )

@@ -31,21 +31,23 @@ element the same result whatever the array's length (a scalar
 included), so the result is bit-identical to the whole-pool formula
 (``math.log`` and ``math.exp`` are not: they differ from NumPy in the
 last bit on some inputs). Each row's confusion, vote log-odds and vote
-count are cached and patched after a batch for the rows it changed —
-the voters, or every row when ``decay < 1`` forgets them all — so the
-per-vote routing and stopping reads between batches are list lookups.
-The whole pool as arrays, :class:`PoolView`, is built from those caches
-only when something reads it.
+count are cached and refreshed with every change to the rows' counts:
+after each sweep for the voters, and for every row when ``decay < 1``
+forgets them all. So the per-vote routing and stopping reads between
+batches are list lookups. The whole pool as arrays, :class:`PoolView`,
+is built from those caches only when something reads it.
 
-The adaptive policy folds one HIT per batch, so a batch costs little
-beyond its votes: each vote's flat count offset is taken once, in vote
-order, and one pass over the voters' counts yields the rates and, from
-the one :func:`numpy.log` call, their logs.
+The set counts are Python floats, four in one list per row, which a
+sweep updates in place. Every set update runs one routine, the damped
+E/M sweeps of :meth:`OnlineDawidSkene._update`.
+:meth:`~OnlineDawidSkene.observe_set_batch` resolves worker ids for it;
+:meth:`~OnlineDawidSkene.observe_hit` is the adaptive policy's lean
+entry, for one HIT whose rows the policy has already resolved, and it
+returns the posterior as a Python float.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -217,18 +219,19 @@ class OnlineDawidSkene:
 
         self._rows: dict[int, int] = {}
         self._row_ids: list[int] = []
-        # The set statistics, flat: four counts per row (no|no, yes|no,
-        # no|yes, yes|yes) and a vote count per row, at the row capacity,
-        # and the two class counts. The per-HIT pass reads and writes them
-        # as Python numbers; the ``_set_*`` properties view them as arrays.
-        self._obs = array("d")
-        self._votes = array("q")
-        self._class_obs = array("d", (0.0, 0.0))
+        # The set statistics as Python numbers, at the row capacity: four
+        # counts per row (no|no, yes|no, no|yes, yes|yes, indexed by
+        # ``2 * truth + answer``), a vote count per row, and the two class
+        # counts. The ``_set_*`` properties copy them to and from arrays.
+        self._obs: list[list[float]] = []
+        self._votes: list[int] = []
+        self._class_obs = [0.0, 0.0]
         self._point_models: dict[str, _AttributeModel] = {}
-        # Read caches of the set statistics: each row's flat confusion and
-        # its logs (floored), and the class priors and their logs.
-        self._confusion_rows: list[tuple[float, ...]] = []
-        self._log_rows: list[tuple[float, ...]] = []
+        # Read caches of the set statistics: each row's confusion, laid out
+        # like its counts, and its logs (floored), and the class priors and
+        # their logs.
+        self._conf: list[Sequence[float]] = []
+        self._logs: list[Sequence[float]] = []
         self._priors: tuple[float, ...] = (0.5, 0.5)
         self._log_priors: tuple[float, ...] = (0.0, 0.0)
         self._pool: PoolView | None = None
@@ -244,22 +247,30 @@ class OnlineDawidSkene:
             self._rows[worker_id] = row
             self._row_ids.append(worker_id)
             if row >= len(self._votes):
-                # New buffers, not in-place growth: a view may hold the old.
-                self._obs = self._obs + array("d", bytes(32 * _ROW_GROWTH))
-                self._votes = self._votes + array("q", bytes(8 * _ROW_GROWTH))
+                self._obs += [[0.0] * 4 for _ in range(_ROW_GROWTH)]
+                self._conf += [()] * _ROW_GROWTH
+                self._logs += [()] * _ROW_GROWTH
+                self._votes += [0] * _ROW_GROWTH
                 capacity = len(self._votes)
                 for model in self._point_models.values():
                     model.ensure_rows(capacity)
-            self._confusion_rows.append(())
-            self._log_rows.append(())
             self._refresh((row,))
         return row
 
-    def rows(self, worker_ids: Iterable[int]) -> list[int]:
+    def rows(self, worker_ids: Sequence[int]) -> list[int]:
         """The workers' rows in :class:`PoolView` arrays, registering
         unseen workers (in the given order) first."""
-        known = self._rows
-        return [known[w] if w in known else self._row(w) for w in worker_ids]
+        try:
+            return list(map(self._rows.__getitem__, worker_ids))
+        except KeyError:
+            return [self._row(worker_id) for worker_id in worker_ids]
+
+    @property
+    def registry(self) -> Mapping[int, int]:
+        """Every registered worker's row by worker id: read it, never
+        change it. Registering a worker adds to it, and loading state
+        replaces it with a new mapping."""
+        return self._rows
 
     def row_of(self, worker_id: int) -> int | None:
         """The worker's row in :class:`PoolView` arrays, or ``None`` for
@@ -277,33 +288,37 @@ class OnlineDawidSkene:
         row = self._rows.get(worker_id)
         return 0 if row is None else self._votes[row]
 
+    def row_votes(self, row: int) -> int:
+        """:meth:`n_observations` of the worker at ``row``."""
+        return self._votes[row]
+
     @property
     def _set_obs(self) -> npt.NDArray[np.float64]:
-        """The set counts as a writable ``(capacity, 2, 2)`` view;
-        assigning an array stores a copy of it."""
-        return np.frombuffer(self._obs, dtype=np.float64).reshape(-1, 2, 2)
+        """The set counts as a ``(capacity, 2, 2)`` array, a copy;
+        assigning an array stores its values."""
+        return np.array(self._obs, dtype=np.float64).reshape(-1, 2, 2)
 
     @_set_obs.setter
     def _set_obs(self, counts: npt.NDArray[np.float64]) -> None:
-        self._obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
+        self._obs = np.asarray(counts, dtype=np.float64).reshape(-1, 4).tolist()
 
     @property
     def _set_votes(self) -> npt.NDArray[np.int64]:
-        """The vote counts as a writable ``(capacity,)`` view."""
-        return np.frombuffer(self._votes, dtype=np.int64)
+        """The vote counts as a ``(capacity,)`` array, a copy."""
+        return np.array(self._votes, dtype=np.int64)
 
     @_set_votes.setter
     def _set_votes(self, votes: npt.NDArray[np.int64]) -> None:
-        self._votes = array("q", np.asarray(votes, dtype=np.int64).tobytes())
+        self._votes = np.asarray(votes, dtype=np.int64).ravel().tolist()
 
     @property
     def _set_class_obs(self) -> npt.NDArray[np.float64]:
-        """The class counts as a writable ``(2,)`` view."""
-        return np.frombuffer(self._class_obs, dtype=np.float64)
+        """The class counts as a ``(2,)`` array, a copy."""
+        return np.array(self._class_obs, dtype=np.float64)
 
     @_set_class_obs.setter
     def _set_class_obs(self, counts: npt.NDArray[np.float64]) -> None:
-        self._class_obs = array("d", np.asarray(counts, dtype=np.float64).tobytes())
+        self._class_obs = np.asarray(counts, dtype=np.float64).reshape(2).tolist()
 
     # -- read-time estimates ----------------------------------------------
     def _prior_pair(self) -> tuple[float, float]:
@@ -317,48 +332,39 @@ class OnlineDawidSkene:
         right, wrong = self._prior_pair()
         return np.array([[right, wrong], [wrong, right]], dtype=np.float64)
 
-    def _log_rates(
-        self, obs: Sequence[float], class_obs: Sequence[float]
-    ) -> tuple[list[float], list[float]]:
-        """The class priors and the flat ``P(answer | truth)`` rows of the
-        flat counts ``obs`` (``no|no, yes|no, no|yes, yes|yes`` per row),
-        prior pseudo-counts included, and their logs from one
-        :func:`numpy.log` call (each of the value plus ``_LOG_FLOOR``).
-        These are the float operations of ``counts / counts.sum(axis=-1)``
-        over ``prior + obs`` and over ``prior + class_obs``."""
+    def _refresh(self, rows: Sequence[int]) -> None:
+        """Recompute the read caches of ``rows`` and of the class priors
+        from the raw statistics: the float operations of ``counts /
+        counts.sum(axis=-1)`` over ``prior + obs`` and over ``prior +
+        class_obs``, and their logs from one :func:`numpy.log` call (each
+        of the value plus ``_LOG_FLOOR``)."""
         right, wrong = self._prior_pair()
         half = self.prior_strength * 0.5
-        count_no, count_yes = half + class_obs[0], half + class_obs[1]
+        count_no, count_yes = half + self._class_obs[0], half + self._class_obs[1]
         total = count_no + count_yes
         rates = [count_no / total, count_yes / total]
-        for base in range(0, len(obs), 4):
-            no_no = right + obs[base]
-            yes_no = wrong + obs[base + 1]
-            no_yes = wrong + obs[base + 2]
-            yes_yes = right + obs[base + 3]
+        obs, conf = self._obs, self._conf
+        for row in rows:
+            no_no, yes_no, no_yes, yes_yes = obs[row]
+            no_no = right + no_no
+            yes_no = wrong + yes_no
+            no_yes = wrong + no_yes
+            yes_yes = right + yes_yes
             when_no = no_no + yes_no
             when_yes = no_yes + yes_yes
-            rates += (no_no / when_no, yes_no / when_no, no_yes / when_yes, yes_yes / when_yes)
-        return rates, np.log(np.add(rates, _LOG_FLOOR)).tolist()
-
-    def _store(self, rows: Sequence[int], rates: list[float], logs: list[float]) -> None:
-        """Cache :meth:`_log_rates` output for ``rows``."""
+            conf[row] = row_rates = (
+                no_no / when_no, yes_no / when_no, no_yes / when_yes, yes_yes / when_yes
+            )
+            rates += row_rates
+        logs = np.log(np.add(rates, _LOG_FLOOR)).tolist()
         self._priors = (rates[0], rates[1])
         self._log_priors = (logs[0], logs[1])
-        for k, row in enumerate(rows):
-            self._confusion_rows[row] = tuple(rates[4 * k + 2 : 4 * k + 6])
-            self._log_rows[row] = tuple(logs[4 * k + 2 : 4 * k + 6])
-        self._pool = None
-
-    def _refresh(self, rows: Iterable[int]) -> None:
-        """Recompute the read caches of ``rows`` and of the class priors
-        from the raw statistics."""
-        rows = list(rows)
-        buffer = self._obs
-        obs: list[float] = []
+        log_rows = self._logs
+        k = 2
         for row in rows:
-            obs += buffer[4 * row : 4 * row + 4]
-        self._store(rows, *self._log_rates(obs, self._class_obs.tolist()))
+            log_rows[row] = logs[k : k + 4]
+            k += 4
+        self._pool = None
 
     def pool(self) -> PoolView:
         """Every registered worker's current set-query estimates as one
@@ -368,14 +374,14 @@ class OnlineDawidSkene:
         pool = self._pool
         if pool is None:
             n_rows = len(self._row_ids)
-            confusion = np.array(self._confusion_rows, dtype=np.float64).reshape(
+            confusion = np.array(self._conf[:n_rows], dtype=np.float64).reshape(
                 n_rows, 2, 2
             )
             prior_no, prior_yes = self._priors
             accuracy = prior_no * confusion[:, 0, 0] + prior_yes * confusion[:, 1, 1]
-            log_conf = np.array(self._log_rows, dtype=np.float64).reshape(n_rows, 2, 2)
+            log_conf = np.array(self._logs[:n_rows], dtype=np.float64).reshape(n_rows, 2, 2)
             log_odds = log_conf[:, 1, :] - log_conf[:, 0, :]
-            votes = self._set_votes[:n_rows].copy()
+            votes = np.array(self._votes[:n_rows], dtype=np.int64)
             for values in (confusion, accuracy, log_odds, votes):
                 values.flags.writeable = False
             pool = self._pool = PoolView(
@@ -387,30 +393,34 @@ class OnlineDawidSkene:
             )
         return pool
 
-    def row_confusion(self, row: int) -> tuple[float, float, float, float]:
+    def row_confusion(self, row: int) -> Sequence[float]:
         """Row ``row``'s current set confusion ``P(answer | truth)``,
         prior included, flattened as ``(no | no, yes | no, no | yes,
         yes | yes)``: the cached values every other read is built from."""
-        return self._confusion_rows[row]
+        return self._conf[row]
 
     def confusion(self, worker_id: int) -> npt.NDArray[np.float64]:
         """The worker's current 2x2 set confusion ``P(answer | truth)``
         (row = truth in {no, yes}, column = answer), prior included."""
-        row = self._row(worker_id)
-        return np.array(self._confusion_rows[row], dtype=np.float64).reshape(2, 2)
+        return np.array(self.row_confusion(self._row(worker_id)), dtype=np.float64).reshape(
+            2, 2
+        )
 
     def worker_accuracy(self, worker_id: int) -> float:
         """Estimated P(correct) for the worker: the confusion diagonal
         weighted by the current class priors."""
         return self.accuracies((worker_id,))[0]
 
-    def accuracies(self, worker_ids: Iterable[int]) -> list[float]:
+    def accuracies(self, worker_ids: Sequence[int]) -> list[float]:
         """:meth:`worker_accuracy` of each worker, registering unseen
         workers (in the given order) first."""
-        rows = self.rows(worker_ids)
+        return self.row_accuracies(self.rows(worker_ids))
+
+    def row_accuracies(self, rows: Iterable[int]) -> list[float]:
+        """:meth:`worker_accuracy` of the workers at ``rows``."""
         prior_no, prior_yes = self._priors
-        confusion = self._confusion_rows
-        return [prior_no * confusion[row][0] + prior_yes * confusion[row][3] for row in rows]
+        conf = self._conf
+        return [prior_no * conf[row][0] + prior_yes * conf[row][3] for row in rows]
 
     @property
     def class_priors(self) -> npt.NDArray[np.float64]:
@@ -431,8 +441,12 @@ class OnlineDawidSkene:
         row = self._rows.get(worker_id)
         if row is None:
             row = self._row(worker_id)
-        log_conf = self._log_rows[row]
-        return log_conf[3] - log_conf[1] if answer else log_conf[2] - log_conf[0]
+        return self.row_log_odds(row, answer)
+
+    def row_log_odds(self, row: int, answer: bool) -> float:
+        """:meth:`vote_log_odds` of a vote by the worker at ``row``."""
+        logs = self._logs[row]
+        return logs[3] - logs[1] if answer else logs[2] - logs[0]
 
     def posterior_log_odds(self, votes: SetVotes) -> float:
         """Posterior log-odds of "truth = yes" after all ``votes``,
@@ -452,79 +466,89 @@ class OnlineDawidSkene:
         HIT or across the batch's HITs) accumulates in vote order.
         """
         known = self._rows
-        slots: dict[int, int] = {}
-        rows: list[int] = []
-        cells: list[int] = []
-        tasks: list[int] = []
-        for i, votes in enumerate(hits):
+        voters: dict[int, None] = {}
+        hit_votes: list[list[tuple[int, int]]] = []
+        for votes in hits:
+            resolved = []
             for worker_id, answer in votes:
                 row = known.get(worker_id)
                 if row is None:
                     row = self._row(worker_id)
-                base = slots.get(row)
-                if base is None:
-                    base = slots[row] = 4 * len(slots)
-                rows.append(row)
-                # Flat offset of the vote's (truth = no, answer) count; its
-                # (truth = yes, answer) count is two further on.
-                cells.append(base + 1 if answer else base)
-                tasks.append(i)
-        n_hits = len(hits)
+                voters[row] = None
+                resolved.append((row, 1 if answer else 0))
+            hit_votes.append(resolved)
+        if not voters:
+            return np.zeros(len(hits), dtype=np.float64)
+        return np.array(self._update(list(voters), hit_votes))
+
+    def observe_hit(self, rows: Sequence[int], answers: Sequence[bool]) -> float:
+        """Fold one set-query HIT into the running statistics, its votes
+        given as the voters' registered rows (:meth:`rows`) and their
+        answers, and return its posterior ``P(truth = yes)`` under the
+        updated estimates: :meth:`observe_set_batch` of that one HIT, for
+        a caller that resolved the rows already."""
         if not rows:
-            return np.zeros(n_hits, dtype=np.float64)
-        self._forget()
-        voters = list(slots)
-        buffer = self._obs
-        obs: list[float] = []
-        for row in voters:
-            obs += buffer[4 * row : 4 * row + 4]
-        class_obs = self._class_obs.tolist()
-        if self.decay == 1.0:
-            # The caches hold the logs of the counts as they stand.
-            logs = list(self._log_priors)
-            for row in voters:
-                logs += self._log_rows[row]
-        else:
-            _, logs = self._log_rates(obs, class_obs)
+            return 0.0
+        votes = [(row, 1 if answer else 0) for row, answer in zip(rows, answers)]
+        return self._update(list(dict.fromkeys(rows)), [votes])[0]
+
+    def _update(
+        self, voters: list[int], hit_votes: list[list[tuple[int, int]]]
+    ) -> list[float]:
+        """The damped partial E/M sweeps, every set update's one routine.
+
+        ``hit_votes`` holds each HIT's votes in vote order as ``(row,
+        answer)`` pairs, the answer ``0`` (no) or ``1`` (yes): the vote's
+        count given truth = no is at ``answer`` in its row's counts, and
+        given truth = yes at ``answer + 2``. ``voters`` are the distinct
+        rows that voted. The counts change in place, and the voters'
+        caches are refreshed after each sweep, so a sweep reads the logs
+        of the counts as they stand. Returns each HIT's posterior
+        ``P(truth = yes)`` under the updated estimates."""
+        if self.decay < 1.0:
+            self._forget()
+            self._refresh(voters)
         step = self.damping / self.sweeps
+        obs = self._obs
         for _ in range(self.sweeps):
-            # E-step: each HIT's log posterior, votes added in vote order.
-            log_no = [logs[0]] * n_hits
-            log_yes = [logs[1]] * n_hits
-            for cell, i in zip(cells, tasks):
-                log_no[i] += logs[cell + 2]
-                log_yes[i] += logs[cell + 4]
-            # Less its maximum, one side of a log posterior is 0.0, whose
-            # exp is 1.0: the other side takes one scalar np.exp.
+            log_rows = self._logs
+            log_prior_no, log_prior_yes = self._log_priors
             post: list[tuple[float, float]] = []
-            for no, yes in zip(log_no, log_yes):
+            for votes in hit_votes:
+                # E-step: the HIT's log posterior, votes added in vote order.
+                no, yes = log_prior_no, log_prior_yes
+                for row, answer in votes:
+                    logs = log_rows[row]
+                    no += logs[answer]
+                    yes += logs[answer + 2]
+                # Less its maximum, one side of a log posterior is 0.0,
+                # whose exp is 1.0: the other side takes one scalar np.exp.
                 if no >= yes:
                     exp_no, exp_yes = 1.0, float(np.exp(yes - no))
                 else:
                     exp_no, exp_yes = float(np.exp(no - yes)), 1.0
                 post.append((exp_no / (exp_no + exp_yes), exp_yes / (exp_no + exp_yes)))
             # Damped M-step into the voters' counts and the class counts.
-            for cell, i in zip(cells, tasks):
-                post_no, post_yes = post[i]
-                obs[cell] += step * post_no
-                obs[cell + 2] += step * post_yes
+            for votes, (post_no, post_yes) in zip(hit_votes, post):
+                for row, answer in votes:
+                    counts = obs[row]
+                    counts[answer] += step * post_no
+                    counts[answer + 2] += step * post_yes
             sum_no, sum_yes = post[0]
             for post_no, post_yes in post[1:]:
                 sum_no += post_no
                 sum_yes += post_yes
-            class_obs = [class_obs[0] + step * sum_no, class_obs[1] + step * sum_yes]
-            rates, logs = self._log_rates(obs, class_obs)
-        for k, row in enumerate(voters):
-            buffer[4 * row : 4 * row + 4] = array("d", obs[4 * k : 4 * k + 4])
-        self._class_obs = array("d", class_obs)
-        for row in rows:
-            self._votes[row] += 1
+            class_obs = self._class_obs
+            self._class_obs = [class_obs[0] + step * sum_no, class_obs[1] + step * sum_yes]
+            self._refresh(voters)
+        n_votes = self._votes
+        for votes in hit_votes:
+            for row, _ in votes:
+                n_votes[row] += 1
         self.n_set_batches += 1
-        if self.decay == 1.0:
-            self._store(voters, rates, logs)
-        else:  # decay moved every row's counts
+        if self.decay < 1.0:  # decay moved every row's counts
             self._refresh(range(len(self._row_ids)))
-        return np.array([post_yes for _, post_yes in post], dtype=np.float64)
+        return [post_yes for _, post_yes in post]
 
     def observe_point_batch(self, hits: Sequence[PointVotes]) -> list[dict[str, str]]:
         """Fold one batch of point-query HITs into the per-attribute
@@ -621,9 +645,10 @@ class OnlineDawidSkene:
         return post
 
     def _forget(self) -> None:
-        if self.decay < 1.0:
-            self._set_obs *= self.decay
-            self._set_class_obs *= self.decay
+        decay = self.decay
+        if decay < 1.0:
+            self._obs = [[count * decay for count in counts] for counts in self._obs]
+            self._class_obs = [count * decay for count in self._class_obs]
 
     # -- serializable state ------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
@@ -633,9 +658,9 @@ class OnlineDawidSkene:
         n_rows = len(self._row_ids)
         return {
             "workers": list(self._row_ids),
-            "set_obs": self._set_obs[:n_rows].tolist(),
-            "set_votes": self._set_votes[:n_rows].tolist(),
-            "set_class_obs": self._set_class_obs.tolist(),
+            "set_obs": [[counts[:2], counts[2:]] for counts in self._obs[:n_rows]],
+            "set_votes": self._votes[:n_rows],
+            "set_class_obs": list(self._class_obs),
             "point": {
                 attribute: model.state_dict()
                 for attribute, model in sorted(self._point_models.items())
@@ -654,21 +679,19 @@ class OnlineDawidSkene:
         # The capacity an uninterrupted estimator reaches registering
         # ``n_rows`` workers, so point-model ``obs`` re-serializes unchanged.
         capacity = _ROW_GROWTH * max(1, -(-n_rows // _ROW_GROWTH))
-        self._set_obs = np.zeros((capacity, 2, 2), dtype=np.float64)
-        self._set_obs[:n_rows] = np.asarray(
-            state["set_obs"], dtype=np.float64
-        ).reshape(n_rows, 2, 2)
-        self._set_votes = np.zeros(capacity, dtype=np.int64)
-        self._set_votes[:n_rows] = np.asarray(state["set_votes"], dtype=np.int64)
-        self._set_class_obs = np.asarray(
-            state["set_class_obs"], dtype=np.float64
-        ).reshape(2)
+        obs = np.zeros((capacity, 2, 2), dtype=np.float64)
+        obs[:n_rows] = np.asarray(state["set_obs"], dtype=np.float64).reshape(n_rows, 2, 2)
+        self._set_obs = obs
+        votes = np.zeros(capacity, dtype=np.int64)
+        votes[:n_rows] = np.asarray(state["set_votes"], dtype=np.int64)
+        self._set_votes = votes
+        self._set_class_obs = np.asarray(state["set_class_obs"], dtype=np.float64)
         self._point_models = {
             str(attribute): _AttributeModel.from_state(model_state, n_rows, capacity)
             for attribute, model_state in state["point"].items()
         }
         self.n_set_batches = int(state["n_set_batches"])
         self.n_point_batches = int(state["n_point_batches"])
-        self._confusion_rows = [()] * n_rows
-        self._log_rows = [()] * n_rows
+        self._conf = [()] * capacity
+        self._logs = [()] * capacity
         self._refresh(range(n_rows))

@@ -22,16 +22,25 @@ the online Dawid–Skene posterior:
   the estimator but never the verdict.
 
 The policy draws randomness *only* from the rng handed to
-:meth:`plan` (the platform's stream) — one vector draw per HIT — and the
+:meth:`plan` or :meth:`run_set_hit` (the platform's stream) — one vector
+draw per HIT for routing, besides the workers' own draws — and the
 probe choice is a deterministic function of counters, preserving the
 repository's rng-stream discipline.
+
+The platform runs a set HIT as one pass,
+:meth:`AdaptiveAssignmentPolicy.run_set_hit`: routing, the per-vote
+log-odds and stop rule, the update and the voters-only review all read
+the workers' estimator rows, which the policy resolves once and keeps
+while the pool, the quarantine roster and the estimator's registry are
+unchanged. The update is the estimator's one E/M routine, through its
+lean one-HIT entry :meth:`~repro.crowd.reliability.OnlineDawidSkene.observe_hit`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Mapping, Protocol, Sequence
+from typing import AbstractSet, Any, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -47,6 +56,58 @@ _LOG_FLOOR = 1e-300
 
 class _HasWorkerId(Protocol):
     worker_id: int
+
+
+class _SetAnswerer(_HasWorkerId, Protocol):
+    def answer_set(self, truth: bool, rng: np.random.Generator) -> bool: ...
+
+
+@dataclass(frozen=True)
+class _Roster:
+    """An eligible pool as routing reads it under one quarantine roster
+    and one estimator registry: the workers' ids, and the positions and
+    estimator rows of the active ones (every worker when all are
+    quarantined)."""
+
+    eligible: Sequence[_HasWorkerId]
+    quarantined: frozenset[int]
+    registry: Mapping[int, int]
+    worker_ids: list[int]
+    active: Sequence[int]
+    rows: list[int]
+
+    @classmethod
+    def build(
+        cls,
+        eligible: Sequence[_HasWorkerId],
+        quarantined: AbstractSet[int],
+        estimator: OnlineDawidSkene,
+    ) -> "_Roster":
+        worker_ids = [worker.worker_id for worker in eligible]
+        active: Sequence[int] = range(len(worker_ids))
+        if quarantined:
+            active = [pos for pos in active if worker_ids[pos] not in quarantined] or active
+        # Registers unseen workers in eligible order, which checkpoints keep.
+        rows = estimator.rows([worker_ids[pos] for pos in active])
+        return cls(
+            eligible, frozenset(quarantined), estimator.registry, worker_ids, active, rows
+        )
+
+    def serves(
+        self,
+        eligible: Sequence[_HasWorkerId],
+        quarantined: AbstractSet[int],
+        estimator: OnlineDawidSkene,
+    ) -> bool:
+        """Whether this roster still describes ``eligible`` (the same,
+        unchanged pool) under ``quarantined`` and ``estimator``'s
+        registry."""
+        return (
+            eligible is self.eligible
+            and len(eligible) == len(self.worker_ids)
+            and estimator.registry is self.registry
+            and quarantined == self.quarantined
+        )
 
 
 @dataclass(frozen=True)
@@ -161,6 +222,53 @@ class AdaptiveAssignmentPolicy:
         #: the estimator's ``n_set_batches`` when the tracker last reviewed
         #: it (``None``: unknown, so the next review visits every worker)
         self._reviewed_batches: int | None = None
+        #: the last pool routed; rebuilt when the pool, the quarantine
+        #: roster or the estimator's registry changes
+        self._roster: _Roster | None = None
+
+    # -- one set HIT -------------------------------------------------------
+    def run_set_hit(
+        self, eligible: Sequence[_SetAnswerer], truth: bool, rng: np.random.Generator
+    ) -> tuple[list[int], list[bool], bool]:
+        """Collect, decide and absorb one set-query HIT whose hidden
+        answer is ``truth``, in one pass.
+
+        Routes as :meth:`plan`, asks the routed workers in turn, adding
+        each vote's :meth:`vote_log_odds` until :meth:`should_stop`, and
+        asks the probation probe last; then folds the votes in and
+        reviews as :meth:`observe_set`. The eligible workers' estimator
+        rows are resolved once, by routing, and kept while the pool,
+        the quarantine roster and the estimator's registry stay as they
+        are; the voters' rows then feed the per-vote reads, the update
+        and the review. Returns the voters' ids and answers in vote order
+        (probe last) and the verdict, which the probe never bears."""
+        estimator = self.estimator
+        in_step = estimator.n_set_batches == self._reviewed_batches
+        roster, ranked, probe = self._route(eligible, rng)
+        worker_ids, active, active_rows = roster.worker_ids, roster.active, roster.rows
+        voters: list[int] = []
+        answers: list[bool] = []
+        rows: list[int] = []
+        row_log_odds, should_stop = estimator.row_log_odds, self.should_stop
+        log_odds = estimator.prior_log_odds()
+        for i in ranked:
+            pos, row = active[i], active_rows[i]
+            answer = bool(eligible[pos].answer_set(truth, rng))
+            voters.append(worker_ids[pos])
+            answers.append(answer)
+            rows.append(row)
+            log_odds += row_log_odds(row, answer)
+            if should_stop(log_odds, len(answers)):
+                break
+        n_probes = 0
+        if probe is not None:
+            # Paid probation probe: feeds the estimator, never the verdict.
+            voters.append(worker_ids[probe])
+            answers.append(bool(eligible[probe].answer_set(truth, rng)))
+            rows += estimator.rows((worker_ids[probe],))
+            n_probes = 1
+        self._fold(in_step, rows, answers, n_probes)
+        return voters, answers, self.decide(log_odds)
 
     # -- routing -----------------------------------------------------------
     def plan(
@@ -175,23 +283,30 @@ class AdaptiveAssignmentPolicy:
         otherwise). Draws exactly one rng vector, regardless of how many
         votes the caller ends up taking.
         """
+        roster, ranked, probe = self._route(eligible, rng)
+        return [roster.active[i] for i in ranked], probe
+
+    def _route(
+        self, eligible: Sequence[_HasWorkerId], rng: np.random.Generator
+    ) -> tuple[_Roster, list[int], int | None]:
+        """:meth:`plan`, its order as indices into the pool roster's
+        active workers."""
         if not eligible:
             raise InvalidParameterError("plan needs a non-empty eligible pool")
-        worker_ids = [worker.worker_id for worker in eligible]
         quarantined = self.tracker.quarantined
-        active: Sequence[int] = range(len(worker_ids))
-        active_ids = worker_ids
-        if quarantined:
-            active = [pos for pos in active if worker_ids[pos] not in quarantined] or active
-            active_ids = [worker_ids[pos] for pos in active]
-        noise = rng.random(len(active_ids)).tolist()
-        # Registers unseen workers in eligible order, which checkpoints keep.
-        accuracy = self.estimator.accuracies(active_ids)
+        roster = self._roster
+        if roster is None or not roster.serves(eligible, quarantined, self.estimator):
+            roster = self._roster = _Roster.build(eligible, quarantined, self.estimator)
+        noise = rng.random(len(roster.rows)).tolist()
         exploration = self.exploration
-        scores = [trust + exploration * bonus for trust, bonus in zip(accuracy, noise)]
+        scores = [
+            trust + exploration * bonus
+            for trust, bonus in zip(self.estimator.row_accuracies(roster.rows), noise)
+        ]
         # Best first; a stable sort keeps ties in eligible order.
         ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-        order = [active[i] for i in ranked[: self.max_assignments]]
+        del ranked[self.max_assignments :]
+        worker_ids = roster.worker_ids
         probe = None
         if quarantined and self.n_hits % self.probation_interval == self.probation_interval - 1:
             probation = [
@@ -205,7 +320,7 @@ class AdaptiveAssignmentPolicy:
                         worker_ids[pos],
                     ),
                 )
-        return order, probe
+        return roster, ranked, probe
 
     # -- sequential stopping -----------------------------------------------
     def prior_log_odds(self) -> float:
@@ -266,15 +381,22 @@ class AdaptiveAssignmentPolicy:
         outside this policy; then every worker is reviewed."""
         estimator = self.estimator
         in_step = estimator.n_set_batches == self._reviewed_batches
-        posterior = estimator.observe_set_batch([votes])
-        voters: list[int] | None = None
-        if in_step and estimator.decay == 1.0:
-            voters = estimator.rows([worker_id for worker_id, _ in votes])
-        self._review(voters)
+        rows = estimator.rows([worker_id for worker_id, _ in votes])
+        return self._fold(in_step, rows, [bool(answer) for _, answer in votes], n_probes)
+
+    def _fold(
+        self, in_step: bool, rows: list[int], answers: list[bool], n_probes: int
+    ) -> float:
+        """:meth:`observe_set` of one HIT's votes as resolved rows;
+        ``in_step`` tells whether the estimator took no update since the
+        last review before this HIT."""
+        estimator = self.estimator
+        posterior = estimator.observe_hit(rows, answers)
+        self._review(rows if in_step and estimator.decay == 1.0 else None)
         self.n_hits += 1
-        self.n_votes += len(votes) - n_probes
+        self.n_votes += len(rows) - n_probes
         self.n_probes += n_probes
-        return float(posterior[0])
+        return posterior
 
     def observe_point(
         self, votes: PointVotes, *, n_probes: int = 0
@@ -347,7 +469,8 @@ class AdaptiveAssignmentPolicy:
         """A copy of this policy carrying :meth:`state_dict` output
         ``state``, estimator first so the tracker reads consistent
         statistics; this policy is unchanged either way."""
-        policy = copy.deepcopy(self)
+        # The copy starts without a roster: the memo maps this one to None.
+        policy = copy.deepcopy(self, {id(self._roster): None})
         policy._reviewed_batches = None
         try:
             policy.estimator.load_state_dict(state["estimator"])

@@ -134,12 +134,21 @@ class ReliabilityTracker:
         confusion = self.estimator.confusion(worker_id)
         return float(confusion[1, 1] - confusion[0, 1])
 
+    def _youden_j(self, row: int) -> float:
+        """:meth:`youden_j` of the worker at estimator row ``row``."""
+        _, yes_rate_when_no, _, yes_rate_when_yes = self.estimator.row_confusion(row)
+        return yes_rate_when_yes - yes_rate_when_no
+
     def classify(self, worker_id: int) -> str | None:
         """The worker's current behavioral flag, or ``None`` when their
         signature looks legitimate (or evidence is still insufficient)."""
+        row = self.estimator.row_of(worker_id)
+        return None if row is None else self._classify(row)
+
+    def _classify(self, row: int) -> str | None:
+        """:meth:`classify` of the worker at estimator row ``row``."""
         estimator = self.estimator
-        row = estimator.row_of(worker_id)
-        if row is None or estimator.n_observations(worker_id) < self.min_observations:
+        if estimator.row_votes(row) < self.min_observations:
             return None
         _, yes_rate_when_no, _, yes_rate_when_yes = estimator.row_confusion(row)
         extreme = self.extreme_rate
@@ -166,32 +175,34 @@ class ReliabilityTracker:
         statistics did not change gets the verdict of their last review
         again: a clean active worker stays, a flagged one was quarantined
         then, and a quarantined one either had their probation restarted
-        then (so has no probes now) or was left as is.
+        then (so has no probes now) or was left as is. Each visited
+        worker is read by row, never looked up by id.
         """
         estimator = self.estimator
         worker_ids = estimator.worker_ids
         visit = range(len(worker_ids)) if rows is None else sorted(set(rows))
+        states = self._states
         changed: list[int] = []
         for row in visit:
             worker_id = worker_ids[row]
-            flag = self.classify(worker_id)
-            if self._states.get(worker_id, _ACTIVE) == _ACTIVE:
+            flag = self._classify(row)
+            if states.get(worker_id, _ACTIVE) == _ACTIVE:
                 if flag is not None:
-                    self._states[worker_id] = _QUARANTINED
+                    states[worker_id] = _QUARANTINED
                     self._quarantined.add(worker_id)
                     self._flags[worker_id] = flag
-                    self._obs_at_quarantine[worker_id] = estimator.n_observations(worker_id)
+                    self._obs_at_quarantine[worker_id] = estimator.row_votes(row)
                     self.n_quarantines += 1
                     changed.append(worker_id)
                 continue
-            probes = estimator.n_observations(worker_id)
+            probes = estimator.row_votes(row)
             probes -= self._obs_at_quarantine.get(worker_id, 0)
             if (
                 probes >= self.probation_votes
                 and flag is None
-                and self.youden_j(worker_id) >= self.reentry_margin
+                and self._youden_j(row) >= self.reentry_margin
             ):
-                self._states[worker_id] = _ACTIVE
+                states[worker_id] = _ACTIVE
                 self._quarantined.discard(worker_id)
                 self._flags.pop(worker_id, None)
                 self._obs_at_quarantine.pop(worker_id, None)
@@ -200,7 +211,7 @@ class ReliabilityTracker:
             elif flag is not None:
                 # Still misbehaving: refresh the flag, restart probation.
                 self._flags[worker_id] = flag
-                self._obs_at_quarantine[worker_id] = estimator.n_observations(worker_id)
+                self._obs_at_quarantine[worker_id] = estimator.row_votes(row)
         return changed
 
     def is_quarantined(self, worker_id: int) -> bool:

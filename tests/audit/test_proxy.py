@@ -106,3 +106,18 @@ class TestPointAnswers:
         np.testing.assert_array_equal(codes, dataset.codes[[3, 5, 3]])
         assert oracle.ledger.n_point_queries == 2
         assert [entry["index"] for entry in proxy.answer_log()["point_answers"]] == [3, 5]
+
+    def test_scan_pays_a_repeated_index_once(self, dataset):
+        oracle = GroundTruthOracle(dataset)
+        proxy = RecordingOracleProxy(oracle)
+        codes = proxy.scan_points([5, 5], None, None)
+        np.testing.assert_array_equal(codes, dataset.codes[[5, 5]])
+        assert oracle.ledger.n_point_queries == 1
+        assert [entry["index"] for entry in proxy.answer_log()["point_answers"]] == [5]
+        # Repeats inside and after a fresh run, and of an object held
+        # before the scan, all answer from the store.
+        proxy.ask_point(9)
+        codes = proxy.scan_points([3, 7, 3, 9, 7, 8, 9, 8], None, None)
+        np.testing.assert_array_equal(codes, dataset.codes[[3, 7, 3, 9, 7, 8, 9, 8]])
+        assert oracle.ledger.n_point_queries == 5
+        assert list(proxy.points.positions) == [5, 9, 3, 7, 8]

@@ -600,14 +600,26 @@ class _ScalarDawidSkene(OnlineDawidSkene):
             log_post -= log_post.max(axis=1, keepdims=True)
             post = np.exp(log_post)
             post /= post.sum(axis=1, keepdims=True)
+            # The counts are read, updated and assigned back: the ``_set_*``
+            # properties are copies.
+            set_obs = self._set_obs
             for truth in (0, 1):
                 np.add.at(
-                    self._set_obs[:, truth, :], (rows, ans), step * post[task_idx, truth]
+                    set_obs[:, truth, :], (rows, ans), step * post[task_idx, truth]
                 )
+            self._set_obs = set_obs
             self._set_class_obs += step * post.sum(axis=0)
-        np.add.at(self._set_votes, rows, 1)
+        set_votes = self._set_votes
+        np.add.at(set_votes, rows, 1)
+        self._set_votes = set_votes
         self.n_set_batches += 1
         return post[:, 1].copy()
+
+    def observe_hit(self, rows, answers):
+        # The one-HIT entry runs the full-pool batch update above.
+        worker_ids = self.worker_ids
+        votes = [(worker_ids[row], answer) for row, answer in zip(rows, answers)]
+        return float(self.observe_set_batch([votes])[0])
 
 
 class _ScalarTracker(ReliabilityTracker):
@@ -673,7 +685,9 @@ class _ScalarTracker(ReliabilityTracker):
 
 class _ScalarPolicy(AdaptiveAssignmentPolicy):
     """Test-only reference: ranks the pool with one ``worker_accuracy``
-    read per active worker, over the scalar estimator and tracker."""
+    read per active worker, over the scalar estimator and tracker, and
+    runs a set HIT as separate steps: ``plan``, then ``vote_log_odds``
+    and ``should_stop`` per vote, then ``observe_set``."""
 
     def __init__(self, **kwargs):
         estimator = _ScalarDawidSkene()
@@ -689,6 +703,25 @@ class _ScalarPolicy(AdaptiveAssignmentPolicy):
         self.n_votes += len(votes) - n_probes
         self.n_probes += n_probes
         return labels[0]
+
+    def run_set_hit(self, eligible, truth, rng):
+        order, probe = self.plan(eligible, rng)
+        votes = []
+        log_odds = self.prior_log_odds()
+        for pos in order:
+            worker = eligible[pos]
+            answer = bool(worker.answer_set(truth, rng))
+            votes.append((worker.worker_id, answer))
+            log_odds += self.vote_log_odds(worker.worker_id, answer)
+            if self.should_stop(log_odds, len(votes)):
+                break
+        n_probes = 0
+        if probe is not None:
+            worker = eligible[probe]
+            votes.append((worker.worker_id, bool(worker.answer_set(truth, rng))))
+            n_probes = 1
+        self.observe_set(votes, n_probes=n_probes)
+        return [w for w, _ in votes], [a for _, a in votes], self.decide(log_odds)
 
     def plan(self, eligible, rng):
         active = [
@@ -1050,13 +1083,13 @@ class TestAdaptivePlatformMatchesScalarPath:
         policy = AdaptiveAssignmentPolicy()
         tracker = policy.tracker
         visited = []
-        classify = tracker.classify
+        classify = tracker._classify
 
-        def spied_classify(worker_id):
-            visited.append(worker_id)
-            return classify(worker_id)
+        def spied_classify(row):
+            visited.append(policy.estimator.worker_ids[row])
+            return classify(row)
 
-        tracker.classify = spied_classify
+        tracker._classify = spied_classify
         rng = np.random.default_rng(2)
         for _ in range(12):
             truth = bool(rng.random() < 0.5)
@@ -1103,11 +1136,11 @@ class TestAdaptivePlatformMatchesScalarPath:
         policy = AdaptiveAssignmentPolicy(**kwargs)
         estimator, tracker = policy.estimator, policy.tracker
         stored, reviewed, pool_reads = [], [], []
-        store, review, read_pool = estimator._store, tracker.review, estimator.pool
+        refresh, review, read_pool = estimator._refresh, tracker.review, estimator.pool
 
-        def spied_store(rows, rates, logs):
+        def spied_refresh(rows):
             stored.append(list(rows))
-            store(rows, rates, logs)
+            refresh(rows)
 
         def spied_review(rows=None):
             reviewed.append(rows)
@@ -1121,18 +1154,68 @@ class TestAdaptivePlatformMatchesScalarPath:
 
         def check(record):
             voters = list(dict.fromkeys(estimator.row_of(w) for w in record.worker_ids))
-            if len(stored) == 1:  # every worker was registered before this HIT
-                assert stored == [voters]
+            # One refresh per sweep; a registration would add one more.
+            if len(stored) == estimator.sweeps:
+                assert stored == [voters] * estimator.sweeps
                 assert sorted(set(reviewed[-1])) == sorted(voters)
                 checked.append(record)
             stored.clear()
 
-        estimator._store = spied_store
+        estimator._refresh = spied_refresh
         tracker.review = spied_review
         estimator.pool = spied_pool
         result = self._run(policy, pool, n_hits=120, on_set_hit=check)
         assert not pool_reads and len(checked) == 113
         assert policy.report().n_workers == 200
-        del estimator._store, tracker.review, estimator.pool
+        del estimator._refresh, tracker.review, estimator.pool
         reference = _ScalarPolicy(**kwargs)
         assert result == self._run(reference, pool, n_hits=120)
+
+
+class TestSetHitPassEdgeCases:
+    """The one-pass set HIT against the reference's step-by-step
+    composition, on HITs the recipe streams seldom reach."""
+
+    KWARGS = dict(
+        min_assignments=2, max_assignments=3, log_odds_threshold=50.0, probation_interval=1
+    )
+
+    def _run(self, policy):
+        # Four always-yes workers, all quarantined by the feed: routing
+        # falls back to the whole pool, and every HIT also probes one of
+        # them, who may already be in the routed order and vote twice.
+        behaviors = {w: good(0.02) for w in range(10, 16)}
+        behaviors.update({w: always(True) for w in range(4)})
+        _feed(policy.estimator, np.random.default_rng(2), 60, behaviors)
+        assert policy.tracker.review() == [0, 1, 2, 3]
+        workers = [Worker(worker_id=w, set_error_rate=0.5) for w in range(4)]
+        dataset = binary_dataset(100, 10, rng=np.random.default_rng(7))
+        platform = CrowdPlatform(
+            dataset, workers, np.random.default_rng(11), assignments_per_hit=1,
+            reliability=policy,
+        )
+        for hit in range(40):
+            indices = np.arange(hit % 7 + 1, dtype=np.int64)
+            platform.publish_set_query(SetQuery(indices, FEMALE))
+        records = [
+            (r.worker_ids, r.answers, r.aggregated, r.truth, r.price)
+            for r in platform.hit_records
+        ]
+        return records, policy.state_dict(), platform.rng.bit_generator.state
+
+    @pytest.mark.parametrize("decay", [1.0, 0.9])
+    def test_matches_the_step_by_step_reference(self, decay):
+        estimator = OnlineDawidSkene(decay=decay)
+        policy = AdaptiveAssignmentPolicy(
+            estimator=estimator, tracker=ReliabilityTracker(estimator), **self.KWARGS
+        )
+        reference = _ScalarPolicy(**self.KWARGS)
+        reference.estimator = _ScalarDawidSkene(decay=decay)
+        reference.tracker = _ScalarTracker(reference.estimator)
+        result = self._run(policy)
+        assert result == self._run(reference)
+        # While all four are quarantined, a HIT takes three routed votes
+        # (max_assignments, short of the threshold) and the probe, who may
+        # be one of its routed voters.
+        voters = [worker_ids for worker_ids, *_ in result[0]]
+        assert sum(len(ids) == 4 and ids[-1] in ids[:3] for ids in voters) >= 5

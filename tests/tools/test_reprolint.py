@@ -119,6 +119,42 @@ def test_rpl001_allow_wall_clock_is_per_path(tmp_path):
     assert [finding.path for finding in result.findings] == ["audit/core.py"]
 
 
+def test_rpl001_numpy_log_exp_flags_math_in_scoped_paths(tmp_path):
+    body = """\
+    import math
+    from math import expm1, log1p, sqrt
+
+    def rates(x):
+        return math.exp(x) + math.log(x) + log1p(x) + expm1(x) + sqrt(x)
+    """
+    config = scoped("RPL001", numpy_log_exp=("reliability/*",))
+    result = lint(tmp_path, {"reliability/online.py": body, "audit/core.py": body}, config)
+    assert [(f.path, f.line) for f in result.findings] == [
+        ("reliability/online.py", 2),
+        ("reliability/online.py", 5),
+        ("reliability/online.py", 5),
+    ]
+    assert "math.expm1, math.log1p" in result.findings[0].message
+
+
+def test_rpl001_numpy_log_exp_clean_on_numpy(tmp_path):
+    result = lint(
+        tmp_path,
+        {
+            "reliability/online.py": """\
+            import math
+
+            import numpy as np
+
+            def rates(x):
+                return float(np.exp(x)) + float(np.log(x)) + math.sqrt(x)
+            """
+        },
+        scoped("RPL001", numpy_log_exp=("reliability/*",)),
+    )
+    assert result.findings == ()
+
+
 # -- RPL002: atomic writes ----------------------------------------------
 
 

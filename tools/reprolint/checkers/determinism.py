@@ -13,6 +13,12 @@ seeds established.
 Paths listed in the ``allow_wall_clock`` option may read clocks (the
 serving layer's lease heartbeats are *supposed* to be wall-clock) but
 stay bound by the rng rules.
+
+Paths listed in the ``numpy_log_exp`` option must take logarithms and
+exponentials from NumPy: ``math.exp``, ``math.log``, ``math.log1p`` and
+``math.expm1`` differ from NumPy's in the last bit on some inputs, so a
+scalar fast path through :mod:`math` would break bit-identity with the
+array formulas it stands for (the reliability estimator's contract).
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ _WALL_CLOCK = {"time.time", "time.time_ns"}
 _WALL_CLOCK_TAILS = {"now", "utcnow", "today"}
 #: np.random members that are fine to *call*: seeded-generator plumbing.
 _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox"}
+#: math functions whose results may differ from NumPy's in the last bit.
+_MATH_LOG_EXP = {"exp", "log", "log1p", "expm1"}
 
 
 @register
@@ -48,8 +56,39 @@ class DeterminismChecker(FileChecker):
             fnmatch(ctx.path, pattern)
             for pattern in ctx.options.get("allow_wall_clock", ())
         )
+        numpy_log_exp = any(
+            fnmatch(ctx.path, pattern)
+            for pattern in ctx.options.get("numpy_log_exp", ())
+        )
         for node in ast.walk(ctx.tree):
             yield from self._check_node(ctx, node, allow_clock)
+            if numpy_log_exp:
+                yield from self._check_math(ctx, node)
+
+    def _check_math(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = sorted(a.name for a in node.names if a.name in _MATH_LOG_EXP)
+            if names:
+                yield ctx.finding(
+                    node,
+                    CODE,
+                    f"from-import of math.{', math.'.join(names)}: these differ "
+                    "from NumPy's in the last bit on some inputs; use np.log "
+                    "and np.exp",
+                    self.name,
+                )
+        elif isinstance(node, ast.Call):
+            dotted = dotted_name(node.func)
+            if dotted is not None and dotted.startswith("math."):
+                if dotted[len("math."):] in _MATH_LOG_EXP:
+                    yield ctx.finding(
+                        node,
+                        CODE,
+                        f"call to {dotted}(): it differs from NumPy's in the "
+                        "last bit on some inputs, which breaks bit-identity "
+                        "with the array formulas; use np.log and np.exp",
+                        self.name,
+                    )
 
     def _check_node(
         self, ctx: FileContext, node: ast.AST, allow_clock: bool

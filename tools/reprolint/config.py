@@ -60,12 +60,18 @@ DEFAULT = Config(
         # Determinism holds across the whole library; the serving layer
         # alone may read wall clocks (lease heartbeats, idle timeouts),
         # which is an *option* of the rule, not an exemption from its
-        # rng discipline.
+        # rng discipline. The reliability estimator and the platform
+        # that drives it promise results bit-identical to NumPy array
+        # formulas, so they take log and exp from NumPy, never math.
         RuleScope(
             code="RPL001",
             include=("src/repro/*",),
             options={
                 "allow_wall_clock": ("src/repro/serving/*",),
+                "numpy_log_exp": (
+                    "src/repro/crowd/reliability/*",
+                    "src/repro/crowd/platform.py",
+                ),
             },
         ),
         # Atomic writes: the durable-state layers. Benchmarks and
