@@ -42,6 +42,7 @@ from repro.crowd.oracle import (
     Oracle,
     cut_after_member,
     scan_asked,
+    scan_checked,
     scan_indices,
     scan_segments,
 )
@@ -69,6 +70,14 @@ def _reliability_platform(oracle: Oracle):
     behind an oracle (or oracle proxy), when there is one, else ``None``."""
     platform = getattr(oracle, "platform", None)
     return platform if getattr(platform, "reliability", None) is not None else None
+
+
+def _shapes(view: np.ndarray, codes) -> set[tuple[int, int, int]]:
+    """The first entry, last entry and length of each range of ``view``
+    that ``codes`` name (``start * (len(view) + 1) + stop``): ranges of
+    equal content have equal shapes, over any views."""
+    starts, stops = np.divmod(np.fromiter(codes, np.int64, len(codes)), len(view) + 1)
+    return set(zip(view[starts].tolist(), view[stops - 1].tolist(), (stops - starts).tolist()))
 
 
 @dataclass(frozen=True)
@@ -218,9 +227,12 @@ class RecordingOracleProxy(Oracle):
         self._scans: list[
             tuple[GroupPredicate, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
-        #: predicate -> the view its scans ran over, and their asked
-        #: ranges as ``start * (len(view) + 1) + stop`` codes
-        self._scanned: dict[GroupPredicate, tuple[np.ndarray, set[int]]] = {}
+        #: predicate -> the view its last scans ran over, their asked
+        #: ranges as ``start * (len(view) + 1) + stop`` codes, and the
+        #: :func:`_shapes` of the ranges its scans asked over earlier views
+        self._scanned: dict[
+            GroupPredicate, tuple[np.ndarray, set[int], set[tuple[int, int, int]]]
+        ] = {}
         #: every point answer recorded or loaded, as code rows
         self.points = PointStore(inner.schema)
         #: the set answers and point rows a journal already holds:
@@ -417,22 +429,33 @@ class RecordingOracleProxy(Oracle):
         self, view, starts, stops, predicate, need, *, paired=False, ascending=None
     ) -> np.ndarray:
         """The inner oracle's scan when this proxy can hold no answer the
-        scan might ask: its store holds none for ``predicate``, and the
-        scans not keyed yet ran over this same ``view`` array, on other
-        ranges (the generations of one run). Its answers are kept as
-        arrays and keyed only when read. Otherwise the per-query loop
-        through :meth:`ask_set`, so every held answer stays free."""
+        scan might ask: no range of the generation was asked by an
+        earlier scan of ``predicate``, over this ``view`` array or,
+        compared by first entry, last entry and length, over an earlier
+        one, and, when the store holds answers for ``predicate``, none
+        of the generation's keys is held. Its answers are kept as arrays
+        and keyed only when read. Otherwise the per-query loop through
+        :meth:`ask_set`, so every held answer stays free."""
         view, starts, stops = scan_segments(view, starts, stops, need, paired)
         codes = starts * (len(view) + 1) + stops
-        held = self._scanned.setdefault(predicate, (view, set()))
+        held = self._scanned.get(predicate)
+        if held is None:
+            held = self._scanned[predicate] = (view, set(), set())
+        elif held[0] is not view:
+            held[2].update(_shapes(held[0], held[1]))
+            held = self._scanned[predicate] = (view, set(), held[2])
+        table = self.answer_cache.tables.get(predicate)
         if (
-            self.answer_cache.tables.get(predicate)
-            or held[0] is not view
-            or not held[1].isdisjoint(codes.tolist())
+            not held[1].isdisjoint(codes.tolist())
+            or held[2] and not held[2].isdisjoint(_shapes(view, codes))
+            or table and any(
+                IndexKey.of(view[start:stop]) in table
+                for start, stop in zip(starts.tolist(), stops.tolist())
+            )
         ):
-            return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
-        answers = self._session_inner.scan_sets(
-            view, starts, stops, predicate, need, paired=paired, ascending=ascending
+            return super()._scan_sets(view, starts, stops, predicate, need, paired, ascending)
+        answers = scan_checked(
+            self._session_inner, view, starts, stops, predicate, need, paired, ascending
         )
         asked = np.flatnonzero(scan_asked(answers, paired))
         self._scans.append((predicate, view, starts[asked], stops[asked], answers[asked]))

@@ -104,9 +104,9 @@ class GroupCoverageStepper:
         self.speculation = speculation
         # Bounds-checks negativity and repeats (the stepper has no
         # dataset_size to check the upper bound against; group_coverage
-        # does that). Contiguous, so a range's slice is a request payload.
-        view, self._ascending = resolve_view_order(view, None)
-        self._view = np.ascontiguousarray(view)
+        # does that). Contiguous, so a range's slice is a request payload,
+        # and immutable, so an oracle may keep what it derives from it.
+        self._view, self._ascending = resolve_view_order(view, None)
         self._cnt = 0
         self._discovered: list[int] = []
         total = len(self._view)

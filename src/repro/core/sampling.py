@@ -177,4 +177,6 @@ def label_samples(
     pool.add(chosen, label_points(oracle, chosen, batched=batched))
     keep = np.ones(len(view), dtype=bool)
     keep[chosen_positions] = False
-    return view[keep], pool
+    residual = view[keep]
+    residual.setflags(write=False)  # steppers over it need not copy it
+    return residual, pool

@@ -8,12 +8,19 @@ known — numpy's negative-index wraparound would otherwise silently
 answer questions about the wrong objects — and repeated indices always
 raise: the algorithms count members per position, so an object listed
 twice would be counted twice.
+
+A resolved view is read-only and nothing can change it: a caller's
+writeable array is copied. A stepper keeps its view for a whole audit,
+and an oracle may keep facts it derived from an unchanging view
+(:func:`~repro.data.sharded.immutable`), so changing the caller's array between or during
+audits cannot change what they scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.sharded import immutable
 from repro.errors import InvalidParameterError
 
 __all__ = ["resolve_view", "resolve_view_order"]
@@ -36,7 +43,8 @@ def resolve_view_order(
 
     A strictly ascending view is checked in O(N) (its ends are its
     bounds, and it cannot repeat an index); any other order falls back
-    to :func:`numpy.unique`.
+    to :func:`numpy.unique`. The view comes back contiguous and
+    :func:`~repro.data.sharded.immutable`, copied unless it already is or was converted here.
     """
     if view is None:
         if dataset_size is None:
@@ -45,8 +53,10 @@ def resolve_view_order(
             raise InvalidParameterError(
                 f"dataset_size must be >= 0, got {dataset_size}"
             )
-        return np.arange(dataset_size, dtype=np.int64), True
-    view = np.asarray(view, dtype=np.int64)
+        whole = np.arange(dataset_size, dtype=np.int64)
+        whole.setflags(write=False)
+        return whole, True
+    view = _frozen(np.asarray(view, dtype=np.int64), view)
     if view.size == 0:
         return view, True
     ascending = view.size == 1 or bool((view[1:] > view[:-1]).all())
@@ -70,3 +80,15 @@ def resolve_view_order(
             f"dataset_size {dataset_size}"
         )
     return view, ascending
+
+
+def _frozen(array: np.ndarray, source: object) -> np.ndarray:
+    """``array``, the conversion of ``source``, made contiguous and
+    :func:`~repro.data.sharded.immutable`: kept if it is both, frozen in place if the
+    conversion made it afresh, and otherwise copied."""
+    if array.flags.c_contiguous and immutable(array):
+        return array
+    if array is source or array.base is not None or not array.flags.c_contiguous:
+        array = array.copy()
+    array.setflags(write=False)
+    return array

@@ -24,8 +24,10 @@ optional task budget.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.data.dataset import LabeledDataset
 from repro.data.groups import GroupPredicate
 from repro.data.kernels import predicate_mask
 from repro.data.schema import Schema
-from repro.data.sharded import ShardedDataset, ShardedMembershipIndex
+from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, immutable
 from repro.engine.requests import IndexKey, QueryKey
 from repro.errors import BudgetExceededError, InvalidParameterError
 
@@ -295,6 +297,19 @@ class Oracle(ABC):
         (3, 3)
         """
         view, starts, stops = scan_segments(view, starts, stops, need, paired)
+        return self._scan_sets(view, starts, stops, predicate, need, paired, ascending)
+
+    def _scan_sets(
+        self,
+        view: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        predicate: GroupPredicate,
+        need: int | None,
+        paired: bool,
+        ascending: bool | None,
+    ) -> np.ndarray:
+        """:meth:`scan_sets` over segments :func:`scan_segments` checked."""
         answers: list[bool] = []
         credited = 0
         for position, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
@@ -385,6 +400,20 @@ def scan_segments(
             f"set scan segments must be non-empty ranges of the {len(view)}-entry view"
         )
     return view, starts, stops
+
+
+def scan_checked(
+    oracle, view, starts, stops, predicate, need: int | None, paired: bool, ascending
+) -> np.ndarray:
+    """``oracle.scan_sets`` over segments :func:`scan_segments` already
+    checked. An oracle whose public scan is :class:`Oracle`'s runs the
+    checked body at once; any other (a wrapper that records or logs its
+    scans, a patched instance) is called through its public method."""
+    if getattr(oracle.scan_sets, "__func__", None) is Oracle.scan_sets:
+        return oracle._scan_sets(view, starts, stops, predicate, need, paired, ascending)
+    return oracle.scan_sets(
+        view, starts, stops, predicate, need, paired=paired, ascending=ascending
+    )
 
 
 def scan_asked(answers: np.ndarray, paired: bool) -> np.ndarray:
@@ -488,6 +517,8 @@ class GroundTruthOracle(Oracle):
         self._native_point_hook = (
             type(self)._answer_point is GroundTruthOracle._answer_point
         )
+        #: ``id(view) -> (weak reference to the view, {predicate: view rank})``
+        self._view_ranks: dict[int, tuple[weakref.ref, dict]] = {}
 
     def _answer_set(
         self, indices: np.ndarray, predicate: GroupPredicate, index_key: IndexKey
@@ -545,54 +576,64 @@ class GroundTruthOracle(Oracle):
             return np.empty((0, self.schema.n_attributes), dtype=np.int16)
         return np.concatenate(slices)
 
-    def scan_sets(
+    def _scan_sets(
         self,
-        view: Sequence[int] | np.ndarray,
-        starts: Sequence[int] | np.ndarray,
-        stops: Sequence[int] | np.ndarray,
+        view: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
         predicate: GroupPredicate,
         need: int | None,
-        *,
-        paired: bool = False,
-        ascending: bool | None = None,
+        paired: bool,
+        ascending: bool | None,
     ) -> np.ndarray:
         """:meth:`Oracle.scan_sets` as one truth pass over the whole
-        generation: segments of a strictly ascending view that are runs
-        answer through
-        :meth:`~repro.data.sharded.ShardedMembershipIndex.any_match_runs`,
-        the rest through one
-        :meth:`~repro.data.sharded.ShardedMembershipIndex.member_mask`
-        gather and a segmented ``any``. The answers, and the tasks and
-        round-trips charged for them, are exactly what the per-query
-        loop would produce."""
+        generation: segment ``[b, e)`` holds a member iff the view rank
+        (:meth:`~repro.data.sharded.ShardedMembershipIndex.view_rank`)
+        reads ``rank(e) > rank(b)``. A view's rank is built at its first
+        scan of ``predicate`` and, when nothing can change the view, kept
+        while the view lives, so every later generation of the stepper
+        costs two rank reads a segment.
+        The answers, and the tasks and round-trips charged for them, are
+        exactly what the per-query loop would produce."""
         if not self._native_set_hook:
-            return super().scan_sets(view, starts, stops, predicate, need, paired=paired)
-        view, starts, stops = scan_segments(view, starts, stops, need, paired)
-        truths = np.zeros(len(starts), dtype=bool)
+            return super()._scan_sets(view, starts, stops, predicate, need, paired, ascending)
+        truths = np.zeros(0, dtype=bool)
         if len(starts):
-            low, high = view[starts], view[stops - 1]
-            runs = high - low == stops - starts - 1
-            if ascending is None:
-                ascending = len(view) < 2 or bool((view[1:] > view[:-1]).all())
-            if not ascending:
-                runs[:] = False  # first and last bound only an ascending segment
-            index = self.membership_index
-            if runs.any():
-                truths[runs] = index.any_match_runs(predicate, low[runs], high[runs] + 1)
-            gathered = np.flatnonzero(~runs)
-            if len(gathered):
-                lengths = stops[gathered] - starts[gathered]
-                offsets = np.cumsum(lengths) - lengths
-                positions = np.arange(int(lengths.sum())) + np.repeat(
-                    starts[gathered] - offsets, lengths
-                )
-                hits = index.member_mask(predicate, view[positions])
-                truths[gathered] = np.logical_or.reduceat(hits, offsets)
+            before = self._view_rank(view, predicate, ascending)(np.concatenate([starts, stops]))
+            truths = before[len(starts) :] > before[: len(starts)]
         answers = cut_scan(truths, paired, need, self.ledger.remaining)
         asked = int(np.count_nonzero(scan_asked(answers, paired)))
         self.ledger.charge_set_batch(asked)
         self.ledger.note_round(asked)
         return answers
+
+    def _view_rank(self, view: np.ndarray, predicate: GroupPredicate, ascending: bool | None):
+        """The rank of ``predicate`` over ``view``, held while ``view``
+        lives if nothing can change its entries
+        (:func:`~repro.data.sharded.immutable`, as a stepper's view is),
+        else built afresh: the view is held weakly, its entry dropped
+        when it is freed, and an entry answers only for the array it was
+        built for, never for a new one at its address."""
+        if not immutable(view):
+            return self.membership_index.view_rank(predicate, view, ascending=ascending)
+        ranks, address = self._view_ranks, id(view)
+        entry = ranks.get(address)
+        if entry is None or entry[0]() is not view:
+            forget = partial(_forget_view, ranks, address)
+            entry = ranks[address] = (weakref.ref(view, forget), {})
+        ranked = entry[1].get(predicate)
+        if ranked is None:
+            ranked = entry[1][predicate] = self.membership_index.view_rank(
+                predicate, view, ascending=ascending
+            )
+        return ranked
+
+
+def _forget_view(ranks: dict, address: int, ref: weakref.ref) -> None:
+    """Drop the view ranks held at ``address`` for the view ``ref``
+    referred to, which was just freed."""
+    if ranks.get(address, (None,))[0] is ref:
+        del ranks[address]
 
 
 class CrowdOracle(Oracle):

@@ -50,6 +50,7 @@ auditing datasets 10× larger than an in-RAM index could hold.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -94,6 +95,7 @@ __all__ = [
     "ShardedMembershipIndex",
     "bitmap_floor",
     "dense_index_bytes",
+    "immutable",
 ]
 
 
@@ -106,6 +108,52 @@ def _check_object_indices(index_array: np.ndarray, n_objects: int) -> None:
     if out_of_range.any():
         bad = int(index_array[out_of_range][0])
         raise OracleError(f"object index {bad} out of range [0, {n_objects})")
+
+
+def immutable(array: np.ndarray) -> bool:
+    """Whether no array can change ``array``'s entries: it and every
+    array it is a view of are read-only, over ``bytes`` or its own data.
+
+    >>> view = np.arange(3)
+    >>> immutable(view), immutable(np.frombuffer(view.tobytes(), dtype=view.dtype))
+    (False, True)
+    """
+    base: object = array
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return base is None or isinstance(base, bytes)
+
+
+#: an ascending view takes the run form of
+#: :meth:`ShardedMembershipIndex.view_rank` when it misses at most one
+#: object in this many between its ends: its run arrays (24 bytes a run)
+#: then take at most 1.5 bytes per view object
+_RUN_VIEW_HOLES = 16
+
+
+def _run_starts(view: np.ndarray, holes: int) -> np.ndarray:
+    """The positions where the maximal runs of the strictly ascending
+    ``view`` start, ``0`` first; ``holes`` is the number of objects
+    between its first and last that it misses. The steps are read in
+    blocks of about ``sqrt(len(view) / holes)``: a block whose two ends
+    lie on one run holds no break and is skipped, and at most ``holes``
+    blocks are read step by step, so the whole costs about
+    ``2 * sqrt(len(view) * holes)`` reads.
+
+    >>> _run_starts(np.array([3, 4, 5, 9, 10, 12]), 4).tolist()
+    [0, 3, 5]
+    """
+    size = len(view)
+    span = max(1, math.isqrt(size // (holes + 1)))
+    low = np.arange(0, size - 1, span)
+    high = np.minimum(low + span, size - 1)
+    broken = low[view[high] - view[low] != high - low]
+    steps = (broken[:, None] + np.arange(span)).ravel()
+    steps = steps[steps < size - 1]
+    rises = steps[view[steps + 1] - view[steps] != 1] + 1
+    return np.concatenate([np.zeros(1, dtype=np.int64), rises])
 
 
 def _run_fused_task(task: tuple) -> list[np.ndarray]:
@@ -738,13 +786,14 @@ class ShardedMembershipIndex:
 
     The query surface — :meth:`count`, :meth:`any_match`,
     :meth:`any_match_runs`, :meth:`any_match_batch`, :meth:`matches`,
-    :meth:`member_mask`, :meth:`value_rows` — is what every simulated
-    oracle, platform, session, and service answers from, whether the
-    dataset is in RAM (one shard, see :meth:`for_dataset`) or out of
-    core. Set queries answer from packed bitmaps: one ``uint64`` bitmap
-    per ``(attribute, value)`` a predicate reads, built by one streaming
-    pass per batch of new values (each chunk touched once however many
-    values it packs), combined word-wise into the predicate's words
+    :meth:`member_mask`, :meth:`view_rank`, :meth:`value_rows` — is
+    what every simulated oracle, platform, session, and service answers
+    from, whether the dataset is in RAM (one shard, see
+    :meth:`for_dataset`) or out of core. Set queries answer from packed
+    bitmaps: one ``uint64`` bitmap per ``(attribute, value)`` a
+    predicate reads, built by one streaming pass per batch of new values
+    (each chunk touched once however many values it packs), combined
+    word-wise into the predicate's words
     (:func:`~repro.data.kernels.predicate_words`). A scattered key is a
     gathered bit test; a run key counts with the predicate's rank
     directory and one masked popcount per end, whatever shards it
@@ -1113,6 +1162,64 @@ class ShardedMembershipIndex:
         bitmaps, ranks = self._held((predicate,), (predicate,))
         before = self._rank(predicate, bitmaps, ranks[predicate], ends)
         return live & (before[len(starts) :] > before[: len(starts)])
+
+    def view_rank(
+        self, predicate: GroupPredicate, view: np.ndarray, *, ascending: bool | None = None
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The members of ``predicate`` among ``view[:end]`` for each of an
+        ``int64`` array of ``ends`` in ``[0, len(view)]``, as a function:
+        the view segment ``[b, e)`` holds a member iff ``rank(e) >
+        rank(b)``, whatever its entries are.
+
+        ``view`` holds distinct object indices (``ascending`` says
+        whether they are strictly ascending, when the caller knows) and
+        is range-checked once, here. An ascending view with few holes
+        (at most one object in 16 between its ends missed) keeps each of
+        its maximal runs' view position, first object and member offset,
+        and reads the predicate's own rank directory: a view that is one
+        run builds nothing else. Any other view is one
+        :meth:`member_mask` gather, packed in view order under a
+        :func:`~repro.data.kernels.rank_directory`. The function does not
+        hold ``view``.
+
+        >>> import numpy as np
+        >>> from repro.data.groups import group
+        >>> from repro.data.synthetic import binary_dataset
+        >>> index = ShardedMembershipIndex.for_dataset(binary_dataset(10, 3, placement="front"))
+        >>> rank = index.view_rank(group(gender="female"), np.array([9, 1, 5, 0]))
+        >>> rank(np.arange(5)).tolist()
+        [0, 0, 1, 1, 2]
+        >>> index.view_rank(group(gender="female"), np.array([1, 2, 6, 7]))(np.arange(5)).tolist()
+        [0, 1, 2, 2, 2]
+        """
+        size = len(view)
+        if size and (ascending or ascending is None and bool((view[1:] > view[:-1]).all())):
+            holes = int(view[-1]) - int(view[0]) + 1 - size
+            if holes * _RUN_VIEW_HOLES <= size:
+                _check_object_indices(view[[0, -1]], len(self.dataset))
+                at = _run_starts(view, holes) if holes else np.zeros(1, dtype=np.int64)
+                first = view[at]
+                bitmaps, ranks = self._held((predicate,), (predicate,))
+                ends = np.concatenate([first, first + np.diff(at, append=size)])
+                edges = self._rank(predicate, bitmaps, ranks[predicate], ends).astype(np.int64)
+                before, members = edges[: len(at)], edges[len(at) :] - edges[: len(at)]
+                # Run k holds view[at[k] + i] = first[k] + i, and
+                # shift[k] + rank(object) counts the members before it.
+                offset, shift = first - at, np.cumsum(members) - members - before
+
+                def ranked(ends: np.ndarray) -> np.ndarray:
+                    run = np.searchsorted(at, ends, side="right") - 1
+                    bitmaps, ranks = self._held((predicate,), (predicate,))
+                    objects = offset[run] + ends
+                    return self._rank(predicate, bitmaps, ranks[predicate], objects) + shift[run]
+
+                return ranked
+        packed = np.zeros(8 * n_words(size), dtype=np.uint8)
+        bits = np.packbits(self.member_mask(predicate, view), bitorder="little")
+        packed[: len(bits)] = bits
+        words = packed.view("<u8")
+        directory = rank_directory(words)
+        return lambda ends: rank(directory, words[ends >> 6], ends)
 
     def any_match_batch(self, queries: Sequence[QueryKey]) -> list[bool]:
         """Answer many set queries, each named by its

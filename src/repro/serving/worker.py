@@ -43,7 +43,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from repro.audit.serialization import set_answer_to_dict
-from repro.crowd.oracle import scan_asked, scan_segments
+from repro.crowd.oracle import scan_asked, scan_checked, scan_segments
 from repro.engine.requests import set_query_key
 from repro.errors import InvalidParameterError, JobFailedError, ReproError
 from repro.service import AuditService, DirectoryJobStore
@@ -145,8 +145,8 @@ class QueryLoggingOracle:
     def scan_sets(self, view, starts, stops, predicate, need, *, paired=False, ascending=None):
         """Forward a set scan, logging every query it charged, in order."""
         view, starts, stops = scan_segments(view, starts, stops, need, paired)
-        answers = self._inner.scan_sets(
-            view, starts, stops, predicate, need, paired=paired, ascending=ascending
+        answers = scan_checked(
+            self._inner, view, starts, stops, predicate, need, paired, ascending
         )
         asked = np.flatnonzero(scan_asked(answers, paired))
         self._write(

@@ -9,6 +9,7 @@ the per-query loop through the proxy, so held answers stay free.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.audit import AuditSession, GroupAuditSpec
 from repro.audit.proxy import RecordingOracleProxy
 from repro.core.group_coverage import GroupCoverageStepper, run_sequential
-from repro.crowd.oracle import FlakyOracle, GroundTruthOracle
+from repro.crowd.oracle import FlakyOracle, GroundTruthOracle, Oracle
 from repro.data.groups import group
 from repro.data.synthetic import binary_dataset
 from repro.engine.requests import IndexKey
@@ -88,3 +89,50 @@ def test_a_run_over_a_paid_predicate_pays_only_fresh_queries(dataset, kind):
     assert len(log) == oracle.ledger.n_set_queries > first
     if kind == "truth":  # a noisy second run may ask other queries
         assert oracle.ledger.n_set_queries == max(first, fresh.ledger.n_set_queries)
+
+
+def test_a_scan_over_a_new_view_stays_a_scan():
+    """A predicate's scans over a second view run as the inner oracle's
+    scans, not as its per-query asks, for the bill the per-query loop
+    through the proxy pays."""
+    dataset = binary_dataset(40_000, 400, rng=np.random.default_rng(5))
+    view = np.sort(np.random.default_rng(6).choice(len(dataset), 20_000, replace=False))
+    specs = [
+        GroupAuditSpec(predicate=FEMALE, tau=50),
+        GroupAuditSpec(predicate=FEMALE, tau=20, view=view),
+    ]
+    bills = []
+    for drive in ("scan", "loop"):
+        oracle = GroundTruthOracle(dataset)
+        asks = []
+        ask_set = oracle.ask_set
+        oracle.ask_set = lambda *args, **kwargs: asks.append(1) or ask_set(*args, **kwargs)
+        with AuditSession(oracle, seed=1) as session:
+            if drive == "loop":
+                session._proxy.scan_sets = partial(Oracle.scan_sets, session._proxy)
+            reports = [session.run(spec) for spec in specs]
+        results = [(report.entries, report.tasks) for report in reports]
+        bills.append((oracle.ledger.n_set_queries, oracle.ledger.n_rounds, results))
+        if drive == "scan":
+            assert asks == []
+    assert bills[0] == bills[1]
+
+
+@pytest.mark.parametrize("engine, bills", [(None, (86, 170)), (True, (112, 220))])
+def test_equal_ranges_of_two_views_are_paid_once(engine, bills):
+    """Two views whose ranges hold the same objects share their answers:
+    one session pays fewer tasks than the two audits run apart."""
+    dataset = binary_dataset(4_000, 300, rng=np.random.default_rng(3))
+    first = np.arange(0, 4_000, 2)
+    specs = [GroupAuditSpec(predicate=FEMALE, tau=60, view=v) for v in (first, first[:-7])]
+    paid = []
+    for runs in ([specs], [[spec] for spec in specs]):
+        total = 0
+        for audits in runs:
+            oracle = GroundTruthOracle(dataset)
+            with AuditSession(oracle, seed=1, engine=engine) as session:
+                for spec in audits:
+                    session.run(spec)
+            total += oracle.ledger.total
+        paid.append(total)
+    assert tuple(paid) == bills
