@@ -4,14 +4,11 @@ Runs group / multiple / intersectional coverage audits at N ∈ {1M, 10M}
 over a :class:`~repro.data.sharded.ShardedDataset` whose code chunks are
 *generated on demand* (seeded per shard) and evicted LRU — the full
 ``(N, d)`` matrix never exists — sweeping the executor modes
-(``serial``, ``threads`` and ``processes`` by default; the chunk
-generators are module-level partials, so they pickle into pool
-workers). The ``--memmap-tier`` flag adds the 100M-row tier: codes are
-streamed to an on-disk ``.npy`` once, then audited through
+(``serial`` and ``threads`` by default). The ``--memmap-tier`` flag
+adds the 100M-row tier: codes are streamed to an on-disk ``.npy`` once,
+then audited through
 :meth:`~repro.data.sharded.ShardedDataset.from_memmap` with a
-``processes`` executor — workers open the map themselves, so chunk
-bytes never cross the pickle boundary. Three guarantees are asserted
-per row:
+``threads`` executor. Three guarantees are asserted per row:
 
 * **bit-identity** — at sizes up to ``--dense-cap`` (default 1M) the
   same chunks are concatenated into an in-RAM
@@ -36,10 +33,10 @@ baseline is built from)::
 
     PYTHONPATH=src python benchmarks/bench_shards.py --memmap-tier 100000000
 
-CI smoke slice (N = 1M, processes mode)::
+CI smoke slice (N = 1M, both modes)::
 
     PYTHONPATH=src python benchmarks/bench_shards.py \
-        --sizes 1000000 --executors processes --out BENCH_shards.json
+        --sizes 1000000 --executors serial threads --out BENCH_shards_ci.json
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ from repro.data.sharded import (
 DEFAULT_SIZES = (1_000_000, 10_000_000)
 DEFAULT_TAU = 50
 DEFAULT_RESIDENT = 2
-DEFAULT_EXECUTORS = ("serial", "threads", "processes")
+DEFAULT_EXECUTORS = ("serial", "threads")
 #: Above this N the in-RAM comparison run is skipped (it would need the
 #: memory the sharded path exists to avoid).
 DEFAULT_DENSE_CAP = 1_000_000
@@ -90,9 +87,6 @@ def _shard_rng(seed: int, case_tag: int, shard_index: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence([seed, case_tag, shard_index]))
 
 
-# The chunk generators are module-level functions bound with
-# functools.partial so they pickle into processes-mode pool workers
-# (closures would not).
 def _group_chunk(
     seed: int, p_minority: float, shard_index: int, start: int, stop: int
 ) -> np.ndarray:
@@ -282,9 +276,6 @@ def run_case(
             dataset, executor=executor, max_cached_prefixes=budget
         )
         row["n_shards"] = dataset.n_shards
-        # A deployment keeps its pool alive across audits; one-time pool
-        # construction (process forks) is not audit latency.
-        executor.warm()
 
         # Ratio rows (a dense comparison exists) are best-of-3; the
         # huge tiers stay single-shot to keep the sweep bounded.
@@ -404,7 +395,7 @@ def main(argv: list[str] | None = None) -> dict:
     )
     parser.add_argument("--resident-shards", type=int, default=DEFAULT_RESIDENT)
     parser.add_argument(
-        "--executors", nargs="+", choices=["serial", "threads", "processes"],
+        "--executors", nargs="+", choices=list(DEFAULT_EXECUTORS),
         default=list(DEFAULT_EXECUTORS),
         help="executor modes to sweep (each produces its own result rows)",
     )
@@ -416,7 +407,7 @@ def main(argv: list[str] | None = None) -> dict:
     parser.add_argument(
         "--memmap-tier", type=int, default=None, metavar="N",
         help="additionally run the group audit at this N over an on-disk "
-        "memmapped .npy with a processes executor (the 100M-row tier)",
+        "memmapped .npy with a threads executor (the 100M-row tier)",
     )
     parser.add_argument(
         "--memmap-dir", default=None,
@@ -469,7 +460,7 @@ def main(argv: list[str] | None = None) -> dict:
             seed=args.seed,
             shard_size=args.shard_size,
             resident=args.resident_shards,
-            executor_mode="processes",
+            executor_mode="threads",
             dense_cap=args.dense_cap,
             prefix_budget=args.prefix_budget,
             memmap_path=memmap_path,

@@ -1,20 +1,8 @@
-"""Picklable predicate kernels: the compute units of the membership index.
+"""Predicate kernels: the compute units of the membership index.
 
 The membership index (:mod:`repro.data.sharded`) answers every set
-query from packed bitmaps, and these kernels build and read them. Its
-one full-shard streaming pass, the bitmap build, goes through a
-:class:`~repro.data.sharded.ShardExecutor`. In ``serial`` and
-``threads`` modes any callable works, but ``processes`` mode crosses a
-pickle boundary: the work item must describe *how to get the chunk*
-(never the chunk array itself — workers open the shard file or run the
-generator on their own side, so chunk bytes never cross the boundary)
-plus module-level functions to run over it. This module is that
-vocabulary:
+query from packed bitmaps, and these kernels build and read them:
 
-* **chunk sources** — :class:`MemmapChunkSource` (reopen an ``.npy``
-  file with ``mmap_mode="r"`` in the worker, cached per process) and
-  :class:`CallableChunkSource` (re-run a picklable deterministic
-  generator), unified under :class:`ChunkSource`;
 * **mask kernel** — :func:`predicate_mask`, the row-wise predicate
   evaluator (the dense :class:`~repro.data.dataset.LabeledDataset`
   routes its memoized masks through it, and it is the reference every
@@ -22,9 +10,7 @@ vocabulary:
 * **build kernels** — :func:`pack_columns` turns one chunk into the
   little-endian ``uint64`` bitmap words of many ``(attribute, value)``
   columns off one chunk touch, aligned to the chunk's global first row
-  so shards of any size OR into one global bitmap; and
-  :func:`fused_source_pass` is its process-safe form taking a
-  :class:`ChunkSource` instead of an in-memory chunk;
+  so shards of any size OR into one global bitmap;
 * **read kernels** — :func:`predicate_words`, the word-wise twin of
   :func:`predicate_mask` (``Group`` = AND, ``SuperGroup`` = OR,
   ``Negation`` = NOT with the tail masked) over the whole bitmap, a
@@ -39,8 +25,7 @@ pinned by ``tests/data/test_kernel_properties.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,14 +35,10 @@ from repro.data.schema import Schema
 from repro.errors import InvalidParameterError
 
 __all__ = [
-    "ChunkSource",
-    "MemmapChunkSource",
-    "CallableChunkSource",
     "predicate_mask",
     "predicate_conditions",
     "predicate_words",
     "pack_columns",
-    "fused_source_pass",
     "valid_words",
     "rank_directory",
     "rank",
@@ -73,13 +54,12 @@ def predicate_mask(
 ) -> NDArray[np.bool_]:
     """Boolean membership mask of ``predicate`` over a code matrix.
 
-    The one predicate evaluator every membership substrate shares:
+    The row-wise predicate evaluator:
     :class:`~repro.data.dataset.LabeledDataset` routes its memoized
-    masks through it, and the sharded out-of-core index evaluates it per
-    shard chunk (in-process or inside pool workers). ``resolve``
-    optionally maps a *sub*-predicate to an existing mask (the dense
-    dataset passes its memo cache); by default sub-predicates recurse
-    through this function.
+    masks through it, and every bitmap kernel is tested against it.
+    ``resolve`` optionally maps a *sub*-predicate to an existing mask
+    (the dense dataset passes its memo cache); by default sub-predicates
+    recurse through this function.
 
     Examples
     --------
@@ -108,96 +88,6 @@ def predicate_mask(
     if isinstance(predicate, Negation):
         return ~resolver(predicate.inner)
     raise InvalidParameterError(f"unsupported predicate type: {type(predicate)!r}")
-
-
-@runtime_checkable
-class ChunkSource(Protocol):
-    """A picklable recipe for materializing shard chunks.
-
-    Process-pool workers receive the *source*, never chunk arrays: each
-    worker materializes the rows it needs on its own side (memory map or
-    deterministic generator), so the parent's residency accounting and
-    the pickle channel stay free of chunk bytes.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.data.kernels import CallableChunkSource, ChunkSource
-    >>> def zeros(shard_index, start, stop):
-    ...     return np.zeros((stop - start, 1), dtype=np.int16)
-    >>> isinstance(CallableChunkSource(generate=zeros), ChunkSource)
-    True
-    """
-
-    def chunk(self, shard_index: int, start: int, stop: int) -> NDArray[np.int16]:
-        """The ``(stop - start, d)`` code chunk of rows ``[start, stop)``."""
-        ...
-
-
-#: Per-process cache of opened memory maps, keyed by file path. A pool
-#: worker opens each shard file once and reuses the map across tasks;
-#: maps are read-only so sharing them between tasks is safe.
-_MEMMAP_CACHE: dict[str, NDArray[np.int16]] = {}
-
-
-@dataclass(frozen=True)
-class MemmapChunkSource:
-    """Chunks sliced from an on-disk ``.npy`` code matrix.
-
-    Only the path crosses the pickle boundary; every process (parent or
-    pool worker) opens the file with ``mmap_mode="r"`` on first use and
-    caches the map, so a chunk view touches exactly the pages of its row
-    range — the zero-copy substrate of the 100M-row benchmark tier.
-
-    Examples
-    --------
-    >>> import numpy as np, tempfile, os
-    >>> from repro.data.kernels import MemmapChunkSource
-    >>> path = os.path.join(tempfile.mkdtemp(), "codes.npy")
-    >>> np.save(path, np.arange(20, dtype=np.int16).reshape(10, 2))
-    >>> source = MemmapChunkSource(path=path)
-    >>> source.chunk(1, 4, 6).tolist()
-    [[8, 9], [10, 11]]
-    """
-
-    path: str
-
-    def chunk(self, shard_index: int, start: int, stop: int) -> NDArray[np.int16]:
-        """Copy rows ``[start, stop)`` out of the (cached) memory map."""
-        mapped = _MEMMAP_CACHE.get(self.path)
-        if mapped is None:
-            mapped = np.load(self.path, mmap_mode="r")
-            _MEMMAP_CACHE[self.path] = mapped
-        return np.array(mapped[start:stop], dtype=np.int16)
-
-
-@dataclass(frozen=True)
-class CallableChunkSource:
-    """Chunks computed by a picklable deterministic generator.
-
-    ``generate(shard_index, start, stop)`` must return the same
-    ``(stop - start, d)`` chunk every time it is called with the same
-    arguments — in ``processes`` mode it runs inside pool workers, so it
-    must also pickle (a module-level function or a
-    :func:`functools.partial` over one; closures and lambdas will not).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.data.kernels import CallableChunkSource
-    >>> def zeros(shard_index, start, stop):
-    ...     return np.zeros((stop - start, 1), dtype=np.int16)
-    >>> CallableChunkSource(generate=zeros).chunk(0, 3, 7).shape
-    (4, 1)
-    """
-
-    generate: Callable[[int, int, int], NDArray[np.int16]]
-
-    def chunk(self, shard_index: int, start: int, stop: int) -> NDArray[np.int16]:
-        """Run the generator for rows ``[start, stop)``."""
-        return np.asarray(self.generate(shard_index, start, stop), dtype=np.int16)
-
-
 
 
 #: One bitmap word: 64 objects, object ``64·w + r`` at bit ``r`` of word
@@ -264,30 +154,6 @@ def pack_columns(
         np.equal(chunk[:, j], code, out=bits[pad : pad + rows])
         words.append(np.packbits(bits, bitorder="little").view(WORD))
     return words
-
-
-def fused_source_pass(
-    source: ChunkSource,
-    shard_index: int,
-    start: int,
-    stop: int,
-    columns: Sequence[tuple[int, int]],
-) -> list[NDArray[np.uint64]]:
-    """One shard's contribution to a streaming bitmap build:
-    :func:`pack_columns` over the chunk materialized from ``source``
-    inside the calling process. Under a process pool that is the worker,
-    so only the packed words (an eighth of a byte per row and column)
-    cross the pickle boundary, never chunk bytes.
-
-    >>> import numpy as np
-    >>> from repro.data.kernels import CallableChunkSource, fused_source_pass
-    >>> def chunk(shard_index, start, stop):
-    ...     return np.arange(start, stop, dtype=np.int16).reshape(-1, 1) % 2
-    >>> source = CallableChunkSource(chunk)
-    >>> [bin(int(w)) for w in fused_source_pass(source, 0, 0, 6, [(0, 1)])[0]]
-    ['0b101010']
-    """
-    return pack_columns(source.chunk(shard_index, start, stop), start, columns)
 
 
 def valid_words(n_objects: int, at: Any = slice(None)) -> Any:

@@ -32,12 +32,10 @@ only for the streaming builds and for point labels
 directories share one byte budget and are evicted whole, least recently
 used first; the budget always holds every value bitmap and one rank
 directory (:func:`bitmap_floor`). The
-streaming build maps shards through a :class:`ShardExecutor`, whose
-``processes`` mode ships one picklable task per shard to a
-:class:`~concurrent.futures.ProcessPoolExecutor` — workers materialize
-chunks from the dataset's :class:`~repro.data.kernels.ChunkSource`
-(memory map or deterministic generator) on their own side, so chunk
-arrays never cross the pickle boundary; only packed words come back.
+streaming build maps shards through a :class:`ShardExecutor`, in the
+calling thread or on a thread pool; either way chunks become resident
+in shard order, so residency and its counters are those of a serial
+pass.
 
 Everything is *exact*, so oracles answering over any shard geometry
 are bit-identical to answering over the in-RAM dataset: same verdicts,
@@ -52,12 +50,10 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import sys
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -70,11 +66,7 @@ from repro.data.groups import GroupPredicate
 from repro.data.kernels import (
     BIT,
     WORD,
-    CallableChunkSource,
-    ChunkSource,
     Condition,
-    MemmapChunkSource,
-    fused_source_pass,
     n_words,
     pack_columns,
     predicate_conditions,
@@ -83,7 +75,7 @@ from repro.data.kernels import (
     rank_directory,
 )
 from repro.data.schema import Schema
-from repro.errors import InvalidParameterError, OracleError, ShardExecutionError
+from repro.errors import InvalidParameterError, OracleError
 
 if TYPE_CHECKING:
     from repro.engine.requests import IndexKey, QueryKey
@@ -156,17 +148,6 @@ def _run_starts(view: np.ndarray, holes: int) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=np.int64), rises])
 
 
-def _run_fused_task(task: tuple) -> list[np.ndarray]:
-    """Unpack one bitmap-build work item (module-level so it pickles)."""
-    return fused_source_pass(*task)
-
-
-def _noop(item: int) -> int:
-    """Round-trip payload for ShardExecutor.warm (module-level so it
-    pickles into pool workers)."""
-    return item
-
-
 @dataclass
 class ShardStats:
     """Residency accounting of one :class:`ShardedDataset`.
@@ -175,10 +156,7 @@ class ShardStats:
     ``peak_resident_bytes`` can never exceed ``max_resident_shards ×
     bytes-per-chunk``, whatever the dataset size — the number
     ``benchmarks/bench_shards.py`` asserts against an in-RAM index's
-    requirement. Counters track the *calling* process only: pool workers
-    of a ``processes`` executor materialize their chunks on their own
-    side (bounded to one chunk per worker at a time) and never touch
-    this ledger. Every resident chunk came from exactly one counted load,
+    requirement. Every resident chunk came from exactly one counted load,
     so ``loads - evictions == resident_shards`` holds at every quiescent
     point, even when threads race to load one shard: the losers' loads
     count in ``raced_loads`` instead.
@@ -213,12 +191,12 @@ class ShardStats:
 
 
 class ShardExecutor:
-    """Maps a function over shards: serially, on threads, or on processes.
+    """Maps a function over shards: serially or on threads.
 
     The executor is the parallelism seam of the sharded path: the
     streaming bitmap build (:meth:`ShardedMembershipIndex.build_totals`)
     hands it one work item per shard, and that full-shard pass is its
-    only caller — set queries read bitmaps and touch no chunk. Three
+    only caller — set queries read bitmaps and touch no chunk. Two
     modes, validated at construction:
 
     * ``"serial"`` (default) — runs in the calling thread; exact answers
@@ -228,17 +206,11 @@ class ShardExecutor:
       (NumPy releases the GIL for large chunks). Chunks still become
       resident in shard order, so residency and its counters are those
       of a serial pass.
-    * ``"processes"`` — a :class:`~concurrent.futures.\
-ProcessPoolExecutor` running the picklable kernels of
-      :mod:`repro.data.kernels`; sidesteps the GIL entirely. Work items
-      carry a :class:`~repro.data.kernels.ChunkSource` (never chunk
-      arrays), so each worker materializes rows from the shard file or
-      generator on its own side. A worker killed mid-map surfaces as
-      :class:`~repro.errors.ShardExecutionError` (the broken pool is
-      discarded); a retry on a fresh executor replays deterministically.
 
     Results always come back in input order, so answers are identical in
-    every mode — pinned by ``tests/test_differential.py``.
+    both modes — pinned by ``tests/test_differential.py``. An exception
+    raised by the mapped function (a failing loader, say) propagates
+    as it is, and the executor stays usable.
 
     Examples
     --------
@@ -248,7 +220,7 @@ ProcessPoolExecutor` running the picklable kernels of
     [0, 1, 4, 9]
     """
 
-    _MODES = ("serial", "threads", "processes")
+    _MODES = ("serial", "threads")
 
     def __init__(
         self, *, mode: str = "serial", max_workers: int | None = None
@@ -264,34 +236,23 @@ ProcessPoolExecutor` running the picklable kernels of
             )
         self.mode = mode
         self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
     @property
-    def uses_processes(self) -> bool:
-        """``True`` for ``mode="processes"`` — work items must then be
-        picklable (module-level kernels + :class:`~repro.data.kernels.\
-ChunkSource` specs, no closures, no chunk arrays)."""
-        return self.mode == "processes"
-
-    @property
     def effective_workers(self) -> int:
-        """How many pool workers may hold a chunk concurrently (0 in
-        serial mode) — the worker term of
-        :meth:`ShardedMembershipIndex.memory_report`'s structural cap."""
+        """How many pool threads may hold a chunk concurrently (0 in
+        serial mode) — the width of a bitmap build's window of shards."""
         if self.mode == "serial":
             return 0
         return self.max_workers if self.max_workers else (os.cpu_count() or 1)
 
-    def _ensure_pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                if self.mode == "threads":
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers, thread_name_prefix="shard"
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers, thread_name_prefix="shard"
+                )
             return self._pool
 
     def map(self, fn: Callable, items) -> list:
@@ -301,36 +262,7 @@ ChunkSource` specs, no closures, no chunk arrays)."""
         items = list(items)
         if self.mode == "serial" or len(items) <= 1:
             return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool as error:
-            # A worker died (OOM killer, SIGKILL, hard crash). Discard
-            # the broken pool so this executor fails fast instead of
-            # hanging, and surface a library error callers can catch;
-            # rebuilding on a fresh executor is bit-identical because
-            # every kernel is deterministic.
-            with self._pool_lock:
-                if self._pool is pool:
-                    self._pool = None
-            pool.shutdown(wait=False)
-            raise ShardExecutionError(
-                "a shard pool worker died mid-map; the broken pool was "
-                "discarded — retry on a fresh ShardExecutor to rebuild "
-                "(results are deterministic, so the retry is bit-identical)"
-            ) from error
-
-    def warm(self) -> None:
-        """Spin the pool up ahead of the first real map — in
-        ``processes`` mode this forks the workers and round-trips one
-        no-op through each, so build latency measurements (and
-        latency-sensitive callers) don't pay one-time pool construction.
-        No-op in serial mode; idempotent."""
-        if self.mode == "serial":
-            return
-        pool = self._ensure_pool()
-        width = self.effective_workers
-        list(pool.map(_noop, range(max(2, width))))
+        return list(self._ensure_pool().map(fn, items))
 
     def close(self) -> None:
         """Shut the pool down (idempotent; serial mode is a no-op)."""
@@ -363,11 +295,7 @@ class ShardedDataset:
 LabeledDataset` — equivalence tests and small jobs),
     :meth:`from_generator` (compute chunks on demand — synthetic
     benchmarks at any N), and :meth:`from_memmap` (``.npy`` file via
-    ``numpy`` memory mapping — on-disk corpora). The latter two also
-    record a picklable :class:`~repro.data.kernels.ChunkSource`, which
-    is what a ``processes`` :class:`ShardExecutor` ships to its pool
-    workers; :meth:`from_dataset` holds its rows only in this process's
-    RAM, so it cannot drive a process pool (validated at construction).
+    ``numpy`` memory mapping — on-disk corpora).
 
     ``executor`` selects how the shared membership index
     (:meth:`ShardedMembershipIndex.for_dataset`, and through it every
@@ -399,9 +327,8 @@ LabeledDataset` — equivalence tests and small jobs),
         schema: Schema,
         n_objects: int,
         shard_size: int,
-        loader: Callable[[int, int, int], np.ndarray] | None = None,
+        loader: Callable[[int, int, int], np.ndarray],
         *,
-        chunk_source: ChunkSource | None = None,
         executor: ShardExecutor | None = None,
         max_resident_shards: int = 4,
         name: str = "sharded-dataset",
@@ -418,36 +345,13 @@ LabeledDataset` — equivalence tests and small jobs),
             raise InvalidParameterError(
                 f"max_resident_shards must be >= 1, got {max_resident_shards}"
             )
-        if loader is None and chunk_source is None:
-            raise InvalidParameterError(
-                "a ShardedDataset needs a loader or a chunk_source"
-            )
-        if executor is not None and executor.uses_processes:
-            if chunk_source is None:
-                raise InvalidParameterError(
-                    "a processes-mode ShardExecutor needs a picklable chunk "
-                    "source (use ShardedDataset.from_memmap or from_generator "
-                    "with a module-level generate function); from_dataset "
-                    "chunks live only in this process's RAM"
-                )
-            try:
-                pickle.dumps(chunk_source)
-            except Exception as error:
-                raise InvalidParameterError(
-                    f"chunk source {chunk_source!r} does not pickle "
-                    f"({error}); processes-mode workers re-create chunks on "
-                    "their own side, so the source must be picklable — use a "
-                    "module-level generate function or functools.partial "
-                    "over one"
-                ) from error
         self.schema = schema
         self.name = name
         self.shard_size = int(shard_size)
         self.max_resident_shards = int(max_resident_shards)
-        self.chunk_source = chunk_source
         self.executor = executor
         self._n_objects = int(n_objects)
-        self._loader = loader if loader is not None else chunk_source.chunk
+        self._loader = loader
         self.stats = ShardStats()
         self._chunks: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
@@ -468,8 +372,7 @@ LabeledDataset` — equivalence tests and small jobs),
         """Shard an in-RAM dense dataset (chunks are copies of its code
         slices, so residency accounting stays honest). The sharded view
         holds identical content — the substrate of every
-        dense-vs-sharded equivalence test. In-RAM rows cannot feed a
-        process pool, so a ``processes`` executor is rejected here.
+        dense-vs-sharded equivalence test.
 
         Examples
         --------
@@ -514,9 +417,9 @@ LabeledDataset` — equivalence tests and small jobs),
         stop)`` — seed a per-shard rng from the shard index so a
         regenerated chunk is identical to the evicted one. This is how
         the benchmarks audit 10M-row datasets that never materialize.
-        With a ``processes`` executor the generator also runs inside
-        pool workers, so it must pickle (a module-level function or
-        :func:`functools.partial` over one — checked at construction).
+        With a ``threads`` executor the generator runs on pool threads,
+        several shards at once, so it must not share mutable state
+        between calls.
 
         Examples
         --------
@@ -534,7 +437,7 @@ LabeledDataset` — equivalence tests and small jobs),
             schema,
             n_objects,
             shard_size,
-            chunk_source=CallableChunkSource(generate),
+            generate,
             executor=executor,
             max_resident_shards=max_resident_shards,
             name=name,
@@ -556,10 +459,8 @@ LabeledDataset` — equivalence tests and small jobs),
         The file (written with ``np.save(path, codes)``) is opened with
         ``mmap_mode="r"``, so only the chunk slices a query touches are
         ever paged in and copied; evicted chunks fall back to the page
-        cache, not the Python heap. With a ``processes`` executor only
-        the *path* crosses the pickle boundary — each pool worker opens
-        its own map and slices zero-copy chunk views from it, which is
-        the substrate of the benchmark's 100M-row tier.
+        cache, not the Python heap — the substrate of the benchmark's
+        100M-row tier.
 
         Examples
         --------
@@ -587,7 +488,6 @@ LabeledDataset` — equivalence tests and small jobs),
             mapped.shape[0],
             shard_size,
             load,
-            chunk_source=MemmapChunkSource(path=os.fspath(path)),
             executor=executor,
             max_resident_shards=max_resident_shards,
             name=name or f"memmap({path})",
@@ -808,8 +708,7 @@ class ShardedMembershipIndex:
     executor:
         The :class:`ShardExecutor` for streaming bitmap builds; defaults
         to the dataset's executor, else serial (answers are identical in
-        every mode). A ``processes`` executor requires the dataset to
-        carry a picklable :class:`~repro.data.kernels.ChunkSource`.
+        both modes).
     max_cached_prefixes:
         The bitmap budget, in units of one shard's ``int32`` prefix
         table: ``max_cached_prefixes × 4·(shard_size + 1)`` bytes of
@@ -846,13 +745,6 @@ class ShardedMembershipIndex:
             )
         if executor is None:
             executor = dataset.executor
-        if executor is not None and executor.uses_processes:
-            if dataset.chunk_source is None:
-                raise InvalidParameterError(
-                    "a processes-mode ShardExecutor needs a dataset with a "
-                    "picklable chunk source (from_memmap / from_generator); "
-                    f"{dataset.name!r} has none"
-                )
         self.dataset = dataset
         self.executor = executor if executor is not None else ShardExecutor()
         entries = (
@@ -1002,26 +894,18 @@ class ShardedMembershipIndex:
                 chunk = dataset._load(shard_index)
             return chunk, pack_columns(chunk, shard_index * dataset.shard_size, columns)
 
+        # Workers load and pack a window of shards at a time, and this
+        # thread admits their chunks in shard order: the LRU and its
+        # counters end as a serial pass leaves them, whatever order the
+        # workers finish in, and no more than the residency cap of chunks
+        # is held outside the LRU.
         n_shards = dataset.n_shards
-        if self.executor.uses_processes and n_shards > 1:
-            tasks = [
-                (dataset.chunk_source, s, *dataset.shard_bounds(s), columns)
-                for s in range(n_shards)
-            ]
-            for shard_index, pieces in enumerate(self.executor.map(_run_fused_task, tasks)):
+        window = max(1, min(dataset.max_resident_shards, self.executor.effective_workers))
+        for first in range(0, n_shards, window):
+            items = [(s, dataset._peek(s)) for s in range(first, min(first + window, n_shards))]
+            for (shard_index, _), (chunk, pieces) in zip(items, self.executor.map(pack, items)):
+                dataset._admit(shard_index, chunk)
                 merge(shard_index, pieces)
-        else:
-            # Workers load and pack a window of shards at a time, and this
-            # thread admits their chunks in shard order: the LRU and its
-            # counters end as a serial pass leaves them, whatever order
-            # the workers finish in, and no more than the residency cap
-            # of chunks is held outside the LRU.
-            window = max(1, min(dataset.max_resident_shards, self.executor.effective_workers))
-            for first in range(0, n_shards, window):
-                items = [(s, dataset._peek(s)) for s in range(first, min(first + window, n_shards))]
-                for (shard_index, _), (chunk, pieces) in zip(items, self.executor.map(pack, items)):
-                    dataset._admit(shard_index, chunk)
-                    merge(shard_index, pieces)
         for bitmap in bitmaps:
             bitmap.setflags(write=False)
         return dict(zip(conditions, bitmaps))
@@ -1331,13 +1215,7 @@ class ShardedMembershipIndex:
         ``benchmarks/bench_shards.py`` compares against
         :func:`dense_index_bytes`; ``cap_bytes`` is the
         configuration-implied ceiling it can never exceed: twice the
-        resident chunks, the pool workers' chunks and the bitmap
-        budget. Under a
-        ``processes`` executor each pool worker additionally holds at
-        most one chunk at a time in its own address space — that bound
-        is the ``worker_chunk_cap`` term of ``cap_bytes`` (it can never
-        appear in ``peak_tracked_bytes``, which ledgers this process
-        only).
+        resident chunks plus the bitmap budget.
         """
         stats = self.dataset.stats
         row_bytes = 2 * self.dataset.schema.n_attributes
@@ -1346,20 +1224,12 @@ class ShardedMembershipIndex:
         # holds before admitting them (at most the residency cap): worst
         # case 2 × the residency cap.
         chunk_cap = 2 * self.dataset.max_resident_shards * chunk_bytes
-        # Pool workers of a processes executor each materialize at most
-        # one chunk at a time on their own side.
-        worker_chunk_cap = (
-            self.executor.effective_workers * chunk_bytes
-            if self.executor.uses_processes
-            else 0
-        )
         cache = self._bitmaps
         return {
             "peak_chunk_bytes": stats.peak_resident_bytes,
             "peak_bitmap_bytes": cache.peak_resident_bytes,
             "peak_tracked_bytes": stats.peak_resident_bytes + cache.peak_resident_bytes,
-            "worker_chunk_cap": worker_chunk_cap,
-            "cap_bytes": chunk_cap + worker_chunk_cap + cache.max_bytes,
+            "cap_bytes": chunk_cap + cache.max_bytes,
             "chunk_loads": stats.loads,
             "chunk_evictions": stats.evictions,
             "bitmap_builds": cache.bitmap_builds,

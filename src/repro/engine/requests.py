@@ -87,7 +87,7 @@ class IndexKey(tuple):
         return tuple.__new__(cls, (start, stop, payload))
 
     def __getnewargs__(self) -> tuple[int, int, bytes | None]:
-        return tuple(self)  # pickle and copy rebuild through __new__
+        return tuple(self)  # copies and serialized keys rebuild through __new__
 
     start = property(itemgetter(0))  # a run's first index (-1 otherwise)
     stop = property(itemgetter(1))  # one past a run's last index (-1 otherwise)

@@ -17,7 +17,6 @@ __all__ = [
     "CheckpointVersionError",
     "JobFailedError",
     "OracleError",
-    "ShardExecutionError",
     "PlatformError",
     "NoEligibleWorkersError",
     "InfeasibleProfileError",
@@ -81,19 +80,6 @@ class JobFailedError(ReproError, RuntimeError):
 
 class OracleError(ReproError, RuntimeError):
     """An oracle received a query it cannot answer (e.g. out-of-range index)."""
-
-
-class ShardExecutionError(ReproError, RuntimeError):
-    """A shard-parallel map lost a pool worker mid-flight.
-
-    Raised by :meth:`~repro.data.sharded.ShardExecutor.map` in
-    ``processes`` mode when a worker dies (SIGKILL, OOM killer, hard
-    crash) instead of surfacing a bare
-    :class:`concurrent.futures.process.BrokenProcessPool` or hanging.
-    The broken pool is discarded before raising; because every kernel in
-    :mod:`repro.data.kernels` is deterministic, retrying the build on a
-    fresh :class:`~repro.data.sharded.ShardExecutor` is bit-identical.
-    """
 
 
 class PlatformError(ReproError, RuntimeError):

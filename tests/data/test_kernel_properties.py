@@ -28,8 +28,6 @@ from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.kernels import (
     BIT,
-    CallableChunkSource,
-    fused_source_pass,
     n_words,
     pack_columns,
     predicate_conditions,
@@ -119,24 +117,6 @@ def test_packed_shards_assemble_the_mask_with_a_zero_tail(members, shard_size):
             bits[: len(members)], predicate_mask(GENDER_SCHEMA, codes, predicate)
         )
         assert not bits[len(members) :].any()  # nothing past N
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    members=st.lists(st.booleans(), min_size=1, max_size=150),
-    start=st.integers(min_value=0, max_value=200),
-)
-def test_fused_source_pass_matches_in_memory_kernel(members, start):
-    codes = codes_from_bools(members)
-
-    def generate(shard_index, a, b):
-        return codes[a - start : b - start]
-
-    pieces = fused_source_pass(
-        CallableChunkSource(generate), 0, start, start + len(members), [(0, 1), (0, 0)]
-    )
-    for piece, reference in zip(pieces, pack_columns(codes, start, [(0, 1), (0, 0)])):
-        np.testing.assert_array_equal(piece, reference)
 
 
 # ----------------------------------------------------------------------

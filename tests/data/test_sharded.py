@@ -12,9 +12,6 @@ on top of the randomized property test.
 
 from __future__ import annotations
 
-import functools
-import os
-import signal
 import threading
 
 import numpy as np
@@ -22,7 +19,6 @@ import pytest
 
 from repro.audit import AuditSession, IntersectionalAuditSpec
 from repro.crowd.oracle import GroundTruthOracle
-from repro.data.dataset import LabeledDataset
 from repro.data.groups import Negation, SuperGroup, group
 from repro.data.schema import Schema
 from repro.data.sharded import (
@@ -34,7 +30,7 @@ from repro.data.sharded import (
 )
 from repro.data.synthetic import binary_dataset, intersectional_dataset
 from repro.engine.requests import IndexKey
-from repro.errors import InvalidParameterError, OracleError, ReproError, ShardExecutionError
+from repro.errors import InvalidParameterError, OracleError
 
 FEMALE = group(gender="female")
 
@@ -347,6 +343,8 @@ def test_shard_executor_modes_and_validation():
         ShardExecutor(mode="gpu")
     with pytest.raises(InvalidParameterError, match="mode"):
         ShardExecutor(mode="thread")  # close-but-wrong singular form
+    with pytest.raises(InvalidParameterError, match="serial/threads"):
+        ShardExecutor(mode="processes")  # no process pool: threads is the parallel mode
     with pytest.raises(InvalidParameterError):
         ShardExecutor(max_workers=0)
     serial = ShardExecutor()
@@ -529,7 +527,7 @@ def test_raced_load_counts_apart_from_resident_loads(dense):
 # ----------------------------------------------------------------------
 # batches answer from bitmaps, in every executor mode
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("mode", ["serial", "threads"])
 def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, mode):
     """Five shards, two resident, a two-table budget (808 bytes, room
     for every 64-byte bitmap here): one batch mixing boundary-crossing
@@ -584,81 +582,34 @@ def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, 
         assert ds.stats.loads == loads
 
 
-def test_processes_mode_requires_picklable_source():
+def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact():
+    """A loader that raises on shard 3 fails a threads-mode build with
+    its own error, builds no bitmap, and leaves the residency ledger
+    consistent; once it is disarmed, the same index and executor build
+    totals equal to a serial build."""
     schema = Schema.from_dict({"gender": ["male", "female"]})
-    with ShardExecutor(mode="processes") as executor:
-        with pytest.raises(InvalidParameterError, match="pickl"):
-            ShardedDataset.from_generator(
-                schema, 100, 25,
-                lambda s, a, b: np.zeros((b - a, 1), dtype=np.int16),
-                executor=executor,
-            )
-        dense = LabeledDataset(schema, np.zeros((100, 1), dtype=np.int16))
-        with pytest.raises(InvalidParameterError, match="chunk source"):
-            ShardedDataset.from_dataset(dense, 25, executor=executor)
+    armed = True
 
+    def generate(shard_index: int, start: int, stop: int) -> np.ndarray:
+        if armed and shard_index == 3:
+            raise OSError("shard 3 unreadable")
+        rows = np.arange(start, stop, dtype=np.int64)
+        return ((rows * 2654435761 + 99 * 97) % 10_007 % 2).astype(np.int16)[:, None]
 
-def _killer_chunk(
-    flag_path: str, shard_index: int, start: int, stop: int
-) -> np.ndarray:
-    """Generate rows, but SIGKILL the calling process the first time
-    shard 1 is requested (the flag file makes the kill one-shot, so a
-    retry on a fresh pool generates normally)."""
-    if shard_index == 1 and not os.path.exists(flag_path):
-        with open(flag_path, "w") as fh:
-            fh.write("killed")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.kill(os.getpid(), signal.SIGKILL)
-    rows = np.arange(start, stop, dtype=np.int64)
-    return ((rows * 2654435761 + 99 * 97) % 10_007 % 2).astype(np.int16)[:, None]
-
-
-def test_sigkill_mid_build_surfaces_library_error_and_retry_is_identical(tmp_path):
-    schema = Schema.from_dict({"gender": ["male", "female"]})
-    generate = functools.partial(_killer_chunk, str(tmp_path / "killed.flag"))
-
-    with ShardExecutor(mode="processes", max_workers=1) as executor:
+    with ShardExecutor(mode="threads", max_workers=2) as executor:
         ds = ShardedDataset.from_generator(
-            schema, 400, 100, generate, executor=executor
+            schema, 800, 100, generate, executor=executor, max_resident_shards=2
         )
-        index = ShardedMembershipIndex.for_dataset(ds)
-        with pytest.raises(ShardExecutionError, match="worker died") as caught:
+        index = ShardedMembershipIndex(ds)
+        with pytest.raises(OSError, match="shard 3 unreadable"):
             index.shard_totals(FEMALE)
-        # A single `except ReproError` clause catches it, and the
-        # original BrokenProcessPool rides along as the cause.
-        assert isinstance(caught.value, ReproError)
-        assert caught.value.__cause__ is not None
-
-    # Retry on a fresh executor (the flag file disarms the kill):
-    # bit-identical to the serial reference build.
-    with ShardExecutor(mode="processes", max_workers=1) as executor:
-        ds = ShardedDataset.from_generator(
-            schema, 400, 100, generate, executor=executor
-        )
-        retried = ShardedMembershipIndex.for_dataset(ds).shard_totals(FEMALE)
-    serial_ds = ShardedDataset.from_generator(schema, 400, 100, generate)
-    reference = ShardedMembershipIndex(serial_ds).shard_totals(FEMALE)
-    np.testing.assert_array_equal(retried, reference)
-
-
-def test_executor_recovers_with_fresh_pool_after_worker_death(tmp_path):
-    """The *same* executor object discards its broken pool and can map
-    again — later builds lazily spin up a fresh pool."""
-    schema = Schema.from_dict({"gender": ["male", "female"]})
-    generate = functools.partial(
-        _killer_chunk, str(tmp_path / "killed2.flag")
-    )
-    with ShardExecutor(mode="processes", max_workers=1) as executor:
-        ds = ShardedDataset.from_generator(
-            schema, 400, 100, generate, executor=executor
-        )
-        index = ShardedMembershipIndex.for_dataset(ds)
-        with pytest.raises(ShardExecutionError):
-            index.shard_totals(FEMALE)
-        # Same executor, fresh pool, disarmed generator: exact answer.
+        assert index.memory_report()["bitmap_builds"] == 0
+        stats = ds.stats
+        assert (stats.loads, stats.evictions, stats.resident_shards) == (2, 0, 2)
+        assert stats.loads - stats.evictions == stats.resident_shards
+        armed = False
         totals = index.shard_totals(FEMALE)
-        serial = ShardedMembershipIndex(
-            ShardedDataset.from_generator(schema, 400, 100, generate)
-        ).shard_totals(FEMALE)
-        np.testing.assert_array_equal(totals, serial)
+    serial = ShardedMembershipIndex(
+        ShardedDataset.from_generator(schema, 800, 100, generate)
+    ).shard_totals(FEMALE)
+    np.testing.assert_array_equal(totals, serial)

@@ -69,9 +69,10 @@ PREDICATES = (
 RACES = tuple(group(race=value) for value in ("white", "black", "asian"))
 KINDS = ("group", "base", "multiple", "intersectional", "classifier")
 DRIVERS = ("legacy", "run", "run_many", "service-inline", "service-latency")
-# (layout, executor) pairs: a process pool needs a picklable chunk source.
-LAYOUTS = [("dense", "serial")] + [("from_dataset", e) for e in ("serial", "threads")]
-LAYOUTS += [("from_memmap", e) for e in ("serial", "threads", "processes")]
+# (layout, executor) pairs: the dense layout builds in the calling thread.
+LAYOUTS = [("dense", "serial")] + [
+    (layout, e) for layout in ("from_dataset", "from_memmap") for e in ("serial", "threads")
+]
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,9 @@ class RowAtATimeOracle(Oracle):
 class Env:
     """The module's executors and memmap files, shared by every draw."""
 
-    def __init__(self, tmp_path, pool: ShardExecutor, threads: ShardExecutor):
+    def __init__(self, tmp_path, threads: ShardExecutor):
         self.tmp_path = tmp_path
-        self.executors = {"serial": None, "threads": threads, "processes": pool}
+        self.executors = {"serial": None, "threads": threads}
 
     def layout(self, config: Config):
         """A fresh dataset in the draw's layout, and the index over it."""
@@ -339,7 +340,7 @@ def execute(config: Config, env: Env) -> Outcome:
 @functools.lru_cache(maxsize=None)
 def reference_outcome(config: Config) -> Outcome:
     """References need neither executors nor files, so draws share them."""
-    return execute(config, Env(None, None, None))
+    return execute(config, Env(None, None))
 
 
 def fingerprint(reports: tuple[AuditReport, ...], *, usage: bool) -> list:
@@ -476,7 +477,7 @@ def check_surface(config: Config, env: Env) -> None:
         return dataset
 
     dataset = ask(config)
-    if config.layout == "dense" or config.executor == "processes":
+    if config.layout == "dense":
         return
     # Serial builds ledger deterministically; threaded ones too when
     # nothing can evict, and then every shard loads exactly once.
@@ -489,9 +490,8 @@ def check_surface(config: Config, env: Env) -> None:
 
 @pytest.fixture(scope="module")
 def env(tmp_path_factory):
-    with ShardExecutor(mode="processes", max_workers=2) as pool, \
-            ShardExecutor(mode="threads", max_workers=3) as threads:
-        yield Env(tmp_path_factory.mktemp("differential"), pool, threads)
+    with ShardExecutor(mode="threads", max_workers=3) as threads:
+        yield Env(tmp_path_factory.mktemp("differential"), threads)
 
 
 def budget(tier1: int) -> int:
@@ -596,7 +596,7 @@ NAMED = {
     # a layout that cannot pin answers a sampled view's scattered keys
     # shard-major, with no prefix table
     **cases("unpinnable_layout_gathers_shard_major", kind=["group", "multiple", "intersectional"],
-            executor=["serial", "threads", "processes"], n_rows=600, tau=12, view=True,
+            executor=["serial", "threads"], n_rows=600, tau=12, view=True,
             layout="from_memmap", max_cached_prefixes=1, **BATCH),
     # a sequential run on a sampled view killed inside its fifth FIFO
     # generation (asks 25 to 42); the resumed run re-asks nothing
@@ -607,14 +607,14 @@ NAMED = {
     **cases("second_run_over_a_paid_predicate", oracle=["truth", "flaky"], data_seed=3, tau=8,
             n=16, driver=["run", "run_many"], rerun=20),
     # the mixed axes no pairwise suite reached
-    "processes_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
+    "threads_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
         engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
-        executor="processes", kill=60),
+        executor="threads", kill=60),
 }
 
 NAMED_SURFACES = {
     **cases("test_executor_modes_are_bit_identical", data_seed=range(4), layout="from_memmap",
-            shard_size=90, executor="processes"),
+            shard_size=90, executor="threads"),
     **cases("test_shard_stats_accounting_identical_where_deterministic", data_seed=[5, 6],
             max_resident_shards=16, executor="threads", **SHARDED),
     **cases("test_oracle_answers_match_per_query", data_seed=range(6)),
