@@ -12,7 +12,7 @@ and arbitrary runs (empty ones, ones ending at N), the packed words,
 their word-wise evaluation, bit tests and rank lookups equal the
 row-wise reference — :func:`~repro.data.kernels.predicate_mask`, then
 ``cumsum`` — and the index built on top answers every query like it,
-whatever its bitmap budget.
+whatever its bitmap budget, and a threaded build equals a serial one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ from repro.data.kernels import (
     rank_directory,
 )
 from repro.data.schema import Schema
-from repro.data.sharded import ShardedDataset, ShardedMembershipIndex, bitmap_floor
+from repro.data.sharded import (
+    ShardedDataset,
+    ShardedMembershipIndex,
+    ShardExecutor,
+    bitmap_floor,
+)
 from repro.engine.requests import IndexKey
 from repro.errors import OracleError
 
@@ -319,6 +324,37 @@ def test_fused_build_and_rank_lookups_answer_arbitrary_runs(members, shard_size,
         run = IndexKey.of(np.arange(a, b))
         assert index.count(FEMALE, run) == sum(members[a:b])
         assert index.any_match(FEMALE, run) == any(members[a:b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    members=st.lists(st.booleans(), min_size=0, max_size=150),
+    shard_size=st.integers(min_value=1, max_value=40),
+    max_resident_shards=st.integers(min_value=1, max_value=4),
+    max_workers=st.integers(min_value=1, max_value=4),
+)
+def test_threaded_build_equals_a_serial_build_and_its_ledger(
+    members, shard_size, max_resident_shards, max_workers
+):
+    """Threads load and pack a window of shards at once, but admit them
+    in shard order: the bitmaps, the counters and the resident shards
+    equal a serial pass, whatever the window and residency cap."""
+    codes = codes_from_bools(members)
+
+    def build(executor: ShardExecutor | None):
+        ds = ShardedDataset.from_generator(
+            GENDER_SCHEMA, len(members), shard_size, lambda s, a, b: codes[a:b],
+            executor=executor, max_resident_shards=max_resident_shards,
+        )
+        index = ShardedMembershipIndex(ds)
+        index.build_totals([FEMALE, MALE])
+        totals = [index.shard_totals(p).tolist() for p in (FEMALE, MALE)]
+        stats = ds.stats
+        resident = [s for s in range(ds.n_shards) if ds._peek(s) is not None]
+        return totals, (stats.loads, stats.evictions, stats.resident_shards), resident
+
+    with ShardExecutor(mode="threads", max_workers=max_workers) as executor:
+        assert build(executor) == build(None)
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ on top of the randomized property test.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -582,11 +583,34 @@ def test_batch_equals_dense_and_loads_no_chunk_once_bitmaps_are_built(tmp_path, 
         assert ds.stats.loads == loads
 
 
-def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact():
-    """A loader that raises on shard 3 fails a threads-mode build with
-    its own error, builds no bitmap, and leaves the residency ledger
-    consistent; once it is disarmed, the same index and executor build
-    totals equal to a serial build."""
+# ----------------------------------------------------------------------
+# failures and the build window, in every executor mode
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["serial", "threads"])
+def test_a_failing_mapped_function_propagates_as_is_and_the_executor_maps_again(mode):
+    def square_unless_three(x: int) -> int:
+        if x == 3:
+            raise KeyError(x)
+        return x * x
+
+    with ShardExecutor(mode=mode, max_workers=2) as executor:
+        with pytest.raises(KeyError):
+            executor.map(square_unless_three, range(6))
+        assert executor.map(square_unless_three, [0, 1, 2, 4]) == [0, 1, 4, 16]
+
+
+@pytest.mark.parametrize(
+    "mode, ledger",
+    # (loads, evictions, resident shards) at the failure: a serial pass
+    # admits shards 0-2 one at a time; threads packs windows of two and
+    # admits neither shard of the failed window [2, 3].
+    [("serial", (3, 1, 2)), ("threads", (2, 0, 2))],
+)
+def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact(mode, ledger):
+    """A loader that raises on shard 3 fails the build with its own
+    error, builds no bitmap, and leaves the residency ledger consistent;
+    once it is disarmed, the same index and executor build totals equal
+    to a serial build."""
     schema = Schema.from_dict({"gender": ["male", "female"]})
     armed = True
 
@@ -596,7 +620,7 @@ def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact():
         rows = np.arange(start, stop, dtype=np.int64)
         return ((rows * 2654435761 + 99 * 97) % 10_007 % 2).astype(np.int16)[:, None]
 
-    with ShardExecutor(mode="threads", max_workers=2) as executor:
+    with ShardExecutor(mode=mode, max_workers=2) as executor:
         ds = ShardedDataset.from_generator(
             schema, 800, 100, generate, executor=executor, max_resident_shards=2
         )
@@ -605,7 +629,7 @@ def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact():
             index.shard_totals(FEMALE)
         assert index.memory_report()["bitmap_builds"] == 0
         stats = ds.stats
-        assert (stats.loads, stats.evictions, stats.resident_shards) == (2, 0, 2)
+        assert (stats.loads, stats.evictions, stats.resident_shards) == ledger
         assert stats.loads - stats.evictions == stats.resident_shards
         armed = False
         totals = index.shard_totals(FEMALE)
@@ -613,3 +637,64 @@ def test_loader_failure_mid_build_surfaces_and_a_retry_is_exact():
         ShardedDataset.from_generator(schema, 800, 100, generate)
     ).shard_totals(FEMALE)
     np.testing.assert_array_equal(totals, serial)
+
+
+def test_from_memmap_codes_are_checked_on_every_threaded_load(tmp_path):
+    """The memmap loader goes through the same code-range check as any
+    loader: a bad code in shard 2 fails a threads-mode build before any
+    bitmap is kept."""
+    schema = Schema.from_dict({"gender": ["male", "female"]})
+    codes = np.zeros((500, 1), dtype=np.int16)
+    codes[250, 0] = 2
+    path = tmp_path / "codes.npy"
+    np.save(path, codes)
+    with ShardExecutor(mode="threads", max_workers=2) as executor:
+        ds = ShardedDataset.from_memmap(
+            schema, path, 100, executor=executor, max_resident_shards=2
+        )
+        index = ShardedMembershipIndex(ds)
+        with pytest.raises(InvalidParameterError, match="attribute 'gender' outside"):
+            index.shard_totals(FEMALE)
+        assert index.memory_report()["bitmap_builds"] == 0
+
+
+def test_threaded_build_holds_no_more_chunks_than_the_residency_cap(dense):
+    """Four workers but two resident shards: a build packs windows of
+    two, so no more than two loads are ever in flight (each load lingers
+    so that a wider window would overlap), the LRU never holds more than
+    two chunks, and the memory cap is the serial one."""
+    in_flight = 0
+    peak_in_flight = 0
+    lock = threading.Lock()
+
+    def loader(shard_index: int, start: int, stop: int) -> np.ndarray:
+        nonlocal in_flight, peak_in_flight
+        with lock:
+            in_flight += 1
+            peak_in_flight = max(peak_in_flight, in_flight)
+        try:
+            time.sleep(0.01)
+            return np.array(dense.codes[start:stop], dtype=np.int16)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    caps = {}
+    for mode in ("serial", "threads"):
+        with ShardExecutor(mode=mode, max_workers=4) as executor:
+            ds = ShardedDataset(
+                dense.schema, len(dense), 100, loader, executor=executor, max_resident_shards=2
+            )
+            index = ShardedMembershipIndex(ds)
+            np.testing.assert_array_equal(
+                index.shard_totals(FEMALE),
+                [reference_count(dense, FEMALE, np.arange(0, min(s * 100, 1_000)))
+                 for s in range(ds.n_shards + 1)],
+            )
+            report = index.memory_report()
+        assert ds.stats.loads == ds.n_shards
+        assert ds.stats.peak_resident_shards <= 2
+        assert report["peak_tracked_bytes"] <= report["cap_bytes"]
+        caps[mode] = report["cap_bytes"]
+    assert peak_in_flight <= 2
+    assert caps["threads"] == caps["serial"]

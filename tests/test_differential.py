@@ -606,10 +606,13 @@ NAMED = {
     # per-query loop: held answers free, fresh ones paid once
     **cases("second_run_over_a_paid_predicate", oracle=["truth", "flaky"], data_seed=3, tau=8,
             n=16, driver=["run", "run_many"], rerun=20),
-    # the mixed axes no pairwise suite reached
+    # the mixed axes no pairwise suite reached, on both executors
     "threads_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
         engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
         executor="threads", kill=60),
+    "serial_adaptive_kill_resume": Config(kind="multiple", n_rows=4000, tau=20, driver="run",
+        engine=ENGINE, oracle="adaptive", layout="from_memmap", shard_size=512,
+        executor="serial", kill=60),
 }
 
 NAMED_SURFACES = {
